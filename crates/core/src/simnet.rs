@@ -494,6 +494,17 @@ impl Runner {
             Runner::Flat(r) => r.last_header_bits(),
         }
     }
+
+    /// Frames transmitted during the most recently run wave, as the
+    /// runner counted them while billing — O(1), where summing every
+    /// node's `tx_packets` before and after was O(N) per wave.
+    fn last_wave_frames(&self) -> u64 {
+        match self {
+            Runner::Single(r) => r.last_wave_frames(),
+            Runner::Sharded(r) => r.last_wave_frames(),
+            Runner::Flat(r) => r.last_wave_frames(),
+        }
+    }
 }
 
 /// An [`AggregationNetwork`] whose primitives execute as simulated
@@ -649,11 +660,7 @@ impl SimNetwork {
         if traced {
             self.telemetry.emit(&Event::WaveStarted { wave, slots });
         }
-        self.ledger
-            .lock()
-            .expect("mux ledger poisoned")
-            .reset(reqs.len());
-        let tx_before = self.total_tx_packets();
+        self.ledger_mut().reset(reqs.len());
         let wave_start = traced.then(Instant::now);
         let run = self
             .runner
@@ -676,10 +683,10 @@ impl SimNetwork {
                 return Err(QueryError::from(e));
             }
         };
-        let messages = self.total_tx_packets() - tx_before;
+        let messages = self.runner.last_wave_frames();
         let header_bits = self.runner.last_header_bits() * messages;
         let (slot_bits, envelope_bits) = {
-            let ledger = self.ledger.lock().expect("mux ledger poisoned");
+            let ledger = self.ledger_mut();
             (ledger.slots().to_vec(), ledger.envelope_bits())
         };
         self.peak_wave_slots = self.peak_wave_slots.max(slots);
@@ -837,9 +844,13 @@ impl SimNetwork {
         });
     }
 
-    fn total_tx_packets(&self) -> u64 {
-        let stats = self.runner.stats();
-        (0..stats.len()).map(|v| stats.node(v).tx_packets).sum()
+    /// The shared ledger, recovering the guard if a protocol panic on
+    /// a worker poisoned the mutex: the tallies are plain counters,
+    /// reset before every wave, so no panic can leave them invalid.
+    fn ledger_mut(&self) -> std::sync::MutexGuard<'_, MuxLedger> {
+        self.ledger
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Network-wide subtree-partial cache counters (all zero when the
@@ -932,8 +943,8 @@ impl SimNetwork {
             cache: self.runner.cache_stats(),
             transport: self.runner.transport_footprint(),
             max_node_bits: stats.max_node_bits(),
-            total_bits: (0..stats.len()).map(|v| stats.node(v).total_bits()).sum(),
-            total_tx_packets: self.total_tx_packets(),
+            total_bits: stats.iter().map(|s| s.total_bits()).sum(),
+            total_tx_packets: stats.iter().map(|s| s.tx_packets).sum(),
             nodes: self.runner.len(),
             peak_wave_slots: self.peak_wave_slots,
             peak_wave_envelope_bits: self.peak_wave_envelope_bits,

@@ -158,6 +158,11 @@ impl<P: NodeRuntime> ShardedSim<P> {
         self.shards.iter().map(Simulator::events_processed).sum()
     }
 
+    /// Total physical transmissions over all shards since construction.
+    pub fn frames_transmitted(&self) -> u64 {
+        self.shards.iter().map(Simulator::frames_transmitted).sum()
+    }
+
     /// Resets every shard's statistics.
     pub fn reset_stats(&mut self) {
         for s in &mut self.shards {

@@ -229,6 +229,8 @@ pub struct Simulator<P> {
     stats: NetStats,
     now: SimTime,
     events_processed: u64,
+    /// Physical transmissions since construction (never reset).
+    frames_transmitted: u64,
     /// Recycled frame allocations: encode paths draw writers through
     /// [`Context::writer`], delivery copies are duplicated from and
     /// recycled back into the pool, so steady-state waves run without
@@ -308,6 +310,7 @@ impl<P: NodeRuntime> Simulator<P> {
             stats,
             now: SimTime::ZERO,
             events_processed: 0,
+            frames_transmitted: 0,
             pool: ScratchPool::new(),
             action_scratch: Vec::new(),
         }
@@ -393,6 +396,14 @@ impl<P: NodeRuntime> Simulator<P> {
     /// Total events processed since construction.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Physical transmissions since construction — one per
+    /// [`NetStats::charge_tx`] the simulator made, unaffected by
+    /// [`Simulator::reset_stats`]. A driver reads it before and after a
+    /// run to count that run's frames without summing per-node counters.
+    pub fn frames_transmitted(&self) -> u64 {
+        self.frames_transmitted
     }
 
     /// Frame writers/copies served from recycled allocations (see
@@ -513,6 +524,7 @@ impl<P: NodeRuntime> Simulator<P> {
     ) {
         let bits = payload.len_bits();
         self.stats.charge_tx(src, bits);
+        self.frames_transmitted += 1;
         let base_delay = self.cfg.link.delay_for(bits);
         for &dst in receivers {
             // Per-copy delivery payloads are pool-duplicated (below), and

@@ -38,14 +38,41 @@ impl NodeStats {
     }
 }
 
+/// Traffic on one spanning-tree edge, tallied at the edge's **child**
+/// endpoint (every non-root node owns exactly one tree edge).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TreeLinkBits {
+    /// Bits scheduled parent → child.
+    pub down: u64,
+    /// Bits scheduled child → parent.
+    pub up: u64,
+}
+
+impl TreeLinkBits {
+    /// Bits in both directions.
+    pub fn total(&self) -> u64 {
+        self.down + self.up
+    }
+}
+
+/// `tree_parent` entry of a node without a declared tree edge.
+const NO_PARENT: usize = usize::MAX;
+
 /// Communication statistics for a whole network.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStats {
     nodes: Vec<NodeStats>,
     energy_model: EnergyModel,
-    /// Directed per-link traffic: bits scheduled from `src` toward `dst`
-    /// (counted per physical transmission reaching that receiver,
-    /// independent of loss). Keyed `(src, dst)`.
+    /// Parent of each node on the declared spanning tree ([`NO_PARENT`]
+    /// for the root); empty unless built by [`NetStats::with_tree`].
+    tree_parent: Vec<usize>,
+    /// Dense ledger of the declared tree's edges, indexed by child id —
+    /// a convergecast runner charges 2·(N−1) of these per wave, which is
+    /// what keeps that off the hash map below.
+    tree_links: Vec<TreeLinkBits>,
+    /// Directed per-link traffic on every *other* edge: bits scheduled
+    /// from `src` toward `dst` (counted per physical transmission
+    /// reaching that receiver, independent of loss). Keyed `(src, dst)`.
     links: std::collections::HashMap<(usize, usize), u64>,
 }
 
@@ -55,18 +82,60 @@ impl NetStats {
         NetStats {
             nodes: vec![NodeStats::default(); n],
             energy_model,
+            tree_parent: Vec::new(),
+            tree_links: Vec::new(),
             links: std::collections::HashMap::new(),
+        }
+    }
+
+    /// As [`NetStats::new`], additionally declaring a spanning tree
+    /// (`parents[v]` is `v`'s parent, `None` at the root) whose edges
+    /// are tallied in a dense column instead of the link map. Purely a
+    /// representation choice: every accessor returns what the map-backed
+    /// tracker would.
+    pub fn with_tree(energy_model: EnergyModel, parents: &[Option<usize>]) -> Self {
+        NetStats {
+            tree_parent: parents.iter().map(|p| p.unwrap_or(NO_PARENT)).collect(),
+            tree_links: vec![TreeLinkBits::default(); parents.len()],
+            ..NetStats::new(parents.len(), energy_model)
+        }
+    }
+
+    /// When the declared tree has the edge `{a, b}`: its child endpoint,
+    /// and whether `a → b` is the downward direction.
+    fn tree_edge(&self, a: usize, b: usize) -> Option<(usize, bool)> {
+        if self.tree_parent.get(b) == Some(&a) {
+            Some((b, true))
+        } else if self.tree_parent.get(a) == Some(&b) {
+            Some((a, false))
+        } else {
+            None
         }
     }
 
     /// Records `bits` of traffic on the directed link `src → dst`.
     pub fn charge_link(&mut self, src: usize, dst: usize, bits: u64) {
-        *self.links.entry((src, dst)).or_insert(0) += bits;
+        match self.tree_edge(src, dst) {
+            Some((child, true)) => self.tree_links[child].down += bits,
+            Some((child, false)) => self.tree_links[child].up += bits,
+            None => *self.links.entry((src, dst)).or_insert(0) += bits,
+        }
+    }
+
+    /// Mutable access to the dense tree-edge tallies (indexed by child
+    /// id; empty without a declared tree), for runners that keep their
+    /// own per-edge columns and flush them wholesale — the link-side
+    /// companion of [`NetStats::nodes_mut`].
+    pub fn tree_links_mut(&mut self) -> &mut [TreeLinkBits] {
+        &mut self.tree_links
     }
 
     /// Total bits carried by the undirected link `{a, b}`.
     pub fn link_bits(&self, a: usize, b: usize) -> u64 {
-        self.links.get(&(a, b)).copied().unwrap_or(0)
+        let tree = self
+            .tree_edge(a, b)
+            .map_or(0, |(child, _)| self.tree_links[child].total());
+        tree + self.links.get(&(a, b)).copied().unwrap_or(0)
             + self.links.get(&(b, a)).copied().unwrap_or(0)
     }
 
@@ -75,11 +144,21 @@ impl NetStats {
     /// splitting the network (Theorem 5.1's reduction measures exactly
     /// this on a line).
     pub fn cut_bits(&self, left: usize) -> u64 {
-        self.links
+        let tree: u64 = self
+            .tree_parent
+            .iter()
+            .zip(&self.tree_links)
+            .enumerate()
+            .filter(|&(c, (&p, _))| p != NO_PARENT && (p < left) != (c < left))
+            .map(|(_, (_, e))| e.total())
+            .sum();
+        let other: u64 = self
+            .links
             .iter()
             .filter(|(&(s, d), _)| (s < left) != (d < left))
             .map(|(_, &b)| b)
-            .sum()
+            .sum();
+        tree + other
     }
 
     /// Number of nodes tracked.
@@ -174,9 +253,8 @@ impl NetStats {
 
     /// Resets every counter to zero, keeping the node count and model.
     pub fn reset(&mut self) {
-        for s in &mut self.nodes {
-            *s = NodeStats::default();
-        }
+        self.nodes.fill(NodeStats::default());
+        self.tree_links.fill(TreeLinkBits::default());
         self.links.clear();
     }
 
@@ -216,8 +294,18 @@ impl NetStats {
             a.energy.tx_nj += b.energy.tx_nj;
             a.energy.rx_nj += b.energy.rx_nj;
         }
+        // Through `charge_link`, so each edge lands in this tracker's
+        // own representation whichever one `other` kept it in.
+        for (c, (&p, e)) in other.tree_parent.iter().zip(&other.tree_links).enumerate() {
+            if e.down > 0 {
+                self.charge_link(map(p), map(c), e.down);
+            }
+            if e.up > 0 {
+                self.charge_link(map(c), map(p), e.up);
+            }
+        }
         for (&(s, d), &v) in &other.links {
-            *self.links.entry((map(s), map(d))).or_insert(0) += v;
+            self.charge_link(map(s), map(d), v);
         }
     }
 }
@@ -307,6 +395,75 @@ mod tests {
         b.charge_link(1, 0, 2);
         a.absorb(&b);
         assert_eq!(a.link_bits(0, 1), 9);
+    }
+
+    /// The same charges on a map-backed tracker and on one that keeps
+    /// the tree `0 ← 1 ← 2, 1 ← 3` densely; `0 ↔ 3` is not a tree edge.
+    fn map_and_dense() -> (NetStats, NetStats) {
+        let parents = [None, Some(0), Some(1), Some(1)];
+        let mut pair = (
+            NetStats::new(4, EnergyModel::default()),
+            NetStats::with_tree(EnergyModel::default(), &parents),
+        );
+        for s in [&mut pair.0, &mut pair.1] {
+            s.charge_link(0, 1, 10);
+            s.charge_link(1, 0, 5);
+            s.charge_link(1, 2, 7);
+            s.charge_link(3, 1, 2);
+            s.charge_link(0, 3, 100);
+            s.charge_link(3, 0, 1);
+        }
+        (pair.0, pair.1)
+    }
+
+    fn assert_same_links(a: &NetStats, b: &NetStats) {
+        for x in 0..a.len() {
+            for y in 0..a.len() {
+                assert_eq!(a.link_bits(x, y), b.link_bits(x, y), "link {x}<->{y}");
+            }
+        }
+        for left in 0..=a.len() {
+            assert_eq!(a.cut_bits(left), b.cut_bits(left), "cut at {left}");
+        }
+    }
+
+    #[test]
+    fn dense_tree_tally_matches_the_map() {
+        let (map, dense) = map_and_dense();
+        assert_eq!(dense.link_bits(0, 1), 15);
+        assert_eq!(dense.link_bits(1, 3), 2);
+        assert_eq!(dense.link_bits(0, 3), 101, "non-tree edge stays in the map");
+        assert_eq!(dense.cut_bits(1), 15 + 101);
+        assert_same_links(&map, &dense);
+        // Tree edges never reached the map; the other edge never left it.
+        assert_eq!(dense.links.len(), 2);
+        assert_eq!(dense.tree_links[1], TreeLinkBits { down: 10, up: 5 });
+    }
+
+    #[test]
+    fn absorb_and_reset_agree_across_representations() {
+        let (map, dense) = map_and_dense();
+        // Every pairing of target and source representation sums alike.
+        let (mut into_map, mut into_dense) = map_and_dense();
+        into_map.absorb(&dense);
+        into_dense.absorb(&map);
+        assert_same_links(&into_map, &into_dense);
+        assert_eq!(into_dense.link_bits(0, 1), 30);
+        assert_eq!(into_dense.link_bits(0, 3), 202);
+        // Under a node-id translation (local i is global 3 − i) too.
+        let map_ids = [3, 2, 1, 0];
+        let mut mapped_from_map = NetStats::new(4, EnergyModel::default());
+        let mut mapped_from_dense = NetStats::new(4, EnergyModel::default());
+        mapped_from_map.absorb_mapped(&map, &map_ids);
+        mapped_from_dense.absorb_mapped(&dense, &map_ids);
+        assert_same_links(&mapped_from_map, &mapped_from_dense);
+        assert_eq!(mapped_from_dense.link_bits(3, 2), 15);
+        assert_eq!(mapped_from_dense.link_bits(3, 0), 101);
+        // Reset zeroes both ledgers and keeps the declared tree.
+        into_dense.reset();
+        assert_same_links(&into_dense, &NetStats::new(4, EnergyModel::default()));
+        into_dense.charge_link(1, 2, 9);
+        assert_eq!(into_dense.tree_links[2].down, 9);
     }
 
     #[test]

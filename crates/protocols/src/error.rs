@@ -24,6 +24,10 @@ pub enum ProtocolError {
     /// A requested execution mode is not supported by this runner (for
     /// example per-hop ARQ under sharded execution).
     Unsupported(&'static str),
+    /// The protocol panicked on a worker thread of a parallel runner.
+    /// The wave is lost, the runner is not: the panic was contained at
+    /// the join and the next wave starts from a clean slate.
+    WorkerPanicked(String),
 }
 
 impl fmt::Display for ProtocolError {
@@ -36,6 +40,7 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::ShapeMismatch(what) => write!(f, "shape mismatch: {what}"),
             ProtocolError::Unsupported(what) => write!(f, "unsupported configuration: {what}"),
+            ProtocolError::WorkerPanicked(msg) => write!(f, "wave worker panicked: {msg}"),
         }
     }
 }

@@ -7,10 +7,43 @@
 //! bit counters live in contiguous columns indexed by DFS **position**,
 //! and a wave is two sweeps of index arithmetic — a top-down pass that
 //! decodes requests and stages per-child frames, and a bottom-up pass
-//! that merges child partials in fixed child order. No events, no
-//! queues, no per-node heap allocation on the wave path: frames are
-//! recycled through [`ScratchPool`]s, so steady-state waves allocate
-//! nothing.
+//! that merges child partials in fixed child order. No events and no
+//! queues.
+//!
+//! ## What a node costs
+//!
+//! A steady-state wave makes **one** heap allocation per participating
+//! node — the `Vec` its [`WaveProtocol::local`] contribution is built
+//! in — plus O(blocks + distinct requests) for the wave as a whole:
+//!
+//! * **frames** are recycled through [`ScratchPool`]s; after the first
+//!   wave no frame buffer is allocated;
+//! * **the request is shared, not cloned.** A slot holds
+//!   `Arc<P::Request>` handles: `fwd` is the same handle as `req`
+//!   unless a partial cache hit subsets the envelope, and the sweeps
+//!   copy handles, never requests;
+//! * **each distinct frame is decoded once per thread.** Every node
+//!   still takes — and is billed for — its own inbound frame, but a
+//!   per-thread, per-wave `DecodeMemo` (the driver's on the spine, one
+//!   per worker across its blocks; nothing shared) compares the
+//!   frame's bits with those already decoded (whole-frame equality,
+//!   header and ARQ sequence number included) and shares that decode,
+//!   which is a pure function of the bits and the deployment
+//!   configuration. A frame that differs in one bit misses and is
+//!   decoded afresh;
+//! * **each fan-out is encoded once** under [`Reliability::None`]: the
+//!   siblings receive pool-backed copies billed through
+//!   [`WaveProtocol::note_request_copies`], exactly the boxed runner's
+//!   fan-out (per-child sequence numbers keep one encode per child
+//!   under ARQ);
+//! * **child partials are merged off the wire**
+//!   ([`WaveProtocol::absorb_child`]) into the accumulator's own
+//!   allocation — every partial still crosses its edge as encoded bits
+//!   and is decoded by its parent;
+//! * **link tallies are columns**: a tree edge is owned by its child
+//!   position, always inside the window that emulates the exchange, so
+//!   both directions accumulate in a [`TreeLinkBits`] column flushed
+//!   with the node counters — no per-transmission record, no hash map.
 //!
 //! ## Nested parallelism
 //!
@@ -31,8 +64,8 @@
 //! by the same argument as [`crate::shard`] (ARCHITECTURE §7, extended
 //! recursively in §10):
 //!
-//! * every node encodes exactly the frames it would encode boxed — one
-//!   request per child edge, one partial per participating node, with
+//! * every node transmits exactly the frames it would transmit boxed —
+//!   one request per child edge, one partial per participating node, with
 //!   the same envelope header under the deployment's [`WireProfile`]
 //!   (kind + wave ordinal, fixed or varint-framed);
 //! * partials are merged in fixed child order (ascending global id =
@@ -93,14 +126,11 @@ use saq_netsim::flat::{FlatTree, NestDepth, ShardBlock, ShardPlan};
 use saq_netsim::link::{FateStream, FrameClass, LinkConfig, LinkFate};
 use saq_netsim::rng::{derive_seed, Xoshiro256StarStar};
 use saq_netsim::sim::{NodeId, SimConfig};
-use saq_netsim::stats::{NetStats, NodeStats};
+use saq_netsim::stats::{NetStats, NodeStats, TreeLinkBits};
 use saq_netsim::topology::Topology;
 use saq_netsim::wire::{BitReader, BitString, ScratchPool};
 use saq_netsim::{NetsimError, SimDuration};
-
-/// Directed link charge recorded by a sweep: `(src, dst, bits)` in
-/// global ids, drained into the [`NetStats`] ledger at the barrier.
-type LinkCharge = (usize, usize, u64);
+use std::sync::Arc;
 
 /// The four per-edge fate streams of one tree edge, stored at the
 /// child's position (one tree edge per non-root node). Streams are
@@ -159,13 +189,31 @@ fn two_mut<T>(slice: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
     (&mut lo[a], &mut hi[0])
 }
 
+/// One endpoint of a tree edge during an exchange: its radio counters
+/// and the tally of the bits it puts on the edge (one direction of the
+/// edge's [`TreeLinkBits`]).
+struct Endpoint<'a> {
+    stats: &'a mut NodeStats,
+    link: &'a mut u64,
+}
+
+impl Endpoint<'_> {
+    /// Bills one transmission of `bits` onto the edge.
+    fn transmit(&mut self, model: &EnergyModel, bits: u64, frames: &mut u64) {
+        charge_tx(self.stats, model, bits);
+        *self.link += bits;
+        *frames += 1;
+    }
+}
+
 /// Emulates one boxed stop-and-wait exchange over a tree edge:
 /// `sender` transmits a `bits`-wide frame until an intact copy's ACK
 /// survives the reverse edge. Consumes `data` (sender → receiver,
 /// `Data`) one fate per attempt and `ack` (receiver → sender, `Ack`)
 /// one fate per intact delivered copy — exactly the per-edge stream
 /// indices the boxed run consumes — and bills every transmission,
-/// delivery (corrupt copies included) and ACK to the same counters.
+/// delivery (corrupt copies included) and ACK to the same counters,
+/// counting each transmission into `frames`.
 ///
 /// Returns the number of intact copies delivered (the dedup-residue
 /// observable: a second copy re-inserts the receiver's `(from, wave,
@@ -187,11 +235,9 @@ fn arq_exchange(
     bits: u64,
     data: &mut FateStream,
     ack: &mut FateStream,
-    sender: &mut NodeStats,
-    receiver: &mut NodeStats,
-    links: &mut Vec<LinkCharge>,
-    sender_id: usize,
-    receiver_id: usize,
+    mut sender: Endpoint<'_>,
+    mut receiver: Endpoint<'_>,
+    frames: &mut u64,
 ) -> Result<u64, ProtocolError> {
     let worst_rtt = env.link.delay_for(bits)
         + env.link.delay_for(env.ack_bits)
@@ -213,8 +259,7 @@ fn arq_exchange(
                 budget: env.attempt_budget,
             }));
         }
-        charge_tx(sender, env.model, bits);
-        links.push((sender_id, receiver_id, bits));
+        sender.transmit(env.model, bits, frames);
         // Delivered copies (intact or corrupt) bill the receiver; each
         // intact copy is ACKed per copy, before dedup, as the boxed
         // receiver does.
@@ -225,24 +270,23 @@ fn arq_exchange(
             LinkFate::DeliveredTwice(_, _) => (2, 2),
         };
         for _ in 0..delivered {
-            charge_rx(receiver, env.model, bits);
+            charge_rx(receiver.stats, env.model, bits);
         }
         let mut acked = false;
         for _ in 0..intact {
-            charge_tx(receiver, env.model, env.ack_bits);
-            links.push((receiver_id, sender_id, env.ack_bits));
+            receiver.transmit(env.model, env.ack_bits, frames);
             match ack.next_fate(env.link) {
                 LinkFate::Lost => {}
                 // A corrupt ACK bills the sender's radio but never
                 // reaches the protocol: it does not stop retransmission.
-                LinkFate::Corrupted(_) => charge_rx(sender, env.model, env.ack_bits),
+                LinkFate::Corrupted(_) => charge_rx(sender.stats, env.model, env.ack_bits),
                 LinkFate::Delivered(_) => {
-                    charge_rx(sender, env.model, env.ack_bits);
+                    charge_rx(sender.stats, env.model, env.ack_bits);
                     acked = true;
                 }
                 LinkFate::DeliveredTwice(_, _) => {
-                    charge_rx(sender, env.model, env.ack_bits);
-                    charge_rx(sender, env.model, env.ack_bits);
+                    charge_rx(sender.stats, env.model, env.ack_bits);
+                    charge_rx(sender.stats, env.model, env.ack_bits);
                     acked = true;
                 }
             }
@@ -260,11 +304,14 @@ fn arq_exchange(
 /// of [`AggNode`](crate::wave::AggNode), reset by admission each wave.
 #[derive(Debug)]
 struct WaveSlot<P: WaveProtocol> {
-    /// Request this node received (partials are encoded against it).
-    req: Option<P::Request>,
-    /// Cache-reduced request forwarded to children (partials are
-    /// decoded and merged against it).
-    fwd: Option<P::Request>,
+    /// Request this node received (partials are encoded against it) —
+    /// a shared handle: every node this thread saw take a bit-identical
+    /// frame holds the same decode.
+    req: Option<Arc<P::Request>>,
+    /// Request forwarded to children (partials are decoded and merged
+    /// against it): the *same* handle as `req` unless a partial cache
+    /// hit subset the envelope.
+    fwd: Option<Arc<P::Request>>,
     /// Local contribution, then the canonical merge accumulator.
     acc: Option<P::Partial>,
     /// Cache hits of the current wave: `(slot index, partial)`.
@@ -300,6 +347,85 @@ impl<P: WaveProtocol> WaveSlot<P> {
     }
 }
 
+/// Request frames one thread remembers per wave. Fire-and-forget
+/// fan-outs put one distinct frame per forwarded envelope on the wire
+/// and ARQ one per child ordinal, so a handful covers a worker's whole
+/// share; past the cap the oldest entry is replaced.
+const DECODE_MEMO_CAP: usize = 16;
+
+/// The request frames a thread has already decoded in the current wave,
+/// each with its decode. Decoding is a pure function of (frame bits,
+/// deployment config), so a node whose inbound frame equals a
+/// remembered one **bit for bit** — header and ARQ sequence number
+/// included — shares that decode instead of repeating it; a frame that
+/// differs anywhere misses and is decoded afresh.
+#[derive(Debug)]
+struct DecodeMemo<R> {
+    entries: Vec<(BitString, Arc<R>)>,
+    /// Next entry to replace once `entries` is full.
+    cursor: usize,
+}
+
+impl<R> DecodeMemo<R> {
+    fn new() -> Self {
+        DecodeMemo {
+            entries: Vec::with_capacity(DECODE_MEMO_CAP),
+            cursor: 0,
+        }
+    }
+
+    fn get(&self, frame: &BitString) -> Option<Arc<R>> {
+        self.entries
+            .iter()
+            .find(|(seen, _)| seen == frame)
+            .map(|(_, req)| Arc::clone(req))
+    }
+
+    /// Remembers `frame`'s decode, keeping the frame itself as the key
+    /// (its allocation returns to `pool` on replacement or `drain`).
+    fn insert(&mut self, frame: BitString, req: Arc<R>, pool: &mut ScratchPool) {
+        if self.entries.len() < DECODE_MEMO_CAP {
+            self.entries.push((frame, req));
+        } else {
+            let (old, _) = std::mem::replace(&mut self.entries[self.cursor], (frame, req));
+            pool.recycle(old);
+            self.cursor = (self.cursor + 1) % DECODE_MEMO_CAP;
+        }
+    }
+
+    fn drain(&mut self, pool: &mut ScratchPool) {
+        for (frame, _) in self.entries.drain(..) {
+            pool.recycle(frame);
+        }
+        self.cursor = 0;
+    }
+}
+
+/// What one thread reuses from wave to wave — the driver on the spine,
+/// each worker across its blocks; never shared between threads.
+#[derive(Debug)]
+struct Scratch<R> {
+    /// Recycled frame buffers.
+    pool: ScratchPool,
+    /// Request frames decoded so far in the current wave.
+    memo: DecodeMemo<R>,
+}
+
+impl<R> Scratch<R> {
+    fn new() -> Self {
+        Scratch {
+            pool: ScratchPool::new(),
+            memo: DecodeMemo::new(),
+        }
+    }
+
+    /// Ends the wave's top-down traffic: the remembered frames go back
+    /// to the pool.
+    fn forget_frames(&mut self) {
+        self.memo.drain(&mut self.pool);
+    }
+}
+
 /// A contiguous window into every per-node column, covering positions
 /// `base..base + len`. The whole tree for spine sweeps; one block for a
 /// worker — blocks are disjoint position ranges, so workers borrow
@@ -320,6 +446,13 @@ struct Cols<'a, P: WaveProtocol> {
     /// Per-position telemetry buffers (all empty when tracing is off);
     /// drained by the driver in ascending global id order.
     trace: &'a mut [Vec<NodeTraceEntry>],
+    /// Cumulative bits on each position's tree edge (the one to its
+    /// parent). An edge is owned by its child position, which is always
+    /// inside the window that emulates the exchange — the same argument
+    /// as `arq` — so link tallies need no cross-window traffic.
+    links: &'a mut [TreeLinkBits],
+    /// Frames transmitted through this window in the current wave.
+    frames: u64,
 }
 
 fn charge_tx(c: &mut NodeStats, model: &EnergyModel, bits: u64) {
@@ -343,7 +476,7 @@ fn admit<P: WaveProtocol>(
     proto: &P,
     cache: &mut Option<PartialCache<P::Partial>>,
     slot: &mut WaveSlot<P>,
-    req: P::Request,
+    req: Arc<P::Request>,
     mut trace: Option<&mut Vec<NodeTraceEntry>>,
 ) -> bool {
     slot.hits.clear();
@@ -386,10 +519,13 @@ fn admit<P: WaveProtocol>(
         slot.cached = true;
         return true;
     }
+    // The only place a new request value is made below the root: a
+    // partial hit forwards the miss subset; otherwise the handle is
+    // shared.
     let fwd = if slot.hits.is_empty() {
-        req.clone()
+        Arc::clone(&req)
     } else {
-        proto.subset_request(&req, &slot.miss)
+        Arc::new(proto.subset_request(&req, &slot.miss))
     };
     slot.req = Some(req);
     slot.fwd = Some(fwd);
@@ -443,65 +579,85 @@ fn assemble<P: WaveProtocol>(
     proto.join_slots(req, slots)
 }
 
-/// Encodes and stages one request frame per child of `p`, charging the
+/// Stages one request frame per child of `p`, charging the
 /// transmissions to `p` exactly as its per-child unicasts would be.
-/// Under ARQ the *i*-th child's frame carries sequence number *i* (the
-/// boxed fan-out loop's counter), and the whole boxed exchange is
-/// emulated on the spot — both endpoints' counters live in this
-/// window, since blocks are whole subtrees and the spine sweeps the
-/// full column.
-#[allow(clippy::too_many_arguments)]
+///
+/// Fire-and-forget frames are bit-identical for every child, so the
+/// frame is encoded **once** and the siblings get pool-backed copies,
+/// billed through [`WaveProtocol::note_request_copies`] — the boxed
+/// runner's own fan-out, copy for copy. Under ARQ the *i*-th child's
+/// frame carries sequence number *i* (the boxed fan-out loop's
+/// counter), so each child keeps its own encode, and the whole boxed
+/// exchange is emulated on the spot — both endpoints' counters live in
+/// this window, since blocks are whole subtrees and the spine sweeps
+/// the full column.
 fn fan_out<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
     pool: &mut ScratchPool,
-    links: &mut Vec<LinkCharge>,
     cols: &mut Cols<'_, P>,
     p: usize,
     wave: u16,
     fwd: &P::Request,
 ) -> Result<(), ProtocolError> {
     let rel = p - cols.base;
-    let global = env.tree.global_of(p);
-    for (i, &c) in env.tree.children_pos(p).iter().enumerate() {
-        let crel = c as usize - cols.base;
+    let children = env.tree.children_pos(p);
+    let encode = |pool: &mut ScratchPool, seq: Option<usize>| {
         let mut w = pool.writer();
         w.write_bits(KIND_REQUEST, 2);
         env.profile.write_wave(&mut w, wave);
-        if env.arq_timeout.is_some() {
-            w.write_bits(i as u64, SEQ_BITS as u32);
+        if let Some(seq) = seq {
+            w.write_bits(seq as u64, SEQ_BITS as u32);
         }
         proto.encode_request(fwd, &mut w);
-        let frame = w.finish();
+        w.finish()
+    };
+    let Some(timeout) = env.arq_timeout else {
+        let Some((&last, siblings)) = children.split_last() else {
+            return Ok(()); // a leaf encodes (and bills) nothing
+        };
+        let frame = encode(pool, None);
         let bits = frame.len_bits();
-        match env.arq_timeout {
-            None => {
-                charge_tx(&mut cols.counters[rel], env.model, bits);
-                links.push((global, env.tree.global_of(c as usize), bits));
-            }
-            Some(timeout) => {
-                let streams = cols.arq[crel]
-                    .as_mut()
-                    .expect("non-root position has edge streams under ARQ");
-                let (sender, receiver) = two_mut(cols.counters, rel, crel);
-                let intact = arq_exchange(
-                    env,
-                    timeout,
-                    bits,
-                    &mut streams.down_data,
-                    &mut streams.up_ack,
-                    sender,
-                    receiver,
-                    links,
-                    global,
-                    env.tree.global_of(c as usize),
-                )?;
-                // The boxed receiver's first request copy enters `seen`
-                // only to be purged by its own admission; a second
-                // intact copy re-inserts the key, and it persists.
-                cols.residue[crel] = u64::from(intact >= 2);
-            }
+        proto.note_request_copies(fwd, siblings.len() as u64);
+        for &c in children {
+            charge_tx(&mut cols.counters[rel], env.model, bits);
+            cols.links[c as usize - cols.base].down += bits;
         }
+        cols.frames += children.len() as u64;
+        for &c in siblings {
+            cols.slots[c as usize - cols.base].frame = Some(pool.duplicate(&frame));
+        }
+        cols.slots[last as usize - cols.base].frame = Some(frame);
+        return Ok(());
+    };
+    for (i, &c) in children.iter().enumerate() {
+        let crel = c as usize - cols.base;
+        let frame = encode(pool, Some(i));
+        let streams = cols.arq[crel]
+            .as_mut()
+            .expect("non-root position has edge streams under ARQ");
+        let (sender, receiver) = two_mut(cols.counters, rel, crel);
+        let TreeLinkBits { down, up } = &mut cols.links[crel];
+        let intact = arq_exchange(
+            env,
+            timeout,
+            frame.len_bits(),
+            &mut streams.down_data,
+            &mut streams.up_ack,
+            Endpoint {
+                stats: sender,
+                link: down,
+            },
+            Endpoint {
+                stats: receiver,
+                link: up,
+            },
+            &mut cols.frames,
+        )?;
+        // The boxed receiver's first request copy enters `seen`
+        // only to be purged by its own admission; a second
+        // intact copy re-inserts the key, and it persists.
+        cols.residue[crel] = u64::from(intact >= 2);
         cols.slots[crel].frame = Some(frame);
     }
     Ok(())
@@ -512,12 +668,12 @@ fn fan_out<P: WaveProtocol>(
 fn step_down<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
-    pool: &mut ScratchPool,
-    links: &mut Vec<LinkCharge>,
+    scratch: &mut Scratch<P::Request>,
     cols: &mut Cols<'_, P>,
     p: usize,
     wave: u16,
 ) -> Result<(), ProtocolError> {
+    let Scratch { pool, memo } = scratch;
     let rel = p - cols.base;
     let Some(frame) = cols.slots[rel].frame.take() else {
         // No request reached this node (an ancestor answered from
@@ -532,21 +688,32 @@ fn step_down<P: WaveProtocol>(
     if env.arq_timeout.is_none() {
         charge_rx(&mut cols.counters[rel], env.model, frame_bits);
     }
-    let req = {
-        let mut r = BitReader::new(&frame);
-        let kind = r.read_bits(2);
-        let frame_wave = env.profile.read_wave(&mut r);
-        debug_assert!(matches!(kind, Ok(KIND_REQUEST)), "staged frame kind");
-        debug_assert_eq!(frame_wave.ok(), Some(wave), "staged frame wave");
-        if env.arq_timeout.is_some() {
-            let _seq = r.read_bits(SEQ_BITS as u32);
+    let req = match memo.get(&frame) {
+        Some(req) => {
+            pool.recycle(frame);
+            req
         }
-        proto.decode_request(&mut r)
-    };
-    pool.recycle(frame);
-    let Ok(req) = req else {
-        cols.slots[rel].active = false;
-        return Ok(());
+        None => {
+            let decoded = {
+                let mut r = BitReader::new(&frame);
+                let kind = r.read_bits(2);
+                let frame_wave = env.profile.read_wave(&mut r);
+                debug_assert!(matches!(kind, Ok(KIND_REQUEST)), "staged frame kind");
+                debug_assert_eq!(frame_wave.ok(), Some(wave), "staged frame wave");
+                if env.arq_timeout.is_some() {
+                    let _seq = r.read_bits(SEQ_BITS as u32);
+                }
+                proto.decode_request(&mut r)
+            };
+            let Ok(req) = decoded else {
+                pool.recycle(frame);
+                cols.slots[rel].active = false;
+                return Ok(());
+            };
+            let req = Arc::new(req);
+            memo.insert(frame, Arc::clone(&req), pool);
+            req
+        }
     };
     if env.trace_on {
         cols.trace[rel].push(NodeTraceEntry::RequestRecv { bits: frame_bits });
@@ -566,10 +733,12 @@ fn step_down<P: WaveProtocol>(
     ) {
         return Ok(()); // fully cached: subtree silent, reply sent bottom-up
     }
-    let fwd = cols.slots[rel]
-        .fwd
-        .clone()
-        .expect("forwarding admission sets the forward request");
+    let fwd = Arc::clone(
+        cols.slots[rel]
+            .fwd
+            .as_ref()
+            .expect("forwarding admission sets the forward request"),
+    );
     let local = proto.local(
         env.tree.global_of(p),
         &mut cols.items[rel],
@@ -577,7 +746,7 @@ fn step_down<P: WaveProtocol>(
         &mut cols.rngs[rel],
     );
     cols.slots[rel].acc = Some(local);
-    fan_out(env, proto, pool, links, cols, p, wave, &fwd)
+    fan_out(env, proto, pool, cols, p, wave, &fwd)
 }
 
 /// Bottom-up step: merge child partials in fixed child order, populate
@@ -594,7 +763,6 @@ fn step_up<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
     pool: &mut ScratchPool,
-    links: &mut Vec<LinkCharge>,
     cols: &mut Cols<'_, P>,
     p: usize,
     wave: u16,
@@ -609,10 +777,12 @@ fn step_up<P: WaveProtocol>(
         .expect("active wave has an accumulator");
     let children = env.tree.children_pos(p).len();
     if !cols.slots[rel].cached {
-        let fwd = cols.slots[rel]
-            .fwd
-            .clone()
-            .expect("executing wave has a forward request");
+        let fwd = Arc::clone(
+            cols.slots[rel]
+                .fwd
+                .as_ref()
+                .expect("executing wave has a forward request"),
+        );
         for &c in env.tree.children_pos(p) {
             let crel = c as usize - cols.base;
             let Some(frame) = cols.slots[crel].frame.take() else {
@@ -626,21 +796,28 @@ fn step_up<P: WaveProtocol>(
                         .as_mut()
                         .expect("non-root position has edge streams under ARQ");
                     let (receiver, sender) = two_mut(cols.counters, rel, crel);
+                    let TreeLinkBits { down, up } = &mut cols.links[crel];
                     arq_exchange(
                         env,
                         timeout,
                         bits,
                         &mut streams.up_data,
                         &mut streams.down_ack,
-                        sender,
-                        receiver,
-                        links,
-                        env.tree.global_of(c as usize),
-                        env.tree.global_of(p),
+                        Endpoint {
+                            stats: sender,
+                            link: up,
+                        },
+                        Endpoint {
+                            stats: receiver,
+                            link: down,
+                        },
+                        &mut cols.frames,
                     )?;
                 }
             }
-            let partial = {
+            // The child's partial crosses the edge as encoded bits and
+            // is merged into the accumulator straight off the wire.
+            let merged = {
                 let mut r = BitReader::new(&frame);
                 let kind = r.read_bits(2);
                 let frame_wave = env.profile.read_wave(&mut r);
@@ -649,11 +826,10 @@ fn step_up<P: WaveProtocol>(
                 if env.arq_timeout.is_some() {
                     let _seq = r.read_bits(SEQ_BITS as u32);
                 }
-                proto.decode_partial(&fwd, &mut r)
+                proto.absorb_child(&fwd, acc, &mut r)
             };
             pool.recycle(frame);
-            let partial = partial.map_err(ProtocolError::from)?;
-            acc = proto.merge(&fwd, acc, partial);
+            acc = merged.map_err(ProtocolError::from)?;
         }
     }
     let full = assemble(proto, &mut cols.caches[rel], &mut cols.slots[rel], acc);
@@ -666,7 +842,7 @@ fn step_up<P: WaveProtocol>(
             }
             Ok(Some(full))
         }
-        Some(parent) => {
+        Some(_) => {
             let req = cols.slots[rel]
                 .req
                 .as_ref()
@@ -680,15 +856,14 @@ fn step_up<P: WaveProtocol>(
             }
             proto.encode_partial(req, &full, &mut w);
             let frame = w.finish();
+            let bits = frame.len_bits();
             if env.trace_on {
-                cols.trace[rel].push(NodeTraceEntry::PartialSent {
-                    bits: frame.len_bits(),
-                });
+                cols.trace[rel].push(NodeTraceEntry::PartialSent { bits });
             }
             if env.arq_timeout.is_none() {
-                let bits = frame.len_bits();
                 charge_tx(&mut cols.counters[rel], env.model, bits);
-                links.push((env.tree.global_of(p), env.tree.global_of(parent), bits));
+                cols.links[rel].up += bits;
+                cols.frames += 1;
             } else if !cols.slots[rel].cached {
                 // Dedup residue of a forwarding node: one key per
                 // reporting child, plus the duplicate-request key set
@@ -704,34 +879,31 @@ fn step_up<P: WaveProtocol>(
 /// Runs one complete block (a whole subtree): top-down then bottom-up.
 /// The block root's inbound frame was staged by its spine parent; its
 /// outbound partial is left in its own slot for the spine to take.
-#[allow(clippy::too_many_arguments)]
 fn eval_block<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
-    pool: &mut ScratchPool,
-    links: &mut Vec<LinkCharge>,
+    scratch: &mut Scratch<P::Request>,
     cols: &mut Cols<'_, P>,
     block: ShardBlock,
     wave: u16,
 ) -> Result<(), ProtocolError> {
     let (start, end) = (block.start as usize, (block.start + block.len) as usize);
     for p in start..end {
-        step_down(env, proto, pool, links, cols, p, wave)?;
+        step_down(env, proto, scratch, cols, p, wave)?;
     }
     for p in (start..end).rev() {
-        let out = step_up(env, proto, pool, links, cols, p, wave)?;
+        let out = step_up(env, proto, &mut scratch.pool, cols, p, wave)?;
         debug_assert!(out.is_none(), "blocks are strictly below the root");
     }
     Ok(())
 }
 
 /// One worker's share of a wave: its protocol clone (sharing the
-/// group's side-state), scratch pool, link tally, and assigned blocks
-/// with their disjoint column windows.
+/// group's side-state), scratch, and assigned blocks with their
+/// disjoint column windows.
 struct WorkerTask<'a, P: WaveProtocol> {
     proto: P,
-    pool: &'a mut ScratchPool,
-    links: &'a mut Vec<LinkCharge>,
+    scratch: &'a mut Scratch<P::Request>,
     blocks: Vec<(ShardBlock, Cols<'a, P>)>,
 }
 
@@ -742,7 +914,7 @@ fn run_task<P: WaveProtocol>(
 ) -> Result<(), ProtocolError> {
     let mut result = Ok(());
     for (block, cols) in &mut task.blocks {
-        let r = eval_block(env, &task.proto, task.pool, task.links, cols, *block, wave);
+        let r = eval_block(env, &task.proto, task.scratch, cols, *block, wave);
         // Keep the first error but finish every block, so per-block
         // side-state is always fully accumulated before the barrier
         // drains it (the shard discipline of `crate::shard`).
@@ -750,22 +922,103 @@ fn run_task<P: WaveProtocol>(
             result = r;
         }
     }
+    task.scratch.forget_frames();
     result
 }
 
-/// Splits one column into per-block windows (blocks are disjoint and
-/// ascending by start, so this is a single left-to-right carve).
-fn split_ranges<'a, T>(mut col: &'a mut [T], blocks: &[ShardBlock]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(blocks.len());
-    let mut offset = 0usize;
-    for b in blocks {
-        let (_, rest) = col.split_at_mut(b.start as usize - offset);
-        let (window, rest) = rest.split_at_mut(b.len as usize);
-        out.push(window);
-        col = rest;
-        offset = (b.start + b.len) as usize;
+/// The position-indexed columns a wave reads and writes: persistent
+/// node state plus per-wave mailboxes, windowed as [`Cols`].
+#[derive(Debug)]
+struct Columns<P: WaveProtocol> {
+    items: Vec<Vec<P::Item>>,
+    rngs: Vec<Xoshiro256StarStar>,
+    caches: Vec<Option<PartialCache<P::Partial>>>,
+    /// Cumulative per-position counters, flushed wholesale into the
+    /// global-id-indexed [`NetStats`] after every wave.
+    counters: Vec<NodeStats>,
+    slots: Vec<WaveSlot<P>>,
+    /// Emulated `seen`-set cardinality per position (see
+    /// [`FlatWaveRunner::transport_footprint`]).
+    dedup_residue: Vec<u64>,
+    /// Per-edge fate streams at the child position; populated under
+    /// [`Reliability::Ack`], all `None` otherwise.
+    arq: Vec<Option<Box<EdgeStreams>>>,
+    /// Position-indexed telemetry buffers (all empty when tracing is
+    /// off); drained via [`FlatWaveRunner::take_trace`].
+    trace: Vec<Vec<NodeTraceEntry>>,
+    /// Cumulative tree-edge bits at the child position, flushed with
+    /// `counters`.
+    links: Vec<TreeLinkBits>,
+}
+
+impl<P: WaveProtocol> Columns<P> {
+    /// The whole tree as one window (what the spine sweeps).
+    fn window(&mut self) -> Cols<'_, P> {
+        Cols {
+            base: 0,
+            items: &mut self.items,
+            rngs: &mut self.rngs,
+            caches: &mut self.caches,
+            counters: &mut self.counters,
+            slots: &mut self.slots,
+            residue: &mut self.dedup_residue,
+            arq: &mut self.arq,
+            trace: &mut self.trace,
+            links: &mut self.links,
+            frames: 0,
+        }
     }
-    out
+}
+
+/// Splits the first `n` elements off the front of a column window.
+fn take_front<'a, T>(col: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let (head, rest) = std::mem::take(col).split_at_mut(n);
+    *col = rest;
+    head
+}
+
+impl<'a, P: WaveProtocol> Cols<'a, P> {
+    /// Splits `[base, base + n)` off the front of the window.
+    fn take_front(&mut self, n: usize) -> Self {
+        let head = Cols {
+            base: self.base,
+            items: take_front(&mut self.items, n),
+            rngs: take_front(&mut self.rngs, n),
+            caches: take_front(&mut self.caches, n),
+            counters: take_front(&mut self.counters, n),
+            slots: take_front(&mut self.slots, n),
+            residue: take_front(&mut self.residue, n),
+            arq: take_front(&mut self.arq, n),
+            trace: take_front(&mut self.trace, n),
+            links: take_front(&mut self.links, n),
+            frames: 0,
+        };
+        self.base += n;
+        head
+    }
+
+    /// Carves one window per block (blocks are disjoint and ascending
+    /// by start, so this is a single left-to-right pass).
+    fn carve(mut self, blocks: &[ShardBlock]) -> Vec<Self> {
+        blocks
+            .iter()
+            .map(|b| {
+                self.take_front(b.start as usize - self.base);
+                self.take_front(b.len as usize)
+            })
+            .collect()
+    }
+}
+
+/// Renders a worker's panic payload for [`ProtocolError::WorkerPanicked`].
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => match payload.downcast::<&'static str>() {
+            Ok(s) => (*s).to_owned(),
+            Err(_) => "non-string panic payload".to_owned(),
+        },
+    }
 }
 
 /// Executes [`WaveProtocol`] waves over contiguous per-node columns,
@@ -781,39 +1034,27 @@ pub struct FlatWaveRunner<P: WaveProtocol> {
     /// before construction); group clones are drained into it at every
     /// barrier.
     proto: P,
-    // Position-indexed persistent columns.
-    items: Vec<Vec<P::Item>>,
-    rngs: Vec<Xoshiro256StarStar>,
-    caches: Vec<Option<PartialCache<P::Partial>>>,
-    /// Cumulative per-position counters, flushed wholesale into
-    /// `stats` (global-id-indexed) after every wave.
-    counters: Vec<NodeStats>,
-    slots: Vec<WaveSlot<P>>,
-    /// Emulated `seen`-set cardinality per position (see
-    /// [`transport_footprint`](Self::transport_footprint)).
-    dedup_residue: Vec<u64>,
+    cols: Columns<P>,
     /// Whether per-node telemetry tracing is on.
     trace_on: bool,
-    /// Position-indexed telemetry buffers (all empty when tracing is
-    /// off); drained via [`take_trace`](Self::take_trace).
-    trace: Vec<Vec<NodeTraceEntry>>,
-    /// Per-edge fate streams at the child position; populated under
-    /// [`Reliability::Ack`], all `None` otherwise.
-    arq: Vec<Option<Box<EdgeStreams>>>,
     link: LinkConfig,
     reliability: Reliability,
     /// Per-exchange retransmission attempt budget (from
     /// [`SimConfig::max_events`]).
     attempt_budget: u64,
     stats: NetStats,
-    /// Driver-side scratch frames (spine sweeps).
-    pool: ScratchPool,
+    /// Driver-side scratch (spine sweeps).
+    scratch: Scratch<P::Request>,
     worker_protos: Vec<P>,
-    worker_pools: Vec<ScratchPool>,
-    worker_links: Vec<Vec<LinkCharge>>,
+    worker_scratch: Vec<Scratch<P::Request>>,
     /// Deployment-wide envelope framing profile.
     profile: WireProfile,
     next_wave: u16,
+    /// Frames transmitted during the most recent wave.
+    last_wave_frames: u64,
+    /// Set when the previous wave failed part-way: its staged frames
+    /// may still sit in the mailbox column.
+    stranded: bool,
     tree_height: u32,
     tree_max_degree: usize,
 }
@@ -821,7 +1062,7 @@ pub struct FlatWaveRunner<P: WaveProtocol> {
 impl<P> FlatWaveRunner<P>
 where
     P: WaveProtocol + Send,
-    P::Request: Send,
+    P::Request: Send + Sync,
     P::Partial: Send,
     P::Item: Send,
 {
@@ -902,25 +1143,29 @@ where
             plan,
             energy: cfg.energy,
             proto,
-            items: flat_items,
-            rngs,
-            caches: (0..n).map(|_| None).collect(),
-            counters: vec![NodeStats::default(); n],
-            slots: (0..n).map(|_| WaveSlot::blank()).collect(),
-            dedup_residue: vec![0; n],
+            cols: Columns {
+                items: flat_items,
+                rngs,
+                caches: (0..n).map(|_| None).collect(),
+                counters: vec![NodeStats::default(); n],
+                slots: (0..n).map(|_| WaveSlot::blank()).collect(),
+                dedup_residue: vec![0; n],
+                arq,
+                trace: (0..n).map(|_| Vec::new()).collect(),
+                links: vec![TreeLinkBits::default(); n],
+            },
             trace_on: false,
-            trace: (0..n).map(|_| Vec::new()).collect(),
-            arq,
             link: cfg.link.clone(),
             reliability,
             attempt_budget: cfg.max_events,
-            stats: NetStats::new(n, cfg.energy),
-            pool: ScratchPool::new(),
+            stats: NetStats::with_tree(cfg.energy, &parents),
+            scratch: Scratch::new(),
             worker_protos,
-            worker_pools: (0..groups).map(|_| ScratchPool::new()).collect(),
-            worker_links: (0..groups).map(|_| Vec::new()).collect(),
+            worker_scratch: (0..groups).map(|_| Scratch::new()).collect(),
             profile: WireProfile::default(),
             next_wave: 0,
+            last_wave_frames: 0,
+            stranded: false,
         })
     }
 
@@ -945,6 +1190,13 @@ where
     /// of the most recently run wave.
     pub fn last_header_bits(&self) -> u64 {
         self.profile.header_bits(self.next_wave)
+    }
+
+    /// Frames transmitted during the most recent wave (see
+    /// [`WaveRunner::last_wave_frames`](crate::wave::WaveRunner::last_wave_frames)),
+    /// counted by the sweeps as they bill each transmission.
+    pub fn last_wave_frames(&self) -> u64 {
+        self.last_wave_frames
     }
 
     /// Nesting depth the plan actually applied past the root cut.
@@ -989,28 +1241,29 @@ where
 
     /// Clears accumulated statistics.
     pub fn reset_stats(&mut self) {
-        self.counters = vec![NodeStats::default(); self.tree.len()];
+        self.cols.counters.fill(NodeStats::default());
+        self.cols.links.fill(TreeLinkBits::default());
         self.stats.reset();
     }
 
     /// Buffers taken from the scratch pools instead of allocated —
     /// after the first wave, frames come entirely from here.
     pub fn scratch_reused(&self) -> u64 {
-        self.pool.reused()
+        self.scratch.pool.reused()
             + self
-                .worker_pools
+                .worker_scratch
                 .iter()
-                .map(ScratchPool::reused)
+                .map(|s| s.pool.reused())
                 .sum::<u64>()
     }
 
     /// Buffers the scratch pools had to allocate fresh.
     pub fn scratch_fresh(&self) -> u64 {
-        self.pool.fresh()
+        self.scratch.pool.fresh()
             + self
-                .worker_pools
+                .worker_scratch
                 .iter()
-                .map(ScratchPool::fresh)
+                .map(|s| s.pool.fresh())
                 .sum::<u64>()
     }
 
@@ -1020,7 +1273,7 @@ where
     ///
     /// Panics if `node` is out of range.
     pub fn items(&self, node: NodeId) -> &[P::Item] {
-        &self.items[self.tree.pos_of(node)]
+        &self.cols.items[self.tree.pos_of(node)]
     }
 
     /// Replaces the items of `node`, **delta-maintaining** the subtree
@@ -1033,14 +1286,14 @@ where
     /// Panics if `node` is out of range.
     pub fn set_items(&mut self, node: NodeId, items: Vec<P::Item>) {
         let pos = self.tree.pos_of(node);
-        let old = std::mem::replace(&mut self.items[pos], items);
-        if old == self.items[pos] {
+        let old = std::mem::replace(&mut self.cols.items[pos], items);
+        if old == self.cols.items[pos] {
             return; // nothing observable changed: caches stay valid as-is
         }
-        let new = self.items[pos].clone();
+        let new = self.cols.items[pos].clone();
         let mut cursor = Some(pos);
         while let Some(p) = cursor {
-            if let Some(cache) = &mut self.caches[p] {
+            if let Some(cache) = &mut self.cols.caches[p] {
                 let proto = &self.proto;
                 cache.delta_maintain(|key, partial| {
                     proto.apply_item_delta(key, partial, node, &old, &new)
@@ -1055,7 +1308,7 @@ where
     /// [`WaveRunner::set_tracing`](crate::wave::WaveRunner::set_tracing)).
     pub fn set_tracing(&mut self, on: bool) {
         self.trace_on = on;
-        for t in &mut self.trace {
+        for t in &mut self.cols.trace {
             t.clear();
         }
     }
@@ -1065,9 +1318,9 @@ where
     /// the same canonical drain as the boxed and sharded runners.
     pub fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
         let mut out = Vec::new();
-        for p in 0..self.trace.len() {
+        for (p, trace) in self.cols.trace.iter_mut().enumerate() {
             let gid = self.tree.global_of(p);
-            out.extend(self.trace[p].drain(..).map(|e| (gid, e)));
+            out.extend(trace.drain(..).map(|e| (gid, e)));
         }
         out.sort_by_key(|&(gid, _)| gid);
         out
@@ -1076,14 +1329,14 @@ where
     /// Enables subtree partial caching at every node (see
     /// [`WaveRunner::enable_partial_cache`](crate::wave::WaveRunner::enable_partial_cache)).
     pub fn enable_partial_cache(&mut self, capacity: usize) {
-        for c in &mut self.caches {
+        for c in &mut self.cols.caches {
             *c = Some(PartialCache::new(capacity));
         }
     }
 
     /// Disables subtree partial caching, dropping all cached state.
     pub fn disable_partial_cache(&mut self) {
-        for c in &mut self.caches {
+        for c in &mut self.cols.caches {
             *c = None;
         }
     }
@@ -1091,7 +1344,7 @@ where
     /// Network-wide cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for cache in self.caches.iter().flatten() {
+        for cache in self.cols.caches.iter().flatten() {
             total.absorb(cache.stats());
         }
         total
@@ -1106,8 +1359,9 @@ where
     /// [`Reliability::None`] only cache residency is ever nonzero.
     pub fn transport_footprint(&self) -> TransportFootprint {
         TransportFootprint {
-            dedup_entries: self.dedup_residue.iter().sum(),
+            dedup_entries: self.cols.dedup_residue.iter().sum(),
             cache_entries: self
+                .cols
                 .caches
                 .iter()
                 .flatten()
@@ -1117,12 +1371,16 @@ where
         }
     }
 
-    /// Copies the cumulative per-position counters into the global-id
-    /// indexed [`NetStats`] view.
+    /// Copies the cumulative per-position node and tree-edge tallies
+    /// into the global-id indexed [`NetStats`] view.
     fn flush_stats(&mut self) {
         let nodes = self.stats.nodes_mut();
-        for (p, c) in self.counters.iter().enumerate() {
+        for (p, c) in self.cols.counters.iter().enumerate() {
             nodes[self.tree.global_of(p)] = *c;
+        }
+        let links = self.stats.tree_links_mut();
+        for (p, l) in self.cols.links.iter().enumerate() {
+            links[self.tree.global_of(p)] = *l;
         }
     }
 
@@ -1133,298 +1391,209 @@ where
     ///
     /// As [`WaveRunner::run_wave`](crate::wave::WaveRunner::run_wave):
     /// [`ProtocolError::NoResult`] when some subtree failed to report;
-    /// validation errors are propagated.
+    /// [`ProtocolError::WorkerPanicked`] when the protocol panicked on
+    /// a worker thread (the runner stays usable); validation errors are
+    /// propagated.
     pub fn run_wave(&mut self, req: P::Request) -> Result<P::Partial, ProtocolError> {
         self.proto
             .validate_request(&req)
             .map_err(ProtocolError::from)?;
         self.next_wave = self.next_wave.wrapping_add(1);
-        let wave = self.next_wave;
+        self.last_wave_frames = 0;
 
-        // Recycle frames stranded by a previous failed wave so they
-        // can never be mistaken for this wave's traffic.
-        for s in &mut self.slots {
-            if let Some(f) = s.frame.take() {
-                self.pool.recycle(f);
+        // Recycle frames stranded by a failed wave so they can never be
+        // mistaken for this wave's traffic. A wave that completed took
+        // every frame it staged, so only a failure needs the sweep.
+        if std::mem::take(&mut self.stranded) {
+            for s in &mut self.cols.slots {
+                if let Some(f) = s.frame.take() {
+                    self.scratch.pool.recycle(f);
+                }
+            }
+            for s in &mut self.worker_scratch {
+                s.forget_frames(); // a worker that panicked never did
             }
         }
 
+        let result = self.sweep(Arc::new(req), self.next_wave);
+        self.stranded = result.is_err();
+        self.flush_stats();
+        result
+    }
+
+    /// The three phases of one admitted wave. Whatever it returns, the
+    /// per-position tallies are consistent and ready to flush.
+    fn sweep(&mut self, req: Arc<P::Request>, wave: u16) -> Result<P::Partial, ProtocolError> {
         // Root admission, outside any sweep: the driver stages the
         // request directly, so there is no inbound frame and no rx
         // charge — exactly the staged kick of the boxed runners.
-        self.slots[0].active = true;
+        self.cols.slots[0].active = true;
         let root_trace = if self.trace_on {
-            Some(&mut self.trace[0])
+            Some(&mut self.cols.trace[0])
         } else {
             None
         };
         if admit(
             &self.proto,
-            &mut self.caches[0],
-            &mut self.slots[0],
+            &mut self.cols.caches[0],
+            &mut self.cols.slots[0],
             req,
             root_trace,
         ) {
             // Every slot served from the root's cache: the network
             // stays silent. The boxed root's admission still purged
             // its dedup set.
-            self.dedup_residue[0] = 0;
-            let acc = self.slots[0]
+            self.cols.dedup_residue[0] = 0;
+            let acc = self.cols.slots[0]
                 .acc
                 .take()
                 .expect("cached admission set the accumulator");
-            let full = assemble(&self.proto, &mut self.caches[0], &mut self.slots[0], acc);
-            self.flush_stats();
-            return Ok(full);
+            return Ok(assemble(
+                &self.proto,
+                &mut self.cols.caches[0],
+                &mut self.cols.slots[0],
+                acc,
+            ));
         }
 
         let model = self.energy;
-        let arq_timeout = match self.reliability {
-            Reliability::Ack { timeout } => Some(timeout),
-            Reliability::None => None,
+        let env = Env {
+            tree: &self.tree,
+            model: &model,
+            link: &self.link,
+            profile: self.profile,
+            ack_bits: self.profile.ack_bits(wave),
+            arq_timeout: match self.reliability {
+                Reliability::Ack { timeout } => Some(timeout),
+                Reliability::None => None,
+            },
+            attempt_budget: self.attempt_budget,
+            trace_on: self.trace_on,
         };
-        let mut spine_links: Vec<LinkCharge> = Vec::new();
+        let env = &env;
 
         // Phase A — spine top-down: root contribution and fan-out,
         // then every spine position in ascending (pre-)order, staging
         // the inbound frames of all block roots along the way.
-        let phase_a: Result<(), ProtocolError> = {
-            let env = Env {
-                tree: &self.tree,
-                model: &model,
-                link: &self.link,
-                profile: self.profile,
-                ack_bits: self.profile.ack_bits(wave),
-                arq_timeout,
-                attempt_budget: self.attempt_budget,
-                trace_on: self.trace_on,
-            };
-            let mut cols = Cols {
-                base: 0,
-                items: &mut self.items,
-                rngs: &mut self.rngs,
-                caches: &mut self.caches,
-                counters: &mut self.counters,
-                slots: &mut self.slots,
-                residue: &mut self.dedup_residue,
-                arq: &mut self.arq,
-                trace: &mut self.trace,
-            };
-            let fwd = cols.slots[0]
+        let mut cols = self.cols.window();
+        let fwd = Arc::clone(
+            cols.slots[0]
                 .fwd
-                .clone()
-                .expect("forwarding admission sets the forward request");
-            let local = self.proto.local(
-                env.tree.global_of(0),
-                &mut cols.items[0],
-                &fwd,
-                &mut cols.rngs[0],
-            );
-            cols.slots[0].acc = Some(local);
-            let mut r = fan_out(
-                &env,
-                &self.proto,
-                &mut self.pool,
-                &mut spine_links,
-                &mut cols,
-                0,
-                wave,
-                &fwd,
-            );
-            if r.is_ok() {
-                for &p in &self.plan.spine()[1..] {
-                    r = step_down(
-                        &env,
-                        &self.proto,
-                        &mut self.pool,
-                        &mut spine_links,
-                        &mut cols,
-                        p as usize,
-                        wave,
-                    );
-                    if r.is_err() {
-                        break;
-                    }
-                }
-            }
-            r
-        };
-        if let Err(e) = phase_a {
-            for (s, d, bits) in spine_links.drain(..) {
-                self.stats.charge_link(s, d, bits);
-            }
-            self.flush_stats();
-            return Err(e);
-        }
-
-        // Phase B — parallel blocks: disjoint column windows per
-        // block, grouped per worker by the plan's static assignment.
-        let worker_error = {
-            let env = Env {
-                tree: &self.tree,
-                model: &model,
-                link: &self.link,
-                profile: self.profile,
-                ack_bits: self.profile.ack_bits(wave),
-                arq_timeout,
-                attempt_budget: self.attempt_budget,
-                trace_on: self.trace_on,
-            };
-            let env = &env;
-            let blocks = self.plan.blocks();
-            let mut block_cols: Vec<Option<Cols<'_, P>>> = Vec::with_capacity(blocks.len());
-            {
-                let items = split_ranges(&mut self.items[..], blocks);
-                let rngs = split_ranges(&mut self.rngs[..], blocks);
-                let caches = split_ranges(&mut self.caches[..], blocks);
-                let counters = split_ranges(&mut self.counters[..], blocks);
-                let slots = split_ranges(&mut self.slots[..], blocks);
-                let residue = split_ranges(&mut self.dedup_residue[..], blocks);
-                let arq = split_ranges(&mut self.arq[..], blocks);
-                let trace = split_ranges(&mut self.trace[..], blocks);
-                for (
-                    ((((((((items, rngs), caches), counters), slots), residue), arq), trace), b),
-                    _,
-                ) in items
-                    .into_iter()
-                    .zip(rngs)
-                    .zip(caches)
-                    .zip(counters)
-                    .zip(slots)
-                    .zip(residue)
-                    .zip(arq)
-                    .zip(trace)
-                    .zip(blocks)
-                    .zip(0..)
-                {
-                    block_cols.push(Some(Cols {
-                        base: b.start as usize,
-                        items,
-                        rngs,
-                        caches,
-                        counters,
-                        slots,
-                        residue,
-                        arq,
-                        trace,
-                    }));
-                }
-            }
-            let mut tasks: Vec<WorkerTask<'_, P>> = self
-                .worker_protos
-                .iter()
-                .zip(self.worker_pools.iter_mut())
-                .zip(self.worker_links.iter_mut())
-                .zip(self.plan.groups())
-                .map(|(((proto, pool), links), group)| WorkerTask {
-                    proto: proto.clone(),
-                    pool,
-                    links,
-                    blocks: group
-                        .iter()
-                        .map(|&bi| {
-                            (
-                                blocks[bi],
-                                block_cols[bi].take().expect("block assigned once"),
-                            )
-                        })
-                        .collect(),
-                })
-                .collect();
-            let results: Vec<Result<(), ProtocolError>> = if tasks.len() <= 1 {
-                tasks.iter_mut().map(|t| run_task(env, t, wave)).collect()
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = tasks
-                        .iter_mut()
-                        .map(|t| scope.spawn(move || run_task(env, t, wave)))
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("flat worker panicked"))
-                        .collect()
-                })
-            };
-            results.into_iter().find_map(Result::err)
-        };
-
-        // Barrier — drain per-group protocol side-state and link
-        // tallies in fixed group order, whether or not a block failed,
-        // so nothing leaks into the next wave.
-        for wp in &self.worker_protos {
-            self.proto.absorb_shard(wp);
-        }
-        for g in 0..self.worker_links.len() {
-            for (s, d, bits) in self.worker_links[g].drain(..) {
-                self.stats.charge_link(s, d, bits);
-            }
-        }
-        if let Some(e) = worker_error {
-            for (s, d, bits) in spine_links.drain(..) {
-                self.stats.charge_link(s, d, bits);
-            }
-            self.flush_stats();
-            return Err(e);
-        }
-
-        // Phase C — spine bottom-up: descending position order visits
-        // every spine child (spine or block root) before its parent.
-        let mut result = None;
-        let phase_c: Result<(), ProtocolError> = {
-            let env = Env {
-                tree: &self.tree,
-                model: &model,
-                link: &self.link,
-                profile: self.profile,
-                ack_bits: self.profile.ack_bits(wave),
-                arq_timeout,
-                attempt_budget: self.attempt_budget,
-                trace_on: self.trace_on,
-            };
-            let mut cols = Cols {
-                base: 0,
-                items: &mut self.items,
-                rngs: &mut self.rngs,
-                caches: &mut self.caches,
-                counters: &mut self.counters,
-                slots: &mut self.slots,
-                residue: &mut self.dedup_residue,
-                arq: &mut self.arq,
-                trace: &mut self.trace,
-            };
-            let mut r = Ok(());
-            for &p in self.plan.spine().iter().rev() {
-                match step_up(
-                    &env,
+                .as_ref()
+                .expect("forwarding admission sets the forward request"),
+        );
+        let local = self.proto.local(
+            env.tree.global_of(0),
+            &mut cols.items[0],
+            &fwd,
+            &mut cols.rngs[0],
+        );
+        cols.slots[0].acc = Some(local);
+        let phase_a = fan_out(
+            env,
+            &self.proto,
+            &mut self.scratch.pool,
+            &mut cols,
+            0,
+            wave,
+            &fwd,
+        )
+        .and_then(|()| {
+            self.plan.spine()[1..].iter().try_for_each(|&p| {
+                step_down(
+                    env,
                     &self.proto,
-                    &mut self.pool,
-                    &mut spine_links,
+                    &mut self.scratch,
                     &mut cols,
                     p as usize,
                     wave,
-                ) {
-                    Ok(Some(full)) => result = Some(full),
-                    Ok(None) => {}
-                    Err(e) => {
-                        r = Err(e);
-                        break;
-                    }
-                }
-            }
-            r
+                )
+            })
+        });
+        self.scratch.forget_frames();
+        self.last_wave_frames += cols.frames;
+        phase_a?;
+
+        // Phase B — parallel blocks: disjoint column windows per
+        // block, grouped per worker by the plan's static assignment.
+        let blocks = self.plan.blocks();
+        let mut windows: Vec<Option<Cols<'_, P>>> = self
+            .cols
+            .window()
+            .carve(blocks)
+            .into_iter()
+            .map(Some)
+            .collect();
+        let mut tasks: Vec<WorkerTask<'_, P>> = self
+            .worker_protos
+            .iter()
+            .zip(self.worker_scratch.iter_mut())
+            .zip(self.plan.groups())
+            .map(|((proto, scratch), group)| WorkerTask {
+                proto: proto.clone(),
+                scratch,
+                blocks: group
+                    .iter()
+                    .map(|&bi| (blocks[bi], windows[bi].take().expect("block assigned once")))
+                    .collect(),
+            })
+            .collect();
+        let results: Vec<Result<(), ProtocolError>> = if tasks.len() <= 1 {
+            tasks.iter_mut().map(|t| run_task(env, t, wave)).collect()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = tasks
+                    .iter_mut()
+                    .map(|t| scope.spawn(move || run_task(env, t, wave)))
+                    .collect();
+                // Every handle is joined here, so a worker's panic
+                // comes back as a value instead of re-panicking when
+                // the scope closes.
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join().unwrap_or_else(|payload| {
+                            Err(ProtocolError::WorkerPanicked(panic_message(payload)))
+                        })
+                    })
+                    .collect()
+            })
         };
-        if let Err(e) = phase_c {
-            for (s, d, bits) in spine_links.drain(..) {
-                self.stats.charge_link(s, d, bits);
+        self.last_wave_frames += tasks
+            .iter()
+            .flat_map(|t| &t.blocks)
+            .map(|(_, cols)| cols.frames)
+            .sum::<u64>();
+        drop(tasks);
+
+        // Barrier — drain per-group protocol side-state in fixed group
+        // order, whether or not a block failed, so nothing leaks into
+        // the next wave.
+        for wp in &self.worker_protos {
+            self.proto.absorb_shard(wp);
+        }
+        results.into_iter().collect::<Result<(), _>>()?;
+
+        // Phase C — spine bottom-up: descending position order visits
+        // every spine child (spine or block root) before its parent.
+        let mut cols = self.cols.window();
+        let mut result = Ok(None);
+        for &p in self.plan.spine().iter().rev() {
+            result = step_up(
+                env,
+                &self.proto,
+                &mut self.scratch.pool,
+                &mut cols,
+                p as usize,
+                wave,
+            );
+            if result.is_err() {
+                break;
             }
-            self.flush_stats();
-            return Err(e);
         }
-        for (s, d, bits) in spine_links.drain(..) {
-            self.stats.charge_link(s, d, bits);
-        }
-        self.flush_stats();
-        result.ok_or(ProtocolError::NoResult)
+        self.last_wave_frames += cols.frames;
+        // Position 0 is visited last, and only the root returns a reply.
+        result?.ok_or(ProtocolError::NoResult)
     }
 }
 
@@ -1825,6 +1994,330 @@ mod tests {
             panic!("expected Unsupported, got {err:?}");
         };
         assert!(msg.contains("round"), "{msg}");
+    }
+
+    /// Asserts every per-node and per-tree-edge tally of the two
+    /// runners agrees (energy compared via bits, see above).
+    fn assert_same_tallies(
+        topo: &Topology,
+        tree: &SpanningTree,
+        single: &NetStats,
+        flat: &NetStats,
+        what: &str,
+    ) {
+        for v in 0..topo.len() {
+            let (a, b) = (single.node(v), flat.node(v));
+            assert_eq!(
+                (a.tx_bits, a.rx_bits, a.tx_packets, a.rx_packets),
+                (b.tx_bits, b.rx_bits, b.tx_packets, b.rx_packets),
+                "node {v} stats differ ({what})"
+            );
+            if let Some(p) = tree.parent(v) {
+                assert_eq!(
+                    single.link_bits(p, v),
+                    flat.link_bits(p, v),
+                    "link {p}<->{v} differs ({what})"
+                );
+            }
+        }
+    }
+
+    /// What can happen between two waves of a [`same_as_boxed`] script.
+    enum Step {
+        Wave(Vec<u64>),
+        SetItems(NodeId, Vec<u64>),
+    }
+
+    /// Plays `script` on a boxed [`WaveRunner`] and on flat runners with
+    /// 1, 2 and 4 workers, comparing after every wave the answer, the
+    /// frames transmitted, the [`MuxLedger`] and the canonical trace, and
+    /// at the end every node and tree-edge tally, the cache counters and
+    /// the transport footprint. Returns the flat W = 2 run's trace, one
+    /// `Vec` per wave, for callers that assert *what* happened.
+    ///
+    /// [`MuxLedger`]: crate::wave::MuxLedger
+    fn same_as_boxed(
+        topo: &Topology,
+        tree: &SpanningTree,
+        items: &[Vec<u64>],
+        cfg: SimConfig,
+        rel: Reliability,
+        cache: Option<usize>,
+        script: &[Step],
+    ) -> Vec<Vec<(usize, NodeTraceEntry)>> {
+        let mut traces = Vec::new();
+        for workers in [1usize, 2, 4] {
+            let what = format!("workers={workers}");
+            let (sp, fp) = (proto(), proto());
+            let (sl, fl) = (sp.ledger(), fp.ledger());
+            let mut single =
+                WaveRunner::new(topo, cfg.clone(), tree, sp, items.to_vec(), rel).unwrap();
+            let mut flat = FlatWaveRunner::new(
+                topo,
+                cfg.clone(),
+                tree,
+                fp,
+                items.to_vec(),
+                rel,
+                workers,
+                NestDepth::Auto,
+            )
+            .unwrap();
+            if let Some(capacity) = cache {
+                single.enable_partial_cache(capacity);
+                flat.enable_partial_cache(capacity);
+            }
+            single.set_tracing(true);
+            flat.set_tracing(true);
+            for step in script {
+                let req = match step {
+                    Step::SetItems(node, items) => {
+                        single.set_items(*node, items.clone());
+                        flat.set_items(*node, items.clone());
+                        continue;
+                    }
+                    Step::Wave(req) => req,
+                };
+                sl.lock().unwrap().reset(req.len());
+                fl.lock().unwrap().reset(req.len());
+                let a = single.run_wave(env(req.clone())).unwrap();
+                let b = flat.run_wave(env(req.clone())).unwrap();
+                assert_eq!(a, b, "answers differ ({what}, {req:?})");
+                assert_eq!(
+                    single.last_wave_frames(),
+                    flat.last_wave_frames(),
+                    "frames differ ({what}, {req:?})"
+                );
+                {
+                    let (sg, fg) = (sl.lock().unwrap(), fl.lock().unwrap());
+                    assert_eq!(sg.slots(), fg.slots(), "slot bits ({what}, {req:?})");
+                    assert_eq!(sg.envelope_bits(), fg.envelope_bits(), "{what}, {req:?}");
+                }
+                let trace = flat.take_trace();
+                assert_eq!(single.take_trace(), trace, "trace ({what}, {req:?})");
+                if workers == 2 {
+                    traces.push(trace);
+                }
+            }
+            assert_same_tallies(topo, tree, single.stats(), flat.stats(), &what);
+            assert_eq!(single.cache_stats(), flat.cache_stats(), "{what}");
+            assert_eq!(
+                single.transport_footprint(),
+                flat.transport_footprint(),
+                "{what}"
+            );
+        }
+        traces
+    }
+
+    #[test]
+    fn decode_memo_matches_whole_frames_only_and_stays_bounded() {
+        let frame = |v: u64, width: u32| {
+            let mut w = BitWriter::new();
+            w.write_bits(v, width);
+            w.finish()
+        };
+        let mut pool = ScratchPool::new();
+        let mut memo = DecodeMemo::new();
+        memo.insert(frame(0b1011_0110, 8), Arc::new(1u64), &mut pool);
+        assert_eq!(memo.get(&frame(0b1011_0110, 8)).as_deref(), Some(&1));
+        // One flipped bit, a proper prefix and an extension all miss.
+        assert!(memo.get(&frame(0b1011_0111, 8)).is_none());
+        assert!(memo.get(&frame(0b101_1011, 7)).is_none());
+        assert!(memo.get(&frame(0b1_0110_1100, 9)).is_none());
+        // Past the cap the oldest entry goes, and its buffer with it.
+        for i in 0..DECODE_MEMO_CAP as u64 {
+            memo.insert(frame(i, 16), Arc::new(100 + i), &mut pool);
+        }
+        assert_eq!(memo.entries.len(), DECODE_MEMO_CAP);
+        assert!(memo.get(&frame(0b1011_0110, 8)).is_none());
+        assert_eq!(memo.get(&frame(3, 16)).as_deref(), Some(&103));
+        memo.drain(&mut pool);
+        assert!(memo.entries.is_empty());
+        let reused_before = pool.reused();
+        for _ in 0..=DECODE_MEMO_CAP {
+            let _ = pool.writer(); // every remembered frame came back
+        }
+        assert_eq!(pool.reused() - reused_before, DECODE_MEMO_CAP as u64 + 1);
+    }
+
+    #[test]
+    fn decode_memo_never_serves_a_different_envelope() {
+        // Consecutive waves whose envelopes differ in a slot, in slot
+        // count and only in the wave ordinal of the header: each must be
+        // decoded for what it is, never served from an earlier decode.
+        let (topo, tree, items) = balanced_setup(85, 4);
+        let script: Vec<Step> = [
+            vec![1000, 500],
+            vec![1000, 501],
+            vec![1000],
+            vec![1000],
+            vec![999, 1, 500, 30],
+        ]
+        .into_iter()
+        .map(Step::Wave)
+        .collect();
+        same_as_boxed(
+            &topo,
+            &tree,
+            &items,
+            SimConfig::default(),
+            Reliability::None,
+            None,
+            &script,
+        );
+    }
+
+    #[test]
+    fn decode_memo_keeps_per_child_sequence_numbers_apart_under_arq() {
+        // Under ARQ sibling frames differ only in their sequence number;
+        // whole-frame equality keeps them apart, and the emulated
+        // exchanges bill the same retransmissions and ACKs as boxed.
+        let (topo, tree, items) = balanced_setup(40, 3);
+        let link = saq_netsim::link::LinkConfig::default()
+            .with_loss(0.2)
+            .with_corruption(0.05)
+            .with_duplication(0.05);
+        let script: Vec<Step> = [vec![1000, 500], vec![30], vec![30, 1000, 7]]
+            .into_iter()
+            .map(Step::Wave)
+            .collect();
+        same_as_boxed(
+            &topo,
+            &tree,
+            &items,
+            SimConfig::default().with_link(link),
+            Reliability::Ack {
+                timeout: saq_netsim::SimDuration::from_millis(40),
+            },
+            None,
+            &script,
+        );
+    }
+
+    #[test]
+    fn mid_tree_cache_hit_forwards_a_subset_envelope() {
+        // Leave node 3 (mid-tree, on leaf 39's root path) holding slot
+        // 700 but not slot 100, and the root holding neither: the wave
+        // [700, 100] then reaches node 3 whole, which serves 700 from
+        // its cache and forwards the *subset* envelope [100] — a second,
+        // different request frame in flight in the same window.
+        let (topo, tree, items) = balanced_setup(40, 3);
+        let script = [
+            Step::Wave(vec![100]),
+            Step::SetItems(39, vec![5]), // 39 → 12 → 3 → 0 forget slot 100
+            Step::Wave(vec![700]),
+            Step::SetItems(14, vec![6]), // 14 → 4 → 1 → 0 forget everything
+            Step::Wave(vec![700, 100]),
+        ];
+        let traces = same_as_boxed(
+            &topo,
+            &tree,
+            &items,
+            SimConfig::default(),
+            Reliability::None,
+            Some(8),
+            &script,
+        );
+        let at_3: Vec<NodeTraceEntry> = traces[2]
+            .iter()
+            .filter(|&&(node, _)| node == 3)
+            .map(|&(_, e)| e)
+            .collect();
+        assert!(
+            at_3.contains(&NodeTraceEntry::CacheHit { slot: 0 })
+                && at_3.contains(&NodeTraceEntry::CacheMiss { slot: 1 }),
+            "node 3 must hit slot 0 and miss slot 1, got {at_3:?}"
+        );
+    }
+
+    /// [`SumBelow`] whose `local` panics at one node for one request.
+    #[derive(Debug, Clone)]
+    struct PanicsAt {
+        inner: SumBelow,
+        node: NodeId,
+        trigger: u64,
+    }
+
+    impl WaveProtocol for PanicsAt {
+        type Request = u64;
+        type Partial = u64;
+        type Item = u64;
+
+        fn encode_request(&self, req: &u64, w: &mut BitWriter) {
+            self.inner.encode_request(req, w);
+        }
+        fn decode_request(&self, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
+            self.inner.decode_request(r)
+        }
+        fn encode_partial(&self, req: &u64, p: &u64, w: &mut BitWriter) {
+            self.inner.encode_partial(req, p, w);
+        }
+        fn decode_partial(&self, req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
+            self.inner.decode_partial(req, r)
+        }
+        fn local(
+            &self,
+            node: NodeId,
+            items: &mut Vec<u64>,
+            req: &u64,
+            rng: &mut Xoshiro256StarStar,
+        ) -> u64 {
+            assert!(
+                !(node == self.node && *req == self.trigger),
+                "injected protocol panic"
+            );
+            self.inner.local(node, items, req, rng)
+        }
+        fn merge(&self, req: &u64, a: u64, b: u64) -> u64 {
+            self.inner.merge(req, a, b)
+        }
+    }
+
+    #[test]
+    fn worker_panic_is_an_error_and_the_runner_survives() {
+        let (topo, tree, items) = balanced_setup(85, 4);
+        let inner = SumBelow {
+            value_width: width_for_max(1000),
+        };
+        let mut flat = FlatWaveRunner::new(
+            &topo,
+            SimConfig::default(),
+            &tree,
+            PanicsAt {
+                inner: inner.clone(),
+                node: 84, // a leaf: deep inside some worker's block
+                trigger: 666,
+            },
+            items.clone(),
+            Reliability::None,
+            2,
+            NestDepth::Auto,
+        )
+        .unwrap();
+        assert_eq!(flat.worker_count(), 2, "the panic must land on a worker");
+        let err = flat.run_wave(666).unwrap_err();
+        let ProtocolError::WorkerPanicked(msg) = err else {
+            panic!("expected WorkerPanicked, got {err:?}");
+        };
+        assert!(msg.contains("injected protocol panic"), "{msg}");
+
+        // The next clean wave on the same runner is a fresh boxed
+        // runner's first wave, bit for bit (both ordinals fit the same
+        // varint width, so even the headers weigh the same).
+        flat.reset_stats();
+        let mut single = WaveRunner::new(
+            &topo,
+            SimConfig::default(),
+            &tree,
+            inner,
+            items,
+            Reliability::None,
+        )
+        .unwrap();
+        assert_eq!(single.run_wave(700).unwrap(), flat.run_wave(700).unwrap());
+        assert_eq!(single.last_wave_frames(), flat.last_wave_frames());
+        assert_same_tallies(&topo, &tree, single.stats(), flat.stats(), "after panic");
     }
 
     #[test]

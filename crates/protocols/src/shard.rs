@@ -335,6 +335,8 @@ pub struct ShardedWaveRunner<P: WaveProtocol> {
     /// node must agree on it).
     profile: WireProfile,
     next_wave: u16,
+    /// Frames the shard simulators transmitted during the last wave.
+    last_wave_frames: u64,
     tree_height: u32,
     tree_max_degree: usize,
 }
@@ -515,6 +517,7 @@ where
             merged_stats,
             profile: WireProfile::default(),
             next_wave: 0,
+            last_wave_frames: 0,
             tree_height: tree.height(),
             tree_max_degree: tree.max_degree(),
         })
@@ -577,6 +580,14 @@ where
     /// of the most recently run wave.
     pub fn last_header_bits(&self) -> u64 {
         self.profile.header_bits(self.next_wave)
+    }
+
+    /// Frames transmitted during the most recent wave (see
+    /// [`WaveRunner::last_wave_frames`](crate::wave::WaveRunner::last_wave_frames));
+    /// the root's own transmissions are staged on the shard stubs, so
+    /// the shard simulators see every one.
+    pub fn last_wave_frames(&self) -> u64 {
+        self.last_wave_frames
     }
 
     /// The root node id.
@@ -766,6 +777,8 @@ where
             .map_err(ProtocolError::from)?;
         self.next_wave = self.next_wave.wrapping_add(1);
         let wave = self.next_wave;
+        self.last_wave_frames = 0;
+        let sent_before = self.sharded.frames_transmitted();
 
         let admit = self.root_node.admit_wave(wave, req);
         // The stubs carry the root's shard-resident transport state
@@ -847,6 +860,7 @@ where
             self.root_node.proto.absorb_shard(sp);
         }
         self.merged_stats = self.sharded.merged_stats();
+        self.last_wave_frames = self.sharded.frames_transmitted() - sent_before;
         run_result.map_err(ProtocolError::from)?;
 
         // Barrier collection: each stub's inbox holds its subtree

@@ -103,6 +103,26 @@ pub trait WaveProtocol: Clone {
     /// associative so tree shape does not matter).
     fn merge(&self, req: &Self::Request, a: Self::Partial, b: Self::Partial) -> Self::Partial;
 
+    /// Decodes one child partial from `r` and merges it into `acc` —
+    /// what a parent does with every report it receives. Must equal
+    /// [`decode_partial`](Self::decode_partial) followed by
+    /// [`merge`](Self::merge) (the default); a protocol whose partial
+    /// is a container overrides it to merge element-wise straight off
+    /// the wire, reusing `acc`'s allocation.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetsimError::WireDecode`] on malformed input.
+    fn absorb_child(
+        &self,
+        req: &Self::Request,
+        acc: Self::Partial,
+        r: &mut BitReader<'_>,
+    ) -> Result<Self::Partial, NetsimError> {
+        let child = self.decode_partial(req, r)?;
+        Ok(self.merge(req, acc, child))
+    }
+
     // --- subtree partial caching hooks (see `crate::cache`) -----------
     //
     // A protocol opts into caching by keying its deterministic requests
@@ -986,6 +1006,8 @@ pub struct WaveRunner<P: WaveProtocol> {
     sim: Simulator<AggNode<P>>,
     root: NodeId,
     next_wave: u16,
+    /// Frames the simulator transmitted during the most recent wave.
+    last_wave_frames: u64,
     tree_height: u32,
     tree_max_degree: usize,
     profile: WireProfile,
@@ -1028,6 +1050,7 @@ impl<P: WaveProtocol> WaveRunner<P> {
             sim: Simulator::with_nodes(topo.clone(), cfg, nodes),
             root: tree.root(),
             next_wave: 0,
+            last_wave_frames: 0,
             tree_height: tree.height(),
             tree_max_degree: tree.max_degree(),
             profile: WireProfile::default(),
@@ -1083,6 +1106,14 @@ impl<P: WaveProtocol> WaveRunner<P> {
     /// not a constant).
     pub fn last_header_bits(&self) -> u64 {
         self.profile.header_bits(self.next_wave)
+    }
+
+    /// Frames transmitted during the **most recent** wave — requests,
+    /// partials and, under ARQ, retransmissions and ACKs: the sum of
+    /// every node's `tx_packets` growth over that wave, counted as the
+    /// frames were billed rather than by summing N counters.
+    pub fn last_wave_frames(&self) -> u64 {
+        self.last_wave_frames
     }
 
     /// The root node id.
@@ -1232,8 +1263,11 @@ impl<P: WaveProtocol> WaveRunner<P> {
             node.staged = Some((wave, req));
             node.result = None;
         }
+        let sent_before = self.sim.frames_transmitted();
         self.sim.kick(root, TAG_START);
-        self.sim.run_until_quiescent()?;
+        let run = self.sim.run_until_quiescent();
+        self.last_wave_frames = self.sim.frames_transmitted() - sent_before;
+        run?;
         self.sim
             .node_mut(root)
             .result
@@ -1419,8 +1453,14 @@ impl<P: WaveProtocol> MultiplexWave<P> {
         std::sync::Arc::clone(&self.ledger)
     }
 
+    /// A panic while the guard was held (an inner codec panicking on a
+    /// worker) poisons the mutex but cannot corrupt the ledger: every
+    /// update is a counter addition, and drivers reset the tallies
+    /// before each wave. So the guard is recovered, not propagated.
     fn ledger_mut(&self) -> std::sync::MutexGuard<'_, MuxLedger> {
-        self.ledger.lock().expect("mux ledger poisoned")
+        self.ledger
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Builds the dense envelope billing sub-request `i` to ledger slot
@@ -1487,13 +1527,21 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
                     w.write_bitstring(raw);
                     #[cfg(debug_assertions)]
                     {
-                        let mut chk = BitWriter::new();
+                        // One scratch buffer per thread, so the check
+                        // does not put an allocation on every forwarded
+                        // slot (the allocation gates run in debug too).
+                        thread_local! {
+                            static SCRATCH: std::cell::Cell<Vec<u8>> =
+                                const { std::cell::Cell::new(Vec::new()) };
+                        }
+                        let mut chk = BitWriter::with_scratch(SCRATCH.take());
                         self.inner.encode_request(&entry.req, &mut chk);
+                        let chk = chk.finish();
                         debug_assert_eq!(
-                            &chk.finish(),
-                            raw,
+                            &chk, raw,
                             "captured slot bits must equal the re-encoding"
                         );
+                        SCRATCH.set(chk.into_bytes());
                     }
                 }
                 None => self.inner.encode_request(&entry.req, w),
@@ -1601,6 +1649,27 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             .zip(a.into_iter().zip(b))
             .map(|(entry, (x, y))| self.inner.merge(&entry.req, x, y))
             .collect()
+    }
+
+    /// One pass over the slots: sub-partial `i` is decoded off the wire
+    /// and merged into `acc[i]` where it lies, so a parent merges its
+    /// children without building a `Vec` per child.
+    fn absorb_child(
+        &self,
+        req: &Self::Request,
+        mut acc: Self::Partial,
+        r: &mut BitReader<'_>,
+    ) -> Result<Self::Partial, NetsimError> {
+        debug_assert_eq!(req.len(), acc.len(), "mux partial must align with request");
+        for (i, entry) in req.iter().enumerate() {
+            // Move slot `i` out, push its successor, swap it back into
+            // place: O(1), and no placeholder value is ever needed.
+            let mine = acc.swap_remove(i);
+            acc.push(self.inner.absorb_child(&entry.req, mine, r)?);
+            let last = acc.len() - 1;
+            acc.swap(i, last);
+        }
+        Ok(acc)
     }
 
     // --- subtree partial caching: every entry is one cacheable slot ---
@@ -1752,6 +1821,27 @@ mod tests {
             reliability,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn poisoned_ledger_is_recovered_not_propagated() {
+        let proto = MultiplexWave::new(SumBelow {
+            value_width: width_for_max(1000),
+        });
+        let ledger = proto.ledger();
+        let holder = std::thread::spawn(move || {
+            let _guard = ledger.lock().unwrap();
+            panic!("poisoning the mux ledger");
+        });
+        assert!(holder.join().is_err());
+        assert!(proto.ledger().is_poisoned());
+        // Encoding still bills the ledger instead of panicking.
+        let mut w = BitWriter::new();
+        proto.encode_request(&MultiplexWave::<SumBelow>::envelope(vec![5]), &mut w);
+        assert_eq!(
+            proto.ledger_mut().slots()[0].request_bits,
+            width_for_max(1000) as u64
+        );
     }
 
     #[test]
