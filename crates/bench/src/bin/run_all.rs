@@ -1,4 +1,4 @@
-//! Runs every experiment (E1-E21) in sequence. Pass `--quick` for the
+//! Runs every experiment (E1-E21, E13 retired) in sequence. Pass `--quick` for the
 //! reduced sweeps used in CI; the full configuration is the one recorded
 //! in EXPERIMENTS.md.
 
@@ -20,7 +20,6 @@ fn main() {
     let _ = e10_gossip::run(scale);
     let _ = e11_ablations::run(scale);
     let _ = e12_batching::run(scale);
-    let _ = e13_sharding::run(scale);
     let _ = e14_streaming::run(scale);
     let _ = e15_continuous::run(scale);
     let _ = e16_flat_scale::run(scale);

@@ -2,19 +2,18 @@
 //! large-N sweeps — lossless *and* lossy — through the columnar flat
 //! substrate.
 //!
-//! PR 3 made `SimNetworkBuilder::shards(k)` bit-identical to
-//! single-threaded execution, PR 6 did the same for the flat
-//! struct-of-arrays runner with nested sharding, and ISSUE-7's
+//! PR 6 made the flat struct-of-arrays runner with nested shard plans
+//! bit-identical to the boxed event-driven runner, and ISSUE-7's
 //! per-edge fate streams extended that bit-identity to lossy links
 //! under ARQ (answers, ledgers, caches, per-node bit statistics,
-//! retransmission bills — see `tests/sharded_equality.rs`'s
-//! representation × shard-plan × reliability matrix), so the only
-//! question per experiment is wall-clock. [`builder_for`] applies one
-//! policy everywhere: deployments big enough to amortize the per-wave
-//! thread fan-out run on flat columns across all of the machine's
-//! cores — the nested `ShardPlan` re-cuts oversized subtrees, so the
-//! old cap at 4 workers (the root partition's balance limit) no longer
-//! applies; small sweeps stay on the boxed single-threaded runner.
+//! retransmission bills — see `tests/sharded_equality.rs`'s boxed
+//! oracle × flat plan × reliability matrix), so the only question per
+//! experiment is wall-clock. [`builder_for`] applies one policy
+//! everywhere: deployments big enough to amortize the per-wave thread
+//! fan-out run on flat columns across all of the machine's cores — the
+//! nested `ShardPlan` re-cuts oversized subtrees, so no root-partition
+//! balance limit caps the worker count; small sweeps stay on the boxed
+//! single-threaded runner.
 //! Lossy deployments configure loss + `Reliability::Ack` on the
 //! returned builder and ride the same routing (E18's loss sweep runs
 //! at N = 10⁵ this way). The `experiments_smoke` suite asserts the

@@ -2,8 +2,8 @@
 //!
 //! PR 6's flat runner (`SimNetworkBuilder::flat`) replaces the boxed
 //! per-node state machines with struct-of-arrays columns over a
-//! DFS-preorder index, and replaces root-only sharding with a *nested*
-//! static partition that re-cuts oversized subtrees at their own roots.
+//! DFS-preorder index, and parallelises over a *nested* static
+//! partition that re-cuts oversized subtrees at their own roots.
 //! This experiment measures what that buys at deployment sizes the
 //! boxed simulator cannot reach: query rounds per second and peak
 //! resident memory as N sweeps 10³ → 10⁶, single-worker vs all-core.

@@ -3,7 +3,7 @@
 //! ISSUE-7's per-edge fate streams made lossy links a first-class
 //! citizen of every runner: the fate of the n-th transmission over an
 //! edge is a pure function of (master seed, edge id, frame class, n),
-//! so the sharded and flat substrates bill retransmissions identically
+//! so the flat substrate bills retransmissions identically
 //! to the boxed event loop. That lifts the old restriction that kept
 //! lossy experiments on the single-threaded runner — this sweep is the
 //! payoff: loss p ∈ {0, 0.05, 0.1, 0.2} × N up to 10⁵, every large-N

@@ -1,12 +1,12 @@
 //! The E1–E21 experiment implementations (see DESIGN.md §4 for the
-//! experiment-to-claim index). Each `run(scale)` prints its tables to
+//! experiment-to-claim index; E13, the sharded boxed runner's scaling,
+//! is retired with that runner — E16 covers flat worker scaling). Each `run(scale)` prints its tables to
 //! stdout and returns a machine-checkable summary used by integration
 //! tests and the `run_all` binary.
 
 pub mod e10_gossip;
 pub mod e11_ablations;
 pub mod e12_batching;
-pub mod e13_sharding;
 pub mod e14_streaming;
 pub mod e15_continuous;
 pub mod e16_flat_scale;

@@ -49,7 +49,7 @@
 //! `tests/continuous_equivalence.rs` property suite proves every
 //! standing answer ≡ a fresh convergecast's answer across arbitrary
 //! update/refresh interleavings (and that certified ε still holds for
-//! quantiles), sharded execution included.
+//! quantiles), flat workers included.
 
 use crate::engine::{QueryBits, QueryId, QueryOutcome, QuerySpec};
 use crate::error::QueryError;
@@ -336,6 +336,7 @@ mod tests {
         let items: Vec<u64> = (0..40u64).map(|i| (i * 13) % 100).collect();
         SimNetworkBuilder::new()
             .partial_cache(64)
+            .flat(shards > 1)
             .shards(shards)
             .build_one_per_node(&topo, &items, 128)
             .unwrap()
@@ -495,8 +496,8 @@ mod tests {
         };
         let (bits1, out1, stats1) = run(1);
         let (bits3, out3, stats3) = run(3);
-        assert_eq!(bits1, bits3, "per-refresh bills differ under sharding");
-        assert_eq!(out1, out3, "refresh answers differ under sharding");
-        assert_eq!(stats1, stats3, "cache counters differ under sharding");
+        assert_eq!(bits1, bits3, "per-refresh bills differ on flat workers");
+        assert_eq!(out1, out3, "refresh answers differ on flat workers");
+        assert_eq!(stats1, stats3, "cache counters differ on flat workers");
     }
 }

@@ -931,12 +931,14 @@ mod tests {
     #[test]
     fn sharded_engine_reports_match_single_threaded() {
         // The engine's whole report — answers, per-query bit ledgers,
-        // wave counts — is identical under sharded execution.
+        // wave counts — is identical on the boxed oracle (k = 1) and on
+        // flat workers.
         let topo = Topology::balanced_tree(40, 4).unwrap();
         let items: Vec<Value> = (0..40u64).map(|i| (i * 29) % 40).collect();
         let run = |shards: usize| {
             let net = SimNetworkBuilder::new()
                 .max_children(4)
+                .flat(shards > 1)
                 .shards(shards)
                 .partial_cache(16)
                 .build_one_per_node(&topo, &items, 128)

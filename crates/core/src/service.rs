@@ -27,7 +27,7 @@
 //!   (round-robin per period, [`RefreshStagger::Spread`]), so a cohort
 //!   of same-period slots refreshes `⌈slots/p⌉` at a time instead of
 //!   spiking together. The schedule is a pure function of (slot
-//!   creation order, period) — no clocks, no randomness — so sharded
+//!   creation order, period) — no clocks, no randomness — so boxed
 //!   and flat runs stay bit-identical, and a released slot *remembers*
 //!   its phase: re-registration re-joins the same schedule.
 //! * **Refcounted slot lifecycle** — the last deregistration releases
@@ -42,7 +42,7 @@
 //! The `tests/fleet_equivalence.rs` suite pins the contract: `k`
 //! deduped registrations are bit-identical to a single registration in
 //! answers, per-refresh wave bills, cache counters and per-node bits,
-//! across boxed/sharded/flat execution; random register/deregister
+//! across boxed and flat execution; random register/deregister
 //! churn never perturbs surviving subscribers; and the staggered
 //! envelope stays under the smoothed bound while the unstaggered spike
 //! is measured strictly worse. Experiment E20 sweeps registrations
@@ -78,7 +78,7 @@ pub enum RefreshStagger {
     /// of period `p` is anchored at round `i mod p`, smoothing the
     /// per-round request envelope to `⌈slots/p⌉` refreshes. A pure
     /// function of (slot creation order, period), so the schedule is
-    /// identical across reruns and across boxed/sharded/flat execution.
+    /// identical across reruns and across boxed and flat execution.
     #[default]
     Spread,
 }
@@ -432,7 +432,7 @@ impl FleetService {
     /// complete refresh schedule, released slots included. A pure
     /// function of the registration sequence: the stagger determinism
     /// test asserts it is identical across reruns and across
-    /// boxed/sharded/flat execution.
+    /// boxed and flat execution.
     pub fn slot_schedule(&self) -> Vec<(u64, u64)> {
         self.slots.iter().map(|s| (s.every, s.phase)).collect()
     }

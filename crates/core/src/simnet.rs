@@ -25,7 +25,7 @@ use saq_obs::{Event, FrameKind, MetricsRegistry, MetricsSnapshot, Recorder, Tele
 use saq_protocols::wave::Reliability;
 use saq_protocols::{
     FateReplay, FlatWaveRunner, MultiplexWave, MuxLedger, MuxSlotBits, NodeTraceEntry, ReplayEvent,
-    ShardedWaveRunner, SpanningTree, WaveProtocol, WaveRunner, WireProfile,
+    SpanningTree, WaveProtocol, WaveRunner, WireProfile,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -121,25 +121,17 @@ impl SimNetworkBuilder {
         self
     }
 
-    /// Runs the simulation **sharded**: the root's subtrees are
-    /// partitioned into `k` groups, each simulated on its own OS thread
-    /// between the root's broadcast and the convergecast barrier
-    /// (`0` and `1` both mean single-threaded, the default; `k` is
-    /// clamped to the number of the root's children).
+    /// Sets the worker count of the flat substrate
+    /// ([`SimNetworkBuilder::flat`]): its shard plan's blocks run on
+    /// `k` OS threads between the spine's broadcast and the
+    /// convergecast barrier (`0` and `1` both mean one worker, the
+    /// default). The worker count is an execution strategy, not a
+    /// semantics change: answers, per-slot [`MuxLedger`] attribution,
+    /// cache counters and per-node bits are identical for every `k`.
     ///
-    /// Sharding is an execution strategy, not a semantics change:
-    /// `shards(k)` produces bit-identical answers, per-slot
-    /// [`MuxLedger`] attribution and cache hit/miss counters to
-    /// `shards(1)` for every `k` — the convergecast merge is canonical
-    /// (fixed child order), per-node randomness is derived from global
-    /// node ids, and link fates come from per-edge fate streams keyed
-    /// by the endpoints' global labels (see `saq_protocols::shard`), so
-    /// lossy links replay a single-threaded run's exact drop schedule.
-    /// Lossy links require per-hop ARQ
-    /// ([`Reliability::Ack`]) when `k > 1`: an unrepaired drop erases a subtree's report,
-    /// which only the single-threaded runner can surface mid-wave, so
-    /// lossy fire-and-forget is rejected at build time (jitter is
-    /// fine).
+    /// `k > 1` without `flat(true)` fails to build with
+    /// [`saq_protocols::ProtocolError::Unsupported`]: the boxed
+    /// event-driven runner is single-threaded.
     pub fn shards(mut self, k: usize) -> Self {
         self.shards = k.max(1);
         self
@@ -151,15 +143,17 @@ impl SimNetworkBuilder {
     /// and [`SimNetworkBuilder::shards`] worker threads over a
     /// **nested** shard plan that re-cuts oversized subtrees at their
     /// own roots (depth auto-chosen unless pinned with
-    /// [`SimNetworkBuilder::flat_depth`]). Like `shards(k)`, this is
-    /// an execution strategy, not a semantics change: answers, per-slot
+    /// [`SimNetworkBuilder::flat_depth`]). This is an execution
+    /// strategy, not a semantics change: answers, per-slot
     /// [`MuxLedger`] attribution, cache counters and per-node bits are
-    /// identical to the boxed substrates — including under lossy links
-    /// with per-hop ARQ, whose stop-and-wait exchanges the flat runner
-    /// emulates from the same per-edge fate streams the event-driven
-    /// simulator draws (see `saq_protocols::flat`). Lossy links without
-    /// ARQ are rejected at build time, as with
-    /// [`SimNetworkBuilder::shards`].
+    /// identical to the boxed event-driven runner — including under
+    /// lossy links with per-hop ARQ, whose stop-and-wait exchanges the
+    /// flat runner emulates from the same per-edge fate streams the
+    /// event-driven simulator draws (see `saq_protocols::flat`). Lossy
+    /// links without ARQ are rejected at build time (an unrepaired drop
+    /// erases a subtree's report, which only the event-driven runner can
+    /// surface mid-wave); the boxed runner, the default, stays the
+    /// timing-faithful oracle for them and for jitter.
     pub fn flat(mut self, flat: bool) -> Self {
         self.flat = flat;
         self
@@ -167,8 +161,8 @@ impl SimNetworkBuilder {
 
     /// Pins the flat substrate's nested re-sharding depth (`0` = cut at
     /// the root's children only, the classic plan). Default: chosen
-    /// automatically from subtree sizes. Only meaningful with
-    /// [`SimNetworkBuilder::flat`].
+    /// automatically from subtree sizes. Without `flat(true)` the build
+    /// fails with [`saq_protocols::ProtocolError::Unsupported`].
     pub fn flat_depth(mut self, depth: u32) -> Self {
         self.flat_depth = Some(depth);
         self
@@ -191,13 +185,20 @@ impl SimNetworkBuilder {
     /// # Errors
     ///
     /// Returns [`QueryError::ItemOutOfRange`] if an item exceeds `xbar`,
-    /// and propagates tree/runner construction failures.
+    /// [`saq_protocols::ProtocolError::Unsupported`] if `shards(k > 1)`
+    /// or `flat_depth` is set without `flat(true)`, and propagates
+    /// tree/runner construction failures.
     pub fn build(
         self,
         topo: &Topology,
         items_per_node: Vec<Vec<Value>>,
         xbar: Value,
     ) -> Result<SimNetwork, QueryError> {
+        if !self.flat && (self.shards > 1 || self.flat_depth.is_some()) {
+            return Err(QueryError::from(saq_protocols::ProtocolError::Unsupported(
+                "shards(k > 1) and flat_depth(d) configure the flat substrate: add flat(true)",
+            )));
+        }
         if xbar > crate::model::XBAR_MAX {
             return Err(QueryError::InvalidParameter(
                 "xbar exceeds the doubled-coordinate domain (u64::MAX/2 - 1)",
@@ -238,19 +239,6 @@ impl SimNetworkBuilder {
                     self.reliability,
                     self.shards,
                     depth,
-                )
-                .map_err(QueryError::from)?,
-            ))
-        } else if self.shards > 1 {
-            Runner::Sharded(Box::new(
-                ShardedWaveRunner::new(
-                    topo,
-                    self.sim_cfg,
-                    &tree,
-                    proto,
-                    items,
-                    self.reliability,
-                    self.shards,
                 )
                 .map_err(QueryError::from)?,
             ))
@@ -358,14 +346,13 @@ pub struct ObservabilitySnapshot {
     pub metrics: MetricsSnapshot,
 }
 
-/// The execution substrate behind a [`SimNetwork`]: one event loop, or
-/// `k` parallel per-subtree event loops joined at the root barrier.
-/// Either way the observable behavior (answers, ledgers, caches,
-/// per-node bits) is identical — the dispatch below is mechanical.
+/// The execution substrate behind a [`SimNetwork`]: the boxed event
+/// loop, or the columnar flat runner on `k` workers. Either way the
+/// observable behavior (answers, ledgers, caches, per-node bits) is
+/// identical — the dispatch below is mechanical.
 #[derive(Debug)]
 enum Runner {
     Single(Box<WaveRunner<MultiplexWave<CoreWave>>>),
-    Sharded(Box<ShardedWaveRunner<MultiplexWave<CoreWave>>>),
     Flat(Box<FlatWaveRunner<MultiplexWave<CoreWave>>>),
 }
 
@@ -376,7 +363,6 @@ impl Runner {
     ) -> Result<Vec<CorePartial>, saq_protocols::ProtocolError> {
         match self {
             Runner::Single(r) => r.run_wave(req),
-            Runner::Sharded(r) => r.run_wave(req),
             Runner::Flat(r) => r.run_wave(req),
         }
     }
@@ -384,7 +370,6 @@ impl Runner {
     fn stats(&self) -> &NetStats {
         match self {
             Runner::Single(r) => r.stats(),
-            Runner::Sharded(r) => r.stats(),
             Runner::Flat(r) => r.stats(),
         }
     }
@@ -392,7 +377,6 @@ impl Runner {
     fn reset_stats(&mut self) {
         match self {
             Runner::Single(r) => r.reset_stats(),
-            Runner::Sharded(r) => r.reset_stats(),
             Runner::Flat(r) => r.reset_stats(),
         }
     }
@@ -400,7 +384,6 @@ impl Runner {
     fn len(&self) -> usize {
         match self {
             Runner::Single(r) => r.len(),
-            Runner::Sharded(r) => r.len(),
             Runner::Flat(r) => r.len(),
         }
     }
@@ -408,7 +391,6 @@ impl Runner {
     fn tree_height(&self) -> u32 {
         match self {
             Runner::Single(r) => r.tree_height(),
-            Runner::Sharded(r) => r.tree_height(),
             Runner::Flat(r) => r.tree_height(),
         }
     }
@@ -416,7 +398,6 @@ impl Runner {
     fn tree_max_degree(&self) -> usize {
         match self {
             Runner::Single(r) => r.tree_max_degree(),
-            Runner::Sharded(r) => r.tree_max_degree(),
             Runner::Flat(r) => r.tree_max_degree(),
         }
     }
@@ -424,7 +405,6 @@ impl Runner {
     fn items(&self, node: usize) -> &[SimItem] {
         match self {
             Runner::Single(r) => r.items(node),
-            Runner::Sharded(r) => r.items(node),
             Runner::Flat(r) => r.items(node),
         }
     }
@@ -432,7 +412,6 @@ impl Runner {
     fn set_items(&mut self, node: usize, items: Vec<SimItem>) {
         match self {
             Runner::Single(r) => r.set_items(node, items),
-            Runner::Sharded(r) => r.set_items(node, items),
             Runner::Flat(r) => r.set_items(node, items),
         }
     }
@@ -440,7 +419,6 @@ impl Runner {
     fn enable_partial_cache(&mut self, capacity: usize) {
         match self {
             Runner::Single(r) => r.enable_partial_cache(capacity),
-            Runner::Sharded(r) => r.enable_partial_cache(capacity),
             Runner::Flat(r) => r.enable_partial_cache(capacity),
         }
     }
@@ -448,7 +426,6 @@ impl Runner {
     fn cache_stats(&self) -> saq_protocols::CacheStats {
         match self {
             Runner::Single(r) => r.cache_stats(),
-            Runner::Sharded(r) => r.cache_stats(),
             Runner::Flat(r) => r.cache_stats(),
         }
     }
@@ -456,7 +433,6 @@ impl Runner {
     fn transport_footprint(&self) -> saq_protocols::TransportFootprint {
         match self {
             Runner::Single(r) => r.transport_footprint(),
-            Runner::Sharded(r) => r.transport_footprint(),
             Runner::Flat(r) => r.transport_footprint(),
         }
     }
@@ -464,7 +440,6 @@ impl Runner {
     fn set_wire_profile(&mut self, profile: WireProfile) {
         match self {
             Runner::Single(r) => r.set_wire_profile(profile),
-            Runner::Sharded(r) => r.set_wire_profile(profile),
             Runner::Flat(r) => r.set_wire_profile(profile),
         }
     }
@@ -472,7 +447,6 @@ impl Runner {
     fn set_tracing(&mut self, on: bool) {
         match self {
             Runner::Single(r) => r.set_tracing(on),
-            Runner::Sharded(r) => r.set_tracing(on),
             Runner::Flat(r) => r.set_tracing(on),
         }
     }
@@ -480,7 +454,6 @@ impl Runner {
     fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
         match self {
             Runner::Single(r) => r.take_trace(),
-            Runner::Sharded(r) => r.take_trace(),
             Runner::Flat(r) => r.take_trace(),
         }
     }
@@ -490,7 +463,6 @@ impl Runner {
     fn last_header_bits(&self) -> u64 {
         match self {
             Runner::Single(r) => r.last_header_bits(),
-            Runner::Sharded(r) => r.last_header_bits(),
             Runner::Flat(r) => r.last_header_bits(),
         }
     }
@@ -501,7 +473,6 @@ impl Runner {
     fn last_wave_frames(&self) -> u64 {
         match self {
             Runner::Single(r) => r.last_wave_frames(),
-            Runner::Sharded(r) => r.last_wave_frames(),
             Runner::Flat(r) => r.last_wave_frames(),
         }
     }
@@ -514,8 +485,8 @@ impl Runner {
 /// multi-query rounds alike — travels in the multiplexed envelope of
 /// [`MultiplexWave`], so per-sub-query bit attribution is always
 /// available from the shared [`MuxLedger`]. With
-/// [`SimNetworkBuilder::shards`] the wave executes shard-parallel with
-/// identical observable behavior.
+/// [`SimNetworkBuilder::flat`] the wave executes on the parallel flat
+/// substrate with identical observable behavior.
 #[derive(Debug)]
 pub struct SimNetwork {
     runner: Runner,
@@ -571,8 +542,8 @@ impl SimNetwork {
 
     /// Attaches a telemetry recorder: the runners start buffering
     /// per-node traces and every subsequent wave emits its structured
-    /// [`Event`] stream — bit-identical across the boxed, sharded and
-    /// flat substrates (ARCHITECTURE §15). Replaces (and returns) any
+    /// [`Event`] stream — bit-identical across the boxed and flat
+    /// substrates (ARCHITECTURE §15). Replaces (and returns) any
     /// previously attached recorder; the metrics registry keeps
     /// accumulating across swaps.
     pub fn attach_recorder(&mut self, recorder: Box<dyn Recorder>) -> Option<Box<dyn Recorder>> {
@@ -721,7 +692,7 @@ impl SimNetwork {
     /// telemetry events. The buffers come back in canonical order
     /// (ascending global node id; within a node: request, cache events,
     /// partial), which is what makes the emitted stream bit-identical
-    /// across the three substrates regardless of their internal
+    /// across the two substrates regardless of their internal
     /// scheduling.
     fn drain_wave_events(&mut self) {
         for (node, entry) in self.runner.take_trace() {
@@ -954,14 +925,13 @@ impl SimNetwork {
     }
 
     /// Name of the execution substrate backing this network —
-    /// `"single"`, `"sharded"` or `"flat"`. The substrate is an
-    /// execution strategy, not a semantics change (every observable is
-    /// bit-identical across the three), so this exists only for
+    /// `"single"` or `"flat"`. The substrate is an execution strategy,
+    /// not a semantics change (every observable is bit-identical across
+    /// the two), so this exists only for
     /// harness routing assertions and experiment banners.
     pub fn runner_name(&self) -> &'static str {
         match self.runner {
             Runner::Single(_) => "single",
-            Runner::Sharded(_) => "sharded",
             Runner::Flat(_) => "flat",
         }
     }
@@ -1286,27 +1256,27 @@ mod tests {
     }
 
     #[test]
-    fn sharded_network_matches_single_threaded() {
-        let topo = Topology::balanced_tree(40, 3).unwrap();
-        let items: Vec<Value> = (0..40u64).map(|i| (i * 13) % 40).collect();
-        let build = |shards: usize| {
-            SimNetworkBuilder::new()
-                .shards(shards)
-                .build_one_per_node(&topo, &items, 128)
-                .unwrap()
-        };
-        let mut single = build(1);
-        let mut sharded = build(3);
-        for net in [&mut single, &mut sharded] {
-            assert_eq!(net.count(&Predicate::TRUE).unwrap(), 40);
-            assert_eq!(net.min(Domain::Raw).unwrap(), Some(0));
+    fn flat_options_without_flat_are_rejected_naming_flat() {
+        // Workers and nesting depth configure the flat substrate; the
+        // boxed runner must refuse them rather than silently ignore them.
+        let topo = Topology::balanced_tree(13, 3).unwrap();
+        let items: Vec<Value> = (0..13u64).collect();
+        for b in [
+            SimNetworkBuilder::new().shards(2),
+            SimNetworkBuilder::new().flat_depth(1),
+        ] {
+            let err = b.build_one_per_node(&topo, &items, 32).unwrap_err();
+            let QueryError::Protocol(saq_protocols::ProtocolError::Unsupported(msg)) = err else {
+                panic!("expected Unsupported, got {err:?}");
+            };
+            assert!(msg.contains("flat(true)"), "must name flat(true): {msg}");
         }
-        // Identical per-node bit totals: sharding is an execution
-        // strategy, not a semantics change.
-        let (a, b) = (single.net_stats().unwrap(), sharded.net_stats().unwrap());
-        for v in 0..topo.len() {
-            assert_eq!(a.node(v).total_bits(), b.node(v).total_bits(), "node {v}");
-        }
+        // One worker is the boxed runner's own shape, so it still builds.
+        let net = SimNetworkBuilder::new()
+            .shards(1)
+            .build_one_per_node(&topo, &items, 32)
+            .unwrap();
+        assert_eq!(net.runner_name(), "single");
     }
 
     #[test]
@@ -1342,8 +1312,8 @@ mod tests {
     fn lossy_arq_network_matches_single_threaded_on_every_runner() {
         // The fate-replay tentpole at the front door: the same lossy
         // ARQ deployment answers identically — with identical per-node
-        // bit totals — whether it runs boxed single-threaded, boxed
-        // sharded, or on the columnar flat substrate.
+        // bit totals — whether it runs on the boxed event loop or on the
+        // columnar flat substrate.
         let topo = Topology::balanced_tree(40, 3).unwrap();
         let items: Vec<Value> = (0..40u64).map(|i| (i * 13) % 40).collect();
         let cfg = SimConfig::default()
@@ -1359,28 +1329,24 @@ mod tests {
                 .unwrap()
         };
         let mut single = build(SimNetworkBuilder::new());
-        let mut sharded = build(SimNetworkBuilder::new().shards(3));
         let mut flat = build(SimNetworkBuilder::new().flat(true).shards(2));
-        for net in [&mut single, &mut sharded, &mut flat] {
+        for net in [&mut single, &mut flat] {
             assert_eq!(net.count(&Predicate::TRUE).unwrap(), 40);
             assert_eq!(net.min(Domain::Raw).unwrap(), Some(0));
         }
-        let a = single.net_stats().unwrap();
-        for (name, net) in [("sharded", &sharded), ("flat", &flat)] {
-            let b = net.net_stats().unwrap();
-            for v in 0..topo.len() {
-                assert_eq!(
-                    a.node(v).total_bits(),
-                    b.node(v).total_bits(),
-                    "{name}: node {v} bills differ under loss"
-                );
-            }
+        let (a, b) = (single.net_stats().unwrap(), flat.net_stats().unwrap());
+        for v in 0..topo.len() {
             assert_eq!(
-                single.transport_footprint(),
-                net.transport_footprint(),
-                "{name}: between-wave footprint differs under loss"
+                a.node(v).total_bits(),
+                b.node(v).total_bits(),
+                "node {v} bills differ under loss"
             );
         }
+        assert_eq!(
+            single.transport_footprint(),
+            flat.transport_footprint(),
+            "between-wave footprint differs under loss"
+        );
         // Loss actually happened: some hop retransmitted, so somebody's
         // packet count exceeds the lossless run's.
         let mut lossless = SimNetworkBuilder::new()
@@ -1402,23 +1368,19 @@ mod tests {
         let items: Vec<Value> = (0..13u64).collect();
         let lossy =
             SimConfig::default().with_link(saq_netsim::link::LinkConfig::default().with_loss(0.1));
-        for b in [
-            SimNetworkBuilder::new().shards(2),
-            SimNetworkBuilder::new().flat(true),
-        ] {
-            let err = b
-                .sim_config(lossy.clone())
-                .build_one_per_node(&topo, &items, 32)
-                .unwrap_err();
-            let QueryError::Protocol(saq_protocols::ProtocolError::Unsupported(msg)) = err else {
-                panic!("expected Unsupported, got {err:?}");
-            };
-            assert!(
-                msg.contains("Reliability::None over lossless links")
-                    && msg.contains("Reliability::Ack over any links"),
-                "rejection must enumerate the supported combinations: {msg}"
-            );
-        }
+        let err = SimNetworkBuilder::new()
+            .flat(true)
+            .sim_config(lossy)
+            .build_one_per_node(&topo, &items, 32)
+            .unwrap_err();
+        let QueryError::Protocol(saq_protocols::ProtocolError::Unsupported(msg)) = err else {
+            panic!("expected Unsupported, got {err:?}");
+        };
+        assert!(
+            msg.contains("Reliability::None over lossless links")
+                && msg.contains("Reliability::Ack over any links"),
+            "rejection must enumerate the supported combinations: {msg}"
+        );
     }
 
     #[test]

@@ -344,8 +344,8 @@ impl ShardPlan {
         spine.sort_unstable();
 
         // Static assignment: largest block first onto the least-loaded
-        // worker, ties to the lower index — the same deterministic
-        // greedy as the root-cut sharder.
+        // worker, ties to the lower index — deterministic, so the
+        // assignment is a pure function of the plan.
         let groups_len = workers.min(blocks.len());
         let mut groups: Vec<Vec<usize>> = vec![Vec::new(); groups_len];
         let mut load = vec![0usize; groups_len];

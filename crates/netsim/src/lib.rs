@@ -26,9 +26,9 @@
 //! * [`stats`] — per-node transmit/receive counters and summaries.
 //! * [`sim`] — the event loop: [`sim::Simulator`], the [`sim::NodeRuntime`]
 //!   state-machine trait, packets and timers.
-//! * [`shard`] — parallel execution of disjoint simulators
-//!   ([`shard::ShardedSim`]) with deterministic per-shard random streams
-//!   and a merged global statistics view.
+//! * [`flat`] — the columnar tree substrate: [`flat::FlatTree`] (node
+//!   state in position-indexed columns) and the nested
+//!   [`flat::ShardPlan`] the parallel flat runner executes.
 //!
 //! ## Quick example
 //!
@@ -53,7 +53,6 @@ pub mod event;
 pub mod flat;
 pub mod link;
 pub mod rng;
-pub mod shard;
 pub mod sim;
 pub mod stats;
 pub mod time;

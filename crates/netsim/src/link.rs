@@ -19,7 +19,7 @@
 //!
 //! Early versions drew every fate from one simulator-wide stream, which made
 //! the loss schedule a function of *global transmission order* — impossible
-//! to reproduce across shard threads or the columnar flat runner. A
+//! to reproduce on the columnar flat runner's worker threads. A
 //! [`FateStream`] instead labels each `(src, dst, frame class)` triple with
 //! its own derived seed and keys each draw by the **transmission index** on
 //! that directed edge, so any executor that can count an edge's
@@ -218,9 +218,9 @@ impl LinkFate {
 
 /// Seed of the fate stream owned by `(master seed, src, dst, class)`.
 ///
-/// `src`/`dst` are **global** node labels, so a shard or flat executor
-/// that knows an edge's global endpoints derives the identical stream the
-/// unsharded simulator uses.
+/// `src`/`dst` are **global** node ids, so a flat executor that knows an
+/// edge's global endpoints derives the identical stream the event-driven
+/// simulator uses.
 pub fn fate_stream_seed(master: u64, src: u64, dst: u64, class: FrameClass) -> u64 {
     derive_seed(derive_seed(master, src, dst), FATE_PURPOSE, class as u64)
 }
@@ -255,8 +255,8 @@ impl FateStream {
         }
     }
 
-    /// Stream resumed at transmission index `index` — a shard picking up
-    /// an edge mid-run replays exactly the remaining fates.
+    /// Stream resumed at transmission index `index` — an executor picking
+    /// up an edge mid-run replays exactly the remaining fates.
     pub fn resume(master: u64, src: u64, dst: u64, class: FrameClass, index: u64) -> Self {
         let mut s = Self::new(master, src, dst, class);
         s.next = index;

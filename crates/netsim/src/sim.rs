@@ -23,9 +23,9 @@
 //!
 //! Link fates come from **per-edge fate streams** ([`FateStream`]): the
 //! fate of the n-th transmission of a frame class over a directed edge is
-//! a pure function of `(seed, src label, dst label, class, n)` — never of
-//! global event order — so shards and the columnar flat runner replay the
-//! exact loss schedule of an unsharded run.
+//! a pure function of `(seed, src id, dst id, class, n)` — never of
+//! global event order — so the columnar flat runner replays the exact
+//! loss schedule of an event-driven run.
 
 use crate::energy::EnergyModel;
 use crate::error::NetsimError;
@@ -221,8 +221,6 @@ pub struct Simulator<P> {
     cfg: SimConfig,
     nodes: Vec<P>,
     node_rngs: Vec<Xoshiro256StarStar>,
-    /// Global label of each local node — the key space of fate streams.
-    labels: Vec<u64>,
     /// Lazily created per-(directed edge, frame class) fate streams.
     fate_streams: HashMap<(NodeId, NodeId, FrameClass), FateStream>,
     queue: EventQueue,
@@ -258,53 +256,20 @@ impl<P: NodeRuntime> Simulator<P> {
     ///
     /// Panics if `nodes.len()` differs from the topology size.
     pub fn with_nodes(topo: Topology, cfg: SimConfig, nodes: Vec<P>) -> Self {
-        let labels: Vec<u64> = (0..topo.len() as u64).collect();
-        Self::with_nodes_labeled(topo, cfg, nodes, &labels)
-    }
-
-    /// Creates a simulator whose per-node random streams — and per-edge
-    /// link fate streams — are derived from explicit labels instead of
-    /// node indices.
-    ///
-    /// This is what keeps **sharded** simulations deterministic: a shard
-    /// simulator indexes its nodes `0..m` locally, but by labeling each
-    /// node with its *global* id it draws from exactly the per-node
-    /// stream and, for each incident edge, exactly the per-edge
-    /// [`FateStream`] it would own in an unsharded run — so both node
-    /// randomness and the loss schedule are independent of the partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes.len()` differs from the topology size or
-    /// `rng_labels` is shorter than the node count.
-    pub fn with_nodes_labeled(
-        topo: Topology,
-        cfg: SimConfig,
-        nodes: Vec<P>,
-        rng_labels: &[u64],
-    ) -> Self {
         assert_eq!(
             nodes.len(),
             topo.len(),
             "need exactly one node state per topology node"
         );
-        assert!(
-            rng_labels.len() >= topo.len(),
-            "need one rng label per node"
-        );
-        let node_rngs = rng_labels
-            .iter()
-            .take(topo.len())
-            .map(|&label| Xoshiro256StarStar::seed_from_u64(derive_seed(cfg.seed, label, 1)))
+        let node_rngs = (0..topo.len() as u64)
+            .map(|v| Xoshiro256StarStar::seed_from_u64(derive_seed(cfg.seed, v, 1)))
             .collect();
-        let labels = rng_labels[..topo.len()].to_vec();
         let stats = NetStats::new(topo.len(), cfg.energy);
         Simulator {
             topo,
             cfg,
             nodes,
             node_rngs,
-            labels,
             fate_streams: HashMap::new(),
             queue: EventQueue::new(),
             stats,
@@ -534,11 +499,10 @@ impl<P: NodeRuntime> Simulator<P> {
             // used by cut measurements.
             self.stats.charge_link(src, dst, bits);
             let seed = self.cfg.seed;
-            let (src_label, dst_label) = (self.labels[src], self.labels[dst]);
             let stream = self
                 .fate_streams
                 .entry((src, dst, class))
-                .or_insert_with(|| FateStream::new(seed, src_label, dst_label, class));
+                .or_insert_with(|| FateStream::new(seed, src as u64, dst as u64, class));
             let fate = stream.next_fate(&self.cfg.link);
             match fate {
                 LinkFate::Lost => {}

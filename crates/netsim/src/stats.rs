@@ -266,27 +266,7 @@ impl NetStats {
     /// Panics if the node counts differ.
     pub fn absorb(&mut self, other: &NetStats) {
         assert_eq!(self.len(), other.len(), "node count mismatch");
-        self.absorb_with(other, |i| i);
-    }
-
-    /// Merges another tracker's counters into this one under a node-id
-    /// translation: `other`'s node `i` is charged to `map[i]` here. Used
-    /// by sharded simulations, whose per-shard trackers are indexed by
-    /// shard-local ids.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `map` is shorter than `other` or maps out of range.
-    pub fn absorb_mapped(&mut self, other: &NetStats, map: &[usize]) {
-        assert!(map.len() >= other.len(), "node map shorter than stats");
-        self.absorb_with(other, |i| map[i]);
-    }
-
-    /// The single merge site behind [`NetStats::absorb`] and
-    /// [`NetStats::absorb_mapped`].
-    fn absorb_with(&mut self, other: &NetStats, map: impl Fn(usize) -> usize) {
-        for (i, b) in other.nodes.iter().enumerate() {
-            let a = &mut self.nodes[map(i)];
+        for (a, b) in self.nodes.iter_mut().zip(&other.nodes) {
             a.tx_bits += b.tx_bits;
             a.rx_bits += b.rx_bits;
             a.tx_packets += b.tx_packets;
@@ -298,14 +278,14 @@ impl NetStats {
         // own representation whichever one `other` kept it in.
         for (c, (&p, e)) in other.tree_parent.iter().zip(&other.tree_links).enumerate() {
             if e.down > 0 {
-                self.charge_link(map(p), map(c), e.down);
+                self.charge_link(p, c, e.down);
             }
             if e.up > 0 {
-                self.charge_link(map(c), map(p), e.up);
+                self.charge_link(c, p, e.up);
             }
         }
         for (&(s, d), &v) in &other.links {
-            self.charge_link(map(s), map(d), v);
+            self.charge_link(s, d, v);
         }
     }
 }
@@ -450,15 +430,6 @@ mod tests {
         assert_same_links(&into_map, &into_dense);
         assert_eq!(into_dense.link_bits(0, 1), 30);
         assert_eq!(into_dense.link_bits(0, 3), 202);
-        // Under a node-id translation (local i is global 3 − i) too.
-        let map_ids = [3, 2, 1, 0];
-        let mut mapped_from_map = NetStats::new(4, EnergyModel::default());
-        let mut mapped_from_dense = NetStats::new(4, EnergyModel::default());
-        mapped_from_map.absorb_mapped(&map, &map_ids);
-        mapped_from_dense.absorb_mapped(&dense, &map_ids);
-        assert_same_links(&mapped_from_map, &mapped_from_dense);
-        assert_eq!(mapped_from_dense.link_bits(3, 2), 15);
-        assert_eq!(mapped_from_dense.link_bits(3, 0), 101);
         // Reset zeroes both ledgers and keeps the declared tree.
         into_dense.reset();
         assert_same_links(&into_dense, &NetStats::new(4, EnergyModel::default()));

@@ -44,7 +44,7 @@ impl FrameKind {
 /// Everything here is **deterministic**: node ids are global tree
 /// labels, bit counts are exact wire widths, and ordering within a
 /// wave is the canonical drain order (ascending global node id), so
-/// the stream is identical across the boxed, sharded and flat runners.
+/// the stream is identical across the boxed and flat runners.
 /// Wall-clock measurements are deliberately *not* events — they live
 /// in the [`crate::MetricsRegistry`]'s separate lane.
 #[derive(Debug, Clone, PartialEq, Eq)]

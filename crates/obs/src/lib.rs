@@ -11,8 +11,8 @@
 //!
 //! The load-bearing property is *determinism*: with a recorder
 //! attached, the merged event stream a deployment emits is a pure
-//! function of the workload — **bit-identical across the boxed,
-//! sharded and flat execution substrates** — because per-node trace
+//! function of the workload — **bit-identical across the boxed and
+//! flat execution substrates** — because per-node trace
 //! entries are buffered during the wave and drained in ascending
 //! global node id order at the driver, and frame-level ARQ detail is
 //! expanded from the same per-edge fate streams every runner consumes

@@ -22,7 +22,7 @@ use crate::event::Event;
 /// Implementations must be cheap per call: `record` sits on the hot
 /// path of every instrumented wave. `Send` (plus `Debug`) is required
 /// so a boxed recorder can live inside driver state that crosses
-/// thread boundaries in the sharded runner's driver.
+/// thread boundaries in a parallel runner's driver.
 pub trait Recorder: fmt::Debug + Send {
     /// Accepts one event.
     fn record(&mut self, event: &Event);

@@ -22,7 +22,7 @@ pub enum ProtocolError {
     /// Mismatched shapes (items vector vs topology size, tree vs topology).
     ShapeMismatch(&'static str),
     /// A requested execution mode is not supported by this runner (for
-    /// example per-hop ARQ under sharded execution).
+    /// example lossy links without per-hop ARQ on the flat runner).
     Unsupported(&'static str),
     /// The protocol panicked on a worker thread of a parallel runner.
     /// The wave is lost, the runner is not: the panic was contained at

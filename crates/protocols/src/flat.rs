@@ -54,15 +54,14 @@
 //! subtree, so workers never exchange a message — and the driver plays
 //! the spine bottom-up after the barrier. Because blocks are re-cut
 //! *recursively* wherever a subtree exceeds the balance threshold, one
-//! giant subtree no longer serialises a worker, which is what the
-//! root-only sharding of [`crate::shard`] could not avoid.
+//! giant subtree never serialises a worker.
 //!
-//! ## Bit-identity with the boxed runners
+//! ## Bit-identity with the boxed runner
 //!
-//! The flat runner reproduces a single-threaded
-//! [`WaveRunner`](crate::wave::WaveRunner) observable-for-observable,
-//! by the same argument as [`crate::shard`] (ARCHITECTURE §7, extended
-//! recursively in §10):
+//! The flat runner reproduces the event-driven
+//! [`WaveRunner`](crate::wave::WaveRunner) observable-for-observable
+//! (the canonical-merge / fixed-order-barrier argument of
+//! ARCHITECTURE §10):
 //!
 //! * every node transmits exactly the frames it would transmit boxed —
 //!   one request per child edge, one partial per participating node, with
@@ -104,10 +103,10 @@
 //! index arithmetic), so [`TransportFootprint`] matches too.
 //!
 //! Lossy links *without* ARQ remain rejected — an unrepaired drop
-//! would erase a subtree's report, which the unsharded runner surfaces
-//! as [`ProtocolError::NoResult`] after billing the partial traffic;
-//! single-threaded execution stays the ground truth for that
-//! combination. [`Reliability::None`] requires lossless links, as
+//! would erase a subtree's report, which the event-driven runner
+//! surfaces as [`ProtocolError::NoResult`] after billing the partial
+//! traffic; the boxed [`WaveRunner`](crate::wave::WaveRunner) stays the
+//! ground truth for that combination. [`Reliability::None`] requires lossless links, as
 //! before.
 //!
 //! [`MuxLedger`]: crate::wave::MuxLedger
@@ -917,7 +916,7 @@ fn run_task<P: WaveProtocol>(
         let r = eval_block(env, &task.proto, task.scratch, cols, *block, wave);
         // Keep the first error but finish every block, so per-block
         // side-state is always fully accumulated before the barrier
-        // drains it (the shard discipline of `crate::shard`).
+        // drains it in fixed group order (ARCHITECTURE §10).
         if result.is_ok() {
             result = r;
         }
@@ -1315,7 +1314,7 @@ where
 
     /// Drains every position's buffered trace entries, tagged with the
     /// position's **global** node id, in ascending global id order —
-    /// the same canonical drain as the boxed and sharded runners.
+    /// the same canonical drain as the boxed runner.
     pub fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
         let mut out = Vec::new();
         for (p, trace) in self.cols.trace.iter_mut().enumerate() {
@@ -1604,8 +1603,7 @@ mod tests {
     use saq_netsim::wire::{width_for_max, BitWriter};
     use saq_netsim::NetsimError;
 
-    /// SUM of items below a threshold (mirrors the shard.rs test
-    /// protocol); deterministic, so cacheable.
+    /// SUM of items below a threshold; deterministic, so cacheable.
     #[derive(Debug, Clone)]
     struct SumBelow {
         value_width: u32,

@@ -13,8 +13,9 @@
 //! * [`wave`] — the generic broadcast–convergecast engine: a
 //!   [`wave::WaveProtocol`] describes one aggregate (request encoding,
 //!   per-node contribution, merge, partial encoding) and a
-//!   [`wave::WaveRunner`] executes root-initiated waves, optionally with
-//!   per-hop ARQ under lossy links;
+//!   [`wave::WaveRunner`] executes root-initiated waves event by event,
+//!   optionally with per-hop ARQ under lossy links — the timing-faithful
+//!   oracle (virtual time, jitter, lossy links without ARQ);
 //! * [`rings`] — the multipath "synopsis diffusion" overlay of Considine
 //!   et al. / Nath et al.: duplicate-prone by design, safe only for ODI
 //!   synopses;
@@ -23,16 +24,12 @@
 //! * [`cache`] — subtree partial caching for the wave runner: interior
 //!   nodes store their merged subtree partials keyed by the encoded
 //!   sub-request and answer repeats without re-contributing leaf items;
-//! * [`shard`] — sharded parallel convergecast: the root's subtrees are
-//!   partitioned across OS threads (the merge laws make subtree order
-//!   irrelevant) and re-joined at a deterministic root barrier, with
-//!   bit ledgers, statistics and caches merged to match single-threaded
-//!   execution observable-for-observable;
 //! * [`flat`] — the columnar flat-tree runner: per-node state in
 //!   contiguous position-indexed columns over `saq_netsim::flat`, waves
 //!   as two array sweeps, and **nested** static sharding that re-cuts
-//!   oversized subtrees at their own roots — the million-node substrate,
-//!   bit-identical to the boxed runners.
+//!   oversized subtrees at their own roots, worker groups re-joined at a
+//!   deterministic barrier — the parallel, million-node substrate,
+//!   bit-identical to the boxed [`wave::WaveRunner`].
 //!
 //! Aggregate *semantics* (what COUNT, MEDIAN, etc. mean) live in
 //! `saq-core` and `saq-baselines`; this crate only moves bits.
@@ -43,7 +40,6 @@ pub mod flat;
 pub mod gossip;
 pub mod obs;
 pub mod rings;
-pub mod shard;
 pub mod tree;
 pub mod wave;
 
@@ -51,9 +47,8 @@ pub use cache::{CacheKey, CacheStats, PartialCache};
 pub use error::ProtocolError;
 pub use flat::FlatWaveRunner;
 pub use obs::{FateReplay, NodeTraceEntry, ReplayEvent};
-pub use shard::ShardedWaveRunner;
 pub use tree::SpanningTree;
 pub use wave::{
     MultiplexWave, MuxEntry, MuxLedger, MuxSlotBits, TransportFootprint, WaveProtocol, WaveRunner,
-    WireProfile, MUX_MAX_SLOTS, WAVE_HEADER_BITS,
+    WireProfile, MUX_MAX_SLOTS,
 };

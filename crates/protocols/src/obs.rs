@@ -2,13 +2,12 @@
 //! entry the runners buffer during a wave, and the fate-stream replay
 //! that expands logical frames into attempt-level ARQ detail.
 //!
-//! Node-resident protocol state uses **local** ids under sharding
-//! (`AggNode::parent`/`children` are shard-local), so trace entries
-//! deliberately carry no peer ids: the driver (which owns the global
-//! spanning tree) resolves parentage when it drains the buffers in
-//! ascending global node id order. That drain order — not emission
-//! order — is what makes the merged stream bit-identical across the
-//! boxed, sharded and flat runners (ARCHITECTURE §15).
+//! The flat runner stores node state by tree *position*, not node id,
+//! so trace entries deliberately carry no peer ids: the driver (which
+//! owns the global spanning tree) resolves parentage when it drains the
+//! buffers in ascending global node id order. That drain order — not
+//! emission order — is what makes the merged stream bit-identical
+//! across the boxed and flat runners (ARCHITECTURE §15).
 
 use saq_netsim::link::{FateStream, FrameClass, LinkConfig, LinkFate};
 use std::collections::HashMap;

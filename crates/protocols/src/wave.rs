@@ -209,7 +209,7 @@ pub trait WaveProtocol: Clone {
         false
     }
 
-    // --- request admission and shard execution hooks ------------------
+    // --- request admission and worker-group hooks ---------------------
 
     /// Validates a request at the API boundary, *before* the root
     /// injects it into the network. This is where wire-format bounds are
@@ -225,19 +225,21 @@ pub trait WaveProtocol: Clone {
         Ok(())
     }
 
-    /// A clone for one execution shard of a sharded run. Protocols whose
-    /// clones deliberately *share* mutable side-state (the bit ledger of
-    /// [`MultiplexWave`]) must hand the shard a fresh, independent
-    /// instance here, so shards never contend and `Send` holds; the
+    /// A clone for one worker group of the parallel flat runner
+    /// ([`crate::flat::FlatWaveRunner`]). Protocols whose clones
+    /// deliberately *share* mutable side-state (the bit ledger of
+    /// [`MultiplexWave`]) must hand the group a fresh, independent
+    /// instance here, so groups never contend and `Send` holds; the
     /// plain `clone` default is correct for stateless protocols.
     fn shard_clone(&self) -> Self {
         self.clone()
     }
 
-    /// Folds a shard clone's accumulated side-state back into this
-    /// instance, **draining** the shard's copy. Called at the shard
-    /// barrier in fixed shard order, so merged tallies are deterministic
-    /// regardless of thread timing. The default is a no-op.
+    /// Folds a worker group's clone's accumulated side-state back into
+    /// this instance, **draining** the group's copy. Called at the
+    /// convergecast barrier in fixed group order, so merged tallies are
+    /// deterministic regardless of thread timing. The default is a
+    /// no-op.
     fn absorb_shard(&self, _shard: &Self) {}
 }
 
@@ -273,7 +275,7 @@ impl TransportFootprint {
         self.dedup_entries + self.pending_frames + self.buffered_partials + self.cache_entries
     }
 
-    /// Accumulates another footprint (used to aggregate shards).
+    /// Accumulates another footprint (used to aggregate nodes).
     pub fn absorb(&mut self, other: TransportFootprint) {
         self.dedup_entries += other.dedup_entries;
         self.pending_frames += other.pending_frames;
@@ -294,14 +296,6 @@ pub enum Reliability {
         timeout: SimDuration,
     },
 }
-
-/// Bits of node-layer framing per wave message under the **legacy**
-/// fixed-width profile ([`WireProfile::V0Fixed`]): the 2-bit message
-/// kind plus a 16-bit wave id (ARQ adds a 16-bit sequence number).
-/// Under the default [`WireProfile::V1Varint`] the wave id is a varint
-/// and the header width depends on the wave ordinal — use
-/// [`WireProfile::header_bits`] instead of this constant.
-pub const WAVE_HEADER_BITS: u64 = 2 + 16;
 
 /// Bits of one ACK frame under [`Reliability::Ack`] with the legacy
 /// [`WireProfile::V0Fixed`]: the 2-bit kind, the 16-bit wave id and the
@@ -391,22 +385,20 @@ impl WireProfile {
     }
 }
 
+// Crate-visible: the flat runner frames requests and partials itself.
 pub(crate) const KIND_REQUEST: u64 = 0;
 pub(crate) const KIND_PARTIAL: u64 = 1;
-pub(crate) const KIND_ACK: u64 = 2;
+const KIND_ACK: u64 = 2;
 
 /// Timer tag namespace: retransmissions are tagged
 /// `RETX_BASE + (wave << 16) + seq`. Including the wave id keeps a stale
 /// timer from a finished wave from ever matching a live entry of the
 /// current wave, whose per-wave sequence numbers restart at zero.
-/// Crate-visible: the sharded driver's root stub (`crate::shard`) runs
-/// the root's retransmission loop inside a shard simulator and must use
-/// the identical tag algebra.
-pub(crate) const RETX_BASE: u64 = 1 << 34;
+const RETX_BASE: u64 = 1 << 34;
 /// Tag used by [`WaveRunner`] to start a wave at the root.
 const TAG_START: u64 = 1;
 
-pub(crate) const fn retx_tag(wave: u16, seq: u16) -> u64 {
+const fn retx_tag(wave: u16, seq: u16) -> u64 {
     RETX_BASE + ((wave as u64) << 16) + seq as u64
 }
 
@@ -420,7 +412,7 @@ struct PendingMsg {
 
 /// Outcome of wave admission at a node (see [`AggNode::admit_wave`]).
 #[derive(Debug)]
-pub(crate) enum WaveAdmit<P: WaveProtocol> {
+enum WaveAdmit<P: WaveProtocol> {
     /// Every slot was served from the subtree cache; the complete reply
     /// is in the node's accumulator and the subtree stays silent.
     Cached,
@@ -431,42 +423,32 @@ pub(crate) enum WaveAdmit<P: WaveProtocol> {
 
 /// Node state machine executing [`WaveProtocol`] waves over a spanning
 /// tree.
-///
-/// Fields are crate-visible because the sharded driver
-/// (`crate::shard`) runs the root's half of this state machine outside
-/// a simulator context.
 #[derive(Debug)]
 pub struct AggNode<P: WaveProtocol> {
-    pub(crate) proto: P,
-    /// The node's **global** id, passed to [`WaveProtocol::local`].
-    /// Distinct from the simulator index under sharded execution, where
-    /// simulators address nodes by shard-local ids — identity-keyed
-    /// aggregates (bottom-k samples, item-hashed sketches) must hash the
-    /// same `(node, slot)` identity regardless of the partition.
-    pub(crate) global_id: NodeId,
+    proto: P,
     /// This node's input items (the paper's local multiset, §5).
-    pub(crate) items: Vec<P::Item>,
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
+    items: Vec<P::Item>,
+    parent: Option<NodeId>,
+    children: Vec<NodeId>,
     reliability: Reliability,
     /// Frame-header discipline (deployment-wide; see [`WireProfile`]).
-    pub(crate) profile: WireProfile,
+    profile: WireProfile,
 
     /// Wave id of the wave this node last participated in.
-    pub(crate) wave: u16,
-    pub(crate) req: Option<P::Request>,
-    pub(crate) waiting: Vec<NodeId>,
-    pub(crate) acc: Option<P::Partial>,
+    wave: u16,
+    req: Option<P::Request>,
+    waiting: Vec<NodeId>,
+    acc: Option<P::Partial>,
     /// Completed result; only ever set at the root.
-    pub(crate) result: Option<P::Partial>,
+    result: Option<P::Partial>,
     /// Request staged by the driver before kicking the root.
-    pub(crate) staged: Option<(u16, P::Request)>,
+    staged: Option<(u16, P::Request)>,
 
     /// Subtree partial cache (`None` = caching disabled, the default).
-    pub(crate) cache: Option<PartialCache<P::Partial>>,
+    cache: Option<PartialCache<P::Partial>>,
     /// The (possibly cache-reduced) request forwarded to children this
     /// wave; child partials and `acc` align with it.
-    pub(crate) fwd_req: Option<P::Request>,
+    fwd_req: Option<P::Request>,
     /// Cache hits of the current wave: (slot index in `req`, partial).
     wave_hits: Vec<(usize, P::Partial)>,
     /// Slot indices in `req` of the current wave's cache misses — the
@@ -480,7 +462,7 @@ pub struct AggNode<P: WaveProtocol> {
     /// arrival order. Arrival order depends on link jitter and event
     /// interleaving; merging canonically makes the convergecast result a
     /// pure function of the tree and the inputs, which is what lets
-    /// sharded execution reproduce single-threaded answers bit-for-bit
+    /// the flat runner reproduce this runner's answers bit-for-bit
     /// even for merges that are only multiset-commutative (collect) or
     /// tie-sensitive (quantile summaries).
     child_partials: Vec<(NodeId, P::Partial)>,
@@ -499,21 +481,20 @@ pub struct AggNode<P: WaveProtocol> {
     /// needs. Purging at admission (not completion) makes the residue
     /// left between waves a pure function of link fates — at most one
     /// entry per reporting child plus one for a duplicate request
-    /// delivery — which is what lets the sharded and flat runners
-    /// reproduce [`TransportFootprint`] bit-for-bit.
+    /// delivery — which is what lets the flat runner reproduce
+    /// [`TransportFootprint`] bit-for-bit.
     seen: HashSet<(NodeId, u16, u16)>,
 
     /// Telemetry switch: when set, the node buffers canonically-ordered
     /// [`NodeTraceEntry`]s for the driver to drain after the wave.
-    pub(crate) trace_on: bool,
+    trace_on: bool,
     /// Buffered trace entries (peer-free — see [`crate::obs`]).
-    pub(crate) trace: Vec<NodeTraceEntry>,
+    trace: Vec<NodeTraceEntry>,
 }
 
 impl<P: WaveProtocol> AggNode<P> {
-    pub(crate) fn new(
+    fn new(
         proto: P,
-        global_id: NodeId,
         items: Vec<P::Item>,
         parent: Option<NodeId>,
         children: Vec<NodeId>,
@@ -521,7 +502,6 @@ impl<P: WaveProtocol> AggNode<P> {
     ) -> Self {
         AggNode {
             proto,
-            global_id,
             items,
             parent,
             children,
@@ -550,7 +530,7 @@ impl<P: WaveProtocol> AggNode<P> {
     /// Buffers a telemetry entry when tracing is on (no-op otherwise —
     /// one branch on a resident bool, the zero-overhead contract).
     #[inline]
-    pub(crate) fn trace_push(&mut self, entry: NodeTraceEntry) {
+    fn trace_push(&mut self, entry: NodeTraceEntry) {
         if self.trace_on {
             self.trace.push(entry);
         }
@@ -562,7 +542,7 @@ impl<P: WaveProtocol> AggNode<P> {
     }
 
     /// This node's contribution to a [`TransportFootprint`].
-    pub(crate) fn transport_footprint(&self) -> TransportFootprint {
+    fn transport_footprint(&self) -> TransportFootprint {
         TransportFootprint {
             dedup_entries: self.seen.len() as u64,
             pending_frames: self.pending.len() as u64,
@@ -581,7 +561,7 @@ impl<P: WaveProtocol> AggNode<P> {
     /// resident entry either absorbs the delta in place
     /// ([`WaveProtocol::apply_item_delta`]) or is invalidated — the
     /// fine-grained, per-entry successor of the old whole-cache clear.
-    pub(crate) fn delta_maintain_cache(
+    fn delta_maintain_cache(
         &mut self,
         origin: NodeId,
         old_items: &[P::Item],
@@ -598,12 +578,8 @@ impl<P: WaveProtocol> AggNode<P> {
     /// Frames one outgoing message into `w` (an empty writer — pooled
     /// when the caller has one): kind, wave id under the deployment's
     /// [`WireProfile`], an ARQ sequence number when reliable (consuming
-    /// `next_seq`), then the protocol-encoded body. Crate-visible so the
-    /// sharded driver frames the root's per-child requests with the
-    /// root's own sequence counter — child *i* in fixed child order
-    /// draws sequence *i*, exactly as the unsharded root's fan-out loop
-    /// would.
-    pub(crate) fn encode_msg(
+    /// `next_seq`), then the protocol-encoded body.
+    fn encode_msg(
         &mut self,
         mut w: BitWriter,
         kind: u64,
@@ -678,11 +654,9 @@ impl<P: WaveProtocol> AggNode<P> {
                 self.finish_wave(ctx);
             }
             WaveAdmit::Forward(fwd) => {
-                // The *global* id, not the simulator index: identity-
-                // keyed aggregates must be partition-independent.
                 let local = self
                     .proto
-                    .local(self.global_id, &mut self.items, &fwd, ctx.rng());
+                    .local(ctx.node_id(), &mut self.items, &fwd, ctx.rng());
                 self.acc = Some(local);
                 if self.waiting.is_empty() {
                     self.finish_wave(ctx);
@@ -721,15 +695,13 @@ impl<P: WaveProtocol> AggNode<P> {
 
     /// Resets per-wave state and resolves the subtree cache for `req` —
     /// everything a node does on joining a wave short of touching the
-    /// network or its items. Factored out of [`AggNode::begin_wave`] so
-    /// the sharded driver (`crate::shard`) can run the root's admission
-    /// outside a simulator context.
+    /// network or its items.
     ///
     /// On [`WaveAdmit::Cached`] the complete reply is already in
     /// `self.acc`; on [`WaveAdmit::Forward`] the caller must compute the
     /// local contribution into `self.acc` and forward the returned
     /// request to the children (`self.fwd_req` is set to it).
-    pub(crate) fn admit_wave(&mut self, wave: u16, req: P::Request) -> WaveAdmit<P> {
+    fn admit_wave(&mut self, wave: u16, req: P::Request) -> WaveAdmit<P> {
         self.wave = wave;
         // `clone_from` reuses the buffer's capacity: after the first
         // wave this list refills without touching the allocator.
@@ -809,7 +781,7 @@ impl<P: WaveProtocol> AggNode<P> {
     /// Merges the buffered child partials into the accumulator in
     /// **fixed child order** (the canonical merge — see the field doc of
     /// `child_partials`). Call only when every child has reported.
-    pub(crate) fn merge_children(&mut self) {
+    fn merge_children(&mut self) {
         if self.child_partials.is_empty() {
             return;
         }
@@ -838,8 +810,8 @@ impl<P: WaveProtocol> AggNode<P> {
         // `admit_wave` clears it, which bounds memory just as well (one
         // wave's traffic) while leaving a between-wave residue that is a
         // pure function of link fates — completion time is
-        // schedule-dependent, admission order is not, and the sharded
-        // and flat runners must reproduce the footprint exactly.
+        // schedule-dependent, admission order is not, and the flat
+        // runner must reproduce the footprint exactly.
         let acc = self.acc.clone().expect("wave has an accumulator");
         let full = self.assemble_partial(acc);
         match self.parent {
@@ -859,7 +831,7 @@ impl<P: WaveProtocol> AggNode<P> {
     /// Turns the merged accumulator (aligned with `fwd_req`) into the
     /// full reply (aligned with `req`), populating the cache with the
     /// freshly computed subtree partials on the way.
-    pub(crate) fn assemble_partial(&mut self, acc: P::Partial) -> P::Partial {
+    fn assemble_partial(&mut self, acc: P::Partial) -> P::Partial {
         if self.wave_hits.is_empty() && self.wave_store.is_empty() {
             // No caching activity this wave (disabled, all-miss with no
             // cacheable slot, or a fully-cached wave whose join already
@@ -1038,7 +1010,6 @@ impl<P: WaveProtocol> WaveRunner<P> {
             .map(|v| {
                 AggNode::new(
                     proto.clone(),
-                    v,
                     std::mem::take(&mut items[v]),
                     tree.parent(v),
                     tree.children(v).to_vec(),
@@ -1085,17 +1056,13 @@ impl<P: WaveProtocol> WaveRunner<P> {
     }
 
     /// Drains every node's buffered trace entries, tagged with the
-    /// node's **global** id, in ascending global id order — the
-    /// canonical drain order shared by all runners (see
-    /// [`crate::obs`]).
+    /// node id, in ascending node id order — the canonical drain order
+    /// shared by both runners (see [`crate::obs`]).
     pub fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
         let mut out = Vec::new();
         for v in 0..self.sim.len() {
-            let n = self.sim.node_mut(v);
-            let gid = n.global_id;
-            out.extend(n.trace.drain(..).map(|e| (gid, e)));
+            out.extend(self.sim.node_mut(v).trace.drain(..).map(|e| (v, e)));
         }
-        out.sort_by_key(|&(gid, _)| gid);
         out
     }
 
@@ -1328,9 +1295,9 @@ impl MuxLedger {
     }
 
     /// Adds another ledger's tallies into this one, slot-wise. This is
-    /// the shard-barrier merge: each shard accumulates into its own
-    /// ledger during the parallel phase, and the barrier folds them back
-    /// in fixed shard order.
+    /// the worker-barrier merge: each flat worker group accumulates into
+    /// its own ledger during the parallel phase, and the barrier folds
+    /// them back in fixed group order.
     pub fn absorb(&mut self, other: &MuxLedger) {
         for (i, s) in other.slots.iter().enumerate() {
             let m = self.slot_mut(i);
@@ -1414,9 +1381,9 @@ impl<R: Eq> Eq for MuxEntry<R> {}
 /// dense flag and any explicit slot tags to
 /// [`MuxLedger::envelope_bits`]. The ledger is shared across the clones
 /// deployed to the simulated nodes, so after a wave it holds the exact
-/// transmit-side cost split. Under **sharded** execution each shard's
-/// clones share a per-shard ledger ([`WaveProtocol::shard_clone`]),
-/// drained back into the root ledger at the barrier in fixed shard order
+/// transmit-side cost split. On the parallel flat runner each worker
+/// group bills a ledger of its own ([`WaveProtocol::shard_clone`]),
+/// drained back into the root ledger at the barrier in fixed group order
 /// ([`WaveProtocol::absorb_shard`]) — tallies are sums either way.
 /// Tallies are exact under [`Reliability::None`]. Under ARQ each logical
 /// message is charged **once** at encode time — retransmissions resend
@@ -1716,7 +1683,7 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         }
     }
 
-    // --- request admission and shard execution ------------------------
+    // --- request admission and worker groups --------------------------
 
     /// Rejects envelopes that exceed the 16-bit slot space (count or any
     /// slot tag `≥` [`MUX_MAX_SLOTS`]) with a real error — the release
@@ -1734,9 +1701,8 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         Ok(())
     }
 
-    /// A shard gets its own ledger: the shard's clones share it among
-    /// themselves (per-shard attribution stays exact) without contending
-    /// with other shards or the root.
+    /// A worker group gets its own ledger: the group bills it without
+    /// contending with other groups or the root.
     fn shard_clone(&self) -> Self {
         MultiplexWave {
             inner: self.inner.shard_clone(),
@@ -1744,7 +1710,7 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         }
     }
 
-    /// Drains the shard ledger into this (root) ledger — slot tallies
+    /// Drains the group's ledger into this (root) ledger — slot tallies
     /// and envelope bits add, so the merged ledger equals what a
     /// single-threaded run would have accumulated.
     fn absorb_shard(&self, shard: &Self) {
@@ -1907,7 +1873,8 @@ mod tests {
         let part_bits = 2 + 16 + 32;
         assert_eq!(r.stats().node(0).tx_bits, req_bits);
         assert_eq!(r.stats().node(0).rx_bits, part_bits);
-        assert_eq!(r.last_header_bits(), WAVE_HEADER_BITS);
+        assert_eq!(r.last_header_bits(), WireProfile::V0Fixed.header_bits(1));
+        assert_eq!(r.last_header_bits(), 2 + 16);
     }
 
     #[test]

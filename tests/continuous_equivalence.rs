@@ -48,7 +48,9 @@ fn build_net_rel(
     shards: usize,
     loss: Option<f64>,
 ) -> SimNetwork {
-    let mut builder = SimNetworkBuilder::new().shards(shards);
+    // One worker is the boxed event-driven oracle; more run the flat
+    // substrate's workers.
+    let mut builder = SimNetworkBuilder::new().flat(shards > 1).shards(shards);
     if cache > 0 {
         builder = builder.partial_cache(cache);
     }
@@ -253,9 +255,9 @@ proptest! {
 
     // The headline property: after ANY interleaving of single-node
     // value updates and refresh cycles, every standing answer equals a
-    // fresh convergecast's answer over the current items — under
-    // single-threaded and sharded (k=4) execution alike, and the two
-    // executions bill identical per-refresh bits.
+    // fresh convergecast's answer over the current items — on the boxed
+    // oracle and on four flat workers alike, and the two executions
+    // bill identical per-refresh bits.
     #[test]
     fn prop_standing_answers_equal_fresh_convergecast(
         seed in 0u64..500,
@@ -292,18 +294,19 @@ proptest! {
             }
             bills.push(bill);
         }
-        // Sharded execution is an execution strategy, not a semantics
+        // The flat substrate is an execution strategy, not a semantics
         // change: identical per-refresh bit bills.
-        prop_assert_eq!(&bills[0], &bills[1], "sharded bills diverged");
+        prop_assert_eq!(&bills[0], &bills[1], "flat bills diverged");
     }
 
     // Lossy row (ISSUE-7): the same interleavings over links that drop
     // 15% of frames, repaired by ARQ. Answers still match the lossless
     // fresh-convergecast oracle (ARQ repairs every drop), and the
     // per-refresh bills — now including retransmissions and ACKs — are
-    // still identical between single-threaded and sharded execution,
+    // still identical between the boxed oracle and four flat workers,
     // because every (edge, transmission-count) pair draws its fate from
-    // the same per-edge stream regardless of which shard runs it.
+    // the same per-edge stream regardless of which runner or thread
+    // executes it.
     #[test]
     fn prop_standing_answers_survive_lossy_links_with_arq(
         seed in 0u64..500,
@@ -335,6 +338,6 @@ proptest! {
             }
             bills.push(bill);
         }
-        prop_assert_eq!(&bills[0], &bills[1], "sharded lossy bills diverged");
+        prop_assert_eq!(&bills[0], &bills[1], "flat lossy bills diverged");
     }
 }

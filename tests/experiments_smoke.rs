@@ -219,31 +219,6 @@ fn e12_batching_identical_and_strictly_cheaper() {
 }
 
 #[test]
-fn e13_sharding_bit_identical_across_shard_counts() {
-    let s = e13_sharding::run(Scale::Quick);
-    assert!(
-        s.answers_identical,
-        "sharded execution must return the single-threaded answers exactly"
-    );
-    assert!(
-        s.bits_identical,
-        "sharded execution must charge identical per-node bits"
-    );
-    // Wall-clock speedup is hardware- and neighbor-bound (shared CI
-    // runners report cores they time-slice), so it is observed, not
-    // asserted — the correctness contract is the bit-identity above.
-    // The full-scale sweep in EXPERIMENTS runs record the real curve.
-    assert!(!s.points.is_empty());
-    if s.cores >= 4 && s.speedup_at(4) <= 1.2 {
-        eprintln!(
-            "note: k=4 speedup {:.2}x on {} cores (quick sweep; timing noise expected)",
-            s.speedup_at(4),
-            s.cores
-        );
-    }
-}
-
-#[test]
 fn e14_streaming_service_bounded_memory_and_tradeoff() {
     let s = e14_streaming::run(Scale::Quick);
     // The acceptance bar: a real service horizon, not a toy loop.
@@ -356,9 +331,10 @@ fn e16_flat_substrate_bit_identical_and_scales() {
         "flat execution must charge identical per-node bits"
     );
     assert!(!s.points.is_empty());
-    // Wall-clock speedup is hardware- and neighbor-bound, so like E13
-    // it is observed rather than asserted; the full-scale sweep in
-    // EXPERIMENTS runs record the real curve.
+    // Wall-clock speedup is hardware- and neighbor-bound (shared CI
+    // runners report cores they time-slice), so it is observed rather
+    // than asserted; the full-scale sweep in EXPERIMENTS runs record
+    // the real curve.
     if s.cores >= 2 && s.speedup_at_max_n() <= 1.0 {
         eprintln!(
             "note: {:.2}x speedup at max N on {} cores (quick sweep; timing noise expected)",

@@ -171,7 +171,7 @@ fn scripted_first_transmission_drops_cost_exactly_one_retransmission_per_hop() {
 
     let topo = Topology::balanced_tree(13, 3).expect("tree");
     let items: Vec<u64> = (0..13).collect();
-    let build = |scripted: bool, shards: usize, flat: bool| {
+    let build = |scripted: bool, flat: bool| {
         let mut link = LinkConfig::default();
         if scripted {
             link = link
@@ -190,7 +190,7 @@ fn scripted_first_transmission_drops_cost_exactly_one_retransmission_per_hop() {
         }
         SimNetworkBuilder::new()
             .flat(flat)
-            .shards(shards)
+            .shards(if flat { 2 } else { 1 })
             .sim_config(SimConfig::default().with_link(link).with_seed(7))
             .reliability(Reliability::Ack {
                 timeout: SimDuration::from_millis(40),
@@ -209,8 +209,8 @@ fn scripted_first_transmission_drops_cost_exactly_one_retransmission_per_hop() {
             .collect();
         (count, per_node)
     };
-    let (clean_count, clean) = run(build(false, 1, false));
-    let (count, injected) = run(build(true, 1, false));
+    let (clean_count, clean) = run(build(false, false));
+    let (count, injected) = run(build(true, false));
     assert_eq!(count, clean_count, "scripted loss changed the answer");
     for v in 0..13 {
         let (ctx, crx, ctxb, _) = clean[v];
@@ -225,16 +225,11 @@ fn scripted_first_transmission_drops_cost_exactly_one_retransmission_per_hop() {
         assert_eq!(irx, crx, "node {v}'s receive count must be unchanged");
     }
     // Fate replay: the crafted schedule keys on (edge, class, index),
-    // not on the executing thread — the sharded and flat runners must
+    // not on the executing thread — the flat runner's workers must
     // reproduce the injected run's per-node bills bit-for-bit.
-    for (label, net) in [
-        ("sharded", build(true, 3, false)),
-        ("flat", build(true, 2, true)),
-    ] {
-        let (c, p) = run(net);
-        assert_eq!(c, clean_count, "{label}: answer diverged");
-        assert_eq!(p, injected, "{label}: scripted schedule replay diverged");
-    }
+    let (c, p) = run(build(true, true));
+    assert_eq!(c, clean_count, "flat: answer diverged");
+    assert_eq!(p, injected, "flat: scripted schedule replay diverged");
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //! shared-slot dedup must be **invisible** on the network — `k`
 //! registrations of one `(spec, period)` are bit-identical to a single
 //! registration in answers, per-refresh wave bills, cache counters and
-//! per-node bits, across boxed/sharded/flat execution; registration /
+//! per-node bits, across boxed and flat execution (one worker and
+//! four); registration /
 //! deregistration churn never perturbs surviving subscribers; and the
 //! phase-staggered schedule is a deterministic pure function of
 //! registration order whose peak envelope beats the unstaggered spike.
@@ -25,11 +26,11 @@ const CACHE: usize = 512;
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Repr {
     Boxed,
-    Sharded,
     Flat,
+    FlatWorkers,
 }
 
-const REPRS: [Repr; 3] = [Repr::Boxed, Repr::Sharded, Repr::Flat];
+const REPRS: [Repr; 3] = [Repr::Boxed, Repr::Flat, Repr::FlatWorkers];
 
 fn build_net(repr: Repr) -> SimNetwork {
     let topo = Topology::balanced_tree(N, 3).unwrap();
@@ -37,8 +38,8 @@ fn build_net(repr: Repr) -> SimNetwork {
     let builder = SimNetworkBuilder::new().partial_cache(CACHE);
     let builder = match repr {
         Repr::Boxed => builder,
-        Repr::Sharded => builder.shards(4),
         Repr::Flat => builder.flat(true),
+        Repr::FlatWorkers => builder.flat(true).shards(4),
     };
     builder.build(&topo, items, XBAR).unwrap()
 }
@@ -188,8 +189,8 @@ fn stagger_fleet(repr: Repr, stagger: RefreshStagger) -> FleetService {
 #[test]
 fn stagger_schedule_is_deterministic_across_representations_and_reruns() {
     let mut logs: Vec<StaggerLog> = Vec::new();
-    // Boxed twice (the rerun), then sharded and flat.
-    for repr in [Repr::Boxed, Repr::Boxed, Repr::Sharded, Repr::Flat] {
+    // Boxed twice (the rerun), then flat on one worker and on four.
+    for repr in [Repr::Boxed, Repr::Boxed, Repr::Flat, Repr::FlatWorkers] {
         let mut fleet = stagger_fleet(repr, RefreshStagger::Spread);
         let out = fleet.run_rounds(STAGGER_PERIOD).unwrap();
         let fired: Vec<(usize, u64)> = out

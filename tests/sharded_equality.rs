@@ -1,18 +1,18 @@
-//! Property tests for the ISSUE-3/ISSUE-6/ISSUE-7 tentpoles: neither
-//! sharding, nor the columnar flat substrate, nor lossy links under
-//! per-hop ARQ is a semantics change. Every cell of the representation
-//! × shard-plan × **reliability** matrix — boxed vs flat, worker counts
+//! Property tests for the ISSUE-6/ISSUE-7 tentpoles: neither the
+//! columnar flat substrate, nor its worker count, nor lossy links under
+//! per-hop ARQ is a semantics change. Every cell of the boxed oracle ×
+//! flat plan × **reliability** matrix — flat worker counts
 //! `k ∈ {1, 2, 4, 8}`, nested shard depths `{0, 1, 2}` and the
 //! auto-chosen depth, crossed with `{lossless, loss p ∈ {0.05, 0.2}
 //! with ARQ}` — must produce **answers**, **per-query `QueryBits`
 //! ledgers** (the engine-level projection of the per-wave `MuxLedger`
 //! slots), **cache hit/miss counters**, the **full per-node bit
 //! vector** and the **between-wave `TransportFootprint`** identical to
-//! the single-threaded boxed baseline *under the same link fates* — on
+//! the boxed event-driven oracle *under the same link fates* — on
 //! randomized topologies and inputs. The per-edge fate streams
 //! (`saq_netsim::link::FateStream`) are what make the lossy rows
 //! well-posed: the n-th transmission over an edge draws the same fate
-//! no matter which thread, shard or representation executes it.
+//! no matter which thread or representation executes it.
 //! Streaming and continuous sessions must round-trip on the flat
 //! runner the same way.
 
@@ -41,12 +41,12 @@ fn query_mix() -> Vec<QuerySpec> {
     ]
 }
 
-/// One execution strategy under test: the boxed runners (single- or
-/// shard-threaded) or the columnar flat runner at a worker count and a
-/// nested shard depth (`None` = auto).
+/// One execution strategy under test: the boxed event-driven oracle or
+/// the columnar flat runner at a worker count and a nested shard depth
+/// (`None` = auto).
 #[derive(Debug, Clone, Copy)]
 enum Repr {
-    Boxed { k: usize },
+    Boxed,
     Flat { k: usize, depth: Option<u32> },
 }
 
@@ -97,7 +97,7 @@ impl Repr {
                 .partial_cache(cache),
         );
         match self {
-            Repr::Boxed { k } => b = b.shards(k),
+            Repr::Boxed => {}
             Repr::Flat { k, depth } => {
                 b = b.flat(true).shards(k);
                 if let Some(d) = depth {
@@ -177,7 +177,7 @@ fn flat_matrix() -> Vec<Repr> {
 
 fn check_matrix(topo: &Topology, items: &[u64], xbar: u64, cells: &[Repr], rel: Rel) {
     let (base_first, base_second, base_cache, base_bits, base_fp) =
-        run_at(topo, items, xbar, Repr::Boxed { k: 1 }, rel);
+        run_at(topo, items, xbar, Repr::Boxed, rel);
     // The warm repeat must actually exercise the cache.
     assert!(base_cache.hits > 0, "repeat batch never hit the cache");
     for &repr in cells {
@@ -195,28 +195,6 @@ fn check_matrix(topo: &Topology, items: &[u64], xbar: u64, cells: &[Repr], rel: 
         assert_eq!(
             base_fp, fp,
             "between-wave transport footprint differs at {repr:?} under {rel:?}"
-        );
-    }
-}
-
-proptest! {
-    #[test]
-    fn prop_sharded_runs_match_single_threaded(
-        n in 16usize..56,
-        topo_seed: u64,
-        value_seed in 0u64..1000,
-    ) {
-        let topo = Topology::random_geometric(n, 0.35, topo_seed).expect("topology");
-        let xbar = 4 * n as u64;
-        let items: Vec<u64> = (0..n as u64)
-            .map(|i| (i.wrapping_mul(value_seed.wrapping_mul(2).wrapping_add(13))) % xbar)
-            .collect();
-        check_matrix(
-            &topo,
-            &items,
-            xbar,
-            &[Repr::Boxed { k: 2 }, Repr::Boxed { k: 4 }, Repr::Boxed { k: 8 }],
-            Rel::Lossless,
         );
     }
 }
@@ -241,22 +219,17 @@ proptest! {
     }
 }
 
-/// The lossy rows of the matrix: boxed `k ∈ {2, 4, 8}` and flat `k ∈
-/// {1, 2, 4, 8}` (auto depth — the depth dimension is covered
-/// losslessly above, and the plan is fate-independent) under loss `p ∈
-/// {0.05, 0.2}` with per-hop ARQ, against the boxed single-threaded
-/// baseline *running the same fates*. This is the ISSUE-7 acceptance
+/// The lossy rows of the matrix: flat `k ∈ {1, 2, 4, 8}` (auto depth —
+/// the depth dimension is covered losslessly above, and the plan is
+/// fate-independent) under loss `p ∈ {0.05, 0.2}` with per-hop ARQ,
+/// against the boxed oracle *running the same fates*. This is the ISSUE-7 acceptance
 /// matrix: retransmissions, ACK bills, dedup residue and repaired
 /// answers all replay identically from the per-edge fate streams.
 fn lossy_matrix() -> Vec<Repr> {
-    let mut cells = vec![
-        Repr::Boxed { k: 2 },
-        Repr::Boxed { k: 4 },
-        Repr::Boxed { k: 8 },
-    ];
-    for k in [1usize, 2, 4, 8] {
-        cells.push(Repr::Flat { k, depth: None });
-    }
+    let mut cells: Vec<Repr> = [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|k| Repr::Flat { k, depth: None })
+        .collect();
     // One pinned nested depth so the lossy ARQ emulation is exercised
     // across a re-cut spine too.
     cells.push(Repr::Flat {
@@ -267,7 +240,7 @@ fn lossy_matrix() -> Vec<Repr> {
 }
 
 proptest! {
-    // 9 cells × 2 loss rates per case.
+    // 5 cells × 2 loss rates per case.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
@@ -343,7 +316,7 @@ fn streaming_session_round_trips_on_flat_runner() {
             fate_seed: 0x57_EAB,
         },
     ] {
-        let (boxed_reports, boxed_cache, boxed_bits) = run(Repr::Boxed { k: 1 }, rel);
+        let (boxed_reports, boxed_cache, boxed_bits) = run(Repr::Boxed, rel);
         let (flat_reports, flat_cache, flat_bits) = run(Repr::Flat { k: 4, depth: None }, rel);
         assert_eq!(boxed_reports.len(), flat_reports.len());
         for (a, b) in boxed_reports.iter().zip(&flat_reports) {
@@ -409,7 +382,7 @@ fn continuous_session_round_trips_on_flat_runner() {
             fate_seed: 0xC0_47,
         },
     ] {
-        let (boxed_refreshes, boxed_cache, boxed_bits) = run(Repr::Boxed { k: 1 }, rel);
+        let (boxed_refreshes, boxed_cache, boxed_bits) = run(Repr::Boxed, rel);
         let (flat_refreshes, flat_cache, flat_bits) = run(
             Repr::Flat {
                 k: 2,
@@ -437,7 +410,7 @@ fn continuous_session_round_trips_on_flat_runner() {
 /// ISSUE-10 tentpole row: with a telemetry recorder attached, the
 /// **merged event stream** a session emits — serialized to the
 /// canonical JSONL form, so byte-equality is sequence equality — is
-/// identical across the boxed, sharded and flat runners, lossless and
+/// identical across the boxed and flat runners, lossless and
 /// under loss `p = 0.1` with per-hop ARQ. The stream includes
 /// frame-level detail (first sends, retransmissions, drops, acks
 /// expanded from the shared per-edge fate streams), cache hit/miss
@@ -471,7 +444,7 @@ fn event_streams_are_bit_identical_across_runners() {
             fate_seed: 0x00E2_10B5,
         },
     ] {
-        let (base, base_metrics) = run(Repr::Boxed { k: 1 }, rel);
+        let (base, base_metrics) = run(Repr::Boxed, rel);
         assert!(
             base.contains("\"type\":\"CacheHit\""),
             "warm batch never produced cache hit events under {rel:?}"
@@ -485,7 +458,6 @@ fn event_streams_are_bit_identical_across_runners() {
             assert!(base.contains("\"kind\":\"ack\""));
         }
         for repr in [
-            Repr::Boxed { k: 3 },
             Repr::Flat { k: 2, depth: None },
             Repr::Flat {
                 k: 4,
@@ -531,7 +503,7 @@ proptest! {
         } else {
             Rel::Lossless
         };
-        let mut net = Repr::Boxed { k: 1 }.build(&topo, &items, xbar, 16, rel);
+        let mut net = Repr::Boxed.build(&topo, &items, xbar, 16, rel);
         let (rec, _log) = VecRecorder::shared();
         net.attach_recorder(Box::new(rec));
         let mut engine = QueryEngine::new(net);
