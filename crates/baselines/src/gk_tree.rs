@@ -23,7 +23,7 @@ use saq_netsim::topology::Topology;
 use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
 use saq_netsim::NetsimError;
 use saq_protocols::wave::Reliability;
-use saq_protocols::{SpanningTree, WaveProtocol, WaveRunner};
+use saq_protocols::{SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate};
 use saq_sketches::quantile::{QEntry, QuantileSummary};
 
 /// Wave protocol carrying pruned quantile summaries up the tree.

@@ -1,4 +1,4 @@
-//! Runs every experiment (E1-E21, E13 retired) in sequence. Pass `--quick` for the
+//! Runs every experiment (E1-E21; E13 and E19 retired) in sequence. Pass `--quick` for the
 //! reduced sweeps used in CI; the full configuration is the one recorded
 //! in EXPERIMENTS.md.
 
@@ -25,7 +25,6 @@ fn main() {
     let _ = e16_flat_scale::run(scale);
     let _ = e17_repeat_rate::run(scale);
     let _ = e18_loss_sweep::run(scale);
-    let _ = e19_codec::run(scale);
     let _ = e20_fleet::run(scale);
     let _ = e21_telemetry::run(scale);
     println!("\nall experiments complete.");

@@ -1,6 +1,8 @@
 //! The E1–E21 experiment implementations (see DESIGN.md §4 for the
-//! experiment-to-claim index; E13, the sharded boxed runner's scaling,
-//! is retired with that runner — E16 covers flat worker scaling). Each `run(scale)` prints its tables to
+//! experiment-to-claim index). Two are retired with the code they
+//! measured: E13, the sharded boxed runner's scaling (E16 covers flat
+//! worker scaling), and E19, varint vs fixed-width framing (CHANGES.md
+//! records its result under PR 8). Each `run(scale)` prints its tables to
 //! stdout and returns a machine-checkable summary used by integration
 //! tests and the `run_all` binary.
 
@@ -12,7 +14,6 @@ pub mod e15_continuous;
 pub mod e16_flat_scale;
 pub mod e17_repeat_rate;
 pub mod e18_loss_sweep;
-pub mod e19_codec;
 pub mod e1_primitives;
 pub mod e20_fleet;
 pub mod e21_telemetry;

@@ -54,7 +54,7 @@ pub struct ItemRef {
 /// without re-aggregating the underlying multiset.
 ///
 /// The continuous-aggregate machinery (`saq_core::continuous`,
-/// `saq_protocols::wave::WaveRunner::set_items`) uses this to keep
+/// `saq_protocols::wave::WaveSubstrate::set_items`) uses this to keep
 /// cached subtree partials *valid across item updates*: `Exact` and
 /// `Certified` entries stay resident — a standing query's refresh then
 /// reads them for zero payload bits — while `Unsupported` entries are

@@ -647,11 +647,11 @@ pub(crate) fn issue_shared_wave<S: AsMut<QuerySlot>>(
     let out = net.run_batch(reqs)?;
     debug_assert_eq!(out.partials.len(), round.len());
     // Unattributable framing: one wave header per message *actually
-    // transmitted*, at the width the deployment's wire profile framed
-    // this wave with. Under lossless links without caching that is one
-    // request and one partial per spanning-tree edge; with subtree
-    // partial caching, silenced subtrees (down to a fully cached,
-    // zero-message wave) shrink the bill accordingly.
+    // transmitted*, at the header width of this wave's varint ordinal.
+    // Under lossless links without caching that is one request and one
+    // partial per spanning-tree edge; with subtree partial caching,
+    // silenced subtrees (down to a fully cached, zero-message wave)
+    // shrink the bill accordingly.
     let share = (out.header_bits + out.envelope_bits) / round.len() as u64;
     for ((qi, req), (partial, bits)) in round
         .iter()

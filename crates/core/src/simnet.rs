@@ -22,10 +22,10 @@ use saq_netsim::sim::SimConfig;
 use saq_netsim::stats::NetStats;
 use saq_netsim::topology::Topology;
 use saq_obs::{Event, FrameKind, MetricsRegistry, MetricsSnapshot, Recorder, Telemetry};
-use saq_protocols::wave::Reliability;
+use saq_protocols::wave::{ack_bits, Reliability};
 use saq_protocols::{
     FateReplay, FlatWaveRunner, MultiplexWave, MuxLedger, MuxSlotBits, NodeTraceEntry, ReplayEvent,
-    SpanningTree, WaveProtocol, WaveRunner, WireProfile,
+    SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -59,7 +59,6 @@ pub struct SimNetworkBuilder {
     shards: usize,
     flat: bool,
     flat_depth: Option<u32>,
-    wire_profile: WireProfile,
 }
 
 impl Default for SimNetworkBuilder {
@@ -73,7 +72,6 @@ impl Default for SimNetworkBuilder {
             shards: 1,
             flat: false,
             flat_depth: None,
-            wire_profile: WireProfile::default(),
         }
     }
 }
@@ -168,17 +166,6 @@ impl SimNetworkBuilder {
         self
     }
 
-    /// Selects the envelope framing profile every node deploys with
-    /// (default [`WireProfile::V1Varint`], the compact varint framing).
-    /// The profile changes only per-message header widths — answers,
-    /// merge order, cache keys and [`MuxLedger`] attribution are
-    /// identical across profiles; [`WireProfile::V0Fixed`] exists as
-    /// the fixed-width baseline for codec experiments.
-    pub fn wire_profile(mut self, profile: WireProfile) -> Self {
-        self.wire_profile = profile;
-        self
-    }
-
     /// Builds a network with explicit per-node item multisets (§5 of the
     /// paper allows several items per node).
     ///
@@ -224,31 +211,31 @@ impl SimNetworkBuilder {
             .into_iter()
             .map(|vs| vs.into_iter().map(SimItem::new).collect())
             .collect();
-        let mut runner = if self.flat {
+        let mut runner: Box<dyn WaveSubstrate<MultiplexWave<CoreWave>> + Send> = if self.flat {
             let depth = match self.flat_depth {
                 Some(d) => NestDepth::Fixed(d),
                 None => NestDepth::Auto,
             };
-            Runner::Flat(Box::new(
-                FlatWaveRunner::new(
-                    topo,
-                    self.sim_cfg,
-                    &tree,
-                    proto,
-                    items,
-                    self.reliability,
-                    self.shards,
-                    depth,
-                )
-                .map_err(QueryError::from)?,
-            ))
+            Box::new(FlatWaveRunner::new(
+                topo,
+                self.sim_cfg,
+                &tree,
+                proto,
+                items,
+                self.reliability,
+                self.shards,
+                depth,
+            )?)
         } else {
-            Runner::Single(Box::new(
-                WaveRunner::new(topo, self.sim_cfg, &tree, proto, items, self.reliability)
-                    .map_err(QueryError::from)?,
-            ))
+            Box::new(WaveRunner::new(
+                topo,
+                self.sim_cfg,
+                &tree,
+                proto,
+                items,
+                self.reliability,
+            )?)
         };
-        runner.set_wire_profile(self.wire_profile);
         if self.cache_entries > 0 {
             runner.enable_partial_cache(self.cache_entries);
         }
@@ -264,7 +251,6 @@ impl SimNetworkBuilder {
             replay,
             arq,
             attempt_budget,
-            profile: self.wire_profile,
             waves_run: 0,
             trace_poisoned: false,
             peak_wave_slots: 0,
@@ -310,9 +296,9 @@ pub struct BatchOutcome {
     /// when the root answered every slot itself.
     pub messages: u64,
     /// Total envelope header bits of the wave: per-message header width
-    /// (kind + wave ordinal, which varies by wave under the varint
-    /// [`WireProfile`]) times `messages` — what exact shared-overhead
-    /// billing must add to `envelope_bits`.
+    /// (kind + varint wave ordinal, whose width varies by wave) times
+    /// `messages` — what exact shared-overhead billing must add to
+    /// `envelope_bits`.
     pub header_bits: u64,
 }
 
@@ -346,138 +332,6 @@ pub struct ObservabilitySnapshot {
     pub metrics: MetricsSnapshot,
 }
 
-/// The execution substrate behind a [`SimNetwork`]: the boxed event
-/// loop, or the columnar flat runner on `k` workers. Either way the
-/// observable behavior (answers, ledgers, caches, per-node bits) is
-/// identical — the dispatch below is mechanical.
-#[derive(Debug)]
-enum Runner {
-    Single(Box<WaveRunner<MultiplexWave<CoreWave>>>),
-    Flat(Box<FlatWaveRunner<MultiplexWave<CoreWave>>>),
-}
-
-impl Runner {
-    fn run_wave(
-        &mut self,
-        req: Vec<saq_protocols::MuxEntry<CoreRequest>>,
-    ) -> Result<Vec<CorePartial>, saq_protocols::ProtocolError> {
-        match self {
-            Runner::Single(r) => r.run_wave(req),
-            Runner::Flat(r) => r.run_wave(req),
-        }
-    }
-
-    fn stats(&self) -> &NetStats {
-        match self {
-            Runner::Single(r) => r.stats(),
-            Runner::Flat(r) => r.stats(),
-        }
-    }
-
-    fn reset_stats(&mut self) {
-        match self {
-            Runner::Single(r) => r.reset_stats(),
-            Runner::Flat(r) => r.reset_stats(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Runner::Single(r) => r.len(),
-            Runner::Flat(r) => r.len(),
-        }
-    }
-
-    fn tree_height(&self) -> u32 {
-        match self {
-            Runner::Single(r) => r.tree_height(),
-            Runner::Flat(r) => r.tree_height(),
-        }
-    }
-
-    fn tree_max_degree(&self) -> usize {
-        match self {
-            Runner::Single(r) => r.tree_max_degree(),
-            Runner::Flat(r) => r.tree_max_degree(),
-        }
-    }
-
-    fn items(&self, node: usize) -> &[SimItem] {
-        match self {
-            Runner::Single(r) => r.items(node),
-            Runner::Flat(r) => r.items(node),
-        }
-    }
-
-    fn set_items(&mut self, node: usize, items: Vec<SimItem>) {
-        match self {
-            Runner::Single(r) => r.set_items(node, items),
-            Runner::Flat(r) => r.set_items(node, items),
-        }
-    }
-
-    fn enable_partial_cache(&mut self, capacity: usize) {
-        match self {
-            Runner::Single(r) => r.enable_partial_cache(capacity),
-            Runner::Flat(r) => r.enable_partial_cache(capacity),
-        }
-    }
-
-    fn cache_stats(&self) -> saq_protocols::CacheStats {
-        match self {
-            Runner::Single(r) => r.cache_stats(),
-            Runner::Flat(r) => r.cache_stats(),
-        }
-    }
-
-    fn transport_footprint(&self) -> saq_protocols::TransportFootprint {
-        match self {
-            Runner::Single(r) => r.transport_footprint(),
-            Runner::Flat(r) => r.transport_footprint(),
-        }
-    }
-
-    fn set_wire_profile(&mut self, profile: WireProfile) {
-        match self {
-            Runner::Single(r) => r.set_wire_profile(profile),
-            Runner::Flat(r) => r.set_wire_profile(profile),
-        }
-    }
-
-    fn set_tracing(&mut self, on: bool) {
-        match self {
-            Runner::Single(r) => r.set_tracing(on),
-            Runner::Flat(r) => r.set_tracing(on),
-        }
-    }
-
-    fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
-        match self {
-            Runner::Single(r) => r.take_trace(),
-            Runner::Flat(r) => r.take_trace(),
-        }
-    }
-
-    /// Per-message envelope header bits of the most recently run wave
-    /// (wave-ordinal width varies under the varint profile).
-    fn last_header_bits(&self) -> u64 {
-        match self {
-            Runner::Single(r) => r.last_header_bits(),
-            Runner::Flat(r) => r.last_header_bits(),
-        }
-    }
-
-    /// Frames transmitted during the most recently run wave, as the
-    /// runner counted them while billing — O(1), where summing every
-    /// node's `tx_packets` before and after was O(N) per wave.
-    fn last_wave_frames(&self) -> u64 {
-        match self {
-            Runner::Single(r) => r.last_wave_frames(),
-            Runner::Flat(r) => r.last_wave_frames(),
-        }
-    }
-}
-
 /// An [`AggregationNetwork`] whose primitives execute as simulated
 /// distributed waves with bit-exact accounting.
 ///
@@ -489,7 +343,9 @@ impl Runner {
 /// substrate with identical observable behavior.
 #[derive(Debug)]
 pub struct SimNetwork {
-    runner: Runner,
+    /// The execution substrate: the boxed event loop, or the columnar
+    /// flat runner on `k` workers — observably identical either way.
+    runner: Box<dyn WaveSubstrate<MultiplexWave<CoreWave>> + Send>,
     ledger: Arc<Mutex<MuxLedger>>,
     xbar: Value,
     apx: ApxCountConfig,
@@ -510,8 +366,6 @@ pub struct SimNetwork {
     arq: bool,
     /// The runners' ARQ attempt budget (`SimConfig::max_events`).
     attempt_budget: u64,
-    /// Wire profile mirror, for ack frame widths in replay expansion.
-    profile: WireProfile,
     /// Waves run on this network (mirrors the runners' wave ordinal).
     waves_run: u64,
     /// Set when a failed wave desynchronized the fate replay; frame
@@ -738,7 +592,7 @@ impl SimNetwork {
             });
             return;
         }
-        let ack_bits = self.profile.ack_bits(self.waves_run as u16);
+        let ack_bits = ack_bits(self.waves_run as u16);
         let SimNetwork {
             replay,
             telemetry,
@@ -859,26 +713,18 @@ impl SimNetwork {
             }
         }
         let items: Vec<SimItem> = values.into_iter().map(SimItem::new).collect();
-        if self.telemetry.enabled() {
-            let before = self.runner.cache_stats();
-            self.runner.set_items(node, items);
-            let after = self.runner.cache_stats();
-            let applied = after.delta_applied - before.delta_applied;
-            let invalidated = after.delta_invalidated - before.delta_invalidated;
-            if applied > 0 {
-                self.telemetry.emit(&Event::DeltaApplied {
-                    node: node as u64,
-                    count: applied,
-                });
-            }
-            if invalidated > 0 {
-                self.telemetry.emit(&Event::DeltaInvalidated {
-                    node: node as u64,
-                    count: invalidated,
-                });
-            }
-        } else {
-            self.runner.set_items(node, items);
+        let (applied, invalidated) = self.runner.set_items(node, items);
+        if applied > 0 {
+            self.telemetry.emit(&Event::DeltaApplied {
+                node: node as u64,
+                count: applied,
+            });
+        }
+        if invalidated > 0 {
+            self.telemetry.emit(&Event::DeltaInvalidated {
+                node: node as u64,
+                count: invalidated,
+            });
         }
         Ok(())
     }
@@ -930,10 +776,7 @@ impl SimNetwork {
     /// the two), so this exists only for
     /// harness routing assertions and experiment banners.
     pub fn runner_name(&self) -> &'static str {
-        match self.runner {
-            Runner::Single(_) => "single",
-            Runner::Flat(_) => "flat",
-        }
+        self.runner.name()
     }
 
     /// The inner wave protocol (aggregate dispatch) configuration.
@@ -1381,6 +1224,54 @@ mod tests {
                 && msg.contains("Reliability::Ack over any links"),
             "rejection must enumerate the supported combinations: {msg}"
         );
+    }
+
+    #[test]
+    fn delta_metrics_equal_cache_counters_on_every_runner() {
+        // Item updates report their own delta counts, so the telemetry
+        // lane's counters must equal the caches' cumulative ones.
+        let topo = Topology::balanced_tree(40, 3).unwrap();
+        let items: Vec<Value> = (0..40u64).map(|i| (i * 13) % 40).collect();
+        for b in [
+            SimNetworkBuilder::new(),
+            SimNetworkBuilder::new().flat(true).shards(2),
+        ] {
+            let mut net = b
+                .partial_cache(16)
+                .build_one_per_node(&topo, &items, 128)
+                .unwrap();
+            net.attach_recorder(Box::new(saq_obs::NullRecorder));
+            // Cached COUNT and MIN absorb each update; an exact distinct
+            // set cannot delete a value soundly, so its entries are
+            // invalidated.
+            for (node, value) in [(0, 5), (39, 1), (12, 30), (0, 0)] {
+                net.count(&Predicate::TRUE).unwrap();
+                net.min(Domain::Raw).unwrap();
+                net.distinct_exact().unwrap();
+                net.set_node_items(node, vec![value]).unwrap();
+            }
+            let (m, c) = (net.metrics_snapshot(), net.cache_stats());
+            assert!(c.delta_applied > 0 && c.delta_invalidated > 0, "{c:?}");
+            assert_eq!(m.delta_applied, c.delta_applied, "{}", net.runner_name());
+            assert_eq!(
+                m.delta_invalidated,
+                c.delta_invalidated,
+                "{}",
+                net.runner_name()
+            );
+        }
+    }
+
+    #[test]
+    fn the_service_stack_is_send() {
+        // Checked at compile time: a substrate trait object without
+        // `+ Send` would silently make every layer above it `!Send`.
+        fn assert_send<T: Send>() {}
+        assert_send::<SimNetwork>();
+        assert_send::<crate::QueryEngine>();
+        assert_send::<crate::StreamingEngine>();
+        assert_send::<crate::ContinuousEngine>();
+        assert_send::<crate::FleetService>();
     }
 
     #[test]

@@ -21,12 +21,12 @@
 //! * a wave whose request [`WaveProtocol::invalidates_cache`] reports
 //!   `true` (item mutation, e.g. the paper's Fig. 4 zoom) clears the
 //!   cache of every node that executes it, *before* serving any slot;
-//! * driver-side item replacement ([`WaveRunner::set_items`]) clears the
+//! * driver-side item replacement ([`WaveSubstrate::set_items`]) clears the
 //!   mutated node **and every ancestor** — their cached partials embed
 //!   the stale subtree contribution.
 //!
 //! [`WaveProtocol::invalidates_cache`]: crate::wave::WaveProtocol::invalidates_cache
-//! [`WaveRunner::set_items`]: crate::wave::WaveRunner::set_items
+//! [`WaveSubstrate::set_items`]: crate::wave::WaveSubstrate::set_items
 
 use saq_netsim::wire::BitString;
 use std::collections::{HashMap, VecDeque};
@@ -139,23 +139,32 @@ impl<V: Clone> PartialCache<V> {
     /// `false` invalidates it — the per-entry fallback that replaces the
     /// old whole-cache clear, so entries whose aggregates support deltas
     /// stay resident across mutations). Counted in
-    /// [`CacheStats::delta_applied`] / [`CacheStats::delta_invalidated`].
-    pub fn delta_maintain(&mut self, mut apply: impl FnMut(&CacheKey, &mut V) -> bool) {
+    /// [`CacheStats::delta_applied`] / [`CacheStats::delta_invalidated`];
+    /// returns this call's `(applied, invalidated)` counts, so a caller
+    /// reporting them need not diff the cumulative counters.
+    pub fn delta_maintain(
+        &mut self,
+        mut apply: impl FnMut(&CacheKey, &mut V) -> bool,
+    ) -> (u64, u64) {
         let mut dropped: Vec<CacheKey> = Vec::new();
+        let mut applied = 0;
         for (key, value) in self.map.iter_mut() {
             if apply(key, value) {
-                self.delta_applied += 1;
+                applied += 1;
             } else {
-                self.delta_invalidated += 1;
                 dropped.push(key.clone());
             }
         }
+        let invalidated = dropped.len() as u64;
+        self.delta_applied += applied;
+        self.delta_invalidated += invalidated;
         if !dropped.is_empty() {
             for key in &dropped {
                 self.map.remove(key);
             }
             self.order.retain(|k| self.map.contains_key(k));
         }
+        (applied, invalidated)
     }
 
     /// Looks up a cached subtree partial, counting the hit or miss.
@@ -288,7 +297,7 @@ mod tests {
         c.insert(key(2), 20);
         c.insert(key(3), 30);
         // Entries under even keys absorb the delta; odd ones decline.
-        c.delta_maintain(|k, v| {
+        let counts = c.delta_maintain(|k, v| {
             if k == &key(2) {
                 *v += 5;
                 true
@@ -296,6 +305,7 @@ mod tests {
                 false
             }
         });
+        assert_eq!(counts, (1, 2), "the call reports its own counts");
         assert_eq!(c.get(&key(2)), Some(25), "applied entry updated in place");
         assert_eq!(c.get(&key(1)), None, "declined entry invalidated");
         assert_eq!(c.get(&key(3)), None);

@@ -1,7 +1,8 @@
 //! Flat columnar convergecast execution over a [`FlatTree`].
 //!
 //! [`FlatWaveRunner`] executes [`WaveProtocol`] waves like
-//! [`WaveRunner`](crate::wave::WaveRunner), but on the struct-of-arrays
+//! [`WaveRunner`](crate::wave::WaveRunner) — both implement
+//! [`WaveSubstrate`] — but on the struct-of-arrays
 //! substrate of [`saq_netsim::flat`] instead of a discrete-event
 //! simulator: per-node items, random streams, caches, wave state and
 //! bit counters live in contiguous columns indexed by DFS **position**,
@@ -65,8 +66,7 @@
 //!
 //! * every node transmits exactly the frames it would transmit boxed —
 //!   one request per child edge, one partial per participating node, with
-//!   the same envelope header under the deployment's [`WireProfile`]
-//!   (kind + wave ordinal, fixed or varint-framed);
+//!   the same envelope header (kind + varint wave ordinal);
 //! * partials are merged in fixed child order (ascending global id =
 //!   ascending position), so answers are pure functions of tree +
 //!   items + request, independent of the plan and of thread timing;
@@ -110,15 +110,14 @@
 //! before.
 //!
 //! [`MuxLedger`]: crate::wave::MuxLedger
-//! [`WireProfile`]: crate::wave::WireProfile
 
 use crate::cache::{CacheKey, CacheStats, PartialCache};
 use crate::error::ProtocolError;
 use crate::obs::NodeTraceEntry;
 use crate::tree::SpanningTree;
 use crate::wave::{
-    Reliability, TransportFootprint, WaveProtocol, WireProfile, KIND_PARTIAL, KIND_REQUEST,
-    SEQ_BITS,
+    ack_bits, header_bits, read_wave, write_wave, Reliability, TransportFootprint, WaveProtocol,
+    WaveSubstrate, KIND_PARTIAL, KIND_REQUEST, SEQ_BITS,
 };
 use saq_netsim::energy::EnergyModel;
 use saq_netsim::flat::{FlatTree, NestDepth, ShardBlock, ShardPlan};
@@ -165,11 +164,9 @@ struct Env<'a> {
     tree: &'a FlatTree,
     model: &'a EnergyModel,
     link: &'a LinkConfig,
-    /// Envelope framing profile — must match the boxed deployment's.
-    profile: WireProfile,
-    /// Bits of one ACK frame of *this* wave (under the varint profile
-    /// the wave-ordinal width varies per wave, so this is per-wave
-    /// state, not a constant).
+    /// Bits of one ACK frame of *this* wave (the varint wave ordinal's
+    /// width varies per wave, so this is per-wave state, not a
+    /// constant).
     ack_bits: u64,
     /// `Some(timeout)` under [`Reliability::Ack`].
     arq_timeout: Option<SimDuration>,
@@ -604,7 +601,7 @@ fn fan_out<P: WaveProtocol>(
     let encode = |pool: &mut ScratchPool, seq: Option<usize>| {
         let mut w = pool.writer();
         w.write_bits(KIND_REQUEST, 2);
-        env.profile.write_wave(&mut w, wave);
+        write_wave(&mut w, wave);
         if let Some(seq) = seq {
             w.write_bits(seq as u64, SEQ_BITS as u32);
         }
@@ -696,7 +693,7 @@ fn step_down<P: WaveProtocol>(
             let decoded = {
                 let mut r = BitReader::new(&frame);
                 let kind = r.read_bits(2);
-                let frame_wave = env.profile.read_wave(&mut r);
+                let frame_wave = read_wave(&mut r);
                 debug_assert!(matches!(kind, Ok(KIND_REQUEST)), "staged frame kind");
                 debug_assert_eq!(frame_wave.ok(), Some(wave), "staged frame wave");
                 if env.arq_timeout.is_some() {
@@ -819,7 +816,7 @@ fn step_up<P: WaveProtocol>(
             let merged = {
                 let mut r = BitReader::new(&frame);
                 let kind = r.read_bits(2);
-                let frame_wave = env.profile.read_wave(&mut r);
+                let frame_wave = read_wave(&mut r);
                 debug_assert!(matches!(kind, Ok(KIND_PARTIAL)), "staged frame kind");
                 debug_assert_eq!(frame_wave.ok(), Some(wave), "staged frame wave");
                 if env.arq_timeout.is_some() {
@@ -848,7 +845,7 @@ fn step_up<P: WaveProtocol>(
                 .expect("active wave has a request");
             let mut w = pool.writer();
             w.write_bits(KIND_PARTIAL, 2);
-            env.profile.write_wave(&mut w, wave);
+            write_wave(&mut w, wave);
             if env.arq_timeout.is_some() {
                 let seq = if cols.slots[rel].cached { 0 } else { children };
                 w.write_bits(seq as u64, SEQ_BITS as u32);
@@ -937,13 +934,13 @@ struct Columns<P: WaveProtocol> {
     counters: Vec<NodeStats>,
     slots: Vec<WaveSlot<P>>,
     /// Emulated `seen`-set cardinality per position (see
-    /// [`FlatWaveRunner::transport_footprint`]).
+    /// [`WaveSubstrate::transport_footprint`]).
     dedup_residue: Vec<u64>,
     /// Per-edge fate streams at the child position; populated under
     /// [`Reliability::Ack`], all `None` otherwise.
     arq: Vec<Option<Box<EdgeStreams>>>,
     /// Position-indexed telemetry buffers (all empty when tracing is
-    /// off); drained via [`FlatWaveRunner::take_trace`].
+    /// off); drained via [`WaveSubstrate::take_trace`].
     trace: Vec<Vec<NodeTraceEntry>>,
     /// Cumulative tree-edge bits at the child position, flushed with
     /// `counters`.
@@ -1046,8 +1043,6 @@ pub struct FlatWaveRunner<P: WaveProtocol> {
     scratch: Scratch<P::Request>,
     worker_protos: Vec<P>,
     worker_scratch: Vec<Scratch<P::Request>>,
-    /// Deployment-wide envelope framing profile.
-    profile: WireProfile,
     next_wave: u16,
     /// Frames transmitted during the most recent wave.
     last_wave_frames: u64,
@@ -1161,7 +1156,6 @@ where
             scratch: Scratch::new(),
             worker_protos,
             worker_scratch: (0..groups).map(|_| Scratch::new()).collect(),
-            profile: WireProfile::default(),
             next_wave: 0,
             last_wave_frames: 0,
             stranded: false,
@@ -1173,31 +1167,6 @@ where
         self.plan.groups().len()
     }
 
-    /// Switches the envelope framing profile. Call between waves only,
-    /// and with the same profile as the deployment this runner must
-    /// reproduce — the profile is part of the wire format.
-    pub fn set_wire_profile(&mut self, profile: WireProfile) {
-        self.profile = profile;
-    }
-
-    /// The envelope framing profile in force.
-    pub fn wire_profile(&self) -> WireProfile {
-        self.profile
-    }
-
-    /// Bits of the per-message envelope header (kind + wave ordinal)
-    /// of the most recently run wave.
-    pub fn last_header_bits(&self) -> u64 {
-        self.profile.header_bits(self.next_wave)
-    }
-
-    /// Frames transmitted during the most recent wave (see
-    /// [`WaveRunner::last_wave_frames`](crate::wave::WaveRunner::last_wave_frames)),
-    /// counted by the sweeps as they bill each transmission.
-    pub fn last_wave_frames(&self) -> u64 {
-        self.last_wave_frames
-    }
-
     /// Nesting depth the plan actually applied past the root cut.
     pub fn nest_depth(&self) -> u32 {
         self.plan.depth()
@@ -1206,43 +1175,6 @@ where
     /// The shard plan driving parallel execution.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
-    }
-
-    /// The root node id.
-    pub fn root(&self) -> NodeId {
-        self.tree.global_of(0)
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    /// Whether the network has no nodes (never true once constructed).
-    pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
-    }
-
-    /// Height of the aggregation tree.
-    pub fn tree_height(&self) -> u32 {
-        self.tree_height
-    }
-
-    /// Maximum communication degree in the aggregation tree.
-    pub fn tree_max_degree(&self) -> usize {
-        self.tree_max_degree
-    }
-
-    /// Accumulated global per-node communication statistics.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// Clears accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.cols.counters.fill(NodeStats::default());
-        self.cols.links.fill(TreeLinkBits::default());
-        self.stats.reset();
     }
 
     /// Buffers taken from the scratch pools instead of allocated —
@@ -1266,110 +1198,6 @@ where
                 .sum::<u64>()
     }
 
-    /// Current items of `node` (a global id).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn items(&self, node: NodeId) -> &[P::Item] {
-        &self.cols.items[self.tree.pos_of(node)]
-    }
-
-    /// Replaces the items of `node`, **delta-maintaining** the subtree
-    /// caches of the node and every ancestor up to the root — the same
-    /// walk as [`WaveRunner::set_items`](crate::wave::WaveRunner::set_items),
-    /// as position arithmetic on the parent column.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn set_items(&mut self, node: NodeId, items: Vec<P::Item>) {
-        let pos = self.tree.pos_of(node);
-        let old = std::mem::replace(&mut self.cols.items[pos], items);
-        if old == self.cols.items[pos] {
-            return; // nothing observable changed: caches stay valid as-is
-        }
-        let new = self.cols.items[pos].clone();
-        let mut cursor = Some(pos);
-        while let Some(p) = cursor {
-            if let Some(cache) = &mut self.cols.caches[p] {
-                let proto = &self.proto;
-                cache.delta_maintain(|key, partial| {
-                    proto.apply_item_delta(key, partial, node, &old, &new)
-                });
-            }
-            cursor = self.tree.parent_pos(p);
-        }
-    }
-
-    /// Switches per-node telemetry tracing on or off, discarding any
-    /// buffered entries (see
-    /// [`WaveRunner::set_tracing`](crate::wave::WaveRunner::set_tracing)).
-    pub fn set_tracing(&mut self, on: bool) {
-        self.trace_on = on;
-        for t in &mut self.cols.trace {
-            t.clear();
-        }
-    }
-
-    /// Drains every position's buffered trace entries, tagged with the
-    /// position's **global** node id, in ascending global id order —
-    /// the same canonical drain as the boxed runner.
-    pub fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
-        let mut out = Vec::new();
-        for (p, trace) in self.cols.trace.iter_mut().enumerate() {
-            let gid = self.tree.global_of(p);
-            out.extend(trace.drain(..).map(|e| (gid, e)));
-        }
-        out.sort_by_key(|&(gid, _)| gid);
-        out
-    }
-
-    /// Enables subtree partial caching at every node (see
-    /// [`WaveRunner::enable_partial_cache`](crate::wave::WaveRunner::enable_partial_cache)).
-    pub fn enable_partial_cache(&mut self, capacity: usize) {
-        for c in &mut self.cols.caches {
-            *c = Some(PartialCache::new(capacity));
-        }
-    }
-
-    /// Disables subtree partial caching, dropping all cached state.
-    pub fn disable_partial_cache(&mut self) {
-        for c in &mut self.cols.caches {
-            *c = None;
-        }
-    }
-
-    /// Network-wide cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for cache in self.cols.caches.iter().flatten() {
-            total.absorb(cache.stats());
-        }
-        total
-    }
-
-    /// Network-wide transport-state occupancy. Between waves the boxed
-    /// ARQ holds no pending frames or buffered partials, but each
-    /// node's dedup `seen` set retains its last wave's keys until the
-    /// next admission purges them — the flat runner tracks that
-    /// cardinality in closed form (`dedup_residue`), so footprints
-    /// compare bit-for-bit against the boxed runner. Under
-    /// [`Reliability::None`] only cache residency is ever nonzero.
-    pub fn transport_footprint(&self) -> TransportFootprint {
-        TransportFootprint {
-            dedup_entries: self.cols.dedup_residue.iter().sum(),
-            cache_entries: self
-                .cols
-                .caches
-                .iter()
-                .flatten()
-                .map(|c| c.stats().entries)
-                .sum(),
-            ..TransportFootprint::default()
-        }
-    }
-
     /// Copies the cumulative per-position node and tree-edge tallies
     /// into the global-id indexed [`NetStats`] view.
     fn flush_stats(&mut self) {
@@ -1381,43 +1209,6 @@ where
         for (p, l) in self.cols.links.iter().enumerate() {
             links[self.tree.global_of(p)] = *l;
         }
-    }
-
-    /// Runs one wave: root admission, spine top-down, parallel block
-    /// execution, barrier, spine bottom-up.
-    ///
-    /// # Errors
-    ///
-    /// As [`WaveRunner::run_wave`](crate::wave::WaveRunner::run_wave):
-    /// [`ProtocolError::NoResult`] when some subtree failed to report;
-    /// [`ProtocolError::WorkerPanicked`] when the protocol panicked on
-    /// a worker thread (the runner stays usable); validation errors are
-    /// propagated.
-    pub fn run_wave(&mut self, req: P::Request) -> Result<P::Partial, ProtocolError> {
-        self.proto
-            .validate_request(&req)
-            .map_err(ProtocolError::from)?;
-        self.next_wave = self.next_wave.wrapping_add(1);
-        self.last_wave_frames = 0;
-
-        // Recycle frames stranded by a failed wave so they can never be
-        // mistaken for this wave's traffic. A wave that completed took
-        // every frame it staged, so only a failure needs the sweep.
-        if std::mem::take(&mut self.stranded) {
-            for s in &mut self.cols.slots {
-                if let Some(f) = s.frame.take() {
-                    self.scratch.pool.recycle(f);
-                }
-            }
-            for s in &mut self.worker_scratch {
-                s.forget_frames(); // a worker that panicked never did
-            }
-        }
-
-        let result = self.sweep(Arc::new(req), self.next_wave);
-        self.stranded = result.is_err();
-        self.flush_stats();
-        result
     }
 
     /// The three phases of one admitted wave. Whatever it returns, the
@@ -1460,8 +1251,7 @@ where
             tree: &self.tree,
             model: &model,
             link: &self.link,
-            profile: self.profile,
-            ack_bits: self.profile.ack_bits(wave),
+            ack_bits: ack_bits(wave),
             arq_timeout: match self.reliability {
                 Reliability::Ack { timeout } => Some(timeout),
                 Reliability::None => None,
@@ -1596,6 +1386,158 @@ where
     }
 }
 
+impl<P> WaveSubstrate<P> for FlatWaveRunner<P>
+where
+    P: WaveProtocol + Send + std::fmt::Debug,
+    P::Request: Send + Sync,
+    P::Partial: Send,
+    P::Item: Send,
+{
+    fn name(&self) -> &'static str {
+        "flat"
+    }
+
+    /// Root admission, spine top-down, parallel block execution,
+    /// barrier, spine bottom-up. [`ProtocolError::NoResult`] means some
+    /// subtree failed to report.
+    fn run_wave(&mut self, req: P::Request) -> Result<P::Partial, ProtocolError> {
+        self.proto
+            .validate_request(&req)
+            .map_err(ProtocolError::from)?;
+        self.next_wave = self.next_wave.wrapping_add(1);
+        self.last_wave_frames = 0;
+
+        // Recycle frames stranded by a failed wave so they can never be
+        // mistaken for this wave's traffic. A wave that completed took
+        // every frame it staged, so only a failure needs the sweep.
+        if std::mem::take(&mut self.stranded) {
+            for s in &mut self.cols.slots {
+                if let Some(f) = s.frame.take() {
+                    self.scratch.pool.recycle(f);
+                }
+            }
+            for s in &mut self.worker_scratch {
+                s.forget_frames(); // a worker that panicked never did
+            }
+        }
+
+        let result = self.sweep(Arc::new(req), self.next_wave);
+        self.stranded = result.is_err();
+        self.flush_stats();
+        result
+    }
+
+    fn stats(&self) -> &NetStats {
+        &self.stats
+    }
+
+    fn reset_stats(&mut self) {
+        self.cols.counters.fill(NodeStats::default());
+        self.cols.links.fill(TreeLinkBits::default());
+        self.stats.reset();
+    }
+
+    fn len(&self) -> usize {
+        self.tree.len()
+    }
+
+    fn tree_height(&self) -> u32 {
+        self.tree_height
+    }
+
+    fn tree_max_degree(&self) -> usize {
+        self.tree_max_degree
+    }
+
+    fn items(&self, node: NodeId) -> &[P::Item] {
+        &self.cols.items[self.tree.pos_of(node)]
+    }
+
+    /// The boxed runner's root-path walk, as position arithmetic on the
+    /// parent column.
+    fn set_items(&mut self, node: NodeId, items: Vec<P::Item>) -> (u64, u64) {
+        let pos = self.tree.pos_of(node);
+        let old = std::mem::replace(&mut self.cols.items[pos], items);
+        if old == self.cols.items[pos] {
+            return (0, 0); // nothing observable changed: caches stay valid as-is
+        }
+        let new = self.cols.items[pos].clone();
+        let (mut applied, mut invalidated) = (0, 0);
+        let mut cursor = Some(pos);
+        while let Some(p) = cursor {
+            if let Some(cache) = &mut self.cols.caches[p] {
+                let proto = &self.proto;
+                let (a, i) = cache.delta_maintain(|key, partial| {
+                    proto.apply_item_delta(key, partial, node, &old, &new)
+                });
+                applied += a;
+                invalidated += i;
+            }
+            cursor = self.tree.parent_pos(p);
+        }
+        (applied, invalidated)
+    }
+
+    fn enable_partial_cache(&mut self, capacity: usize) {
+        for c in &mut self.cols.caches {
+            *c = Some(PartialCache::new(capacity));
+        }
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for cache in self.cols.caches.iter().flatten() {
+            total.absorb(cache.stats());
+        }
+        total
+    }
+
+    /// Between waves the boxed ARQ holds no pending frames or buffered
+    /// partials, but each node's dedup `seen` set retains its last
+    /// wave's keys until the next admission purges them — tracked here
+    /// in closed form (`dedup_residue`), so footprints compare
+    /// bit-for-bit against the boxed runner.
+    fn transport_footprint(&self) -> TransportFootprint {
+        TransportFootprint {
+            dedup_entries: self.cols.dedup_residue.iter().sum(),
+            cache_entries: self
+                .cols
+                .caches
+                .iter()
+                .flatten()
+                .map(|c| c.stats().entries)
+                .sum(),
+            ..TransportFootprint::default()
+        }
+    }
+
+    fn set_tracing(&mut self, on: bool) {
+        self.trace_on = on;
+        for t in &mut self.cols.trace {
+            t.clear();
+        }
+    }
+
+    /// Position-ordered buffers re-sorted by **global** node id.
+    fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
+        let mut out = Vec::new();
+        for (p, trace) in self.cols.trace.iter_mut().enumerate() {
+            let gid = self.tree.global_of(p);
+            out.extend(trace.drain(..).map(|e| (gid, e)));
+        }
+        out.sort_by_key(|&(gid, _)| gid);
+        out
+    }
+
+    fn last_header_bits(&self) -> u64 {
+        header_bits(self.next_wave)
+    }
+
+    fn last_wave_frames(&self) -> u64 {
+        self.last_wave_frames
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1715,6 +1657,53 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn varint_wave_ordinal_widens_at_128_on_both_runners() {
+        // The wave ordinal rides as a varint: 8 bits through wave 127,
+        // 16 from wave 128. Both substrates must widen the header at the
+        // same wave and keep answers and per-node bills identical.
+        let (topo, tree, items) = balanced_setup(13, 3);
+        let mut single = WaveRunner::new(
+            &topo,
+            SimConfig::default(),
+            &tree,
+            proto(),
+            items.clone(),
+            Reliability::None,
+        )
+        .unwrap();
+        let mut flat = FlatWaveRunner::new(
+            &topo,
+            SimConfig::default(),
+            &tree,
+            proto(),
+            items,
+            Reliability::None,
+            2,
+            NestDepth::Auto,
+        )
+        .unwrap();
+        for _ in 1..126 {
+            single.run_wave(env(vec![500])).unwrap();
+            flat.run_wave(env(vec![500])).unwrap();
+        }
+        let bills = |r: &dyn WaveSubstrate<MultiplexWave<SumBelow>>| -> Vec<_> {
+            r.stats()
+                .iter()
+                .map(|s| (s.tx_bits, s.rx_bits, s.tx_packets, s.rx_packets))
+                .collect()
+        };
+        for wave in 126u16..=130 {
+            let a = single.run_wave(env(vec![500])).unwrap();
+            let b = flat.run_wave(env(vec![500])).unwrap();
+            assert_eq!(a, b, "answers differ at wave {wave}");
+            let expected = if wave < 128 { 10 } else { 18 };
+            assert_eq!(single.last_header_bits(), expected, "boxed, wave {wave}");
+            assert_eq!(flat.last_header_bits(), expected, "flat, wave {wave}");
+            assert_eq!(bills(&single), bills(&flat), "bills differ at wave {wave}");
         }
     }
 

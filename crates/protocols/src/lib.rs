@@ -12,7 +12,8 @@
 //!   distributed flooding construction whose cost is itself measured;
 //! * [`wave`] — the generic broadcast–convergecast engine: a
 //!   [`wave::WaveProtocol`] describes one aggregate (request encoding,
-//!   per-node contribution, merge, partial encoding) and a
+//!   per-node contribution, merge, partial encoding), a
+//!   [`wave::WaveSubstrate`] is the contract for executing its waves, and
 //!   [`wave::WaveRunner`] executes root-initiated waves event by event,
 //!   optionally with per-hop ARQ under lossy links — the timing-faithful
 //!   oracle (virtual time, jitter, lossy links without ARQ);
@@ -50,5 +51,5 @@ pub use obs::{FateReplay, NodeTraceEntry, ReplayEvent};
 pub use tree::SpanningTree;
 pub use wave::{
     MultiplexWave, MuxEntry, MuxLedger, MuxSlotBits, TransportFootprint, WaveProtocol, WaveRunner,
-    WireProfile, MUX_MAX_SLOTS,
+    WaveSubstrate, MUX_MAX_SLOTS,
 };

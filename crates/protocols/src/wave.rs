@@ -9,8 +9,9 @@
 //!
 //! A [`WaveProtocol`] defines one aggregate family: the request and
 //! partial types, their bit-exact encodings, the per-node contribution and
-//! the merge operator. [`WaveRunner`] owns a simulator plus tree and
-//! executes waves to quiescence; per-node bit statistics accumulate in the
+//! the merge operator. [`WaveSubstrate`] is the contract for executing
+//! waves; [`WaveRunner`] implements it by owning a simulator plus tree and
+//! running waves to quiescence; per-node bit statistics accumulate in the
 //! underlying [`saq_netsim::stats::NetStats`].
 //!
 //! ## Reliability
@@ -48,7 +49,7 @@ pub trait WaveProtocol: Clone {
     /// Partial aggregate merged leaves-to-root.
     type Partial: Clone + Debug;
     /// Per-node data item. `PartialEq` lets the runner detect no-op item
-    /// replacements ([`WaveRunner::set_items`] with identical items) and
+    /// replacements ([`WaveSubstrate::set_items`] with identical items) and
     /// leave caches untouched.
     type Item: Clone + Debug + PartialEq;
 
@@ -297,92 +298,42 @@ pub enum Reliability {
     },
 }
 
-/// Bits of one ACK frame under [`Reliability::Ack`] with the legacy
-/// [`WireProfile::V0Fixed`]: the 2-bit kind, the 16-bit wave id and the
-/// 16-bit acknowledged sequence number (an ACK carries no sequence
-/// number of its own). Profile-aware accounting uses
-/// [`WireProfile::ack_bits`].
-pub const ACK_BITS: u64 = 2 + 16 + 16;
-
 /// Bits of the per-message ARQ sequence number appended to the wave
 /// header of every non-ACK frame under [`Reliability::Ack`] — fixed
-/// width under every profile (sequence numbers are uniform in `0..2^16`
-/// within a wave, so a varint would only pay).
+/// width (sequence numbers are uniform in `0..2^16` within a wave, so a
+/// varint would only pay).
 pub const SEQ_BITS: u64 = 16;
 
-/// Wire discipline for the node-layer framing around every wave
-/// message: how the wave ordinal is coded in data, request and ACK
-/// frames. The profile is deployment-wide configuration (every node of
-/// a network runs the same one, like the protocol config itself), so no
-/// schema bits ride in any frame.
-///
-/// The profile changes **framing width only** — never protocol
-/// payloads, merge order, cache keys (which hash encoded *inner*
-/// sub-requests, profile-independent) or [`MuxLedger`] attribution
-/// (headers are node-layer bits, never attributed to slots). Answers
-/// are bit-identical across profiles; per-node bit *totals* differ by
-/// exactly the header delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WireProfile {
-    /// Legacy fixed-width framing: every frame spends 16 bits on the
-    /// wave ordinal regardless of its magnitude. Kept as the measurable
-    /// baseline (experiment E19 runs it against V1).
-    V0Fixed,
-    /// Compact framing: the wave ordinal rides as a LEB-style varint —
-    /// 8 bits while `wave < 128`, 16 bits up to 16383, and only beyond
-    /// wave 16384 (2^14) does it exceed the fixed 16-bit field.
-    #[default]
-    V1Varint,
+/// Bits of node-layer framing per non-ACK message of wave `wave` under
+/// [`Reliability::None`]: the 2-bit kind plus the wave ordinal, which
+/// rides as an LEB-style varint — 8 bits while `wave < 128`, 16 bits up
+/// to 16383 (ARQ appends [`SEQ_BITS`]). Headers are node-layer bits,
+/// never attributed to a [`MuxLedger`] slot.
+pub fn header_bits(wave: u16) -> u64 {
+    2 + varint_len(wave as u64)
 }
 
-impl WireProfile {
-    /// Bits the wave ordinal `wave` occupies in a frame header.
-    pub fn wave_bits(self, wave: u16) -> u64 {
-        match self {
-            WireProfile::V0Fixed => 16,
-            WireProfile::V1Varint => varint_len(wave as u64),
-        }
-    }
+/// Bits of one ACK frame of wave `wave`: kind, wave ordinal and the
+/// acknowledged sequence number (an ACK carries no sequence number of
+/// its own).
+pub fn ack_bits(wave: u16) -> u64 {
+    header_bits(wave) + SEQ_BITS
+}
 
-    /// Bits of node-layer framing per non-ACK message of wave `wave`
-    /// under [`Reliability::None`]: kind plus wave ordinal (ARQ appends
-    /// [`SEQ_BITS`]).
-    pub fn header_bits(self, wave: u16) -> u64 {
-        2 + self.wave_bits(wave)
-    }
+/// Writes a frame header's wave ordinal (a varint; see [`header_bits`]).
+pub(crate) fn write_wave(w: &mut BitWriter, wave: u16) {
+    w.write_varint(wave as u64);
+}
 
-    /// Bits of one ACK frame of wave `wave`: kind, wave ordinal and the
-    /// acknowledged sequence number.
-    pub fn ack_bits(self, wave: u16) -> u64 {
-        2 + self.wave_bits(wave) + SEQ_BITS
-    }
-
-    /// Writes the wave ordinal under this profile.
-    pub fn write_wave(self, w: &mut BitWriter, wave: u16) {
-        match self {
-            WireProfile::V0Fixed => w.write_bits(wave as u64, 16),
-            WireProfile::V1Varint => w.write_varint(wave as u64),
-        }
-    }
-
-    /// Reads a wave ordinal written by [`WireProfile::write_wave`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetsimError::WireDecode`] on truncation or a varint
-    /// outside the 16-bit wave space.
-    pub fn read_wave(self, r: &mut BitReader<'_>) -> Result<u16, NetsimError> {
-        match self {
-            WireProfile::V0Fixed => Ok(r.read_bits(16)? as u16),
-            WireProfile::V1Varint => {
-                let v = r.read_varint()?;
-                if v > u16::MAX as u64 {
-                    return Err(NetsimError::WireDecode("wave ordinal out of range"));
-                }
-                Ok(v as u16)
-            }
-        }
-    }
+/// Reads a wave ordinal written by [`write_wave`].
+///
+/// # Errors
+///
+/// Returns [`NetsimError::WireDecode`] on truncation or a varint
+/// outside the 16-bit wave space.
+pub(crate) fn read_wave(r: &mut BitReader<'_>) -> Result<u16, NetsimError> {
+    u16::try_from(r.read_varint()?)
+        .map_err(|_| NetsimError::WireDecode("wave ordinal out of range"))
 }
 
 // Crate-visible: the flat runner frames requests and partials itself.
@@ -431,8 +382,6 @@ pub struct AggNode<P: WaveProtocol> {
     parent: Option<NodeId>,
     children: Vec<NodeId>,
     reliability: Reliability,
-    /// Frame-header discipline (deployment-wide; see [`WireProfile`]).
-    profile: WireProfile,
 
     /// Wave id of the wave this node last participated in.
     wave: u16,
@@ -506,7 +455,6 @@ impl<P: WaveProtocol> AggNode<P> {
             parent,
             children,
             reliability,
-            profile: WireProfile::default(),
             wave: 0,
             req: None,
             waiting: Vec::new(),
@@ -561,24 +509,25 @@ impl<P: WaveProtocol> AggNode<P> {
     /// resident entry either absorbs the delta in place
     /// ([`WaveProtocol::apply_item_delta`]) or is invalidated — the
     /// fine-grained, per-entry successor of the old whole-cache clear.
+    /// Returns the `(applied, invalidated)` entry counts.
     fn delta_maintain_cache(
         &mut self,
         origin: NodeId,
         old_items: &[P::Item],
         new_items: &[P::Item],
-    ) {
+    ) -> (u64, u64) {
         let AggNode { proto, cache, .. } = self;
-        if let Some(cache) = cache {
+        cache.as_mut().map_or((0, 0), |cache| {
             cache.delta_maintain(|key, partial| {
                 proto.apply_item_delta(key, partial, origin, old_items, new_items)
-            });
-        }
+            })
+        })
     }
 
     /// Frames one outgoing message into `w` (an empty writer — pooled
-    /// when the caller has one): kind, wave id under the deployment's
-    /// [`WireProfile`], an ARQ sequence number when reliable (consuming
-    /// `next_seq`), then the protocol-encoded body.
+    /// when the caller has one): kind, varint wave id, an ARQ sequence
+    /// number when reliable (consuming `next_seq`), then the
+    /// protocol-encoded body.
     fn encode_msg(
         &mut self,
         mut w: BitWriter,
@@ -587,7 +536,7 @@ impl<P: WaveProtocol> AggNode<P> {
         body: impl FnOnce(&mut BitWriter),
     ) -> (Option<u16>, BitString) {
         w.write_bits(kind, 2);
-        self.profile.write_wave(&mut w, wave);
+        write_wave(&mut w, wave);
         let seq = match (kind, self.reliability) {
             (KIND_ACK, _) | (_, Reliability::None) => None,
             (_, Reliability::Ack { .. }) => {
@@ -634,7 +583,7 @@ impl<P: WaveProtocol> AggNode<P> {
     fn send_ack(&mut self, ctx: &mut Context<'_>, to: NodeId, wave: u16, seq: u16) {
         let mut w = ctx.writer();
         w.write_bits(KIND_ACK, 2);
-        self.profile.write_wave(&mut w, wave);
+        write_wave(&mut w, wave);
         w.write_bits(seq as u64, 16);
         // ACKs ride their own per-edge fate stream (`FrameClass::Ack`):
         // data and ACK frames interleave on the shared edge in
@@ -903,18 +852,13 @@ impl<P: WaveProtocol> NodeRuntime for AggNode<P> {
     fn on_packet(&mut self, ctx: &mut Context<'_>, from: NodeId, payload: &BitString) {
         let mut r = BitReader::new(payload);
         let Ok(kind) = r.read_bits(2) else { return };
+        let Ok(wave) = read_wave(&mut r) else { return };
         if kind == KIND_ACK {
-            let Ok(wave) = self.profile.read_wave(&mut r) else {
-                return;
-            };
             let Ok(seq) = r.read_bits(16) else { return };
             self.pending
                 .retain(|m| !(m.seq == seq as u16 && m.wave == wave && m.to == from));
             return;
         }
-        let Ok(wave) = self.profile.read_wave(&mut r) else {
-            return;
-        };
         // Reliable mode: ack and dedup before processing. The dedup key
         // includes the wave id: per-wave sequence numbers restart at
         // zero, so a late retransmission from a finished wave must not
@@ -972,7 +916,125 @@ impl<P: WaveProtocol> NodeRuntime for AggNode<P> {
     }
 }
 
-/// Executes [`WaveProtocol`] waves over a topology + spanning tree.
+/// The wave-execution contract a driver programs against: a network of
+/// nodes over a spanning tree that runs [`WaveProtocol`] waves to
+/// completion and bills every frame to its endpoints. Implemented by the
+/// event-driven [`WaveRunner`] (the timing-faithful oracle) and by the
+/// columnar [`FlatWaveRunner`](crate::flat::FlatWaveRunner) (the
+/// parallel substrate); every observable below — answers, per-node bits,
+/// cache counters, transport footprint, trace entries — is identical
+/// across the two (ARCHITECTURE §10).
+pub trait WaveSubstrate<P: WaveProtocol>: Debug {
+    /// Short name of the substrate (`"single"` or `"flat"`), for
+    /// routing assertions and experiment banners.
+    fn name(&self) -> &'static str;
+
+    /// Runs one wave with the given request and returns the root's merged
+    /// result.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::NoResult`] if the wave quiesced without the root
+    /// completing (e.g. loss with [`Reliability::None`]);
+    /// [`ProtocolError::WorkerPanicked`] when the protocol panicked on a
+    /// worker thread (the substrate stays usable); validation and
+    /// simulator errors are propagated.
+    fn run_wave(&mut self, req: P::Request) -> Result<P::Partial, ProtocolError>;
+
+    /// Accumulated per-node communication statistics, indexed by node id.
+    fn stats(&self) -> &NetStats;
+
+    /// Clears accumulated statistics.
+    fn reset_stats(&mut self);
+
+    /// Number of nodes.
+    fn len(&self) -> usize;
+
+    /// Whether the network has no nodes (never true once constructed).
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Height of the aggregation tree.
+    fn tree_height(&self) -> u32;
+
+    /// Maximum communication degree in the aggregation tree.
+    fn tree_max_degree(&self) -> usize;
+
+    /// Current items of `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    fn items(&self, node: NodeId) -> &[P::Item];
+
+    /// Replaces the items of `node` (driver-side setup; not charged as
+    /// communication), **delta-maintaining** the subtree partial caches
+    /// of `node` and every ancestor up to the root: each resident entry
+    /// whose aggregate supports deltas
+    /// ([`WaveProtocol::apply_item_delta`]) is updated in place and keeps
+    /// serving refreshes; every other entry is invalidated individually —
+    /// the fine-grained successor of the old whole-path cache clear.
+    /// Replacing items with identical ones is a no-op and touches no
+    /// cache at all.
+    ///
+    /// Returns the `(applied, invalidated)` entry counts of this update
+    /// (the growth of [`CacheStats::delta_applied`] and
+    /// [`CacheStats::delta_invalidated`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is out of range.
+    fn set_items(&mut self, node: NodeId, items: Vec<P::Item>) -> (u64, u64);
+
+    /// Enables subtree partial caching at every node, each holding at
+    /// most `capacity` entries (see [`crate::cache`]). Waves then serve
+    /// repeated cacheable requests by re-merging stored subtree partials
+    /// instead of re-contributing leaf items; invalidation is automatic
+    /// on item-mutating waves and [`WaveSubstrate::set_items`]. Enabling
+    /// resets any previously cached state.
+    fn enable_partial_cache(&mut self, capacity: usize);
+
+    /// Network-wide cache counters: the sum of every node's hit/miss/
+    /// occupancy statistics (zero when caching is disabled).
+    fn cache_stats(&self) -> CacheStats;
+
+    /// Network-wide transport-state occupancy (see
+    /// [`TransportFootprint`]). Between waves of a quiesced run the
+    /// retransmit and merge-buffer components are zero; the dedup
+    /// component (zero under [`Reliability::None`]) is bounded by one
+    /// wave's traffic — at most one entry per tree edge plus one per
+    /// duplicate request delivery, purged at the next admission — so an
+    /// unbounded round stream observes it staying flat: the memory-bound
+    /// contract behind the long-running streaming engine.
+    fn transport_footprint(&self) -> TransportFootprint;
+
+    /// Switches per-node telemetry tracing on or off, discarding any
+    /// buffered entries. With tracing off (the default) the per-node
+    /// cost is one resident bool test per would-be entry.
+    fn set_tracing(&mut self, on: bool);
+
+    /// Drains every node's buffered trace entries, tagged with the
+    /// node id, in ascending node id order — the canonical drain order
+    /// shared by both substrates (see [`crate::obs`]).
+    fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)>;
+
+    /// Node-layer framing bits (kind + varint wave ordinal) each non-ACK
+    /// message of the **most recent** wave carried — what exact header
+    /// accounting must bill per message ([`header_bits`] of that wave's
+    /// ordinal: a property of the run, not a constant).
+    fn last_header_bits(&self) -> u64;
+
+    /// Frames transmitted during the **most recent** wave — requests,
+    /// partials and, under ARQ, retransmissions and ACKs: the sum of
+    /// every node's `tx_packets` growth over that wave, counted as the
+    /// frames were billed rather than by summing N counters.
+    fn last_wave_frames(&self) -> u64;
+}
+
+/// Executes [`WaveProtocol`] waves over a topology + spanning tree, event
+/// by event in the discrete-event simulator — the [`WaveSubstrate`]
+/// oracle.
 #[derive(Debug)]
 pub struct WaveRunner<P: WaveProtocol> {
     sim: Simulator<AggNode<P>>,
@@ -982,7 +1044,6 @@ pub struct WaveRunner<P: WaveProtocol> {
     last_wave_frames: u64,
     tree_height: u32,
     tree_max_degree: usize,
-    profile: WireProfile,
 }
 
 impl<P: WaveProtocol> WaveRunner<P> {
@@ -1024,195 +1085,21 @@ impl<P: WaveProtocol> WaveRunner<P> {
             last_wave_frames: 0,
             tree_height: tree.height(),
             tree_max_degree: tree.max_degree(),
-            profile: WireProfile::default(),
         })
     }
 
-    /// Selects the frame-header discipline (see [`WireProfile`];
-    /// default [`WireProfile::V1Varint`]). Deployment-wide
-    /// configuration: call before any wave runs, never between waves —
-    /// in-flight or cached framing is not re-negotiated.
-    pub fn set_wire_profile(&mut self, profile: WireProfile) {
-        self.profile = profile;
-        for v in 0..self.sim.len() {
-            self.sim.node_mut(v).profile = profile;
-        }
+    /// Virtual time elapsed so far.
+    pub fn now(&self) -> saq_netsim::SimTime {
+        self.sim.now()
+    }
+}
+
+impl<P: WaveProtocol + Debug> WaveSubstrate<P> for WaveRunner<P> {
+    fn name(&self) -> &'static str {
+        "single"
     }
 
-    /// The active frame-header discipline.
-    pub fn wire_profile(&self) -> WireProfile {
-        self.profile
-    }
-
-    /// Switches per-node telemetry tracing on or off, discarding any
-    /// buffered entries. With tracing off (the default) the per-node
-    /// cost is one resident bool test per would-be entry.
-    pub fn set_tracing(&mut self, on: bool) {
-        for v in 0..self.sim.len() {
-            let n = self.sim.node_mut(v);
-            n.trace_on = on;
-            n.trace.clear();
-        }
-    }
-
-    /// Drains every node's buffered trace entries, tagged with the
-    /// node id, in ascending node id order — the canonical drain order
-    /// shared by both runners (see [`crate::obs`]).
-    pub fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
-        let mut out = Vec::new();
-        for v in 0..self.sim.len() {
-            out.extend(self.sim.node_mut(v).trace.drain(..).map(|e| (v, e)));
-        }
-        out
-    }
-
-    /// Node-layer framing bits (kind + wave ordinal) each non-ACK
-    /// message of the **most recent** wave carried — what exact header
-    /// accounting must bill per message (under the varint profile the
-    /// width follows the wave ordinal, so it is a property of the run,
-    /// not a constant).
-    pub fn last_header_bits(&self) -> u64 {
-        self.profile.header_bits(self.next_wave)
-    }
-
-    /// Frames transmitted during the **most recent** wave — requests,
-    /// partials and, under ARQ, retransmissions and ACKs: the sum of
-    /// every node's `tx_packets` growth over that wave, counted as the
-    /// frames were billed rather than by summing N counters.
-    pub fn last_wave_frames(&self) -> u64 {
-        self.last_wave_frames
-    }
-
-    /// The root node id.
-    pub fn root(&self) -> NodeId {
-        self.root
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.sim.len()
-    }
-
-    /// Whether the network has no nodes (never true once constructed).
-    pub fn is_empty(&self) -> bool {
-        self.sim.is_empty()
-    }
-
-    /// Height of the aggregation tree.
-    pub fn tree_height(&self) -> u32 {
-        self.tree_height
-    }
-
-    /// Maximum communication degree in the aggregation tree.
-    pub fn tree_max_degree(&self) -> usize {
-        self.tree_max_degree
-    }
-
-    /// Accumulated per-node communication statistics.
-    pub fn stats(&self) -> &NetStats {
-        self.sim.stats()
-    }
-
-    /// Clears accumulated statistics.
-    pub fn reset_stats(&mut self) {
-        self.sim.reset_stats();
-    }
-
-    /// Current items of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn items(&self, node: NodeId) -> &[P::Item] {
-        self.sim.node(node).items()
-    }
-
-    /// Replaces the items of `node` (driver-side setup; not charged as
-    /// communication), **delta-maintaining** the subtree partial caches
-    /// of `node` and every ancestor up to the root: each resident entry
-    /// whose aggregate supports deltas
-    /// ([`WaveProtocol::apply_item_delta`]) is updated in place and keeps
-    /// serving refreshes; every other entry is invalidated individually —
-    /// the fine-grained successor of the old whole-path cache clear.
-    /// Replacing items with identical ones is a no-op and touches no
-    /// cache at all.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn set_items(&mut self, node: NodeId, items: Vec<P::Item>) {
-        let old = std::mem::replace(&mut self.sim.node_mut(node).items, items);
-        let new = self.sim.node(node).items.clone();
-        if old == new {
-            return; // nothing observable changed: caches stay valid as-is
-        }
-        let mut v = node;
-        loop {
-            let n = self.sim.node_mut(v);
-            n.delta_maintain_cache(node, &old, &new);
-            match n.parent {
-                Some(parent) => v = parent,
-                None => break,
-            }
-        }
-    }
-
-    /// Enables subtree partial caching at every node, each holding at
-    /// most `capacity` entries (see [`crate::cache`]). Waves then serve
-    /// repeated cacheable requests by re-merging stored subtree partials
-    /// instead of re-contributing leaf items; invalidation is automatic
-    /// on item-mutating waves and [`WaveRunner::set_items`]. Enabling
-    /// resets any previously cached state.
-    pub fn enable_partial_cache(&mut self, capacity: usize) {
-        for v in 0..self.sim.len() {
-            self.sim.node_mut(v).cache = Some(PartialCache::new(capacity));
-        }
-    }
-
-    /// Disables subtree partial caching, dropping all cached state.
-    pub fn disable_partial_cache(&mut self) {
-        for v in 0..self.sim.len() {
-            self.sim.node_mut(v).cache = None;
-        }
-    }
-
-    /// Network-wide cache counters: the sum of every node's hit/miss/
-    /// occupancy statistics (zero when caching is disabled).
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for v in 0..self.sim.len() {
-            if let Some(cache) = &self.sim.node(v).cache {
-                total.absorb(cache.stats());
-            }
-        }
-        total
-    }
-
-    /// Network-wide transport-state occupancy (see
-    /// [`TransportFootprint`]). Between waves of a quiesced run the
-    /// retransmit and merge-buffer components are zero; the dedup
-    /// component (zero under [`Reliability::None`]) is bounded by one
-    /// wave's traffic — at most one entry per tree edge plus one per
-    /// duplicate request delivery, purged at the next admission — so an
-    /// unbounded round stream observes it staying flat: the memory-bound
-    /// contract behind the long-running streaming engine.
-    pub fn transport_footprint(&self) -> TransportFootprint {
-        let mut fp = TransportFootprint::default();
-        for v in 0..self.sim.len() {
-            fp.absorb(self.sim.node(v).transport_footprint());
-        }
-        fp
-    }
-
-    /// Runs one wave with the given request and returns the root's merged
-    /// result.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::NoResult`] if the wave quiesced without the root
-    /// completing (e.g. loss with [`Reliability::None`]); simulator errors
-    /// are propagated.
-    pub fn run_wave(&mut self, req: P::Request) -> Result<P::Partial, ProtocolError> {
+    fn run_wave(&mut self, req: P::Request) -> Result<P::Partial, ProtocolError> {
         // Wire-format bounds are enforced here, at the API boundary, in
         // release builds too — inside node handlers encoding is
         // infallible by construction (decoded inputs already passed the
@@ -1242,9 +1129,97 @@ impl<P: WaveProtocol> WaveRunner<P> {
             .ok_or(ProtocolError::NoResult)
     }
 
-    /// Virtual time elapsed so far.
-    pub fn now(&self) -> saq_netsim::SimTime {
-        self.sim.now()
+    fn stats(&self) -> &NetStats {
+        self.sim.stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.sim.reset_stats();
+    }
+
+    fn len(&self) -> usize {
+        self.sim.len()
+    }
+
+    fn tree_height(&self) -> u32 {
+        self.tree_height
+    }
+
+    fn tree_max_degree(&self) -> usize {
+        self.tree_max_degree
+    }
+
+    fn items(&self, node: NodeId) -> &[P::Item] {
+        self.sim.node(node).items()
+    }
+
+    fn set_items(&mut self, node: NodeId, items: Vec<P::Item>) -> (u64, u64) {
+        let old = std::mem::replace(&mut self.sim.node_mut(node).items, items);
+        let new = self.sim.node(node).items.clone();
+        if old == new {
+            return (0, 0); // nothing observable changed: caches stay valid as-is
+        }
+        let (mut applied, mut invalidated) = (0, 0);
+        let mut v = node;
+        loop {
+            let n = self.sim.node_mut(v);
+            let (a, i) = n.delta_maintain_cache(node, &old, &new);
+            applied += a;
+            invalidated += i;
+            match n.parent {
+                Some(parent) => v = parent,
+                None => break,
+            }
+        }
+        (applied, invalidated)
+    }
+
+    fn enable_partial_cache(&mut self, capacity: usize) {
+        for v in 0..self.sim.len() {
+            self.sim.node_mut(v).cache = Some(PartialCache::new(capacity));
+        }
+    }
+
+    fn cache_stats(&self) -> CacheStats {
+        let mut total = CacheStats::default();
+        for v in 0..self.sim.len() {
+            if let Some(cache) = &self.sim.node(v).cache {
+                total.absorb(cache.stats());
+            }
+        }
+        total
+    }
+
+    fn transport_footprint(&self) -> TransportFootprint {
+        let mut fp = TransportFootprint::default();
+        for v in 0..self.sim.len() {
+            fp.absorb(self.sim.node(v).transport_footprint());
+        }
+        fp
+    }
+
+    fn set_tracing(&mut self, on: bool) {
+        for v in 0..self.sim.len() {
+            let n = self.sim.node_mut(v);
+            n.trace_on = on;
+            n.trace.clear();
+        }
+    }
+
+    fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
+        let mut out = Vec::new();
+        for v in 0..self.sim.len() {
+            out.extend(self.sim.node_mut(v).trace.drain(..).map(|e| (v, e)));
+        }
+        out
+    }
+
+    fn last_header_bits(&self) -> u64 {
+        header_bits(self.next_wave)
+    }
+
+    fn last_wave_frames(&self) -> u64 {
+        self.last_wave_frames
     }
 }
 
@@ -1844,8 +1819,7 @@ mod tests {
         let items: Vec<Vec<u64>> = (0..4).map(|i| vec![i as u64]).collect();
         let mut r = runner_on(topo, items, SimConfig::default(), Reliability::None);
         r.run_wave(1000).unwrap();
-        // Line 0-1-2-3 under the default varint profile (wave 1 rides
-        // in 8 bits): request goes down 3 hops (2+8+10 = 20 bits each),
+        // Line 0-1-2-3, wave 1 (its varint ordinal rides in 8 bits): request goes down 3 hops (2+8+10 = 20 bits each),
         // partials up 3 hops (2+8+32 = 42 bits each).
         let req_bits = 2 + 8 + width_for_max(1000) as u64;
         let part_bits = 2 + 8 + 32;
@@ -1857,50 +1831,6 @@ mod tests {
         assert_eq!(r.stats().node(3).rx_bits, req_bits);
         // Middle nodes do all four.
         assert_eq!(r.stats().node(1).total_bits(), 2 * (req_bits + part_bits));
-    }
-
-    #[test]
-    fn v0_profile_restores_fixed_width_framing() {
-        let topo = Topology::line(4).unwrap();
-        let items: Vec<Vec<u64>> = (0..4).map(|i| vec![i as u64]).collect();
-        let mut r = runner_on(topo, items, SimConfig::default(), Reliability::None);
-        r.set_wire_profile(WireProfile::V0Fixed);
-        assert_eq!(r.wire_profile(), WireProfile::V0Fixed);
-        assert_eq!(r.run_wave(1000).unwrap(), 6);
-        // The legacy fixed-width layout: 2+16+10 = 28-bit requests,
-        // 2+16+32 = 50-bit partials.
-        let req_bits = 2 + 16 + width_for_max(1000) as u64;
-        let part_bits = 2 + 16 + 32;
-        assert_eq!(r.stats().node(0).tx_bits, req_bits);
-        assert_eq!(r.stats().node(0).rx_bits, part_bits);
-        assert_eq!(r.last_header_bits(), WireProfile::V0Fixed.header_bits(1));
-        assert_eq!(r.last_header_bits(), 2 + 16);
-    }
-
-    #[test]
-    fn wire_profiles_agree_on_answers_and_varint_saves_bits() {
-        let topo = Topology::grid(4, 4).unwrap();
-        let items: Vec<Vec<u64>> = (0..16).map(|i| vec![i as u64]).collect();
-        let mut v0 = runner_on(
-            topo.clone(),
-            items.clone(),
-            SimConfig::default(),
-            Reliability::None,
-        );
-        v0.set_wire_profile(WireProfile::V0Fixed);
-        let mut v1 = runner_on(topo, items, SimConfig::default(), Reliability::None);
-        assert_eq!(v1.wire_profile(), WireProfile::V1Varint);
-        // The framing profile never changes answers, only frame widths:
-        // waves 1..=200 cross the 8→16-bit varint boundary at wave 128.
-        let mut v0_bits_prev = 0u64;
-        for _ in 0..200 {
-            assert_eq!(v0.run_wave(1000).unwrap(), v1.run_wave(1000).unwrap());
-            let v0_bits = v0.stats().total_tx_bits() - v0_bits_prev;
-            v0_bits_prev = v0.stats().total_tx_bits();
-            assert!(v0_bits > 0);
-        }
-        // Varint framing is a strict improvement while waves < 16384.
-        assert!(v1.stats().total_tx_bits() < v0.stats().total_tx_bits());
     }
 
     #[test]
@@ -2176,10 +2106,7 @@ mod tests {
         let attributed: u64 =
             led.slots().iter().map(|s| s.total()).sum::<u64>() + led.envelope_bits();
         let tx_total: u64 = (0..4).map(|v| r2.stats().node(v).tx_bits).sum();
-        assert_eq!(
-            attributed + 6 * WireProfile::default().header_bits(1),
-            tx_total
-        );
+        assert_eq!(attributed + 6 * header_bits(1), tx_total);
         assert!(led.slots()[0].request_bits > 0);
         assert!(led.slots()[1].partial_bits > 0);
         drop(led);
@@ -2615,9 +2542,8 @@ mod tests {
         // Per node: every data frame it sends or receives grows by
         // SEQ_BITS, and every data frame it receives is answered by an
         // ACK frame (billed tx at the receiver, rx at the sender). All
-        // traffic is in wave 1, so the ACK width is the profile's
-        // ack_bits(1).
-        let ack = WireProfile::default().ack_bits(1);
+        // traffic is in wave 1, so the ACK width is ack_bits(1).
+        let ack = ack_bits(1);
         for v in 0..4 {
             let p = plain.stats().node(v);
             let a = arq.stats().node(v);

@@ -407,35 +407,6 @@ fn builder_for_routes_lossy_deployments_through_flat() {
 }
 
 #[test]
-fn e19_varint_framing_saves_bits_without_changing_answers() {
-    let s = e19_codec::run(Scale::Quick);
-    assert!(
-        s.answers_match,
-        "the wire profile must never change an answer"
-    );
-    for p in &s.points {
-        assert!(
-            p.v1_bits < p.v0_bits,
-            "varint framing must save bits at N={}: v0={} v1={}",
-            p.n,
-            p.v0_bits,
-            p.v1_bits
-        );
-    }
-    // The headline claim, pinned at the quick sweep's largest N (the
-    // saving shrinks slowly as payloads grow, so holding at N=1024
-    // implies the full-scale N=10^4 row holds too — asserted there by
-    // the full EXPERIMENTS runs).
-    let last = s.points.last().expect("non-empty sweep");
-    assert!(
-        last.reduction >= 0.20,
-        "expected >= 20% bits/wave saving at N={}, got {:.1}%",
-        last.n,
-        last.reduction * 100.0
-    );
-}
-
-#[test]
 fn e20_fleet_dedup_amortizes_bits_per_query() {
     let s = e20_fleet::run(Scale::Quick);
     assert!(

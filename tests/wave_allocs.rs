@@ -15,7 +15,7 @@ use saq::netsim::flat::NestDepth;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::topology::Topology;
 use saq::protocols::wave::{MultiplexWave, Reliability};
-use saq::protocols::{FlatWaveRunner, SpanningTree};
+use saq::protocols::{FlatWaveRunner, SpanningTree, WaveSubstrate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
