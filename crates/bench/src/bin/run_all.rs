@@ -1,6 +1,6 @@
-//! Runs every experiment (E1-E21; E13 and E19 retired) in sequence. Pass `--quick` for the
-//! reduced sweeps used in CI; the full configuration is the one recorded
-//! in EXPERIMENTS.md.
+//! Runs every experiment (E1-E20; E13 and E19 retired) in sequence. Pass
+//! `--quick` for the reduced sweeps used in CI; without it each runs its
+//! full configuration.
 
 use saq_bench::experiments::*;
 use saq_bench::Scale;
@@ -26,6 +26,5 @@ fn main() {
     let _ = e17_repeat_rate::run(scale);
     let _ = e18_loss_sweep::run(scale);
     let _ = e20_fleet::run(scale);
-    let _ = e21_telemetry::run(scale);
     println!("\nall experiments complete.");
 }

@@ -1,4 +1,4 @@
-//! E11 — ablations of the design choices DESIGN.md calls out.
+//! E11 — ablations of two design choices.
 //!
 //! 1. **Bounded-degree spanning tree** (the paper's §2.2 remark: "bounded
 //!    degree is required to maintain low individual communication

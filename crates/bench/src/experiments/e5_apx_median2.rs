@@ -45,7 +45,7 @@ pub fn run(scale: Scale) -> Summary {
         "polyloglog approximate median APX_MEDIAN2 (Fig. 4) + zoom trace (Fig. 3)",
         "O((loglog N)^3) bits/node (Cor. 4.8); window halves per stage",
     );
-    // Reduced repetition constants (DESIGN.md/EXPERIMENTS.md): the shape
+    // Reduced repetition constants (see `ApxCountConfig`): the shape
     // in N is what is under test; the paper's 32q constant only scales
     // every row by the same factor.
     let apx = ApxCountConfig {

@@ -191,7 +191,7 @@ pub fn run(scale: Scale) -> Summary {
     // Crossover extrapolation: fit each protocol's shape and report where
     // the asymptotically cheaper protocol overtakes — the paper's claims
     // are asymptotic, and with its constants the crossovers land beyond
-    // simulatable N (documented in EXPERIMENTS.md).
+    // simulatable N.
     let fit_for = |name: &str, shape: crate::Shape| -> f64 {
         let pts: Vec<&ProtocolRow> = rows.iter().filter(|r| r.name == name).collect();
         let xs: Vec<f64> = pts.iter().map(|r| r.n as f64).collect();

@@ -1,8 +1,9 @@
 //! # saq-bench — the experiment harness
 //!
-//! One binary per experiment (E1–E10, see DESIGN.md §4), each regenerating
-//! a quantitative claim of the paper as a printed table; `run_all` chains
-//! them. Criterion micro-benchmarks live in `benches/`.
+//! One binary per experiment (E1–E20, indexed in the README's Experiments
+//! section), each regenerating a quantitative claim of the paper as a
+//! printed table; `run_all` chains them. Criterion micro-benchmarks of the
+//! median, sketch and quantile-summary kernels live in `benches/`.
 //!
 //! This library holds what the binaries share:
 //!
@@ -81,7 +82,7 @@ mod tests {
 pub mod experiments;
 
 /// Experiment scale: `Quick` keeps every sweep small enough for CI and
-/// `run_all`; `Full` is the EXPERIMENTS.md configuration.
+/// `run_all`; `Full` is each experiment's full parameter grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Small sweeps (seconds).

@@ -14,8 +14,7 @@
 //! scales as `1/r`, so any multiplier `c·q` preserves the `1 − ε`
 //! guarantee structure with a proportionally larger ε. The config exposes
 //! both the paper's constants ([`ApxCountConfig::paper`]) and scaled
-//! variants for the larger experiment sweeps (documented in
-//! EXPERIMENTS.md).
+//! variants for the larger experiment sweeps.
 
 use crate::error::QueryError;
 use saq_sketches::loglog::{sigma_m, LogLog};

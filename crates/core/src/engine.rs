@@ -8,7 +8,7 @@
 //! [`saq_protocols::MultiplexWave`] envelope). `k` concurrent queries
 //! therefore pay one per-message wave header per round instead of `k` —
 //! the saving the paper's per-node bit economy makes worthwhile, measured
-//! by experiment E12 and the `engine_batching` benchmark.
+//! by experiment E12.
 //!
 //! **Honest accounting.** Every encoded bit of a shared wave is
 //! attributed: sub-request and sub-partial bits to the issuing query

@@ -260,8 +260,7 @@ impl AggregationNetwork for LocalNetwork {
 
 /// Fig. 4 line 3.2: if `⌊log₂ cur⌋ == µ̂`, rescale the octave
 /// `[lo, hi] = [2^µ̂, 2^{µ̂+1} − 1]` linearly onto `[1, X̄]`; otherwise the
-/// item becomes passive. Octave 0 covers `{0, 1}` (our 0-item convention,
-/// documented in DESIGN.md).
+/// item becomes passive. Octave 0 covers `{0, 1}` (our 0-item convention).
 pub(crate) fn rescale_into_octave(cur: Value, mu_hat: u32, xbar: Value) -> Option<Value> {
     if floor_log2(cur) != mu_hat {
         return None;

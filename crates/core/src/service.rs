@@ -469,10 +469,11 @@ impl FleetService {
         self.stats.envelope_peak_slots = self.stats.envelope_peak_slots.max(env_slots);
         let mut refreshes = Vec::new();
         for r in out.refreshes {
-            let slot_id = *self
-                .by_standing
-                .get(&r.standing)
-                .expect("every standing refresh belongs to a fleet slot");
+            // A standing query registered straight on `engine()` has no
+            // slot: it was refreshed, but there is nobody here to serve.
+            let Some(&slot_id) = self.by_standing.get(&r.standing) else {
+                continue;
+            };
             self.stats.slot_refreshes += 1;
             self.stats.slot_refresh_bits += r.bits.total();
             let fan_out = self.slots[slot_id].subscribers.len() as u32;
@@ -545,7 +546,9 @@ impl FleetService {
     }
 
     /// The underlying continuous engine (e.g. to inspect the service
-    /// loop or set a bit budget on its ad-hoc side).
+    /// loop or set a bit budget on its ad-hoc side). Standing queries
+    /// registered here are refreshed, but not served through
+    /// [`FleetRound`].
     pub fn engine(&mut self) -> &mut ContinuousEngine {
         &mut self.inner
     }
@@ -808,6 +811,26 @@ mod tests {
         );
         // Refresh rounds stayed on the remembered phase-1 schedule.
         assert_eq!(rejoined[0].due_round % 2, 1);
+    }
+
+    #[test]
+    fn engine_side_standing_refreshes_are_skipped_not_fatal() {
+        let mut fleet = FleetService::new(cached_net());
+        let sub = fleet
+            .register(QuerySpec::Count(Predicate::TRUE), 1)
+            .unwrap();
+        // No fleet slot owns this one.
+        fleet
+            .engine()
+            .register(QuerySpec::Sum(Predicate::TRUE), 1)
+            .unwrap();
+        let out = fleet.step().unwrap();
+        assert_eq!(out.refreshes.len(), 1);
+        assert_eq!(out.refreshes[0].subscriber, sub);
+        assert_eq!(out.refreshes[0].outcome, Ok(QueryOutcome::Num(40)));
+        let stats = fleet.fleet_stats();
+        assert_eq!(stats.slot_refreshes, 1);
+        assert_eq!(stats.queries_served, 1);
     }
 
     #[test]

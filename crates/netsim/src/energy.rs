@@ -6,8 +6,8 @@
 //! the transmitted/received bit count, with a per-packet wakeup overhead.
 //!
 //! The default constants are *synthetic but representative* of early-2000s
-//! motes (mica2-class radios); DESIGN.md documents that only *bit counts*
-//! are claimed to reproduce the paper — joules are presentation.
+//! motes (mica2-class radios). Only *bit counts* are claimed to reproduce
+//! the paper — joules are presentation.
 
 /// Affine per-bit/per-packet radio energy model, in nanojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -181,7 +181,8 @@ impl BitString {
 /// writers from a pool and recycle each frame's allocation once it has
 /// been decoded, reducing steady-state frame allocations to the pool's
 /// high-water mark. The `reused`/`fresh` counters make the saving
-/// observable (asserted by the `encode_scratch` bench in `saq-bench`).
+/// observable; `tests/wave_allocs.rs` bounds what a whole wave
+/// allocates on either runner.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     free: Vec<Vec<u8>>,

@@ -5,7 +5,7 @@
 //!   events, counts what it dropped);
 //! - [`JsonlRecorder`] — streams canonical JSONL to any writer;
 //! - [`NullRecorder`] — accepts and discards (isolates pure emission
-//!   overhead in E21);
+//!   overhead in stackbench's `obs.recorder_overhead_ratio`);
 //! - [`VecRecorder`] — unbounded shared log for tests and examples.
 
 use std::collections::VecDeque;
@@ -35,7 +35,8 @@ pub trait Recorder: fmt::Debug + Send {
 
 /// A recorder that accepts and discards every event. Metrics still
 /// accumulate in the registry, so this is the cheapest way to keep the
-/// deterministic lane live — and what E21 uses to price pure emission.
+/// deterministic lane live — and what stackbench's
+/// `obs.recorder_overhead_ratio` uses to price pure emission.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NullRecorder;
 

@@ -1348,8 +1348,8 @@ impl<R: Eq> Eq for MuxEntry<R> {}
 /// partial answers position `i` of the request. Encodings are the inner
 /// protocol's, prefixed by a gamma-coded slot count, so `k` queries
 /// batched into one wave share a single per-message header instead of
-/// paying `k` of them — the saving measured by the `engine_batching`
-/// benchmark in `saq-bench`.
+/// paying `k` of them — the saving experiment E12 in `saq-bench`
+/// measures.
 ///
 /// Every encoded bit is attributed in a shared [`MuxLedger`]: sub-request
 /// and sub-partial bits to their entry's declared slot, the count prefix,

@@ -156,8 +156,8 @@ impl LogLog {
     ///
     /// This matches practical deployments (and HyperLogLog's standard
     /// correction) and makes estimates of *small* sub-multisets sane —
-    /// needed by `APX_MEDIAN2`'s rank adjustments. Documented as a
-    /// deviation from pure Durand–Flajolet in DESIGN.md.
+    /// needed by `APX_MEDIAN2`'s rank adjustments. It is a deliberate
+    /// deviation from pure Durand–Flajolet.
     pub fn estimate_corrected(&self) -> f64 {
         let m = self.m() as f64;
         let raw = self.estimate_raw();

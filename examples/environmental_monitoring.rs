@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "note: at this network size the exact Fig. 1 median is already the \
          cheapest — the polyloglog algorithm's constants pay off only at much \
-         larger N (see EXPERIMENTS.md E7)"
+         larger N (see experiment E7)"
     );
     Ok(())
 }

@@ -47,9 +47,9 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for end-to-end simulated deployments and
-//! `EXPERIMENTS.md` for the reproduction of every quantitative claim in
-//! the paper.
+//! See `examples/` for end-to-end simulated deployments, the README's
+//! Experiments section for the reproduction of every quantitative claim
+//! in the paper, and `docs/ARCHITECTURE.md` for the paper-to-code map.
 
 /// Runs the README's code blocks as doc-tests, so the front-page
 /// `QueryEngine` snippet is guaranteed to compile and behave as printed.

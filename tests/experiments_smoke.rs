@@ -333,8 +333,7 @@ fn e16_flat_substrate_bit_identical_and_scales() {
     assert!(!s.points.is_empty());
     // Wall-clock speedup is hardware- and neighbor-bound (shared CI
     // runners report cores they time-slice), so it is observed rather
-    // than asserted; the full-scale sweep in EXPERIMENTS runs record
-    // the real curve.
+    // than asserted; the full-scale E16 sweep records the real curve.
     if s.cores >= 2 && s.speedup_at_max_n() <= 1.0 {
         eprintln!(
             "note: {:.2}x speedup at max N on {} cores (quick sweep; timing noise expected)",
@@ -439,32 +438,75 @@ fn e20_fleet_dedup_amortizes_bits_per_query() {
     );
 }
 
+/// Attaching a recorder adds 0 network bits: answers, per-query bills
+/// and per-node bits are identical with it on or off, and the metrics
+/// frame lane reconciles exactly with the simulator's tx bits. This
+/// was experiment E21's claim; E21 is retired, and its wall-clock ratio
+/// is stackbench's `obs.recorder_overhead_ratio`.
 #[test]
 fn e21_telemetry_is_free_on_the_wire() {
-    let s = e21_telemetry::run(Scale::Quick);
-    assert!(
-        s.per_node_bits_identical,
-        "attaching a recorder changed per-node network bits"
-    );
-    assert!(
-        s.answers_identical,
+    use saq_bench::deploy::builder_for;
+    use saq_core::engine::{QueryEngine, QuerySpec};
+    use saq_core::net::AggregationNetwork;
+    use saq_core::predicate::{Domain, Predicate};
+    use saq_netsim::topology::Topology;
+    use saq_obs::VecRecorder;
+
+    let n = 1024;
+    let topo = Topology::balanced_tree(n, 4).unwrap();
+    let items: Vec<u64> = (0..n as u64).map(|i| (i * 131) % 997).collect();
+    let run = |recorded: bool| {
+        let mut net = builder_for(n)
+            .max_children(4)
+            .partial_cache(32)
+            .build_one_per_node(&topo, &items, 1024)
+            .unwrap();
+        let log = recorded.then(|| {
+            let (recorder, log) = VecRecorder::shared();
+            net.attach_recorder(Box::new(recorder));
+            log
+        });
+        let mut engine = QueryEngine::new(net);
+        let mut reports = Vec::new();
+        // Cold, then warm, so cache events fire too.
+        for _ in 0..2 {
+            engine.submit(QuerySpec::Median);
+            engine.submit(QuerySpec::Count(Predicate::less_than(500)));
+            engine.submit(QuerySpec::Min(Domain::Raw));
+            engine.submit(QuerySpec::Quantile { q: 0.9, eps: 0.1 });
+            reports.extend(
+                engine
+                    .run()
+                    .unwrap()
+                    .into_iter()
+                    .map(|r| (r.outcome, r.bits)),
+            );
+        }
+        let net = engine.into_network();
+        let stats = net.net_stats().unwrap();
+        let per_node: Vec<u64> = (0..stats.len())
+            .map(|v| stats.node(v).total_bits())
+            .collect();
+        if recorded {
+            assert_eq!(
+                net.metrics_snapshot().frame_bits_total(),
+                stats.total_tx_bits(),
+                "the metrics frame lane diverged from the simulator's tx bits"
+            );
+        }
+        (reports, per_node, log.map_or(0, |l| l.len()))
+    };
+    let (off_reports, off_nodes, _) = run(false);
+    let (on_reports, on_nodes, events) = run(true);
+    assert_eq!(
+        on_reports, off_reports,
         "attaching a recorder changed an answer or a bill"
     );
-    assert!(
-        s.frame_lane_reconciles,
-        "the metrics frame lane diverged from the simulator's tx bits"
+    assert_eq!(
+        on_nodes, off_nodes,
+        "attaching a recorder changed per-node network bits"
     );
-    for p in &s.points {
-        assert_eq!(p.bits_off, p.bits_on, "bits diverged at N={}", p.n);
-        assert!(p.events > 0, "the recorder captured nothing at N={}", p.n);
-    }
-    // Wall-clock is observed with a generous bound (10x + 250 ms slack);
-    // the full-scale N = 10^4 row is asserted by the EXPERIMENTS runs.
-    assert!(
-        s.wall_bounded,
-        "recorder-on wall-clock blew the generous bound: {:?}",
-        s.points
-    );
+    assert!(events > 0, "the recorder captured nothing");
 }
 
 /// The deterministic deployment behind

@@ -1,9 +1,13 @@
-//! The flat wave's allocation budget, pinned: after warm-up, one 4-slot
-//! wave over N nodes allocates at most `N + 256` times — the one `Vec`
-//! each node's `local` contribution is built in, plus a per-wave
-//! allowance for blocks, distinct requests and worker threads that does
-//! not grow with N. The count is a pure function of the code (no time,
-//! no randomness), so it gates in tier-1.
+//! The wave runners' allocation budgets, pinned: after warm-up, one
+//! 4-slot flat wave over N nodes allocates at most `N + 256` times — the
+//! one `Vec` each node's `local` contribution is built in, plus a
+//! per-wave allowance for blocks, distinct requests and worker threads
+//! that does not grow with N. The boxed event-driven oracle runs the
+//! same wave on the same tree within `32·N` allocations (it makes ~30
+//! per node, moving by a few between waves, so this is a bound and not
+//! an equality), and always above the flat count. The counts are a
+//! function of the code (no time, no randomness), so they gate in
+//! tier-1.
 //!
 //! This binary holds exactly one `#[test]`: the counter is process-wide,
 //! and a second test running beside it would be counted too.
@@ -15,7 +19,7 @@ use saq::netsim::flat::NestDepth;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::topology::Topology;
 use saq::protocols::wave::{MultiplexWave, Reliability};
-use saq::protocols::{FlatWaveRunner, SpanningTree, WaveSubstrate};
+use saq::protocols::{FlatWaveRunner, SpanningTree, WaveRunner, WaveSubstrate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -63,24 +67,32 @@ fn envelope() -> Vec<saq::protocols::wave::MuxEntry<CoreRequest>> {
     ])
 }
 
+fn items() -> Vec<Vec<SimItem>> {
+    (0..N as u64)
+        .map(|i| vec![SimItem::new(i * 7 % (XBAR + 1))])
+        .collect()
+}
+
+fn proto() -> MultiplexWave<CoreWave> {
+    MultiplexWave::new(CoreWave {
+        xbar: XBAR,
+        apx: ApxCountConfig::default(),
+    })
+}
+
 #[test]
 fn a_warm_flat_wave_allocates_at_most_once_per_node() {
     let topo = Topology::balanced_tree(N, 8).unwrap();
     let tree = SpanningTree::bfs(&topo, 0).unwrap();
+    let mut flat_max = 0;
+    let mut flat_answer = None;
     for workers in [1usize, 2] {
-        let items: Vec<Vec<SimItem>> = (0..N as u64)
-            .map(|i| vec![SimItem::new(i * 7 % (XBAR + 1))])
-            .collect();
-        let proto = MultiplexWave::new(CoreWave {
-            xbar: XBAR,
-            apx: ApxCountConfig::default(),
-        });
         let mut flat = FlatWaveRunner::new(
             &topo,
             SimConfig::default(),
             &tree,
-            proto,
-            items,
+            proto(),
+            items(),
             Reliability::None,
             workers,
             NestDepth::Auto,
@@ -100,5 +112,34 @@ fn a_warm_flat_wave_allocates_at_most_once_per_node() {
             allocs <= N as u64 + 256,
             "a warm wave made {allocs} allocations at N = {N}, W = {workers}"
         );
+        flat_max = flat_max.max(allocs);
+        flat_answer = Some(answer);
     }
+
+    // The boxed oracle: same tree, same envelope, two warm-up waves.
+    let mut boxed = WaveRunner::new(
+        &topo,
+        SimConfig::default(),
+        &tree,
+        proto(),
+        items(),
+        Reliability::None,
+    )
+    .unwrap();
+    boxed.run_wave(envelope()).unwrap();
+    boxed.run_wave(envelope()).unwrap();
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let answer = boxed.run_wave(envelope()).unwrap();
+    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(Some(answer), flat_answer);
+    assert!(
+        allocs <= 32 * N as u64,
+        "a warm boxed wave made {allocs} allocations at N = {N}"
+    );
+    assert!(
+        flat_max < allocs,
+        "flat made {flat_max} allocations, boxed {allocs}"
+    );
 }
