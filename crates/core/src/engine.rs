@@ -10,6 +10,15 @@
 //! the saving the paper's per-node bit economy makes worthwhile, measured
 //! by experiment E12.
 //!
+//! **One loop.** A closed batch *is* the service loop: [`QueryEngine`]
+//! holds one [`StreamingEngine`] built with [`AdmissionPolicy::WhenIdle`]
+//! and [`QueryEngine::run`] steps it until idle. Everything submitted
+//! before `run` forms one admission cohort, so the batch executes exactly
+//! as the loop executes any cohort — admission, shared waves, exclusive
+//! queries, retirement (see [`crate::streaming`]). This module holds the
+//! vocabulary both share: specs, outcomes, bills, reports, the plan
+//! compiler and the per-query slot state machine.
+//!
 //! **Honest accounting.** Every encoded bit of a shared wave is
 //! attributed: sub-request and sub-partial bits to the issuing query
 //! (exactly, from the envelope's ledger), unattributable framing (wave
@@ -18,9 +27,9 @@
 //!
 //! **Isolation.** Plans that mutate item state
 //! ([`crate::plan::QueryPlan::mutates_items`], i.e. `APX_MEDIAN2`'s zoom
-//! stages) cannot share item state with concurrent readers; the engine
-//! runs them after the shareable queries, each exclusively, restoring
-//! items afterwards.
+//! stages) cannot share item state with concurrent readers; the loop
+//! runs them after the shareable queries of their cohort, each
+//! exclusively, restoring items afterwards.
 //!
 //! Sequential mode ([`BatchPolicy::Sequential`]) runs the identical
 //! plans, nonce assignments and waves one sub-request at a time — so
@@ -42,6 +51,7 @@ use crate::plan::{
 };
 use crate::predicate::{Domain, Predicate};
 use crate::simnet::SimNetwork;
+use crate::streaming::{AdmissionPolicy, StreamingEngine};
 use crate::wave_proto::CoreRequest;
 
 /// A user query submitted to the engine.
@@ -273,17 +283,26 @@ pub(crate) enum SlotState {
     Done(Result<QueryOutcome, QueryError>),
 }
 
+/// Submission ordinals with a sketch-nonce space of their own: the nonce
+/// carries 15 bits of ordinal (see [`QuerySlot`]'s `nonce_ordinal`).
+/// Past it, the engine still serves nonce-free specs but refuses
+/// randomized ones ([`QuerySpec::draws_fresh_randomness`]) as
+/// [`QueryError::InvalidParameter`] rather than correlate their
+/// randomness with an earlier query's.
+pub(crate) const NONCE_ORDINALS: usize = 0x8000;
+
 pub(crate) struct QuerySlot {
     pub(crate) id: QueryId,
-    /// Engine-lifetime query ordinal feeding the nonce space
+    /// Engine-lifetime submission ordinal feeding the nonce space
     /// `(ordinal << 16) | counter`, so sketch seeds depend only on the
     /// query and its op sequence — identical under batched and
-    /// sequential execution, collision-free for up to 32768 queries of
-    /// 65536 sketch ops each across every `run()` of this engine (the
-    /// ordinal does not reset when a run drains its slots). The top bit
-    /// stays clear: direct [`SimNetwork`] primitive calls draw nonces
-    /// with the top bit set, so interleaving the two APIs on one network
-    /// never reuses sketch randomness.
+    /// sequential execution and across closed batches (the ordinal is
+    /// the streaming engine's submission counter, which never resets).
+    /// Collision-free for the first [`NONCE_ORDINALS`] submissions of 65536
+    /// sketch ops each; later submissions never draw a nonce (see
+    /// [`NONCE_ORDINALS`]). The top bit stays clear: direct [`SimNetwork`]
+    /// primitive calls draw nonces with the top bit set, so interleaving
+    /// the two APIs on one network never reuses sketch randomness.
     nonce_ordinal: u32,
     pub(crate) spec: QuerySpec,
     pub(crate) plan: EnginePlan,
@@ -296,7 +315,8 @@ pub(crate) struct QuerySlot {
 impl QuerySlot {
     /// A fresh slot for a compiled (or born-failed) query. `ordinal` is
     /// the engine-lifetime submission ordinal feeding the sketch-nonce
-    /// space; it must be unique per engine lifetime and below `0x8000`.
+    /// space; it must be unique per engine lifetime and below
+    /// [`NONCE_ORDINALS`] for any query that draws a nonce.
     pub(crate) fn new(
         id: QueryId,
         ordinal: u32,
@@ -414,6 +434,10 @@ impl QuerySlot {
 /// Executes batches of concurrent aggregate queries over a [`SimNetwork`]
 /// as shared multiplexed waves with per-query bit accounting.
 ///
+/// A facade over one [`StreamingEngine`] admitting
+/// [`AdmissionPolicy::WhenIdle`]: [`QueryEngine::run`] steps that loop
+/// until idle, and a closed batch is the cohort the loop admits.
+///
 /// # Examples
 ///
 /// ```
@@ -438,16 +462,13 @@ impl QuerySlot {
 /// # }
 /// ```
 pub struct QueryEngine {
-    net: SimNetwork,
-    slots: Vec<QuerySlot>,
-    policy: BatchPolicy,
-    rounds: u64,
-    waves: u64,
-    /// Queries submitted over the engine's lifetime (nonce ordinals).
-    submitted: u32,
-    /// Optional per-wave composition log (see
-    /// [`QueryEngine::record_wave_log`]).
-    wave_log: Option<Vec<Vec<QueryId>>>,
+    inner: StreamingEngine,
+    /// Engine-lifetime id of the current batch's first query: reports
+    /// are indexed relative to it.
+    batch_base: QueryId,
+    /// Reports the current batch has retired so far — kept across a
+    /// failed [`QueryEngine::run`], so its retry still returns them.
+    retired: Vec<QueryReport>,
 }
 
 impl QueryEngine {
@@ -459,13 +480,9 @@ impl QueryEngine {
     /// An engine with an explicit scheduling policy.
     pub fn with_policy(net: SimNetwork, policy: BatchPolicy) -> Self {
         QueryEngine {
-            net,
-            slots: Vec::new(),
-            policy,
-            rounds: 0,
-            waves: 0,
-            submitted: 0,
-            wave_log: None,
+            inner: StreamingEngine::with_policy(net, policy, AdmissionPolicy::WhenIdle),
+            batch_base: 0,
+            retired: Vec::new(),
         }
     }
 
@@ -476,59 +493,49 @@ impl QueryEngine {
     /// grows by one entry per wave, which a long-lived engine should not
     /// pay for silently.
     pub fn record_wave_log(&mut self) {
-        self.wave_log.get_or_insert_with(Vec::new);
+        self.inner.record_wave_log();
     }
 
     /// The recorded wave compositions (`None` until
     /// [`QueryEngine::record_wave_log`] is called). Each entry is one
     /// wave's participating query ids, in slot order.
+    ///
+    /// Log ids (like the ids of telemetry slot events) are
+    /// **engine-lifetime** submission ordinals, while report ids are
+    /// per-run indices: in the first batch the two coincide; in a later
+    /// batch a log id is its report id plus the number of queries
+    /// earlier batches submitted.
     pub fn wave_log(&self) -> Option<&[Vec<QueryId>]> {
-        self.wave_log.as_deref()
+        self.inner.wave_log()
     }
 
     /// The underlying network (e.g. for [`SimNetwork`] statistics).
     pub fn network(&self) -> &SimNetwork {
-        &self.net
+        self.inner.network()
     }
 
     /// Mutable access to the underlying network (e.g. `reset_stats`).
     pub fn network_mut(&mut self) -> &mut SimNetwork {
-        &mut self.net
+        self.inner.network_mut()
     }
 
     /// Consumes the engine, returning the network.
     pub fn into_network(self) -> SimNetwork {
-        self.net
+        self.inner.into_network()
     }
 
     /// Shared waves issued so far.
     pub fn waves_issued(&self) -> u64 {
-        self.waves
-    }
-
-    /// Scheduling rounds executed so far.
-    pub fn rounds_executed(&self) -> u64 {
-        self.rounds
+        self.inner.waves_issued()
     }
 
     /// Enqueues a query; returns its [`QueryId`] (index into the reports
-    /// of the next [`QueryEngine::run`]).
+    /// of the next [`QueryEngine::run`]). Invalid parameters surface as
+    /// the query's outcome, not an engine failure.
     pub fn submit(&mut self, spec: QuerySpec) -> QueryId {
-        let id = self.slots.len();
-        // Invalid parameters surface as the query's outcome, not an
-        // engine failure: such a slot is born finished.
-        let compiled = compile_plan(&self.net, &spec);
-        // The nonce space carries 15 bits of query ordinal; fail loudly
-        // rather than silently correlating sketch randomness past it.
-        assert!(
-            self.submitted <= 0x7FFF,
-            "engine exhausted its 32768-query sketch-nonce space; build a fresh QueryEngine"
-        );
-        self.slots
-            .push(QuerySlot::new(id, self.submitted, spec, compiled));
-        self.submitted = self.submitted.wrapping_add(1);
-        id
+        self.inner.submit(spec) - self.batch_base
     }
+
     /// Runs every submitted query to completion and returns one report
     /// per query, in submission order. Shareable queries execute first in
     /// batched (or sequential, per policy) waves; item-mutating queries
@@ -537,148 +544,27 @@ impl QueryEngine {
     /// # Errors
     ///
     /// Only network/protocol failures abort the run; algorithm-level
-    /// errors are reported per query.
+    /// errors are reported per query. A failure kills every query still
+    /// in flight; the next `run` issues no wave for them and returns the
+    /// whole batch, the killed queries carrying the failure.
     pub fn run(&mut self) -> Result<Vec<QueryReport>, QueryError> {
-        // Phase 1: shareable queries in multiplexed rounds.
-        loop {
-            let mut round: Vec<(usize, CoreRequest)> = Vec::new();
-            for i in 0..self.slots.len() {
-                if self.slots[i].plan.mutates_items() {
-                    continue;
-                }
-                if let Some(req) = self.slots[i].advance() {
-                    round.push((i, req));
-                }
-            }
-            if round.is_empty() {
-                break;
-            }
-            self.rounds += 1;
-            let wave_result = match self.policy {
-                BatchPolicy::Batched => self.issue_wave(&round),
-                BatchPolicy::Sequential => round
-                    .iter()
-                    .try_for_each(|entry| self.issue_wave(std::slice::from_ref(entry))),
-            };
-            if let Err(e) = wave_result {
-                // A network failure kills every in-flight query: no slot
-                // may be left holding the mid-wave placeholder, or a
-                // retried run() would feed plans a bogus input.
-                fail_in_flight(&mut self.slots, &e);
-                return Err(e);
-            }
+        while self.inner.in_service() {
+            let round = self.inner.step()?;
+            self.retired.extend(round.into_iter().map(|r| r.report));
         }
-
-        // Phase 2: item-mutating queries, each with exclusive item state.
-        for i in 0..self.slots.len() {
-            if !self.slots[i].plan.mutates_items() {
-                continue;
-            }
-            while let Some(req) = self.slots[i].advance() {
-                if let Err(e) = self.issue_wave(&[(i, req)]) {
-                    fail_in_flight(&mut self.slots, &e);
-                    // The failed query may already have zoomed: never
-                    // hand back a network with mutilated item state.
-                    self.net.restore_items();
-                    return Err(e);
-                }
-            }
-            self.net.restore_items();
+        let mut reports = std::mem::take(&mut self.retired);
+        reports.sort_unstable_by_key(|r| r.id);
+        for r in &mut reports {
+            r.id -= self.batch_base;
         }
-
-        let reports: Vec<QueryReport> = self.slots.drain(..).map(QuerySlot::into_report).collect();
-        if self.net.telemetry_enabled() {
-            for r in &reports {
-                self.net.emit_event(&saq_obs::Event::SlotRetired {
-                    query: r.id as u64,
-                    bits: r.bits.total(),
-                });
-            }
-        }
+        self.batch_base += reports.len();
         Ok(reports)
-    }
-
-    /// Issues one shared wave for `round` and distributes results and
-    /// bit charges back to the issuing queries.
-    fn issue_wave(&mut self, round: &[(usize, CoreRequest)]) -> Result<(), QueryError> {
-        self.waves += 1;
-        issue_shared_wave(&mut self.net, &mut self.slots, round, &mut self.wave_log)
-    }
-}
-
-/// Marks every not-yet-finished query in `slots` as failed with `e` —
-/// called when a wave-level network failure aborts a run or a streaming
-/// round, so no slot is left in a mid-wave placeholder state. Generic
-/// over the slot container ([`QuerySlot`] itself, or the streaming
-/// engine's timestamped wrapper).
-pub(crate) fn fail_in_flight<S: AsMut<QuerySlot>>(slots: &mut [S], e: &QueryError) {
-    for slot in slots {
-        let slot = slot.as_mut();
-        if matches!(slot.state, SlotState::Ready(_)) {
-            slot.state = SlotState::Done(Err(e.clone()));
-        }
-    }
-}
-
-/// Issues one shared multiplexed wave answering every `(slot index,
-/// request)` of `round` and distributes results and bit charges back to
-/// the issuing slots — the one place per-query billing happens, shared
-/// by the closed-batch [`QueryEngine`] and the
-/// [`crate::streaming::StreamingEngine`] so both bill identically.
-pub(crate) fn issue_shared_wave<S: AsMut<QuerySlot>>(
-    net: &mut SimNetwork,
-    slots: &mut [S],
-    round: &[(usize, CoreRequest)],
-    wave_log: &mut Option<Vec<Vec<QueryId>>>,
-) -> Result<(), QueryError> {
-    if let Some(log) = wave_log {
-        log.push(round.iter().map(|(qi, _)| slots[*qi].as_mut().id).collect());
-    }
-    if net.telemetry_enabled() {
-        for (pos, (qi, _)) in round.iter().enumerate() {
-            let query = slots[*qi].as_mut().id as u64;
-            net.emit_event(&saq_obs::Event::SlotAdmitted {
-                query,
-                slot: pos as u64,
-            });
-        }
-    }
-    let reqs: Vec<CoreRequest> = round.iter().map(|(_, r)| r.clone()).collect();
-    let out = net.run_batch(reqs)?;
-    debug_assert_eq!(out.partials.len(), round.len());
-    // Unattributable framing: one wave header per message *actually
-    // transmitted*, at the header width of this wave's varint ordinal.
-    // Under lossless links without caching that is one request and one
-    // partial per spanning-tree edge; with subtree partial caching,
-    // silenced subtrees (down to a fully cached, zero-message wave)
-    // shrink the bill accordingly.
-    let share = (out.header_bits + out.envelope_bits) / round.len() as u64;
-    for ((qi, req), (partial, bits)) in round
-        .iter()
-        .zip(out.partials.into_iter().zip(out.slot_bits))
-    {
-        let slot = slots[*qi].as_mut();
-        slot.bits.request_bits += bits.request_bits;
-        slot.bits.partial_bits += bits.partial_bits;
-        slot.bits.shared_overhead_bits += share;
-        slot.waves += 1;
-        let input = net.finalize_partial(req, partial);
-        slot.state = SlotState::Ready(input);
-    }
-    Ok(())
-}
-
-impl AsMut<QuerySlot> for QuerySlot {
-    fn as_mut(&mut self) -> &mut QuerySlot {
-        self
     }
 }
 
 /// Compiles a [`QuerySpec`] into its executable wave plan against the
 /// deployment parameters of `net` (value domain, sketch configuration,
-/// tree shape). Shared by the closed-batch [`QueryEngine`] and the
-/// [`crate::streaming::StreamingEngine`], so a given spec compiles to
-/// the identical plan in both modes.
+/// tree shape) — for ad-hoc queries and standing refreshes alike.
 pub(crate) fn compile_plan(net: &SimNetwork, spec: &QuerySpec) -> Result<EnginePlan, QueryError> {
     let cfg = net.apx_config();
     let xbar = net.xbar();
@@ -987,5 +873,55 @@ mod tests {
             "unbilled bits: {} of {tx_total}",
             tx_total - billed
         );
+    }
+
+    #[test]
+    fn failed_run_hands_back_the_whole_batch_on_retry() {
+        // The closed-batch failure contract: a wave failure aborts run()
+        // and kills the queries in flight; the next run() flies no wave
+        // and returns every report of the batch in submission order —
+        // including one that finished before the failure.
+        use saq_netsim::link::LinkConfig;
+        use saq_netsim::sim::SimConfig;
+        let lossy_net = |seed: u64| {
+            let topo = Topology::grid(4, 4).unwrap();
+            let items: Vec<Value> = (0..16u64).collect();
+            SimNetworkBuilder::new()
+                .sim_config(
+                    SimConfig::default()
+                        .with_link(LinkConfig::default().with_loss(0.05))
+                        .with_seed(seed),
+                )
+                .build_one_per_node(&topo, &items, 32)
+                .unwrap()
+        };
+        // Deterministic hunt for a seed whose first wave survives the
+        // loss stream (the count answers) but whose median later loses
+        // a frame (under Reliability::None a single drop aborts a wave).
+        for seed in 0..200u64 {
+            let mut engine = QueryEngine::new(lossy_net(seed));
+            let count = engine.submit(QuerySpec::Count(Predicate::TRUE));
+            let median = engine.submit(QuerySpec::Median);
+            let Err(e) = engine.run() else {
+                continue;
+            };
+            let waves = engine.waves_issued();
+            let reports = engine.run().unwrap();
+            assert_eq!(engine.waves_issued(), waves, "a killed query flew a wave");
+            assert_eq!(reports.len(), 2);
+            for (i, r) in reports.iter().enumerate() {
+                assert_eq!(r.id, i, "reports out of submission order");
+            }
+            assert_eq!(reports[count].spec, QuerySpec::Count(Predicate::TRUE));
+            assert_eq!(reports[median].spec, QuerySpec::Median);
+            assert_eq!(reports[median].outcome, Err(e));
+            if reports[count].outcome.is_err() {
+                continue; // wave 0 already lost; try another seed
+            }
+            assert_eq!(reports[count].outcome, Ok(QueryOutcome::Num(16)));
+            assert!(engine.run().unwrap().is_empty(), "the batch was drained");
+            return;
+        }
+        panic!("no seed produced the survive-then-fail loss pattern");
     }
 }

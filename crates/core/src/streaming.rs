@@ -1,11 +1,12 @@
 //! The online streaming query engine: a long-running service loop with
-//! mid-flight admission.
+//! mid-flight admission — the workspace's one engine loop.
 //!
-//! [`crate::engine::QueryEngine::run`] drains a *closed* batch: every
-//! query is known before the first wave flies. A sensor-database
-//! front-end is instead a service — queries arrive continuously while
-//! earlier ones are still mid-convergecast. [`StreamingEngine`] is that
-//! service loop: [`StreamingEngine::submit`] may be called at any time,
+//! A sensor-database front-end is a service: queries arrive
+//! continuously while earlier ones are still mid-convergecast.
+//! [`StreamingEngine`] is that service loop, and every other engine is a
+//! facade over it — the closed batch ([`crate::engine::QueryEngine`]),
+//! the continuous engine and the fleet service.
+//! [`StreamingEngine::submit`] may be called at any time,
 //! pending queries are **admitted between rounds** (joining the next
 //! shared wave mid-flight, alongside plans that are already several
 //! waves deep), and finished queries retire immediately with an
@@ -21,53 +22,54 @@
 //!
 //! ## Scheduling
 //!
-//! Each [`StreamingEngine::step`] executes one scheduling round:
+//! Each [`StreamingEngine::step`] executes one scheduling round as five
+//! phases (private methods of the same names):
 //!
-//! 0. **Standing refreshes** — every registered standing query due this
-//!    round (its period divides the rounds since registration, and no
-//!    earlier refresh is still in flight) enters the active set
-//!    directly, bypassing the admission queue: it was admitted once, at
-//!    registration.
-//! 1. **Admission** — if the [`AdmissionPolicy`] opens the window this
-//!    round, every pending query moves into the active set (stamped with
-//!    its admission round). A query submitted with a **deadline**
-//!    ([`StreamingEngine::submit_with_deadline`]) is admitted even
-//!    through a closed window once its deadline round arrives. When a
+//! 0. **Standing refreshes** (`spawn_due_standing`) — every registered
+//!    standing query due this round (its period divides the rounds since
+//!    registration, and no earlier refresh is still in flight) enters
+//!    the active set directly, bypassing the admission queue: it was
+//!    admitted once, at registration.
+//! 1. **Admission** (`admit`) — if the [`AdmissionPolicy`] opens the
+//!    window this round, every pending query moves into the active set
+//!    (stamped with its admission round). A query submitted with a
+//!    **deadline** ([`StreamingEngine::submit_with_deadline`]) is
+//!    admitted even through a closed window once its deadline round
+//!    arrives. When a
 //!    per-node **bit budget** is set
 //!    ([`StreamingEngine::set_bit_budget`]), admission stops for the
 //!    round as soon as the projected request envelope — staged ops plus
 //!    the candidate — would exceed it; the remaining queries wait,
 //!    bounding per-round energy (the quantity the paper's model prices).
-//! 2. **Shared wave** — the pending ops of every active *shareable*
-//!    (non-item-mutating) query are multiplexed into one wave
-//!    ([`BatchPolicy::Batched`]) or issued one wave each
+//! 2. **Shared wave** (`shared_wave`) — the pending ops of every active
+//!    *shareable* (non-item-mutating) query are multiplexed into one
+//!    wave ([`BatchPolicy::Batched`]) or issued one wave each
 //!    ([`BatchPolicy::Sequential`]). Queries admitted this round ride
 //!    the same wave as queries admitted hundreds of rounds ago.
-//! 3. **Exclusive queries** — when no eligible shareable query has a
-//!    pending op, the oldest admitted item-mutating query
-//!    (`APX_MEDIAN2`'s zoom stages) runs **to completion,
-//!    exclusively**, with items restored afterwards — the same
-//!    isolation rule as the closed-batch engine. A waiting exclusive
-//!    query yields to the readers of its own admission cohort but
-//!    *gates* readers admitted after it (they hold their ops until it
-//!    has run), so a continuous reader stream cannot starve it.
-//! 4. **Retirement** — every query that finished this round leaves the
-//!    active set and its report is returned from `step`.
+//! 3. **Exclusive queries** (`run_exclusive`) — when no eligible
+//!    shareable query has a pending op, the oldest admitted
+//!    item-mutating query (`APX_MEDIAN2`'s zoom stages) runs **to
+//!    completion, exclusively**, with items restored afterwards. A
+//!    waiting exclusive query yields to the readers of its own admission
+//!    cohort but *gates* readers admitted after it (they hold their ops
+//!    until it has run), so a continuous reader stream cannot starve it.
+//! 4. **Retirement** (`retire`) — every query that finished this round
+//!    leaves the active set and its report is returned from `step`.
 //!
 //! ## Equivalence with closed batches
 //!
-//! The streaming engine reuses the closed-batch engine's plan compiler,
-//! slot state machine and wave billing (`issue_shared_wave`), and
-//! assigns sketch nonces from the same submission-ordinal space. A
-//! streaming run whose admission points coincide with closed-batch
-//! boundaries — [`AdmissionPolicy::WhenIdle`], so each arrival group is
-//! admitted only once the previous group fully retired — is therefore
-//! **bit-identical** to the equivalent sequence of
-//! [`crate::engine::QueryEngine::run`] calls: same answers, same
-//! per-query [`crate::engine::QueryBits`], same cache counters, same per-node
-//! bit statistics (property-tested in `tests/streaming_equivalence.rs`).
-//! Wider admission windows only coarsen the grouping, merging waves and
-//! monotonically shrinking the total bill.
+//! A closed batch *is* this loop: [`crate::engine::QueryEngine`] holds a
+//! [`StreamingEngine`] admitting [`AdmissionPolicy::WhenIdle`] and
+//! [`crate::engine::QueryEngine::run`] steps it until idle, so the whole
+//! batch is one admission cohort — readers first, then each exclusive
+//! query alone. Any streaming run whose arrival groups are admitted only
+//! once the previous group fully retired therefore equals the sequence
+//! of closed batches over the same groups in every observable: answers,
+//! per-query [`crate::engine::QueryBits`], cache counters and per-node
+//! bit statistics (`tests/streaming_equivalence.rs` pins that a group
+//! submitted mid-flight under `WhenIdle` runs exactly as if submitted
+//! after the drain). Wider admission windows only coarsen the grouping,
+//! merging waves and monotonically shrinking the total bill.
 //!
 //! ## Bounded memory
 //!
@@ -79,8 +81,8 @@
 
 use crate::continuous::{RefreshReport, StandingId, STANDING_QUERY_ID_BASE};
 use crate::engine::{
-    compile_plan, fail_in_flight, issue_shared_wave, BatchPolicy, QueryId, QueryReport, QuerySlot,
-    QuerySpec, SlotState,
+    compile_plan, BatchPolicy, QueryId, QueryReport, QuerySlot, QuerySpec, SlotState,
+    NONCE_ORDINALS,
 };
 use crate::error::QueryError;
 use crate::net::AggregationNetwork;
@@ -93,8 +95,7 @@ use std::collections::VecDeque;
 /// Standing specs are vetted at registration to never draw sketch
 /// nonces ([`QuerySpec::draws_fresh_randomness`]), so sharing one
 /// ordinal across arbitrarily many refreshes is sound — and it keeps an
-/// unbounded refresh stream from exhausting the engine's 32768-query
-/// nonce space.
+/// unbounded refresh stream out of the submission ordinals.
 const STANDING_NONCE_ORDINAL: u32 = 0x7FFF;
 
 /// When pending submissions are admitted into the active wave set.
@@ -110,9 +111,8 @@ pub enum AdmissionPolicy {
     /// larger shared waves.
     Window(u32),
     /// Admit only when no query is active — every arrival group runs as
-    /// a closed batch, exactly reproducing a sequence of
-    /// [`crate::engine::QueryEngine::run`] calls (the bit-identity
-    /// anchor of `tests/streaming_equivalence.rs`).
+    /// a closed batch; [`crate::engine::QueryEngine`] is this policy
+    /// plus a drain.
     WhenIdle,
 }
 
@@ -191,12 +191,6 @@ impl StreamSlot {
     }
 }
 
-impl AsMut<QuerySlot> for StreamSlot {
-    fn as_mut(&mut self) -> &mut QuerySlot {
-        &mut self.slot
-    }
-}
-
 /// A long-running query service over a [`SimNetwork`]: queries are
 /// [`StreamingEngine::submit`]ted at any time, admitted into shared
 /// waves between rounds, and retired incrementally.
@@ -248,9 +242,9 @@ pub struct StreamingEngine {
     /// Per-node request-envelope bit budget gating admission (`None` =
     /// unbounded, bit-identical to the pre-budget engine).
     bit_budget: Option<u64>,
-    /// Engine-lifetime submission counter: the [`QueryId`] *and* the
-    /// sketch-nonce ordinal, shared with the batch engine's space.
-    submitted: u32,
+    /// Engine-lifetime submission counter: the next [`QueryId`] *and*
+    /// sketch-nonce ordinal.
+    submitted: usize,
     rounds: u64,
     waves: u64,
     wave_log: Option<Vec<Vec<QueryId>>>,
@@ -260,17 +254,7 @@ pub struct StreamingEngine {
     round_envelope_bits: u64,
     /// Slot count of that largest wave.
     round_envelope_slots: u64,
-    /// Bounded flight-recorder history of `(envelope_bits,
-    /// envelope_slots)` per executed round, most recent last — at most
-    /// [`ENVELOPE_HISTORY_CAP`] entries, so an unbounded round stream
-    /// never grows it (the same bounded-memory contract as the
-    /// transport state).
-    envelope_history: VecDeque<(u64, u64)>,
 }
-
-/// Rounds of per-round envelope history the streaming engine retains
-/// (see [`StreamingEngine::round_envelope_history`]).
-pub const ENVELOPE_HISTORY_CAP: usize = 256;
 
 /// One registered standing query (see
 /// [`crate::continuous::ContinuousEngine`]).
@@ -318,7 +302,6 @@ impl StreamingEngine {
             wave_log: None,
             round_envelope_bits: 0,
             round_envelope_slots: 0,
-            envelope_history: VecDeque::new(),
         }
     }
 
@@ -366,15 +349,6 @@ impl StreamingEngine {
         self.round_envelope_slots
     }
 
-    /// Per-round `(envelope_bits, envelope_slots)` history, oldest
-    /// first, bounded at [`ENVELOPE_HISTORY_CAP`] rounds (older rounds
-    /// are evicted) — the flight-recorder view behind
-    /// [`StreamingEngine::last_round_envelope_bits`], for load
-    /// dashboards that want the recent shape rather than one sample.
-    pub fn round_envelope_history(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.envelope_history.iter().copied()
-    }
-
     /// Queries admitted and executing.
     pub fn active_queries(&self) -> usize {
         self.active.len()
@@ -408,25 +382,30 @@ impl StreamingEngine {
     /// admission point. Returns the engine-lifetime [`QueryId`] its
     /// eventual [`StreamingReport`] carries. Invalid parameters surface
     /// as the query's outcome (the slot is born finished and retires at
-    /// its admission round), never as an engine failure.
+    /// its admission round), never as an engine failure — including a
+    /// randomized spec submitted after the sketch-nonce space ran out
+    /// (32768 submissions; nonce-free specs keep running past it).
     pub fn submit(&mut self, spec: QuerySpec) -> QueryId {
-        let compiled = compile_plan(&self.net, &spec);
-        // Same loud bound as the batch engine: the nonce space carries
-        // 15 bits of submission ordinal.
-        assert!(
-            self.submitted <= 0x7FFF,
-            "engine exhausted its 32768-query sketch-nonce space; build a fresh StreamingEngine"
-        );
-        let id = self.submitted as QueryId;
+        let id = self.submitted;
+        self.submitted += 1;
+        let compiled = if id >= NONCE_ORDINALS && spec.draws_fresh_randomness() {
+            Err(QueryError::InvalidParameter(
+                "engine exhausted its 32768-query sketch-nonce space; \
+                 submit randomized queries to a fresh engine",
+            ))
+        } else {
+            compile_plan(&self.net, &spec)
+        };
+        // Past the nonce space the ordinal is never drawn from.
+        let ordinal = (id % NONCE_ORDINALS) as u32;
         self.pending.push_back(StreamSlot {
-            slot: QuerySlot::new(id, self.submitted, spec, compiled),
+            slot: QuerySlot::new(id, ordinal, spec, compiled),
             staged: None,
             submitted_round: self.rounds,
             admitted_round: 0,
             deadline: None,
             standing: None,
         });
-        self.submitted = self.submitted.wrapping_add(1);
         id
     }
 
@@ -588,15 +567,70 @@ impl StreamingEngine {
         self.rounds += 1;
         self.round_envelope_bits = 0;
         self.round_envelope_slots = 0;
-
-        // 0. Standing refreshes due this round enter the active set
-        // directly — registered once, never queued — with their first op
-        // staged so they ride this very round's shared wave.
         self.spawn_due_standing(round);
+        self.admit(round);
+        if !self.shared_wave()? {
+            self.run_exclusive()?;
+        }
+        Ok(self.retire(round))
+    }
 
-        // 1. Admission. Newly admitted shareable plans advance to their
-        // first op immediately, so they participate in this very
-        // round's wave (exclusive plans wait for the exclusive phase).
+    /// Phase 0: spawns a refresh slot for every standing query due at
+    /// `round`. Refreshes enter the active set directly — registered
+    /// once, never queued — with their first op staged so they ride this
+    /// very round's shared wave.
+    fn spawn_due_standing(&mut self, round: u64) {
+        for id in 0..self.standing.len() {
+            let due = {
+                let e = &self.standing[id];
+                e.active
+                    && !e.in_flight
+                    && round >= e.registered_round
+                    && (round - e.registered_round).is_multiple_of(e.every.max(1))
+            };
+            if !due {
+                continue;
+            }
+            let spec = self.standing[id].spec.clone();
+            let compiled = compile_plan(&self.net, &spec);
+            let e = &mut self.standing[id];
+            let seq = e.seq;
+            e.seq += 1;
+            e.in_flight = true;
+            if self.net.telemetry_enabled() {
+                self.net.emit_event(&saq_obs::Event::RefreshScheduled {
+                    standing: id as u64,
+                    seq,
+                    round,
+                });
+            }
+            let mut s = StreamSlot {
+                // Ids in the standing range keep refresh waves
+                // distinguishable in wave logs without consuming the
+                // submission id space.
+                slot: QuerySlot::new(
+                    STANDING_QUERY_ID_BASE + id,
+                    STANDING_NONCE_ORDINAL,
+                    spec,
+                    compiled,
+                ),
+                staged: None,
+                submitted_round: round,
+                admitted_round: round,
+                deadline: None,
+                standing: Some((id, seq)),
+            };
+            s.restage(); // standing specs are vetted non-mutating
+            self.active.push(s);
+        }
+    }
+
+    /// Phase 1: moves the pending queries the admission window, their
+    /// deadlines and the bit budget let through into the active set.
+    /// Newly admitted shareable plans advance to their first op
+    /// immediately, so they participate in this very round's wave
+    /// (exclusive plans wait for the exclusive phase).
+    fn admit(&mut self, round: u64) {
         // Standing refresh slots do not count against idleness — they
         // are part of the service itself, and letting them block
         // `WhenIdle` would starve ad-hoc arrivals forever.
@@ -657,19 +691,21 @@ impl StreamingEngine {
             }
             self.pending = kept;
         }
+    }
 
-        // 2. One shared wave over every staged shareable op, then
-        // advance the participants so finished queries retire *this*
-        // round (a single-wave query has latency 1, not 2).
-        //
+    /// Phase 2: one shared wave over every staged shareable op (one wave
+    /// per op under [`BatchPolicy::Sequential`]), then advances the
+    /// participants so finished queries retire *this* round (a
+    /// single-wave query has latency 1, not 2). Returns whether any op
+    /// was staged; on a wave failure every active query is killed.
+    fn shared_wave(&mut self) -> Result<bool, QueryError> {
         // Anti-starvation gate: a waiting exclusive query yields to the
         // readers of its own admission cohort (the closed-batch
         // "readers first" rule), but NOT to readers admitted after it —
         // those hold their staged ops until the exclusive query has
         // run, or a continuous reader stream would defer it forever.
         // Under idle-aligned admission every active query shares one
-        // admission round, so the gate never excludes anyone and the
-        // bit-identity with closed batches is untouched.
+        // admission round, so the gate never excludes anyone.
         let gate = self
             .active
             .iter()
@@ -685,60 +721,74 @@ impl StreamingEngine {
                 round_ops.push((i, req));
             }
         }
-        if !round_ops.is_empty() {
-            let wave_result = match self.policy {
-                BatchPolicy::Batched => self.issue_wave(&round_ops),
-                BatchPolicy::Sequential => round_ops
-                    .iter()
-                    .try_for_each(|entry| self.issue_wave(std::slice::from_ref(entry))),
-            };
-            if let Err(e) = wave_result {
-                self.fail_active(&e);
-                return Err(e);
-            }
-            for (i, _) in &round_ops {
-                self.active[*i].restage();
-            }
-        } else if let Some(i) = self
+        if round_ops.is_empty() {
+            return Ok(false);
+        }
+        let wave_result = match self.policy {
+            BatchPolicy::Batched => self.issue_shared_wave(&round_ops),
+            BatchPolicy::Sequential => round_ops
+                .iter()
+                .try_for_each(|entry| self.issue_shared_wave(std::slice::from_ref(entry))),
+        };
+        if let Err(e) = wave_result {
+            self.fail_in_flight(&e);
+            return Err(e);
+        }
+        for (i, _) in &round_ops {
+            self.active[*i].restage();
+        }
+        Ok(true)
+    }
+
+    /// Phase 3, for a round in which no reader had an op staged: the
+    /// oldest admitted exclusive (item-mutating) query, if any, runs to
+    /// completion, alone, with items restored afterwards — admissions
+    /// arriving meanwhile wait, because its zoom stages own the global
+    /// item state until it restores them.
+    fn run_exclusive(&mut self) -> Result<(), QueryError> {
+        let Some(i) = self
             .active
             .iter()
             .position(|s| s.slot.plan.mutates_items() && !s.slot.is_done())
-        {
-            // 3. No reader has a pending op: the oldest exclusive
-            // (item-mutating) query runs to completion, alone, exactly
-            // as in the batch engine's phase 2 — admissions arriving
-            // meanwhile wait, because its zoom stages own the global
-            // item state until it restores them.
-            while let Some(req) = self.active[i].slot.advance() {
-                if let Err(e) = self.issue_wave(&[(i, req)]) {
-                    self.fail_active(&e);
-                    // Never hand back mutilated item state.
-                    self.net.restore_items();
-                    return Err(e);
-                }
+        else {
+            return Ok(());
+        };
+        while let Some(req) = self.active[i].slot.advance() {
+            if let Err(e) = self.issue_shared_wave(&[(i, req)]) {
+                self.fail_in_flight(&e);
+                // Never hand back mutilated item state.
+                self.net.restore_items();
+                return Err(e);
             }
-            self.net.restore_items();
         }
+        self.net.restore_items();
+        Ok(())
+    }
 
-        // 4. Retirement. Standing refreshes retire into the refresh
-        // stream; everything else returns to the caller.
-        let traced = self.net.telemetry_enabled();
+    /// Phase 4: every finished query leaves the active set. Standing
+    /// refreshes retire into the refresh stream; everything else is
+    /// returned to the caller, in submission order.
+    fn retire(&mut self, round: u64) -> Vec<StreamingReport> {
         let mut retired = Vec::new();
         let mut i = 0;
         while i < self.active.len() {
-            if self.active[i].slot.is_done() {
-                let s = self.active.remove(i);
-                if let Some((standing, seq)) = s.standing {
+            if !self.active[i].slot.is_done() {
+                i += 1;
+                continue;
+            }
+            let s = self.active.remove(i);
+            let report = s.slot.into_report();
+            if self.net.telemetry_enabled() {
+                self.net.emit_event(&saq_obs::Event::SlotRetired {
+                    query: report.id as u64,
+                    bits: report.bits.total(),
+                });
+                self.net
+                    .record_latency_rounds(round - s.submitted_round + 1);
+            }
+            match s.standing {
+                Some((standing, seq)) => {
                     self.standing[standing].in_flight = false;
-                    let report = s.slot.into_report();
-                    if traced {
-                        self.net.emit_event(&saq_obs::Event::SlotRetired {
-                            query: report.id as u64,
-                            bits: report.bits.total(),
-                        });
-                        self.net
-                            .record_latency_rounds(round - s.submitted_round + 1);
-                    }
                     self.refreshes.push(RefreshReport {
                         standing,
                         seq,
@@ -748,80 +798,16 @@ impl StreamingEngine {
                         due_round: s.submitted_round,
                         finished_round: round,
                     });
-                } else {
-                    let report = s.slot.into_report();
-                    if traced {
-                        self.net.emit_event(&saq_obs::Event::SlotRetired {
-                            query: report.id as u64,
-                            bits: report.bits.total(),
-                        });
-                        self.net
-                            .record_latency_rounds(round - s.submitted_round + 1);
-                    }
-                    retired.push(StreamingReport {
-                        submitted_round: s.submitted_round,
-                        admitted_round: s.admitted_round,
-                        retired_round: round,
-                        report,
-                    });
                 }
-            } else {
-                i += 1;
+                None => retired.push(StreamingReport {
+                    submitted_round: s.submitted_round,
+                    admitted_round: s.admitted_round,
+                    retired_round: round,
+                    report,
+                }),
             }
         }
-        self.envelope_history
-            .push_back((self.round_envelope_bits, self.round_envelope_slots));
-        if self.envelope_history.len() > ENVELOPE_HISTORY_CAP {
-            self.envelope_history.pop_front();
-        }
-        Ok(retired)
-    }
-
-    /// Spawns a refresh slot for every standing query due at `round`.
-    fn spawn_due_standing(&mut self, round: u64) {
-        for id in 0..self.standing.len() {
-            let due = {
-                let e = &self.standing[id];
-                e.active
-                    && !e.in_flight
-                    && round >= e.registered_round
-                    && (round - e.registered_round).is_multiple_of(e.every.max(1))
-            };
-            if !due {
-                continue;
-            }
-            let spec = self.standing[id].spec.clone();
-            let compiled = compile_plan(&self.net, &spec);
-            let e = &mut self.standing[id];
-            let seq = e.seq;
-            e.seq += 1;
-            e.in_flight = true;
-            if self.net.telemetry_enabled() {
-                self.net.emit_event(&saq_obs::Event::RefreshScheduled {
-                    standing: id as u64,
-                    seq,
-                    round,
-                });
-            }
-            let mut s = StreamSlot {
-                // Ids in the standing range keep refresh waves
-                // distinguishable in wave logs without consuming the
-                // submission id space.
-                slot: QuerySlot::new(
-                    STANDING_QUERY_ID_BASE + id,
-                    STANDING_NONCE_ORDINAL,
-                    spec,
-                    compiled,
-                ),
-                staged: None,
-                submitted_round: round,
-                admitted_round: round,
-                deadline: None,
-                standing: Some((id, seq)),
-            };
-            s.restage(); // standing specs are vetted non-mutating
-            self.active.push(s);
-        }
+        retired
     }
 
     /// Bits of the multiplexed **request envelope** the next shared wave
@@ -866,7 +852,11 @@ impl StreamingEngine {
         Ok(all)
     }
 
-    fn issue_wave(&mut self, round_ops: &[(usize, CoreRequest)]) -> Result<(), QueryError> {
+    /// Issues one shared multiplexed wave answering every `(active index,
+    /// request)` of `round_ops` and distributes results and bit charges
+    /// back to the issuing slots — the one place per-query billing
+    /// happens.
+    fn issue_shared_wave(&mut self, round_ops: &[(usize, CoreRequest)]) -> Result<(), QueryError> {
         self.waves += 1;
         // Track the round's peak per-node request envelope (the
         // observable the fleet layer's stagger test pins): sub-request
@@ -880,25 +870,59 @@ impl StreamingEngine {
             self.round_envelope_bits = envelope;
             self.round_envelope_slots = round_ops.len() as u64;
         }
-        issue_shared_wave(
-            &mut self.net,
-            &mut self.active,
-            round_ops,
-            &mut self.wave_log,
-        )
+        if let Some(log) = &mut self.wave_log {
+            log.push(
+                round_ops
+                    .iter()
+                    .map(|(i, _)| self.active[*i].slot.id)
+                    .collect(),
+            );
+        }
+        if self.net.telemetry_enabled() {
+            for (pos, (i, _)) in round_ops.iter().enumerate() {
+                self.net.emit_event(&saq_obs::Event::SlotAdmitted {
+                    query: self.active[*i].slot.id as u64,
+                    slot: pos as u64,
+                });
+            }
+        }
+        let reqs: Vec<CoreRequest> = round_ops.iter().map(|(_, r)| r.clone()).collect();
+        let out = self.net.run_batch(reqs)?;
+        debug_assert_eq!(out.partials.len(), round_ops.len());
+        // Unattributable framing: one wave header per message *actually
+        // transmitted*, at the header width of this wave's varint ordinal.
+        // Under lossless links without caching that is one request and one
+        // partial per spanning-tree edge; with subtree partial caching,
+        // silenced subtrees (down to a fully cached, zero-message wave)
+        // shrink the bill accordingly.
+        let share = (out.header_bits + out.envelope_bits) / round_ops.len() as u64;
+        for ((i, req), (partial, bits)) in round_ops
+            .iter()
+            .zip(out.partials.into_iter().zip(out.slot_bits))
+        {
+            let slot = &mut self.active[*i].slot;
+            slot.bits.request_bits += bits.request_bits;
+            slot.bits.partial_bits += bits.partial_bits;
+            slot.bits.shared_overhead_bits += share;
+            slot.waves += 1;
+            slot.state = SlotState::Ready(self.net.finalize_partial(req, partial));
+        }
+        Ok(())
     }
 
-    fn fail_active(&mut self, e: &QueryError) {
-        fail_in_flight(&mut self.active, e);
-        // Done is terminal: a slot the failure just killed must not keep
-        // an un-issued staged request (a *gated* reader holds one while
-        // sitting in the mid-wave placeholder state), or the next round
-        // would issue it and overwrite the recorded failure with a live
-        // wave result.
+    /// Marks every active query still in flight as failed with `e` —
+    /// called when a wave-level network failure aborts a round, so no
+    /// slot is left in a mid-wave placeholder state. Done is terminal:
+    /// a killed slot also drops any un-issued staged request (a *gated*
+    /// reader holds one while sitting in the placeholder state), or the
+    /// next round would issue it and overwrite the recorded failure with
+    /// a live wave result.
+    fn fail_in_flight(&mut self, e: &QueryError) {
         for s in &mut self.active {
-            if s.slot.is_done() {
-                s.staged = None;
+            if !s.slot.is_done() {
+                s.slot.state = SlotState::Done(Err(e.clone()));
             }
+            s.staged = None;
         }
     }
 }
@@ -1370,6 +1394,29 @@ mod tests {
             Err(QueryError::InvalidParameter(_))
         ));
         assert_eq!(by_id(good).report.outcome, Ok(QueryOutcome::Num(9)));
+    }
+
+    #[test]
+    fn service_outlives_the_sketch_nonce_space() {
+        // Past 32768 submissions the loop keeps serving: nonce-free specs
+        // answer, randomized ones retire with a typed error instead of
+        // aborting the process or reusing an earlier query's nonces.
+        let mut engine = StreamingEngine::new(grid_net(3, 14));
+        engine.submitted = 0x8000;
+        let count = engine.submit(QuerySpec::Count(Predicate::TRUE));
+        let apx = engine.submit(QuerySpec::ApxCount {
+            pred: Predicate::TRUE,
+            reps: 2,
+        });
+        assert_eq!(count, 0x8000);
+        let reports = engine.run_until_idle().unwrap();
+        let by_id = |id: QueryId| reports.iter().find(|r| r.report.id == id).unwrap();
+        assert_eq!(by_id(count).report.outcome, Ok(QueryOutcome::Num(9)));
+        assert!(matches!(
+            by_id(apx).report.outcome,
+            Err(QueryError::InvalidParameter(_))
+        ));
+        assert_eq!(engine.waves_issued(), 1, "only the count flew");
     }
 
     #[test]

@@ -1,11 +1,14 @@
-//! Property tests for the streaming engine (ISSUE-4): a streaming run
-//! whose admission points coincide with closed-batch boundaries is
-//! **bit-identical** to the equivalent sequence of closed-batch
-//! [`QueryEngine::run`] calls (answers, per-query `QueryBits`, wave
-//! counts, cache hit/miss counters, per-node bit statistics); total
-//! bits are **monotone non-increasing** as the admission window widens
-//! (coarser partitions merge waves and share more framing); and
-//! arbitrary mid-flight admission schedules never change any answer.
+//! Property tests for the engine loop. A closed batch is the loop
+//! admitting `WhenIdle` plus a drain, so the first two properties pin
+//! that **mid-flight submission under `WhenIdle` equals submitting after
+//! the drain**: groups submitted while their predecessor is still in
+//! flight run bit-identically to the same groups fed one
+//! [`QueryEngine::run`] at a time (answers, per-query `QueryBits`, wave
+//! counts, cache hit/miss counters, per-node bit statistics), lossless
+//! and lossy. Total bits are **monotone non-increasing** as the
+//! admission window widens (coarser partitions merge waves and share
+//! more framing), and arbitrary mid-flight admission schedules never
+//! change any answer.
 
 use proptest::prelude::*;
 use saq::core::engine::{BatchPolicy, QueryEngine, QueryReport, QuerySpec};
