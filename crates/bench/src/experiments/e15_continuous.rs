@@ -2,7 +2,7 @@
 //!
 //! A standing query re-asked every `k` rounds should not pay a fresh
 //! convergecast when almost nothing changed — the whole point of the
-//! continuous subsystem ([`ContinuousEngine`]). This experiment
+//! standing queries of [`FleetService`]. This experiment
 //! registers a standing query mix, drives deterministic sensor-update
 //! schedules at a swept **update rate** (fraction of nodes whose item
 //! changes per refresh period), and reports the mean **bits per refresh
@@ -25,9 +25,9 @@
 
 use crate::table::{banner, f3, Table};
 use crate::Scale;
-use saq_core::continuous::ContinuousEngine;
 use saq_core::engine::{QueryEngine, QueryOutcome, QuerySpec};
 use saq_core::predicate::{Domain, Predicate};
+use saq_core::service::{FleetService, RefreshStagger};
 use saq_core::simnet::{SimNetwork, SimNetworkBuilder};
 use saq_netsim::topology::Topology;
 
@@ -137,7 +137,7 @@ struct SweepOutcome {
 }
 
 fn run_sweep(rate_percent: u32, period: u64, cycles: u64) -> SweepOutcome {
-    let mut engine = ContinuousEngine::new(deployment(64));
+    let mut engine = FleetService::with_stagger(deployment(64), RefreshStagger::None);
     for spec in standing_mix() {
         engine.register(spec, period).expect("register");
     }
@@ -160,12 +160,12 @@ fn run_sweep(rate_percent: u32, period: u64, cycles: u64) -> SweepOutcome {
         let out = engine.run_rounds(period).expect("refresh rounds");
         let mix_len = standing_mix().len();
         assert_eq!(out.refreshes.len(), mix_len, "one refresh per standing");
-        let cycle_bits: u64 = out.refreshes.iter().map(|r| r.bits.total()).sum();
+        let cycle_bits: u64 = out.refreshes.iter().map(|r| r.slot_bits.total()).sum();
         let mut sorted = items.clone();
         sorted.sort_unstable();
         for r in &out.refreshes {
             match &r.outcome {
-                Ok(QueryOutcome::Num(n)) if r.standing == 0 => {
+                Ok(QueryOutcome::Num(n)) if r.slot == 0 => {
                     // The standing COUNT is exact: any drift means a
                     // stale cache served the refresh.
                     answers_exact &= *n == N as u64;

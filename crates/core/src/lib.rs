@@ -40,7 +40,6 @@
 pub mod aggregate;
 pub mod apx_median;
 pub mod apx_median2;
-pub mod continuous;
 pub mod count_distinct;
 pub mod counting;
 pub mod engine;
@@ -61,7 +60,6 @@ pub use aggregate::{
 };
 pub use apx_median::{ApxMedian, ApxMedianOutcome};
 pub use apx_median2::{ApxMedian2, ApxMedian2Outcome};
-pub use continuous::{ContinuousEngine, ContinuousRound, RefreshReport, StandingId};
 pub use count_distinct::CountDistinct;
 pub use counting::ApxCountConfig;
 pub use engine::{BatchPolicy, QueryEngine, QueryOutcome, QueryReport, QuerySpec};

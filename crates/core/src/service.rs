@@ -1,60 +1,93 @@
-//! The fleet layer: a front-end service that serves many standing-query
-//! subscribers from few shared refresh slots.
+//! The fleet layer: standing queries, served to many subscribers from
+//! few shared refresh slots.
 //!
-//! The continuous subsystem ([`crate::continuous::ContinuousEngine`])
-//! bills every registered standing query its own refresh slot — so 10⁵
-//! users all watching "median temperature every 5 rounds" would pay 10⁵
-//! times for one delta-maintained subtree partial. [`FleetService`]
-//! closes that gap with the classic serving-layer split: **the network
-//! maintains one summary per distinct query; the fan-out to readers
-//! happens at the service edge, off the network.**
+//! A monitoring deployment asks the *same* aggregate over and over — "the
+//! median temperature, every few rounds, forever" — and usually many
+//! users ask it. [`FleetService`] is the one table of standing queries:
+//! each distinct `(spec, period)` is one slot that owns its schedule,
+//! its refresh ordinal and its subscribers, and
+//! a user's standing query is a subscription to a slot. A single
+//! registration is simply a slot with fan-out 1.
 //!
-//! Three mechanisms, composed:
+//! Each [`FleetService::step`] runs three steps over the owned
+//! [`StreamingEngine`]:
+//!
+//! 1. every slot that is due this round, has subscribers and has no
+//!    refresh in flight hands the loop one pre-admitted refresh slot
+//!    (slot order);
+//! 2. the loop runs its round — the refreshes ride the ordinary shared
+//!    wave beside ad-hoc [`FleetService::submit`] traffic;
+//! 3. finished refreshes are drained from the loop and fanned out to
+//!    each slot's subscribers as [`FleetRefresh`] copies.
+//!
+//! ## Why a refresh is (nearly) free
+//!
+//! The wave layer's subtree partial caches
+//! (`saq_protocols::cache::PartialCache`) already make an *unchanged*
+//! repeat cost zero bits. [`FleetService::update_items`] extends that
+//! across **item updates**: it routes each sensor update through
+//! [`PartialAggregate::apply_delta`](crate::aggregate::PartialAggregate::apply_delta)
+//! at the mutated node and every ancestor, so
+//!
+//! * cached COUNT/SUM/MIN/MAX and bottom-k partials absorb the update
+//!   **exactly** and keep serving refreshes for zero payload bits;
+//! * cached GK quantile summaries absorb pure insertions by
+//!   re-contributing an exact sub-summary (zero added rank error —
+//!   pruning is deferred to the next upward merge, and growth is
+//!   slack-bounded, so the certificate can never drift past its
+//!   provisioned ε·N; see [`crate::aggregate::DeltaSupport::Certified`]),
+//!   while value changes invalidate **only the affected entries along
+//!   the mutated path**, so the next refresh repairs them with a
+//!   *dirty-path* wave: reduced envelopes travel only where subtree
+//!   partials actually changed, and every clean subtree answers from
+//!   cache without a single message below it;
+//! * aggregates that cannot delta (collect, exact-distinct) fall back to
+//!   a loud per-entry invalidation.
+//!
+//! ## Sharing one refresh among many readers
 //!
 //! * **Spec-level dedup** — registrations with identical `(spec,
-//!   every_k_rounds)` coalesce into one shared wave slot, keyed by the
-//!   *canonical encoding* of the pair (the same idea as the subtree
-//!   partial cache's encoded-sub-request keys: equality of meaning is
-//!   equality of wire bits). Each completed [`crate::continuous::RefreshReport`] is fanned
-//!   out to every subscriber as a [`FleetRefresh`]; the shared slot's
-//!   [`QueryBits`] bill is attributed **once** in the fleet counters
-//!   (`slot_refresh_bits`), not per subscriber — every fan-out copy
-//!   carries the same `slot_bits` so readers can see what their answer
-//!   cost the network, and `FleetStats::bits_per_query` divides that
-//!   one bill by the queries actually served.
+//!   every_k_rounds)` coalesce into one slot, keyed by the *canonical
+//!   encoding* of the pair (the same idea as the subtree partial
+//!   cache's encoded-sub-request keys: equality of meaning is equality
+//!   of wire bits). The slot's [`QueryBits`] bill is attributed
+//!   **once** in the fleet counters (`slot_refresh_bits`), not per
+//!   subscriber — every fan-out copy carries the same `slot_bits` so
+//!   readers can see what their answer cost the network, and
+//!   `FleetStats::bits_per_query` divides that one bill by the queries
+//!   actually served.
 //! * **Phase-staggered refresh scheduling** — each *distinct* slot of
-//!   period `p` is anchored at a deterministic phase offset in `0..p`
-//!   (round-robin per period, [`RefreshStagger::Spread`]), so a cohort
-//!   of same-period slots refreshes `⌈slots/p⌉` at a time instead of
-//!   spiking together. The schedule is a pure function of (slot
-//!   creation order, period) — no clocks, no randomness — so boxed
-//!   and flat runs stay bit-identical, and a released slot *remembers*
-//!   its phase: re-registration re-joins the same schedule.
-//! * **Refcounted slot lifecycle** — the last deregistration releases
-//!   the underlying standing query (an in-flight refresh still
-//!   completes; its report, having no subscribers left, is dropped);
-//!   a later registration of the same `(spec, period)` re-anchors the
-//!   slot at its remembered phase, and if the cached subtree partials
-//!   are still clean the first refresh after the re-join moves zero
-//!   bits — no cold wave, because the slot's sub-requests (and hence
-//!   its cache keys) are byte-identical to the released incarnation's.
+//!   period `p` gets a deterministic phase in `0..p` (round-robin per
+//!   period, [`RefreshStagger::Spread`]), so a cohort of same-period
+//!   slots refreshes `⌈slots/p⌉` at a time instead of spiking together.
+//!   The schedule is a pure function of (slot creation order, period) —
+//!   no clocks, no randomness — so boxed and flat runs stay
+//!   bit-identical.
+//! * **Refcounted slot lifecycle** — a slot is released exactly when its
+//!   last subscriber leaves, and it stays in the table with its phase
+//!   and refresh ordinal. A refresh in flight at the release still
+//!   completes; it is served to whoever subscribes by the time it
+//!   finishes, and counted as an orphan if nobody does. A later
+//!   registration of the same `(spec, period)` re-joins the slot on its
+//!   old schedule, never doubling a refresh that is still in flight, and
+//!   if the cached subtree partials are still clean the first refresh
+//!   after the re-join moves zero bits.
 //!
-//! The `tests/fleet_equivalence.rs` suite pins the contract: `k`
-//! deduped registrations are bit-identical to a single registration in
-//! answers, per-refresh wave bills, cache counters and per-node bits,
-//! across boxed and flat execution; random register/deregister
-//! churn never perturbs surviving subscribers; and the staggered
-//! envelope stays under the smoothed bound while the unstaggered spike
-//! is measured strictly worse. Experiment E20 sweeps registrations
+//! `tests/continuous_equivalence.rs` proves every standing answer ≡ a
+//! fresh convergecast's answer across arbitrary update/refresh
+//! interleavings (certified-ε for quantiles), flat workers included;
+//! `tests/fleet_equivalence.rs` pins that `k` deduped registrations are
+//! bit-identical to one, that churn never perturbs survivors, and that
+//! the staggered envelope beats the unstaggered spike. Experiment E15
+//! sweeps update rate × refresh period; E20 sweeps registrations
 //! 10² → 10⁵ and charts bits/query falling as ~1/fan-out.
 
-use crate::continuous::{ContinuousEngine, StandingId};
-use crate::engine::{QueryBits, QueryId, QueryOutcome, QuerySpec};
+use crate::engine::{compile_plan, QueryBits, QueryId, QueryOutcome, QuerySpec};
 use crate::error::QueryError;
 use crate::model::Value;
 use crate::predicate::{Domain, Predicate, Test};
 use crate::simnet::SimNetwork;
-use crate::streaming::StreamingReport;
+use crate::streaming::{StreamingEngine, StreamingReport, STANDING_QUERY_ID_BASE};
 use saq_netsim::wire::{BitString, BitWriter};
 use std::collections::HashMap;
 
@@ -83,28 +116,32 @@ pub enum RefreshStagger {
     Spread,
 }
 
-/// One subscriber's view of a completed shared-slot refresh: the
-/// service-edge fan-out copy of a [`crate::continuous::RefreshReport`].
+/// One subscriber's copy of a completed slot refresh.
 #[derive(Debug, Clone)]
 pub struct FleetRefresh {
     /// The subscriber this copy is addressed to.
     pub subscriber: SubscriberId,
     /// The shared slot that refreshed.
     pub slot: FleetSlotId,
-    /// Slot-level refresh ordinal (subscribers joining late still see
-    /// the slot's own numbering).
+    /// The slot's own refresh ordinal: 0 for its first refresh, counted
+    /// across release and re-join, so a late or re-joining subscriber
+    /// sees the slot's numbering, never a restart.
     pub seq: u64,
-    /// The refreshed answer — identical for every subscriber of the
-    /// slot, by construction.
+    /// The refreshed answer — by construction equal to what a fresh
+    /// convergecast over the current items would answer (certified-ε
+    /// equivalent for quantiles), and identical for every subscriber of
+    /// the slot.
     pub outcome: Result<QueryOutcome, QueryError>,
     /// The **shared slot's** bill for this refresh — what the network
-    /// moved, once, regardless of how many subscribers it served. Fleet
-    /// totals attribute it once; it is repeated on each fan-out copy
-    /// only so a reader can see its query's network cost.
+    /// moved, once, regardless of how many subscribers it served: zero
+    /// request/partial bits when every subtree partial was served
+    /// delta-maintained from cache. Fleet totals attribute it once; it
+    /// is repeated on each fan-out copy only so a reader can see its
+    /// query's network cost.
     pub slot_bits: QueryBits,
     /// Subscribers this refresh was fanned out to (including this one).
     pub fan_out: u32,
-    /// Round the refresh fell due.
+    /// Round the refresh fell due (and was staged).
     pub due_round: u64,
     /// Round the refresh completed.
     pub finished_round: u64,
@@ -142,8 +179,8 @@ pub struct FleetStats {
     pub coalesced: u64,
     /// Currently active subscribers.
     pub subscribers: u64,
-    /// Currently live shared slots (slots whose standing query is
-    /// registered in the engine; released slots are excluded).
+    /// Currently live shared slots (slots with at least one subscriber;
+    /// released slots are excluded).
     pub distinct_slots: u64,
     /// Shared-slot refreshes completed (network-side work units).
     pub slot_refreshes: u64,
@@ -200,22 +237,35 @@ impl FleetStats {
     }
 }
 
-/// One shared refresh slot: a distinct `(spec, period)` and everyone
-/// subscribed to it. Slots are never removed — a fully released slot
-/// stays as a tombstone remembering its phase, so a re-registration
-/// re-joins the exact schedule (and hence the exact cache keys) the
-/// released incarnation had.
+/// One standing query: a distinct `(spec, period)`, its schedule and
+/// everyone subscribed to it — the only record of it anywhere. Slots are
+/// never removed: a released slot keeps its phase and ordinal, so a
+/// re-registration re-joins the exact schedule (and hence the exact
+/// cache keys) the released incarnation had.
 struct FleetSlot {
     spec: QuerySpec,
+    /// Refresh period in rounds (`>= 1`).
     every: u64,
-    /// The assigned refresh phase in `0..every` — fixed at slot
-    /// creation, reused across release/re-join cycles.
+    /// The refresh phase in `0..every`, fixed at slot creation.
     phase: u64,
-    /// The engine-level standing query currently backing this slot;
-    /// `None` while released.
-    standing: Option<StandingId>,
-    /// Active subscribers, ascending (registration order).
+    /// The next refresh ordinal; kept across release and re-join.
+    seq: u64,
+    /// Whether a refresh of this slot is in the loop's active set. A due
+    /// tick that finds one in flight is skipped rather than queued — a
+    /// standing query never piles up behind itself.
+    in_flight: bool,
+    /// Active subscribers, ascending (registration order). The slot is
+    /// released exactly while this is empty.
     subscribers: Vec<SubscriberId>,
+}
+
+impl FleetSlot {
+    fn due(&self, round: u64) -> bool {
+        !self.subscribers.is_empty()
+            && !self.in_flight
+            && round >= self.phase
+            && (round - self.phase).is_multiple_of(self.every)
+    }
 }
 
 struct SubscriberEntry {
@@ -227,7 +277,7 @@ struct SubscriberEntry {
 /// [`register`](FleetService::register) /
 /// [`submit`](FleetService::submit) /
 /// [`deregister`](FleetService::deregister) traffic over a
-/// [`ContinuousEngine`], deduplicating identical `(spec, period)`
+/// [`StreamingEngine`], deduplicating identical `(spec, period)`
 /// registrations into shared refresh slots and fanning each refresh
 /// out at the service edge (see the [module docs](self)).
 ///
@@ -280,10 +330,9 @@ struct SubscriberEntry {
 /// # }
 /// ```
 pub struct FleetService {
-    inner: ContinuousEngine,
+    inner: StreamingEngine,
     slots: Vec<FleetSlot>,
     by_key: HashMap<BitString, FleetSlotId>,
-    by_standing: HashMap<StandingId, FleetSlotId>,
     subscribers: Vec<SubscriberEntry>,
     /// Per-period slot-creation counters driving
     /// [`RefreshStagger::Spread`].
@@ -294,28 +343,20 @@ pub struct FleetService {
 
 impl FleetService {
     /// A fleet service over `net` with the default staggered scheduler
-    /// and the continuous engine's default policies.
+    /// and the service loop's default policies.
     pub fn new(net: SimNetwork) -> Self {
         Self::with_stagger(net, RefreshStagger::default())
     }
 
     /// A fleet service with an explicit stagger policy
     /// ([`RefreshStagger::None`] reproduces the naive spiking schedule
-    /// — useful as a measured baseline).
+    /// — useful as a measured baseline — and phases every slot to the
+    /// round it was registered in when all register at round 0).
     pub fn with_stagger(net: SimNetwork, stagger: RefreshStagger) -> Self {
-        Self::from_engine(ContinuousEngine::new(net), stagger)
-    }
-
-    /// A fleet service over an explicitly configured engine (e.g. a
-    /// custom [`crate::engine::BatchPolicy`] or
-    /// [`crate::streaming::AdmissionPolicy`] for the ad-hoc side, via
-    /// [`ContinuousEngine::with_policy`]).
-    pub fn from_engine(engine: ContinuousEngine, stagger: RefreshStagger) -> Self {
         FleetService {
-            inner: engine,
+            inner: StreamingEngine::new(net),
             slots: Vec::new(),
             by_key: HashMap::new(),
-            by_standing: HashMap::new(),
             subscribers: Vec::new(),
             phase_counters: HashMap::new(),
             stagger,
@@ -327,15 +368,19 @@ impl FleetService {
     /// pairs — by canonical encoding, not pointer or string identity —
     /// coalesce into one shared wave slot: the network refreshes the
     /// query once per due round no matter how many subscribers watch
-    /// it. A pair whose slot was fully released re-joins it at its
-    /// remembered phase, without a cold wave if the cached partials
-    /// are still clean.
+    /// it. A pair whose slot was fully released re-joins it on its old
+    /// schedule, without a cold wave if the cached partials are still
+    /// clean.
     ///
     /// # Errors
     ///
-    /// As [`ContinuousEngine::register`]: zero periods, item-mutating
-    /// or fresh-randomness specs, and compile failures are rejected
-    /// here, before anything is recorded.
+    /// [`QueryError::InvalidParameter`] for a zero period, an
+    /// item-mutating spec (`APX_MEDIAN2` needs exclusive item state per
+    /// run), a spec that draws fresh sketch randomness per invocation
+    /// ([`QuerySpec::draws_fresh_randomness`] — such sub-requests never
+    /// repeat, so they are not delta-maintainable), or a spec that fails
+    /// to compile (e.g. `BottomK { k: 0 }`). A rejected registration
+    /// records nothing: no subscriber id, no slot, no phase.
     pub fn register(
         &mut self,
         spec: QuerySpec,
@@ -345,41 +390,26 @@ impl FleetService {
         let sub = self.subscribers.len();
         let slot_id = match self.by_key.get(&key).copied() {
             Some(slot_id) => {
-                if self.slots[slot_id].standing.is_none() {
-                    // Re-join a released slot: re-anchor the standing
-                    // query at the remembered phase, so the schedule —
-                    // and with it every sub-request and cache key — is
-                    // exactly the released incarnation's.
-                    let phase = self.slots[slot_id].phase;
-                    let standing = self.inner.register_at(spec, every_k_rounds, phase)?;
-                    self.slots[slot_id].standing = Some(standing);
-                    self.by_standing.insert(standing, slot_id);
-                }
                 self.stats.coalesced += 1;
-                self.slots[slot_id].subscribers.push(sub);
                 slot_id
             }
             None => {
-                let phase = self.peek_phase(every_k_rounds);
-                let standing = self
-                    .inner
-                    .register_at(spec.clone(), every_k_rounds, phase)?;
-                // Only a successful registration consumes a phase — a
-                // rejected spec must leave the schedule untouched.
-                self.commit_phase(every_k_rounds);
+                vet_standing(self.inner.network(), &spec, every_k_rounds)?;
+                let phase = self.next_phase(every_k_rounds);
                 let slot_id = self.slots.len();
                 self.slots.push(FleetSlot {
                     spec,
                     every: every_k_rounds,
                     phase,
-                    standing: Some(standing),
-                    subscribers: vec![sub],
+                    seq: 0,
+                    in_flight: false,
+                    subscribers: Vec::new(),
                 });
                 self.by_key.insert(key, slot_id);
-                self.by_standing.insert(standing, slot_id);
                 slot_id
             }
         };
+        self.slots[slot_id].subscribers.push(sub);
         self.subscribers.push(SubscriberEntry {
             slot: slot_id,
             active: true,
@@ -389,11 +419,11 @@ impl FleetService {
     }
 
     /// Deregisters a subscriber. The **last** deregistration of a slot
-    /// releases the underlying standing query — an in-flight refresh
-    /// still completes, but with nobody left to serve its report is
-    /// dropped (the bits it moved stay counted in
-    /// [`FleetStats::slot_refresh_bits`]). Returns `false` for unknown
-    /// or already-deregistered ids.
+    /// releases it: no further refresh is spawned, and one still in
+    /// flight completes and is served to whoever subscribes by then —
+    /// with nobody left, its report is dropped (the bits it moved stay
+    /// counted in [`FleetStats::slot_refresh_bits`]). Returns `false`
+    /// for unknown or already-deregistered ids.
     pub fn deregister(&mut self, sub: SubscriberId) -> bool {
         let slot_id = match self.subscribers.get_mut(sub) {
             Some(e) if e.active => {
@@ -402,16 +432,7 @@ impl FleetService {
             }
             _ => return false,
         };
-        let slot = &mut self.slots[slot_id];
-        slot.subscribers.retain(|&s| s != sub);
-        if slot.subscribers.is_empty() {
-            if let Some(standing) = slot.standing.take() {
-                // Release the engine slot; `by_standing` keeps the
-                // mapping so a still-in-flight refresh can find (and
-                // orphan against) this slot when it retires.
-                self.inner.deregister(standing);
-            }
-        }
+        self.slots[slot_id].subscribers.retain(|&s| s != sub);
         self.stats.deregistrations += 1;
         true
     }
@@ -420,12 +441,6 @@ impl FleetService {
     /// never-issued ids.
     pub fn slot_of(&self, sub: SubscriberId) -> Option<FleetSlotId> {
         self.subscribers.get(sub).map(|e| e.slot)
-    }
-
-    /// The distinct `(spec, period)` a slot serves; `None` for
-    /// never-created slot ids.
-    pub fn slot_query(&self, slot: FleetSlotId) -> Option<(&QuerySpec, u64)> {
-        self.slots.get(slot).map(|s| (&s.spec, s.every))
     }
 
     /// Every slot's `(period, phase)` in slot-creation order — the
@@ -443,40 +458,94 @@ impl FleetService {
         self.inner.submit(spec)
     }
 
-    /// Applies a sensor update (see [`ContinuousEngine::update_items`]).
+    /// Applies a sensor update: replaces the items hosted by `node`,
+    /// delta-maintaining every cached subtree partial along the node's
+    /// root path (see [`SimNetwork::set_node_items`]). Driver-side, like
+    /// all item placement in this workspace — the update itself is not
+    /// billed; what the experiments measure is the refresh traffic it
+    /// does (or does not) cause.
     ///
     /// # Errors
     ///
-    /// As [`ContinuousEngine::update_items`].
+    /// As [`SimNetwork::set_node_items`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use saq_core::engine::{QueryOutcome, QuerySpec};
+    /// use saq_core::predicate::Predicate;
+    /// use saq_core::service::{FleetService, RefreshStagger};
+    /// use saq_core::simnet::SimNetworkBuilder;
+    /// use saq_netsim::topology::Topology;
+    ///
+    /// # fn main() -> Result<(), saq_core::QueryError> {
+    /// let topo = Topology::grid(4, 4)?;
+    /// let items: Vec<u64> = (0..16).collect();
+    /// let net = SimNetworkBuilder::new()
+    ///     .partial_cache(32)
+    ///     .build_one_per_node(&topo, &items, 64)?;
+    /// let mut fleet = FleetService::with_stagger(net, RefreshStagger::None);
+    ///
+    /// // A standing count, refreshed every 2 rounds.
+    /// let count = fleet.register(QuerySpec::Count(Predicate::TRUE), 2)?;
+    /// let warm = fleet.run_rounds(4)?; // refreshes at rounds 0 and 2
+    /// assert_eq!(warm.refreshes.len(), 2);
+    /// assert!(warm.refreshes.iter().all(|r| r.subscriber == count
+    ///     && r.outcome == Ok(QueryOutcome::Num(16))));
+    /// // The second refresh rode the warm cache: zero payload bits.
+    /// assert_eq!(warm.refreshes[1].slot_bits.request_bits, 0);
+    /// assert_eq!(warm.refreshes[1].slot_bits.partial_bits, 0);
+    ///
+    /// // A sensor update is delta-folded into the cached partials…
+    /// fleet.update_items(5, vec![60])?;
+    /// let next = fleet.run_rounds(2)?;
+    /// // …so the refreshed answer is current, still for zero payload bits.
+    /// assert_eq!(next.refreshes[0].outcome, Ok(QueryOutcome::Num(16)));
+    /// assert_eq!(next.refreshes[0].slot_bits.partial_bits, 0);
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn update_items(&mut self, node: usize, values: Vec<Value>) -> Result<(), QueryError> {
-        self.inner.update_items(node, values)
+        self.inner.network_mut().set_node_items(node, values)
     }
 
-    /// Executes one service round and fans completed refreshes out to
+    /// Executes one service round — spawns the refresh of every due
+    /// slot, runs the loop's round, and fans completed refreshes out to
     /// their slots' subscribers (ascending subscriber id within each
     /// slot, slot completion order across slots).
     ///
     /// # Errors
     ///
-    /// As [`ContinuousEngine::step`].
+    /// As [`StreamingEngine::step`]: only network/protocol failures
+    /// abort a round; per-query errors ride the reports.
     pub fn step(&mut self) -> Result<FleetRound, QueryError> {
-        let out = self.inner.step()?;
+        let round = self.inner.rounds_executed();
+        for (id, slot) in self.slots.iter_mut().enumerate() {
+            if slot.due(round) {
+                self.inner.spawn_refresh(id, slot.seq, &slot.spec);
+                slot.seq += 1;
+                slot.in_flight = true;
+            }
+        }
+        let retired = self.inner.step()?;
         self.stats.rounds += 1;
-        let env_bits = self.inner.service().last_round_envelope_bits();
-        let env_slots = self.inner.service().last_round_envelope_slots();
+        let env_bits = self.inner.last_round_envelope_bits();
+        let env_slots = self.inner.last_round_envelope_slots();
         self.stats.envelope_bits_total += env_bits;
         self.stats.envelope_peak_bits = self.stats.envelope_peak_bits.max(env_bits);
         self.stats.envelope_peak_slots = self.stats.envelope_peak_slots.max(env_slots);
         let mut refreshes = Vec::new();
-        for r in out.refreshes {
-            // A standing query registered straight on `engine()` has no
-            // slot: it was refreshed, but there is nobody here to serve.
-            let Some(&slot_id) = self.by_standing.get(&r.standing) else {
-                continue;
-            };
+        for r in self.inner.take_refreshes() {
+            let slot_id = r.report.id - STANDING_QUERY_ID_BASE;
+            let slot = &mut self.slots[slot_id];
+            slot.in_flight = false;
+            // At most one refresh per slot is in flight, so it is the
+            // one numbered just below the slot's next ordinal.
+            let seq = slot.seq - 1;
+            let bits = r.report.bits;
+            let fan_out = slot.subscribers.len() as u32;
             self.stats.slot_refreshes += 1;
-            self.stats.slot_refresh_bits += r.bits.total();
-            let fan_out = self.slots[slot_id].subscribers.len() as u32;
+            self.stats.slot_refresh_bits += bits.total();
             self.stats.queries_served += u64::from(fan_out);
             if self.inner.network().telemetry_enabled() {
                 self.inner
@@ -484,26 +553,23 @@ impl FleetService {
                     .emit_event(&saq_obs::Event::RefreshFanout {
                         slot: slot_id as u64,
                         subscribers: u64::from(fan_out),
-                        round: r.finished_round,
+                        round: r.retired_round,
                     });
             }
             for &sub in &self.slots[slot_id].subscribers {
                 refreshes.push(FleetRefresh {
                     subscriber: sub,
                     slot: slot_id,
-                    seq: r.seq,
-                    outcome: r.outcome.clone(),
-                    slot_bits: r.bits,
+                    seq,
+                    outcome: r.report.outcome.clone(),
+                    slot_bits: bits,
                     fan_out,
-                    due_round: r.due_round,
-                    finished_round: r.finished_round,
+                    due_round: r.submitted_round,
+                    finished_round: r.retired_round,
                 });
             }
         }
-        Ok(FleetRound {
-            retired: out.retired,
-            refreshes,
-        })
+        Ok(FleetRound { retired, refreshes })
     }
 
     /// Executes `n` service rounds, accumulating everything they
@@ -526,7 +592,11 @@ impl FleetService {
     pub fn fleet_stats(&self) -> FleetStats {
         let mut stats = self.stats;
         stats.subscribers = self.subscribers.iter().filter(|e| e.active).count() as u64;
-        stats.distinct_slots = self.slots.iter().filter(|s| s.standing.is_some()).count() as u64;
+        stats.distinct_slots = self
+            .slots
+            .iter()
+            .filter(|s| !s.subscribers.is_empty())
+            .count() as u64;
         stats
     }
 
@@ -545,11 +615,10 @@ impl FleetService {
         self.inner.network_mut()
     }
 
-    /// The underlying continuous engine (e.g. to inspect the service
-    /// loop or set a bit budget on its ad-hoc side). Standing queries
-    /// registered here are refreshed, but not served through
-    /// [`FleetRound`].
-    pub fn engine(&mut self) -> &mut ContinuousEngine {
+    /// The underlying service loop (e.g. to set a bit budget on the
+    /// ad-hoc side or inspect wave logs). Standing queries exist only
+    /// as fleet slots; the loop has no way to register one.
+    pub fn engine(&mut self) -> &mut StreamingEngine {
         &mut self.inner
     }
 
@@ -558,23 +627,40 @@ impl FleetService {
         self.inner.into_network()
     }
 
-    /// The deterministic phase the next new slot of period `every`
-    /// would get (`every == 0` is rejected downstream; answer 0 so the
-    /// doomed registration can reach that rejection).
-    fn peek_phase(&self, every: u64) -> u64 {
+    /// The deterministic phase of a new slot of period `every`; consumes
+    /// it under [`RefreshStagger::Spread`].
+    fn next_phase(&mut self, every: u64) -> u64 {
         match self.stagger {
             RefreshStagger::None => 0,
-            RefreshStagger::Spread if every == 0 => 0,
-            RefreshStagger::Spread => self.phase_counters.get(&every).copied().unwrap_or(0) % every,
+            RefreshStagger::Spread => {
+                let created = self.phase_counters.entry(every).or_insert(0);
+                *created += 1;
+                (*created - 1) % every
+            }
         }
     }
+}
 
-    /// Consumes the phase previewed by [`FleetService::peek_phase`].
-    fn commit_phase(&mut self, every: u64) {
-        if self.stagger == RefreshStagger::Spread {
-            *self.phase_counters.entry(every).or_insert(0) += 1;
-        }
+/// Rejects a `(spec, period)` that cannot stand (see
+/// [`FleetService::register`]).
+fn vet_standing(net: &SimNetwork, spec: &QuerySpec, every: u64) -> Result<(), QueryError> {
+    if every == 0 {
+        return Err(QueryError::InvalidParameter(
+            "standing refresh period must be at least one round",
+        ));
     }
+    if spec.mutates_items() {
+        return Err(QueryError::InvalidParameter(
+            "item-mutating queries cannot stand: zoom stages need exclusive item state",
+        ));
+    }
+    if spec.draws_fresh_randomness() {
+        return Err(QueryError::InvalidParameter(
+            "fresh-randomness queries cannot stand: their sub-requests never repeat, so \
+             cached subtree partials can never be delta-maintained for them",
+        ));
+    }
+    compile_plan(net, spec).map(drop)
 }
 
 /// The dedup key: a canonical bit-level encoding of `(period, spec)`,
@@ -668,13 +754,26 @@ mod tests {
     use crate::simnet::SimNetworkBuilder;
     use saq_netsim::topology::Topology;
 
-    fn cached_net() -> SimNetwork {
+    fn net_with(cache: usize, shards: usize) -> SimNetwork {
         let topo = Topology::balanced_tree(40, 3).unwrap();
         let items: Vec<u64> = (0..40u64).map(|i| (i * 13) % 100).collect();
         SimNetworkBuilder::new()
-            .partial_cache(512)
+            .partial_cache(cache)
+            .flat(shards > 1)
+            .shards(shards)
             .build_one_per_node(&topo, &items, 128)
             .unwrap()
+    }
+
+    fn cached_net() -> SimNetwork {
+        net_with(512, 1)
+    }
+
+    /// A fleet whose slots all sit at phase 0: with every registration
+    /// at round 0, each standing query refreshes at rounds `≡ 0 (mod
+    /// period)`.
+    fn unstaggered(shards: usize) -> FleetService {
+        FleetService::with_stagger(net_with(64, shards), RefreshStagger::None)
     }
 
     #[test]
@@ -748,6 +847,15 @@ mod tests {
                 2
             )
             .is_err());
+        assert!(fleet
+            .register(
+                QuerySpec::ApxCount {
+                    pred: Predicate::TRUE,
+                    reps: 4
+                },
+                2
+            )
+            .is_err());
         assert!(fleet.register(QuerySpec::BottomK { k: 0 }, 2).is_err());
         let stats = fleet.fleet_stats();
         assert_eq!(stats.registrations, 0);
@@ -803,6 +911,9 @@ mod tests {
             .collect();
         assert_eq!(rejoined.len(), 1);
         assert_eq!(rejoined[0].subscriber, c);
+        // The slot's numbering continues: refreshes 0 and 1 came before
+        // the release.
+        assert_eq!(rejoined[0].seq, 2);
         assert_eq!(rejoined[0].outcome, Ok(QueryOutcome::Num(40)));
         assert_eq!(
             rejoined[0].slot_bits.total(),
@@ -811,26 +922,6 @@ mod tests {
         );
         // Refresh rounds stayed on the remembered phase-1 schedule.
         assert_eq!(rejoined[0].due_round % 2, 1);
-    }
-
-    #[test]
-    fn engine_side_standing_refreshes_are_skipped_not_fatal() {
-        let mut fleet = FleetService::new(cached_net());
-        let sub = fleet
-            .register(QuerySpec::Count(Predicate::TRUE), 1)
-            .unwrap();
-        // No fleet slot owns this one.
-        fleet
-            .engine()
-            .register(QuerySpec::Sum(Predicate::TRUE), 1)
-            .unwrap();
-        let out = fleet.step().unwrap();
-        assert_eq!(out.refreshes.len(), 1);
-        assert_eq!(out.refreshes[0].subscriber, sub);
-        assert_eq!(out.refreshes[0].outcome, Ok(QueryOutcome::Num(40)));
-        let stats = fleet.fleet_stats();
-        assert_eq!(stats.slot_refreshes, 1);
-        assert_eq!(stats.queries_served, 1);
     }
 
     #[test]
@@ -848,5 +939,164 @@ mod tests {
             vec![(3, 0), (3, 1), (3, 2), (3, 0), (3, 1), (2, 0), (2, 1)],
             "per-period round-robin phases"
         );
+    }
+
+    #[test]
+    fn standing_query_refreshes_on_schedule() {
+        let mut fleet = unstaggered(1);
+        let id = fleet
+            .register(QuerySpec::Count(Predicate::TRUE), 3)
+            .unwrap();
+        let out = fleet.run_rounds(7).unwrap(); // due at rounds 0, 3, 6
+        let seqs: Vec<u64> = out.refreshes.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![0, 1, 2]);
+        for r in &out.refreshes {
+            assert_eq!(r.subscriber, id);
+            assert_eq!(r.outcome, Ok(QueryOutcome::Num(40)));
+            assert_eq!(r.finished_round, r.due_round, "single-wave refresh");
+        }
+        // Warm refreshes are free: only the first pays any payload.
+        assert!(out.refreshes[0].slot_bits.total() > 0);
+        assert_eq!(out.refreshes[1].slot_bits.request_bits, 0);
+        assert_eq!(out.refreshes[1].slot_bits.partial_bits, 0);
+        assert_eq!(out.refreshes[2].slot_bits.partial_bits, 0);
+    }
+
+    #[test]
+    fn update_delta_keeps_refresh_free_and_current() {
+        let mut fleet = unstaggered(1);
+        fleet.register(QuerySpec::Sum(Predicate::TRUE), 1).unwrap();
+        fleet.register(QuerySpec::Min(Domain::Raw), 1).unwrap();
+        let warm = fleet.run_rounds(2).unwrap();
+        let base_sum: u64 = (0..40u64).map(|i| (i * 13) % 100).sum();
+        assert_eq!(warm.refreshes[0].outcome, Ok(QueryOutcome::Num(base_sum)));
+        // Update a leaf: 39*13 % 100 = 7 becomes 3.
+        fleet.update_items(39, vec![3]).unwrap();
+        let out = fleet.run_rounds(1).unwrap();
+        let by_subscriber = |id: SubscriberId| {
+            out.refreshes
+                .iter()
+                .find(|r| r.subscriber == id)
+                .expect("refreshed")
+        };
+        let sum = by_subscriber(0);
+        assert_eq!(
+            sum.outcome,
+            Ok(QueryOutcome::Num(base_sum - 7 + 3)),
+            "refresh reflects the update"
+        );
+        // The sum absorbed the delta in cache: zero payload bits. The
+        // new value 3 is also the new minimum — min absorbed it too
+        // (additions always merge exactly; 7's removal is above min 0).
+        assert_eq!(sum.slot_bits.request_bits + sum.slot_bits.partial_bits, 0);
+        let min = by_subscriber(1);
+        assert_eq!(min.outcome, Ok(QueryOutcome::OptVal(Some(0))));
+        assert_eq!(min.slot_bits.request_bits + min.slot_bits.partial_bits, 0);
+        assert!(fleet.network().cache_stats().delta_applied > 0);
+    }
+
+    #[test]
+    fn deregister_stops_refreshes() {
+        let mut fleet = unstaggered(1);
+        let id = fleet
+            .register(QuerySpec::Count(Predicate::TRUE), 1)
+            .unwrap();
+        assert_eq!(fleet.fleet_stats().distinct_slots, 1);
+        let out = fleet.run_rounds(2).unwrap();
+        assert_eq!(out.refreshes.len(), 2);
+        assert!(fleet.deregister(id));
+        assert!(!fleet.deregister(id), "double deregistration");
+        assert_eq!(fleet.fleet_stats().distinct_slots, 0);
+        let after = fleet.run_rounds(3).unwrap();
+        assert!(after.refreshes.is_empty());
+    }
+
+    #[test]
+    fn invalid_standing_specs_are_rejected_at_registration() {
+        let mut fleet = unstaggered(1);
+        for (spec, why) in [
+            (
+                QuerySpec::ApxMedian2 {
+                    beta: 0.25,
+                    epsilon: 0.4,
+                },
+                "mutating",
+            ),
+            (
+                QuerySpec::ApxCount {
+                    pred: Predicate::TRUE,
+                    reps: 4,
+                },
+                "fresh randomness",
+            ),
+            (QuerySpec::BottomK { k: 0 }, "compile failure"),
+        ] {
+            assert!(
+                matches!(
+                    fleet.register(spec.clone(), 2),
+                    Err(QueryError::InvalidParameter(_))
+                ),
+                "{why}: {spec:?} must be rejected"
+            );
+        }
+        assert!(matches!(
+            fleet.register(QuerySpec::Median, 0),
+            Err(QueryError::InvalidParameter(_))
+        ));
+        // Multi-wave deterministic plans (exact median) do stand.
+        assert!(fleet.register(QuerySpec::Median, 4).is_ok());
+    }
+
+    #[test]
+    fn standing_and_adhoc_coexist_and_share_waves() {
+        let mut fleet = unstaggered(1);
+        fleet
+            .register(QuerySpec::Count(Predicate::TRUE), 1)
+            .unwrap();
+        fleet.run_rounds(1).unwrap();
+        let adhoc = fleet.submit(QuerySpec::Max(Domain::Raw));
+        let out = fleet.run_rounds(1).unwrap();
+        assert_eq!(out.refreshes.len(), 1, "refresh fired alongside ad-hoc");
+        let rep = out
+            .retired
+            .iter()
+            .find(|r| r.report.id == adhoc)
+            .expect("ad-hoc retired");
+        assert_eq!(rep.report.outcome, Ok(QueryOutcome::OptVal(Some(99))));
+        assert_eq!(rep.latency_rounds(), 1, "rode the refresh's wave");
+    }
+
+    #[test]
+    fn sharded_refreshes_match_single_threaded() {
+        let run = |shards: usize| {
+            let mut fleet = unstaggered(shards);
+            fleet
+                .register(QuerySpec::Quantile { q: 0.5, eps: 0.2 }, 2)
+                .unwrap();
+            fleet
+                .register(QuerySpec::Count(Predicate::TRUE), 2)
+                .unwrap();
+            let mut rounds = fleet.run_rounds(2).unwrap();
+            fleet.update_items(17, vec![55]).unwrap();
+            fleet.update_items(3, vec![9]).unwrap();
+            rounds.absorb(fleet.run_rounds(2).unwrap());
+            let stats = fleet.network().cache_stats();
+            let refreshes: Vec<(FleetSlotId, u64, u64)> = rounds
+                .refreshes
+                .iter()
+                .map(|r| (r.slot, r.seq, r.slot_bits.total()))
+                .collect();
+            let outcomes: Vec<String> = rounds
+                .refreshes
+                .iter()
+                .map(|r| format!("{:?}", r.outcome))
+                .collect();
+            (refreshes, outcomes, stats)
+        };
+        let (bits1, out1, stats1) = run(1);
+        let (bits3, out3, stats3) = run(3);
+        assert_eq!(bits1, bits3, "per-refresh bills differ on flat workers");
+        assert_eq!(out1, out3, "refresh answers differ on flat workers");
+        assert_eq!(stats1, stats3, "cache counters differ on flat workers");
     }
 }

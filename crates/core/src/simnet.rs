@@ -1270,7 +1270,6 @@ mod tests {
         assert_send::<SimNetwork>();
         assert_send::<crate::QueryEngine>();
         assert_send::<crate::StreamingEngine>();
-        assert_send::<crate::ContinuousEngine>();
         assert_send::<crate::FleetService>();
     }
 

@@ -3,33 +3,26 @@
 //!
 //! A sensor-database front-end is a service: queries arrive
 //! continuously while earlier ones are still mid-convergecast.
-//! [`StreamingEngine`] is that service loop, and every other engine is a
-//! facade over it — the closed batch ([`crate::engine::QueryEngine`]),
-//! the continuous engine and the fleet service.
-//! [`StreamingEngine::submit`] may be called at any time,
+//! [`StreamingEngine`] is that service loop, and the other two public
+//! lifecycles sit on it: the closed batch
+//! ([`crate::engine::QueryEngine`]) is a facade over it, and the fleet
+//! ([`crate::service::FleetService`]) owns one and adds standing
+//! queries. [`StreamingEngine::submit`] may be called at any time,
 //! pending queries are **admitted between rounds** (joining the next
 //! shared wave mid-flight, alongside plans that are already several
 //! waves deep), and finished queries retire immediately with an
 //! incremental [`StreamingReport`] carrying their latency in rounds.
 //!
-//! The loop also hosts the **standing queries** of the continuous
-//! subsystem ([`crate::continuous::ContinuousEngine`]): a standing query
-//! is registered once and re-answered every `k` rounds by a refresh slot
-//! that rides the ordinary shared waves — delta-maintained subtree
-//! caches (see `saq_protocols::cache`) make a refresh under sparse item
-//! updates cost only the dirty-path bits, down to zero when nothing
-//! changed.
+//! The loop keeps no standing-query table. The fleet decides when a
+//! standing query refreshes and hands the loop a pre-admitted refresh
+//! slot before the round runs; the slot rides the ordinary shared wave
+//! and retires into a buffer the fleet drains after the round.
 //!
 //! ## Scheduling
 //!
-//! Each [`StreamingEngine::step`] executes one scheduling round as five
+//! Each [`StreamingEngine::step`] executes one scheduling round as four
 //! phases (private methods of the same names):
 //!
-//! 0. **Standing refreshes** (`spawn_due_standing`) — every registered
-//!    standing query due this round (its period divides the rounds since
-//!    registration, and no earlier refresh is still in flight) enters
-//!    the active set directly, bypassing the admission queue: it was
-//!    admitted once, at registration.
 //! 1. **Admission** (`admit`) — if the [`AdmissionPolicy`] opens the
 //!    window this round, every pending query moves into the active set
 //!    (stamped with its admission round). A query submitted with a
@@ -54,7 +47,8 @@
 //!    cohort but *gates* readers admitted after it (they hold their ops
 //!    until it has run), so a continuous reader stream cannot starve it.
 //! 4. **Retirement** (`retire`) — every query that finished this round
-//!    leaves the active set and its report is returned from `step`.
+//!    leaves the active set and its report is returned from `step`;
+//!    a finished refresh slot goes to the fleet's buffer instead.
 //!
 //! ## Equivalence with closed batches
 //!
@@ -79,7 +73,6 @@
 //! drives thousands of rounds and asserts the transport footprint stays
 //! flat ([`SimNetwork::transport_footprint`]).
 
-use crate::continuous::{RefreshReport, StandingId, STANDING_QUERY_ID_BASE};
 use crate::engine::{
     compile_plan, BatchPolicy, QueryId, QueryReport, QuerySlot, QuerySpec, SlotState,
     NONCE_ORDINALS,
@@ -90,6 +83,12 @@ use crate::simnet::SimNetwork;
 use crate::wave_proto::CoreRequest;
 use saq_protocols::wave::mux_framing_bits;
 use std::collections::VecDeque;
+
+/// Base of the [`QueryId`] range standing-refresh slots occupy in wave
+/// logs — far above any realistic submission count, so refresh waves are
+/// distinguishable from ad-hoc queries without consuming submission ids.
+/// A refresh of fleet slot `s` carries id `STANDING_QUERY_ID_BASE + s`.
+pub const STANDING_QUERY_ID_BASE: QueryId = usize::MAX / 2;
 
 /// The reserved nonce ordinal standing-refresh slots are built with.
 /// Standing specs are vetted at registration to never draw sketch
@@ -175,13 +174,16 @@ struct StreamSlot {
     /// Latest admission round this query tolerates: it is pulled through
     /// a closed admission window once `round >= deadline`.
     deadline: Option<u64>,
-    /// Set when this slot is one refresh of a standing query: `(standing
-    /// id, refresh ordinal)`. Such slots retire into
-    /// [`RefreshReport`]s instead of the caller-visible report stream.
-    standing: Option<(StandingId, u64)>,
 }
 
 impl StreamSlot {
+    /// Whether this slot is a standing-query refresh (its id lies in the
+    /// [`STANDING_QUERY_ID_BASE`] range). Refreshes retire into the
+    /// fleet's buffer instead of the caller-visible report stream.
+    fn is_refresh(&self) -> bool {
+        self.slot.id >= STANDING_QUERY_ID_BASE
+    }
+
     /// Re-establishes the staging invariant after the slot's plan
     /// consumed an input: advances the plan and stashes the next
     /// request, if any.
@@ -233,12 +235,8 @@ pub struct StreamingEngine {
     pending: VecDeque<StreamSlot>,
     /// Admitted and executing (admission = submission order).
     active: Vec<StreamSlot>,
-    /// Registered standing queries, indexed by [`StandingId`]
-    /// (deregistered entries stay as tombstones so ids never recycle).
-    standing: Vec<StandingEntry>,
-    /// Completed standing refreshes awaiting
-    /// [`StreamingEngine::drain_refreshes`].
-    refreshes: Vec<RefreshReport>,
+    /// Completed standing refreshes, awaiting the fleet's drain.
+    refreshes: Vec<StreamingReport>,
     /// Per-node request-envelope bit budget gating admission (`None` =
     /// unbounded, bit-identical to the pre-budget engine).
     bit_budget: Option<u64>,
@@ -256,28 +254,6 @@ pub struct StreamingEngine {
     round_envelope_slots: u64,
 }
 
-/// One registered standing query (see
-/// [`crate::continuous::ContinuousEngine`]).
-struct StandingEntry {
-    spec: QuerySpec,
-    /// Refresh period in rounds (`>= 1`).
-    every: u64,
-    /// Phase anchor — refreshes fire at rounds `≡ registered_round (mod
-    /// every)`. Equals the registration round for
-    /// [`StreamingEngine::register_standing`] (the first refresh fires
-    /// immediately); [`StreamingEngine::register_standing_at`] sets it
-    /// to an assigned phase offset instead.
-    registered_round: u64,
-    /// Next refresh ordinal (counts fired refreshes).
-    seq: u64,
-    /// Whether a refresh slot is currently in the active set. A due tick
-    /// that finds the previous refresh still in flight is skipped rather
-    /// than queued — standing queries never pile up behind themselves.
-    in_flight: bool,
-    /// Cleared by deregistration; in-flight refreshes still retire.
-    active: bool,
-}
-
 impl StreamingEngine {
     /// A streaming engine with batched waves and per-round admission.
     pub fn new(net: SimNetwork) -> Self {
@@ -293,7 +269,6 @@ impl StreamingEngine {
             admission,
             pending: VecDeque::new(),
             active: Vec::new(),
-            standing: Vec::new(),
             refreshes: Vec::new(),
             bit_budget: None,
             submitted: 0,
@@ -349,11 +324,6 @@ impl StreamingEngine {
         self.round_envelope_slots
     }
 
-    /// Queries admitted and executing.
-    pub fn active_queries(&self) -> usize {
-        self.active.len()
-    }
-
     /// Queries submitted but not yet admitted.
     pub fn pending_queries(&self) -> usize {
         self.pending.len()
@@ -404,7 +374,6 @@ impl StreamingEngine {
             submitted_round: self.rounds,
             admitted_round: 0,
             deadline: None,
-            standing: None,
         });
         id
     }
@@ -450,103 +419,49 @@ impl StreamingEngine {
         self.bit_budget
     }
 
-    /// Registers a **standing query**: `spec` is re-answered every
-    /// `every` rounds, indefinitely, by refresh slots that ride the
-    /// ordinary shared waves (the first refresh fires at the next
-    /// [`StreamingEngine::step`]). Completed refreshes accumulate for
-    /// [`StreamingEngine::drain_refreshes`]. With subtree partial
-    /// caching enabled, a refresh under sparse item updates pays only
-    /// the dirty-path bits — zero when nothing changed since the last
-    /// refresh ([`crate::continuous::ContinuousEngine`] is the curated
-    /// facade over this lifecycle).
-    ///
-    /// # Errors
-    ///
-    /// [`QueryError::InvalidParameter`] when `every == 0`, when the spec
-    /// mutates items (`APX_MEDIAN2` needs exclusive item state per run),
-    /// or when it draws fresh sketch randomness per invocation
-    /// ([`QuerySpec::draws_fresh_randomness`] — such sub-requests never
-    /// repeat, so they are not delta-maintainable); compilation errors
-    /// (e.g. `BottomK { k: 0 }`) surface here too, at registration.
-    pub fn register_standing(
-        &mut self,
-        spec: QuerySpec,
-        every: u64,
-    ) -> Result<StandingId, QueryError> {
-        let anchor = self.rounds;
-        self.register_standing_at(spec, every, anchor)
+    /// Hands the loop one refresh of fleet slot `slot` (ordinal `seq`)
+    /// for the round about to run: the refresh enters the active set
+    /// directly — admitted once, at registration, never queued — with
+    /// its first op staged, so it rides this round's shared wave.
+    pub(crate) fn spawn_refresh(&mut self, slot: usize, seq: u64, spec: &QuerySpec) {
+        let round = self.rounds;
+        if self.net.telemetry_enabled() {
+            self.net.emit_event(&saq_obs::Event::RefreshScheduled {
+                standing: slot as u64,
+                seq,
+                round,
+            });
+        }
+        let mut s = StreamSlot {
+            slot: QuerySlot::new(
+                STANDING_QUERY_ID_BASE + slot,
+                STANDING_NONCE_ORDINAL,
+                spec.clone(),
+                compile_plan(&self.net, spec),
+            ),
+            staged: None,
+            submitted_round: round,
+            admitted_round: round,
+            deadline: None,
+        };
+        s.restage(); // standing specs are vetted non-mutating
+        self.active.push(s);
     }
 
-    /// Like [`StreamingEngine::register_standing`], but with an explicit
-    /// **phase anchor**: refreshes fire at every round `r ≥ max(anchor,
-    /// now)` with `r ≡ anchor (mod every)`, instead of being phased to
-    /// the registration round. The fleet layer's staggered scheduler
-    /// uses this to spread same-period standing queries across the
-    /// rounds of their period (anchor = assigned phase offset), so the
-    /// per-round request envelope is smoothed instead of spiking when a
-    /// cohort shares a period. An anchor in the past is a pure phase —
-    /// no catch-up refreshes fire for rounds already executed.
-    ///
-    /// # Errors
-    ///
-    /// As [`StreamingEngine::register_standing`].
-    pub fn register_standing_at(
-        &mut self,
-        spec: QuerySpec,
-        every: u64,
-        anchor: u64,
-    ) -> Result<StandingId, QueryError> {
-        if every == 0 {
-            return Err(QueryError::InvalidParameter(
-                "standing refresh period must be at least one round",
-            ));
-        }
-        if spec.mutates_items() {
-            return Err(QueryError::InvalidParameter(
-                "item-mutating queries cannot stand: zoom stages need exclusive item state",
-            ));
-        }
-        if spec.draws_fresh_randomness() {
-            return Err(QueryError::InvalidParameter(
-                "fresh-randomness queries cannot stand: their sub-requests never repeat, so \
-                 cached subtree partials can never be delta-maintained for them",
-            ));
-        }
-        compile_plan(&self.net, &spec)?;
-        let id = self.standing.len();
-        self.standing.push(StandingEntry {
-            spec,
-            every,
-            registered_round: anchor,
-            seq: 0,
-            in_flight: false,
-            active: true,
-        });
-        Ok(id)
-    }
-
-    /// Deregisters a standing query. Returns `false` when the id is
-    /// unknown or already deregistered. An in-flight refresh still
-    /// completes and reports; no further refreshes fire.
-    pub fn deregister_standing(&mut self, id: StandingId) -> bool {
-        match self.standing.get_mut(id) {
-            Some(e) if e.active => {
-                e.active = false;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Takes every standing refresh completed since the last drain, in
-    /// completion order.
-    pub fn drain_refreshes(&mut self) -> Vec<RefreshReport> {
+    /// Takes every refresh retired since the last call, in retirement
+    /// order.
+    pub(crate) fn take_refreshes(&mut self) -> Vec<StreamingReport> {
         std::mem::take(&mut self.refreshes)
     }
 
-    /// Number of currently registered (active) standing queries.
-    pub fn standing_queries(&self) -> usize {
-        self.standing.iter().filter(|e| e.active).count()
+    /// Returns `self`. Kept only so the stackbench fleet driver's
+    /// `fleet.engine().service()` calls (`benchmark/src/workloads.rs:536`
+    /// and `:552`) compile against
+    /// [`crate::service::FleetService::engine`], which returns the loop
+    /// itself; a benchmark change deletes it.
+    #[doc(hidden)]
+    pub fn service(&mut self) -> &mut Self {
+        self
     }
 
     /// Executes one scheduling round — admission, at most one shared
@@ -567,62 +482,11 @@ impl StreamingEngine {
         self.rounds += 1;
         self.round_envelope_bits = 0;
         self.round_envelope_slots = 0;
-        self.spawn_due_standing(round);
         self.admit(round);
         if !self.shared_wave()? {
             self.run_exclusive()?;
         }
         Ok(self.retire(round))
-    }
-
-    /// Phase 0: spawns a refresh slot for every standing query due at
-    /// `round`. Refreshes enter the active set directly — registered
-    /// once, never queued — with their first op staged so they ride this
-    /// very round's shared wave.
-    fn spawn_due_standing(&mut self, round: u64) {
-        for id in 0..self.standing.len() {
-            let due = {
-                let e = &self.standing[id];
-                e.active
-                    && !e.in_flight
-                    && round >= e.registered_round
-                    && (round - e.registered_round).is_multiple_of(e.every.max(1))
-            };
-            if !due {
-                continue;
-            }
-            let spec = self.standing[id].spec.clone();
-            let compiled = compile_plan(&self.net, &spec);
-            let e = &mut self.standing[id];
-            let seq = e.seq;
-            e.seq += 1;
-            e.in_flight = true;
-            if self.net.telemetry_enabled() {
-                self.net.emit_event(&saq_obs::Event::RefreshScheduled {
-                    standing: id as u64,
-                    seq,
-                    round,
-                });
-            }
-            let mut s = StreamSlot {
-                // Ids in the standing range keep refresh waves
-                // distinguishable in wave logs without consuming the
-                // submission id space.
-                slot: QuerySlot::new(
-                    STANDING_QUERY_ID_BASE + id,
-                    STANDING_NONCE_ORDINAL,
-                    spec,
-                    compiled,
-                ),
-                staged: None,
-                submitted_round: round,
-                admitted_round: round,
-                deadline: None,
-                standing: Some((id, seq)),
-            };
-            s.restage(); // standing specs are vetted non-mutating
-            self.active.push(s);
-        }
     }
 
     /// Phase 1: moves the pending queries the admission window, their
@@ -634,7 +498,7 @@ impl StreamingEngine {
         // Standing refresh slots do not count against idleness — they
         // are part of the service itself, and letting them block
         // `WhenIdle` would starve ad-hoc arrivals forever.
-        let idle = self.active.iter().all(|s| s.standing.is_some());
+        let idle = self.active.iter().all(StreamSlot::is_refresh);
         let window_open = self.admission.admits(round, idle);
         let deadline_due = self
             .pending
@@ -766,7 +630,7 @@ impl StreamingEngine {
     }
 
     /// Phase 4: every finished query leaves the active set. Standing
-    /// refreshes retire into the refresh stream; everything else is
+    /// refreshes retire into the fleet's buffer; everything else is
     /// returned to the caller, in submission order.
     fn retire(&mut self, round: u64) -> Vec<StreamingReport> {
         let mut retired = Vec::new();
@@ -777,6 +641,7 @@ impl StreamingEngine {
                 continue;
             }
             let s = self.active.remove(i);
+            let refresh = s.is_refresh();
             let report = s.slot.into_report();
             if self.net.telemetry_enabled() {
                 self.net.emit_event(&saq_obs::Event::SlotRetired {
@@ -786,25 +651,16 @@ impl StreamingEngine {
                 self.net
                     .record_latency_rounds(round - s.submitted_round + 1);
             }
-            match s.standing {
-                Some((standing, seq)) => {
-                    self.standing[standing].in_flight = false;
-                    self.refreshes.push(RefreshReport {
-                        standing,
-                        seq,
-                        outcome: report.outcome,
-                        bits: report.bits,
-                        waves: report.waves,
-                        due_round: s.submitted_round,
-                        finished_round: round,
-                    });
-                }
-                None => retired.push(StreamingReport {
-                    submitted_round: s.submitted_round,
-                    admitted_round: s.admitted_round,
-                    retired_round: round,
-                    report,
-                }),
+            let out = StreamingReport {
+                submitted_round: s.submitted_round,
+                admitted_round: s.admitted_round,
+                retired_round: round,
+                report,
+            };
+            if refresh {
+                self.refreshes.push(out);
+            } else {
+                retired.push(out);
             }
         }
         retired

@@ -206,16 +206,6 @@ pub enum LinkFate {
     DeliveredTwice(SimDuration, SimDuration),
 }
 
-impl LinkFate {
-    /// Whether at least one intact copy reaches the protocol layer.
-    pub fn delivers_intact(&self) -> bool {
-        matches!(
-            self,
-            LinkFate::Delivered(_) | LinkFate::DeliveredTwice(_, _)
-        )
-    }
-}
-
 /// Seed of the fate stream owned by `(master seed, src, dst, class)`.
 ///
 /// `src`/`dst` are **global** node ids, so a flat executor that knows an

@@ -341,11 +341,6 @@ impl<P: NodeRuntime> Simulator<P> {
         self.nodes.iter()
     }
 
-    /// Consumes the simulator, returning node states.
-    pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
-    }
-
     /// Schedules an immediate timer on `node` with the given protocol tag,
     /// waking its state machine at the current virtual time.
     ///

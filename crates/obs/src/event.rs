@@ -164,9 +164,12 @@ pub enum Event {
     },
     /// A standing-query refresh slot was spawned for this round.
     RefreshScheduled {
-        /// Standing query id.
+        /// Fleet slot id of the standing query. Slot ids are stable
+        /// across release and re-join, so a re-joined slot keeps the id
+        /// of its first incarnation.
         standing: u64,
-        /// Refresh ordinal (0 = registration-round refresh).
+        /// The slot's refresh ordinal (0 = its first refresh), counted
+        /// across release and re-join.
         seq: u64,
         /// Service round the refresh rides.
         round: u64,

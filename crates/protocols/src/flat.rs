@@ -1167,11 +1167,6 @@ where
         self.plan.groups().len()
     }
 
-    /// Nesting depth the plan actually applied past the root cut.
-    pub fn nest_depth(&self) -> u32 {
-        self.plan.depth()
-    }
-
     /// The shard plan driving parallel execution.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan

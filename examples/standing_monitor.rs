@@ -5,9 +5,9 @@
 //!
 //! Run with: `cargo run --release --example standing_monitor`
 
-use saq::core::continuous::ContinuousEngine;
 use saq::core::engine::{QueryEngine, QueryOutcome, QuerySpec};
 use saq::core::predicate::Predicate;
+use saq::core::service::{FleetService, RefreshStagger};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
 use saq::netsim::topology::Topology;
 
@@ -43,7 +43,7 @@ fn main() -> Result<(), saq::core::QueryError> {
         oracle.run()?.iter().map(|r| r.bits.total()).sum()
     };
 
-    let mut engine = ContinuousEngine::new(deployment(64)?);
+    let mut engine = FleetService::with_stagger(deployment(64)?, RefreshStagger::None);
     let med_id = engine.register(median, 5)?;
     engine.register(warm_band, 5)?;
 
@@ -69,13 +69,13 @@ fn main() -> Result<(), saq::core::QueryError> {
         }
 
         let out = engine.run_rounds(5)?;
-        let bits: u64 = out.refreshes.iter().map(|r| r.bits.total()).sum();
+        let bits: u64 = out.refreshes.iter().map(|r| r.slot_bits.total()).sum();
         let (mut med_str, mut count_str) = (String::new(), String::new());
         for r in &out.refreshes {
             match r.outcome.as_ref().expect("refresh succeeds") {
                 QueryOutcome::Quantile(q) => {
                     med_str = format!("{} ±{}", q.value.unwrap_or(0), q.rank_error);
-                    assert_eq!(r.standing, med_id);
+                    assert_eq!(r.subscriber, med_id);
                 }
                 QueryOutcome::Num(n) => count_str = n.to_string(),
                 other => unreachable!("unexpected outcome {other:?}"),

@@ -7,10 +7,10 @@
 //! fine-grained invalidation that replaced whole-path clears).
 
 use proptest::prelude::*;
-use saq::core::continuous::{ContinuousEngine, RefreshReport};
 use saq::core::engine::{QueryEngine, QueryOutcome, QuerySpec};
 use saq::core::net::AggregationNetwork;
 use saq::core::predicate::{Domain, Predicate};
+use saq::core::service::{FleetRefresh, FleetService, RefreshStagger};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
 use saq::netsim::link::LinkConfig;
 use saq::netsim::sim::SimConfig;
@@ -102,14 +102,14 @@ fn fresh_convergecast(items_per_node: Vec<Vec<u64>>) -> Vec<QueryOutcome> {
 /// aggregates must match bit-for-bit; the quantile must answer within
 /// its own certified rank error of a true rank (and within the ε·N it
 /// was provisioned for) — the declared equivalence of its aggregate.
-fn assert_cycle_equivalent(refreshes: &[RefreshReport], items_per_node: &[Vec<u64>], ctx: &str) {
+fn assert_cycle_equivalent(refreshes: &[FleetRefresh], items_per_node: &[Vec<u64>], ctx: &str) {
     let oracle = fresh_convergecast(items_per_node.to_vec());
     assert_eq!(refreshes.len(), oracle.len(), "{ctx}: refresh count");
     let mut sorted: Vec<u64> = items_per_node.iter().flatten().copied().collect();
     sorted.sort_unstable();
     for r in refreshes {
         let got = r.outcome.as_ref().expect("refresh succeeds");
-        let want = &oracle[r.standing];
+        let want = &oracle[r.slot];
         match (got, want) {
             (QueryOutcome::Quantile(out), QueryOutcome::Quantile(_)) => {
                 // Certified-ε equivalence, against ground truth.
@@ -129,7 +129,7 @@ fn assert_cycle_equivalent(refreshes: &[RefreshReport], items_per_node: &[Vec<u6
                 );
                 assert_eq!(out.count, sorted.len() as u64, "{ctx}: quantile count");
             }
-            _ => assert_eq!(got, want, "{ctx}: standing {} diverged", r.standing),
+            _ => assert_eq!(got, want, "{ctx}: slot {} diverged", r.slot),
         }
     }
 }
@@ -141,7 +141,8 @@ fn dirty_tracking_leaves_sibling_subtree_entries_resident() {
     // confined to the leaf's root path — sibling subtrees keep their
     // entries and stay silent through the repair refresh.
     let items: Vec<u64> = (0..N as u64).map(|i| (i * 13) % XBAR).collect();
-    let mut engine = ContinuousEngine::new(build_net(singletons(&items), 64, 1));
+    let mut engine =
+        FleetService::with_stagger(build_net(singletons(&items), 64, 1), RefreshStagger::None);
     for spec in standing_mix() {
         engine.register(spec, 1).unwrap();
     }
@@ -188,12 +189,12 @@ fn dirty_tracking_leaves_sibling_subtree_entries_resident() {
         "after one-leaf update",
     );
     for r in &out.refreshes {
-        if ALWAYS_FREE.contains(&r.standing) {
+        if ALWAYS_FREE.contains(&r.slot) {
             assert_eq!(
-                r.bits.request_bits + r.bits.partial_bits,
+                r.slot_bits.request_bits + r.slot_bits.partial_bits,
                 0,
-                "standing {} paid payload after an absorbable update",
-                r.standing
+                "slot {} paid payload after an absorbable update",
+                r.slot
             );
         }
     }
@@ -212,7 +213,7 @@ fn dirty_tracking_leaves_sibling_subtree_entries_resident() {
     };
     assert!(bits_after_repair > bits_before, "repair was billed");
     let silent = engine.run_rounds(1).unwrap();
-    assert!(silent.refreshes.iter().all(|r| r.bits.total() == 0));
+    assert!(silent.refreshes.iter().all(|r| r.slot_bits.total() == 0));
     assert_cycle_equivalent(&silent.refreshes, &singletons(&current), "silent cycle");
 }
 
@@ -223,7 +224,8 @@ fn insertion_deltas_keep_quantile_certificate_valid() {
     // a pure insertion, nothing is invalidated, and the refreshed
     // quantile's certificate must still hold.
     let items: Vec<u64> = (0..N as u64).map(|i| (i * 7) % XBAR).collect();
-    let mut engine = ContinuousEngine::new(build_net(singletons(&items), 64, 1));
+    let mut engine =
+        FleetService::with_stagger(build_net(singletons(&items), 64, 1), RefreshStagger::None);
     for spec in standing_mix() {
         engine.register(spec, 1).unwrap();
     }
@@ -246,7 +248,7 @@ fn insertion_deltas_keep_quantile_certificate_valid() {
         "insertion delta should invalidate nothing"
     );
     for r in &out.refreshes {
-        assert_eq!(r.bits.request_bits + r.bits.partial_bits, 0);
+        assert_eq!(r.slot_bits.request_bits + r.slot_bits.partial_bits, 0);
     }
 }
 
@@ -267,7 +269,7 @@ proptest! {
         let items: Vec<u64> = (0..N as u64).map(|i| (i.wrapping_mul(seed + 3)) % XBAR).collect();
         let mut bills: Vec<Vec<u64>> = Vec::new();
         for shards in [1usize, 4] {
-            let mut engine = ContinuousEngine::new(build_net(singletons(&items), 64, shards));
+            let mut engine = FleetService::with_stagger(build_net(singletons(&items), 64, shards), RefreshStagger::None);
             for spec in standing_mix() {
                 engine.register(spec, 2).unwrap();
             }
@@ -289,7 +291,7 @@ proptest! {
                     let out = engine.run_rounds(2).unwrap();
                     prop_assert_eq!(out.refreshes.len(), standing_mix().len());
                     assert_cycle_equivalent(&out.refreshes, &singletons(&current), "interleaved");
-                    bill.extend(out.refreshes.iter().map(|r| r.bits.total()));
+                    bill.extend(out.refreshes.iter().map(|r| r.slot_bits.total()));
                 }
             }
             bills.push(bill);
@@ -317,7 +319,7 @@ proptest! {
         let mut bills: Vec<Vec<u64>> = Vec::new();
         for shards in [1usize, 4] {
             let net = build_net_rel(singletons(&items), 64, shards, Some(0.15));
-            let mut engine = ContinuousEngine::new(net);
+            let mut engine = FleetService::with_stagger(net, RefreshStagger::None);
             for spec in standing_mix() {
                 engine.register(spec, 2).unwrap();
             }
@@ -333,7 +335,7 @@ proptest! {
                 for _ in 0..gap {
                     let out = engine.run_rounds(2).unwrap();
                     assert_cycle_equivalent(&out.refreshes, &singletons(&current), "lossy interleaved");
-                    bill.extend(out.refreshes.iter().map(|r| r.bits.total()));
+                    bill.extend(out.refreshes.iter().map(|r| r.slot_bits.total()));
                 }
             }
             bills.push(bill);

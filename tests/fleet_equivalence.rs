@@ -525,3 +525,32 @@ fn deregister_while_median_refresh_in_flight() {
     assert_eq!(again[0].subscriber, c);
     assert_eq!(again[0].outcome, Ok(answer));
 }
+
+// Re-joining a released slot while its refresh is still in flight must
+// not start a second refresh beside it. The refresh started before the
+// release completes and serves the re-joined subscriber (a subscriber
+// exists when it finishes); the slot's numbering then continues, and
+// no wave ever carries two refreshes of the one slot.
+#[test]
+fn rejoin_while_refresh_in_flight_does_not_double_refresh() {
+    let mut fleet = FleetService::new(build_net(Repr::Boxed));
+    let a = fleet.register(QuerySpec::Median, 2).unwrap();
+    assert!(
+        fleet.step().unwrap().refreshes.is_empty(),
+        "still in flight"
+    );
+    assert!(fleet.deregister(a));
+    let b = fleet.register(QuerySpec::Median, 2).unwrap();
+    assert_eq!(fleet.slot_of(b), fleet.slot_of(a));
+
+    let out = fleet.run_rounds(40).unwrap();
+    assert!(out.refreshes.iter().all(|r| r.subscriber == b));
+    let seen: Vec<(usize, u64)> = out.refreshes.iter().map(|r| (r.slot, r.seq)).collect();
+    assert!(seen.len() >= 2, "expected several refreshes, got {seen:?}");
+    assert_eq!(seen[0].1, 0, "the pre-release refresh serves the re-joiner");
+    assert!(
+        seen.windows(2).all(|w| w[0].1 < w[1].1),
+        "seqs must strictly increase, no (slot, seq) twice: {seen:?}"
+    );
+    assert_eq!(fleet.fleet_stats().envelope_peak_slots, 1);
+}

@@ -17,10 +17,10 @@
 //! runner the same way.
 
 use proptest::prelude::*;
-use saq::core::continuous::ContinuousEngine;
 use saq::core::engine::{BatchPolicy, QueryEngine, QueryReport, QuerySpec};
 use saq::core::net::AggregationNetwork;
 use saq::core::predicate::{Domain, Predicate};
+use saq::core::service::{FleetService, RefreshStagger};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
 use saq::core::streaming::{AdmissionPolicy, StreamingEngine};
 use saq::netsim::link::LinkConfig;
@@ -348,7 +348,7 @@ fn continuous_session_round_trips_on_flat_runner() {
     let items: Vec<u64> = (0..n as u64).map(|i| (i * 13) % 100).collect();
     let run = |repr: Repr, rel: Rel| {
         let net = repr.build(&topo, &items, 128, 16, rel);
-        let mut engine = ContinuousEngine::new(net);
+        let mut engine = FleetService::with_stagger(net, RefreshStagger::None);
         for spec in [
             QuerySpec::Count(Predicate::less_than(60)),
             QuerySpec::Sum(Predicate::TRUE),
@@ -392,7 +392,7 @@ fn continuous_session_round_trips_on_flat_runner() {
         );
         assert_eq!(boxed_refreshes.len(), flat_refreshes.len());
         for (a, b) in boxed_refreshes.iter().zip(&flat_refreshes) {
-            assert_eq!(a.standing, b.standing);
+            assert_eq!(a.slot, b.slot);
             assert_eq!(
                 a.outcome, b.outcome,
                 "continuous refresh diverged under {rel:?}"
