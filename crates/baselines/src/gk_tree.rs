@@ -50,6 +50,8 @@ impl WaveProtocol for GkWave {
     type Request = u32;
     type Partial = QuantileSummary;
     type Item = u64;
+    type ItemDelta = ();
+    type DeltaKey = ();
 
     fn encode_request(&self, req: &u32, w: &mut BitWriter) {
         w.write_bits(*req as u64, 16);

@@ -46,6 +46,8 @@ impl WaveProtocol for SampleWave {
     type Request = u16;
     type Partial = BottomK;
     type Item = u64;
+    type ItemDelta = ();
+    type DeltaKey = ();
 
     fn encode_request(&self, req: &u16, w: &mut BitWriter) {
         w.write_bits(*req as u64, 16);

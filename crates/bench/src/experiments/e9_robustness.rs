@@ -45,6 +45,8 @@ impl WaveProtocol for RingCount {
     type Request = ();
     type Partial = u64;
     type Item = u64;
+    type ItemDelta = ();
+    type DeltaKey = ();
     fn encode_request(&self, _r: &(), _w: &mut BitWriter) {}
     fn decode_request(&self, _r: &mut BitReader<'_>) -> Result<(), NetsimError> {
         Ok(())
@@ -80,6 +82,8 @@ impl WaveProtocol for RingSketchCount {
     type Request = ();
     type Partial = LogLog;
     type Item = u64;
+    type ItemDelta = ();
+    type DeltaKey = ();
     fn encode_request(&self, _r: &(), _w: &mut BitWriter) {}
     fn decode_request(&self, _r: &mut BitReader<'_>) -> Result<(), NetsimError> {
         Ok(())

@@ -53,7 +53,7 @@ pub struct ItemRef {
 /// faithfully) an item update was folded into an existing partial
 /// without re-aggregating the underlying multiset.
 ///
-/// The continuous-aggregate machinery (`saq_core::continuous`,
+/// The standing-query machinery (`saq_core::service::FleetService`,
 /// `saq_protocols::wave::WaveSubstrate::set_items`) uses this to keep
 /// cached subtree partials *valid across item updates*: `Exact` and
 /// `Certified` entries stay resident — a standing query's refresh then
@@ -1064,19 +1064,18 @@ impl PartialAggregate for BottomKAgg {
     /// k-th key) is a no-op; insertions are the ordinary ODI insert.
     /// Removing a *retained* identity is declined — the evicted
     /// (k+1)-smallest key is unknowable from the partial alone.
+    ///
+    /// An identity appears at most once in `removed` and at most once in
+    /// `added` (an item leaves or enters a multiset once per update), so
+    /// pairing needs no bookkeeping and the delta allocates nothing.
     fn apply_delta(&self, p: &mut BottomK, removed: &[ItemRef], added: &[ItemRef]) -> DeltaSupport {
-        // Pair removals with additions sharing an item identity: those
-        // are in-place value updates of one (node, slot).
-        let mut additions: Vec<(ItemRef, bool)> = added.iter().map(|&it| (it, false)).collect();
+        let same = |a: &ItemRef, b: &ItemRef| a.node == b.node && a.slot == b.slot;
+        // A removal paired with an addition of the same identity is an
+        // in-place value update of one (node, slot).
         for r in removed {
             let key = self.hash.hash_pair(r.node, r.slot);
-            let update = additions
-                .iter_mut()
-                .find(|(a, used)| !used && a.node == r.node && a.slot == r.slot);
-            if let Some((a, used)) = update {
-                let value = a.value;
-                *used = true;
-                if p.set_value(key, value) {
+            if let Some(a) = added.iter().find(|a| same(a, r)) {
+                if p.set_value(key, a.value) {
                     continue; // retained identity: exact in-place update
                 }
             } else if p.contains_key(key) {
@@ -1091,8 +1090,8 @@ impl PartialAggregate for BottomKAgg {
                 return DeltaSupport::Unsupported;
             }
         }
-        for (a, used) in additions {
-            if !used {
+        for a in added {
+            if !removed.iter().any(|r| same(a, r)) {
                 p.insert(self.hash.hash_pair(a.node, a.slot), a.value);
             }
         }

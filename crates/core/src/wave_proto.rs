@@ -56,6 +56,21 @@ impl SimItem {
     }
 }
 
+/// One node's item replacement as [`CoreWave`]'s cached partials see
+/// it: the active values that left and entered the node's multiset,
+/// slot by slot, each keyed by its stable `(node, slot)` identity (a
+/// slot whose current value is unchanged, or passive on both sides,
+/// appears in neither list). Derived once per update and folded into
+/// every cached entry on the root path; the substrate reuses one value,
+/// so its buffers stop allocating after the first update.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ItemDiff {
+    /// Items that left, in slot order.
+    pub removed: Vec<ItemRef>,
+    /// Items that entered, in slot order.
+    pub added: Vec<ItemRef>,
+}
+
 /// The request vocabulary of the core primitives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoreRequest {
@@ -239,6 +254,8 @@ impl WaveProtocol for CoreWave {
     type Request = CoreRequest;
     type Partial = CorePartial;
     type Item = SimItem;
+    type ItemDelta = ItemDiff;
+    type DeltaKey = CoreRequest;
 
     fn encode_request(&self, req: &CoreRequest, w: &mut BitWriter) {
         match req {
@@ -539,29 +556,17 @@ impl WaveProtocol for CoreWave {
         matches!(req, CoreRequest::Zoom { .. })
     }
 
-    /// Routes a driver-side item replacement into the two-step layer's
-    /// [`PartialAggregate::apply_delta`]: the cache key *is* the encoded
-    /// sub-request, so decoding it recovers which aggregate the cached
-    /// subtree partial belongs to, and the slot-wise item diff (active
-    /// values only, keyed by the stable `(node, slot)` identity) becomes
-    /// the removed/added [`ItemRef`] sets. Exact for COUNT/SUM/MIN/MAX
-    /// and bottom-k, certified re-contribute-and-prune for quantile
-    /// summaries on pure insertions; everything else reports failure and
-    /// is invalidated by the caller.
-    fn apply_item_delta(
+    /// The slot-wise diff of the origin's active values (see
+    /// [`ItemDiff`]), rebuilt in `delta`'s buffers.
+    fn item_delta(
         &self,
-        key: &CacheKey,
-        partial: &mut CorePartial,
         origin: NodeId,
         old_items: &[SimItem],
         new_items: &[SimItem],
-    ) -> bool {
-        let mut r = BitReader::new(key);
-        let Ok(req) = self.decode_request(&mut r) else {
-            return false; // foreign key shape: never guess
-        };
-        let mut removed: Vec<ItemRef> = Vec::new();
-        let mut added: Vec<ItemRef> = Vec::new();
+        delta: &mut ItemDiff,
+    ) {
+        delta.removed.clear();
+        delta.added.clear();
         for slot in 0..old_items.len().max(new_items.len()) {
             let old = old_items.get(slot).and_then(|it| it.cur);
             let new = new_items.get(slot).and_then(|it| it.cur);
@@ -573,36 +578,55 @@ impl WaveProtocol for CoreWave {
                 slot: slot as u64,
                 value,
             };
-            if let Some(v) = old {
-                removed.push(item(v));
-            }
-            if let Some(v) = new {
-                added.push(item(v));
-            }
+            delta.removed.extend(old.map(item));
+            delta.added.extend(new.map(item));
         }
+    }
+
+    /// Every key [`WaveProtocol::cache_key`] makes is the encoded
+    /// sub-request, so parsing it recovers which aggregate the cached
+    /// subtree partial belongs to.
+    fn delta_key(&self, key: &CacheKey) -> Option<CoreRequest> {
+        self.decode_request(&mut BitReader::new(key)).ok()
+    }
+
+    /// Routes an item update into the two-step layer's
+    /// [`PartialAggregate::apply_delta`]: the parsed key names the
+    /// aggregate, and the [`ItemDiff`] supplies the removed/added item
+    /// sets. Exact for COUNT/SUM/MIN/MAX and bottom-k, certified
+    /// re-contribute-and-prune for quantile summaries on pure
+    /// insertions; everything else reports failure and is invalidated by
+    /// the caller.
+    fn apply_item_delta(
+        &self,
+        req: &CoreRequest,
+        partial: &mut CorePartial,
+        delta: &ItemDiff,
+    ) -> bool {
+        let (removed, added) = (delta.removed.as_slice(), delta.added.as_slice());
         if removed.is_empty() && added.is_empty() {
             return true; // only passive/unchanged slots: partial already right
         }
         use crate::aggregate::DeltaSupport;
-        let support = match (&req, partial) {
+        let support = match (req, partial) {
             (CoreRequest::Min(d), CorePartial::OptVal(_, v)) => self
                 .minmax_agg(MinMaxOp::Min, *d)
-                .apply_delta(v, &removed, &added),
+                .apply_delta(v, removed, added),
             (CoreRequest::Max(d), CorePartial::OptVal(_, v)) => self
                 .minmax_agg(MinMaxOp::Max, *d)
-                .apply_delta(v, &removed, &added),
+                .apply_delta(v, removed, added),
             (CoreRequest::Count(p), CorePartial::Num(n)) => self
                 .countsum_agg(CountSumOp::Count, *p)
-                .apply_delta(n, &removed, &added),
+                .apply_delta(n, removed, added),
             (CoreRequest::Sum(p), CorePartial::Num(n)) => self
                 .countsum_agg(CountSumOp::Sum, *p)
-                .apply_delta(n, &removed, &added),
+                .apply_delta(n, removed, added),
             (CoreRequest::Quantile { budget }, CorePartial::Quantile(s)) => {
-                self.quantile_agg(*budget).apply_delta(s, &removed, &added)
+                self.quantile_agg(*budget).apply_delta(s, removed, added)
             }
-            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(s)) => self
-                .bottomk_agg(*k, *nonce)
-                .apply_delta(s, &removed, &added),
+            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(s)) => {
+                self.bottomk_agg(*k, *nonce).apply_delta(s, removed, added)
+            }
             // Collect, DistinctExact and the sketch requests decline:
             // multiset deletion from their partials is unsound (or the
             // entries are never cached to begin with).
@@ -687,8 +711,11 @@ mod tests {
             CoreRequest::Quantile { budget: 8 },
             CoreRequest::BottomK { k: 4, nonce: 1 },
         ] {
-            assert!(p.cache_key(&req).is_some(), "{req:?} should be cacheable");
+            let key = p.cache_key(&req);
+            assert!(key.is_some(), "{req:?} should be cacheable");
             assert!(!p.invalidates_cache(&req));
+            // Delta maintenance reads the request back out of its key.
+            assert_eq!(p.delta_key(&key.unwrap()), Some(req));
         }
         // The key IS the encoding: distinct nonces are distinct keys.
         let a = p.cache_key(&CoreRequest::BottomK { k: 4, nonce: 1 });
@@ -864,6 +891,35 @@ mod tests {
         assert!(items[1].cur.is_some());
         assert_eq!(items[2].cur, None);
         assert_eq!(items[2].orig, 100, "original value preserved");
+    }
+
+    #[test]
+    fn item_delta_diffs_active_values_slot_by_slot() {
+        let p = proto();
+        let passive = SimItem { orig: 9, cur: None };
+        let old = [SimItem::new(5), passive, SimItem::new(7), SimItem::new(8)];
+        let new = [SimItem::new(5), passive, SimItem::new(70)];
+        let mut delta = ItemDiff::default();
+        p.item_delta(4, &old, &new, &mut delta);
+        let item = |slot, value| ItemRef {
+            node: 4,
+            slot,
+            value,
+        };
+        // Unchanged and passive slots appear in neither list; a value
+        // change is a removal plus an addition at the same identity; a
+        // vanished slot is a removal only.
+        assert_eq!(delta.removed, vec![item(2, 7), item(3, 8)]);
+        assert_eq!(delta.added, vec![item(2, 70)]);
+        // The next update overwrites this one in the same buffers.
+        let capacity = delta.removed.capacity();
+        p.item_delta(4, &new, &new, &mut delta);
+        assert_eq!(delta, ItemDiff::default());
+        assert_eq!(delta.removed.capacity(), capacity);
+        // An empty diff leaves every cached partial as it is.
+        let mut partial = CorePartial::Num(3);
+        assert!(p.apply_item_delta(&CoreRequest::Count(Predicate::TRUE), &mut partial, &delta));
+        assert_eq!(partial, CorePartial::Num(3));
     }
 
     #[test]

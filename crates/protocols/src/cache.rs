@@ -21,15 +21,18 @@
 //! * a wave whose request [`WaveProtocol::invalidates_cache`] reports
 //!   `true` (item mutation, e.g. the paper's Fig. 4 zoom) clears the
 //!   cache of every node that executes it, *before* serving any slot;
-//! * driver-side item replacement ([`WaveSubstrate::set_items`]) clears the
-//!   mutated node **and every ancestor** — their cached partials embed
-//!   the stale subtree contribution.
+//! * item replacement between waves ([`WaveSubstrate::set_items`]) visits
+//!   the mutated node **and every ancestor** — their cached partials
+//!   embed the stale subtree contribution — and, entry by entry, either
+//!   folds the update in place or drops the entry
+//!   ([`PartialCache::delta_maintain`]).
 //!
 //! [`WaveProtocol::invalidates_cache`]: crate::wave::WaveProtocol::invalidates_cache
 //! [`WaveSubstrate::set_items`]: crate::wave::WaveSubstrate::set_items
 
 use saq_netsim::wire::BitString;
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 
 /// Key identifying a cacheable sub-request: its exact encoded wire bits.
 ///
@@ -78,8 +81,10 @@ impl CacheStats {
 ///
 /// Eviction is FIFO by insertion order: the cache's job is to absorb
 /// *repeated* request streams (dashboards re-issuing the same queries),
-/// where any reasonable policy behaves identically; FIFO keeps the
-/// bookkeeping O(1) per wave on sensor-class nodes.
+/// where any reasonable policy behaves identically. Each entry carries
+/// its insertion stamp, so the order costs one integer per entry rather
+/// than a second copy of every key; finding the oldest entry scans the
+/// map, which only an insert into a full cache does.
 ///
 /// # Examples
 ///
@@ -101,9 +106,10 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PartialCache<V> {
-    map: HashMap<CacheKey, V>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<CacheKey>,
+    /// Each value with its insertion stamp (FIFO eviction order).
+    map: HashMap<CacheKey, (u64, V)>,
+    /// The stamp the next new entry gets.
+    next_stamp: u64,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -123,7 +129,7 @@ impl<V: Clone> PartialCache<V> {
         assert!(capacity > 0, "cache capacity must be positive");
         PartialCache {
             map: HashMap::new(),
-            order: VecDeque::new(),
+            next_stamp: 0,
             capacity,
             hits: 0,
             misses: 0,
@@ -134,43 +140,35 @@ impl<V: Clone> PartialCache<V> {
     }
 
     /// Delta-maintains every resident entry through an item mutation:
-    /// `apply` receives each `(key, partial)` and returns whether it
+    /// `apply` receives each cached partial and returns whether it
     /// folded the update in (`true` keeps the entry, now up to date;
     /// `false` invalidates it — the per-entry fallback that replaces the
     /// old whole-cache clear, so entries whose aggregates support deltas
     /// stay resident across mutations). Counted in
     /// [`CacheStats::delta_applied`] / [`CacheStats::delta_invalidated`];
     /// returns this call's `(applied, invalidated)` counts, so a caller
-    /// reporting them need not diff the cumulative counters.
-    pub fn delta_maintain(
-        &mut self,
-        mut apply: impl FnMut(&CacheKey, &mut V) -> bool,
-    ) -> (u64, u64) {
-        let mut dropped: Vec<CacheKey> = Vec::new();
-        let mut applied = 0;
-        for (key, value) in self.map.iter_mut() {
-            if apply(key, value) {
+    /// reporting them need not diff the cumulative counters. Allocates
+    /// nothing.
+    pub fn delta_maintain(&mut self, mut apply: impl FnMut(&mut V) -> bool) -> (u64, u64) {
+        let (mut applied, mut invalidated) = (0, 0);
+        self.map.retain(|_, (_, value)| {
+            let kept = apply(value);
+            if kept {
                 applied += 1;
             } else {
-                dropped.push(key.clone());
+                invalidated += 1;
             }
-        }
-        let invalidated = dropped.len() as u64;
+            kept
+        });
         self.delta_applied += applied;
         self.delta_invalidated += invalidated;
-        if !dropped.is_empty() {
-            for key in &dropped {
-                self.map.remove(key);
-            }
-            self.order.retain(|k| self.map.contains_key(k));
-        }
         (applied, invalidated)
     }
 
     /// Looks up a cached subtree partial, counting the hit or miss.
     pub fn get(&mut self, key: &CacheKey) -> Option<V> {
         match self.map.get(key) {
-            Some(v) => {
+            Some((_, v)) => {
                 self.hits += 1;
                 Some(v.clone())
             }
@@ -184,15 +182,18 @@ impl<V: Clone> PartialCache<V> {
     /// Stores a subtree partial, evicting the oldest entry when full.
     /// Re-inserting an existing key replaces its value in place.
     pub fn insert(&mut self, key: CacheKey, value: V) {
-        if self.map.insert(key.clone(), value).is_some() {
-            return; // refreshed in place; insertion order unchanged
-        }
-        self.order.push_back(key);
-        while self.map.len() > self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-                self.evictions += 1;
+        match self.map.entry(key) {
+            // Refreshed in place; insertion order unchanged.
+            Entry::Occupied(mut entry) => entry.get_mut().1 = value,
+            Entry::Vacant(entry) => {
+                entry.insert((self.next_stamp, value));
+                self.next_stamp += 1;
             }
+        }
+        if self.map.len() > self.capacity {
+            let oldest = self.map.values().map(|&(stamp, _)| stamp).min();
+            self.map.retain(|_, &mut (stamp, _)| Some(stamp) != oldest);
+            self.evictions += 1;
         }
     }
 
@@ -200,7 +201,6 @@ impl<V: Clone> PartialCache<V> {
     /// measurements span invalidations.
     pub fn clear(&mut self) {
         self.map.clear();
-        self.order.clear();
     }
 
     /// Number of resident entries.
@@ -296,9 +296,9 @@ mod tests {
         c.insert(key(1), 10);
         c.insert(key(2), 20);
         c.insert(key(3), 30);
-        // Entries under even keys absorb the delta; odd ones decline.
-        let counts = c.delta_maintain(|k, v| {
-            if k == &key(2) {
+        // The entry holding 20 absorbs the delta; the others decline.
+        let counts = c.delta_maintain(|v| {
+            if *v == 20 {
                 *v += 5;
                 true
             } else {

@@ -116,8 +116,8 @@ use crate::error::ProtocolError;
 use crate::obs::NodeTraceEntry;
 use crate::tree::SpanningTree;
 use crate::wave::{
-    ack_bits, header_bits, read_wave, write_wave, Reliability, TransportFootprint, WaveProtocol,
-    WaveSubstrate, KIND_PARTIAL, KIND_REQUEST, SEQ_BITS,
+    ack_bits, header_bits, read_wave, write_wave, CachedPartial, Reliability, TransportFootprint,
+    WaveProtocol, WaveSubstrate, KIND_PARTIAL, KIND_REQUEST, SEQ_BITS,
 };
 use saq_netsim::energy::EnergyModel;
 use saq_netsim::flat::{FlatTree, NestDepth, ShardBlock, ShardPlan};
@@ -430,7 +430,7 @@ struct Cols<'a, P: WaveProtocol> {
     base: usize,
     items: &'a mut [Vec<P::Item>],
     rngs: &'a mut [Xoshiro256StarStar],
-    caches: &'a mut [Option<PartialCache<P::Partial>>],
+    caches: &'a mut [Option<PartialCache<CachedPartial<P>>>],
     counters: &'a mut [NodeStats],
     slots: &'a mut [WaveSlot<P>],
     /// Emulated receiver-side dedup residue (`seen` cardinality) per
@@ -470,7 +470,7 @@ fn charge_rx(c: &mut NodeStats, model: &EnergyModel, bits: u64) {
 /// reply).
 fn admit<P: WaveProtocol>(
     proto: &P,
-    cache: &mut Option<PartialCache<P::Partial>>,
+    cache: &mut Option<PartialCache<CachedPartial<P>>>,
     slot: &mut WaveSlot<P>,
     req: Arc<P::Request>,
     mut trace: Option<&mut Vec<NodeTraceEntry>>,
@@ -489,7 +489,7 @@ fn admit<P: WaveProtocol>(
         for (i, key) in proto.slot_cache_keys(&req).into_iter().enumerate() {
             match key {
                 Some(key) => match cache.get(&key) {
-                    Some(p) => {
+                    Some(CachedPartial { partial: p, .. }) => {
                         if let Some(t) = trace.as_deref_mut() {
                             t.push(NodeTraceEntry::CacheHit { slot: i as u32 });
                         }
@@ -533,7 +533,7 @@ fn admit<P: WaveProtocol>(
 /// interleave as [`AggNode::assemble_partial`](crate::wave::AggNode).
 fn assemble<P: WaveProtocol>(
     proto: &P,
-    cache: &mut Option<PartialCache<P::Partial>>,
+    cache: &mut Option<PartialCache<CachedPartial<P>>>,
     slot: &mut WaveSlot<P>,
     acc: P::Partial,
 ) -> P::Partial {
@@ -549,7 +549,8 @@ fn assemble<P: WaveProtocol>(
     debug_assert_eq!(computed.len(), slot.miss.len(), "slot split shape");
     if let Some(cache) = cache {
         for (pos, key) in slot.store.drain(..) {
-            cache.insert(key, computed[pos].clone());
+            let entry = CachedPartial::new(proto, &key, computed[pos].clone());
+            cache.insert(key, entry);
         }
     }
     if slot.hits.is_empty() {
@@ -928,7 +929,7 @@ fn run_task<P: WaveProtocol>(
 struct Columns<P: WaveProtocol> {
     items: Vec<Vec<P::Item>>,
     rngs: Vec<Xoshiro256StarStar>,
-    caches: Vec<Option<PartialCache<P::Partial>>>,
+    caches: Vec<Option<PartialCache<CachedPartial<P>>>>,
     /// Cumulative per-position counters, flushed wholesale into the
     /// global-id-indexed [`NetStats`] after every wave.
     counters: Vec<NodeStats>,
@@ -1051,6 +1052,8 @@ pub struct FlatWaveRunner<P: WaveProtocol> {
     stranded: bool,
     tree_height: u32,
     tree_max_degree: usize,
+    /// The last item update's delta, reused by the next.
+    item_delta: P::ItemDelta,
 }
 
 impl<P> FlatWaveRunner<P>
@@ -1058,6 +1061,7 @@ where
     P: WaveProtocol + Send,
     P::Request: Send + Sync,
     P::Partial: Send,
+    P::DeltaKey: Send,
     P::Item: Send,
 {
     /// Builds a flat runner over the same inputs as
@@ -1159,6 +1163,7 @@ where
             next_wave: 0,
             last_wave_frames: 0,
             stranded: false,
+            item_delta: P::ItemDelta::default(),
         })
     }
 
@@ -1386,6 +1391,7 @@ where
     P: WaveProtocol + Send + std::fmt::Debug,
     P::Request: Send + Sync,
     P::Partial: Send,
+    P::DeltaKey: Send,
     P::Item: Send,
 {
     fn name(&self) -> &'static str {
@@ -1456,15 +1462,14 @@ where
         if old == self.cols.items[pos] {
             return (0, 0); // nothing observable changed: caches stay valid as-is
         }
-        let new = self.cols.items[pos].clone();
+        self.proto
+            .item_delta(node, &old, &self.cols.items[pos], &mut self.item_delta);
+        let (proto, delta) = (&self.proto, &self.item_delta);
         let (mut applied, mut invalidated) = (0, 0);
         let mut cursor = Some(pos);
         while let Some(p) = cursor {
             if let Some(cache) = &mut self.cols.caches[p] {
-                let proto = &self.proto;
-                let (a, i) = cache.delta_maintain(|key, partial| {
-                    proto.apply_item_delta(key, partial, node, &old, &new)
-                });
+                let (a, i) = cache.delta_maintain(|entry| entry.apply(proto, delta));
                 applied += a;
                 invalidated += i;
             }
@@ -1550,6 +1555,8 @@ mod tests {
         type Request = u64;
         type Partial = u64;
         type Item = u64;
+        type ItemDelta = ();
+        type DeltaKey = ();
 
         fn encode_request(&self, req: &u64, w: &mut BitWriter) {
             w.write_bits(*req, self.value_width);
@@ -2225,6 +2232,8 @@ mod tests {
         type Request = u64;
         type Partial = u64;
         type Item = u64;
+        type ItemDelta = ();
+        type DeltaKey = ();
 
         fn encode_request(&self, req: &u64, w: &mut BitWriter) {
             self.inner.encode_request(req, w);

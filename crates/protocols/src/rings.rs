@@ -269,6 +269,8 @@ mod tests {
         type Request = ();
         type Partial = u64;
         type Item = u64;
+        type ItemDelta = ();
+        type DeltaKey = ();
         fn encode_request(&self, _r: &(), _w: &mut BitWriter) {}
         fn decode_request(&self, _r: &mut BitReader<'_>) -> Result<(), NetsimError> {
             Ok(())
@@ -301,6 +303,8 @@ mod tests {
         type Request = ();
         type Partial = u64;
         type Item = u64;
+        type ItemDelta = ();
+        type DeltaKey = ();
         fn encode_request(&self, _r: &(), _w: &mut BitWriter) {}
         fn decode_request(&self, _r: &mut BitReader<'_>) -> Result<(), NetsimError> {
             Ok(())

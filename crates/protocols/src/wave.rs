@@ -52,6 +52,21 @@ pub trait WaveProtocol: Clone {
     /// replacements ([`WaveSubstrate::set_items`] with identical items) and
     /// leave caches untouched.
     type Item: Clone + Debug + PartialEq;
+    /// One item replacement ([`WaveSubstrate::set_items`]) as this
+    /// protocol's cached partials see it: derived once per update by
+    /// [`WaveProtocol::item_delta`], then folded into every cached entry
+    /// on the updated node's root path by
+    /// [`WaveProtocol::apply_item_delta`]. Each substrate keeps one value
+    /// and reuses it for every update, so buffers kept in here are
+    /// allocated once, not per update or per entry. Protocols that do not
+    /// delta-maintain their caches use `()`.
+    type ItemDelta: Default + Debug;
+    /// A cache key parsed into what [`WaveProtocol::apply_item_delta`]
+    /// needs ([`WaveProtocol::delta_key`]). It is parsed once, when the
+    /// entry is stored, and kept beside the entry, so an item update
+    /// never re-reads a key. Protocols that do not delta-maintain their
+    /// caches use `()`.
+    type DeltaKey: Clone + Debug;
 
     /// Serializes a request.
     fn encode_request(&self, req: &Self::Request, w: &mut BitWriter);
@@ -184,13 +199,33 @@ pub trait WaveProtocol: Clone {
             .expect("a request has at least one slot")
     }
 
-    /// Delta-maintains one cached subtree partial through a driver-side
-    /// item replacement at node `origin` (somewhere in the subtree the
-    /// partial summarizes): `key` is the cache key the entry was stored
-    /// under — for deterministic requests, the encoded sub-request, i.e.
-    /// enough to recover which aggregate the partial belongs to — and
-    /// `old_items`/`new_items` are the origin node's items before and
-    /// after the replacement.
+    /// Parses a cache key for delta maintenance, or `None` when entries
+    /// under it must be invalidated by every item update (the default).
+    /// Called once per stored entry.
+    fn delta_key(&self, _key: &CacheKey) -> Option<Self::DeltaKey> {
+        None
+    }
+
+    /// Derives into `delta` what replacing `old_items` with `new_items` at
+    /// node `origin` means to a cached partial. `delta` still holds the
+    /// previous update's value: overwrite it, reusing its buffers. Called
+    /// once per update, before any [`WaveProtocol::apply_item_delta`].
+    /// The default leaves `delta` untouched.
+    fn item_delta(
+        &self,
+        _origin: NodeId,
+        _old_items: &[Self::Item],
+        _new_items: &[Self::Item],
+        _delta: &mut Self::ItemDelta,
+    ) {
+    }
+
+    /// Delta-maintains one cached subtree partial through the item
+    /// replacement [`WaveProtocol::item_delta`] derived into `delta`
+    /// (at a node somewhere in the subtree the partial summarizes). `key`
+    /// is the entry's parsed cache key ([`WaveProtocol::delta_key`]) —
+    /// for deterministic requests, the sub-request itself, i.e. which
+    /// aggregate the partial belongs to.
     ///
     /// Return `true` after updating `partial` in place to exactly (or,
     /// for certified-approximation aggregates, equivalently) what a fresh
@@ -201,11 +236,9 @@ pub trait WaveProtocol: Clone {
     /// do not opt in.
     fn apply_item_delta(
         &self,
-        _key: &CacheKey,
+        _key: &Self::DeltaKey,
         _partial: &mut Self::Partial,
-        _origin: NodeId,
-        _old_items: &[Self::Item],
-        _new_items: &[Self::Item],
+        _delta: &Self::ItemDelta,
     ) -> bool {
         false
     }
@@ -361,6 +394,41 @@ struct PendingMsg {
     payload: BitString,
 }
 
+/// What a node's subtree cache stores: a partial, and its key parsed
+/// for delta maintenance (`None`: the entry declines every delta).
+#[derive(Debug)]
+pub(crate) struct CachedPartial<P: WaveProtocol> {
+    pub(crate) partial: P::Partial,
+    delta_key: Option<P::DeltaKey>,
+}
+
+impl<P: WaveProtocol> Clone for CachedPartial<P> {
+    fn clone(&self) -> Self {
+        CachedPartial {
+            partial: self.partial.clone(),
+            delta_key: self.delta_key.clone(),
+        }
+    }
+}
+
+impl<P: WaveProtocol> CachedPartial<P> {
+    /// Wraps a partial about to be stored under `key`.
+    pub(crate) fn new(proto: &P, key: &CacheKey, partial: P::Partial) -> Self {
+        CachedPartial {
+            partial,
+            delta_key: proto.delta_key(key),
+        }
+    }
+
+    /// Folds an item update in ([`WaveProtocol::apply_item_delta`]);
+    /// `false` means the entry must be invalidated.
+    pub(crate) fn apply(&mut self, proto: &P, delta: &P::ItemDelta) -> bool {
+        self.delta_key
+            .as_ref()
+            .is_some_and(|key| proto.apply_item_delta(key, &mut self.partial, delta))
+    }
+}
+
 /// Outcome of wave admission at a node (see [`AggNode::admit_wave`]).
 #[derive(Debug)]
 enum WaveAdmit<P: WaveProtocol> {
@@ -394,7 +462,7 @@ pub struct AggNode<P: WaveProtocol> {
     staged: Option<(u16, P::Request)>,
 
     /// Subtree partial cache (`None` = caching disabled, the default).
-    cache: Option<PartialCache<P::Partial>>,
+    cache: Option<PartialCache<CachedPartial<P>>>,
     /// The (possibly cache-reduced) request forwarded to children this
     /// wave; child partials and `acc` align with it.
     fwd_req: Option<P::Request>,
@@ -499,28 +567,16 @@ impl<P: WaveProtocol> AggNode<P> {
         }
     }
 
-    /// Replaces the node's items (driver-side setup only).
-    pub fn set_items(&mut self, items: Vec<P::Item>) {
-        self.items = items;
-    }
-
     /// Delta-maintains this node's subtree cache through an item
-    /// replacement at `origin` (this node or a descendant): every
-    /// resident entry either absorbs the delta in place
+    /// replacement at this node or a descendant, already derived into
+    /// `delta`: every resident entry either absorbs it in place
     /// ([`WaveProtocol::apply_item_delta`]) or is invalidated — the
     /// fine-grained, per-entry successor of the old whole-cache clear.
     /// Returns the `(applied, invalidated)` entry counts.
-    fn delta_maintain_cache(
-        &mut self,
-        origin: NodeId,
-        old_items: &[P::Item],
-        new_items: &[P::Item],
-    ) -> (u64, u64) {
+    fn delta_maintain_cache(&mut self, delta: &P::ItemDelta) -> (u64, u64) {
         let AggNode { proto, cache, .. } = self;
         cache.as_mut().map_or((0, 0), |cache| {
-            cache.delta_maintain(|key, partial| {
-                proto.apply_item_delta(key, partial, origin, old_items, new_items)
-            })
+            cache.delta_maintain(|entry| entry.apply(proto, delta))
         })
     }
 
@@ -683,7 +739,7 @@ impl<P: WaveProtocol> AggNode<P> {
             for (i, key) in self.proto.slot_cache_keys(&req).into_iter().enumerate() {
                 match key {
                     Some(key) => match cache.get(&key) {
-                        Some(p) => {
+                        Some(CachedPartial { partial: p, .. }) => {
                             if self.trace_on {
                                 cache_trace.push(NodeTraceEntry::CacheHit { slot: i as u32 });
                             }
@@ -796,7 +852,8 @@ impl<P: WaveProtocol> AggNode<P> {
         debug_assert_eq!(computed.len(), self.wave_miss.len(), "slot split shape");
         if let Some(cache) = &mut self.cache {
             for (pos, key) in self.wave_store.drain(..) {
-                cache.insert(key, computed[pos].clone());
+                let entry = CachedPartial::new(&self.proto, &key, computed[pos].clone());
+                cache.insert(key, entry);
             }
         }
         if self.wave_hits.is_empty() {
@@ -970,13 +1027,14 @@ pub trait WaveSubstrate<P: WaveProtocol>: Debug {
 
     /// Replaces the items of `node` (driver-side setup; not charged as
     /// communication), **delta-maintaining** the subtree partial caches
-    /// of `node` and every ancestor up to the root: each resident entry
-    /// whose aggregate supports deltas
+    /// of `node` and every ancestor up to the root: the replacement is
+    /// diffed once ([`WaveProtocol::item_delta`]), then each resident
+    /// entry whose aggregate supports deltas
     /// ([`WaveProtocol::apply_item_delta`]) is updated in place and keeps
     /// serving refreshes; every other entry is invalidated individually —
     /// the fine-grained successor of the old whole-path cache clear.
     /// Replacing items with identical ones is a no-op and touches no
-    /// cache at all.
+    /// cache at all. Once warm, the walk allocates nothing.
     ///
     /// Returns the `(applied, invalidated)` entry counts of this update
     /// (the growth of [`CacheStats::delta_applied`] and
@@ -1044,6 +1102,8 @@ pub struct WaveRunner<P: WaveProtocol> {
     last_wave_frames: u64,
     tree_height: u32,
     tree_max_degree: usize,
+    /// The last item update's delta, reused by the next.
+    item_delta: P::ItemDelta,
 }
 
 impl<P: WaveProtocol> WaveRunner<P> {
@@ -1085,6 +1145,7 @@ impl<P: WaveProtocol> WaveRunner<P> {
             last_wave_frames: 0,
             tree_height: tree.height(),
             tree_max_degree: tree.max_degree(),
+            item_delta: P::ItemDelta::default(),
         })
     }
 
@@ -1154,16 +1215,18 @@ impl<P: WaveProtocol + Debug> WaveSubstrate<P> for WaveRunner<P> {
     }
 
     fn set_items(&mut self, node: NodeId, items: Vec<P::Item>) -> (u64, u64) {
-        let old = std::mem::replace(&mut self.sim.node_mut(node).items, items);
-        let new = self.sim.node(node).items.clone();
-        if old == new {
+        let n = self.sim.node_mut(node);
+        let old = std::mem::replace(&mut n.items, items);
+        if old == n.items {
             return (0, 0); // nothing observable changed: caches stay valid as-is
         }
+        n.proto
+            .item_delta(node, &old, &n.items, &mut self.item_delta);
         let (mut applied, mut invalidated) = (0, 0);
         let mut v = node;
         loop {
             let n = self.sim.node_mut(v);
-            let (a, i) = n.delta_maintain_cache(node, &old, &new);
+            let (a, i) = n.delta_maintain_cache(&self.item_delta);
             applied += a;
             invalidated += i;
             match n.parent {
@@ -1440,6 +1503,8 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
     type Request = Vec<MuxEntry<P::Request>>;
     type Partial = Vec<P::Partial>;
     type Item = P::Item;
+    type ItemDelta = P::ItemDelta;
+    type DeltaKey = P::DeltaKey;
 
     /// Frame layout: gamma slot count, a 1-bit *dense* flag (set when
     /// entry `i` bills slot `i`, the un-subset common case), then per
@@ -1641,19 +1706,29 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
 
     /// Cached multiplex entries are single-slot partials keyed by the
     /// **inner** sub-request encoding (see `slot_cache_keys` above), so
-    /// the delta dispatches straight to the inner protocol.
-    fn apply_item_delta(
+    /// keys parse and deltas dispatch straight to the inner protocol.
+    fn delta_key(&self, key: &CacheKey) -> Option<Self::DeltaKey> {
+        self.inner.delta_key(key)
+    }
+
+    fn item_delta(
         &self,
-        key: &CacheKey,
-        partial: &mut Self::Partial,
         origin: NodeId,
         old_items: &[Self::Item],
         new_items: &[Self::Item],
+        delta: &mut Self::ItemDelta,
+    ) {
+        self.inner.item_delta(origin, old_items, new_items, delta);
+    }
+
+    fn apply_item_delta(
+        &self,
+        key: &Self::DeltaKey,
+        partial: &mut Self::Partial,
+        delta: &Self::ItemDelta,
     ) -> bool {
         match partial.as_mut_slice() {
-            [sub] => self
-                .inner
-                .apply_item_delta(key, sub, origin, old_items, new_items),
+            [sub] => self.inner.apply_item_delta(key, sub, delta),
             _ => false, // only single-slot shapes are ever cached
         }
     }
@@ -1712,6 +1787,8 @@ mod tests {
         type Request = u64; // threshold
         type Partial = u64; // sum
         type Item = u64;
+        type ItemDelta = ();
+        type DeltaKey = ();
 
         fn encode_request(&self, req: &u64, w: &mut BitWriter) {
             w.write_bits(*req, self.value_width);
@@ -1955,6 +2032,8 @@ mod tests {
             type Request = ();
             type Partial = u64;
             type Item = u64;
+            type ItemDelta = ();
+            type DeltaKey = ();
             fn encode_request(&self, _req: &(), _w: &mut BitWriter) {}
             fn decode_request(&self, _r: &mut BitReader<'_>) -> Result<(), NetsimError> {
                 Ok(())
@@ -2235,6 +2314,10 @@ mod tests {
         type Request = u64;
         type Partial = u64;
         type Item = u64;
+        /// The origin's items before and after the update.
+        type ItemDelta = (Vec<u64>, Vec<u64>);
+        /// The sum's threshold.
+        type DeltaKey = u64;
 
         fn encode_request(&self, req: &u64, w: &mut BitWriter) {
             w.write_bits(*req, self.value_width);
@@ -2265,22 +2348,31 @@ mod tests {
             self.encode_request(req, &mut w);
             Some(w.finish())
         }
-        fn apply_item_delta(
+        fn item_delta(
             &self,
-            key: &CacheKey,
-            partial: &mut u64,
             _origin: NodeId,
             old_items: &[u64],
             new_items: &[u64],
+            (old, new): &mut (Vec<u64>, Vec<u64>),
+        ) {
+            old.clear();
+            old.extend_from_slice(old_items);
+            new.clear();
+            new.extend_from_slice(new_items);
+        }
+        fn delta_key(&self, key: &CacheKey) -> Option<u64> {
+            self.decode_request(&mut BitReader::new(key)).ok()
+        }
+        fn apply_item_delta(
+            &self,
+            &threshold: &u64,
+            partial: &mut u64,
+            (old, new): &(Vec<u64>, Vec<u64>),
         ) -> bool {
-            let mut r = BitReader::new(key);
-            let Ok(threshold) = r.read_bits(self.value_width) else {
-                return false;
-            };
             let sum = |items: &[u64]| items.iter().filter(|&&x| x < threshold).sum::<u64>();
-            match partial.checked_sub(sum(old_items)) {
+            match partial.checked_sub(sum(old)) {
                 Some(rest) => {
-                    *partial = rest + sum(new_items);
+                    *partial = rest + sum(new);
                     true
                 }
                 None => false,
@@ -2463,6 +2555,8 @@ mod tests {
             type Request = ();
             type Partial = Vec<u64>;
             type Item = u64;
+            type ItemDelta = ();
+            type DeltaKey = ();
             fn encode_request(&self, _req: &(), _w: &mut BitWriter) {}
             fn decode_request(&self, _r: &mut BitReader<'_>) -> Result<(), NetsimError> {
                 Ok(())

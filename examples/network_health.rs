@@ -34,6 +34,8 @@ impl WaveProtocol for AliveCount {
     type Request = ();
     type Partial = u64;
     type Item = u64;
+    type ItemDelta = ();
+    type DeltaKey = ();
     fn encode_request(&self, _r: &(), _w: &mut BitWriter) {}
     fn decode_request(&self, _r: &mut BitReader<'_>) -> Result<(), NetsimError> {
         Ok(())
@@ -66,6 +68,8 @@ impl WaveProtocol for AliveSketch {
     type Request = ();
     type Partial = LogLog;
     type Item = u64;
+    type ItemDelta = ();
+    type DeltaKey = ();
     fn encode_request(&self, _r: &(), _w: &mut BitWriter) {}
     fn decode_request(&self, _r: &mut BitReader<'_>) -> Result<(), NetsimError> {
         Ok(())
