@@ -24,8 +24,8 @@ use saq_netsim::topology::Topology;
 use saq_obs::{Event, FrameKind, MetricsRegistry, MetricsSnapshot, Recorder, Telemetry};
 use saq_protocols::wave::{ack_bits, Reliability};
 use saq_protocols::{
-    FateReplay, FlatWaveRunner, MultiplexWave, MuxLedger, MuxSlotBits, NodeTraceEntry, ReplayEvent,
-    SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate,
+    FateReplay, FlatWaveRunner, Hop, MultiplexWave, MuxLedger, MuxSlotBits, NodeTraceEntry,
+    ReplayEvent, SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate,
 };
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -199,9 +199,14 @@ impl SimNetworkBuilder {
         let tree =
             SpanningTree::bfs_bounded(topo, 0, self.max_children).map_err(QueryError::from)?;
         let parents: Vec<Option<usize>> = (0..topo.len()).map(|v| tree.parent(v)).collect();
-        let replay = FateReplay::new(self.sim_cfg.seed, self.sim_cfg.link.clone());
-        let arq = matches!(self.reliability, Reliability::Ack { .. });
-        let attempt_budget = self.sim_cfg.max_events;
+        let replay = matches!(self.reliability, Reliability::Ack { .. }).then(|| {
+            FateReplay::new(
+                self.sim_cfg.seed,
+                self.sim_cfg.link.clone(),
+                self.sim_cfg.max_events,
+                topo.len(),
+            )
+        });
         let proto = MultiplexWave::new(CoreWave {
             xbar,
             apx: self.apx,
@@ -249,10 +254,8 @@ impl SimNetworkBuilder {
             telemetry: Telemetry::disabled(),
             parents,
             replay,
-            arq,
-            attempt_budget,
+            events: Vec::new(),
             waves_run: 0,
-            trace_poisoned: false,
             peak_wave_slots: 0,
             peak_wave_envelope_bits: 0,
         })
@@ -358,19 +361,16 @@ pub struct SimNetwork {
     /// Global parent of each node on the spanning tree — what turns
     /// peer-free [`NodeTraceEntry`]s into edge-attributed frame events.
     parents: Vec<Option<usize>>,
-    /// Replays the simulator's per-edge fate streams to expand logical
-    /// frames into attempt-level ARQ detail without touching the
-    /// simulator's own streams.
-    replay: FateReplay,
-    /// Whether the deployment runs per-hop ARQ (fate replay meaningful).
-    arq: bool,
-    /// The runners' ARQ attempt budget (`SimConfig::max_events`).
-    attempt_budget: u64,
+    /// Under per-hop ARQ, replays the simulator's per-edge fate streams
+    /// to expand logical frames into attempt-level detail without
+    /// touching the simulator's own streams. `None` without ARQ, and
+    /// dropped when a failed wave desynchronizes it: frame events are
+    /// then emitted without expansion.
+    replay: Option<FateReplay>,
+    /// The wave drain's event buffer, reused from wave to wave.
+    events: Vec<Event>,
     /// Waves run on this network (mirrors the runners' wave ordinal).
     waves_run: u64,
-    /// Set when a failed wave desynchronized the fate replay; frame
-    /// events from later waves are then emitted without ARQ expansion.
-    trace_poisoned: bool,
     /// Largest envelope (slot count) any wave carried — tracked
     /// unconditionally, it is two integer compares per wave.
     peak_wave_slots: u64,
@@ -503,8 +503,8 @@ impl SimNetwork {
                 // fate replay can no longer stay aligned with the
                 // simulator's streams: discard the traces and emit all
                 // later frame events without attempt-level expansion.
-                let _ = self.runner.take_trace();
-                self.trace_poisoned = true;
+                self.runner.drain_trace(&mut |_, _| {});
+                self.replay = None;
                 return Err(QueryError::from(e));
             }
         };
@@ -543,130 +543,56 @@ impl SimNetwork {
     }
 
     /// Drains the runner's per-node trace buffers into edge-attributed
-    /// telemetry events. The buffers come back in canonical order
-    /// (ascending global node id; within a node: request, cache events,
-    /// partial), which is what makes the emitted stream bit-identical
-    /// across the two substrates regardless of their internal
-    /// scheduling.
+    /// telemetry events. The runner hands entries over in canonical
+    /// order (ascending global node id; within a node: request, cache
+    /// events, partial), which is what makes the emitted stream
+    /// bit-identical across the two substrates regardless of their
+    /// internal scheduling. Events collect in one reused buffer and
+    /// reach the recorder in runs of [`EMIT_RUN`].
     fn drain_wave_events(&mut self) {
-        for (node, entry) in self.runner.take_trace() {
-            match entry {
-                NodeTraceEntry::RequestRecv { bits } => {
-                    let Some(parent) = self.parents[node] else {
-                        continue; // the root has no inbound request edge
-                    };
-                    self.frame_event(parent as u64, node as u64, bits, FrameKind::Request);
-                }
-                NodeTraceEntry::CacheHit { slot } => self.telemetry.emit(&Event::CacheHit {
-                    node: node as u64,
-                    slot: slot as u64,
-                }),
-                NodeTraceEntry::CacheMiss { slot } => self.telemetry.emit(&Event::CacheMiss {
-                    node: node as u64,
-                    slot: slot as u64,
-                }),
-                NodeTraceEntry::PartialSent { bits } => {
-                    let Some(parent) = self.parents[node] else {
-                        continue; // the root reports to nobody
-                    };
-                    self.frame_event(node as u64, parent as u64, bits, FrameKind::Partial);
-                }
-            }
-        }
-    }
-
-    /// Emits the event(s) for one logical frame exchange. Lossless
-    /// deployments (and poisoned traces after a failed wave) emit a
-    /// single [`Event::FrameSent`]; under per-hop ARQ the exchange is
-    /// expanded into its attempt-level history — first send,
-    /// retransmissions, drops and acks — by replaying the same per-edge
-    /// fate streams the simulator drew, so the expansion bills exactly
-    /// the frames the transport charged.
-    fn frame_event(&mut self, from: u64, to: u64, bits: u64, kind: FrameKind) {
-        if !self.arq || self.trace_poisoned {
-            self.telemetry.emit(&Event::FrameSent {
-                from,
-                to,
-                bits,
-                kind,
-            });
-            return;
-        }
-        let ack_bits = ack_bits(self.waves_run as u16);
+        let ack_width = ack_bits(self.waves_run as u16);
         let SimNetwork {
-            replay,
+            runner,
             telemetry,
-            attempt_budget,
+            parents,
+            replay,
+            events,
             ..
         } = self;
-        replay.replay_exchange(from, to, *attempt_budget, |ev| match ev {
-            ReplayEvent::DataDelivered { attempt, .. } => {
-                if attempt == 1 {
-                    telemetry.emit(&Event::FrameSent {
-                        from,
-                        to,
-                        bits,
-                        kind,
+        // A run plus the longest exchange history fits without regrowth.
+        events.reserve(2 * EMIT_RUN);
+        runner.drain_trace(&mut |node, entry| {
+            let exchange = match entry {
+                NodeTraceEntry::RequestRecv { bits } => Some((Hop::Down, bits)),
+                NodeTraceEntry::PartialSent { bits } => Some((Hop::Up, bits)),
+                NodeTraceEntry::CacheHit { slot } => {
+                    events.push(Event::CacheHit {
+                        node: node as u64,
+                        slot: slot as u64,
                     });
-                } else {
-                    telemetry.emit(&Event::Retransmit {
-                        from,
-                        to,
-                        bits,
-                        kind,
-                        attempt,
-                    });
+                    None
                 }
-            }
-            ReplayEvent::DataLost { attempt, corrupt } => {
-                if attempt == 1 {
-                    telemetry.emit(&Event::FrameSent {
-                        from,
-                        to,
-                        bits,
-                        kind,
+                NodeTraceEntry::CacheMiss { slot } => {
+                    events.push(Event::CacheMiss {
+                        node: node as u64,
+                        slot: slot as u64,
                     });
-                } else {
-                    telemetry.emit(&Event::Retransmit {
-                        from,
-                        to,
-                        bits,
-                        kind,
-                        attempt,
-                    });
+                    None
                 }
-                telemetry.emit(&Event::FrameDropped {
-                    from,
-                    to,
-                    bits,
-                    kind,
-                    corrupt,
-                });
+            };
+            // The root has no tree edge: no inbound request, no
+            // outbound partial.
+            if let (Some((hop, bits)), Some(parent)) = (exchange, parents[node]) {
+                let arq = replay.as_mut().map(|replay| (replay, ack_width));
+                push_exchange(events, arq, node as u64, parent as u64, hop, bits);
             }
-            ReplayEvent::AckDelivered { .. } => {
-                telemetry.emit(&Event::FrameSent {
-                    from: to,
-                    to: from,
-                    bits: ack_bits,
-                    kind: FrameKind::Ack,
-                });
-            }
-            ReplayEvent::AckLost { corrupt, .. } => {
-                telemetry.emit(&Event::FrameSent {
-                    from: to,
-                    to: from,
-                    bits: ack_bits,
-                    kind: FrameKind::Ack,
-                });
-                telemetry.emit(&Event::FrameDropped {
-                    from: to,
-                    to: from,
-                    bits: ack_bits,
-                    kind: FrameKind::Ack,
-                    corrupt,
-                });
+            if events.len() >= EMIT_RUN {
+                telemetry.emit_all(events);
+                events.clear();
             }
         });
+        telemetry.emit_all(events);
+        events.clear();
     }
 
     /// The shared ledger, recovering the guard if a protocol panic on
@@ -825,6 +751,88 @@ impl SimNetwork {
             (req, partial) => unreachable!("partial {partial:?} does not answer {req:?}"),
         }
     }
+}
+
+/// Events the wave drain hands the recorder per call: long enough to
+/// amortise a shared sink's lock, short enough that the reused buffer
+/// stays at tens of KiB whatever the tree size.
+const EMIT_RUN: usize = 1024;
+
+/// Appends the event(s) of one logical frame exchange over the tree
+/// edge between `child` and its `parent`. Without ARQ expansion (`arq`
+/// is `None`: fire-and-forget links, or a failed wave dropped the
+/// replay) the exchange is its single [`Event::FrameSent`]. Under
+/// per-hop ARQ, `arq` holds the fate replay and this wave's ACK width,
+/// and the exchange expands into its attempt-level history — first
+/// send, retransmissions, drops and acks — replayed from the same
+/// per-edge fate streams the transport drew, so the expansion bills
+/// exactly the frames the transport charged.
+fn push_exchange(
+    events: &mut Vec<Event>,
+    arq: Option<(&mut FateReplay, u64)>,
+    child: u64,
+    parent: u64,
+    hop: Hop,
+    bits: u64,
+) {
+    let (from, to, kind) = match hop {
+        Hop::Down => (parent, child, FrameKind::Request),
+        Hop::Up => (child, parent, FrameKind::Partial),
+    };
+    let Some((replay, ack_width)) = arq else {
+        events.push(Event::FrameSent {
+            from,
+            to,
+            bits,
+            kind,
+        });
+        return;
+    };
+    let attempt_event = |attempt| match attempt {
+        1 => Event::FrameSent {
+            from,
+            to,
+            bits,
+            kind,
+        },
+        _ => Event::Retransmit {
+            from,
+            to,
+            bits,
+            kind,
+            attempt,
+        },
+    };
+    let ack = Event::FrameSent {
+        from: to,
+        to: from,
+        bits: ack_width,
+        kind: FrameKind::Ack,
+    };
+    replay.replay_exchange(child, parent, hop, |ev| match ev {
+        ReplayEvent::DataDelivered { attempt, .. } => events.push(attempt_event(attempt)),
+        ReplayEvent::DataLost { attempt, corrupt } => {
+            events.push(attempt_event(attempt));
+            events.push(Event::FrameDropped {
+                from,
+                to,
+                bits,
+                kind,
+                corrupt,
+            });
+        }
+        ReplayEvent::AckDelivered { .. } => events.push(ack.clone()),
+        ReplayEvent::AckLost { corrupt, .. } => {
+            events.push(ack.clone());
+            events.push(Event::FrameDropped {
+                from: to,
+                to: from,
+                bits: ack_width,
+                kind: FrameKind::Ack,
+                corrupt,
+            });
+        }
+    });
 }
 
 impl AggregationNetwork for SimNetwork {

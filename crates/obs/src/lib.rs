@@ -76,6 +76,18 @@ impl Telemetry {
         }
     }
 
+    /// Emits a run of events, in order — the same as
+    /// [`Telemetry::emit`] on each, with one recorder call for the run
+    /// ([`Recorder::record_all`]). No-op when disabled.
+    pub fn emit_all(&mut self, events: &[Event]) {
+        if let Some(rec) = self.recorder.as_mut() {
+            for event in events {
+                self.metrics.update(event);
+            }
+            rec.record_all(events);
+        }
+    }
+
     /// The metrics registry (deterministic counters + wall-clock lane).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics

@@ -27,6 +27,16 @@ pub trait Recorder: fmt::Debug + Send {
     /// Accepts one event.
     fn record(&mut self, event: &Event);
 
+    /// Accepts a run of events, in order — the same as
+    /// [`Recorder::record`] on each. A driver draining a wave calls
+    /// this; sinks behind a shared lock override it to take the lock
+    /// once per run.
+    fn record_all(&mut self, events: &[Event]) {
+        for event in events {
+            self.record(event);
+        }
+    }
+
     /// Flushes any buffered output (JSONL writers). Default: no-op.
     fn flush(&mut self) -> io::Result<()> {
         Ok(())
@@ -102,6 +112,13 @@ impl Recorder for VecRecorder {
             .expect("event log poisoned")
             .push(event.clone());
     }
+
+    fn record_all(&mut self, events: &[Event]) {
+        self.0
+            .lock()
+            .expect("event log poisoned")
+            .extend_from_slice(events);
+    }
 }
 
 /// Shared handle onto a [`RingRecorder`]'s buffer.
@@ -175,6 +192,16 @@ impl Recorder for RingRecorder {
             s.dropped += 1;
         }
         s.buf.push_back(event.clone());
+    }
+
+    fn record_all(&mut self, events: &[Event]) {
+        let mut s = self.0.lock().expect("ring poisoned");
+        // Of the run, only its last `cap` events can survive it.
+        let keep = &events[events.len().saturating_sub(s.cap)..];
+        let evict = (s.buf.len() + keep.len()).saturating_sub(s.cap);
+        s.buf.drain(..evict);
+        s.dropped += (evict + events.len() - keep.len()) as u64;
+        s.buf.extend(keep.iter().cloned());
     }
 }
 
@@ -276,6 +303,38 @@ mod tests {
         assert_eq!(ring.capacity(), 3);
         assert_eq!(ring.dropped(), 7);
         assert_eq!(ring.events(), vec![ev(7), ev(8), ev(9)]);
+    }
+
+    #[test]
+    fn runs_record_exactly_like_single_events() {
+        let events: Vec<Event> = (0..20).map(ev).collect();
+        for run in [1, 2, 3, 7, 20] {
+            let (mut vec_rec, log) = VecRecorder::shared();
+            for chunk in events.chunks(run) {
+                vec_rec.record_all(chunk);
+            }
+            assert_eq!(log.events(), events, "vec sink, runs of {run}");
+            for cap in [1, 3, 8, 64] {
+                let (mut one, by_event) = RingRecorder::shared(cap);
+                let (mut many, by_run) = RingRecorder::shared(cap);
+                for e in &events {
+                    one.record(e);
+                }
+                for chunk in events.chunks(run) {
+                    many.record_all(chunk);
+                }
+                assert_eq!(
+                    by_run.events(),
+                    by_event.events(),
+                    "cap {cap}, runs of {run}"
+                );
+                assert_eq!(
+                    by_run.dropped(),
+                    by_event.dropped(),
+                    "cap {cap}, runs of {run}"
+                );
+            }
+        }
     }
 
     #[test]

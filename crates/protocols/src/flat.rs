@@ -941,7 +941,7 @@ struct Columns<P: WaveProtocol> {
     /// [`Reliability::Ack`], all `None` otherwise.
     arq: Vec<Option<Box<EdgeStreams>>>,
     /// Position-indexed telemetry buffers (all empty when tracing is
-    /// off); drained via [`WaveSubstrate::take_trace`].
+    /// off); drained via [`WaveSubstrate::drain_trace`].
     trace: Vec<Vec<NodeTraceEntry>>,
     /// Cumulative tree-edge bits at the child position, flushed with
     /// `counters`.
@@ -1518,15 +1518,15 @@ where
         }
     }
 
-    /// Position-ordered buffers re-sorted by **global** node id.
-    fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
-        let mut out = Vec::new();
-        for (p, trace) in self.cols.trace.iter_mut().enumerate() {
-            let gid = self.tree.global_of(p);
-            out.extend(trace.drain(..).map(|e| (gid, e)));
+    /// Visits the position-indexed buffers in ascending **global** id
+    /// through the tree's `pos_of` column: the canonical order without
+    /// a sort.
+    fn drain_trace(&mut self, sink: &mut dyn FnMut(usize, NodeTraceEntry)) {
+        for gid in 0..self.tree.len() {
+            for entry in self.cols.trace[self.tree.pos_of(gid)].drain(..) {
+                sink(gid, entry);
+            }
         }
-        out.sort_by_key(|&(gid, _)| gid);
-        out
     }
 
     fn last_header_bits(&self) -> u64 {
@@ -2017,6 +2017,15 @@ mod tests {
         SetItems(NodeId, Vec<u64>),
     }
 
+    /// Drains `runner`'s trace into a vector, in the canonical order.
+    fn take_trace(
+        runner: &mut dyn WaveSubstrate<MultiplexWave<SumBelow>>,
+    ) -> Vec<(usize, NodeTraceEntry)> {
+        let mut out = Vec::new();
+        runner.drain_trace(&mut |node, entry| out.push((node, entry)));
+        out
+    }
+
     /// Plays `script` on a boxed [`WaveRunner`] and on flat runners with
     /// 1, 2 and 4 workers, comparing after every wave the answer, the
     /// frames transmitted, the [`MuxLedger`] and the canonical trace, and
@@ -2082,8 +2091,8 @@ mod tests {
                     assert_eq!(sg.slots(), fg.slots(), "slot bits ({what}, {req:?})");
                     assert_eq!(sg.envelope_bits(), fg.envelope_bits(), "{what}, {req:?}");
                 }
-                let trace = flat.take_trace();
-                assert_eq!(single.take_trace(), trace, "trace ({what}, {req:?})");
+                let trace = take_trace(&mut flat);
+                assert_eq!(take_trace(&mut single), trace, "trace ({what}, {req:?})");
                 if workers == 2 {
                     traces.push(trace);
                 }

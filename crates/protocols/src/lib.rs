@@ -47,7 +47,7 @@ pub mod wave;
 pub use cache::{CacheKey, CacheStats, PartialCache};
 pub use error::ProtocolError;
 pub use flat::FlatWaveRunner;
-pub use obs::{FateReplay, NodeTraceEntry, ReplayEvent};
+pub use obs::{FateReplay, Hop, NodeTraceEntry, ReplayEvent};
 pub use tree::SpanningTree;
 pub use wave::{
     MultiplexWave, MuxEntry, MuxLedger, MuxSlotBits, TransportFootprint, WaveProtocol, WaveRunner,

@@ -1072,10 +1072,11 @@ pub trait WaveSubstrate<P: WaveProtocol>: Debug {
     /// cost is one resident bool test per would-be entry.
     fn set_tracing(&mut self, on: bool);
 
-    /// Drains every node's buffered trace entries, tagged with the
-    /// node id, in ascending node id order — the canonical drain order
-    /// shared by both substrates (see [`crate::obs`]).
-    fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)>;
+    /// Drains every node's buffered trace entries into `sink`, tagged
+    /// with the node id, in ascending node id order — the canonical
+    /// drain order shared by both substrates (see [`crate::obs`]). The
+    /// entries are handed over in place; draining allocates nothing.
+    fn drain_trace(&mut self, sink: &mut dyn FnMut(usize, NodeTraceEntry));
 
     /// Node-layer framing bits (kind + varint wave ordinal) each non-ACK
     /// message of the **most recent** wave carried — what exact header
@@ -1269,12 +1270,12 @@ impl<P: WaveProtocol + Debug> WaveSubstrate<P> for WaveRunner<P> {
         }
     }
 
-    fn take_trace(&mut self) -> Vec<(usize, NodeTraceEntry)> {
-        let mut out = Vec::new();
+    fn drain_trace(&mut self, sink: &mut dyn FnMut(usize, NodeTraceEntry)) {
         for v in 0..self.sim.len() {
-            out.extend(self.sim.node_mut(v).trace.drain(..).map(|e| (v, e)));
+            for entry in self.sim.node_mut(v).trace.drain(..) {
+                sink(v, entry);
+            }
         }
-        out
     }
 
     fn last_header_bits(&self) -> u64 {
