@@ -845,6 +845,28 @@ impl QuantileAgg {
     fn prune(&self, s: &mut QuantileSummary) {
         s.prune(self.budget.max(1) as usize);
     }
+
+    /// [`PartialAggregate::decode`] into an existing summary, reusing
+    /// its storage: what a parent does with each child's report.
+    ///
+    /// # Errors
+    ///
+    /// As [`PartialAggregate::decode`]; `p` is left empty.
+    pub(crate) fn decode_into(
+        &self,
+        p: &mut QuantileSummary,
+        r: &mut BitReader<'_>,
+    ) -> Result<(), NetsimError> {
+        let count = r.read_gamma()? - 1;
+        p.read_columns(r, count, count.min(1 << 20))
+    }
+
+    /// [`PartialAggregate::merge`] of `acc` and `child`, in `acc`'s
+    /// storage (see [`QuantileSummary::merge_from`]).
+    pub(crate) fn merge_into(&self, acc: &mut QuantileSummary, child: &QuantileSummary) {
+        acc.merge_from(child);
+        self.prune(acc);
+    }
 }
 
 impl PartialAggregate for QuantileAgg {
@@ -861,9 +883,17 @@ impl PartialAggregate for QuantileAgg {
     }
 
     /// Bulk fold: sort once and build an exact summary, then prune —
-    /// `O(m log m)` where per-item merges would be `O(m · budget)`.
+    /// `O(m log m)` where per-item merges would be `O(m · budget)`. Zero
+    /// or one item needs no sort buffer.
     fn partial_over<I: IntoIterator<Item = ItemRef>>(&self, items: I) -> QuantileSummary {
-        let mut vals: Vec<Value> = items.into_iter().map(|it| it.value).collect();
+        let mut items = items.into_iter().map(|it| it.value);
+        let Some(first) = items.next() else {
+            return QuantileSummary::new();
+        };
+        let Some(second) = items.next() else {
+            return QuantileSummary::from_single(first);
+        };
+        let mut vals: Vec<Value> = [first, second].into_iter().chain(items).collect();
         vals.sort_unstable();
         let mut s = QuantileSummary::from_sorted(&vals);
         self.prune(&mut s);
@@ -877,36 +907,16 @@ impl PartialAggregate for QuantileAgg {
     }
 
     fn encode(&self, p: &QuantileSummary, w: &mut BitWriter) {
-        // Column layout: gamma-coded item count, then three delta-packed
-        // sorted runs (values, rmins, rmaxs) — every column is
-        // non-decreasing by the summary invariant, so each gamma-codes
-        // its gaps instead of spending a fixed width per entry.
+        // Gamma-coded item count, then the summary's three delta-packed
+        // columns (values, rmins, rmaxs).
         w.write_gamma(p.count() + 1);
-        let mut col: Vec<u64> = p.entries().iter().map(|e| e.value).collect();
-        w.write_sorted_deltas(&col);
-        col.clear();
-        col.extend(p.entries().iter().map(|e| e.rmin));
-        w.write_sorted_deltas(&col);
-        col.clear();
-        col.extend(p.entries().iter().map(|e| e.rmax));
-        w.write_sorted_deltas(&col);
+        p.write_columns(w);
     }
 
     fn decode(&self, r: &mut BitReader<'_>) -> Result<QuantileSummary, NetsimError> {
-        let count = r.read_gamma()? - 1;
-        let values = r.read_sorted_deltas(count.min(1 << 20))?;
-        let rmins = r.read_sorted_deltas(values.len() as u64)?;
-        let rmaxs = r.read_sorted_deltas(values.len() as u64)?;
-        if rmins.len() != values.len() || rmaxs.len() != values.len() {
-            return Err(NetsimError::WireDecode("quantile summary length invalid"));
-        }
-        let entries: Vec<saq_sketches::quantile::QEntry> = values
-            .into_iter()
-            .zip(rmins.into_iter().zip(rmaxs))
-            .map(|(value, (rmin, rmax))| saq_sketches::quantile::QEntry { value, rmin, rmax })
-            .collect();
-        QuantileSummary::from_parts(entries, count)
-            .map_err(|_| NetsimError::WireDecode("quantile summary inconsistent"))
+        let mut p = QuantileSummary::new();
+        self.decode_into(&mut p, r)?;
+        Ok(p)
     }
 
     /// The accessor is the summary itself: the root queries it for any
@@ -1005,6 +1015,24 @@ impl BottomKAgg {
     fn value_width(&self) -> u32 {
         width_for_max(self.xbar).max(1)
     }
+
+    /// [`PartialAggregate::decode`] into an existing sample, reusing
+    /// its storage when it already has this aggregate's shape (`k` and
+    /// value width). Repeated keys collapse, first value kept.
+    ///
+    /// # Errors
+    ///
+    /// As [`PartialAggregate::decode`]; `p` is left empty.
+    pub(crate) fn decode_into(
+        &self,
+        p: &mut BottomK,
+        r: &mut BitReader<'_>,
+    ) -> Result<(), NetsimError> {
+        if p.k() != self.k as usize || p.value_width() != self.value_width() {
+            *p = self.identity();
+        }
+        p.read_pairs(r).map(drop)
+    }
 }
 
 impl PartialAggregate for BottomKAgg {
@@ -1031,22 +1059,12 @@ impl PartialAggregate for BottomKAgg {
         // then the values in key order. Uniform hash keys are
         // incompressible, so the key run usually takes its fixed-width
         // fallback arm — the win here is the shrunken headers.
-        let keys: Vec<u64> = p.entries().iter().map(|e| e.0).collect();
-        w.write_sorted_deltas(&keys);
-        let vw = self.value_width();
-        for &(_, value) in p.entries() {
-            w.write_bits(value, vw);
-        }
+        p.write_pairs(w);
     }
 
     fn decode(&self, r: &mut BitReader<'_>) -> Result<BottomK, NetsimError> {
-        let keys = r.read_sorted_deltas(self.k as u64)?;
-        let vw = self.value_width();
         let mut p = self.identity();
-        for key in keys {
-            let value = r.read_bits(vw)?;
-            p.insert(key, value);
-        }
+        self.decode_into(&mut p, r)?;
         Ok(p)
     }
 

@@ -34,7 +34,8 @@ use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
 use saq_netsim::NetsimError;
 use saq_protocols::cache::CacheKey;
 use saq_protocols::WaveProtocol;
-use saq_sketches::{BottomK, LogLog, QuantileSummary};
+use saq_sketches::{BottomK, DistinctSketch, LogLog, QuantileSummary};
+use std::cell::RefCell;
 
 /// One item held by a simulated node: its original value plus the current
 /// (possibly rescaled) value; `cur == None` means the item is passive.
@@ -147,6 +148,21 @@ pub enum CorePartial {
     Quantile(QuantileSummary),
     /// Bottom-k sample of `(identity hash, value)` pairs.
     Sample(BottomK),
+}
+
+/// Decode targets [`CoreWave`]'s `absorb_child` reuses from child to
+/// child. One per thread, so each flat-runner worker owns its own; a
+/// warm one takes a child's summary or sample without allocating.
+#[derive(Debug, Default)]
+struct AbsorbScratch {
+    /// The child's quantile summary.
+    summary: QuantileSummary,
+    /// The child's bottom-k sample.
+    sample: Option<BottomK>,
+}
+
+thread_local! {
+    static ABSORB_SCRATCH: RefCell<AbsorbScratch> = RefCell::default();
 }
 
 /// The core wave protocol configuration, shared by every node.
@@ -520,6 +536,41 @@ impl WaveProtocol for CoreWave {
             (_, a, _) => {
                 debug_assert!(false, "mismatched partial variants in merge");
                 a
+            }
+        }
+    }
+
+    /// `Quantile` and `BottomK` children decode into per-thread scratch
+    /// and merge into `acc` in place; every other request takes the
+    /// default decode-then-merge. Equal to the default for every
+    /// request (`tests/absorb_child.rs`).
+    fn absorb_child(
+        &self,
+        req: &CoreRequest,
+        acc: CorePartial,
+        r: &mut BitReader<'_>,
+    ) -> Result<CorePartial, NetsimError> {
+        match (req, acc) {
+            (CoreRequest::Quantile { budget }, CorePartial::Quantile(mut s)) => {
+                let agg = self.quantile_agg(*budget);
+                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
+                    agg.decode_into(&mut scratch.summary, r)?;
+                    agg.merge_into(&mut s, &scratch.summary);
+                    Ok(CorePartial::Quantile(s))
+                })
+            }
+            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(mut s)) => {
+                let agg = self.bottomk_agg(*k, *nonce);
+                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
+                    let sample = scratch.sample.get_or_insert_with(|| agg.identity());
+                    agg.decode_into(sample, r)?;
+                    s.merge_from(sample);
+                    Ok(CorePartial::Sample(s))
+                })
+            }
+            (req, acc) => {
+                let child = self.decode_partial(req, r)?;
+                Ok(self.merge(req, acc, child))
             }
         }
     }

@@ -24,28 +24,39 @@
 //! All encoders write most-significant-bit first within each value; the
 //! stream is packed LSB-first into bytes, which is an internal detail that
 //! round-trips through [`BitReader`].
+//!
+//! Both ends work a word at a time. [`BitWriter`] shifts each value into
+//! a 64-bit accumulator and stores it, bit-reversed, as a whole word
+//! once full; [`BitReader`] loads 8-byte windows, counts unary zeros
+//! with `trailing_zeros` and reads a gamma code that fits one window in
+//! one step. The byte layout is the one the bit-at-a-time codec made,
+//! which the test-only reference in this module pins.
 
 use crate::error::NetsimError;
 
 /// Returns the number of bits needed to represent `v` (at least 1, so a
 /// zero value still occupies one bit).
+#[inline]
 pub fn bit_width(v: u64) -> u32 {
     (64 - v.leading_zeros()).max(1)
 }
 
 /// Returns the number of bits required to encode any value in `[0, max]`
 /// with a fixed-width code.
+#[inline]
 pub fn width_for_max(max: u64) -> u32 {
     bit_width(max)
 }
 
 /// Length in bits of the Elias gamma code of `v` (requires `v ≥ 1`).
+#[inline]
 pub fn gamma_len(v: u64) -> u64 {
     debug_assert!(v >= 1);
     2 * (bit_width(v) as u64 - 1) + 1
 }
 
 /// Length in bits of the Elias delta code of `v` (requires `v ≥ 1`).
+#[inline]
 pub fn delta_len(v: u64) -> u64 {
     debug_assert!(v >= 1);
     let n = bit_width(v) as u64; // v uses n bits
@@ -58,50 +69,59 @@ pub fn varint_len(v: u64) -> u64 {
     bit_width(v).div_ceil(7) as u64 * 8
 }
 
-/// Per-arm payload costs for a delta-packed sorted run (excluding the
-/// length header and the 2-bit arm selector): gamma-coded gaps,
-/// delta-coded gaps, and the always-valid fixed-width fallback. A gap
-/// arm is `None` when some `term + 1` would overflow `u64` (possible
-/// when the run contains `u64::MAX`).
-fn sorted_arm_costs(vals: &[u64]) -> (Option<u64>, Option<u64>, u64) {
-    let mut gamma = Some(0u64);
-    let mut delta = Some(0u64);
-    let mut prev = 0u64;
-    for (i, &v) in vals.iter().enumerate() {
-        let term = if i == 0 { v } else { v - prev };
-        match term.checked_add(1) {
-            Some(t) => {
-                gamma = gamma.map(|acc| acc + gamma_len(t));
-                delta = delta.map(|acc| acc + delta_len(t));
-            }
-            None => {
-                gamma = None;
-                delta = None;
-            }
-        }
-        prev = v;
-    }
-    let width = width_for_max(*vals.last().expect("non-empty run")) as u64;
-    (gamma, delta, 6 + vals.len() as u64 * width)
+/// What one pass over a non-empty run finds, see [`scan_sorted`].
+struct RunScan {
+    /// Whether the run is non-decreasing.
+    sorted: bool,
+    /// The arm [`BitWriter::write_sorted_deltas`] selects (0 = gamma
+    /// gaps, 1 = delta gaps, 2 = fixed-width).
+    arm: u64,
+    /// That arm's payload cost in bits, excluding the length header and
+    /// the 2-bit arm selector.
+    cost: u64,
+    /// The last value (the fixed-width arm's width comes from it).
+    last: u64,
 }
 
-/// The arm [`BitWriter::write_sorted_deltas`] selects for `vals`
-/// (0 = gamma gaps, 1 = delta gaps, 2 = fixed-width) and its payload
-/// cost in bits. Ties prefer the lower-numbered arm.
-fn sorted_arm(vals: &[u64]) -> (u64, u64) {
-    let (gamma, delta, fixed) = sorted_arm_costs(vals);
+/// Checks and prices a non-empty run in one pass. A gap arm is
+/// unavailable when some `term + 1` would overflow `u64` (possible when
+/// the run contains `u64::MAX`); the fixed-width fallback always is.
+/// Ties prefer the lower-numbered arm.
+fn scan_sorted(vals: impl Iterator<Item = u64>) -> RunScan {
+    let (mut gamma, mut delta, mut len) = (0u64, 0u64, 0u64);
+    let (mut sorted, mut gaps_fit) = (true, true);
+    let mut prev = 0u64;
+    for v in vals {
+        // The first term is the value itself, later ones the gaps.
+        let term = v.wrapping_sub(prev);
+        sorted &= len == 0 || v >= prev;
+        match term.checked_add(1) {
+            Some(t) => {
+                gamma += gamma_len(t);
+                delta += delta_len(t);
+            }
+            None => gaps_fit = false,
+        }
+        prev = v;
+        len += 1;
+    }
+    debug_assert!(len > 0, "non-empty run");
+    let fixed = 6 + len * width_for_max(prev) as u64;
     let mut best = (2u64, fixed);
-    if let Some(d) = delta {
-        if d < best.1 {
-            best = (1, d);
+    if gaps_fit {
+        if delta < best.1 {
+            best = (1, delta);
+        }
+        if gamma <= best.1 {
+            best = (0, gamma);
         }
     }
-    if let Some(g) = gamma {
-        if g <= best.1 {
-            best = (0, g);
-        }
+    RunScan {
+        sorted,
+        arm: best.0,
+        cost: best.1,
+        last: prev,
     }
-    best
 }
 
 /// Exact length in bits of [`BitWriter::write_sorted_deltas`] for `vals`
@@ -111,7 +131,32 @@ pub fn sorted_deltas_len(vals: &[u64]) -> u64 {
     if vals.is_empty() {
         return header;
     }
-    header + 2 + sorted_arm(vals).1
+    let scan = scan_sorted(vals.iter().copied());
+    debug_assert!(scan.sorted, "sorted-delta input must be non-decreasing");
+    header + 2 + scan.cost
+}
+
+/// The header of a delta-packed sorted run, read by
+/// [`BitReader::read_sorted_header`]: how many values follow and how
+/// they are coded. [`BitReader::read_sorted_values`] decodes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SortedRun {
+    len: u64,
+    /// 0 = gamma gaps, 1 = delta gaps, 2 = fixed width (`width` bits).
+    arm: u8,
+    width: u32,
+}
+
+impl SortedRun {
+    /// Number of values in the run.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the run holds no values.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
 }
 
 /// An append-only bit sink.
@@ -134,9 +179,13 @@ pub fn sorted_deltas_len(vals: &[u64]) -> u64 {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
+    /// The stream's completed 64-bit words, in stream byte order; always
+    /// a whole number of words until [`BitWriter::finish`].
     bytes: Vec<u8>,
-    /// Total number of valid bits in the stream.
-    len_bits: u64,
+    /// The bits after `bytes`, first stream bit most significant.
+    acc: u64,
+    /// How many bits `acc` holds (`0..64`).
+    acc_len: u32,
 }
 
 /// A finished bit string, cheap to clone and inspect. Hashable, so an
@@ -267,26 +316,20 @@ impl BitWriter {
         scratch.clear();
         BitWriter {
             bytes: scratch,
-            len_bits: 0,
+            acc: 0,
+            acc_len: 0,
         }
     }
 
     /// Number of bits written so far.
+    #[inline]
     pub fn len_bits(&self) -> u64 {
-        self.len_bits
+        self.bytes.len() as u64 * 8 + self.acc_len as u64
     }
 
     /// Appends a single bit.
     pub fn write_bit(&mut self, bit: bool) {
-        let byte_idx = (self.len_bits / 8) as usize;
-        let bit_idx = (self.len_bits % 8) as u32;
-        if byte_idx == self.bytes.len() {
-            self.bytes.push(0);
-        }
-        if bit {
-            self.bytes[byte_idx] |= 1 << bit_idx;
-        }
-        self.len_bits += 1;
+        self.write_bits(bit as u64, 1);
     }
 
     /// Appends the low `width` bits of `v`, most significant first.
@@ -294,6 +337,7 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `width > 64` or if `v` does not fit in `width` bits.
+    #[inline]
     pub fn write_bits(&mut self, v: u64, width: u32) {
         assert!(width <= 64, "width {width} exceeds 64");
         assert!(
@@ -303,34 +347,49 @@ impl BitWriter {
         if width == 0 {
             return;
         }
-        // Word-level fast path: sketch-vector messages are hundreds of
-        // kilobits, so per-bit loops would dominate simulation time.
-        // Stream layout is LSB-first within bytes while values are
-        // MSB-first, so reverse the value's bits: bit (width-1-k) of `v`
-        // lands at stream offset len+k.
-        let r = v.reverse_bits() >> (64 - width);
-        let byte_idx = (self.len_bits / 8) as usize;
-        let off = (self.len_bits % 8) as u32;
-        let needed = ((off + width) as usize).div_ceil(8);
-        if self.bytes.len() < byte_idx + needed {
-            self.bytes.resize(byte_idx + needed, 0);
+        let free = 64 - self.acc_len;
+        if width < free {
+            self.acc = (self.acc << width) | v;
+            self.acc_len += width;
+            return;
         }
-        let chunk = (r as u128) << off;
-        for (i, slot) in self.bytes[byte_idx..byte_idx + needed]
-            .iter_mut()
-            .enumerate()
-        {
-            *slot |= (chunk >> (8 * i)) as u8;
+        // The word fills: complete it with v's high bits, store it, and
+        // keep the `spill` low bits that did not fit.
+        let spill = width - free;
+        let word = if free == 64 {
+            v
+        } else {
+            (self.acc << free) | (v >> spill)
+        };
+        self.push_word(word);
+        self.acc = v & !(u64::MAX << spill);
+        self.acc_len = spill;
+    }
+
+    /// Stores 64 stream bits, the first most significant. The stream is
+    /// LSB-first within bytes, so the word is bit-reversed once and
+    /// stored little-endian.
+    fn push_word(&mut self, word: u64) {
+        self.bytes
+            .extend_from_slice(&word.reverse_bits().to_le_bytes());
+    }
+
+    /// Appends `n` zero bits.
+    fn push_zeros(&mut self, mut n: u64) {
+        while n > 0 {
+            let take = n.min(64) as u32;
+            self.write_bits(0, take);
+            n -= take as u64;
         }
-        self.len_bits += width as u64;
     }
 
     /// Appends `n` in unary: `n` zeros followed by a one.
     pub fn write_unary(&mut self, n: u32) {
-        for _ in 0..n {
-            self.write_bit(false);
-        }
-        self.write_bit(true);
+        // n zeros then a one is the value 1 in n + 1 bits.
+        let n = n as u64;
+        let zeros = n.saturating_sub(63);
+        self.push_zeros(zeros);
+        self.write_bits(1, (n - zeros) as u32 + 1);
     }
 
     /// Appends the Elias gamma code of `v`.
@@ -339,13 +398,17 @@ impl BitWriter {
     ///
     /// Panics if `v == 0` (gamma codes positive integers only; shift by one
     /// at the call site to encode zero).
+    #[inline]
     pub fn write_gamma(&mut self, v: u64) {
         assert!(v >= 1, "gamma code requires v >= 1");
-        let n = bit_width(v) - 1; // v in [2^n, 2^{n+1})
-        self.write_unary(n);
-        if n > 0 {
-            // The remaining n bits below the leading one.
-            self.write_bits(v & ((1u64 << n) - 1), n);
+        // v is in [2^n, 2^{n+1}): n zeros, then v's n + 1 bits from its
+        // leading one, is v itself in 2n + 1 bits.
+        let n = bit_width(v) - 1;
+        if n < 32 {
+            self.write_bits(v, 2 * n + 1);
+        } else {
+            self.push_zeros(n as u64);
+            self.write_bits(v, n + 1);
         }
     }
 
@@ -354,12 +417,18 @@ impl BitWriter {
     /// # Panics
     ///
     /// Panics if `v == 0`.
+    #[inline]
     pub fn write_delta(&mut self, v: u64) {
         assert!(v >= 1, "delta code requires v >= 1");
         let n = bit_width(v); // number of bits of v
-        self.write_gamma(n as u64);
-        if n > 1 {
-            self.write_bits(v & ((1u64 << (n - 1)) - 1), n - 1);
+        let rest = v ^ (1u64 << (n - 1)); // the n - 1 bits below the leading one
+        let glen = gamma_len(n as u64) as u32;
+        if glen + n - 1 <= 64 {
+            // gamma(n) followed by the rest is one fixed-width value.
+            self.write_bits(((n as u64) << (n - 1)) | rest, glen + n - 1);
+        } else {
+            self.write_gamma(n as u64);
+            self.write_bits(rest, n - 1);
         }
     }
 
@@ -390,22 +459,38 @@ impl BitWriter {
     ///
     /// Panics if `vals` is not non-decreasing.
     pub fn write_sorted_deltas(&mut self, vals: &[u64]) {
-        assert!(
-            vals.windows(2).all(|w| w[0] <= w[1]),
-            "sorted-delta input must be non-decreasing"
-        );
-        self.write_gamma(vals.len() as u64 + 1);
-        if vals.is_empty() {
+        self.write_sorted_run(vals.iter().copied());
+    }
+
+    /// [`BitWriter::write_sorted_deltas`] over an iterator, so a column
+    /// of a larger record (say, every entry's rank bound) is written
+    /// straight from the records. The iterator is walked twice: once to
+    /// check the order and price the arms, once to write.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the values are not non-decreasing.
+    pub fn write_sorted_run<I>(&mut self, vals: I)
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let vals = vals.into_iter();
+        let len = vals.len() as u64;
+        if len == 0 {
+            self.write_gamma(1);
             return;
         }
-        let (arm, _) = sorted_arm(vals);
-        self.write_bits(arm, 2);
-        match arm {
+        let scan = scan_sorted(vals.clone());
+        assert!(scan.sorted, "sorted-delta input must be non-decreasing");
+        self.write_gamma(len + 1);
+        self.write_bits(scan.arm, 2);
+        match scan.arm {
             0 | 1 => {
                 let mut prev = 0u64;
-                for (i, &v) in vals.iter().enumerate() {
-                    let term = if i == 0 { v } else { v - prev };
-                    if arm == 0 {
+                for v in vals {
+                    let term = v - prev;
+                    if scan.arm == 0 {
                         self.write_gamma(term + 1);
                     } else {
                         self.write_delta(term + 1);
@@ -414,9 +499,9 @@ impl BitWriter {
                 }
             }
             _ => {
-                let width = width_for_max(*vals.last().expect("non-empty run"));
+                let width = width_for_max(scan.last);
                 self.write_bits(width as u64 - 1, 6);
-                for &v in vals {
+                for v in vals {
                     self.write_bits(v, width);
                 }
             }
@@ -428,21 +513,26 @@ impl BitWriter {
     /// are moved as raw bit ranges, never decoded).
     pub fn write_bitstring(&mut self, s: &BitString) {
         let mut r = BitReader::new(s);
-        let mut left = s.len_bits();
-        while left > 0 {
-            let take = left.min(64) as u32;
+        while r.remaining() > 0 {
+            let take = r.remaining().min(64) as u32;
             // Reading within len_bits cannot fail.
             let chunk = r.read_bits(take).expect("in-bounds chunk read");
             self.write_bits(chunk, take);
-            left -= take as u64;
         }
     }
 
-    /// Finalizes the stream.
-    pub fn finish(self) -> BitString {
+    /// Finalizes the stream: the pending bits take exactly the bytes
+    /// they need, so a buffer sized for the output never reallocates.
+    pub fn finish(mut self) -> BitString {
+        let len_bits = self.len_bits();
+        let tail = self.acc_len.div_ceil(8) as usize;
+        if tail > 0 {
+            let word = (self.acc << (64 - self.acc_len)).reverse_bits();
+            self.bytes.extend_from_slice(&word.to_le_bytes()[..tail]);
+        }
         BitString {
             bytes: self.bytes,
-            len_bits: self.len_bits,
+            len_bits,
         }
     }
 }
@@ -461,6 +551,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Number of bits not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> u64 {
         self.src.len_bits - self.pos
     }
@@ -497,40 +588,79 @@ impl<'a> BitReader<'a> {
         Ok((self.src.bytes[byte_idx] >> bit_idx) & 1 == 1)
     }
 
+    /// The next `width` (1..=64) bits in stream order, without
+    /// consuming them: bit `k` of the result is the bit at `pos + k`.
+    /// Loads one 8-byte window, plus the ninth byte when the bits
+    /// straddle it; only the last few bytes of a string take the
+    /// zero-padded slow path. The caller checks that `width` bits
+    /// remain.
+    #[inline]
+    fn peek_stream(&self, width: u32) -> u64 {
+        debug_assert!((1..=64).contains(&width) && width as u64 <= self.remaining());
+        let bytes = &self.src.bytes;
+        let i = (self.pos / 8) as usize;
+        let off = (self.pos % 8) as u32;
+        let mut window = match bytes.get(i..i + 8) {
+            Some(word) => u64::from_le_bytes(word.try_into().expect("an 8-byte window")),
+            None => {
+                let mut word = [0u8; 8];
+                word[..bytes.len() - i].copy_from_slice(&bytes[i..]);
+                u64::from_le_bytes(word)
+            }
+        } >> off;
+        if off + width > 64 {
+            // In range: the bits end inside byte i + 8.
+            window |= (bytes[i + 8] as u64) << (64 - off);
+        }
+        window & (u64::MAX >> (64 - width))
+    }
+
+    /// The value of `width` (1..=64) stream-order bits: values are
+    /// written most significant bit first.
+    #[inline]
+    fn value_of(stream: u64, width: u32) -> u64 {
+        stream.reverse_bits() >> (64 - width)
+    }
+
     /// Reads a fixed-width big-endian value.
     ///
     /// # Errors
     ///
     /// Returns [`NetsimError::WireDecode`] if fewer than `width` bits remain.
+    #[inline]
     pub fn read_bits(&mut self, width: u32) -> Result<u64, NetsimError> {
         assert!(width <= 64, "width {width} exceeds 64");
         if width == 0 {
             return Ok(0);
         }
-        if self.pos + width as u64 > self.src.len_bits {
+        if width as u64 > self.remaining() {
             return Err(NetsimError::WireDecode("read past end of bit stream"));
         }
-        // Word-level inverse of `write_bits`: gather the covering bytes,
-        // shift off the intra-byte offset, mask, and un-reverse.
-        let byte_idx = (self.pos / 8) as usize;
-        let off = (self.pos % 8) as u32;
-        let needed = ((off + width) as usize).div_ceil(8);
-        let mut chunk = 0u128;
-        for (i, &b) in self.src.bytes[byte_idx..byte_idx + needed]
-            .iter()
-            .enumerate()
-        {
-            chunk |= (b as u128) << (8 * i);
-        }
-        chunk >>= off;
-        let mask = if width == 64 {
-            u64::MAX as u128
-        } else {
-            (1u128 << width) - 1
-        };
-        let r = (chunk & mask) as u64;
+        let stream = self.peek_stream(width);
         self.pos += width as u64;
-        Ok(r.reverse_bits() >> (64 - width))
+        Ok(Self::value_of(stream, width))
+    }
+
+    /// The next 57 to 64 bits in stream order (fewer at the end of the
+    /// string), how many they are, and how many zeros lead them (all of
+    /// them when they are all zero). The count needs no bit reversal,
+    /// which keeps it off a decoder's critical path.
+    #[inline]
+    fn peek_zeros(&self) -> (u64, u32, u32) {
+        let (stream, avail) = self.peek_window();
+        (stream, avail, stream.trailing_zeros().min(avail))
+    }
+
+    /// The next 57 to 64 bits in stream order (fewer at the end of the
+    /// string) and how many they are: up to the end of one 8-byte
+    /// window, so no ninth byte is read.
+    #[inline]
+    fn peek_window(&self) -> (u64, u32) {
+        let avail = self.remaining().min(64 - self.pos % 8) as u32;
+        if avail == 0 {
+            return (0, 0);
+        }
+        (self.peek_stream(avail), avail)
     }
 
     /// Reads a unary code.
@@ -538,16 +668,25 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`NetsimError::WireDecode`] if the stream ends before the
-    /// terminating one-bit.
+    /// terminating one-bit, or after more than `64 · 1024` zeros.
     pub fn read_unary(&mut self) -> Result<u32, NetsimError> {
-        let mut n = 0u32;
-        while !self.read_bit()? {
-            n += 1;
-            if n > 64 * 1024 {
+        const MAX_RUN: u64 = 64 * 1024;
+        let mut n = 0u64;
+        loop {
+            let (_, avail, zeros) = self.peek_zeros();
+            if avail == 0 {
+                return Err(NetsimError::WireDecode("read past end of bit stream"));
+            }
+            n += zeros as u64;
+            if n > MAX_RUN {
                 return Err(NetsimError::WireDecode("unary run too long"));
             }
+            if zeros < avail {
+                self.pos += zeros as u64 + 1;
+                return Ok(n as u32);
+            }
+            self.pos += avail as u64;
         }
-        Ok(n)
     }
 
     /// Reads an Elias gamma code.
@@ -555,7 +694,16 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`NetsimError::WireDecode`] on a truncated stream.
+    #[inline]
     pub fn read_gamma(&mut self) -> Result<u64, NetsimError> {
+        // Fast path: the whole code — n zeros and the n + 1 bits of the
+        // value — lies in one window, and is the value itself.
+        let (stream, avail, n) = self.peek_zeros();
+        if 2 * n < avail {
+            let width = 2 * n + 1;
+            self.pos += width as u64;
+            return Ok(Self::value_of(stream & (u64::MAX >> (64 - width)), width));
+        }
         let n = self.read_unary()?;
         if n >= 64 {
             return Err(NetsimError::WireDecode("gamma prefix too long"));
@@ -574,16 +722,25 @@ impl<'a> BitReader<'a> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
-            let byte = self.read_bits(8)?;
-            let group = byte & 0x7F;
-            if shift >= 64 || (shift == 63 && group > 1) {
-                return Err(NetsimError::WireDecode("varint overflows u64"));
+            // Every whole 8-bit group in the next window comes from one
+            // load; fewer than 8 bits left is a truncated group.
+            let (stream, avail) = self.peek_window();
+            if avail < 8 {
+                return Err(NetsimError::WireDecode("read past end of bit stream"));
             }
-            v |= group << shift;
-            if byte & 0x80 == 0 {
-                return Ok(v);
+            for k in 0..avail / 8 {
+                let byte = Self::value_of((stream >> (8 * k)) & 0xFF, 8);
+                self.pos += 8;
+                let group = byte & 0x7F;
+                if shift >= 64 || (shift == 63 && group > 1) {
+                    return Err(NetsimError::WireDecode("varint overflows u64"));
+                }
+                v |= group << shift;
+                if byte & 0x80 == 0 {
+                    return Ok(v);
+                }
+                shift += 7;
             }
-            shift += 7;
         }
     }
 
@@ -599,49 +756,92 @@ impl<'a> BitReader<'a> {
     /// above `max_len`, a fixed-width run that is not non-decreasing,
     /// or gap accumulation overflowing `u64`.
     pub fn read_sorted_deltas(&mut self, max_len: u64) -> Result<Vec<u64>, NetsimError> {
+        let run = self.read_sorted_header(max_len)?;
+        let mut vals = Vec::with_capacity(run.len() as usize);
+        self.read_sorted_values(run, |v| vals.push(v))?;
+        Ok(vals)
+    }
+
+    /// Reads the header of a sorted run — its length, checked against
+    /// `max_len`, and its arm — so the caller can size storage before
+    /// [`BitReader::read_sorted_values`] hands it the values.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetsimError::WireDecode`] on truncation, a length
+    /// above `max_len` or an invalid arm.
+    pub fn read_sorted_header(&mut self, max_len: u64) -> Result<SortedRun, NetsimError> {
         let len = self.read_gamma()? - 1;
         if len > max_len {
             return Err(NetsimError::WireDecode("sorted run length out of range"));
         }
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(SortedRun {
+                len,
+                arm: 0,
+                width: 0,
+            });
         }
-        let arm = self.read_bits(2)?;
-        let mut vals = Vec::with_capacity(len as usize);
-        match arm {
-            0 | 1 => {
-                let mut prev = 0u64;
-                for i in 0..len {
-                    let term = if arm == 0 {
-                        self.read_gamma()?
-                    } else {
-                        self.read_delta()?
-                    } - 1;
-                    let v = if i == 0 {
-                        term
-                    } else {
-                        prev.checked_add(term)
-                            .ok_or(NetsimError::WireDecode("sorted run overflows u64"))?
-                    };
-                    vals.push(v);
-                    prev = v;
+        let (arm, width) = match self.read_bits(2)? {
+            0 => (0, 0),
+            1 => (1, 0),
+            2 => (2, self.read_bits(6)? as u32 + 1),
+            _ => return Err(NetsimError::WireDecode("sorted run arm invalid")),
+        };
+        // Every value takes at least one bit, so a longer run is
+        // truncated; rejecting it here keeps callers' `reserve(len)`
+        // bounded by the frame.
+        if len > self.remaining() {
+            return Err(NetsimError::WireDecode("read past end of bit stream"));
+        }
+        Ok(SortedRun { len, arm, width })
+    }
+
+    /// Decodes the values of the run whose header was just read,
+    /// handing each to `sink` in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetsimError::WireDecode`] on truncation, a fixed-width
+    /// run that is not non-decreasing, or gap accumulation overflowing
+    /// `u64`. `sink` may have received some values by then.
+    pub fn read_sorted_values(
+        &mut self,
+        run: SortedRun,
+        mut sink: impl FnMut(u64),
+    ) -> Result<(), NetsimError> {
+        // Gaps accumulate from 0, so the first term is the first value.
+        let overflow = || NetsimError::WireDecode("sorted run overflows u64");
+        let mut prev = 0u64;
+        match run.arm {
+            0 => {
+                for _ in 0..run.len {
+                    prev = prev
+                        .checked_add(self.read_gamma()? - 1)
+                        .ok_or_else(overflow)?;
+                    sink(prev);
                 }
             }
-            2 => {
-                let width = self.read_bits(6)? as u32 + 1;
-                let mut prev = 0u64;
-                for i in 0..len {
-                    let v = self.read_bits(width)?;
-                    if i > 0 && v < prev {
+            1 => {
+                for _ in 0..run.len {
+                    prev = prev
+                        .checked_add(self.read_delta()? - 1)
+                        .ok_or_else(overflow)?;
+                    sink(prev);
+                }
+            }
+            _ => {
+                for _ in 0..run.len {
+                    let v = self.read_bits(run.width)?;
+                    if v < prev {
                         return Err(NetsimError::WireDecode("sorted run not non-decreasing"));
                     }
-                    vals.push(v);
+                    sink(v);
                     prev = v;
                 }
             }
-            _ => return Err(NetsimError::WireDecode("sorted run arm invalid")),
         }
-        Ok(vals)
+        Ok(())
     }
 
     /// Reads the next `len` bits as an owned [`BitString`] — the read
@@ -656,10 +856,7 @@ impl<'a> BitReader<'a> {
         if len > self.remaining() {
             return Err(NetsimError::WireDecode("read past end of bit stream"));
         }
-        let mut w = BitWriter {
-            bytes: Vec::with_capacity(len.div_ceil(8) as usize),
-            len_bits: 0,
-        };
+        let mut w = BitWriter::with_scratch(Vec::with_capacity(len.div_ceil(8) as usize));
         let mut left = len;
         while left > 0 {
             let take = left.min(64) as u32;
@@ -675,6 +872,7 @@ impl<'a> BitReader<'a> {
     /// # Errors
     ///
     /// Returns [`NetsimError::WireDecode`] on a truncated stream.
+    #[inline]
     pub fn read_delta(&mut self) -> Result<u64, NetsimError> {
         let n = self.read_gamma()?;
         if n == 0 || n > 64 {
@@ -1119,6 +1317,537 @@ mod tests {
             w2.write_bitstring(&head);
             w2.write_bitstring(&tail);
             prop_assert_eq!(w2.finish(), s);
+        }
+    }
+
+    /// The bit-at-a-time codec the word-level one replaced, kept as the
+    /// oracle it must match bit for bit: every code is spelled out one
+    /// bit per step, so its layout is right by inspection.
+    mod reference {
+        use super::*;
+
+        #[derive(Default)]
+        pub struct Writer {
+            bytes: Vec<u8>,
+            len: u64,
+        }
+
+        impl Writer {
+            fn bit(&mut self, b: bool) {
+                if self.len.is_multiple_of(8) {
+                    self.bytes.push(0);
+                }
+                if b {
+                    *self.bytes.last_mut().unwrap() |= 1 << (self.len % 8);
+                }
+                self.len += 1;
+            }
+
+            pub fn bits(&mut self, v: u64, width: u32) {
+                for k in (0..width).rev() {
+                    self.bit((v >> k) & 1 == 1);
+                }
+            }
+
+            pub fn unary(&mut self, n: u32) {
+                for _ in 0..n {
+                    self.bit(false);
+                }
+                self.bit(true);
+            }
+
+            pub fn gamma(&mut self, v: u64) {
+                let n = bit_width(v) - 1;
+                self.unary(n);
+                self.bits(v, n); // the n bits below the leading one
+            }
+
+            pub fn delta(&mut self, v: u64) {
+                let n = bit_width(v);
+                self.gamma(n as u64);
+                self.bits(v, n - 1);
+            }
+
+            pub fn varint(&mut self, mut v: u64) {
+                loop {
+                    let group = v & 0x7F;
+                    v >>= 7;
+                    self.bits(((v != 0) as u64) << 7 | group, 8);
+                    if v == 0 {
+                        return;
+                    }
+                }
+            }
+
+            pub fn sorted(&mut self, vals: &[u64]) {
+                self.gamma(vals.len() as u64 + 1);
+                if vals.is_empty() {
+                    return;
+                }
+                // Per-arm costs, each gap arm void when a term + 1
+                // overflows.
+                let terms: Vec<u64> = (0..vals.len())
+                    .map(|i| {
+                        if i == 0 {
+                            vals[0]
+                        } else {
+                            vals[i] - vals[i - 1]
+                        }
+                    })
+                    .collect();
+                let gap = |len: fn(u64) -> u64| -> Option<u64> {
+                    terms.iter().map(|t| t.checked_add(1).map(len)).sum()
+                };
+                let width = bit_width(*vals.last().unwrap());
+                let mut arm = (2u64, 6 + vals.len() as u64 * width as u64);
+                if let Some(d) = gap(delta_len) {
+                    if d < arm.1 {
+                        arm = (1, d);
+                    }
+                }
+                if let Some(g) = gap(gamma_len) {
+                    if g <= arm.1 {
+                        arm = (0, g);
+                    }
+                }
+                self.bits(arm.0, 2);
+                match arm.0 {
+                    0 => terms.iter().for_each(|t| self.gamma(t + 1)),
+                    1 => terms.iter().for_each(|t| self.delta(t + 1)),
+                    _ => {
+                        self.bits(width as u64 - 1, 6);
+                        vals.iter().for_each(|&v| self.bits(v, width));
+                    }
+                }
+            }
+
+            pub fn bitstring(&mut self, s: &BitString) {
+                for i in 0..s.len_bits {
+                    self.bit((s.bytes[(i / 8) as usize] >> (i % 8)) & 1 == 1);
+                }
+            }
+
+            pub fn finish(self) -> BitString {
+                BitString {
+                    bytes: self.bytes,
+                    len_bits: self.len,
+                }
+            }
+        }
+
+        pub struct Reader<'a> {
+            src: &'a BitString,
+            pub pos: u64,
+        }
+
+        type Res<T> = Result<T, NetsimError>;
+        const END: NetsimError = NetsimError::WireDecode("end");
+        const BAD: NetsimError = NetsimError::WireDecode("malformed");
+
+        impl<'a> Reader<'a> {
+            pub fn new(src: &'a BitString) -> Self {
+                Reader { src, pos: 0 }
+            }
+
+            fn bit(&mut self) -> Res<bool> {
+                if self.pos >= self.src.len_bits {
+                    return Err(END);
+                }
+                let b = (self.src.bytes[(self.pos / 8) as usize] >> (self.pos % 8)) & 1;
+                self.pos += 1;
+                Ok(b == 1)
+            }
+
+            pub fn bits(&mut self, width: u32) -> Res<u64> {
+                if self.pos + width as u64 > self.src.len_bits {
+                    return Err(END);
+                }
+                let mut v = 0u64;
+                for _ in 0..width {
+                    v = (v << 1) | self.bit()? as u64;
+                }
+                Ok(v)
+            }
+
+            pub fn unary(&mut self) -> Res<u32> {
+                let mut n = 0u32;
+                while !self.bit()? {
+                    n += 1;
+                    if n > 64 * 1024 {
+                        return Err(BAD);
+                    }
+                }
+                Ok(n)
+            }
+
+            pub fn gamma(&mut self) -> Res<u64> {
+                let n = self.unary()?;
+                if n >= 64 {
+                    return Err(BAD);
+                }
+                Ok((1u64 << n) | self.bits(n)?)
+            }
+
+            pub fn delta(&mut self) -> Res<u64> {
+                let n = self.gamma()?;
+                if n > 64 {
+                    return Err(BAD);
+                }
+                Ok((1u64 << (n - 1)) | self.bits(n as u32 - 1)?)
+            }
+
+            pub fn varint(&mut self) -> Res<u64> {
+                let (mut v, mut shift) = (0u64, 0u32);
+                loop {
+                    let byte = self.bits(8)?;
+                    let group = byte & 0x7F;
+                    if shift >= 64 || (shift == 63 && group > 1) {
+                        return Err(BAD);
+                    }
+                    v |= group << shift;
+                    if byte & 0x80 == 0 {
+                        return Ok(v);
+                    }
+                    shift += 7;
+                }
+            }
+
+            pub fn sorted(&mut self, max_len: u64) -> Res<Vec<u64>> {
+                let len = self.gamma()? - 1;
+                if len > max_len {
+                    return Err(BAD);
+                }
+                if len == 0 {
+                    return Ok(Vec::new());
+                }
+                let arm = self.bits(2)?;
+                let width = match arm {
+                    0 | 1 => 0,
+                    2 => self.bits(6)? as u32 + 1,
+                    _ => return Err(BAD),
+                };
+                let mut vals: Vec<u64> = Vec::new();
+                for _ in 0..len {
+                    let v = match arm {
+                        0 | 1 => {
+                            let t = if arm == 0 {
+                                self.gamma()?
+                            } else {
+                                self.delta()?
+                            } - 1;
+                            match vals.last() {
+                                None => t,
+                                Some(p) => p.checked_add(t).ok_or(BAD)?,
+                            }
+                        }
+                        _ => {
+                            let v = self.bits(width)?;
+                            if vals.last().is_some_and(|&p| v < p) {
+                                return Err(BAD);
+                            }
+                            v
+                        }
+                    };
+                    vals.push(v);
+                }
+                Ok(vals)
+            }
+
+            pub fn bitstring(&mut self, len: u64) -> Res<BitString> {
+                if self.pos + len > self.src.len_bits {
+                    return Err(END);
+                }
+                let mut w = Writer::default();
+                for _ in 0..len {
+                    let b = self.bit()?;
+                    w.bit(b);
+                }
+                Ok(w.finish())
+            }
+        }
+    }
+
+    /// One codec operation of the oracle suite.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Bits(u64, u32),
+        Unary(u32),
+        Gamma(u64),
+        Delta(u64),
+        Varint(u64),
+        Sorted(Vec<u64>),
+        Str(BitString),
+    }
+
+    /// A value of unknown magnitude: small, arbitrary, or near `u64::MAX`
+    /// (where gamma needs more than 64 bits).
+    fn magnitude(sel: u64, a: u64) -> u64 {
+        match sel % 3 {
+            0 => a % 1000 + 1,
+            1 => a.max(1),
+            _ => u64::MAX - a % 16,
+        }
+    }
+
+    /// A non-decreasing run shaped for one arm: small gaps (gamma), a
+    /// large base with mid-size gaps (delta), or arbitrary values ending
+    /// in `u64::MAX` (fixed width, both gap arms void).
+    fn sorted_run(shape: u64, base: u64, raw: &[u64]) -> Vec<u64> {
+        let mut acc = match shape % 3 {
+            0 => base % 100,
+            1 => (1 << 60) | (base % (1 << 59)),
+            _ => {
+                let mut vals = raw.to_vec();
+                vals.push(u64::MAX);
+                vals.sort_unstable();
+                return vals;
+            }
+        };
+        raw.iter()
+            .map(|&x| {
+                acc += if shape.is_multiple_of(3) {
+                    x % 4
+                } else {
+                    x % (1 << 24)
+                };
+                acc
+            })
+            .collect()
+    }
+
+    fn bit_string(len: u64, words: &[u64]) -> BitString {
+        let mut w = reference::Writer::default();
+        for i in 0..len {
+            let word = words.get((i / 64) as usize).copied().unwrap_or(0x5A5A);
+            w.bits((word >> (i % 64)) & 1, 1);
+        }
+        w.finish()
+    }
+
+    fn op(kind: u8, a: u64, b: u64, c: &[u64]) -> Op {
+        match kind % 7 {
+            0 => {
+                let width = (b % 65) as u32;
+                let v = if width == 64 {
+                    a
+                } else {
+                    a & ((1u64 << width) - 1)
+                };
+                Op::Bits(v, width)
+            }
+            1 => Op::Unary((a % 200) as u32),
+            2 => Op::Gamma(magnitude(b, a)),
+            3 => Op::Delta(magnitude(b, a)),
+            4 => Op::Varint(a >> (b % 64)),
+            5 => Op::Sorted(sorted_run(b, a, c)),
+            _ => Op::Str(bit_string(b % 140, c)),
+        }
+    }
+
+    fn write_both(ops: &[Op]) -> (BitString, BitString) {
+        let (mut w, mut o) = (BitWriter::new(), reference::Writer::default());
+        for op in ops {
+            match op {
+                Op::Bits(v, width) => {
+                    w.write_bits(*v, *width);
+                    o.bits(*v, *width);
+                }
+                Op::Unary(n) => {
+                    w.write_unary(*n);
+                    o.unary(*n);
+                }
+                Op::Gamma(v) => {
+                    w.write_gamma(*v);
+                    o.gamma(*v);
+                }
+                Op::Delta(v) => {
+                    w.write_delta(*v);
+                    o.delta(*v);
+                }
+                Op::Varint(v) => {
+                    w.write_varint(*v);
+                    o.varint(*v);
+                }
+                Op::Sorted(vals) => {
+                    w.write_sorted_deltas(vals);
+                    o.sorted(vals);
+                }
+                Op::Str(s) => {
+                    w.write_bitstring(s);
+                    o.bitstring(s);
+                }
+            }
+        }
+        (w.finish(), o.finish())
+    }
+
+    /// Reads `ops` back from `s` with both readers, in step: equal
+    /// values and cursors while both succeed, and the first `Err` at the
+    /// same operation.
+    fn read_both(ops: &[Op], s: &BitString) {
+        let (mut r, mut o) = (BitReader::new(s), reference::Reader::new(s));
+        for op in ops {
+            let (got, want) = match op {
+                Op::Bits(_, width) => (
+                    r.read_bits(*width).map(|v| vec![v]),
+                    o.bits(*width).map(|v| vec![v]),
+                ),
+                Op::Unary(_) => (
+                    r.read_unary().map(|v| vec![v as u64]),
+                    o.unary().map(|v| vec![v as u64]),
+                ),
+                Op::Gamma(_) => (r.read_gamma().map(|v| vec![v]), o.gamma().map(|v| vec![v])),
+                Op::Delta(_) => (r.read_delta().map(|v| vec![v]), o.delta().map(|v| vec![v])),
+                Op::Varint(_) => (
+                    r.read_varint().map(|v| vec![v]),
+                    o.varint().map(|v| vec![v]),
+                ),
+                Op::Sorted(vals) => {
+                    let max = vals.len() as u64;
+                    (r.read_sorted_deltas(max), o.sorted(max))
+                }
+                Op::Str(t) => {
+                    // The length, then every byte.
+                    let as_words = |b: BitString| {
+                        let bytes = b.bytes.iter().map(|&x| x as u64);
+                        std::iter::once(b.len_bits).chain(bytes).collect()
+                    };
+                    (
+                        r.read_bitstring(t.len_bits).map(as_words),
+                        o.bitstring(t.len_bits).map(as_words),
+                    )
+                }
+            };
+            match (got, want) {
+                (Ok(g), Ok(w)) => {
+                    assert_eq!(g, w, "{op:?}");
+                    assert_eq!(s.len_bits - r.remaining(), o.pos, "cursor after {op:?}");
+                }
+                (Err(_), Err(_)) => return,
+                (g, w) => panic!(
+                    "{op:?} on {} bits: word-level {g:?}, reference {w:?}",
+                    s.len_bits
+                ),
+            }
+        }
+    }
+
+    fn prefix(s: &BitString, len: u64) -> BitString {
+        reference::Reader::new(s).bitstring(len).unwrap()
+    }
+
+    #[test]
+    fn sorted_run_shapes_cover_every_arm() {
+        let raw: Vec<u64> = (0..12u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        for shape in 0..3u64 {
+            let run = sorted_run(shape, 12_345, &raw);
+            assert_eq!(scan_sorted(run.iter().copied()).arm, shape, "shape {shape}");
+        }
+    }
+
+    #[test]
+    fn write_bitstring_matches_reference_at_every_offset() {
+        let payload = bit_string(131, &[0xDEAD_BEEF_0123_4567, 0x89AB_CDEF_FEDC_BA98, 0x7]);
+        for offset in 0..16u32 {
+            let ops = [
+                Op::Bits(0b1011 & ((1 << offset.min(4)) - 1), offset.min(4)),
+                Op::Bits(0, offset - offset.min(4)),
+                Op::Str(payload.clone()),
+            ];
+            let (got, want) = write_both(&ops);
+            assert_eq!(got, want, "offset {offset}");
+            for len in 0..=got.len_bits() {
+                read_both(&ops, &prefix(&got, len));
+            }
+        }
+    }
+
+    #[test]
+    fn unary_limit_matches_reference() {
+        for zeros in [64 * 1024 - 1, 64 * 1024, 64 * 1024 + 1, 64 * 1024 + 70] {
+            let mut w = BitWriter::new();
+            for _ in 0..zeros / 64 {
+                w.write_bits(0, 64);
+            }
+            w.write_bits(1, zeros % 64 + 1);
+            let s = w.finish();
+            for len in [s.len_bits(), s.len_bits() - 1] {
+                let t = prefix(&s, len);
+                let got = BitReader::new(&t).read_unary();
+                let want = reference::Reader::new(&t).unary();
+                assert_eq!(got.ok(), want.ok(), "{zeros} zeros, {len} bits");
+            }
+            let (got, want) = write_both(&[Op::Unary(zeros)]);
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn long_gamma_and_delta_prefixes_match_reference() {
+        // A gamma prefix of 64 or more zeros is no u64, and a delta
+        // length above 64 none either; both must fail where the
+        // reference fails, with the payload present or cut short.
+        for zeros in [31u32, 32, 62, 63, 64, 65, 200] {
+            let mut w = reference::Writer::default();
+            w.unary(zeros);
+            w.bits(u64::MAX, 64);
+            w.bits(u64::MAX, 64);
+            w.bits(0x5, 3);
+            let s = w.finish();
+            for len in 0..=s.len_bits() {
+                let t = prefix(&s, len);
+                read_both(&[Op::Gamma(1)], &t);
+                read_both(&[Op::Delta(1)], &t);
+            }
+        }
+    }
+
+    #[test]
+    fn unsorted_fixed_run_is_an_error_in_both() {
+        let mut w = reference::Writer::default();
+        w.gamma(4); // len 3
+        w.bits(2, 2); // fixed arm
+        w.bits(7, 6); // width 8
+        for v in [3, 9, 4] {
+            w.bits(v, 8);
+        }
+        let s = w.finish();
+        assert!(BitReader::new(&s).read_sorted_deltas(8).is_err());
+        assert!(reference::Reader::new(&s).sorted(8).is_err());
+        read_both(&[Op::Sorted(vec![0, 0, 0])], &s);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_codec_matches_bit_at_a_time_reference(
+            ops in proptest::collection::vec(
+                (any::<u8>(), any::<u64>(), any::<u64>(), proptest::collection::vec(any::<u64>(), 0..9)),
+                0..8,
+            ),
+        ) {
+            let ops: Vec<Op> = ops.iter().map(|(k, a, b, c)| op(*k, *a, *b, c)).collect();
+            let (got, want) = write_both(&ops);
+            prop_assert_eq!(&got, &want);
+            for len in 0..=got.len_bits() {
+                read_both(&ops, &prefix(&got, len));
+            }
+        }
+
+        #[test]
+        fn prop_garbage_decodes_like_reference(
+            words in proptest::collection::vec(any::<u64>(), 0..6),
+            len in 0u64..384,
+            kinds in proptest::collection::vec(any::<u8>(), 1..6),
+        ) {
+            // Sparse words give long zero runs (unary, gamma prefixes).
+            let words: Vec<u64> = words.iter().map(|w| w & w.rotate_left(17) & w.rotate_left(31)).collect();
+            let s = bit_string(len, &words);
+            let ops: Vec<Op> = kinds.iter().map(|&k| op(k, 5, 77, &[1, 2, 3])).collect();
+            read_both(&ops, &s);
         }
     }
 }

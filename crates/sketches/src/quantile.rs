@@ -20,13 +20,25 @@
 //! The error bookkeeping is *certified*: [`QuantileSummary::max_rank_error`]
 //! is computed from the stored intervals, and property tests check that
 //! every query's true rank deviation is within it.
+//!
+//! Merge and prune are linear. [`QuantileSummary::merge_from`] is one
+//! two-pointer pass, run backwards inside the receiver's own storage,
+//! and [`QuantileSummary::merged`] runs it on a copy of one side.
+//! [`QuantileSummary::prune`] is one forward sweep: its target ranks
+//! rise, so the entry nearest each one only moves forward, and the kept
+//! entries are compacted in place. Both stay equal, entry for entry, to
+//! the sort-based merge and the binary-search prune they replaced,
+//! which the tests keep as an oracle. The wire form is three
+//! delta-packed columns (values, `rmin`s, `rmax`s), written straight
+//! from the entries and read straight back into them
+//! ([`QuantileSummary::write_columns`], [`QuantileSummary::read_columns`]).
 
 use saq_netsim::wire::{BitReader, BitWriter, WireEncode};
 use saq_netsim::NetsimError;
 
 /// One summary entry: a stored value and bounds on its rank within the
 /// summarized multiset (1-based, inclusive).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QEntry {
     /// The stored value.
     pub value: u64,
@@ -102,25 +114,7 @@ impl QuantileSummary {
     /// Returns a static message if the entries are not sorted by value or
     /// any rank interval is inconsistent with `count`.
     pub fn from_parts(entries: Vec<QEntry>, count: u64) -> Result<Self, &'static str> {
-        if !entries.windows(2).all(|w| w[0].value <= w[1].value) {
-            return Err("entries not sorted by value");
-        }
-        // Monotone rank bounds are an invariant of every summary this
-        // module builds (combined lower/upper rank bounds grow along the
-        // value order) and the precondition for the binary-searched
-        // `nearest_entry`; a frame violating it is malformed.
-        if !entries
-            .windows(2)
-            .all(|w| w[0].rmin <= w[1].rmin && w[0].rmax <= w[1].rmax)
-        {
-            return Err("entry rank bounds not monotone");
-        }
-        if entries
-            .iter()
-            .any(|e| e.rmin == 0 || e.rmin > e.rmax || e.rmax > count)
-        {
-            return Err("entry rank interval inconsistent with count");
-        }
+        check_parts(&entries, count)?;
         Ok(QuantileSummary { entries, count })
     }
 
@@ -151,77 +145,123 @@ impl QuantileSummary {
     /// its successor in the other summary. Interval widths add, so merging
     /// exact summaries stays exact.
     pub fn merged(a: &QuantileSummary, b: &QuantileSummary) -> QuantileSummary {
-        if a.is_empty() {
-            return b.clone();
+        let mut m = QuantileSummary {
+            entries: Vec::with_capacity(a.len() + b.len()),
+            count: a.count,
+        };
+        m.entries.extend_from_slice(&a.entries);
+        m.merge_from(b);
+        m
+    }
+
+    /// Merges `other` into `self` in place: afterwards `self` equals
+    /// [`QuantileSummary::merged`]`(self, other)`.
+    ///
+    /// One two-pointer pass, run backwards through `self`'s own storage
+    /// grown to exactly the merged length, so no second buffer is
+    /// needed: each write lands at or above the next entry of `self`
+    /// still to be read. In merged order ties go to `self` first, so
+    /// equal values from `other` count `self`'s as predecessors and not
+    /// the reverse (otherwise equal values in both summaries would count
+    /// each other and inflate both bounds). Each side's predecessor and
+    /// successor in the other are the other cursor's neighbours; with
+    /// rank bounds non-decreasing this is the order a stable sort by
+    /// `(value, rmin)` of the transformed entries gives.
+    pub fn merge_from(&mut self, other: &QuantileSummary) {
+        if other.is_empty() {
+            return;
         }
-        if b.is_empty() {
-            return a.clone();
+        if self.is_empty() {
+            self.entries.clone_from(&other.entries);
+            self.count = other.count;
+            return;
         }
-        let mut out = Vec::with_capacity(a.len() + b.len());
-        // Ties are broken by a fixed total order: equal values from `a`
-        // precede those from `b`. Without this, equal values in both
-        // summaries would count each other as predecessors and inflate
-        // both bounds.
-        let mut push_transformed =
-            |own: &QuantileSummary, other: &QuantileSummary, other_wins_ties: bool| {
-                for e in &own.entries {
-                    // Split `other` around e.value under the tie-break.
-                    let pos = if other_wins_ties {
-                        // Predecessors are strictly smaller values.
-                        other.entries.partition_point(|o| o.value < e.value)
-                    } else {
-                        // Predecessors include equal values.
-                        other.entries.partition_point(|o| o.value <= e.value)
-                    };
-                    let pred_rmin = if pos > 0 {
-                        other.entries[pos - 1].rmin
-                    } else {
-                        0
-                    };
-                    let succ_rmax = if pos < other.entries.len() {
-                        other.entries[pos].rmax - 1
-                    } else {
-                        other.count
-                    };
-                    out.push(QEntry {
-                        value: e.value,
-                        rmin: e.rmin + pred_rmin,
-                        rmax: e.rmax + succ_rmax,
-                    });
-                }
-            };
-        push_transformed(a, b, true);
-        push_transformed(b, a, false);
-        out.sort_by(|x, y| x.value.cmp(&y.value).then(x.rmin.cmp(&y.rmin)));
-        QuantileSummary {
-            entries: out,
-            count: a.count + b.count,
+        let (ys, a_count) = (&other.entries[..], self.count);
+        let (mut i, mut j) = (self.entries.len(), ys.len());
+        let xs = &mut self.entries;
+        // Exactly the merged length, as `merged` allocates it. Growing
+        // by doubling leaves up to twice that allocated, and raised
+        // stackbench's `provenance_lossy_1e4` peak RSS by a fifth.
+        xs.reserve_exact(j);
+        xs.resize(i + j, QEntry::default());
+        // An entry gains the `rmin` of its predecessor in the other
+        // summary (0 without one) and the `rmax − 1` of its successor
+        // there (the other's whole count without one).
+        let rmin_before = |es: &[QEntry], n: usize| n.checked_sub(1).map_or(0, |p| es[p].rmin);
+        // The original `rmax` of the entry of `self` placed last: the
+        // successor of the entries of `other` placed after it.
+        let mut succ_rmax = None;
+        for w in (0..i + j).rev() {
+            // Backwards, a tie places `other`'s entry first.
+            if j > 0 && (i == 0 || ys[j - 1].value >= xs[i - 1].value) {
+                let e = ys[j - 1];
+                xs[w] = QEntry {
+                    value: e.value,
+                    rmin: e.rmin + rmin_before(xs, i),
+                    rmax: e.rmax + succ_rmax.map_or(a_count, |r: u64| r - 1),
+                };
+                j -= 1;
+            } else {
+                let e = xs[i - 1];
+                xs[w] = QEntry {
+                    value: e.value,
+                    rmin: e.rmin + rmin_before(ys, j),
+                    rmax: e.rmax + ys.get(j).map_or(other.count, |s| s.rmax - 1),
+                };
+                succ_rmax = Some(e.rmax);
+                i -= 1;
+            }
         }
+        self.count += other.count;
     }
 
     /// Prunes the summary to at most `k + 1` entries, keeping the extreme
     /// entries and entries nearest to the `k − 1` interior equi-spaced
     /// ranks. Adds at most `⌈count / (2k)⌉` to the worst-case rank error.
     ///
+    /// One forward sweep, `O(len + k)`: the target ranks rise with `i`,
+    /// so the crossover cursor of the nearest-entry search only moves
+    /// forward and the chosen indices never decrease. Kept entries are
+    /// compacted in place, each written one choice late — once the
+    /// cursor can no longer read the slot it lands in.
+    ///
     /// # Panics
     ///
     /// Panics if `k == 0`.
     pub fn prune(&mut self, k: usize) {
         assert!(k > 0, "prune target must be positive");
-        if self.entries.len() <= k + 1 {
+        let len = self.entries.len();
+        if len <= k + 1 {
             return;
         }
-        let mut keep = Vec::with_capacity(k + 1);
-        keep.push(0usize); // the minimum
+        let entries = &mut self.entries;
+        // Slot 0 keeps the minimum; `last` is the latest choice, not yet
+        // written unless it is 0.
+        let (mut kept, mut last, mut cursor) = (1usize, 0usize, 0usize);
         for i in 1..k {
-            let target = (i as u64 * self.count).div_ceil(k as u64);
-            let idx = self.nearest_entry(target);
-            keep.push(idx);
+            let r = (i as u64 * self.count).div_ceil(k as u64);
+            while cursor < len && below(&entries[cursor], r) {
+                cursor += 1;
+            }
+            let idx = nearest_at(entries, cursor, r);
+            debug_assert!(idx >= last, "prune choices must not decrease");
+            if idx != last {
+                if last != 0 {
+                    entries[kept] = entries[last];
+                    kept += 1;
+                }
+                last = idx;
+            }
         }
-        keep.push(self.entries.len() - 1); // the maximum
-        keep.sort_unstable();
-        keep.dedup();
-        self.entries = keep.into_iter().map(|i| self.entries[i]).collect();
+        if last != 0 {
+            entries[kept] = entries[last];
+            kept += 1;
+        }
+        if last != len - 1 {
+            entries[kept] = entries[len - 1]; // the maximum
+            kept += 1;
+        }
+        entries.truncate(kept);
     }
 
     /// Index of the entry whose rank interval is closest to `r`.
@@ -230,21 +270,11 @@ impl QuantileSummary {
     /// non-decreasing — see [`QuantileSummary::from_parts`]) the falling
     /// term `r − rmin` is non-increasing and the rising term `rmax − r`
     /// non-decreasing, so their max is unimodal and minimized where the
-    /// rising term overtakes. This sits on the per-merge prune path, so
-    /// a linear scan would make each prune `O(k·len)`.
+    /// rising term overtakes.
     fn nearest_entry(&self, r: u64) -> usize {
         debug_assert!(!self.entries.is_empty());
-        let score = |e: &QEntry| (r.saturating_sub(e.rmin)).max(e.rmax.saturating_sub(r));
-        let i = self
-            .entries
-            .partition_point(|e| e.rmax.saturating_sub(r) < r.saturating_sub(e.rmin))
-            .min(self.entries.len() - 1);
-        // The minimum is at the crossover or immediately before it.
-        if i > 0 && score(&self.entries[i - 1]) <= score(&self.entries[i]) {
-            i - 1
-        } else {
-            i
-        }
+        let cursor = self.entries.partition_point(|e| below(e, r));
+        nearest_at(&self.entries, cursor, r)
     }
 
     /// Returns a stored value whose true rank is near `r` (clamped to
@@ -320,6 +350,132 @@ impl QuantileSummary {
         }
         *self = QuantileSummary::merged(self, &QuantileSummary::from_sorted(values));
     }
+
+    /// Writes the three entry columns — values, `rmin`s, `rmax`s — as
+    /// delta-packed sorted runs, straight from the entries. Every column
+    /// is non-decreasing by the summary invariant, so each gamma-codes
+    /// its gaps instead of spending a fixed width per entry. The item
+    /// count is the caller's header; [`QuantileSummary::read_columns`]
+    /// reads the columns back.
+    pub fn write_columns(&self, w: &mut BitWriter) {
+        w.write_sorted_run(self.entries.iter().map(|e| e.value));
+        w.write_sorted_run(self.entries.iter().map(|e| e.rmin));
+        w.write_sorted_run(self.entries.iter().map(|e| e.rmax));
+    }
+
+    /// Replaces `self` with the summary of `count` items whose columns
+    /// [`QuantileSummary::write_columns`] wrote, decoding straight into
+    /// `self`'s storage (so a reused decode target allocates nothing).
+    /// The value column may hold at most `max_len` entries; the other
+    /// two must match it. The result passes
+    /// [`QuantileSummary::from_parts`]'s checks. On error `self` is left
+    /// empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetsimError::WireDecode`] on a truncated or malformed
+    /// column, columns of different lengths, or entries `from_parts`
+    /// rejects.
+    pub fn read_columns(
+        &mut self,
+        r: &mut BitReader<'_>,
+        count: u64,
+        max_len: u64,
+    ) -> Result<(), NetsimError> {
+        let decoded = self.read_columns_unchecked(r, max_len).and_then(|()| {
+            check_parts(&self.entries, count)
+                .map_err(|_| NetsimError::WireDecode("quantile summary inconsistent"))
+        });
+        match decoded {
+            Ok(()) => self.count = count,
+            Err(_) => {
+                self.entries.clear();
+                self.count = 0;
+            }
+        }
+        decoded
+    }
+
+    fn read_columns_unchecked(
+        &mut self,
+        r: &mut BitReader<'_>,
+        max_len: u64,
+    ) -> Result<(), NetsimError> {
+        let entries = &mut self.entries;
+        entries.clear();
+        let run = r.read_sorted_header(max_len)?;
+        entries.reserve(run.len() as usize);
+        r.read_sorted_values(run, |value| {
+            entries.push(QEntry {
+                value,
+                rmin: 0,
+                rmax: 0,
+            })
+        })?;
+        read_rank_column(r, entries, |e, v| e.rmin = v)?;
+        read_rank_column(r, entries, |e, v| e.rmax = v)
+    }
+}
+
+/// Reads one rank column, which must be as long as `entries`, into
+/// each entry's field through `set`.
+fn read_rank_column(
+    r: &mut BitReader<'_>,
+    entries: &mut [QEntry],
+    set: fn(&mut QEntry, u64),
+) -> Result<(), NetsimError> {
+    let run = r.read_sorted_header(entries.len() as u64)?;
+    if run.len() != entries.len() as u64 {
+        return Err(NetsimError::WireDecode("quantile column lengths differ"));
+    }
+    let mut slots = entries.iter_mut();
+    r.read_sorted_values(run, |v| set(slots.next().expect("run length checked"), v))
+}
+
+/// Whether `e` lies before the crossover for query rank `r`: its
+/// rising term `rmax − r` is still below its falling term `r − rmin`.
+/// True on a prefix of any summary's entries (their rank bounds are
+/// non-decreasing), and a prefix that only grows as `r` rises.
+fn below(e: &QEntry, r: u64) -> bool {
+    e.rmax.saturating_sub(r) < r.saturating_sub(e.rmin)
+}
+
+/// The entry nearest rank `r`, given the crossover `cursor` (the
+/// number of entries [`below`] `r`): the minimum of the unimodal score
+/// is at the crossover or immediately before it.
+fn nearest_at(entries: &[QEntry], cursor: usize, r: u64) -> usize {
+    let score = |e: &QEntry| (r.saturating_sub(e.rmin)).max(e.rmax.saturating_sub(r));
+    let i = cursor.min(entries.len() - 1);
+    if i > 0 && score(&entries[i - 1]) <= score(&entries[i]) {
+        i - 1
+    } else {
+        i
+    }
+}
+
+/// [`QuantileSummary::from_parts`]' checks, in one pass: entries sorted
+/// by value, rank bounds non-decreasing (an invariant of every summary
+/// this module builds and the precondition of the crossover search in
+/// [`QuantileSummary::nearest_entry`] and `prune`), and every interval
+/// inside `[1, count]`.
+fn check_parts(entries: &[QEntry], count: u64) -> Result<(), &'static str> {
+    let (mut sorted, mut monotone, mut inside) = (true, true, true);
+    for (i, e) in entries.iter().enumerate() {
+        if let Some(p) = i.checked_sub(1).map(|p| &entries[p]) {
+            sorted &= p.value <= e.value;
+            monotone &= p.rmin <= e.rmin && p.rmax <= e.rmax;
+        }
+        inside &= e.rmin != 0 && e.rmin <= e.rmax && e.rmax <= count;
+    }
+    if !sorted {
+        Err("entries not sorted by value")
+    } else if !monotone {
+        Err("entry rank bounds not monotone")
+    } else if !inside {
+        Err("entry rank interval inconsistent with count")
+    } else {
+        Ok(())
+    }
 }
 
 /// Hard cap on decoded entry counts — far above any summary a pruned
@@ -328,39 +484,18 @@ impl QuantileSummary {
 const MAX_WIRE_ENTRIES: u64 = 1 << 20;
 
 impl WireEncode for QuantileSummary {
-    /// Column layout: a varint item count, then three delta-packed
-    /// sorted runs (values, `rmin`s, `rmax`s). All three columns are
-    /// non-decreasing by the summary invariant, so each gamma-codes its
-    /// gaps instead of spending a fixed width per entry.
+    /// Column layout: a varint item count, then the three delta-packed
+    /// columns of [`QuantileSummary::write_columns`].
     fn encode(&self, w: &mut BitWriter) {
         w.write_varint(self.count);
-        let mut col: Vec<u64> = self.entries.iter().map(|e| e.value).collect();
-        w.write_sorted_deltas(&col);
-        col.clear();
-        col.extend(self.entries.iter().map(|e| e.rmin));
-        w.write_sorted_deltas(&col);
-        col.clear();
-        col.extend(self.entries.iter().map(|e| e.rmax));
-        w.write_sorted_deltas(&col);
+        self.write_columns(w);
     }
 
     fn decode(r: &mut BitReader<'_>) -> Result<Self, NetsimError> {
         let count = r.read_varint()?;
-        let values = r.read_sorted_deltas(MAX_WIRE_ENTRIES)?;
-        let rmins = r.read_sorted_deltas(values.len() as u64)?;
-        let rmaxs = r.read_sorted_deltas(values.len() as u64)?;
-        if rmins.len() != values.len() || rmaxs.len() != values.len() {
-            return Err(NetsimError::WireDecode("quantile column lengths differ"));
-        }
-        let entries: Vec<QEntry> = values
-            .into_iter()
-            .zip(rmins.into_iter().zip(rmaxs))
-            .map(|(value, (rmin, rmax))| QEntry { value, rmin, rmax })
-            .collect();
-        if entries.iter().any(|e| e.rmin > e.rmax || e.rmax > count) {
-            return Err(NetsimError::WireDecode("quantile entry ranks invalid"));
-        }
-        Ok(QuantileSummary { entries, count })
+        let mut s = QuantileSummary::new();
+        s.read_columns(r, count, MAX_WIRE_ENTRIES)?;
+        Ok(s)
     }
 }
 
@@ -573,6 +708,38 @@ mod tests {
     }
 
     #[test]
+    fn decode_rejects_zero_rank_frame() {
+        // rmin = rmax = 0 passes the interval-order checks but is no
+        // rank; a later merge would compute `rmax − 1` on it.
+        let mut w = BitWriter::new();
+        w.write_varint(1);
+        for col in [[5u64], [0], [0]] {
+            w.write_sorted_deltas(&col);
+        }
+        let bits = w.finish();
+        assert!(QuantileSummary::decode(&mut BitReader::new(&bits)).is_err());
+    }
+
+    #[test]
+    fn read_columns_reuses_its_target_and_empties_it_on_error() {
+        let mut s = QuantileSummary::from_sorted(&(0..40).collect::<Vec<_>>());
+        s.prune(6);
+        let mut w = BitWriter::new();
+        s.write_columns(&mut w);
+        let bits = w.finish();
+        let mut target = QuantileSummary::from_sorted(&[1, 2, 3]);
+        target
+            .read_columns(&mut BitReader::new(&bits), s.count(), 64)
+            .unwrap();
+        assert_eq!(target, s);
+        // The value column holds more entries than `max_len` allows.
+        assert!(target
+            .read_columns(&mut BitReader::new(&bits), s.count(), 2)
+            .is_err());
+        assert_eq!(target, QuantileSummary::new());
+    }
+
+    #[test]
     #[should_panic(expected = "must be positive")]
     fn prune_zero_panics() {
         let mut s = QuantileSummary::from_single(1);
@@ -645,6 +812,146 @@ mod tests {
                 let got = m.query_rank(r).unwrap();
                 let (lo, hi) = true_rank_bounds(&all, got);
                 prop_assert!(lo <= r && r <= hi, "rank {} -> {} bounds [{},{}]", r, got, lo, hi);
+            }
+        }
+    }
+
+    /// The sort-based merge and binary-search prune the linear passes
+    /// replaced, kept as their oracle.
+    mod reference {
+        use super::*;
+
+        pub fn merged(a: &QuantileSummary, b: &QuantileSummary) -> QuantileSummary {
+            if a.is_empty() {
+                return b.clone();
+            }
+            if b.is_empty() {
+                return a.clone();
+            }
+            let mut out = Vec::with_capacity(a.len() + b.len());
+            let mut push_transformed =
+                |own: &QuantileSummary, other: &QuantileSummary, other_wins_ties: bool| {
+                    for e in &own.entries {
+                        let pos = if other_wins_ties {
+                            other.entries.partition_point(|o| o.value < e.value)
+                        } else {
+                            other.entries.partition_point(|o| o.value <= e.value)
+                        };
+                        let pred_rmin = if pos > 0 {
+                            other.entries[pos - 1].rmin
+                        } else {
+                            0
+                        };
+                        let succ_rmax = if pos < other.entries.len() {
+                            other.entries[pos].rmax - 1
+                        } else {
+                            other.count
+                        };
+                        out.push(QEntry {
+                            value: e.value,
+                            rmin: e.rmin + pred_rmin,
+                            rmax: e.rmax + succ_rmax,
+                        });
+                    }
+                };
+            push_transformed(a, b, true);
+            push_transformed(b, a, false);
+            out.sort_by(|x, y| x.value.cmp(&y.value).then(x.rmin.cmp(&y.rmin)));
+            QuantileSummary {
+                entries: out,
+                count: a.count + b.count,
+            }
+        }
+
+        pub fn nearest_entry(s: &QuantileSummary, r: u64) -> usize {
+            let score = |e: &QEntry| (r.saturating_sub(e.rmin)).max(e.rmax.saturating_sub(r));
+            let i = s
+                .entries
+                .partition_point(|e| e.rmax.saturating_sub(r) < r.saturating_sub(e.rmin))
+                .min(s.entries.len() - 1);
+            if i > 0 && score(&s.entries[i - 1]) <= score(&s.entries[i]) {
+                i - 1
+            } else {
+                i
+            }
+        }
+
+        pub fn prune(s: &mut QuantileSummary, k: usize) {
+            if s.entries.len() <= k + 1 {
+                return;
+            }
+            let mut keep = vec![0usize];
+            for i in 1..k {
+                let target = (i as u64 * s.count).div_ceil(k as u64);
+                keep.push(nearest_entry(s, target));
+            }
+            keep.push(s.entries.len() - 1);
+            keep.sort_unstable();
+            keep.dedup();
+            s.entries = keep.into_iter().map(|i| s.entries[i]).collect();
+        }
+    }
+
+    /// A summary of `raw` drawn from few distinct values (so duplicates
+    /// are heavy), possibly empty, pruned to `k` when `k > 0`.
+    fn leaf(raw: &[u64], spread: u64, k: usize) -> QuantileSummary {
+        let mut vals: Vec<u64> = raw.iter().map(|v| v % spread).collect();
+        vals.sort_unstable();
+        let mut s = QuantileSummary::from_sorted(&vals);
+        if k > 0 {
+            s.prune(k);
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_linear_merge_and_prune_match_the_oracle(
+            leaves in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..40), 1..10),
+            spread in 1u64..12,
+            k in 1usize..64,
+            leaf_k in 0usize..20,
+        ) {
+            let mut acc = QuantileSummary::new();
+            for raw in &leaves {
+                let s = leaf(raw, spread, leaf_k);
+                for (x, y) in [(&acc, &s), (&s, &acc)] {
+                    let want = reference::merged(x, y);
+                    prop_assert_eq!(&QuantileSummary::merged(x, y), &want);
+                    let mut into = x.clone();
+                    into.merge_from(y);
+                    prop_assert_eq!(&into, &want);
+                }
+                let mut got = QuantileSummary::merged(&acc, &s);
+                let mut want = got.clone();
+                got.prune(k);
+                reference::prune(&mut want, k);
+                prop_assert_eq!(&got, &want);
+                for r in 1..=got.count() {
+                    prop_assert_eq!(got.nearest_entry(r), reference::nearest_entry(&got, r));
+                }
+                acc = got;
+            }
+        }
+
+        #[test]
+        fn prop_prune_matches_the_oracle_at_every_k(
+            raw in proptest::collection::vec(any::<u64>(), 0..200),
+            spread in 1u64..400,
+            leaf_k in 0usize..30,
+        ) {
+            let half = raw.len() / 2;
+            let merged = QuantileSummary::merged(
+                &leaf(&raw[..half], spread, leaf_k),
+                &leaf(&raw[half..], spread, leaf_k),
+            );
+            for k in 1..64 {
+                let (mut got, mut want) = (merged.clone(), merged.clone());
+                got.prune(k);
+                reference::prune(&mut want, k);
+                prop_assert_eq!(got, want);
             }
         }
     }

@@ -61,6 +61,11 @@ impl BottomK {
         self.k
     }
 
+    /// Bits each value takes on the wire.
+    pub fn value_width(&self) -> u32 {
+        self.value_width
+    }
+
     /// Inserts a pair. The key must be a well-mixed hash; the value is an
     /// arbitrary payload (item value, node id, ...).
     ///
@@ -140,21 +145,49 @@ impl BottomK {
         self.entries.is_empty()
     }
 
-    /// Appends a pair whose key must strictly exceed every retained
-    /// key — the wire decoder's fast path for key-sorted frames.
-    /// Returns `false` (leaving the synopsis untouched) when the key
-    /// does not extend the sorted run or the synopsis is full.
-    fn insert_unique_sorted(&mut self, key: u64, value: u64) -> bool {
-        if self.entries.len() >= self.k {
-            return false;
+    /// Writes the retained pairs as two columns: the keys as one
+    /// delta-packed sorted run (its own length header included), then
+    /// the values in key order at the value width — straight from the
+    /// entries. [`BottomK::read_pairs`] reads them back.
+    pub fn write_pairs(&self, w: &mut BitWriter) {
+        w.write_sorted_run(self.entries.iter().map(|e| e.0));
+        for &(_, value) in &self.entries {
+            w.write_bits(value, self.value_width);
         }
-        if let Some(&(last, _)) = self.entries.last() {
-            if key <= last {
-                return false;
-            }
+    }
+
+    /// Replaces the retained pairs with the columns
+    /// [`BottomK::write_pairs`] wrote, decoding straight into this
+    /// synopsis' storage. A repeated key keeps its first value, as
+    /// [`BottomK::insert`] would. Returns whether the keys were strictly
+    /// increasing (a frame that repeats one does not round-trip). On
+    /// error the synopsis is left empty.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetsimError::WireDecode`] on a truncated or malformed
+    /// frame, or more than `k` keys.
+    pub fn read_pairs(&mut self, r: &mut BitReader<'_>) -> Result<bool, NetsimError> {
+        let read = self.read_pairs_unchecked(r);
+        if read.is_err() {
+            self.entries.clear();
         }
-        self.entries.push((key, value));
-        true
+        read?;
+        let len = self.entries.len();
+        self.entries.dedup_by_key(|e| e.0);
+        Ok(self.entries.len() == len)
+    }
+
+    fn read_pairs_unchecked(&mut self, r: &mut BitReader<'_>) -> Result<(), NetsimError> {
+        let entries = &mut self.entries;
+        entries.clear();
+        let run = r.read_sorted_header(self.k as u64)?;
+        entries.reserve(run.len() as usize);
+        r.read_sorted_values(run, |key| entries.push((key, 0)))?;
+        for e in entries.iter_mut() {
+            e.1 = r.read_bits(self.value_width)?;
+        }
+        Ok(())
     }
 
     /// Estimates the `phi`-quantile (`0 < phi ≤ 1`) of the sampled
@@ -230,18 +263,14 @@ impl WireEncode for BottomK {
     /// Layout: varint `k`, 6-bit `value_width − 1`, then the key column
     /// as a delta-packed sorted run (the entries are key-sorted with
     /// unique keys) followed by the values in key order at the fixed
-    /// configured width. Uniform hash keys are incompressible, so the
-    /// key run's fixed-width fallback arm usually carries them — the
-    /// point of the packed form is that the *headers* shrink and
-    /// clustered key sets (e.g. tests) pack tight.
+    /// configured width ([`BottomK::write_pairs`]). Uniform hash keys
+    /// are incompressible, so the key run's fixed-width fallback arm
+    /// usually carries them — the point of the packed form is that the
+    /// *headers* shrink and clustered key sets (e.g. tests) pack tight.
     fn encode(&self, w: &mut BitWriter) {
         w.write_varint(self.k as u64);
         w.write_bits(self.value_width as u64 - 1, 6);
-        let keys: Vec<u64> = self.entries.iter().map(|e| e.0).collect();
-        w.write_sorted_deltas(&keys);
-        for &(_, value) in &self.entries {
-            w.write_bits(value, self.value_width);
-        }
+        self.write_pairs(w);
     }
 
     fn decode(r: &mut BitReader<'_>) -> Result<Self, NetsimError> {
@@ -250,15 +279,11 @@ impl WireEncode for BottomK {
         if k == 0 {
             return Err(NetsimError::WireDecode("bottomk header invalid"));
         }
-        let keys = r.read_sorted_deltas(k as u64)?;
         let mut s = BottomK::new(k, value_width);
-        for key in keys {
-            let value = r.read_bits(value_width)?;
-            // Duplicate keys collapse under insert; a frame carrying
-            // them would not round-trip, so reject it outright.
-            if !s.insert_unique_sorted(key, value) {
-                return Err(NetsimError::WireDecode("bottomk keys not strictly sorted"));
-            }
+        // Duplicate keys collapse under insert; a frame carrying them
+        // would not round-trip, so reject it outright.
+        if !s.read_pairs(r)? {
+            return Err(NetsimError::WireDecode("bottomk keys not strictly sorted"));
         }
         Ok(s)
     }
