@@ -577,7 +577,17 @@ impl WaveProtocol for CoreWave {
 
     /// Deterministic requests are keyed by their exact encoding — the
     /// wire bits are the collision-free identity of "every node would
-    /// execute this identically". Excluded:
+    /// execute this identically" ([`WaveProtocol::cacheable`] decides
+    /// which).
+    fn cache_key(&self, req: &CoreRequest) -> Option<CacheKey> {
+        self.cacheable(req).then(|| {
+            let mut w = BitWriter::new();
+            self.encode_request(req, &mut w);
+            w.finish()
+        })
+    }
+
+    /// Every request is cacheable except:
     ///
     /// * [`CoreRequest::Zoom`] mutates items (it also invalidates);
     /// * `ApxCount`/`DistinctApx` draw a **fresh** nonce per invocation
@@ -587,18 +597,25 @@ impl WaveProtocol for CoreWave {
     ///
     /// `BottomK` stays cacheable: its nonce is deterministic (the ODI
     /// sampling convention), so equal requests do repeat.
-    fn cache_key(&self, req: &CoreRequest) -> Option<CacheKey> {
-        if matches!(
+    fn cacheable(&self, req: &CoreRequest) -> bool {
+        !matches!(
             req,
             CoreRequest::Zoom { .. }
                 | CoreRequest::ApxCount { .. }
                 | CoreRequest::DistinctApx { .. }
-        ) {
-            return None;
+        )
+    }
+
+    /// Containers merged in place (GK summaries, bottom-k samples, value
+    /// lists and sets) give back their spare capacity.
+    fn shrink_partial(&self, p: &mut CorePartial) {
+        match p {
+            CorePartial::Quantile(s) => s.shrink_to_fit(),
+            CorePartial::Sample(s) => s.shrink_to_fit(),
+            CorePartial::Values(v) | CorePartial::Set(v) => v.shrink_to_fit(),
+            CorePartial::Sketches(v) => v.shrink_to_fit(),
+            CorePartial::OptVal(..) | CorePartial::Num(_) | CorePartial::Unit => {}
         }
-        let mut w = BitWriter::new();
-        self.encode_request(req, &mut w);
-        Some(w.finish())
     }
 
     /// Zoom rescales and deactivates items (Fig. 4 line 3.2): every
@@ -691,6 +708,7 @@ impl WaveProtocol for CoreWave {
 mod tests {
     use super::*;
     use saq_netsim::wire::BitWriter;
+    use saq_protocols::wave::{MultiplexWave, MuxEntry};
     use saq_sketches::DistinctSketch;
 
     fn proto() -> CoreWave {
@@ -989,5 +1007,119 @@ mod tests {
         let agg = p.countsum_agg(CountSumOp::Count, Predicate::less_than(100));
         let direct = agg.partial_over(active_refs(3, &items));
         assert_eq!(wave, CorePartial::Num(direct));
+    }
+
+    /// Every [`CoreRequest`] kind, `kind` taken modulo the kind count.
+    fn any_request(kind: u32, x: u64) -> CoreRequest {
+        let domain = if x.is_multiple_of(2) {
+            Domain::Raw
+        } else {
+            Domain::Log
+        };
+        let pred = Predicate::less_than2(x % 2000);
+        let (reps, nonce) = (1 + (x % 3) as u32, (x >> 8) as u32);
+        match kind % 11 {
+            0 => CoreRequest::Min(domain),
+            1 => CoreRequest::Max(domain),
+            2 => CoreRequest::Count(pred),
+            3 => CoreRequest::Sum(pred),
+            4 => CoreRequest::ApxCount { pred, reps, nonce },
+            5 => CoreRequest::Zoom {
+                mu_hat: (x % 10) as u32,
+            },
+            6 => CoreRequest::Collect,
+            7 => CoreRequest::DistinctExact,
+            8 => CoreRequest::DistinctApx { reps, nonce },
+            9 => CoreRequest::Quantile {
+                budget: 1 + (x % 15) as u32,
+            },
+            _ => CoreRequest::BottomK {
+                k: 1 + (x % 11) as u32,
+                nonce,
+            },
+        }
+    }
+
+    /// Every slot key [`WaveProtocol::for_each_slot_key`] lends.
+    fn slot_keys<P: WaveProtocol>(p: &P, req: &P::Request) -> Vec<Option<CacheKey>> {
+        let mut keys = Vec::new();
+        p.for_each_slot_key(req, &mut |i, key| {
+            assert_eq!(i, keys.len(), "slots are visited in order");
+            keys.push(key.cloned());
+        });
+        keys
+    }
+
+    fn encoded(f: impl FnOnce(&mut BitWriter)) -> saq_netsim::wire::BitString {
+        let mut w = BitWriter::new();
+        f(&mut w);
+        w.finish()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        // A reply encoded slot by slot from cached single-slot partials
+        // is bit for bit — and bill for bill — the encoding of their
+        // join; and a slot's key is its sub-request's encoding whether
+        // it is lent from captured wire bits or encoded at the root.
+        #[test]
+        fn prop_encode_slot_matches_encode_of_join(
+            kinds in proptest::collection::vec(0u32..11, 1..7),
+            values in proptest::collection::vec(0u64..1001, 0..8),
+            x in 0u64..1 << 40,
+        ) {
+            let inner = proto();
+            let mut items: Vec<SimItem> = values.iter().map(|&v| SimItem::new(v)).collect();
+            let reqs: Vec<CoreRequest> = kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &kind)| any_request(kind, x.rotate_left(7 * i as u32)))
+                .collect();
+            for req in &reqs {
+                let mut rng = Xoshiro256StarStar::seed_from_u64(x);
+                let part = inner.local(3, &mut items.clone(), req, &mut rng);
+                let by_slot = encoded(|w| inner.encode_slot(req, 0, &part, w));
+                proptest::prop_assert_eq!(by_slot, encoded(|w| inner.encode_partial(req, &part, w)));
+                let key = inner.cache_key(req);
+                proptest::prop_assert_eq!(inner.cacheable(req), key.is_some());
+                if let Some(key) = key {
+                    proptest::prop_assert_eq!(key, encoded(|w| inner.encode_request(req, w)));
+                }
+            }
+
+            // Sparse slot tags, as a subset envelope carries them.
+            let mux = MultiplexWave::new(inner.clone());
+            let env: Vec<MuxEntry<CoreRequest>> = reqs
+                .into_iter()
+                .enumerate()
+                .map(|(i, req)| MuxEntry::new(3 * i as u32 + 1, req))
+                .collect();
+            let mut rng = Xoshiro256StarStar::seed_from_u64(x);
+            let slots = mux.split_slots(&env, mux.local(3, &mut items, &env, &mut rng));
+            let ledger = mux.ledger();
+            ledger.lock().unwrap().reset(0);
+            let by_slot = encoded(|w| {
+                for (i, part) in slots.iter().enumerate() {
+                    mux.encode_slot(&env, i, part, w);
+                }
+            });
+            let slot_bills = ledger.lock().unwrap().clone();
+            ledger.lock().unwrap().reset(0);
+            let joined = encoded(|w| mux.encode_partial(&env, &mux.join_slots(&env, slots.clone()), w));
+            let join_bills = ledger.lock().unwrap().clone();
+            proptest::prop_assert_eq!(by_slot, joined);
+            proptest::prop_assert_eq!(slot_bills.slots(), join_bills.slots());
+            proptest::prop_assert_eq!(slot_bills.envelope_bits(), join_bills.envelope_bits());
+
+            // Keys of the root-issued envelope (encoded) and of the same
+            // envelope off the wire (lent from the captured bits).
+            let frame = encoded(|w| mux.encode_request(&env, w));
+            let decoded = mux.decode_request(&mut BitReader::new(&frame)).unwrap();
+            let expected: Vec<Option<CacheKey>> =
+                env.iter().map(|e| inner.cache_key(&e.req)).collect();
+            proptest::prop_assert_eq!(slot_keys(&mux, &env), expected.clone());
+            proptest::prop_assert_eq!(slot_keys(&mux, &decoded), expected);
+        }
     }
 }

@@ -31,8 +31,6 @@
 //! [`WaveSubstrate::set_items`]: crate::wave::WaveSubstrate::set_items
 
 use saq_netsim::wire::BitString;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Key identifying a cacheable sub-request: its exact encoded wire bits.
 ///
@@ -81,10 +79,15 @@ impl CacheStats {
 ///
 /// Eviction is FIFO by insertion order: the cache's job is to absorb
 /// *repeated* request streams (dashboards re-issuing the same queries),
-/// where any reasonable policy behaves identically. Each entry carries
-/// its insertion stamp, so the order costs one integer per entry rather
-/// than a second copy of every key; finding the oldest entry scans the
-/// map, which only an insert into a full cache does.
+/// where any reasonable policy behaves identically. The table is one
+/// dense `Vec` of entries kept in insertion order, oldest first: a
+/// lookup scans it (capacities are a few hundred entries at most, and
+/// each entry carries its key's fixed word hash, so the scan compares
+/// keys only on a hash match), an eviction removes the front, and
+/// invalidation is an order-preserving retain. No second copy of any
+/// key, no per-process hash seed: every lookup is bounded by the
+/// capacity whatever the keys, so keys crafted to collide cost at most
+/// a key comparison each.
 ///
 /// # Examples
 ///
@@ -100,16 +103,15 @@ impl CacheStats {
 /// let mut cache: PartialCache<u64> = PartialCache::new(8);
 /// assert_eq!(cache.get(&key), None);
 /// cache.insert(key.clone(), 42);
+/// assert_eq!(cache.probe(&key), Some(&42));
 /// assert_eq!(cache.get(&key), Some(42));
-/// assert_eq!(cache.stats().hits, 1);
+/// assert_eq!(cache.stats().hits, 2);
 /// assert_eq!(cache.stats().misses, 1);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PartialCache<V> {
-    /// Each value with its insertion stamp (FIFO eviction order).
-    map: HashMap<CacheKey, (u64, V)>,
-    /// The stamp the next new entry gets.
-    next_stamp: u64,
+    /// Resident entries in insertion order (front = next to evict).
+    entries: Vec<Entry<V>>,
     capacity: usize,
     hits: u64,
     misses: u64,
@@ -118,7 +120,27 @@ pub struct PartialCache<V> {
     delta_invalidated: u64,
 }
 
-impl<V: Clone> PartialCache<V> {
+/// One resident entry, its key's hash kept beside the key.
+#[derive(Debug, Clone)]
+struct Entry<V> {
+    hash: u64,
+    key: CacheKey,
+    value: V,
+}
+
+/// The table's fixed, deterministic key hash: the packed bytes folded
+/// one little-endian word at a time (FxHash's rotate-xor-multiply
+/// step). It covers the bytes only — keys differing just in trailing
+/// zero bits share a hash, and the key comparison tells them apart.
+fn key_hash(key: &CacheKey) -> u64 {
+    key.as_bytes().chunks(8).fold(0, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
+}
+
+impl<V> PartialCache<V> {
     /// An empty cache holding at most `capacity` entries.
     ///
     /// # Panics
@@ -128,8 +150,7 @@ impl<V: Clone> PartialCache<V> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         PartialCache {
-            map: HashMap::new(),
-            next_stamp: 0,
+            entries: Vec::new(),
             capacity,
             hits: 0,
             misses: 0,
@@ -147,52 +168,62 @@ impl<V: Clone> PartialCache<V> {
     /// stay resident across mutations). Counted in
     /// [`CacheStats::delta_applied`] / [`CacheStats::delta_invalidated`];
     /// returns this call's `(applied, invalidated)` counts, so a caller
-    /// reporting them need not diff the cumulative counters. Allocates
-    /// nothing.
+    /// reporting them need not diff the cumulative counters. Survivors
+    /// keep their FIFO order. Allocates nothing.
     pub fn delta_maintain(&mut self, mut apply: impl FnMut(&mut V) -> bool) -> (u64, u64) {
-        let (mut applied, mut invalidated) = (0, 0);
-        self.map.retain(|_, (_, value)| {
-            let kept = apply(value);
-            if kept {
-                applied += 1;
-            } else {
-                invalidated += 1;
-            }
-            kept
-        });
+        let before = self.entries.len() as u64;
+        self.entries.retain_mut(|entry| apply(&mut entry.value));
+        let applied = self.entries.len() as u64;
+        let invalidated = before - applied;
         self.delta_applied += applied;
         self.delta_invalidated += invalidated;
         (applied, invalidated)
     }
 
-    /// Looks up a cached subtree partial, counting the hit or miss.
-    pub fn get(&mut self, key: &CacheKey) -> Option<V> {
-        match self.map.get(key) {
-            Some((_, v)) => {
-                self.hits += 1;
-                Some(v.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    /// Where `key` sits in the table, counting the hit or miss. The
+    /// position stays valid until the next `insert`, `delta_maintain`
+    /// or `clear` — long enough for a wave to admit, execute and
+    /// assemble at one node ([`PartialCache::at`]).
+    pub(crate) fn position(&mut self, key: &CacheKey) -> Option<usize> {
+        let hash = key_hash(key);
+        let found = self
+            .entries
+            .iter()
+            .position(|e| e.hash == hash && e.key == *key);
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        found
+    }
+
+    /// The value at a position [`PartialCache::position`] returned.
+    pub(crate) fn at(&self, pos: usize) -> &V {
+        &self.entries[pos].value
+    }
+
+    /// Looks up a cached subtree partial in place, counting the hit or
+    /// miss exactly as [`PartialCache::get`] does.
+    pub fn probe(&mut self, key: &CacheKey) -> Option<&V> {
+        self.position(key).map(|pos| self.at(pos))
     }
 
     /// Stores a subtree partial, evicting the oldest entry when full.
-    /// Re-inserting an existing key replaces its value in place.
+    /// Re-inserting an existing key replaces its value in place, keeping
+    /// its place in the eviction order.
     pub fn insert(&mut self, key: CacheKey, value: V) {
-        match self.map.entry(key) {
-            // Refreshed in place; insertion order unchanged.
-            Entry::Occupied(mut entry) => entry.get_mut().1 = value,
-            Entry::Vacant(entry) => {
-                entry.insert((self.next_stamp, value));
-                self.next_stamp += 1;
-            }
+        let hash = key_hash(&key);
+        if let Some(entry) = self
+            .entries
+            .iter_mut()
+            .find(|e| e.hash == hash && e.key == key)
+        {
+            entry.value = value;
+            return;
         }
-        if self.map.len() > self.capacity {
-            let oldest = self.map.values().map(|&(stamp, _)| stamp).min();
-            self.map.retain(|_, &mut (stamp, _)| Some(stamp) != oldest);
+        self.entries.push(Entry { hash, key, value });
+        if self.entries.len() > self.capacity {
+            self.entries.remove(0);
             self.evictions += 1;
         }
     }
@@ -200,17 +231,17 @@ impl<V: Clone> PartialCache<V> {
     /// Drops every entry (invalidation). Hit/miss counters survive so
     /// measurements span invalidations.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.entries.clear();
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether the cache holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
     /// Current counters.
@@ -218,7 +249,7 @@ impl<V: Clone> PartialCache<V> {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
-            entries: self.map.len() as u64,
+            entries: self.entries.len() as u64,
             evictions: self.evictions,
             delta_applied: self.delta_applied,
             delta_invalidated: self.delta_invalidated,
@@ -226,10 +257,20 @@ impl<V: Clone> PartialCache<V> {
     }
 }
 
+impl<V: Clone> PartialCache<V> {
+    /// Looks up a cached subtree partial, counting the hit or miss, and
+    /// returns a copy ([`PartialCache::probe`] borrows instead).
+    pub fn get(&mut self, key: &CacheKey) -> Option<V> {
+        self.probe(key).cloned()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use saq_netsim::wire::BitWriter;
+    use std::collections::HashMap;
 
     fn key(v: u64) -> CacheKey {
         let mut w = BitWriter::new();
@@ -317,5 +358,168 @@ mod tests {
         c.insert(key(4), 40);
         c.insert(key(5), 50);
         assert_eq!(c.len(), 3);
+    }
+
+    /// The previous table, kept as the reference: a `HashMap` under a
+    /// per-process random hash, FIFO by insertion stamp, the oldest
+    /// entry found by a min-scan.
+    struct StampCache<V> {
+        map: HashMap<CacheKey, (u64, V)>,
+        next_stamp: u64,
+        capacity: usize,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+        delta_applied: u64,
+        delta_invalidated: u64,
+    }
+
+    impl<V: Clone> StampCache<V> {
+        fn new(capacity: usize) -> Self {
+            StampCache {
+                map: HashMap::new(),
+                next_stamp: 0,
+                capacity,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                delta_applied: 0,
+                delta_invalidated: 0,
+            }
+        }
+
+        fn get(&mut self, key: &CacheKey) -> Option<V> {
+            match self.map.get(key) {
+                Some((_, v)) => {
+                    self.hits += 1;
+                    Some(v.clone())
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, key: CacheKey, value: V) {
+            match self.map.get_mut(&key) {
+                Some(slot) => slot.1 = value,
+                None => {
+                    self.map.insert(key, (self.next_stamp, value));
+                    self.next_stamp += 1;
+                }
+            }
+            if self.map.len() > self.capacity {
+                let oldest = self.map.values().map(|&(stamp, _)| stamp).min();
+                self.map.retain(|_, &mut (stamp, _)| Some(stamp) != oldest);
+                self.evictions += 1;
+            }
+        }
+
+        fn delta_maintain(&mut self, mut apply: impl FnMut(&mut V) -> bool) -> (u64, u64) {
+            let (mut applied, mut invalidated) = (0, 0);
+            self.map.retain(|_, (_, value)| {
+                let kept = apply(value);
+                if kept {
+                    applied += 1;
+                } else {
+                    invalidated += 1;
+                }
+                kept
+            });
+            self.delta_applied += applied;
+            self.delta_invalidated += invalidated;
+            (applied, invalidated)
+        }
+
+        fn stats(&self) -> CacheStats {
+            CacheStats {
+                hits: self.hits,
+                misses: self.misses,
+                entries: self.map.len() as u64,
+                evictions: self.evictions,
+                delta_applied: self.delta_applied,
+                delta_invalidated: self.delta_invalidated,
+            }
+        }
+
+        /// Resident `(key, value)` pairs, oldest first.
+        fn resident(&self) -> Vec<(CacheKey, V)> {
+            let mut all: Vec<_> = self.map.iter().collect();
+            all.sort_by_key(|(_, (stamp, _))| *stamp);
+            all.into_iter()
+                .map(|(k, (_, v))| (k.clone(), v.clone()))
+                .collect()
+        }
+    }
+
+    /// A key from a small universe of 1–4-bit strings: many of them
+    /// pack to the same bytes (`0`, `00`, `000` and `0000`; `1` and
+    /// `10`), so they share a hash and only the comparison tells them
+    /// apart.
+    fn small_key(v: u8) -> CacheKey {
+        let len = 1 + u32::from(v % 4);
+        let mut w = BitWriter::new();
+        w.write_bits(u64::from(v / 4) & ((1 << len) - 1), len);
+        w.finish()
+    }
+
+    #[test]
+    fn small_keys_share_hashes_but_not_identity() {
+        let (a, b) = (small_key(0), small_key(1));
+        assert_eq!(key_hash(&a), key_hash(&b));
+        assert_ne!(a, b);
+        let mut c: PartialCache<u64> = PartialCache::new(4);
+        c.insert(a.clone(), 1);
+        c.insert(b.clone(), 2);
+        assert_eq!((c.get(&a), c.get(&b)), (Some(1), Some(2)));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // The dense FIFO table against the stamp-ordered `HashMap` it
+        // replaced: identical lookups, counters, occupancy and
+        // eviction victims after every operation.
+        #[test]
+        fn prop_dense_table_matches_stamp_map(
+            capacity in 1usize..8,
+            ops in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u64>()), 0..96),
+        ) {
+            let mut dense: PartialCache<u64> = PartialCache::new(capacity);
+            let mut oracle: StampCache<u64> = StampCache::new(capacity);
+            for (kind, k, v) in ops {
+                let key = small_key(k % 24);
+                match kind % 8 {
+                    0..=2 => {
+                        dense.insert(key.clone(), v);
+                        oracle.insert(key, v);
+                    }
+                    3 => prop_assert_eq!(dense.get(&key), oracle.get(&key)),
+                    4 | 5 => prop_assert_eq!(dense.probe(&key).copied(), oracle.get(&key)),
+                    6 => {
+                        // Keep entries by a value bit, bumping survivors.
+                        let bit = v % 64;
+                        let step = |x: &mut u64| {
+                            *x = x.wrapping_add(1);
+                            (*x >> bit) & 1 == 0
+                        };
+                        prop_assert_eq!(dense.delta_maintain(step), oracle.delta_maintain(step));
+                    }
+                    _ => {
+                        dense.clear();
+                        oracle.map.clear();
+                    }
+                }
+                prop_assert_eq!(dense.stats(), oracle.stats());
+                prop_assert_eq!(dense.len(), oracle.map.len());
+                let resident: Vec<(CacheKey, u64)> = dense
+                    .entries
+                    .iter()
+                    .map(|e| (e.key.clone(), e.value))
+                    .collect();
+                prop_assert_eq!(resident, oracle.resident());
+            }
+        }
     }
 }

@@ -41,10 +41,18 @@
 //!   ([`WaveProtocol::absorb_child`]) into the accumulator's own
 //!   allocation — every partial still crosses its edge as encoded bits
 //!   and is decoded by its parent;
+//! * **a cache hit costs a probe.** Slot keys are the sub-requests'
+//!   captured wire bits ([`WaveProtocol::for_each_slot_key`]), probed
+//!   in place; a node whose every slot hits encodes its reply straight
+//!   from the cache entries ([`WaveProtocol::encode_slot`]) while the
+//!   top-down sweep is still at it, and allocates nothing. An executing
+//!   node with no hits encodes its reply from the accumulator, then
+//!   moves the computed slot partials into its cache;
 //! * **link tallies are columns**: a tree edge is owned by its child
 //!   position, always inside the window that emulates the exchange, so
 //!   both directions accumulate in a [`TreeLinkBits`] column flushed
-//!   with the node counters — no per-transmission record, no hash map.
+//!   with the node counters — no per-transmission record, no hash map —
+//!   and only for the positions a wave billed.
 //!
 //! ## Nested parallelism
 //!
@@ -111,13 +119,13 @@
 //!
 //! [`MuxLedger`]: crate::wave::MuxLedger
 
-use crate::cache::{CacheKey, CacheStats, PartialCache};
+use crate::cache::{CacheStats, PartialCache};
 use crate::error::ProtocolError;
 use crate::obs::NodeTraceEntry;
 use crate::tree::SpanningTree;
 use crate::wave::{
-    ack_bits, header_bits, read_wave, write_wave, CachedPartial, Reliability, TransportFootprint,
-    WaveProtocol, WaveSubstrate, KIND_PARTIAL, KIND_REQUEST, SEQ_BITS,
+    ack_bits, header_bits, read_wave, write_wave, CacheResolution, CachedPartial, Reliability,
+    TransportFootprint, WaveProtocol, WaveSubstrate, KIND_PARTIAL, KIND_REQUEST, SEQ_BITS,
 };
 use saq_netsim::energy::EnergyModel;
 use saq_netsim::flat::{FlatTree, NestDepth, ShardBlock, ShardPlan};
@@ -126,7 +134,7 @@ use saq_netsim::rng::{derive_seed, Xoshiro256StarStar};
 use saq_netsim::sim::{NodeId, SimConfig};
 use saq_netsim::stats::{NetStats, NodeStats, TreeLinkBits};
 use saq_netsim::topology::Topology;
-use saq_netsim::wire::{BitReader, BitString, ScratchPool};
+use saq_netsim::wire::{BitReader, BitString, BitWriter, ScratchPool};
 use saq_netsim::{NetsimError, SimDuration};
 use std::sync::Arc;
 
@@ -310,12 +318,8 @@ struct WaveSlot<P: WaveProtocol> {
     fwd: Option<Arc<P::Request>>,
     /// Local contribution, then the canonical merge accumulator.
     acc: Option<P::Partial>,
-    /// Cache hits of the current wave: `(slot index, partial)`.
-    hits: Vec<(usize, P::Partial)>,
-    /// Slot indices of the current wave's cache misses.
-    miss: Vec<usize>,
-    /// Partials to store on completion: `(position in fwd, key)`.
-    store: Vec<(usize, CacheKey)>,
+    /// The current wave's cache hits, misses and pending stores.
+    resolved: CacheResolution,
     /// Whether admission answered entirely from cache (subtree silent).
     cached: bool,
     /// Whether this node participates in the current wave.
@@ -333,9 +337,7 @@ impl<P: WaveProtocol> WaveSlot<P> {
             req: None,
             fwd: None,
             acc: None,
-            hits: Vec::new(),
-            miss: Vec::new(),
-            store: Vec::new(),
+            resolved: CacheResolution::default(),
             cached: false,
             active: false,
             frame: None,
@@ -463,117 +465,63 @@ fn charge_rx(c: &mut NodeStats, model: &EnergyModel, bits: u64) {
     c.energy.charge_rx(model, bits);
 }
 
-/// Wave admission at one node — the same cache resolution as
-/// [`AggNode::admit_wave`](crate::wave::AggNode), operating on a column
-/// slot. Returns `true` when every slot of the request was served from
-/// cache (the subtree stays silent and `slot.acc` holds the joined
-/// reply).
+/// Wave admission at one node — the cache resolution of
+/// [`AggNode::admit_wave`](crate::wave::AggNode), on a column slot.
+/// Returns `true` when every slot of the request was served from cache:
+/// the subtree stays silent and the reply comes straight from the
+/// cache entries ([`CacheResolution`]).
 fn admit<P: WaveProtocol>(
     proto: &P,
     cache: &mut Option<PartialCache<CachedPartial<P>>>,
     slot: &mut WaveSlot<P>,
     req: Arc<P::Request>,
-    mut trace: Option<&mut Vec<NodeTraceEntry>>,
+    trace: Option<&mut Vec<NodeTraceEntry>>,
 ) -> bool {
-    slot.hits.clear();
-    slot.miss.clear();
-    slot.store.clear();
     slot.acc = None;
-    let invalidates = proto.invalidates_cache(&req);
-    if invalidates {
-        if let Some(cache) = cache {
-            cache.clear();
-        }
-    }
-    if let (Some(cache), false) = (cache.as_mut(), invalidates) {
-        for (i, key) in proto.slot_cache_keys(&req).into_iter().enumerate() {
-            match key {
-                Some(key) => match cache.get(&key) {
-                    Some(CachedPartial { partial: p, .. }) => {
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.push(NodeTraceEntry::CacheHit { slot: i as u32 });
-                        }
-                        slot.hits.push((i, p));
-                    }
-                    None => {
-                        if let Some(t) = trace.as_deref_mut() {
-                            t.push(NodeTraceEntry::CacheMiss { slot: i as u32 });
-                        }
-                        slot.store.push((slot.miss.len(), key));
-                        slot.miss.push(i);
-                    }
-                },
-                None => slot.miss.push(i),
-            }
-        }
-    }
-    if !slot.hits.is_empty() && slot.miss.is_empty() {
-        let hits = std::mem::take(&mut slot.hits);
-        slot.acc = Some(proto.join_slots(&req, hits.into_iter().map(|(_, p)| p).collect()));
-        slot.req = Some(req);
-        slot.fwd = None;
-        slot.cached = true;
-        return true;
-    }
+    slot.cached = slot.resolved.resolve(proto, cache, &req, trace);
     // The only place a new request value is made below the root: a
     // partial hit forwards the miss subset; otherwise the handle is
     // shared.
-    let fwd = if slot.hits.is_empty() {
-        Arc::clone(&req)
-    } else {
-        Arc::new(proto.subset_request(&req, &slot.miss))
+    slot.fwd = match (slot.cached, slot.resolved.hits.is_empty()) {
+        (true, _) => None,
+        (false, true) => Some(Arc::clone(&req)),
+        (false, false) => Some(Arc::new(proto.subset_request(&req, &slot.resolved.miss))),
     };
     slot.req = Some(req);
-    slot.fwd = Some(fwd);
-    slot.cached = false;
-    false
+    slot.cached
 }
 
-/// Completion at one node — the same cache population and hit/computed
-/// interleave as [`AggNode::assemble_partial`](crate::wave::AggNode).
-fn assemble<P: WaveProtocol>(
-    proto: &P,
-    cache: &mut Option<PartialCache<CachedPartial<P>>>,
-    slot: &mut WaveSlot<P>,
-    acc: P::Partial,
-) -> P::Partial {
-    if slot.hits.is_empty() && slot.store.is_empty() {
-        return acc;
+/// Stages this node's outbound partial frame in its mailbox for the
+/// parent to take. Fire-and-forget bills the transmission here; under
+/// ARQ the frame goes uncharged and the parent emulates the exchange.
+fn stage_partial<P: WaveProtocol>(
+    env: &Env<'_>,
+    cols: &mut Cols<'_, P>,
+    rel: usize,
+    frame: BitString,
+) {
+    let bits = frame.len_bits();
+    if env.trace_on {
+        cols.trace[rel].push(NodeTraceEntry::PartialSent { bits });
     }
-    let req = slot.req.as_ref().expect("active wave has a request");
-    let fwd = slot
-        .fwd
-        .as_ref()
-        .expect("partial-hit wave has a forward request");
-    let computed = proto.split_slots(fwd, acc);
-    debug_assert_eq!(computed.len(), slot.miss.len(), "slot split shape");
-    if let Some(cache) = cache {
-        for (pos, key) in slot.store.drain(..) {
-            let entry = CachedPartial::new(proto, &key, computed[pos].clone());
-            cache.insert(key, entry);
-        }
+    if env.arq_timeout.is_none() {
+        charge_tx(&mut cols.counters[rel], env.model, bits);
+        cols.links[rel].up += bits;
+        cols.frames += 1;
     }
-    if slot.hits.is_empty() {
-        return proto.join_slots(req, computed);
+    cols.slots[rel].frame = Some(frame);
+}
+
+/// A partial frame's header: kind, wave ordinal and, under ARQ, the
+/// sender's sequence number.
+fn partial_writer(env: &Env<'_>, pool: &mut ScratchPool, wave: u16, seq: usize) -> BitWriter {
+    let mut w = pool.writer();
+    w.write_bits(KIND_PARTIAL, 2);
+    write_wave(&mut w, wave);
+    if env.arq_timeout.is_some() {
+        w.write_bits(seq as u64, SEQ_BITS as u32);
     }
-    let mut hits = std::mem::take(&mut slot.hits).into_iter().peekable();
-    let mut fresh = slot.miss.iter().zip(computed).peekable();
-    let mut slots = Vec::with_capacity(hits.len() + fresh.len());
-    loop {
-        match (hits.peek(), fresh.peek()) {
-            (Some(&(hi, _)), Some(&(&mi, _))) => {
-                if hi < mi {
-                    slots.push(hits.next().expect("peeked").1);
-                } else {
-                    slots.push(fresh.next().expect("peeked").1);
-                }
-            }
-            (Some(_), None) => slots.push(hits.next().expect("peeked").1),
-            (None, Some(_)) => slots.push(fresh.next().expect("peeked").1),
-            (None, None) => break,
-        }
-    }
-    proto.join_slots(req, slots)
+    w
 }
 
 /// Stages one request frame per child of `p`, charging the
@@ -728,7 +676,17 @@ fn step_down<P: WaveProtocol>(
         req,
         trace,
     ) {
-        return Ok(()); // fully cached: subtree silent, reply sent bottom-up
+        // Fully cached: the subtree stays silent, and the reply is
+        // encoded from the cache entries and staged at once. It is the
+        // node's first frame of the wave, so under ARQ it carries
+        // sequence number 0.
+        let slot = &cols.slots[rel];
+        let req = slot.req.as_deref().expect("admission sets the request");
+        let mut w = partial_writer(env, pool, wave, 0);
+        slot.resolved
+            .encode_cached_reply(proto, &cols.caches[rel], req, &mut w);
+        stage_partial(env, cols, rel, w.finish());
+        return Ok(());
     }
     let fwd = Arc::clone(
         cols.slots[rel]
@@ -748,14 +706,15 @@ fn step_down<P: WaveProtocol>(
 
 /// Bottom-up step: merge child partials in fixed child order, populate
 /// the cache, and stage this node's partial frame for its parent.
-/// Returns the full reply at the root (`parent == None`).
+/// Returns the full reply at the root (`parent == None`). A node
+/// answered from cache staged its reply going down and has nothing
+/// left to do.
 ///
 /// Under ARQ each child's partial *exchange* is emulated here, at the
 /// parent — where both endpoints' counters are in the window — and
 /// this node's own partial frame is staged **uncharged**: its exchange
 /// runs when the parent consumes it. The partial's sequence number is
-/// the boxed sender's counter after its fan-out: the child count for a
-/// forwarding node, zero for one answered from cache.
+/// the boxed sender's counter after its fan-out: the child count.
 fn step_up<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
@@ -765,7 +724,7 @@ fn step_up<P: WaveProtocol>(
     wave: u16,
 ) -> Result<Option<P::Partial>, ProtocolError> {
     let rel = p - cols.base;
-    if !cols.slots[rel].active {
+    if !cols.slots[rel].active || cols.slots[rel].cached {
         return Ok(None);
     }
     let mut acc = cols.slots[rel]
@@ -773,104 +732,94 @@ fn step_up<P: WaveProtocol>(
         .take()
         .expect("active wave has an accumulator");
     let children = env.tree.children_pos(p).len();
-    if !cols.slots[rel].cached {
-        let fwd = Arc::clone(
-            cols.slots[rel]
-                .fwd
-                .as_ref()
-                .expect("executing wave has a forward request"),
-        );
-        for &c in env.tree.children_pos(p) {
-            let crel = c as usize - cols.base;
-            let Some(frame) = cols.slots[crel].frame.take() else {
-                return Err(ProtocolError::NoResult);
-            };
-            let bits = frame.len_bits();
-            match env.arq_timeout {
-                None => charge_rx(&mut cols.counters[rel], env.model, bits),
-                Some(timeout) => {
-                    let streams = cols.arq[crel]
-                        .as_mut()
-                        .expect("non-root position has edge streams under ARQ");
-                    let (receiver, sender) = two_mut(cols.counters, rel, crel);
-                    let TreeLinkBits { down, up } = &mut cols.links[crel];
-                    arq_exchange(
-                        env,
-                        timeout,
-                        bits,
-                        &mut streams.up_data,
-                        &mut streams.down_ack,
-                        Endpoint {
-                            stats: sender,
-                            link: up,
-                        },
-                        Endpoint {
-                            stats: receiver,
-                            link: down,
-                        },
-                        &mut cols.frames,
-                    )?;
-                }
+    let fwd = Arc::clone(
+        cols.slots[rel]
+            .fwd
+            .as_ref()
+            .expect("executing wave has a forward request"),
+    );
+    for &c in env.tree.children_pos(p) {
+        let crel = c as usize - cols.base;
+        let Some(frame) = cols.slots[crel].frame.take() else {
+            return Err(ProtocolError::NoResult);
+        };
+        let bits = frame.len_bits();
+        match env.arq_timeout {
+            None => charge_rx(&mut cols.counters[rel], env.model, bits),
+            Some(timeout) => {
+                let streams = cols.arq[crel]
+                    .as_mut()
+                    .expect("non-root position has edge streams under ARQ");
+                let (receiver, sender) = two_mut(cols.counters, rel, crel);
+                let TreeLinkBits { down, up } = &mut cols.links[crel];
+                arq_exchange(
+                    env,
+                    timeout,
+                    bits,
+                    &mut streams.up_data,
+                    &mut streams.down_ack,
+                    Endpoint {
+                        stats: sender,
+                        link: up,
+                    },
+                    Endpoint {
+                        stats: receiver,
+                        link: down,
+                    },
+                    &mut cols.frames,
+                )?;
             }
-            // The child's partial crosses the edge as encoded bits and
-            // is merged into the accumulator straight off the wire.
-            let merged = {
-                let mut r = BitReader::new(&frame);
-                let kind = r.read_bits(2);
-                let frame_wave = read_wave(&mut r);
-                debug_assert!(matches!(kind, Ok(KIND_PARTIAL)), "staged frame kind");
-                debug_assert_eq!(frame_wave.ok(), Some(wave), "staged frame wave");
-                if env.arq_timeout.is_some() {
-                    let _seq = r.read_bits(SEQ_BITS as u32);
-                }
-                proto.absorb_child(&fwd, acc, &mut r)
-            };
-            pool.recycle(frame);
-            acc = merged.map_err(ProtocolError::from)?;
         }
-    }
-    let full = assemble(proto, &mut cols.caches[rel], &mut cols.slots[rel], acc);
-    match env.tree.parent_pos(p) {
-        None => {
+        // The child's partial crosses the edge as encoded bits and
+        // is merged into the accumulator straight off the wire.
+        let merged = {
+            let mut r = BitReader::new(&frame);
+            let kind = r.read_bits(2);
+            let frame_wave = read_wave(&mut r);
+            debug_assert!(matches!(kind, Ok(KIND_PARTIAL)), "staged frame kind");
+            debug_assert_eq!(frame_wave.ok(), Some(wave), "staged frame wave");
             if env.arq_timeout.is_some() {
-                // The root's dedup residue: one `(child, wave, seq)`
-                // key per reporting child.
-                cols.residue[rel] = children as u64;
+                let _seq = r.read_bits(SEQ_BITS as u32);
             }
-            Ok(Some(full))
-        }
-        Some(_) => {
-            let req = cols.slots[rel]
-                .req
-                .as_ref()
-                .expect("active wave has a request");
-            let mut w = pool.writer();
-            w.write_bits(KIND_PARTIAL, 2);
-            write_wave(&mut w, wave);
-            if env.arq_timeout.is_some() {
-                let seq = if cols.slots[rel].cached { 0 } else { children };
-                w.write_bits(seq as u64, SEQ_BITS as u32);
-            }
-            proto.encode_partial(req, &full, &mut w);
-            let frame = w.finish();
-            let bits = frame.len_bits();
-            if env.trace_on {
-                cols.trace[rel].push(NodeTraceEntry::PartialSent { bits });
-            }
-            if env.arq_timeout.is_none() {
-                charge_tx(&mut cols.counters[rel], env.model, bits);
-                cols.links[rel].up += bits;
-                cols.frames += 1;
-            } else if !cols.slots[rel].cached {
-                // Dedup residue of a forwarding node: one key per
-                // reporting child, plus the duplicate-request key set
-                // by the parent's fan-out exchange (already in place).
-                cols.residue[rel] += children as u64;
-            }
-            cols.slots[rel].frame = Some(frame);
-            Ok(None)
-        }
+            proto.absorb_child(&fwd, acc, &mut r)
+        };
+        pool.recycle(frame);
+        acc = merged.map_err(ProtocolError::from)?;
     }
+    let slot = &mut cols.slots[rel];
+    let req = Arc::clone(slot.req.as_ref().expect("active wave has a request"));
+    if env.tree.parent_pos(p).is_none() {
+        if env.arq_timeout.is_some() {
+            // The root's dedup residue: one `(child, wave, seq)` key
+            // per reporting child.
+            cols.residue[rel] = children as u64;
+        }
+        let full = slot
+            .resolved
+            .assemble(proto, &mut cols.caches[rel], &req, &fwd, acc);
+        return Ok(Some(full));
+    }
+    let mut w = partial_writer(env, pool, wave, children);
+    if slot.resolved.hits.is_empty() {
+        // Nothing to interleave: `acc` is the reply. Encode it first,
+        // then move the computed slots into the cache.
+        proto.encode_partial(&req, &acc, &mut w);
+        slot.resolved
+            .store_by_move(proto, &mut cols.caches[rel], &fwd, acc);
+    } else {
+        let full = slot
+            .resolved
+            .assemble(proto, &mut cols.caches[rel], &req, &fwd, acc);
+        proto.encode_partial(&req, &full, &mut w);
+    }
+    if env.arq_timeout.is_some() {
+        // Dedup residue of a forwarding node: one key per reporting
+        // child, plus the duplicate-request key set by the parent's
+        // fan-out exchange (already in place).
+        cols.residue[rel] += children as u64;
+    }
+    stage_partial(env, cols, rel, w.finish());
+    Ok(None)
 }
 
 /// Runs one complete block (a whole subtree): top-down then bottom-up.
@@ -930,8 +879,9 @@ struct Columns<P: WaveProtocol> {
     items: Vec<Vec<P::Item>>,
     rngs: Vec<Xoshiro256StarStar>,
     caches: Vec<Option<PartialCache<CachedPartial<P>>>>,
-    /// Cumulative per-position counters, flushed wholesale into the
-    /// global-id-indexed [`NetStats`] after every wave.
+    /// Cumulative per-position counters, flushed into the
+    /// global-id-indexed [`NetStats`] after every wave that billed
+    /// them.
     counters: Vec<NodeStats>,
     slots: Vec<WaveSlot<P>>,
     /// Emulated `seen`-set cardinality per position (see
@@ -1198,16 +1148,31 @@ where
                 .sum::<u64>()
     }
 
-    /// Copies the cumulative per-position node and tree-edge tallies
-    /// into the global-id indexed [`NetStats`] view.
-    fn flush_stats(&mut self) {
-        let nodes = self.stats.nodes_mut();
-        for (p, c) in self.cols.counters.iter().enumerate() {
-            nodes[self.tree.global_of(p)] = *c;
+    /// Copies the cumulative tallies the last wave billed from the
+    /// position-indexed columns into the global-id indexed [`NetStats`]
+    /// view. A wave that moved no frame billed nothing, so nothing is
+    /// copied. Otherwise the billed positions are the root and every
+    /// child of a forwarding node (its request frame, and under ARQ both
+    /// directions of the edge): a pre-order walk visits exactly those,
+    /// stepping over the subtree of every node that did not forward.
+    /// After a failed wave the per-position flags may be stale, so every
+    /// position is copied.
+    fn flush_stats(&mut self, failed: bool) {
+        if self.last_wave_frames == 0 {
+            return;
         }
-        let links = self.stats.tree_links_mut();
-        for (p, l) in self.cols.links.iter().enumerate() {
-            links[self.tree.global_of(p)] = *l;
+        let n = self.tree.len();
+        let mut p = 0;
+        while p < n {
+            let g = self.tree.global_of(p);
+            self.stats.nodes_mut()[g] = self.cols.counters[p];
+            self.stats.tree_links_mut()[g] = self.cols.links[p];
+            let slot = &self.cols.slots[p];
+            p += if failed || (slot.active && !slot.cached) {
+                1
+            } else {
+                self.tree.subtree_size(p)
+            };
         }
     }
 
@@ -1227,22 +1192,17 @@ where
             &self.proto,
             &mut self.cols.caches[0],
             &mut self.cols.slots[0],
-            req,
+            Arc::clone(&req),
             root_trace,
         ) {
             // Every slot served from the root's cache: the network
             // stays silent. The boxed root's admission still purged
-            // its dedup set.
+            // its dedup set. The answer is owned, so it is copied out.
             self.cols.dedup_residue[0] = 0;
-            let acc = self.cols.slots[0]
-                .acc
-                .take()
-                .expect("cached admission set the accumulator");
-            return Ok(assemble(
+            return Ok(self.cols.slots[0].resolved.take_cached_reply(
                 &self.proto,
-                &mut self.cols.caches[0],
-                &mut self.cols.slots[0],
-                acc,
+                &self.cols.caches[0],
+                &req,
             ));
         }
 
@@ -1424,7 +1384,7 @@ where
 
         let result = self.sweep(Arc::new(req), self.next_wave);
         self.stranded = result.is_err();
-        self.flush_stats();
+        self.flush_stats(self.stranded);
         result
     }
 
@@ -1541,6 +1501,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheKey;
     use crate::wave::{MultiplexWave, MuxEntry, WaveRunner};
     use saq_netsim::wire::{width_for_max, BitWriter};
     use saq_netsim::NetsimError;
@@ -2365,5 +2326,65 @@ mod tests {
         )
         .unwrap();
         assert_eq!(flat1.run_wave(env(vec![1000])).unwrap(), vec![7]);
+    }
+
+    /// What flushing every position would put in the global-id view.
+    fn full_flush<P: WaveProtocol>(flat: &FlatWaveRunner<P>) -> NetStats {
+        let mut stats = flat.stats.clone();
+        for p in 0..flat.tree.len() {
+            let g = flat.tree.global_of(p);
+            stats.nodes_mut()[g] = flat.cols.counters[p];
+            stats.tree_links_mut()[g] = flat.cols.links[p];
+        }
+        stats
+    }
+
+    #[test]
+    fn billed_position_flush_equals_full_flush() {
+        // Random schedules over a small cache: repeats answered at the
+        // root, partial hits forwarding subsets, invalidated root paths
+        // and evictions, fire-and-forget and lossy ARQ. After every
+        // wave the flushed view must equal a copy of every position.
+        let (topo, tree, items) = balanced_setup(60, 3);
+        let lossy = SimConfig::default().with_link(
+            saq_netsim::link::LinkConfig::default()
+                .with_loss(0.2)
+                .with_corruption(0.05)
+                .with_duplication(0.05),
+        );
+        let arq = Reliability::Ack {
+            timeout: saq_netsim::SimDuration::from_millis(40),
+        };
+        let setups = [
+            (SimConfig::default(), Reliability::None, 1),
+            (lossy.clone(), arq, 1),
+            (lossy, arq, 2),
+        ];
+        for (seed, (cfg, rel, workers)) in setups.into_iter().enumerate() {
+            let mut flat = FlatWaveRunner::new(
+                &topo,
+                cfg,
+                &tree,
+                proto(),
+                items.clone(),
+                rel,
+                workers,
+                NestDepth::Auto,
+            )
+            .unwrap();
+            flat.enable_partial_cache(3);
+            let mut rng = Xoshiro256StarStar::seed_from_u64(seed as u64);
+            for wave in 0..60 {
+                if rng.next_below(3) == 0 {
+                    let node = rng.next_below(topo.len() as u64) as usize;
+                    flat.set_items(node, vec![rng.next_below(1000)]);
+                }
+                let slots = 1 + rng.next_below(3);
+                let req: Vec<u64> = (0..slots).map(|_| 200 * rng.next_below(5)).collect();
+                flat.run_wave(env(req)).unwrap();
+                assert_eq!(flat.stats, full_flush(&flat), "setup {seed}, wave {wave}");
+            }
+            assert!(flat.cache_stats().hits > 0 && flat.cache_stats().evictions > 0);
+        }
     }
 }

@@ -149,14 +149,24 @@ pub trait WaveProtocol: Clone {
     // compile (and behave) unchanged.
 
     /// Cache key under which this request's subtree partial may be
-    /// stored, or `None` when it must never be cached. Requests that
-    /// mutate items ([`WaveProtocol::invalidates_cache`]) or whose
-    /// `local` draws fresh randomness outside the request encoding MUST
-    /// return `None` — a later hit would replay stale or mismatched
-    /// state. Randomized requests that embed their seed nonce in the
-    /// encoding are safe to key: a hit reproduces the identical instance.
+    /// stored, or `None` when it must never be cached. A key is the
+    /// request's exact [`encode_request`](Self::encode_request) bits:
+    /// envelope protocols key a slot by the bits it arrived in, without
+    /// re-encoding it. Requests that mutate items
+    /// ([`WaveProtocol::invalidates_cache`]) or whose `local` draws
+    /// fresh randomness outside the request encoding MUST return `None`
+    /// — a later hit would replay stale or mismatched state. Randomized
+    /// requests that embed their seed nonce in the encoding are safe to
+    /// key: a hit reproduces the identical instance.
     fn cache_key(&self, _req: &Self::Request) -> Option<crate::cache::CacheKey> {
         None
+    }
+
+    /// Whether [`WaveProtocol::cache_key`] keys this request, without
+    /// building the key. Protocols with a cheap test override this and
+    /// build `cache_key` on it.
+    fn cacheable(&self, req: &Self::Request) -> bool {
+        self.cache_key(req).is_some()
     }
 
     /// Whether executing this request mutates item state. Nodes clear
@@ -166,19 +176,37 @@ pub trait WaveProtocol: Clone {
         false
     }
 
-    /// Per-slot cache keys: entry `i` is the key of the request's `i`-th
-    /// independently cacheable sub-unit (`None` = that slot is
-    /// uncacheable). Plain protocols are a single slot — the whole
-    /// request; envelope protocols override to expose each sub-request.
-    fn slot_cache_keys(&self, req: &Self::Request) -> Vec<Option<crate::cache::CacheKey>> {
-        vec![self.cache_key(req)]
+    /// Calls `f(i, key)` for every independently cacheable sub-unit
+    /// (*slot*) of the request, in slot order: `key` is slot `i`'s cache
+    /// key, or `None` when the slot is uncacheable. Plain protocols are a
+    /// single slot — the whole request; envelope protocols override to
+    /// lend each sub-request's key, borrowed where they hold it already.
+    fn for_each_slot_key(
+        &self,
+        req: &Self::Request,
+        f: &mut dyn FnMut(usize, Option<&crate::cache::CacheKey>),
+    ) {
+        f(0, self.cache_key(req).as_ref());
     }
 
-    /// The request containing only the slots `keep` (ascending indices
-    /// into [`WaveProtocol::slot_cache_keys`]) — what a node forwards to
-    /// its children when the other slots were served from cache. Plain
-    /// single-slot protocols are never subset (`keep` is all slots), so
-    /// the default returns the request unchanged.
+    /// Encodes slot `i` of a reply to `req` from its single-slot partial
+    /// `part` (the form the cache stores, see
+    /// [`WaveProtocol::split_slots`]). Encoding every slot in order
+    /// writes exactly the bits — and bills exactly what —
+    /// [`encode_partial`](Self::encode_partial) of their
+    /// [`join_slots`](Self::join_slots) would, so a node answering from
+    /// cache encodes its reply straight from the entries. The default
+    /// serves plain single-slot protocols.
+    fn encode_slot(&self, req: &Self::Request, _i: usize, part: &Self::Partial, w: &mut BitWriter) {
+        self.encode_partial(req, part, w);
+    }
+
+    /// The request containing only the slots `keep` (ascending slot
+    /// indices, as [`WaveProtocol::for_each_slot_key`] numbers them) —
+    /// what a node forwards to its children when the other slots were
+    /// served from cache. Plain single-slot protocols are never subset
+    /// (`keep` is all slots), so the default returns the request
+    /// unchanged.
     fn subset_request(&self, req: &Self::Request, _keep: &[usize]) -> Self::Request {
         req.clone()
     }
@@ -198,6 +226,13 @@ pub trait WaveProtocol: Clone {
             .next()
             .expect("a request has at least one slot")
     }
+
+    /// Releases spare capacity `p` kept from merging, before `p` rests in
+    /// a subtree cache. Executing nodes *move* their computed partials
+    /// into the cache rather than copying them, so without this a partial
+    /// that grew while absorbing its children would keep that working
+    /// capacity for as long as its entry lives. The default does nothing.
+    fn shrink_partial(&self, _p: &mut Self::Partial) {}
 
     /// Parses a cache key for delta maintenance, or `None` when entries
     /// under it must be invalidated by every item update (the default).
@@ -429,6 +464,199 @@ impl<P: WaveProtocol> CachedPartial<P> {
     }
 }
 
+/// One node's subtree-cache bookkeeping for the current wave, shared by
+/// both runners: [`CacheResolution::resolve`] probes the request's slots
+/// at admission, and the completion methods turn the node's merged
+/// accumulator into its reply, storing what it computed.
+///
+/// Hits are recorded as *positions* in the node's cache, not copies:
+/// nothing touches a node's cache between its admission and its
+/// completion, so a position stays valid for the whole wave, and a
+/// reply served entirely from cache can be encoded straight from the
+/// entries ([`CacheResolution::encode_cached_reply`]).
+#[derive(Debug, Default)]
+pub(crate) struct CacheResolution {
+    /// Cache hits: `(slot index in the request, position in the cache)`.
+    pub(crate) hits: Vec<(usize, usize)>,
+    /// Slot indices of the cache misses — the slots of the forwarded
+    /// request, in order.
+    pub(crate) miss: Vec<usize>,
+    /// Partials to store on completion: `(position within the forwarded
+    /// request's slots, cache key)`.
+    store: Vec<(usize, CacheKey)>,
+}
+
+impl CacheResolution {
+    /// Resolves `req` against the node's cache. An item-mutating wave
+    /// clears the cache *before* anything is served and never caches
+    /// itself; otherwise every cacheable slot is probed (each probe
+    /// traced when `trace` is given), hits are set aside and misses
+    /// recorded for the forwarded request and for storing. Returns
+    /// whether every slot hit — the node then answers from cache and
+    /// its subtree stays silent.
+    pub(crate) fn resolve<P: WaveProtocol>(
+        &mut self,
+        proto: &P,
+        cache: &mut Option<PartialCache<CachedPartial<P>>>,
+        req: &P::Request,
+        mut trace: Option<&mut Vec<NodeTraceEntry>>,
+    ) -> bool {
+        self.hits.clear();
+        self.miss.clear();
+        self.store.clear();
+        let Some(cache) = cache else {
+            return false;
+        };
+        if proto.invalidates_cache(req) {
+            cache.clear();
+            return false;
+        }
+        let CacheResolution { hits, miss, store } = self;
+        proto.for_each_slot_key(req, &mut |i, key| {
+            let Some(key) = key else {
+                miss.push(i);
+                return;
+            };
+            let slot = i as u32;
+            match cache.position(key) {
+                Some(pos) => {
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.push(NodeTraceEntry::CacheHit { slot });
+                    }
+                    hits.push((i, pos));
+                }
+                None => {
+                    if let Some(t) = trace.as_deref_mut() {
+                        t.push(NodeTraceEntry::CacheMiss { slot });
+                    }
+                    store.push((miss.len(), key.clone()));
+                    miss.push(i);
+                }
+            }
+        });
+        !self.hits.is_empty() && self.miss.is_empty()
+    }
+
+    /// The reply of a node whose every slot hit, as an owned partial
+    /// (the hits cloned and joined). Clears the hits: the reply is
+    /// complete, and completion has nothing left to interleave.
+    pub(crate) fn take_cached_reply<P: WaveProtocol>(
+        &mut self,
+        proto: &P,
+        cache: &Option<PartialCache<CachedPartial<P>>>,
+        req: &P::Request,
+    ) -> P::Partial {
+        let cache = cache.as_ref().expect("a cache hit implies a cache");
+        let slots = self
+            .hits
+            .drain(..)
+            .map(|(_, pos)| cache.at(pos).partial.clone())
+            .collect();
+        proto.join_slots(req, slots)
+    }
+
+    /// Encodes the reply of a node whose every slot hit straight from
+    /// the cache entries ([`WaveProtocol::encode_slot`]): the bits — and
+    /// the bills — of [`WaveProtocol::encode_partial`] over
+    /// [`take_cached_reply`](Self::take_cached_reply), without a copy.
+    pub(crate) fn encode_cached_reply<P: WaveProtocol>(
+        &self,
+        proto: &P,
+        cache: &Option<PartialCache<CachedPartial<P>>>,
+        req: &P::Request,
+        w: &mut BitWriter,
+    ) {
+        let cache = cache.as_ref().expect("a cache hit implies a cache");
+        for &(i, pos) in &self.hits {
+            proto.encode_slot(req, i, &cache.at(pos).partial, w);
+        }
+    }
+
+    /// Completion of an executing node: turns the merged accumulator
+    /// (aligned with `fwd`) into the full reply (aligned with `req`),
+    /// storing the freshly computed subtree partials on the way. Hits
+    /// are copied out before anything is stored — a store may evict
+    /// one.
+    pub(crate) fn assemble<P: WaveProtocol>(
+        &mut self,
+        proto: &P,
+        cache: &mut Option<PartialCache<CachedPartial<P>>>,
+        req: &P::Request,
+        fwd: &P::Request,
+        acc: P::Partial,
+    ) -> P::Partial {
+        if self.hits.is_empty() && self.store.is_empty() {
+            // No caching activity this wave (disabled, invalidating, or
+            // no cacheable slot).
+            return acc;
+        }
+        let cache = cache.as_mut().expect("resolved slots imply a cache");
+        let computed = proto.split_slots(fwd, acc);
+        debug_assert_eq!(computed.len(), self.miss.len(), "slot split shape");
+        let hits: Vec<(usize, P::Partial)> = self
+            .hits
+            .drain(..)
+            .map(|(i, pos)| (i, cache.at(pos).partial.clone()))
+            .collect();
+        for (pos, key) in self.store.drain(..) {
+            let entry = CachedPartial::new(proto, &key, computed[pos].clone());
+            cache.insert(key, entry);
+        }
+        if hits.is_empty() {
+            return proto.join_slots(req, computed);
+        }
+        // Interleave cached and computed slot partials by slot index.
+        let mut hits = hits.into_iter().peekable();
+        let mut fresh = self.miss.iter().zip(computed).peekable();
+        let mut slots = Vec::with_capacity(hits.len() + fresh.len());
+        loop {
+            match (hits.peek(), fresh.peek()) {
+                (Some(&(hi, _)), Some(&(&mi, _))) => {
+                    if hi < mi {
+                        slots.push(hits.next().expect("peeked").1);
+                    } else {
+                        slots.push(fresh.next().expect("peeked").1);
+                    }
+                }
+                (Some(_), None) => slots.push(hits.next().expect("peeked").1),
+                (None, Some(_)) => slots.push(fresh.next().expect("peeked").1),
+                (None, None) => break,
+            }
+        }
+        proto.join_slots(req, slots)
+    }
+
+    /// Completion of an executing node with no hits whose reply was
+    /// already encoded from `acc` (then `acc` is the full reply, since
+    /// `fwd` is the request it received): the computed slot partials
+    /// move into the cache — no copy, no join — each shrunk to its size
+    /// first ([`WaveProtocol::shrink_partial`]).
+    pub(crate) fn store_by_move<P: WaveProtocol>(
+        &mut self,
+        proto: &P,
+        cache: &mut Option<PartialCache<CachedPartial<P>>>,
+        fwd: &P::Request,
+        acc: P::Partial,
+    ) {
+        debug_assert!(
+            self.hits.is_empty(),
+            "store by move requires a hit-free wave"
+        );
+        if self.store.is_empty() {
+            return;
+        }
+        let cache = cache.as_mut().expect("resolved slots imply a cache");
+        let mut store = self.store.drain(..).peekable();
+        for (pos, mut part) in proto.split_slots(fwd, acc).into_iter().enumerate() {
+            if let Some((_, key)) = store.next_if(|&(p, _)| p == pos) {
+                proto.shrink_partial(&mut part);
+                let entry = CachedPartial::new(proto, &key, part);
+                cache.insert(key, entry);
+            }
+        }
+    }
+}
+
 /// Outcome of wave admission at a node (see [`AggNode::admit_wave`]).
 #[derive(Debug)]
 enum WaveAdmit<P: WaveProtocol> {
@@ -466,14 +694,8 @@ pub struct AggNode<P: WaveProtocol> {
     /// The (possibly cache-reduced) request forwarded to children this
     /// wave; child partials and `acc` align with it.
     fwd_req: Option<P::Request>,
-    /// Cache hits of the current wave: (slot index in `req`, partial).
-    wave_hits: Vec<(usize, P::Partial)>,
-    /// Slot indices in `req` of the current wave's cache misses — the
-    /// slots of `fwd_req`, in order.
-    wave_miss: Vec<usize>,
-    /// Subtree partials to store when the wave completes: (position
-    /// within `fwd_req`'s slots, cache key).
-    wave_store: Vec<(usize, CacheKey)>,
+    /// The current wave's cache hits, misses and pending stores.
+    resolved: CacheResolution,
     /// Child partials buffered for the **canonical merge**: partials are
     /// merged in fixed child order once every child reported, never in
     /// arrival order. Arrival order depends on link jitter and event
@@ -531,9 +753,7 @@ impl<P: WaveProtocol> AggNode<P> {
             staged: None,
             cache: None,
             fwd_req: None,
-            wave_hits: Vec::new(),
-            wave_miss: Vec::new(),
-            wave_store: Vec::new(),
+            resolved: CacheResolution::default(),
             child_partials: Vec::new(),
             next_seq: 0,
             pending: Vec::new(),
@@ -720,51 +940,22 @@ impl<P: WaveProtocol> AggNode<P> {
         self.next_seq = 0;
         self.pending.clear();
         self.seen.clear();
-        self.wave_hits.clear();
-        self.wave_miss.clear();
-        self.wave_store.clear();
 
-        // Subtree partial cache resolution. An item-mutating wave clears
-        // the cache *before* anything is served and never caches itself;
-        // otherwise each cacheable slot is looked up, hits are set aside
-        // and only the misses proceed as a (possibly reduced) wave.
-        let invalidates = self.proto.invalidates_cache(&req);
-        if invalidates {
-            if let Some(cache) = &mut self.cache {
-                cache.clear();
-            }
-        }
-        if let (Some(cache), false) = (&mut self.cache, invalidates) {
-            let mut cache_trace: Vec<NodeTraceEntry> = Vec::new();
-            for (i, key) in self.proto.slot_cache_keys(&req).into_iter().enumerate() {
-                match key {
-                    Some(key) => match cache.get(&key) {
-                        Some(CachedPartial { partial: p, .. }) => {
-                            if self.trace_on {
-                                cache_trace.push(NodeTraceEntry::CacheHit { slot: i as u32 });
-                            }
-                            self.wave_hits.push((i, p));
-                        }
-                        None => {
-                            if self.trace_on {
-                                cache_trace.push(NodeTraceEntry::CacheMiss { slot: i as u32 });
-                            }
-                            self.wave_store.push((self.wave_miss.len(), key));
-                            self.wave_miss.push(i);
-                        }
-                    },
-                    None => self.wave_miss.push(i),
-                }
-            }
-            self.trace.append(&mut cache_trace);
-        }
-
-        if !self.wave_hits.is_empty() && self.wave_miss.is_empty() {
-            let hits = std::mem::take(&mut self.wave_hits);
-            self.acc = Some(
-                self.proto
-                    .join_slots(&req, hits.into_iter().map(|(_, p)| p).collect()),
-            );
+        // Subtree partial cache resolution: hits are set aside and only
+        // the misses proceed as a (possibly reduced) wave.
+        let AggNode {
+            proto,
+            cache,
+            resolved,
+            trace,
+            trace_on,
+            ..
+        } = self;
+        let trace = trace_on.then_some(trace);
+        if resolved.resolve(proto, cache, &req, trace) {
+            // The oracle keeps it simple: the reply is copied out of the
+            // cache and encoded when the wave finishes.
+            self.acc = Some(resolved.take_cached_reply(proto, cache, &req));
             self.req = Some(req);
             self.fwd_req = None;
             self.waiting.clear();
@@ -773,10 +964,10 @@ impl<P: WaveProtocol> AggNode<P> {
 
         // Forward only the cache-miss slots (the full request when the
         // cache is disabled or nothing hit).
-        let fwd = if self.wave_hits.is_empty() {
+        let fwd = if self.resolved.hits.is_empty() {
             req.clone()
         } else {
-            self.proto.subset_request(&req, &self.wave_miss)
+            self.proto.subset_request(&req, &self.resolved.miss)
         };
         self.req = Some(req);
         self.fwd_req = Some(fwd.clone());
@@ -837,47 +1028,19 @@ impl<P: WaveProtocol> AggNode<P> {
     /// full reply (aligned with `req`), populating the cache with the
     /// freshly computed subtree partials on the way.
     fn assemble_partial(&mut self, acc: P::Partial) -> P::Partial {
-        if self.wave_hits.is_empty() && self.wave_store.is_empty() {
-            // No caching activity this wave (disabled, all-miss with no
-            // cacheable slot, or a fully-cached wave whose join already
-            // produced the reply in `begin_wave`).
-            return acc;
+        let AggNode {
+            proto,
+            cache,
+            resolved,
+            req,
+            fwd_req,
+            ..
+        } = self;
+        match (req, fwd_req) {
+            (Some(req), Some(fwd)) => resolved.assemble(proto, cache, req, fwd, acc),
+            // Answered from cache: the reply is already whole.
+            _ => acc,
         }
-        let req = self.req.as_ref().expect("active wave has a request");
-        let fwd = self
-            .fwd_req
-            .as_ref()
-            .expect("partial-hit wave has a forward request");
-        let computed = self.proto.split_slots(fwd, acc);
-        debug_assert_eq!(computed.len(), self.wave_miss.len(), "slot split shape");
-        if let Some(cache) = &mut self.cache {
-            for (pos, key) in self.wave_store.drain(..) {
-                let entry = CachedPartial::new(&self.proto, &key, computed[pos].clone());
-                cache.insert(key, entry);
-            }
-        }
-        if self.wave_hits.is_empty() {
-            return self.proto.join_slots(req, computed);
-        }
-        // Interleave cached and computed slot partials by slot index.
-        let mut hits = std::mem::take(&mut self.wave_hits).into_iter().peekable();
-        let mut fresh = self.wave_miss.iter().zip(computed).peekable();
-        let mut slots = Vec::with_capacity(hits.len() + fresh.len());
-        loop {
-            match (hits.peek(), fresh.peek()) {
-                (Some(&(hi, _)), Some(&(&mi, _))) => {
-                    if hi < mi {
-                        slots.push(hits.next().expect("peeked").1);
-                    } else {
-                        slots.push(fresh.next().expect("peeked").1);
-                    }
-                }
-                (Some(_), None) => slots.push(hits.next().expect("peeked").1),
-                (None, Some(_)) => slots.push(fresh.next().expect("peeked").1),
-                (None, None) => break,
-            }
-        }
-        self.proto.join_slots(req, slots)
     }
 }
 
@@ -1687,10 +1850,28 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             .any(|entry| self.inner.invalidates_cache(&entry.req))
     }
 
-    fn slot_cache_keys(&self, req: &Self::Request) -> Vec<Option<CacheKey>> {
-        req.iter()
-            .map(|entry| self.inner.cache_key(&entry.req))
-            .collect()
+    /// A slot's key is its sub-request's wire bits: lent from the
+    /// entry's captured `raw` bits on every envelope that arrived over a
+    /// link, and encoded (once per slot per wave) only for the
+    /// root-issued envelope, which was never on the wire.
+    fn for_each_slot_key(&self, req: &Self::Request, f: &mut dyn FnMut(usize, Option<&CacheKey>)) {
+        for (i, entry) in req.iter().enumerate() {
+            match (&entry.raw, self.inner.cacheable(&entry.req)) {
+                (_, false) => f(i, None),
+                (Some(raw), true) => f(i, Some(raw)),
+                (None, true) => f(i, self.inner.cache_key(&entry.req).as_ref()),
+            }
+        }
+    }
+
+    /// Slot `i`'s inner partial, billed to its entry's ledger slot just
+    /// as [`encode_partial`](WaveProtocol::encode_partial) bills it.
+    fn encode_slot(&self, req: &Self::Request, i: usize, part: &Self::Partial, w: &mut BitWriter) {
+        debug_assert_eq!(part.len(), 1, "a cached mux partial holds one slot");
+        let entry = &req[i];
+        let before = w.len_bits();
+        self.inner.encode_partial(&entry.req, &part[0], w);
+        self.ledger_mut().slot_mut(entry.slot as usize).partial_bits += w.len_bits() - before;
     }
 
     fn subset_request(&self, req: &Self::Request, keep: &[usize]) -> Self::Request {
@@ -1705,8 +1886,14 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         slots.into_iter().flatten().collect()
     }
 
+    fn shrink_partial(&self, p: &mut Self::Partial) {
+        for sub in p {
+            self.inner.shrink_partial(sub);
+        }
+    }
+
     /// Cached multiplex entries are single-slot partials keyed by the
-    /// **inner** sub-request encoding (see `slot_cache_keys` above), so
+    /// **inner** sub-request encoding (see `for_each_slot_key` above), so
     /// keys parse and deltas dispatch straight to the inner protocol.
     fn delta_key(&self, key: &CacheKey) -> Option<Self::DeltaKey> {
         self.inner.delta_key(key)

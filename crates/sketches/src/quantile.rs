@@ -138,6 +138,12 @@ impl QuantileSummary {
         &self.entries
     }
 
+    /// Releases the spare capacity merges left behind (a merge grows the
+    /// entries to the merged length before pruning them back).
+    pub fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+    }
+
     /// Merges two summaries over disjoint item populations.
     ///
     /// Rank intervals combine by the standard rule: an entry `x` from one

@@ -140,6 +140,11 @@ impl BottomK {
         self.entries.len()
     }
 
+    /// Releases the spare capacity merges left behind.
+    pub fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
+    }
+
     /// Whether the synopsis holds no pairs.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()

@@ -10,9 +10,11 @@
 //! 3. a truncated frame is an `Err` from both — merging off the wire
 //!    must not turn a malformed child report into an answer.
 //!
-//! `CoreWave` keeps the trait's default (so 1–2 pin the default), and
-//! `MultiplexWave` overrides it to merge slot by slot in place, which is
-//! the path every flat wave takes.
+//! `CoreWave` overrides it for `Quantile` and `BottomK`, which decode
+//! each child into per-thread scratch and merge into the accumulator in
+//! place, and keeps the trait's default for every other kind (so 1–2 pin
+//! both the override and the default); `MultiplexWave` overrides it to
+//! merge slot by slot in place, which is the path every flat wave takes.
 
 use proptest::prelude::*;
 use saq::core::counting::ApxCountConfig;
