@@ -1002,7 +1002,7 @@ impl BottomKAgg {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` (callers validate via the engine/network APIs).
+    /// Panics if `k == 0` (callers validate via [`crate::plan::PlanOp::validate`]).
     pub fn new(k: u32, xbar: Value, seed: u64, nonce: u64) -> Self {
         assert!(k > 0, "bottom-k sample capacity must be positive");
         BottomKAgg {

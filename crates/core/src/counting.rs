@@ -16,24 +16,7 @@
 //! both the paper's constants ([`ApxCountConfig::paper`]) and scaled
 //! variants for the larger experiment sweeps.
 
-use crate::error::QueryError;
 use saq_sketches::loglog::{sigma_m, LogLog};
-
-/// Validates a sketch repetition count against the protocol's contract:
-/// positive, and small enough for the 16-bit wire field every
-/// `ApxCount`/`DistinctApx` request encodes it in. Lives next to
-/// [`ApxCountConfig::reps_for`], which applies the same upper clamp.
-pub fn validate_reps(reps: u32) -> Result<(), QueryError> {
-    if reps == 0 {
-        return Err(QueryError::InvalidParameter("reps must be positive"));
-    }
-    if reps > u16::MAX as u32 {
-        return Err(QueryError::InvalidParameter(
-            "reps must fit the 16-bit wire field",
-        ));
-    }
-    Ok(())
-}
 
 /// Parameters of the LogLog-based `APX_COUNT` instantiation.
 #[derive(Debug, Clone, Copy, PartialEq)]

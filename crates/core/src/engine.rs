@@ -25,9 +25,9 @@
 //! headers, the slot-count prefix) split evenly across the wave's
 //! participants. [`QueryReport::bits`] is the resulting per-query bill.
 //!
-//! **Isolation.** Plans that mutate item state
-//! ([`crate::plan::QueryPlan::mutates_items`], i.e. `APX_MEDIAN2`'s zoom
-//! stages) cannot share item state with concurrent readers; the loop
+//! **Isolation.** Queries that mutate item state
+//! ([`QuerySpec::mutates_items`], i.e. `APX_MEDIAN2`'s zoom stages)
+//! cannot share item state with concurrent readers; the loop
 //! runs them after the shareable queries of their cohort, each
 //! exclusively, restoring items afterwards.
 //!
@@ -40,7 +40,6 @@
 use crate::apx_median::ApxMedianOutcome;
 use crate::apx_median::RankTarget;
 use crate::apx_median2::ApxMedian2Outcome;
-use crate::counting::validate_reps;
 use crate::error::QueryError;
 use crate::median::MedianOutcome;
 use crate::model::Value;
@@ -264,16 +263,6 @@ impl EnginePlan {
             },
         })
     }
-
-    pub(crate) fn mutates_items(&self) -> bool {
-        match self {
-            EnginePlan::Primitive(p) => p.mutates_items(),
-            EnginePlan::Quantile(p) => p.mutates_items(),
-            EnginePlan::Median(p) => p.mutates_items(),
-            EnginePlan::ApxMedian(p) => p.mutates_items(),
-            EnginePlan::ApxMedian2(p) => p.mutates_items(),
-        }
-    }
 }
 
 pub(crate) enum SlotState {
@@ -367,7 +356,7 @@ impl QuerySlot {
                 None
             }
             Ok(PlanStep::Issue(op)) => {
-                let req = self.op_to_request(&op);
+                let req = CoreRequest::from_op(&op, || self.fresh_nonce());
                 self.state = SlotState::Ready(PlanInput::Unit); // placeholder
                 Some(req)
             }
@@ -400,34 +389,6 @@ impl QuerySlot {
         let nonce = ((self.nonce_ordinal & 0x7FFF) << 16) | (self.apx_counter & 0xFFFF);
         self.apx_counter = self.apx_counter.wrapping_add(1);
         nonce
-    }
-
-    /// Translates a plan op into its wire request, assigning sketch
-    /// nonces from this query's private space.
-    fn op_to_request(&mut self, op: &PlanOp) -> CoreRequest {
-        match op {
-            PlanOp::Count(p) => CoreRequest::Count(*p),
-            PlanOp::Sum(p) => CoreRequest::Sum(*p),
-            PlanOp::Min(d) => CoreRequest::Min(*d),
-            PlanOp::Max(d) => CoreRequest::Max(*d),
-            PlanOp::ApxCount { pred, reps } => CoreRequest::ApxCount {
-                pred: *pred,
-                reps: *reps,
-                nonce: self.fresh_nonce(),
-            },
-            PlanOp::DistinctExact => CoreRequest::DistinctExact,
-            PlanOp::DistinctApx { reps } => CoreRequest::DistinctApx {
-                reps: *reps,
-                nonce: self.fresh_nonce(),
-            },
-            PlanOp::Collect => CoreRequest::Collect,
-            PlanOp::QuantileSummary { budget } => CoreRequest::Quantile { budget: *budget },
-            // Deterministic nonce (ODI sampling convention): equal
-            // bottom-k requests reproduce the identical sample, which
-            // also makes them servable from subtree partial caches.
-            PlanOp::BottomK { k } => CoreRequest::BottomK { k: *k, nonce: 0 },
-            PlanOp::Zoom { mu_hat } => CoreRequest::Zoom { mu_hat: *mu_hat },
-        }
     }
 }
 
@@ -568,26 +529,22 @@ impl QueryEngine {
 pub(crate) fn compile_plan(net: &SimNetwork, spec: &QuerySpec) -> Result<EnginePlan, QueryError> {
     let cfg = net.apx_config();
     let xbar = net.xbar();
+    let primitive = |op: PlanOp| -> Result<EnginePlan, QueryError> {
+        op.validate()?;
+        Ok(EnginePlan::Primitive(PrimitivePlan::new(op)))
+    };
     Ok(match spec {
-        QuerySpec::Count(p) => EnginePlan::Primitive(PrimitivePlan::new(PlanOp::Count(*p))),
-        QuerySpec::Sum(p) => EnginePlan::Primitive(PrimitivePlan::new(PlanOp::Sum(*p))),
-        QuerySpec::Min(d) => EnginePlan::Primitive(PrimitivePlan::new(PlanOp::Min(*d))),
-        QuerySpec::Max(d) => EnginePlan::Primitive(PrimitivePlan::new(PlanOp::Max(*d))),
-        QuerySpec::ApxCount { pred, reps } => {
-            validate_reps(*reps)?;
-            EnginePlan::Primitive(PrimitivePlan::new(PlanOp::ApxCount {
-                pred: *pred,
-                reps: *reps,
-            }))
-        }
-        QuerySpec::DistinctExact => {
-            EnginePlan::Primitive(PrimitivePlan::new(PlanOp::DistinctExact))
-        }
-        QuerySpec::DistinctApx { reps } => {
-            validate_reps(*reps)?;
-            EnginePlan::Primitive(PrimitivePlan::new(PlanOp::DistinctApx { reps: *reps }))
-        }
-        QuerySpec::Collect => EnginePlan::Primitive(PrimitivePlan::new(PlanOp::Collect)),
+        QuerySpec::Count(p) => primitive(PlanOp::Count(*p))?,
+        QuerySpec::Sum(p) => primitive(PlanOp::Sum(*p))?,
+        QuerySpec::Min(d) => primitive(PlanOp::Min(*d))?,
+        QuerySpec::Max(d) => primitive(PlanOp::Max(*d))?,
+        QuerySpec::ApxCount { pred, reps } => primitive(PlanOp::ApxCount {
+            pred: *pred,
+            reps: *reps,
+        })?,
+        QuerySpec::DistinctExact => primitive(PlanOp::DistinctExact)?,
+        QuerySpec::DistinctApx { reps } => primitive(PlanOp::DistinctApx { reps: *reps })?,
+        QuerySpec::Collect => primitive(PlanOp::Collect)?,
         QuerySpec::Quantile { q, eps } => {
             // Worst-case merge-then-prune steps along any root path:
             // every node prunes once per child merge plus once for its
@@ -600,14 +557,7 @@ pub(crate) fn compile_plan(net: &SimNetwork, spec: &QuerySpec) -> Result<EngineP
                 QuantilePlan::budget_for(*eps, prunes)?,
             )?)
         }
-        QuerySpec::BottomK { k } => {
-            if *k == 0 {
-                return Err(QueryError::InvalidParameter(
-                    "bottom-k sample capacity must be positive",
-                ));
-            }
-            EnginePlan::Primitive(PrimitivePlan::new(PlanOp::BottomK { k: *k }))
-        }
+        QuerySpec::BottomK { k } => primitive(PlanOp::BottomK { k: *k })?,
         QuerySpec::Median => EnginePlan::Median(MedianPlan::median(xbar)),
         QuerySpec::OrderStatistic { k } => {
             EnginePlan::Median(MedianPlan::order_statistic(xbar, *k))

@@ -1,11 +1,11 @@
 //! The in-memory reference network.
 //!
 //! [`LocalNetwork`] implements [`AggregationNetwork`] over a flat multiset
-//! with **no communication at all**, while running the *identical*
-//! statistical machinery (hash families, LogLog sketches, instance
-//! seeding) as the simulated network — so algorithm logic and its
-//! probabilistic guarantees can be tested quickly, and calibration
-//! experiments (E2) can run hundreds of trials.
+//! with **no communication at all**: it evaluates [`CoreWave`]'s
+//! aggregates at zero wire cost — the same requests, hash families,
+//! LogLog sketches and instance seeding as the simulated network — so
+//! algorithm logic and its probabilistic guarantees can be tested
+//! quickly, and calibration experiments (E2) can run hundreds of trials.
 //!
 //! Per-node structure is irrelevant to the algorithms' answers (only to
 //! communication accounting), so the local model keeps a single item
@@ -13,20 +13,13 @@
 //! matches the simulated network's `(node, slot)` identity scheme in
 //! distribution.
 
-use crate::aggregate::{ItemRef, PartialAggregate, SketchAgg, SketchKey};
-use crate::counting::{validate_reps, ApxCountConfig};
+use crate::aggregate::ItemRef;
+use crate::counting::ApxCountConfig;
 use crate::error::QueryError;
 use crate::model::{floor_log2, Value};
 use crate::net::{AggregationNetwork, OpCounts};
-use crate::predicate::{Domain, Predicate};
-
-/// One item: original value plus current (possibly rescaled) value;
-/// `cur == None` means passive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LocalItem {
-    orig: Value,
-    cur: Option<Value>,
-}
+use crate::plan::{PlanInput, PlanOp};
+use crate::wave_proto::{CoreRequest, CoreWave, SimItem};
 
 /// An in-memory [`AggregationNetwork`] with modelled (zero) communication.
 ///
@@ -45,12 +38,11 @@ struct LocalItem {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LocalNetwork {
-    items: Vec<LocalItem>,
-    xbar: Value,
-    cfg: ApxCountConfig,
+    items: Vec<SimItem>,
+    proto: CoreWave,
     ops: OpCounts,
-    /// Fresh-randomness counter: every REP_COUNTP invocation advances it.
-    nonce: u64,
+    /// Fresh-randomness counter: every sketch op advances it.
+    nonce: u32,
 }
 
 impl LocalNetwork {
@@ -83,55 +75,11 @@ impl LocalNetwork {
             return Err(QueryError::ItemOutOfRange { item: bad, xbar });
         }
         Ok(LocalNetwork {
-            items: items
-                .into_iter()
-                .map(|v| LocalItem {
-                    orig: v,
-                    cur: Some(v),
-                })
-                .collect(),
-            xbar,
-            cfg,
+            items: items.into_iter().map(SimItem::new).collect(),
+            proto: CoreWave { xbar, apx: cfg },
             ops: OpCounts::default(),
             nonce: 0,
         })
-    }
-
-    fn active_domain_values(&self, domain: Domain) -> impl Iterator<Item = Value> + '_ {
-        self.items.iter().filter_map(move |it| {
-            it.cur.map(|v| match domain {
-                Domain::Raw => v,
-                Domain::Log => floor_log2(v) as u64,
-            })
-        })
-    }
-
-    /// Active items as [`ItemRef`]s with the local model's `(index, 0)`
-    /// identity scheme.
-    fn active_refs(&self) -> impl Iterator<Item = ItemRef> + '_ {
-        self.items.iter().enumerate().filter_map(|(idx, it)| {
-            it.cur.map(|value| ItemRef {
-                node: idx as u64,
-                slot: 0,
-                value,
-            })
-        })
-    }
-
-    /// Runs `reps` independent LogLog instances over the active items
-    /// satisfying `p` via the two-step [`SketchAgg`], keyed exactly as
-    /// the simulated network keys them (item identity `(index, 0)`).
-    fn sketch_average(&mut self, p: &Predicate, reps: u32, by_value: bool) -> f64 {
-        self.nonce += 1;
-        let key = if by_value {
-            SketchKey::ByValue
-        } else {
-            SketchKey::ByItem
-        };
-        let agg = SketchAgg::new(*p, key, self.cfg, reps, self.nonce);
-        let partial = agg.partial_over(self.active_refs());
-        self.ops.apx_count_instances += reps as u64;
-        agg.finalize(&partial)
     }
 }
 
@@ -141,112 +89,40 @@ impl AggregationNetwork for LocalNetwork {
     }
 
     fn xbar(&self) -> Value {
-        self.xbar
+        self.proto.xbar
     }
 
     fn apx_config(&self) -> ApxCountConfig {
-        self.cfg
+        self.proto.apx
     }
 
-    fn min(&mut self, domain: Domain) -> Result<Option<Value>, QueryError> {
-        self.ops.minmax_ops += 1;
-        Ok(self.active_domain_values(domain).min())
-    }
-
-    fn max(&mut self, domain: Domain) -> Result<Option<Value>, QueryError> {
-        self.ops.minmax_ops += 1;
-        Ok(self.active_domain_values(domain).max())
-    }
-
-    fn count(&mut self, p: &Predicate) -> Result<u64, QueryError> {
-        self.ops.countp_ops += 1;
-        Ok(self
-            .items
-            .iter()
-            .filter(|it| it.cur.is_some_and(|v| p.eval(v)))
-            .count() as u64)
-    }
-
-    fn sum(&mut self, p: &Predicate) -> Result<u64, QueryError> {
-        self.ops.sum_ops += 1;
-        Ok(self
-            .items
-            .iter()
-            .filter_map(|it| it.cur.filter(|&v| p.eval(v)))
-            .sum())
-    }
-
-    fn rep_apx_count(&mut self, p: &Predicate, reps: u32) -> Result<f64, QueryError> {
-        validate_reps(reps)?;
-        self.ops.rep_countp_ops += 1;
-        Ok(self.sketch_average(p, reps, false))
-    }
-
-    fn zoom(&mut self, mu_hat: u32) -> Result<(), QueryError> {
-        self.ops.zoom_ops += 1;
-        let xbar = self.xbar;
-        for it in &mut self.items {
-            let Some(cur) = it.cur else { continue };
-            it.cur = rescale_into_octave(cur, mu_hat, xbar);
+    /// [`SimNetwork`](crate::simnet::SimNetwork)'s execution minus the
+    /// wave: one fold of every active item, with identity `(index, 0)`.
+    fn execute(&mut self, op: &PlanOp) -> Result<PlanInput, QueryError> {
+        op.validate()?;
+        self.ops.record(op);
+        let req = CoreRequest::from_op(op, || {
+            self.nonce = self.nonce.wrapping_add(1);
+            self.nonce
+        });
+        if let CoreRequest::Zoom { mu_hat } = req {
+            self.proto.zoom(mu_hat, &mut self.items);
         }
-        Ok(())
+        let active = self.items.iter().enumerate().filter_map(|(idx, it)| {
+            it.cur.map(|value| ItemRef {
+                node: idx as u64,
+                slot: 0,
+                value,
+            })
+        });
+        let partial = self.proto.partial_over(&req, active);
+        Ok(self.proto.finalize(&req, partial))
     }
 
     fn restore_items(&mut self) {
         for it in &mut self.items {
-            it.cur = Some(it.orig);
+            *it = SimItem::new(it.orig);
         }
-    }
-
-    fn collect_values(&mut self) -> Result<Vec<Value>, QueryError> {
-        self.ops.collect_ops += 1;
-        Ok(self.items.iter().filter_map(|it| it.cur).collect())
-    }
-
-    fn distinct_exact(&mut self) -> Result<u64, QueryError> {
-        self.ops.distinct_ops += 1;
-        let mut vals: Vec<Value> = self.items.iter().filter_map(|it| it.cur).collect();
-        vals.sort_unstable();
-        vals.dedup();
-        Ok(vals.len() as u64)
-    }
-
-    fn distinct_apx(&mut self, reps: u32) -> Result<f64, QueryError> {
-        validate_reps(reps)?;
-        self.ops.distinct_ops += 1;
-        Ok(self.sketch_average(&Predicate::TRUE, reps, true))
-    }
-
-    fn quantile_summary(
-        &mut self,
-        budget: u32,
-    ) -> Result<saq_sketches::QuantileSummary, QueryError> {
-        if budget == 0 {
-            return Err(QueryError::InvalidParameter(
-                "quantile prune budget must be positive",
-            ));
-        }
-        self.ops.quantile_ops += 1;
-        let agg = crate::aggregate::QuantileAgg {
-            budget,
-            xbar: self.xbar,
-        };
-        let partial = agg.partial_over(self.active_refs());
-        Ok(agg.finalize(&partial))
-    }
-
-    fn bottom_k(&mut self, k: u32) -> Result<Vec<Value>, QueryError> {
-        if k == 0 {
-            return Err(QueryError::InvalidParameter(
-                "bottom-k sample capacity must be positive",
-            ));
-        }
-        self.ops.sample_ops += 1;
-        // Deterministic nonce: the sample is a fixed function of the item
-        // population, matching the simulated network's cacheable keying.
-        let agg = crate::aggregate::BottomKAgg::new(k, self.xbar, self.cfg.seed, 0);
-        let partial = agg.partial_over(self.active_refs());
-        Ok(agg.finalize(&partial))
     }
 
     fn ground_truth(&self) -> Vec<Value> {
@@ -281,6 +157,7 @@ pub(crate) fn rescale_into_octave(cur: Value, mu_hat: u32, xbar: Value) -> Optio
 mod tests {
     use super::*;
     use crate::model::reference_median;
+    use crate::predicate::{Domain, Predicate};
     use proptest::prelude::*;
 
     #[test]

@@ -20,7 +20,7 @@
 use crate::error::QueryError;
 use crate::model::{is_order_statistic2, Value};
 use crate::net::AggregationNetwork;
-use crate::plan::{execute_op, MedianPlan, PlanInput, PlanStep, QueryPlan};
+use crate::plan::{MedianPlan, PlanInput, PlanStep, QueryPlan};
 
 /// Ceiling of `log₂ d` for `d ≥ 1` (the paper's `⌈log(M − m)⌉` iteration
 /// bound).
@@ -131,7 +131,7 @@ impl Median {
             }
             match step {
                 PlanStep::Done(out) => return Ok(out),
-                PlanStep::Issue(op) => input = execute_op(net, &op)?,
+                PlanStep::Issue(op) => input = net.execute(&op)?,
             }
         }
     }

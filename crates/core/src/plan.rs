@@ -75,10 +75,30 @@ pub enum PlanOp {
 }
 
 impl PlanOp {
-    /// Whether executing this op changes the network's item state (and so
-    /// cannot share waves with unrelated queries).
-    pub fn mutates_items(&self) -> bool {
-        matches!(self, PlanOp::Zoom { .. })
+    /// Checks the op's parameters against the protocol's contract: sketch
+    /// repetition counts are positive and fit the 16-bit wire field every
+    /// `ApxCount`/`DistinctApx` request encodes them in (the clamp
+    /// [`ApxCountConfig::reps_for`] applies), and quantile budgets and
+    /// bottom-k capacities are positive.
+    ///
+    /// # Errors
+    ///
+    /// [`QueryError::InvalidParameter`] naming the violated bound.
+    pub fn validate(&self) -> Result<(), QueryError> {
+        let bad = match *self {
+            PlanOp::ApxCount { reps: 0, .. } | PlanOp::DistinctApx { reps: 0 } => {
+                "reps must be positive"
+            }
+            PlanOp::ApxCount { reps, .. } | PlanOp::DistinctApx { reps }
+                if reps > u16::MAX as u32 =>
+            {
+                "reps must fit the 16-bit wire field"
+            }
+            PlanOp::QuantileSummary { budget: 0 } => "quantile prune budget must be positive",
+            PlanOp::BottomK { k: 0 } => "bottom-k sample capacity must be positive",
+            _ => return Ok(()),
+        };
+        Err(QueryError::InvalidParameter(bad))
     }
 }
 
@@ -100,6 +120,48 @@ pub enum PlanInput {
     Quantile(saq_sketches::QuantileSummary),
     /// Result of `Zoom`.
     Unit,
+}
+
+impl PlanInput {
+    /// The result of `Count`/`Sum`/`DistinctExact`.
+    pub(crate) fn into_num(self) -> u64 {
+        match self {
+            PlanInput::Num(v) => v,
+            other => unreachable!("expected Num, got {other:?}"),
+        }
+    }
+
+    /// The result of `Min`/`Max`.
+    pub(crate) fn into_opt_val(self) -> Option<Value> {
+        match self {
+            PlanInput::OptVal(v) => v,
+            other => unreachable!("expected OptVal, got {other:?}"),
+        }
+    }
+
+    /// The result of `ApxCount`/`DistinctApx`.
+    pub(crate) fn into_est(self) -> f64 {
+        match self {
+            PlanInput::Est(v) => v,
+            other => unreachable!("expected Est, got {other:?}"),
+        }
+    }
+
+    /// The result of `Collect`/`BottomK`.
+    pub(crate) fn into_values(self) -> Vec<Value> {
+        match self {
+            PlanInput::Values(v) => v,
+            other => unreachable!("expected Values, got {other:?}"),
+        }
+    }
+
+    /// The result of `QuantileSummary`.
+    pub(crate) fn into_quantile(self) -> saq_sketches::QuantileSummary {
+        match self {
+            PlanInput::Quantile(s) => s,
+            other => unreachable!("expected Quantile, got {other:?}"),
+        }
+    }
 }
 
 /// What a plan wants next.
@@ -124,40 +186,6 @@ pub trait QueryPlan {
     /// Algorithm-level failures ([`QueryError::EmptyInput`], invalid
     /// parameters) surface here; after an error the plan is dead.
     fn step(&mut self, input: PlanInput) -> Result<PlanStep<Self::Outcome>, QueryError>;
-
-    /// Whether this plan may issue item-mutating ops ([`PlanOp::Zoom`]):
-    /// such plans need exclusive use of the network's item state.
-    fn mutates_items(&self) -> bool {
-        false
-    }
-}
-
-/// Executes one [`PlanOp`] against a network, mapping the result into a
-/// [`PlanInput`].
-///
-/// # Errors
-///
-/// Propagates the network's protocol failures.
-pub fn execute_op<N: AggregationNetwork>(
-    net: &mut N,
-    op: &PlanOp,
-) -> Result<PlanInput, QueryError> {
-    Ok(match op {
-        PlanOp::Count(p) => PlanInput::Num(net.count(p)?),
-        PlanOp::Sum(p) => PlanInput::Num(net.sum(p)?),
-        PlanOp::Min(d) => PlanInput::OptVal(net.min(*d)?),
-        PlanOp::Max(d) => PlanInput::OptVal(net.max(*d)?),
-        PlanOp::ApxCount { pred, reps } => PlanInput::Est(net.rep_apx_count(pred, *reps)?),
-        PlanOp::DistinctExact => PlanInput::Num(net.distinct_exact()?),
-        PlanOp::DistinctApx { reps } => PlanInput::Est(net.distinct_apx(*reps)?),
-        PlanOp::Collect => PlanInput::Values(net.collect_values()?),
-        PlanOp::QuantileSummary { budget } => PlanInput::Quantile(net.quantile_summary(*budget)?),
-        PlanOp::BottomK { k } => PlanInput::Values(net.bottom_k(*k)?),
-        PlanOp::Zoom { mu_hat } => {
-            net.zoom(*mu_hat)?;
-            PlanInput::Unit
-        }
-    })
 }
 
 /// Drives a plan to completion against a network, one wave at a time —
@@ -174,29 +202,8 @@ pub fn run_plan<N: AggregationNetwork, P: QueryPlan>(
     loop {
         match plan.step(input)? {
             PlanStep::Done(out) => return Ok(out),
-            PlanStep::Issue(op) => input = execute_op(net, &op)?,
+            PlanStep::Issue(op) => input = net.execute(&op)?,
         }
-    }
-}
-
-fn expect_num(input: PlanInput) -> u64 {
-    match input {
-        PlanInput::Num(v) => v,
-        other => unreachable!("plan expected Num, got {other:?}"),
-    }
-}
-
-fn expect_optval(input: PlanInput) -> Option<Value> {
-    match input {
-        PlanInput::OptVal(v) => v,
-        other => unreachable!("plan expected OptVal, got {other:?}"),
-    }
-}
-
-fn expect_est(input: PlanInput) -> f64 {
-    match input {
-        PlanInput::Est(v) => v,
-        other => unreachable!("plan expected Est, got {other:?}"),
     }
 }
 
@@ -224,10 +231,6 @@ impl QueryPlan for PrimitivePlan {
             self.issued = true;
             Ok(PlanStep::Issue(self.op))
         }
-    }
-
-    fn mutates_items(&self) -> bool {
-        self.op.mutates_items()
     }
 }
 
@@ -272,11 +275,7 @@ impl QuantilePlan {
         if !(q > 0.0 && q <= 1.0) {
             return Err(QueryError::InvalidParameter("quantile must be in (0, 1]"));
         }
-        if budget == 0 {
-            return Err(QueryError::InvalidParameter(
-                "quantile prune budget must be positive",
-            ));
-        }
+        PlanOp::QuantileSummary { budget }.validate()?;
         Ok(QuantilePlan {
             q,
             budget,
@@ -327,9 +326,7 @@ impl QueryPlan for QuantilePlan {
                 budget: self.budget,
             }));
         }
-        let PlanInput::Quantile(summary) = input else {
-            unreachable!("quantile plan expected a summary, got {input:?}");
-        };
+        let summary = input.into_quantile();
         Ok(PlanStep::Done(QuantileOutcome {
             value: summary.query_quantile(self.q),
             rank_error: summary.max_rank_error(),
@@ -449,7 +446,7 @@ impl QueryPlan for MedianPlan {
                 Ok(PlanStep::Issue(PlanOp::Count(Predicate::TRUE)))
             }
             MedianPhase::CountN => {
-                let n = expect_num(input);
+                let n = input.into_num();
                 if n == 0 {
                     return Err(QueryError::EmptyInput);
                 }
@@ -466,12 +463,12 @@ impl QueryPlan for MedianPlan {
                 Ok(PlanStep::Issue(PlanOp::Min(Domain::Raw)))
             }
             MedianPhase::GotMin => {
-                let m = expect_optval(input).expect("nonempty input has a min");
+                let m = input.into_opt_val().expect("nonempty input has a min");
                 self.phase = MedianPhase::GotMax { m };
                 Ok(PlanStep::Issue(PlanOp::Max(Domain::Raw)))
             }
             MedianPhase::GotMax { m } => {
-                let big_m = expect_optval(input).expect("nonempty input has a max");
+                let big_m = input.into_opt_val().expect("nonempty input has a max");
                 if m == big_m {
                     // Degenerate range: every item equals m.
                     return Ok(self.done(m));
@@ -482,7 +479,7 @@ impl QueryPlan for MedianPlan {
                 Ok(self.loop_step(y2, z2))
             }
             MedianPhase::Loop { mut y2, mut z2 } => {
-                let c = expect_num(input);
+                let c = input.into_num();
                 // Line 3.2: if c(y) < k then y += z/2 else y -= z/2.
                 if 2 * c < self.k2 {
                     y2 += z2 / 2;
@@ -495,7 +492,7 @@ impl QueryPlan for MedianPlan {
                 Ok(self.loop_step(y2, z2))
             }
             MedianPhase::TieBreak { ceil_y } => {
-                let c = expect_num(input);
+                let c = input.into_num();
                 let value = if 2 * c < self.k2 {
                     ceil_y
                 } else {
@@ -640,12 +637,12 @@ impl QueryPlan for ApxMedianPlan {
                 Ok(PlanStep::Issue(PlanOp::Min(self.domain)))
             }
             ApxPhase::GotMin => {
-                let m = expect_optval(input).ok_or(QueryError::EmptyInput)?;
+                let m = input.into_opt_val().ok_or(QueryError::EmptyInput)?;
                 self.phase = ApxPhase::GotMax { m };
                 Ok(PlanStep::Issue(PlanOp::Max(self.domain)))
             }
             ApxPhase::GotMax { m } => {
-                let big_m = expect_optval(input).ok_or(QueryError::EmptyInput)?;
+                let big_m = input.into_opt_val().ok_or(QueryError::EmptyInput)?;
                 if m == big_m {
                     let mut out = self.outcome(m);
                     out.estimated_n = f64::NAN;
@@ -665,7 +662,7 @@ impl QueryPlan for ApxMedianPlan {
                 }))
             }
             ApxPhase::EstN { m, big_m } => {
-                let n = expect_est(input);
+                let n = input.into_est();
                 self.n = n;
                 self.k_target = match self.target {
                     RankTarget::Median => n / 2.0,
@@ -679,7 +676,7 @@ impl QueryPlan for ApxMedianPlan {
                 Ok(self.loop_step(y2, z2))
             }
             ApxPhase::Loop { mut y2, mut z2 } => {
-                let c = expect_est(input);
+                let c = input.into_est();
                 let band = self.cfg.alpha_c() + self.cfg.sigma();
                 self.iterations += 1;
                 // Lines 4.2/4.2.1 with ½ generalized to k/n (Thm 4.6).
@@ -713,8 +710,8 @@ enum Apx2Phase {
 /// Fig. 4 — the polyloglog `APX_MEDIAN2` as a plan: per stage, a
 /// log-domain [`ApxMedianPlan`] locates the median's octave, a rank
 /// adjustment counts items below it, and a [`PlanOp::Zoom`] rescales the
-/// octave onto the full domain. Because it zooms, this plan
-/// [`QueryPlan::mutates_items`] and needs exclusive item state.
+/// octave onto the full domain. Because it zooms, it needs exclusive
+/// item state ([`crate::engine::QuerySpec::mutates_items`]).
 #[derive(Debug)]
 pub struct ApxMedian2Plan {
     beta: f64,
@@ -859,7 +856,7 @@ impl QueryPlan for ApxMedian2Plan {
                 }))
             }
             Apx2Phase::EstN => {
-                let n = expect_est(input);
+                let n = input.into_est();
                 if n < 0.5 {
                     return Err(QueryError::EmptyInput);
                 }
@@ -878,7 +875,7 @@ impl QueryPlan for ApxMedian2Plan {
                 Err(e) => Err(e),
             },
             Apx2Phase::Below { mu_hat } => {
-                let below = expect_est(input);
+                let below = input.into_est();
                 // Lines 3.2–3.3: zoom (broadcast µ̂, deactivate, rescale).
                 self.phase = Apx2Phase::Zoomed { mu_hat };
                 // Rank adjustment (line 3.4), clamped to stay valid.
@@ -926,10 +923,6 @@ impl QueryPlan for ApxMedian2Plan {
             Apx2Phase::Finished => unreachable!("stepping a finished ApxMedian2Plan"),
         }
     }
-
-    fn mutates_items(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]
@@ -942,16 +935,17 @@ mod tests {
     fn primitive_plan_roundtrip() {
         let mut net = LocalNetwork::new(vec![1, 2, 3], 10).unwrap();
         let mut plan = PrimitivePlan::new(PlanOp::Count(Predicate::TRUE));
-        assert!(!plan.mutates_items());
         let out = run_plan(&mut net, &mut plan).unwrap();
         assert_eq!(out, PlanInput::Num(3));
     }
 
     #[test]
     fn zoom_primitive_is_mutating() {
-        assert!(PrimitivePlan::new(PlanOp::Zoom { mu_hat: 2 }).mutates_items());
-        assert!(PlanOp::Zoom { mu_hat: 2 }.mutates_items());
-        assert!(!PlanOp::Collect.mutates_items());
+        let mut net = LocalNetwork::new(vec![1, 4, 5, 9], 10).unwrap();
+        let mut plan = PrimitivePlan::new(PlanOp::Zoom { mu_hat: 2 });
+        assert_eq!(run_plan(&mut net, &mut plan).unwrap(), PlanInput::Unit);
+        // Octave 2 is {4..7}: 4 → 1, 5 → 1 + 9/3 = 4; 1 and 9 go passive.
+        assert_eq!(net.ground_truth(), vec![1, 4]);
     }
 
     #[test]
@@ -982,16 +976,13 @@ mod tests {
 
     #[test]
     fn apx_median2_plan_is_exclusive() {
-        let plan = ApxMedian2Plan::new(0.1, 0.25, ApxCountConfig::default(), 1024).unwrap();
-        assert!(plan.mutates_items());
-        let plan = ApxMedianPlan::new(
-            0.25,
-            Domain::Raw,
-            RankTarget::Median,
-            ApxCountConfig::default(),
-            1024,
-        )
-        .unwrap();
-        assert!(!plan.mutates_items());
+        use crate::engine::QuerySpec;
+        let zooming = QuerySpec::ApxMedian2 {
+            beta: 0.1,
+            epsilon: 0.25,
+        };
+        assert!(zooming.mutates_items());
+        assert!(!QuerySpec::ApxMedian { epsilon: 0.25 }.mutates_items());
+        assert!(!QuerySpec::Median.mutates_items());
     }
 }

@@ -1,21 +1,23 @@
 //! The simulated aggregation network.
 //!
 //! [`SimNetwork`] realizes [`AggregationNetwork`] with *real* distributed
-//! execution: every primitive invocation is a broadcast–convergecast wave
-//! over a bounded-degree BFS spanning tree inside the discrete-event
+//! execution: [`AggregationNetwork::execute`] turns each primitive into a
+//! one-slot broadcast–convergecast wave of [`CoreWave`]'s aggregates over
+//! a bounded-degree BFS spanning tree inside the discrete-event
 //! simulator, with every message serialized to bits and charged to both
-//! endpoints. [`AggregationNetwork::net_stats`] then exposes the paper's
-//! individual communication complexity for whatever query ran.
+//! endpoints, and finalizes the root's partial with
+//! [`CoreWave::finalize`]. [`AggregationNetwork::net_stats`] then exposes
+//! the paper's individual communication complexity for whatever query
+//! ran.
 //!
 //! Use [`SimNetworkBuilder`] to configure link behaviour, reliability,
 //! tree degree bound and sketch parameters.
 
-use crate::aggregate::PartialAggregate;
-use crate::counting::{validate_reps, ApxCountConfig};
+use crate::counting::ApxCountConfig;
 use crate::error::QueryError;
 use crate::model::Value;
 use crate::net::{AggregationNetwork, OpCounts};
-use crate::predicate::{Domain, Predicate};
+use crate::plan::{PlanInput, PlanOp};
 use crate::wave_proto::{CorePartial, CoreRequest, CoreWave, SimItem};
 use saq_netsim::flat::NestDepth;
 use saq_netsim::sim::SimConfig;
@@ -363,9 +365,9 @@ pub struct SimNetwork {
     parents: Vec<Option<usize>>,
     /// Under per-hop ARQ, replays the simulator's per-edge fate streams
     /// to expand logical frames into attempt-level detail without
-    /// touching the simulator's own streams. `None` without ARQ, and
-    /// dropped when a failed wave desynchronizes it: frame events are
-    /// then emitted without expansion.
+    /// touching the simulator's own streams; re-seeked from the runner
+    /// on every recorder attach and after a failed traced wave. `None`
+    /// without ARQ.
     replay: Option<FateReplay>,
     /// The wave drain's event buffer, reused from wave to wave.
     events: Vec<Event>,
@@ -402,7 +404,19 @@ impl SimNetwork {
     /// accumulating across swaps.
     pub fn attach_recorder(&mut self, recorder: Box<dyn Recorder>) -> Option<Box<dyn Recorder>> {
         self.runner.set_tracing(true);
+        self.resync_replay();
         self.telemetry.attach(recorder)
+    }
+
+    /// Moves the fate replay to where the runner's transport stands on
+    /// every tree edge: waves that ran untraced or died mid-flight
+    /// advanced the transport's fate streams without the replay.
+    fn resync_replay(&mut self) {
+        if let Some(replay) = &mut self.replay {
+            for node in 0..self.runner.len() {
+                replay.seek(node, self.runner.edge_fate_positions(node));
+            }
+        }
     }
 
     /// Detaches the recorder and switches runner tracing off, returning
@@ -441,14 +455,6 @@ impl SimNetwork {
     /// registry's deterministic histogram lane.
     pub fn record_latency_rounds(&mut self, rounds: u64) {
         self.telemetry.metrics_mut().record_latency_rounds(rounds);
-    }
-
-    fn run(&mut self, req: CoreRequest) -> Result<CorePartial, QueryError> {
-        let mut out = self.run_batch(vec![req])?;
-        Ok(out
-            .partials
-            .pop()
-            .expect("singleton batch yields one partial"))
     }
 
     /// Direct-call nonces carry the top bit, keeping them disjoint from
@@ -499,12 +505,12 @@ impl SimNetwork {
             Ok(p) => p,
             Err(e) => {
                 // A wave that died mid-flight leaves the trace buffers
-                // covering an unknown prefix of the exchanges, so the
-                // fate replay can no longer stay aligned with the
-                // simulator's streams: discard the traces and emit all
-                // later frame events without attempt-level expansion.
-                self.runner.drain_trace(&mut |_, _| {});
-                self.replay = None;
+                // covering an unknown prefix of the exchanges: discard
+                // them, and resume the replay where the transport stands.
+                if traced {
+                    self.runner.drain_trace(&mut |_, _| {});
+                    self.resync_replay();
+                }
                 return Err(QueryError::from(e));
             }
         };
@@ -712,45 +718,6 @@ impl SimNetwork {
             apx: self.apx,
         }
     }
-
-    /// Finalizes a [`CorePartial`] into the [`crate::plan::PlanInput`]
-    /// the issuing plan consumes — the accessor step of the two-step
-    /// aggregation model, applied at the root.
-    pub fn finalize_partial(
-        &self,
-        req: &CoreRequest,
-        partial: CorePartial,
-    ) -> crate::plan::PlanInput {
-        use crate::aggregate::SketchKey;
-        use crate::plan::PlanInput;
-        let proto = self.core_proto();
-        match (req, partial) {
-            (CoreRequest::Min(_) | CoreRequest::Max(_), CorePartial::OptVal(_, v)) => {
-                PlanInput::OptVal(v.best)
-            }
-            (CoreRequest::Count(_) | CoreRequest::Sum(_), CorePartial::Num(v)) => PlanInput::Num(v),
-            (CoreRequest::ApxCount { pred, reps, nonce }, CorePartial::Sketches(sks)) => {
-                let agg = proto.sketch_agg(*pred, SketchKey::ByItem, *reps, *nonce);
-                PlanInput::Est(agg.finalize(&sks))
-            }
-            (CoreRequest::DistinctApx { reps, nonce }, CorePartial::Sketches(sks)) => {
-                let agg = proto.sketch_agg(Predicate::TRUE, SketchKey::ByValue, *reps, *nonce);
-                PlanInput::Est(agg.finalize(&sks))
-            }
-            (CoreRequest::Zoom { .. }, CorePartial::Unit) => PlanInput::Unit,
-            (CoreRequest::Collect, CorePartial::Values(vs)) => PlanInput::Values(vs),
-            (CoreRequest::DistinctExact, CorePartial::Set(vs)) => {
-                PlanInput::Num(proto.distinct_agg().finalize(&vs))
-            }
-            (CoreRequest::Quantile { budget }, CorePartial::Quantile(s)) => {
-                PlanInput::Quantile(proto.quantile_agg(*budget).finalize(&s))
-            }
-            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(s)) => {
-                PlanInput::Values(proto.bottomk_agg(*k, *nonce).finalize(&s))
-            }
-            (req, partial) => unreachable!("partial {partial:?} does not answer {req:?}"),
-        }
-    }
 }
 
 /// Events the wave drain hands the recorder per call: long enough to
@@ -760,8 +727,8 @@ const EMIT_RUN: usize = 1024;
 
 /// Appends the event(s) of one logical frame exchange over the tree
 /// edge between `child` and its `parent`. Without ARQ expansion (`arq`
-/// is `None`: fire-and-forget links, or a failed wave dropped the
-/// replay) the exchange is its single [`Event::FrameSent`]. Under
+/// is `None`: fire-and-forget links) the exchange is its single
+/// [`Event::FrameSent`]. Under
 /// per-hop ARQ, `arq` holds the fate replay and this wave's ACK width,
 /// and the exchange expands into its attempt-level history — first
 /// send, retransmissions, drops and acks — replayed from the same
@@ -848,61 +815,15 @@ impl AggregationNetwork for SimNetwork {
         self.apx
     }
 
-    fn min(&mut self, domain: Domain) -> Result<Option<Value>, QueryError> {
-        self.ops.minmax_ops += 1;
-        match self.run(CoreRequest::Min(domain))? {
-            CorePartial::OptVal(_, v) => Ok(v.best),
-            _ => unreachable!("min wave returns OptVal"),
-        }
-    }
-
-    fn max(&mut self, domain: Domain) -> Result<Option<Value>, QueryError> {
-        self.ops.minmax_ops += 1;
-        match self.run(CoreRequest::Max(domain))? {
-            CorePartial::OptVal(_, v) => Ok(v.best),
-            _ => unreachable!("max wave returns OptVal"),
-        }
-    }
-
-    fn count(&mut self, p: &Predicate) -> Result<u64, QueryError> {
-        self.ops.countp_ops += 1;
-        match self.run(CoreRequest::Count(*p))? {
-            CorePartial::Num(v) => Ok(v),
-            _ => unreachable!("count wave returns Num"),
-        }
-    }
-
-    fn sum(&mut self, p: &Predicate) -> Result<u64, QueryError> {
-        self.ops.sum_ops += 1;
-        match self.run(CoreRequest::Sum(*p))? {
-            CorePartial::Num(v) => Ok(v),
-            _ => unreachable!("sum wave returns Num"),
-        }
-    }
-
-    fn rep_apx_count(&mut self, p: &Predicate, reps: u32) -> Result<f64, QueryError> {
-        validate_reps(reps)?;
-        self.ops.rep_countp_ops += 1;
-        self.ops.apx_count_instances += reps as u64;
-        let nonce = self.fresh_nonce();
-        let req = CoreRequest::ApxCount {
-            pred: *p,
-            reps,
-            nonce,
-        };
-        let partial = self.run(req.clone())?;
-        match self.finalize_partial(&req, partial) {
-            crate::plan::PlanInput::Est(est) => Ok(est),
-            _ => unreachable!("apx count wave returns an estimate"),
-        }
-    }
-
-    fn zoom(&mut self, mu_hat: u32) -> Result<(), QueryError> {
-        self.ops.zoom_ops += 1;
-        match self.run(CoreRequest::Zoom { mu_hat })? {
-            CorePartial::Unit => Ok(()),
-            _ => unreachable!("zoom wave returns Unit"),
-        }
+    /// Validate, count, translate (a fresh top-bit nonce for sketch
+    /// ops), run a one-slot wave, finalize at the root.
+    fn execute(&mut self, op: &PlanOp) -> Result<PlanInput, QueryError> {
+        op.validate()?;
+        self.ops.record(op);
+        let req = CoreRequest::from_op(op, || self.fresh_nonce());
+        let mut out = self.run_batch(vec![req.clone()])?;
+        let partial = out.partials.pop().expect("a one-slot wave has one partial");
+        Ok(self.core_proto().finalize(&req, partial))
     }
 
     fn restore_items(&mut self) {
@@ -914,67 +835,6 @@ impl AggregationNetwork for SimNetwork {
                 .map(|it| SimItem::new(it.orig))
                 .collect();
             self.runner.set_items(node, restored);
-        }
-    }
-
-    fn collect_values(&mut self) -> Result<Vec<Value>, QueryError> {
-        self.ops.collect_ops += 1;
-        match self.run(CoreRequest::Collect)? {
-            CorePartial::Values(vs) => Ok(vs),
-            _ => unreachable!("collect wave returns Values"),
-        }
-    }
-
-    fn distinct_exact(&mut self) -> Result<u64, QueryError> {
-        self.ops.distinct_ops += 1;
-        match self.run(CoreRequest::DistinctExact)? {
-            CorePartial::Set(vs) => Ok(vs.len() as u64),
-            _ => unreachable!("distinct wave returns Set"),
-        }
-    }
-
-    fn distinct_apx(&mut self, reps: u32) -> Result<f64, QueryError> {
-        validate_reps(reps)?;
-        self.ops.distinct_ops += 1;
-        let nonce = self.fresh_nonce();
-        let req = CoreRequest::DistinctApx { reps, nonce };
-        let partial = self.run(req.clone())?;
-        match self.finalize_partial(&req, partial) {
-            crate::plan::PlanInput::Est(est) => Ok(est),
-            _ => unreachable!("distinct apx wave returns an estimate"),
-        }
-    }
-
-    fn quantile_summary(
-        &mut self,
-        budget: u32,
-    ) -> Result<saq_sketches::QuantileSummary, QueryError> {
-        if budget == 0 {
-            return Err(QueryError::InvalidParameter(
-                "quantile prune budget must be positive",
-            ));
-        }
-        self.ops.quantile_ops += 1;
-        match self.run(CoreRequest::Quantile { budget })? {
-            CorePartial::Quantile(s) => Ok(s),
-            _ => unreachable!("quantile wave returns a summary"),
-        }
-    }
-
-    fn bottom_k(&mut self, k: u32) -> Result<Vec<Value>, QueryError> {
-        if k == 0 {
-            return Err(QueryError::InvalidParameter(
-                "bottom-k sample capacity must be positive",
-            ));
-        }
-        self.ops.sample_ops += 1;
-        // Deterministic nonce (ODI sampling convention): equal requests
-        // reproduce the identical sample, so repeats are cacheable.
-        let req = CoreRequest::BottomK { k, nonce: 0 };
-        let partial = self.run(req.clone())?;
-        match self.finalize_partial(&req, partial) {
-            crate::plan::PlanInput::Values(vs) => Ok(vs),
-            _ => unreachable!("bottom-k wave returns a sample"),
         }
     }
 
@@ -997,6 +857,7 @@ impl AggregationNetwork for SimNetwork {
 mod tests {
     use super::*;
     use crate::model::reference_median;
+    use crate::predicate::{Domain, Predicate};
 
     fn grid_net(side: usize) -> SimNetwork {
         let topo = Topology::grid(side, side).unwrap();
@@ -1293,5 +1154,50 @@ mod tests {
         // and above zero.
         assert!(max_bits > 20);
         assert!(max_bits < 600, "count wave cost {max_bits} bits/node");
+    }
+
+    #[test]
+    fn trace_replay_stays_in_step_after_untraced_arq_waves() {
+        // A recorder attached after untraced ARQ waves must itemise the
+        // fates the transport draws from then on, not those from stream
+        // index 0: the traced frames then bill exactly what the network
+        // billed (11 123 traced against 11 301 billed before the replay
+        // resumed from the runner's stream positions).
+        use saq_obs::{Event, VecRecorder};
+        let topo = Topology::balanced_tree(64, 3).unwrap();
+        let items: Vec<Value> = (0..64u64).collect();
+        let lossy =
+            SimConfig::default().with_link(saq_netsim::link::LinkConfig::default().with_loss(0.2));
+        let rel = saq_protocols::wave::Reliability::Ack {
+            timeout: saq_netsim::SimDuration::from_millis(200),
+        };
+        for b in [
+            SimNetworkBuilder::new(),
+            SimNetworkBuilder::new().flat(true),
+        ] {
+            let mut net = b
+                .sim_config(lossy.clone())
+                .reliability(rel)
+                .build_one_per_node(&topo, &items, 128)
+                .unwrap();
+            for _ in 0..3 {
+                net.count(&Predicate::TRUE).unwrap();
+            }
+            let (recorder, log) = VecRecorder::shared();
+            net.attach_recorder(Box::new(recorder));
+            let before = net.net_stats().unwrap().total_tx_bits();
+            net.count(&Predicate::TRUE).unwrap();
+            let billed = net.net_stats().unwrap().total_tx_bits() - before;
+            let traced: u64 = log
+                .events()
+                .iter()
+                .map(|ev| match ev {
+                    Event::FrameSent { bits, .. } | Event::Retransmit { bits, .. } => *bits,
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(billed, 11_301, "{}", net.runner_name());
+            assert_eq!(traced, billed, "{}", net.runner_name());
+        }
     }
 }

@@ -521,7 +521,7 @@ impl StreamingEngine {
                     kept.push_back(s);
                     continue;
                 }
-                if !s.slot.plan.mutates_items() && s.staged.is_none() {
+                if !s.slot.spec.mutates_items() && s.staged.is_none() {
                     // Stage the first op now (eager staging); a slot
                     // deferred by the budget in an earlier round keeps
                     // the op it already staged.
@@ -573,7 +573,7 @@ impl StreamingEngine {
         let gate = self
             .active
             .iter()
-            .filter(|s| s.slot.plan.mutates_items() && !s.slot.is_done())
+            .filter(|s| s.slot.spec.mutates_items() && !s.slot.is_done())
             .map(|s| s.admitted_round)
             .min();
         let mut round_ops: Vec<(usize, CoreRequest)> = Vec::new();
@@ -613,7 +613,7 @@ impl StreamingEngine {
         let Some(i) = self
             .active
             .iter()
-            .position(|s| s.slot.plan.mutates_items() && !s.slot.is_done())
+            .position(|s| s.slot.spec.mutates_items() && !s.slot.is_done())
         else {
             return Ok(());
         };
@@ -752,6 +752,7 @@ impl StreamingEngine {
         // silenced subtrees (down to a fully cached, zero-message wave)
         // shrink the bill accordingly.
         let share = (out.header_bits + out.envelope_bits) / round_ops.len() as u64;
+        let proto = self.net.core_proto();
         for ((i, req), (partial, bits)) in round_ops
             .iter()
             .zip(out.partials.into_iter().zip(out.slot_bits))
@@ -761,7 +762,7 @@ impl StreamingEngine {
             slot.bits.partial_bits += bits.partial_bits;
             slot.bits.shared_overhead_bits += share;
             slot.waves += 1;
-            slot.state = SlotState::Ready(self.net.finalize_partial(req, partial));
+            slot.state = SlotState::Ready(proto.finalize(req, partial));
         }
         Ok(())
     }

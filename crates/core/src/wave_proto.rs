@@ -2,10 +2,13 @@
 //! broadcast–convergecast wave.
 //!
 //! All aggregate semantics live in the two-step [`crate::aggregate`]
-//! layer; this module only *dispatches*: a [`CoreRequest`] names which
-//! [`PartialAggregate`] runs, `local` folds the node's items through
-//! `identity`/`contribute`, `merge` and the partial codecs delegate to
-//! the same aggregate. Partial encodings carry **no type tag** — both
+//! layer; this module only *dispatches*: [`CoreRequest::from_op`] turns a
+//! plan op into the request naming which [`PartialAggregate`] runs,
+//! [`CoreWave::partial_over`] folds items through `identity`/`contribute`
+//! (a node's own in `local`, the whole multiset in
+//! [`crate::local::LocalNetwork`]), `merge` and the partial codecs
+//! delegate to the same aggregate, and [`CoreWave::finalize`] is the
+//! accessor step at the root. Partial encodings carry **no type tag** — both
 //! endpoints of a hop know the wave's request, so the request is the
 //! schema (and the bits saved pay for the multiplex envelope of
 //! [`saq_protocols::MultiplexWave`]).
@@ -27,6 +30,7 @@ use crate::aggregate::{
 };
 use crate::counting::ApxCountConfig;
 use crate::model::{floor_log2, Value};
+use crate::plan::{PlanInput, PlanOp};
 use crate::predicate::{Domain, Predicate};
 use saq_netsim::rng::Xoshiro256StarStar;
 use saq_netsim::sim::NodeId;
@@ -37,8 +41,9 @@ use saq_protocols::WaveProtocol;
 use saq_sketches::{BottomK, DistinctSketch, LogLog, QuantileSummary};
 use std::cell::RefCell;
 
-/// One item held by a simulated node: its original value plus the current
-/// (possibly rescaled) value; `cur == None` means the item is passive.
+/// One item held by a simulated node (or by the in-memory network): its
+/// original value plus the current (possibly rescaled) value;
+/// `cur == None` means the item is passive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimItem {
     /// The value as originally deployed.
@@ -126,6 +131,36 @@ pub enum CoreRequest {
         /// aggregate cacheable.
         nonce: u32,
     },
+}
+
+impl CoreRequest {
+    /// The wire request of a plan op. `nonce` is called once, and only
+    /// for the ops that draw fresh sketch randomness (`ApxCount`,
+    /// `DistinctApx`); bottom-k keeps the deterministic nonce 0 (the ODI
+    /// sampling convention), so equal requests reproduce the identical
+    /// sample and can be served from subtree partial caches.
+    pub fn from_op(op: &PlanOp, nonce: impl FnOnce() -> u32) -> CoreRequest {
+        match *op {
+            PlanOp::Count(p) => CoreRequest::Count(p),
+            PlanOp::Sum(p) => CoreRequest::Sum(p),
+            PlanOp::Min(d) => CoreRequest::Min(d),
+            PlanOp::Max(d) => CoreRequest::Max(d),
+            PlanOp::ApxCount { pred, reps } => CoreRequest::ApxCount {
+                pred,
+                reps,
+                nonce: nonce(),
+            },
+            PlanOp::DistinctExact => CoreRequest::DistinctExact,
+            PlanOp::DistinctApx { reps } => CoreRequest::DistinctApx {
+                reps,
+                nonce: nonce(),
+            },
+            PlanOp::Collect => CoreRequest::Collect,
+            PlanOp::QuantileSummary { budget } => CoreRequest::Quantile { budget },
+            PlanOp::BottomK { k } => CoreRequest::BottomK { k, nonce: 0 },
+            PlanOp::Zoom { mu_hat } => CoreRequest::Zoom { mu_hat },
+        }
+    }
 }
 
 /// Partial aggregates flowing up the tree — each variant is the partial
@@ -219,6 +254,92 @@ impl CoreWave {
     /// The bottom-k sampling aggregate of a `BottomK` request.
     pub fn bottomk_agg(&self, k: u32, nonce: u32) -> BottomKAgg {
         BottomKAgg::new(k.max(1), self.xbar, self.apx.seed, nonce as u64)
+    }
+
+    /// Folds `items` into the partial of the aggregate `req` names — the
+    /// dispatch every node runs on its own items ([`WaveProtocol::local`])
+    /// and the in-memory network runs on all of them. A `Zoom` carries no
+    /// data: its partial is [`CorePartial::Unit`] (the rescaling is
+    /// [`CoreWave::zoom`]).
+    pub fn partial_over(
+        &self,
+        req: &CoreRequest,
+        items: impl Iterator<Item = ItemRef>,
+    ) -> CorePartial {
+        match *req {
+            CoreRequest::Min(d) => {
+                CorePartial::OptVal(d, self.minmax_agg(MinMaxOp::Min, d).partial_over(items))
+            }
+            CoreRequest::Max(d) => {
+                CorePartial::OptVal(d, self.minmax_agg(MinMaxOp::Max, d).partial_over(items))
+            }
+            CoreRequest::Count(pred) => CorePartial::Num(
+                self.countsum_agg(CountSumOp::Count, pred)
+                    .partial_over(items),
+            ),
+            CoreRequest::Sum(pred) => {
+                CorePartial::Num(self.countsum_agg(CountSumOp::Sum, pred).partial_over(items))
+            }
+            CoreRequest::ApxCount { pred, reps, nonce } => CorePartial::Sketches(
+                self.sketch_agg(pred, SketchKey::ByItem, reps, nonce)
+                    .partial_over(items),
+            ),
+            CoreRequest::DistinctApx { reps, nonce } => CorePartial::Sketches(
+                self.sketch_agg(Predicate::TRUE, SketchKey::ByValue, reps, nonce)
+                    .partial_over(items),
+            ),
+            CoreRequest::Zoom { .. } => CorePartial::Unit,
+            CoreRequest::Collect => CorePartial::Values(self.collect_agg().partial_over(items)),
+            CoreRequest::DistinctExact => CorePartial::Set(self.distinct_agg().partial_over(items)),
+            CoreRequest::Quantile { budget } => {
+                CorePartial::Quantile(self.quantile_agg(budget).partial_over(items))
+            }
+            CoreRequest::BottomK { k, nonce } => {
+                CorePartial::Sample(self.bottomk_agg(k, nonce).partial_over(items))
+            }
+        }
+    }
+
+    /// Fig. 4 line 3.2 on a multiset: items in octave `mu_hat` are
+    /// rescaled onto `[1, X̄]`, every other active item turns passive.
+    pub fn zoom(&self, mu_hat: u32, items: &mut [SimItem]) {
+        for it in items {
+            if let Some(cur) = it.cur {
+                it.cur = crate::local::rescale_into_octave(cur, mu_hat, self.xbar);
+            }
+        }
+    }
+
+    /// Finalizes the root's merged partial into the [`PlanInput`] the
+    /// issuing plan consumes — the accessor step of the two-step
+    /// aggregation model.
+    pub fn finalize(&self, req: &CoreRequest, partial: CorePartial) -> PlanInput {
+        match (req, partial) {
+            (CoreRequest::Min(_) | CoreRequest::Max(_), CorePartial::OptVal(_, v)) => {
+                PlanInput::OptVal(v.best)
+            }
+            (CoreRequest::Count(_) | CoreRequest::Sum(_), CorePartial::Num(v)) => PlanInput::Num(v),
+            (CoreRequest::ApxCount { pred, reps, nonce }, CorePartial::Sketches(sks)) => {
+                let agg = self.sketch_agg(*pred, SketchKey::ByItem, *reps, *nonce);
+                PlanInput::Est(agg.finalize(&sks))
+            }
+            (CoreRequest::DistinctApx { reps, nonce }, CorePartial::Sketches(sks)) => {
+                let agg = self.sketch_agg(Predicate::TRUE, SketchKey::ByValue, *reps, *nonce);
+                PlanInput::Est(agg.finalize(&sks))
+            }
+            (CoreRequest::Zoom { .. }, CorePartial::Unit) => PlanInput::Unit,
+            (CoreRequest::Collect, CorePartial::Values(vs)) => PlanInput::Values(vs),
+            (CoreRequest::DistinctExact, CorePartial::Set(vs)) => {
+                PlanInput::Num(self.distinct_agg().finalize(&vs))
+            }
+            (CoreRequest::Quantile { budget }, CorePartial::Quantile(s)) => {
+                PlanInput::Quantile(self.quantile_agg(*budget).finalize(&s))
+            }
+            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(s)) => {
+                PlanInput::Values(self.bottomk_agg(*k, *nonce).finalize(&s))
+            }
+            (req, partial) => unreachable!("partial {partial:?} does not answer {req:?}"),
+        }
     }
 }
 
@@ -439,56 +560,10 @@ impl WaveProtocol for CoreWave {
         req: &CoreRequest,
         _rng: &mut Xoshiro256StarStar,
     ) -> CorePartial {
-        match req {
-            CoreRequest::Min(d) => {
-                let agg = self.minmax_agg(MinMaxOp::Min, *d);
-                CorePartial::OptVal(*d, agg.partial_over(active_refs(node, items)))
-            }
-            CoreRequest::Max(d) => {
-                let agg = self.minmax_agg(MinMaxOp::Max, *d);
-                CorePartial::OptVal(*d, agg.partial_over(active_refs(node, items)))
-            }
-            CoreRequest::Count(pred) => {
-                let agg = self.countsum_agg(CountSumOp::Count, *pred);
-                CorePartial::Num(agg.partial_over(active_refs(node, items)))
-            }
-            CoreRequest::Sum(pred) => {
-                let agg = self.countsum_agg(CountSumOp::Sum, *pred);
-                CorePartial::Num(agg.partial_over(active_refs(node, items)))
-            }
-            CoreRequest::ApxCount { pred, reps, nonce } => {
-                let agg = self.sketch_agg(*pred, SketchKey::ByItem, *reps, *nonce);
-                CorePartial::Sketches(agg.partial_over(active_refs(node, items)))
-            }
-            CoreRequest::DistinctApx { reps, nonce } => {
-                let agg = self.sketch_agg(Predicate::TRUE, SketchKey::ByValue, *reps, *nonce);
-                CorePartial::Sketches(agg.partial_over(active_refs(node, items)))
-            }
-            CoreRequest::Zoom { mu_hat } => {
-                for it in items.iter_mut() {
-                    if let Some(cur) = it.cur {
-                        it.cur = crate::local::rescale_into_octave(cur, *mu_hat, self.xbar);
-                    }
-                }
-                CorePartial::Unit
-            }
-            CoreRequest::Collect => {
-                let agg = self.collect_agg();
-                CorePartial::Values(agg.partial_over(active_refs(node, items)))
-            }
-            CoreRequest::DistinctExact => {
-                let agg = self.distinct_agg();
-                CorePartial::Set(agg.partial_over(active_refs(node, items)))
-            }
-            CoreRequest::Quantile { budget } => {
-                let agg = self.quantile_agg(*budget);
-                CorePartial::Quantile(agg.partial_over(active_refs(node, items)))
-            }
-            CoreRequest::BottomK { k, nonce } => {
-                let agg = self.bottomk_agg(*k, *nonce);
-                CorePartial::Sample(agg.partial_over(active_refs(node, items)))
-            }
+        if let CoreRequest::Zoom { mu_hat } = *req {
+            self.zoom(mu_hat, items);
         }
+        self.partial_over(req, active_refs(node, items))
     }
 
     fn merge(&self, req: &CoreRequest, a: CorePartial, b: CorePartial) -> CorePartial {

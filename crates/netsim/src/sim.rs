@@ -358,6 +358,16 @@ impl<P: NodeRuntime> Simulator<P> {
         self.events_processed
     }
 
+    /// The index the next transmission from `src` to `dst` of `class`
+    /// draws from its per-edge fate stream (0 before the first) — where
+    /// a replay of that stream picks up to stay in step with this
+    /// simulator.
+    pub fn fate_index(&self, src: NodeId, dst: NodeId, class: FrameClass) -> u64 {
+        self.fate_streams
+            .get(&(src, dst, class))
+            .map_or(0, FateStream::index)
+    }
+
     /// Physical transmissions since construction — one per
     /// [`NetStats::charge_tx`] the simulator made, unaffected by
     /// [`Simulator::reset_stats`]. A driver reads it before and after a

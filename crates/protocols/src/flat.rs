@@ -1489,6 +1489,19 @@ where
         }
     }
 
+    fn edge_fate_positions(&self, node: NodeId) -> [u64; 4] {
+        self.cols.arq[self.tree.pos_of(node)]
+            .as_ref()
+            .map_or([0; 4], |e| {
+                [
+                    e.down_data.index(),
+                    e.up_ack.index(),
+                    e.up_data.index(),
+                    e.down_ack.index(),
+                ]
+            })
+    }
+
     fn last_header_bits(&self) -> u64 {
         header_bits(self.next_wave)
     }

@@ -97,8 +97,10 @@ pub enum Hop {
 /// row instead of hashing `(src, dst, class)`.
 ///
 /// Streams persist across waves (each edge's data/ack streams advance
-/// monotonically), so one `FateReplay` must observe every wave of a
-/// run, in order — exactly how `SimNetwork` drives it.
+/// monotonically), so a `FateReplay` must observe every wave of a run,
+/// in order, from the stream positions it was last
+/// [seeked](FateReplay::seek) to — `SimNetwork` re-seeks it from the
+/// runner whenever it attaches a recorder and after a failed wave.
 #[derive(Debug)]
 pub struct FateReplay {
     master: u64,
@@ -120,6 +122,19 @@ impl FateReplay {
             attempt_budget,
             cursors: vec![[0; 4]; nodes],
         }
+    }
+
+    /// Resumes the streams of the tree edge above `child` (global id) at
+    /// `positions`, in row order `[down data, up ack, up data, down
+    /// ack]` — a transport's [`crate::WaveSubstrate::edge_fate_positions`]
+    /// — so the replay picks up waves it did not observe.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `child` is not below the node count given to
+    /// [`FateReplay::new`].
+    pub fn seek(&mut self, child: usize, positions: [u64; 4]) {
+        self.cursors[child] = positions;
     }
 
     /// Replays one reliable exchange of a data frame over the tree edge

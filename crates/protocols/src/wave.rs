@@ -1241,6 +1241,13 @@ pub trait WaveSubstrate<P: WaveProtocol>: Debug {
     /// entries are handed over in place; draining allocates nothing.
     fn drain_trace(&mut self, sink: &mut dyn FnMut(usize, NodeTraceEntry));
 
+    /// Under [`Reliability::Ack`], the next transmission index of each
+    /// fate stream of the tree edge above `node` (global id), in
+    /// [`FateReplay`](crate::FateReplay)'s row order `[down data, up ack,
+    /// up data, down ack]`: where a replay resumes to stay in step with
+    /// this substrate's transport. All zero at the root.
+    fn edge_fate_positions(&self, node: NodeId) -> [u64; 4];
+
     /// Node-layer framing bits (kind + varint wave ordinal) each non-ACK
     /// message of the **most recent** wave carried — what exact header
     /// accounting must bill per message ([`header_bits`] of that wave's
@@ -1439,6 +1446,19 @@ impl<P: WaveProtocol + Debug> WaveSubstrate<P> for WaveRunner<P> {
                 sink(v, entry);
             }
         }
+    }
+
+    fn edge_fate_positions(&self, node: NodeId) -> [u64; 4] {
+        let Some(parent) = self.sim.node(node).parent else {
+            return [0; 4];
+        };
+        let at = |src, dst, class| self.sim.fate_index(src, dst, class);
+        [
+            at(parent, node, FrameClass::Data),
+            at(node, parent, FrameClass::Ack),
+            at(node, parent, FrameClass::Data),
+            at(parent, node, FrameClass::Ack),
+        ]
     }
 
     fn last_header_bits(&self) -> u64 {
