@@ -23,10 +23,11 @@ use crate::deploy::builder_for;
 use crate::table::{banner, f3, Table};
 use crate::workload::{generate, Dist};
 use crate::Scale;
-use saq_core::engine::{BatchPolicy, QueryEngine, QuerySpec};
+use saq_core::engine::{BatchPolicy, QuerySpec};
 use saq_core::net::AggregationNetwork;
 use saq_core::predicate::{Domain, Predicate};
 use saq_core::simnet::SimNetwork;
+use saq_core::streaming::{AdmissionPolicy, StreamingEngine};
 use saq_netsim::topology::Topology;
 
 /// Machine-checkable summary for tests.
@@ -93,23 +94,29 @@ pub fn run(scale: Scale) -> Summary {
 
     for &k in ks {
         let seed = 0xE120 + k as u64;
-        let mut batched = QueryEngine::with_policy(deployment(side, seed), BatchPolicy::Batched);
-        let mut sequential =
-            QueryEngine::with_policy(deployment(side, seed), BatchPolicy::Sequential);
+        let engine = |policy| {
+            StreamingEngine::with_policy(
+                deployment(side, seed),
+                policy,
+                AdmissionPolicy::EveryRound,
+            )
+        };
+        let mut batched = engine(BatchPolicy::Batched);
+        let mut sequential = engine(BatchPolicy::Sequential);
         for spec in specs_for(k) {
             batched.submit(spec.clone());
             sequential.submit(spec);
         }
-        let br = batched.run().expect("batched run");
-        let sr = sequential.run().expect("sequential run");
-        let equal = br
-            .iter()
-            .zip(sr.iter())
-            .all(|(b, s)| match (&b.outcome, &s.outcome) {
-                (Ok(x), Ok(y)) => x == y,
-                (Err(_), Err(_)) => true,
-                _ => false,
-            });
+        let br = batched.run_until_idle().expect("batched run");
+        let sr = sequential.run_until_idle().expect("sequential run");
+        let equal =
+            br.iter()
+                .zip(sr.iter())
+                .all(|(b, s)| match (&b.report.outcome, &s.report.outcome) {
+                    (Ok(x), Ok(y)) => x == y,
+                    (Err(_), Err(_)) => true,
+                    _ => false,
+                });
         outcomes_identical &= equal;
         let b_bits = batched
             .network()

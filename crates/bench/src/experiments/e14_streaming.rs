@@ -23,7 +23,7 @@
 
 use crate::table::{banner, f3, Table};
 use crate::Scale;
-use saq_core::engine::{QueryEngine, QuerySpec};
+use saq_core::engine::QuerySpec;
 use saq_core::predicate::{Domain, Predicate};
 use saq_core::simnet::{SimNetwork, SimNetworkBuilder};
 use saq_core::streaming::{AdmissionPolicy, ServiceStats, StreamingEngine, StreamingReport};
@@ -163,7 +163,7 @@ fn run_stream(
 /// The oracle: every query of the horizon known up front, one closed
 /// batch — the bits/query floor that maximal wave sharing sets.
 fn run_oracle(rate: u32, horizon: u64) -> f64 {
-    let mut engine = QueryEngine::new(deployment());
+    let mut engine = StreamingEngine::new(deployment());
     let mut submitted = 0usize;
     for t in 0..horizon {
         if arrives(t, rate, 0xE14) {
@@ -174,8 +174,8 @@ fn run_oracle(rate: u32, horizon: u64) -> f64 {
     if submitted == 0 {
         return 0.0;
     }
-    let reports = engine.run().expect("oracle batch");
-    let total: u64 = reports.iter().map(|r| r.bits.total()).sum();
+    let reports = engine.run_until_idle().expect("oracle batch");
+    let total: u64 = ServiceStats::total_bits(&reports);
     total as f64 / reports.len() as f64
 }
 

@@ -25,10 +25,11 @@
 
 use crate::table::{banner, f3, Table};
 use crate::Scale;
-use saq_core::engine::{QueryEngine, QueryOutcome, QuerySpec};
+use saq_core::engine::{QueryOutcome, QuerySpec};
 use saq_core::predicate::{Domain, Predicate};
 use saq_core::service::{FleetService, RefreshStagger};
 use saq_core::simnet::{SimNetwork, SimNetworkBuilder};
+use saq_core::streaming::{ServiceStats, StreamingEngine};
 use saq_netsim::topology::Topology;
 
 const N: usize = 85;
@@ -122,12 +123,12 @@ fn update_order() -> Vec<usize> {
 /// uncached network — what every refresh cycle would cost without the
 /// continuous subsystem.
 fn oracle_cycle_bits() -> u64 {
-    let mut engine = QueryEngine::new(deployment(0));
+    let mut engine = StreamingEngine::new(deployment(0));
     for spec in standing_mix() {
         engine.submit(spec);
     }
-    let reports = engine.run().expect("oracle batch");
-    reports.iter().map(|r| r.bits.total()).sum()
+    let reports = engine.run_until_idle().expect("oracle batch");
+    ServiceStats::total_bits(&reports)
 }
 
 struct SweepOutcome {

@@ -23,10 +23,11 @@
 
 use crate::table::{banner, f3, Table};
 use crate::Scale;
-use saq_core::engine::{QueryEngine, QueryOutcome, QuerySpec};
+use saq_core::engine::{QueryOutcome, QuerySpec};
 use saq_core::net::AggregationNetwork;
 use saq_core::predicate::{Domain, Predicate};
 use saq_core::simnet::{SimNetwork, SimNetworkBuilder};
+use saq_core::streaming::StreamingEngine;
 use saq_netsim::topology::Topology;
 use std::time::Instant;
 
@@ -82,22 +83,22 @@ fn deployment(n: usize, flat: bool, workers: usize) -> SimNetwork {
 /// configuration happens to run first) and returns the outcomes of the
 /// first timed round along with rounds per second.
 fn run_rounds(net: SimNetwork, reps: usize) -> (Vec<QueryOutcome>, SimNetwork, f64) {
-    let mut engine = QueryEngine::new(net);
+    let mut engine = StreamingEngine::new(net);
     for s in specs() {
         engine.submit(s);
     }
-    engine.run().expect("warm-up run");
+    engine.run_until_idle().expect("warm-up run");
     let mut first = Vec::new();
     let start = Instant::now();
     for rep in 0..reps {
         for s in specs() {
             engine.submit(s);
         }
-        let reports = engine.run().expect("engine run");
+        let reports = engine.run_until_idle().expect("engine run");
         if rep == 0 {
             first = reports
                 .into_iter()
-                .map(|r| r.outcome.expect("query ok"))
+                .map(|r| r.report.outcome.expect("query ok"))
                 .collect();
         }
     }

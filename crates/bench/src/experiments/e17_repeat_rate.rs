@@ -20,10 +20,11 @@
 
 use crate::table::{banner, f3, Table};
 use crate::Scale;
-use saq_core::engine::{QueryEngine, QueryOutcome, QuerySpec};
+use saq_core::engine::{QueryOutcome, QuerySpec};
 use saq_core::net::AggregationNetwork;
 use saq_core::predicate::{Domain, Predicate};
 use saq_core::simnet::{SimNetwork, SimNetworkBuilder};
+use saq_core::streaming::StreamingEngine;
 use saq_netsim::topology::Topology;
 
 /// Rounds per schedule: one cold base round plus `ROUNDS - 1` follow-up
@@ -134,7 +135,7 @@ fn run_schedule(
     base: &[QuerySpec],
     repeats: usize,
 ) -> (Vec<Vec<QueryOutcome>>, u64, u64) {
-    let mut engine = QueryEngine::new(net);
+    let mut engine = StreamingEngine::new(net);
     let mut outcomes = Vec::new();
     for round in 0..ROUNDS {
         let specs: Vec<QuerySpec> = if round == 0 || round <= repeats {
@@ -145,11 +146,11 @@ fn run_schedule(
         for s in specs {
             engine.submit(s);
         }
-        let reports = engine.run().expect("engine run");
+        let reports = engine.run_until_idle().expect("engine run");
         outcomes.push(
             reports
                 .into_iter()
-                .map(|r| r.outcome.expect("query ok"))
+                .map(|r| r.report.outcome.expect("query ok"))
                 .collect(),
         );
     }

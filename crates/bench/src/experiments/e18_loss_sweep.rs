@@ -25,10 +25,11 @@
 use crate::deploy;
 use crate::table::{banner, f3, Table};
 use crate::Scale;
-use saq_core::engine::{QueryEngine, QueryOutcome, QuerySpec};
+use saq_core::engine::{QueryOutcome, QuerySpec};
 use saq_core::net::AggregationNetwork;
 use saq_core::predicate::{Domain, Predicate};
 use saq_core::simnet::SimNetwork;
+use saq_core::streaming::StreamingEngine;
 use saq_netsim::link::LinkConfig;
 use saq_netsim::sim::SimConfig;
 use saq_netsim::time::SimDuration;
@@ -98,15 +99,15 @@ fn deployment(n: usize, p: f64) -> SimNetwork {
 
 /// Runs one batched round and returns (answers, total tx bits, runner).
 fn run_point(net: SimNetwork) -> (Vec<QueryOutcome>, u64, &'static str) {
-    let mut engine = QueryEngine::new(net);
+    let mut engine = StreamingEngine::new(net);
     for s in specs() {
         engine.submit(s);
     }
     let answers: Vec<QueryOutcome> = engine
-        .run()
+        .run_until_idle()
         .expect("engine run")
         .into_iter()
-        .map(|r| r.outcome.expect("query ok"))
+        .map(|r| r.report.outcome.expect("query ok"))
         .collect();
     let net = engine.into_network();
     let stats = net.net_stats().expect("stats");

@@ -12,8 +12,8 @@
 //!    the merged partial into the user-facing answer at the root.
 //!
 //! Keeping the two steps apart is what lets independent queries share
-//! waves (the [`crate::engine::QueryEngine`] multiplexes many partials
-//! into one envelope), lets partials be cached and re-finalized, and
+//! waves (the [`crate::streaming::StreamingEngine`] multiplexes many
+//! partials into one envelope), lets partials be cached and re-finalized, and
 //! makes adding an aggregate a single-trait exercise. It mirrors the
 //! mergeable-summary structure of q-digest-style sensor aggregation
 //! (Shrivastava et al., *Medians and Beyond*) and the partial/accessor

@@ -100,7 +100,7 @@ impl ApxMedian {
     /// thresholds and answers are log-values.
     ///
     /// The algorithm is compiled into an [`ApxMedianPlan`] wave plan
-    /// (`crate::plan`) and driven sequentially here; the `QueryEngine`
+    /// (`crate::plan`) and driven sequentially here; the `StreamingEngine`
     /// drives the same plan batched with other concurrent queries.
     ///
     /// # Errors

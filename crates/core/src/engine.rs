@@ -10,14 +10,11 @@
 //! the saving the paper's per-node bit economy makes worthwhile, measured
 //! by experiment E12.
 //!
-//! **One loop.** A closed batch *is* the service loop: [`QueryEngine`]
-//! holds one [`StreamingEngine`] built with [`AdmissionPolicy::WhenIdle`]
-//! and [`QueryEngine::run`] steps it until idle. Everything submitted
-//! before `run` forms one admission cohort, so the batch executes exactly
-//! as the loop executes any cohort — admission, shared waves, exclusive
-//! queries, retirement (see [`crate::streaming`]). This module holds the
-//! vocabulary both share: specs, outcomes, bills, reports, the plan
-//! compiler and the per-query slot state machine.
+//! **One loop.** The engine is [`crate::streaming::StreamingEngine`],
+//! and a closed batch is `submit` × k on an idle engine followed by
+//! `run_until_idle` (see [`crate::streaming`]). This module holds the
+//! vocabulary the loop and the fleet share: specs, outcomes, bills,
+//! reports, the plan compiler and the per-query slot state machine.
 //!
 //! **Honest accounting.** Every encoded bit of a shared wave is
 //! attributed: sub-request and sub-partial bits to the issuing query
@@ -50,7 +47,6 @@ use crate::plan::{
 };
 use crate::predicate::{Domain, Predicate};
 use crate::simnet::SimNetwork;
-use crate::streaming::{AdmissionPolicy, StreamingEngine};
 use crate::wave_proto::CoreRequest;
 
 /// A user query submitted to the engine.
@@ -235,32 +231,17 @@ pub(crate) enum EnginePlan {
 impl EnginePlan {
     fn step(&mut self, input: PlanInput) -> Result<PlanStep<QueryOutcome>, QueryError> {
         Ok(match self {
-            EnginePlan::Primitive(p) => match p.step(input)? {
-                PlanStep::Issue(op) => PlanStep::Issue(op),
-                PlanStep::Done(raw) => PlanStep::Done(match raw {
-                    PlanInput::Num(v) => QueryOutcome::Num(v),
-                    PlanInput::OptVal(v) => QueryOutcome::OptVal(v),
-                    PlanInput::Est(v) => QueryOutcome::Est(v),
-                    PlanInput::Values(v) => QueryOutcome::Values(v),
-                    other => unreachable!("primitive produced {other:?}"),
-                }),
-            },
-            EnginePlan::Quantile(p) => match p.step(input)? {
-                PlanStep::Issue(op) => PlanStep::Issue(op),
-                PlanStep::Done(out) => PlanStep::Done(QueryOutcome::Quantile(out)),
-            },
-            EnginePlan::Median(p) => match p.step(input)? {
-                PlanStep::Issue(op) => PlanStep::Issue(op),
-                PlanStep::Done(out) => PlanStep::Done(QueryOutcome::Median(out)),
-            },
-            EnginePlan::ApxMedian(p) => match p.step(input)? {
-                PlanStep::Issue(op) => PlanStep::Issue(op),
-                PlanStep::Done(out) => PlanStep::Done(QueryOutcome::ApxMedian(out)),
-            },
-            EnginePlan::ApxMedian2(p) => match p.step(input)? {
-                PlanStep::Issue(op) => PlanStep::Issue(op),
-                PlanStep::Done(out) => PlanStep::Done(QueryOutcome::ApxMedian2(out)),
-            },
+            EnginePlan::Primitive(p) => p.step(input)?.map(|raw| match raw {
+                PlanInput::Num(v) => QueryOutcome::Num(v),
+                PlanInput::OptVal(v) => QueryOutcome::OptVal(v),
+                PlanInput::Est(v) => QueryOutcome::Est(v),
+                PlanInput::Values(v) => QueryOutcome::Values(v),
+                other => unreachable!("primitive produced {other:?}"),
+            }),
+            EnginePlan::Quantile(p) => p.step(input)?.map(QueryOutcome::Quantile),
+            EnginePlan::Median(p) => p.step(input)?.map(QueryOutcome::Median),
+            EnginePlan::ApxMedian(p) => p.step(input)?.map(QueryOutcome::ApxMedian),
+            EnginePlan::ApxMedian2(p) => p.step(input)?.map(QueryOutcome::ApxMedian2),
         })
     }
 }
@@ -392,137 +373,6 @@ impl QuerySlot {
     }
 }
 
-/// Executes batches of concurrent aggregate queries over a [`SimNetwork`]
-/// as shared multiplexed waves with per-query bit accounting.
-///
-/// A facade over one [`StreamingEngine`] admitting
-/// [`AdmissionPolicy::WhenIdle`]: [`QueryEngine::run`] steps that loop
-/// until idle, and a closed batch is the cohort the loop admits.
-///
-/// # Examples
-///
-/// ```
-/// use saq_core::engine::{QueryEngine, QueryOutcome, QuerySpec};
-/// use saq_core::predicate::{Domain, Predicate};
-/// use saq_core::simnet::SimNetworkBuilder;
-/// use saq_netsim::topology::Topology;
-///
-/// # fn main() -> Result<(), saq_core::QueryError> {
-/// let topo = Topology::grid(4, 4)?;
-/// let items: Vec<u64> = (0..16).collect();
-/// let net = SimNetworkBuilder::new().build_one_per_node(&topo, &items, 32)?;
-/// let mut engine = QueryEngine::new(net);
-/// let count = engine.submit(QuerySpec::Count(Predicate::TRUE));
-/// let max = engine.submit(QuerySpec::Max(Domain::Raw));
-/// let median = engine.submit(QuerySpec::Median);
-/// let reports = engine.run()?;
-/// assert_eq!(reports[count].outcome, Ok(QueryOutcome::Num(16)));
-/// assert_eq!(reports[max].outcome, Ok(QueryOutcome::OptVal(Some(15))));
-/// assert!(reports[median].bits.total() > 0);
-/// # Ok(())
-/// # }
-/// ```
-pub struct QueryEngine {
-    inner: StreamingEngine,
-    /// Engine-lifetime id of the current batch's first query: reports
-    /// are indexed relative to it.
-    batch_base: QueryId,
-    /// Reports the current batch has retired so far — kept across a
-    /// failed [`QueryEngine::run`], so its retry still returns them.
-    retired: Vec<QueryReport>,
-}
-
-impl QueryEngine {
-    /// An engine with the default (batched) policy.
-    pub fn new(net: SimNetwork) -> Self {
-        Self::with_policy(net, BatchPolicy::default())
-    }
-
-    /// An engine with an explicit scheduling policy.
-    pub fn with_policy(net: SimNetwork, policy: BatchPolicy) -> Self {
-        QueryEngine {
-            inner: StreamingEngine::with_policy(net, policy, AdmissionPolicy::WhenIdle),
-            batch_base: 0,
-            retired: Vec::new(),
-        }
-    }
-
-    /// Starts recording, for every wave issued from now on, the
-    /// [`QueryId`]s whose sub-requests shared that wave's envelope —
-    /// scheduling made observable (tests assert e.g. that zooming
-    /// queries never share a wave with readers). Off by default: the log
-    /// grows by one entry per wave, which a long-lived engine should not
-    /// pay for silently.
-    pub fn record_wave_log(&mut self) {
-        self.inner.record_wave_log();
-    }
-
-    /// The recorded wave compositions (`None` until
-    /// [`QueryEngine::record_wave_log`] is called). Each entry is one
-    /// wave's participating query ids, in slot order.
-    ///
-    /// Log ids (like the ids of telemetry slot events) are
-    /// **engine-lifetime** submission ordinals, while report ids are
-    /// per-run indices: in the first batch the two coincide; in a later
-    /// batch a log id is its report id plus the number of queries
-    /// earlier batches submitted.
-    pub fn wave_log(&self) -> Option<&[Vec<QueryId>]> {
-        self.inner.wave_log()
-    }
-
-    /// The underlying network (e.g. for [`SimNetwork`] statistics).
-    pub fn network(&self) -> &SimNetwork {
-        self.inner.network()
-    }
-
-    /// Mutable access to the underlying network (e.g. `reset_stats`).
-    pub fn network_mut(&mut self) -> &mut SimNetwork {
-        self.inner.network_mut()
-    }
-
-    /// Consumes the engine, returning the network.
-    pub fn into_network(self) -> SimNetwork {
-        self.inner.into_network()
-    }
-
-    /// Shared waves issued so far.
-    pub fn waves_issued(&self) -> u64 {
-        self.inner.waves_issued()
-    }
-
-    /// Enqueues a query; returns its [`QueryId`] (index into the reports
-    /// of the next [`QueryEngine::run`]). Invalid parameters surface as
-    /// the query's outcome, not an engine failure.
-    pub fn submit(&mut self, spec: QuerySpec) -> QueryId {
-        self.inner.submit(spec) - self.batch_base
-    }
-
-    /// Runs every submitted query to completion and returns one report
-    /// per query, in submission order. Shareable queries execute first in
-    /// batched (or sequential, per policy) waves; item-mutating queries
-    /// follow, each exclusive, with items restored afterwards.
-    ///
-    /// # Errors
-    ///
-    /// Only network/protocol failures abort the run; algorithm-level
-    /// errors are reported per query. A failure kills every query still
-    /// in flight; the next `run` issues no wave for them and returns the
-    /// whole batch, the killed queries carrying the failure.
-    pub fn run(&mut self) -> Result<Vec<QueryReport>, QueryError> {
-        while self.inner.in_service() {
-            let round = self.inner.step()?;
-            self.retired.extend(round.into_iter().map(|r| r.report));
-        }
-        let mut reports = std::mem::take(&mut self.retired);
-        reports.sort_unstable_by_key(|r| r.id);
-        for r in &mut reports {
-            r.id -= self.batch_base;
-        }
-        self.batch_base += reports.len();
-        Ok(reports)
-    }
-}
-
 /// Compiles a [`QuerySpec`] into its executable wave plan against the
 /// deployment parameters of `net` (value domain, sketch configuration,
 /// tree shape) — for ad-hoc queries and standing refreshes alike.
@@ -580,6 +430,7 @@ mod tests {
     use super::*;
     use crate::model::reference_median;
     use crate::simnet::SimNetworkBuilder;
+    use crate::streaming::{AdmissionPolicy, StreamingEngine};
     use saq_netsim::topology::Topology;
 
     fn grid_net(side: usize, seed_off: u64) -> SimNetwork {
@@ -594,58 +445,68 @@ mod tests {
 
     #[test]
     fn three_concurrent_queries_one_shared_first_wave() {
-        let mut engine = QueryEngine::new(grid_net(4, 0));
+        let mut engine = StreamingEngine::new(grid_net(4, 0));
         engine.submit(QuerySpec::Count(Predicate::TRUE));
         engine.submit(QuerySpec::Max(Domain::Raw));
         engine.submit(QuerySpec::ApxCount {
             pred: Predicate::TRUE,
             reps: 4,
         });
-        let reports = engine.run().unwrap();
+        let reports = engine.run_until_idle().unwrap();
         // All three are single-wave queries: exactly one shared wave.
         assert_eq!(engine.waves_issued(), 1);
-        assert_eq!(reports[0].outcome, Ok(QueryOutcome::Num(16)));
-        assert_eq!(reports[1].outcome, Ok(QueryOutcome::OptVal(Some(15))));
-        assert!(matches!(reports[2].outcome, Ok(QueryOutcome::Est(_))));
+        assert_eq!(reports[0].report.outcome, Ok(QueryOutcome::Num(16)));
+        assert_eq!(
+            reports[1].report.outcome,
+            Ok(QueryOutcome::OptVal(Some(15)))
+        );
+        assert!(matches!(
+            reports[2].report.outcome,
+            Ok(QueryOutcome::Est(_))
+        ));
         for r in &reports {
-            assert!(r.bits.total() > 0, "query {} was not billed", r.id);
-            assert_eq!(r.waves, 1);
+            assert!(
+                r.report.bits.total() > 0,
+                "query {} was not billed",
+                r.report.id
+            );
+            assert_eq!(r.report.waves, 1);
         }
     }
 
     #[test]
     fn median_batches_with_primitives() {
-        let mut engine = QueryEngine::new(grid_net(4, 1));
+        let mut engine = StreamingEngine::new(grid_net(4, 1));
         let median = engine.submit(QuerySpec::Median);
         let count = engine.submit(QuerySpec::Count(Predicate::TRUE));
-        let reports = engine.run().unwrap();
+        let reports = engine.run_until_idle().unwrap();
         let truth = {
             let items: Vec<Value> = (0..16u64).map(|i| (i * 13) % 16).collect();
             reference_median(&items).unwrap()
         };
-        match &reports[median].outcome {
+        match &reports[median].report.outcome {
             Ok(QueryOutcome::Median(out)) => assert_eq!(out.value, truth),
             other => panic!("median failed: {other:?}"),
         }
-        assert_eq!(reports[count].outcome, Ok(QueryOutcome::Num(16)));
+        assert_eq!(reports[count].report.outcome, Ok(QueryOutcome::Num(16)));
         // The count rode the median's first wave: no extra waves beyond
         // the median's own sequence.
-        let median_waves = reports[median].waves;
+        let median_waves = reports[median].report.waves;
         assert_eq!(engine.waves_issued() as u32, median_waves);
     }
 
     #[test]
     fn exclusive_apx_median2_runs_and_restores() {
-        let mut engine = QueryEngine::new(grid_net(6, 2));
+        let mut engine = StreamingEngine::new(grid_net(6, 2));
         let cnt = engine.submit(QuerySpec::Count(Predicate::TRUE));
         let am2 = engine.submit(QuerySpec::ApxMedian2 {
             beta: 0.25,
             epsilon: 0.4,
         });
-        let reports = engine.run().unwrap();
-        assert_eq!(reports[cnt].outcome, Ok(QueryOutcome::Num(36)));
+        let reports = engine.run_until_idle().unwrap();
+        assert_eq!(reports[cnt].report.outcome, Ok(QueryOutcome::Num(36)));
         assert!(matches!(
-            reports[am2].outcome,
+            reports[am2].report.outcome,
             Ok(QueryOutcome::ApxMedian2(_))
         ));
         // Items restored after the zooming query.
@@ -655,15 +516,15 @@ mod tests {
 
     #[test]
     fn quantile_and_bottom_k_batch_with_primitives() {
-        let mut engine = QueryEngine::new(grid_net(6, 9));
+        let mut engine = StreamingEngine::new(grid_net(6, 9));
         let count = engine.submit(QuerySpec::Count(Predicate::TRUE));
         let quant = engine.submit(QuerySpec::Quantile { q: 0.5, eps: 0.1 });
         let sample = engine.submit(QuerySpec::BottomK { k: 8 });
-        let reports = engine.run().unwrap();
+        let reports = engine.run_until_idle().unwrap();
         // All three are single-wave queries: one shared wave.
         assert_eq!(engine.waves_issued(), 1);
-        assert_eq!(reports[count].outcome, Ok(QueryOutcome::Num(36)));
-        match &reports[quant].outcome {
+        assert_eq!(reports[count].report.outcome, Ok(QueryOutcome::Num(36)));
+        match &reports[quant].report.outcome {
             Ok(QueryOutcome::Quantile(out)) => {
                 assert_eq!(out.count, 36);
                 let v = out.value.expect("nonempty network");
@@ -684,49 +545,52 @@ mod tests {
             }
             other => panic!("quantile failed: {other:?}"),
         }
-        match &reports[sample].outcome {
+        match &reports[sample].report.outcome {
             Ok(QueryOutcome::Values(vs)) => assert_eq!(vs.len(), 8),
             other => panic!("bottom-k failed: {other:?}"),
         }
         // Honest per-slot attribution: every query billed, the summary
         // and sample pay more than the cheap count.
         for r in &reports {
-            assert!(r.bits.total() > 0, "query {} unbilled", r.id);
+            assert!(r.report.bits.total() > 0, "query {} unbilled", r.report.id);
         }
-        assert!(reports[quant].bits.partial_bits > reports[count].bits.partial_bits);
-        assert!(reports[sample].bits.partial_bits > reports[count].bits.partial_bits);
+        assert!(reports[quant].report.bits.partial_bits > reports[count].report.bits.partial_bits);
+        assert!(reports[sample].report.bits.partial_bits > reports[count].report.bits.partial_bits);
     }
 
     #[test]
     fn quantile_invalid_parameters_reported() {
-        let mut engine = QueryEngine::new(grid_net(3, 10));
+        let mut engine = StreamingEngine::new(grid_net(3, 10));
         let bad_q = engine.submit(QuerySpec::Quantile { q: 0.0, eps: 0.1 });
         let bad_eps = engine.submit(QuerySpec::Quantile { q: 0.5, eps: 1.5 });
         let bad_k = engine.submit(QuerySpec::BottomK { k: 0 });
-        let reports = engine.run().unwrap();
+        let reports = engine.run_until_idle().unwrap();
         for id in [bad_q, bad_eps, bad_k] {
             assert!(
-                matches!(reports[id].outcome, Err(QueryError::InvalidParameter(_))),
+                matches!(
+                    reports[id].report.outcome,
+                    Err(QueryError::InvalidParameter(_))
+                ),
                 "query {id} should fail: {:?}",
-                reports[id].outcome
+                reports[id].report.outcome
             );
         }
     }
 
     #[test]
     fn invalid_parameter_reported_per_query() {
-        let mut engine = QueryEngine::new(grid_net(3, 3));
+        let mut engine = StreamingEngine::new(grid_net(3, 3));
         let bad = engine.submit(QuerySpec::ApxCount {
             pred: Predicate::TRUE,
             reps: 0,
         });
         let good = engine.submit(QuerySpec::Count(Predicate::TRUE));
-        let reports = engine.run().unwrap();
+        let reports = engine.run_until_idle().unwrap();
         assert!(matches!(
-            reports[bad].outcome,
+            reports[bad].report.outcome,
             Err(QueryError::InvalidParameter(_))
         ));
-        assert_eq!(reports[good].outcome, Ok(QueryOutcome::Num(9)));
+        assert_eq!(reports[good].report.outcome, Ok(QueryOutcome::Num(9)));
     }
 
     #[test]
@@ -737,21 +601,29 @@ mod tests {
             QuerySpec::Max(Domain::Raw),
             QuerySpec::Median,
         ];
-        let mut batched = QueryEngine::with_policy(grid_net(4, 4), BatchPolicy::Batched);
-        let mut sequential = QueryEngine::with_policy(grid_net(4, 4), BatchPolicy::Sequential);
+        let mut batched = StreamingEngine::with_policy(
+            grid_net(4, 4),
+            BatchPolicy::Batched,
+            AdmissionPolicy::EveryRound,
+        );
+        let mut sequential = StreamingEngine::with_policy(
+            grid_net(4, 4),
+            BatchPolicy::Sequential,
+            AdmissionPolicy::EveryRound,
+        );
         for s in &specs {
             batched.submit(s.clone());
             sequential.submit(s.clone());
         }
-        let br = batched.run().unwrap();
-        let sr = sequential.run().unwrap();
+        let br = batched.run_until_idle().unwrap();
+        let sr = sequential.run_until_idle().unwrap();
         // Identical answers...
         for (b, s) in br.iter().zip(sr.iter()) {
             assert_eq!(
-                b.outcome.as_ref().unwrap(),
-                s.outcome.as_ref().unwrap(),
+                b.report.outcome.as_ref().unwrap(),
+                s.report.outcome.as_ref().unwrap(),
                 "policy changed the answer of {:?}",
-                b.spec
+                b.report.spec
             );
         }
         // ...at strictly lower network cost.
@@ -779,12 +651,12 @@ mod tests {
                 .partial_cache(16)
                 .build_one_per_node(&topo, &items, 128)
                 .unwrap();
-            let mut engine = QueryEngine::new(net);
+            let mut engine = StreamingEngine::new(net);
             engine.submit(QuerySpec::Median);
             engine.submit(QuerySpec::Quantile { q: 0.5, eps: 0.2 });
             engine.submit(QuerySpec::BottomK { k: 6 });
             engine.submit(QuerySpec::Count(Predicate::TRUE));
-            let reports = engine.run().unwrap();
+            let reports = engine.run_until_idle().unwrap();
             let cache = engine.network().cache_stats();
             (reports, cache)
         };
@@ -793,12 +665,19 @@ mod tests {
             let (reports, cache) = run(k);
             for (a, b) in base.iter().zip(&reports) {
                 assert_eq!(
-                    a.outcome, b.outcome,
+                    a.report.outcome, b.report.outcome,
                     "answer differs at k={k}: {:?}",
-                    a.spec
+                    a.report.spec
                 );
-                assert_eq!(a.bits, b.bits, "bit ledger differs at k={k}: {:?}", a.spec);
-                assert_eq!(a.waves, b.waves, "wave count differs at k={k}");
+                assert_eq!(
+                    a.report.bits, b.report.bits,
+                    "bit ledger differs at k={k}: {:?}",
+                    a.report.spec
+                );
+                assert_eq!(
+                    a.report.waves, b.report.waves,
+                    "wave count differs at k={k}"
+                );
             }
             assert_eq!(base_cache, cache, "cache counters differ at k={k}");
         }
@@ -806,11 +685,11 @@ mod tests {
 
     #[test]
     fn per_query_bits_account_for_everything() {
-        let mut engine = QueryEngine::new(grid_net(4, 5));
+        let mut engine = StreamingEngine::new(grid_net(4, 5));
         engine.submit(QuerySpec::Count(Predicate::TRUE));
         engine.submit(QuerySpec::Sum(Predicate::TRUE));
-        let reports = engine.run().unwrap();
-        let billed: u64 = reports.iter().map(|r| r.bits.total()).sum();
+        let reports = engine.run_until_idle().unwrap();
+        let billed: u64 = reports.iter().map(|r| r.report.bits.total()).sum();
         let tx_total: u64 = {
             let stats = engine.network().net_stats().unwrap();
             (0..stats.len()).map(|v| stats.node(v).tx_bits).sum()
@@ -827,10 +706,11 @@ mod tests {
 
     #[test]
     fn failed_run_hands_back_the_whole_batch_on_retry() {
-        // The closed-batch failure contract: a wave failure aborts run()
-        // and kills the queries in flight; the next run() flies no wave
-        // and returns every report of the batch in submission order —
-        // including one that finished before the failure.
+        // The closed-batch failure contract: a wave failure aborts
+        // run_until_idle() and kills the queries in flight; the next
+        // call flies no wave and returns every report of the batch in
+        // submission order — including one that finished before the
+        // failure.
         use saq_netsim::link::LinkConfig;
         use saq_netsim::sim::SimConfig;
         let lossy_net = |seed: u64| {
@@ -849,27 +729,33 @@ mod tests {
         // loss stream (the count answers) but whose median later loses
         // a frame (under Reliability::None a single drop aborts a wave).
         for seed in 0..200u64 {
-            let mut engine = QueryEngine::new(lossy_net(seed));
+            let mut engine = StreamingEngine::new(lossy_net(seed));
             let count = engine.submit(QuerySpec::Count(Predicate::TRUE));
             let median = engine.submit(QuerySpec::Median);
-            let Err(e) = engine.run() else {
+            let Err(e) = engine.run_until_idle() else {
                 continue;
             };
             let waves = engine.waves_issued();
-            let reports = engine.run().unwrap();
+            let reports = engine.run_until_idle().unwrap();
             assert_eq!(engine.waves_issued(), waves, "a killed query flew a wave");
             assert_eq!(reports.len(), 2);
             for (i, r) in reports.iter().enumerate() {
-                assert_eq!(r.id, i, "reports out of submission order");
+                assert_eq!(r.report.id, i, "reports out of submission order");
             }
-            assert_eq!(reports[count].spec, QuerySpec::Count(Predicate::TRUE));
-            assert_eq!(reports[median].spec, QuerySpec::Median);
-            assert_eq!(reports[median].outcome, Err(e));
-            if reports[count].outcome.is_err() {
+            assert_eq!(
+                reports[count].report.spec,
+                QuerySpec::Count(Predicate::TRUE)
+            );
+            assert_eq!(reports[median].report.spec, QuerySpec::Median);
+            assert_eq!(reports[median].report.outcome, Err(e));
+            if reports[count].report.outcome.is_err() {
                 continue; // wave 0 already lost; try another seed
             }
-            assert_eq!(reports[count].outcome, Ok(QueryOutcome::Num(16)));
-            assert!(engine.run().unwrap().is_empty(), "the batch was drained");
+            assert_eq!(reports[count].report.outcome, Ok(QueryOutcome::Num(16)));
+            assert!(
+                engine.run_until_idle().unwrap().is_empty(),
+                "the batch was drained"
+            );
             return;
         }
         panic!("no seed produced the survive-then-fail loss pattern");

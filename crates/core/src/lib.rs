@@ -62,7 +62,7 @@ pub use apx_median::{ApxMedian, ApxMedianOutcome};
 pub use apx_median2::{ApxMedian2, ApxMedian2Outcome};
 pub use count_distinct::CountDistinct;
 pub use counting::ApxCountConfig;
-pub use engine::{BatchPolicy, QueryEngine, QueryOutcome, QueryReport, QuerySpec};
+pub use engine::{BatchPolicy, QueryOutcome, QueryReport, QuerySpec};
 pub use error::QueryError;
 pub use local::LocalNetwork;
 pub use median::{Median, MedianOutcome};

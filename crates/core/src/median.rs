@@ -14,7 +14,7 @@
 //!
 //! The algorithm itself is compiled into a [`MedianPlan`] wave plan
 //! (`crate::plan`); this module's [`Median`] runner drives that plan
-//! sequentially. The `QueryEngine` drives the *same* plan batched with
+//! sequentially. The `StreamingEngine` drives the *same* plan batched with
 //! other concurrent queries.
 
 use crate::error::QueryError;

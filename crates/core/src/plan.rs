@@ -11,7 +11,7 @@
 //! * run **sequentially** against any [`AggregationNetwork`] with
 //!   [`run_plan`] — exactly the old imperative control flow (and the form
 //!   `Median::run` et al. now delegate to);
-//! * run **concurrently** by the [`crate::engine::QueryEngine`], which
+//! * run **concurrently** by the [`crate::streaming::StreamingEngine`], which
 //!   each round collects the pending op of every active plan and batches
 //!   them into *one shared wave* via the multiplexed envelope — the
 //!   per-node bit saving measured by experiment E12.
@@ -171,6 +171,16 @@ pub enum PlanStep<T> {
     Issue(PlanOp),
     /// The query is answered.
     Done(T),
+}
+
+impl<T> PlanStep<T> {
+    /// Maps the answer of a finished plan; an op to issue passes through.
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U) -> PlanStep<U> {
+        match self {
+            PlanStep::Issue(op) => PlanStep::Issue(op),
+            PlanStep::Done(out) => PlanStep::Done(f(out)),
+        }
+    }
 }
 
 /// A root algorithm inverted into a resumable state machine.

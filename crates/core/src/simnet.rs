@@ -458,7 +458,7 @@ impl SimNetwork {
     }
 
     /// Direct-call nonces carry the top bit, keeping them disjoint from
-    /// the [`crate::engine::QueryEngine`]'s `(query id << 16) | counter`
+    /// the [`crate::streaming::StreamingEngine`]'s `(ordinal << 16) | counter`
     /// space — interleaving both APIs on one network must never reuse
     /// sketch randomness.
     fn fresh_nonce(&mut self) -> u32 {
@@ -467,7 +467,7 @@ impl SimNetwork {
     }
 
     /// Runs one **shared wave** answering every request in `reqs` — the
-    /// multiplexed round the [`crate::engine::QueryEngine`] batches
+    /// multiplexed round the [`crate::streaming::StreamingEngine`] batches
     /// concurrent queries into. Returns the per-slot partials plus the
     /// honest per-slot bit attribution, the shared envelope bits and the
     /// number of messages actually transmitted (transmit-side; see
@@ -1137,7 +1137,6 @@ mod tests {
         // `+ Send` would silently make every layer above it `!Send`.
         fn assert_send<T: Send>() {}
         assert_send::<SimNetwork>();
-        assert_send::<crate::QueryEngine>();
         assert_send::<crate::StreamingEngine>();
         assert_send::<crate::FleetService>();
     }

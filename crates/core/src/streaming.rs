@@ -3,10 +3,10 @@
 //!
 //! A sensor-database front-end is a service: queries arrive
 //! continuously while earlier ones are still mid-convergecast.
-//! [`StreamingEngine`] is that service loop, and the other two public
-//! lifecycles sit on it: the closed batch
-//! ([`crate::engine::QueryEngine`]) is a facade over it, and the fleet
-//! ([`crate::service::FleetService`]) owns one and adds standing
+//! [`StreamingEngine`] is that service loop, and a closed batch is the
+//! loop drained: submit the batch, then
+//! [`StreamingEngine::run_until_idle`]. The other public lifecycle, the
+//! fleet ([`crate::service::FleetService`]), owns one and adds standing
 //! queries. [`StreamingEngine::submit`] may be called at any time,
 //! pending queries are **admitted between rounds** (joining the next
 //! shared wave mid-flight, alongside plans that are already several
@@ -52,15 +52,15 @@
 //!
 //! ## Equivalence with closed batches
 //!
-//! A closed batch *is* this loop: [`crate::engine::QueryEngine`] holds a
-//! [`StreamingEngine`] admitting [`AdmissionPolicy::WhenIdle`] and
-//! [`crate::engine::QueryEngine::run`] steps it until idle, so the whole
-//! batch is one admission cohort — readers first, then each exclusive
-//! query alone. Any streaming run whose arrival groups are admitted only
-//! once the previous group fully retired therefore equals the sequence
-//! of closed batches over the same groups in every observable: answers,
-//! per-query [`crate::engine::QueryBits`], cache counters and per-node
-//! bit statistics (`tests/streaming_equivalence.rs` pins that a group
+//! A closed batch *is* this loop: a batch submitted to an idle engine
+//! is admitted in one round under [`AdmissionPolicy::EveryRound`] and
+//! [`AdmissionPolicy::WhenIdle`] alike, so it is one admission cohort —
+//! readers first, then each exclusive query alone. Any streaming run
+//! whose arrival groups are admitted only once the previous group fully
+//! retired therefore equals the sequence of closed batches over the
+//! same groups in every observable: answers, per-query
+//! [`crate::engine::QueryBits`], cache counters and per-node bit
+//! statistics (`tests/streaming_equivalence.rs` pins that a group
 //! submitted mid-flight under `WhenIdle` runs exactly as if submitted
 //! after the drain). Wider admission windows only coarsen the grouping,
 //! merging waves and monotonically shrinking the total bill.
@@ -84,8 +84,8 @@ use crate::wave_proto::CoreRequest;
 use saq_protocols::wave::mux_framing_bits;
 use std::collections::VecDeque;
 
-/// Base of the [`QueryId`] range standing-refresh slots occupy in wave
-/// logs — far above any realistic submission count, so refresh waves are
+/// Base of the [`QueryId`] range standing-refresh slots occupy in slot
+/// events — far above any realistic submission count, so refreshes are
 /// distinguishable from ad-hoc queries without consuming submission ids.
 /// A refresh of fleet slot `s` carries id `STANDING_QUERY_ID_BASE + s`.
 pub const STANDING_QUERY_ID_BASE: QueryId = usize::MAX / 2;
@@ -110,8 +110,7 @@ pub enum AdmissionPolicy {
     /// larger shared waves.
     Window(u32),
     /// Admit only when no query is active — every arrival group runs as
-    /// a closed batch; [`crate::engine::QueryEngine`] is this policy
-    /// plus a drain.
+    /// a closed batch, even one submitted while another is in flight.
     WhenIdle,
 }
 
@@ -126,13 +125,12 @@ impl AdmissionPolicy {
 }
 
 /// The incremental report a retired streaming query returns, wrapping
-/// the batch engine's [`QueryReport`] with the service-loop timeline.
+/// the engine's [`QueryReport`] with the service-loop timeline.
 #[derive(Debug, Clone)]
 pub struct StreamingReport {
-    /// The answer, spec, per-query bit bill and wave count — identical
-    /// in meaning (and, under aligned admissions, in value) to a
-    /// closed-batch report. `report.id` is the engine-lifetime
-    /// [`QueryId`] returned by [`StreamingEngine::submit`].
+    /// The answer, spec, per-query bit bill and wave count.
+    /// `report.id` is the engine-lifetime [`QueryId`] returned by
+    /// [`StreamingEngine::submit`].
     pub report: QueryReport,
     /// Round counter value when the query was submitted.
     pub submitted_round: u64,
@@ -240,12 +238,14 @@ pub struct StreamingEngine {
     /// Per-node request-envelope bit budget gating admission (`None` =
     /// unbounded, bit-identical to the pre-budget engine).
     bit_budget: Option<u64>,
+    /// Reports [`StreamingEngine::run_until_idle`] retired before a
+    /// failing round; its next call returns them.
+    drained: Vec<StreamingReport>,
     /// Engine-lifetime submission counter: the next [`QueryId`] *and*
     /// sketch-nonce ordinal.
     submitted: usize,
     rounds: u64,
     waves: u64,
-    wave_log: Option<Vec<Vec<QueryId>>>,
     /// Largest per-node request envelope (bits) any single wave of the
     /// most recent round carried — the round's peak per-node request
     /// load, the quantity phase-staggered refresh scheduling smooths.
@@ -271,10 +271,10 @@ impl StreamingEngine {
             active: Vec::new(),
             refreshes: Vec::new(),
             bit_budget: None,
+            drained: Vec::new(),
             submitted: 0,
             rounds: 0,
             waves: 0,
-            wave_log: None,
             round_envelope_bits: 0,
             round_envelope_slots: 0,
         }
@@ -333,19 +333,6 @@ impl StreamingEngine {
     /// "work to do" predicate.
     pub fn in_service(&self) -> bool {
         !self.pending.is_empty() || !self.active.is_empty()
-    }
-
-    /// Starts recording each wave's participating [`QueryId`]s (see
-    /// [`crate::engine::QueryEngine::record_wave_log`]). Off by default:
-    /// a long-running service should not grow a log silently.
-    pub fn record_wave_log(&mut self) {
-        self.wave_log.get_or_insert_with(Vec::new);
-    }
-
-    /// The recorded wave compositions (`None` until
-    /// [`StreamingEngine::record_wave_log`]).
-    pub fn wave_log(&self) -> Option<&[Vec<QueryId>]> {
-        self.wave_log.as_deref()
     }
 
     /// Submits a query to the service; it will be admitted at the next
@@ -691,20 +678,43 @@ impl StreamingEngine {
     }
 
     /// Steps the service until no query is pending or active, returning
-    /// every report retired along the way (submission order within each
-    /// round). Useful for drains in tests and at shutdown; a live
-    /// service calls [`StreamingEngine::step`] per round instead.
+    /// every report retired along the way, sorted by `report.id`. A
+    /// closed batch is `submit` × k on an idle engine, then this call; a
+    /// live service calls [`StreamingEngine::step`] per round instead.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// # use saq_core::engine::{QueryOutcome, QuerySpec};
+    /// # use saq_core::predicate::{Domain, Predicate};
+    /// # use saq_core::streaming::StreamingEngine;
+    /// # let topo = saq_netsim::topology::Topology::grid(4, 4).unwrap();
+    /// # let items: Vec<u64> = (0..16).collect();
+    /// # let net = saq_core::simnet::SimNetworkBuilder::new();
+    /// # let net = net.build_one_per_node(&topo, &items, 32).unwrap();
+    /// let mut engine = StreamingEngine::new(net);
+    /// let count = engine.submit(QuerySpec::Count(Predicate::TRUE));
+    /// let max = engine.submit(QuerySpec::Max(Domain::Raw));
+    /// let median = engine.submit(QuerySpec::Median);
+    /// let reports = engine.run_until_idle().unwrap();
+    /// assert_eq!(reports[count].report.outcome, Ok(QueryOutcome::Num(16)));
+    /// assert_eq!(reports[max].report.outcome, Ok(QueryOutcome::OptVal(Some(15))));
+    /// assert!(reports[median].report.bits.total() > 0);
+    /// ```
     ///
     /// # Errors
     ///
-    /// As [`StreamingEngine::step`]; queries already retired before the
-    /// failing round are lost to the caller, so prefer per-round
-    /// stepping when partial progress matters.
+    /// As [`StreamingEngine::step`]. A failure loses nothing: the reports
+    /// retired before the failing round stay on the engine, and the next
+    /// call — which flies no wave for the killed queries — returns them
+    /// together with the killed queries, which carry the failure.
     pub fn run_until_idle(&mut self) -> Result<Vec<StreamingReport>, QueryError> {
-        let mut all = Vec::new();
         while self.in_service() {
-            all.extend(self.step()?);
+            let retired = self.step()?;
+            self.drained.extend(retired);
         }
+        let mut all = std::mem::take(&mut self.drained);
+        all.sort_unstable_by_key(|r| r.report.id);
         Ok(all)
     }
 
@@ -725,14 +735,6 @@ impl StreamingEngine {
         if envelope > self.round_envelope_bits {
             self.round_envelope_bits = envelope;
             self.round_envelope_slots = round_ops.len() as u64;
-        }
-        if let Some(log) = &mut self.wave_log {
-            log.push(
-                round_ops
-                    .iter()
-                    .map(|(i, _)| self.active[*i].slot.id)
-                    .collect(),
-            );
         }
         if self.net.telemetry_enabled() {
             for (pos, (i, _)) in round_ops.iter().enumerate() {
@@ -828,10 +830,11 @@ impl ServiceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{QueryEngine, QueryOutcome};
+    use crate::engine::QueryOutcome;
     use crate::predicate::{Domain, Predicate};
     use crate::simnet::SimNetworkBuilder;
     use saq_netsim::topology::Topology;
+    use saq_obs::{Event, EventLog, VecRecorder};
 
     fn grid_net(side: usize, seed_off: u64) -> SimNetwork {
         let topo = Topology::grid(side, side).unwrap();
@@ -843,10 +846,32 @@ mod tests {
             .unwrap()
     }
 
+    /// Attaches a recorder whose log [`waves_of`] reads.
+    fn record_events(engine: &mut StreamingEngine) -> EventLog {
+        let (recorder, log) = VecRecorder::shared();
+        engine.network_mut().attach_recorder(Box::new(recorder));
+        log
+    }
+
+    /// Each wave's participating query ids, in slot order, read off the
+    /// telemetry spine: a wave's `SlotAdmitted` events precede its
+    /// `WaveStarted`.
+    fn waves_of(log: &EventLog) -> Vec<Vec<QueryId>> {
+        let (mut waves, mut slots) = (Vec::new(), Vec::new());
+        for ev in log.events() {
+            match ev {
+                Event::SlotAdmitted { query, .. } => slots.push(query as QueryId),
+                Event::WaveStarted { .. } => waves.push(std::mem::take(&mut slots)),
+                _ => {}
+            }
+        }
+        waves
+    }
+
     #[test]
     fn late_arrival_joins_wave_mid_flight() {
         let mut engine = StreamingEngine::new(grid_net(4, 0));
-        engine.record_wave_log();
+        let events = record_events(&mut engine);
         let median = engine.submit(QuerySpec::Median);
         // Two rounds of the median alone...
         engine.step().unwrap();
@@ -857,7 +882,7 @@ mod tests {
         while engine.in_service() {
             retired.extend(engine.step().unwrap());
         }
-        let log = engine.wave_log().unwrap();
+        let log = waves_of(&events);
         assert!(log[0] == vec![median] && log[1] == vec![median]);
         assert_eq!(
             log[2],
@@ -929,23 +954,24 @@ mod tests {
         }
         sreports.extend(streaming.run_until_idle().unwrap());
 
-        let mut batch = QueryEngine::new(grid_net(5, 2));
+        let mut batch = StreamingEngine::new(grid_net(5, 2));
         let mut breports = Vec::new();
         for s in &specs1 {
             batch.submit(s.clone());
         }
-        breports.extend(batch.run().unwrap());
+        breports.extend(batch.run_until_idle().unwrap());
         for s in &specs2 {
             batch.submit(s.clone());
         }
-        breports.extend(batch.run().unwrap());
+        breports.extend(batch.run_until_idle().unwrap());
 
         assert_eq!(sreports.len(), breports.len());
         sreports.sort_by_key(|r| r.report.id);
         for (s, b) in sreports.iter().zip(&breports) {
-            assert_eq!(s.report.outcome, b.outcome, "answer for {:?}", b.spec);
-            assert_eq!(s.report.bits, b.bits, "bit bill for {:?}", b.spec);
-            assert_eq!(s.report.waves, b.waves, "wave count for {:?}", b.spec);
+            let (s, b) = (&s.report, &b.report);
+            assert_eq!(s.outcome, b.outcome, "answer for {:?}", b.spec);
+            assert_eq!(s.bits, b.bits, "bit bill for {:?}", b.spec);
+            assert_eq!(s.waves, b.waves, "wave count for {:?}", b.spec);
         }
         assert_eq!(streaming.waves_issued(), batch.waves_issued());
         // And the network-level bit statistics agree node for node.
@@ -961,7 +987,7 @@ mod tests {
     #[test]
     fn exclusive_query_runs_alone_and_restores_items() {
         let mut engine = StreamingEngine::new(grid_net(5, 3));
-        engine.record_wave_log();
+        let events = record_events(&mut engine);
         let count = engine.submit(QuerySpec::Count(Predicate::TRUE));
         let am2 = engine.submit(QuerySpec::ApxMedian2 {
             beta: 0.25,
@@ -976,7 +1002,7 @@ mod tests {
             }
         }
         // Readers shared their wave; every zooming wave ran alone.
-        for wave in engine.wave_log().unwrap() {
+        for wave in waves_of(&events) {
             if wave.contains(&am2) {
                 assert_eq!(wave.as_slice(), &[am2], "zooming query shared a wave");
             }

@@ -13,9 +13,10 @@
 //! hits saved. The identical report is available offline from a
 //! recorded JSONL file via the `saq-trace` binary.
 
-use saq::core::engine::{QueryEngine, QuerySpec};
+use saq::core::engine::QuerySpec;
 use saq::core::predicate::Predicate;
 use saq::core::simnet::SimNetworkBuilder;
+use saq::core::streaming::StreamingEngine;
 use saq::netsim::link::LinkConfig;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::time::SimDuration;
@@ -50,15 +51,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             QuerySpec::BottomK { k: 8 },
         ]
     };
-    let mut engine = QueryEngine::new(net);
+    let mut engine = StreamingEngine::new(net);
     for spec in mix() {
         engine.submit(spec);
     }
-    engine.run()?; // cold batch: every subtree contributes
+    engine.run_until_idle()?; // cold batch: every subtree contributes
     for spec in mix() {
         engine.submit(spec);
     }
-    engine.run()?; // warm repeat: subtree caches silence the tree
+    engine.run_until_idle()?; // warm repeat: subtree caches silence the tree
 
     let events = log.events();
     let summary = trace::summarize(&events);

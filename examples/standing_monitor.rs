@@ -5,10 +5,11 @@
 //!
 //! Run with: `cargo run --release --example standing_monitor`
 
-use saq::core::engine::{QueryEngine, QueryOutcome, QuerySpec};
+use saq::core::engine::{QueryOutcome, QuerySpec};
 use saq::core::predicate::Predicate;
 use saq::core::service::{FleetService, RefreshStagger};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
+use saq::core::streaming::{ServiceStats, StreamingEngine};
 use saq::netsim::topology::Topology;
 
 const N: usize = 100;
@@ -37,10 +38,10 @@ fn main() -> Result<(), saq::core::QueryError> {
     // What would each refresh cost without the continuous subsystem?
     // One fresh convergecast of the same two queries, measured cold.
     let fresh_cost: u64 = {
-        let mut oracle = QueryEngine::new(deployment(0)?);
+        let mut oracle = StreamingEngine::new(deployment(0)?);
         oracle.submit(median.clone());
         oracle.submit(warm_band.clone());
-        oracle.run()?.iter().map(|r| r.bits.total()).sum()
+        ServiceStats::total_bits(&oracle.run_until_idle()?)
     };
 
     let mut engine = FleetService::with_stagger(deployment(64)?, RefreshStagger::None);

@@ -52,7 +52,7 @@
 //! in the paper, and `docs/ARCHITECTURE.md` for the paper-to-code map.
 
 /// Runs the README's code blocks as doc-tests, so the front-page
-/// `QueryEngine` snippet is guaranteed to compile and behave as printed.
+/// closed-batch snippet is guaranteed to compile and behave as printed.
 #[cfg(doctest)]
 #[doc = include_str!("../README.md")]
 pub struct ReadmeDoctests;

@@ -4,16 +4,17 @@
 //! policy must return identical answers in both the closed-batch and
 //! streaming engines, and exclusive (item-mutating) queries must never
 //! share a wave with readers under any policy or mode (observed through
-//! the engines' wave logs, not inferred from bit totals).
+//! the telemetry spine's slot events, not inferred from bit totals).
 
 use proptest::prelude::*;
-use saq::core::engine::{BatchPolicy, QueryEngine, QueryId, QueryOutcome, QuerySpec};
+use saq::core::engine::{BatchPolicy, QueryId, QueryOutcome, QuerySpec};
 use saq::core::predicate::{Domain, Predicate};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
 use saq::core::streaming::{AdmissionPolicy, StreamingEngine};
 use saq::core::ApxCountConfig;
 use saq::core::QueryError;
 use saq::netsim::topology::Topology;
+use saq::obs::{Event, EventLog, VecRecorder};
 
 fn deployment(seed: u64) -> SimNetwork {
     let topo = Topology::grid(5, 5).unwrap();
@@ -22,6 +23,34 @@ fn deployment(seed: u64) -> SimNetwork {
         .apx_config(ApxCountConfig::default().with_seed(0xBA7C + seed))
         .build_one_per_node(&topo, &items, 50)
         .unwrap()
+}
+
+/// An engine over [`deployment`] with a recorder attached, plus the
+/// recorder's log.
+fn recorded_engine(
+    seed: u64,
+    policy: BatchPolicy,
+    admission: AdmissionPolicy,
+) -> (StreamingEngine, EventLog) {
+    let mut net = deployment(seed);
+    let (recorder, log) = VecRecorder::shared();
+    net.attach_recorder(Box::new(recorder));
+    (StreamingEngine::with_policy(net, policy, admission), log)
+}
+
+/// Each wave's participating query ids, in slot order, read off the
+/// telemetry spine: a wave's `SlotAdmitted` events precede its
+/// `WaveStarted`.
+fn waves_of(log: &EventLog) -> Vec<Vec<QueryId>> {
+    let (mut waves, mut slots) = (Vec::new(), Vec::new());
+    for ev in log.events() {
+        match ev {
+            Event::SlotAdmitted { query, .. } => slots.push(query as QueryId),
+            Event::WaveStarted { .. } => waves.push(std::mem::take(&mut slots)),
+            _ => {}
+        }
+    }
+    waves
 }
 
 /// Mix generator including the exclusive zooming query (code 9).
@@ -87,8 +116,8 @@ proptest! {
         let mut baseline: Option<Outcomes> = None;
         for policy in [BatchPolicy::Batched, BatchPolicy::Sequential] {
             // Closed-batch mode.
-            let mut batch = QueryEngine::with_policy(deployment(seed), policy);
-            batch.record_wave_log();
+            let (mut batch, batch_log) =
+                recorded_engine(seed, policy, AdmissionPolicy::EveryRound);
             let mut exclusive_ids = Vec::new();
             for s in &specs {
                 let id = batch.submit(s.clone());
@@ -96,21 +125,20 @@ proptest! {
                     exclusive_ids.push(id);
                 }
             }
-            let breports = batch.run().unwrap();
+            let breports = batch.run_until_idle().unwrap();
             prop_assert!(assert_zoom_isolation(
-                batch.wave_log().unwrap(),
+                &waves_of(&batch_log),
                 &exclusive_ids,
                 &format!("batch/{policy:?}"),
             ).is_ok());
-            let bout: Outcomes = breports.into_iter().map(|r| (r.spec, r.outcome)).collect();
+            let bout: Outcomes = breports
+                .into_iter()
+                .map(|r| (r.report.spec, r.report.outcome))
+                .collect();
 
             // Streaming mode, staggered submissions through a window.
-            let mut stream = StreamingEngine::with_policy(
-                deployment(seed),
-                policy,
-                AdmissionPolicy::Window(window),
-            );
-            stream.record_wave_log();
+            let (mut stream, stream_log) =
+                recorded_engine(seed, policy, AdmissionPolicy::Window(window));
             let mut exclusive_ids = Vec::new();
             let mut sreports = Vec::new();
             for s in &specs {
@@ -122,7 +150,7 @@ proptest! {
             }
             sreports.extend(stream.run_until_idle().unwrap());
             prop_assert!(assert_zoom_isolation(
-                stream.wave_log().unwrap(),
+                &waves_of(&stream_log),
                 &exclusive_ids,
                 &format!("streaming/{policy:?}"),
             ).is_ok());
@@ -154,18 +182,17 @@ fn sequential_policy_issues_one_wave_per_op() {
         QuerySpec::BottomK { k: 3 },
     ];
     for (policy, want_waves) in [(BatchPolicy::Batched, 1), (BatchPolicy::Sequential, 3)] {
-        let mut engine = QueryEngine::with_policy(deployment(1), policy);
-        engine.record_wave_log();
+        let (mut engine, events) = recorded_engine(1, policy, AdmissionPolicy::EveryRound);
         for s in &specs {
             engine.submit(s.clone());
         }
-        engine.run().unwrap();
+        engine.run_until_idle().unwrap();
         assert_eq!(
             engine.waves_issued(),
             want_waves,
             "wave count under {policy:?}"
         );
-        let log = engine.wave_log().unwrap();
+        let log = waves_of(&events);
         assert_eq!(log.len() as u64, want_waves);
         match policy {
             BatchPolicy::Batched => assert_eq!(log[0], vec![0, 1, 2]),

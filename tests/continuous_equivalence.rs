@@ -7,11 +7,12 @@
 //! fine-grained invalidation that replaced whole-path clears).
 
 use proptest::prelude::*;
-use saq::core::engine::{QueryEngine, QueryOutcome, QuerySpec};
+use saq::core::engine::{QueryOutcome, QuerySpec};
 use saq::core::net::AggregationNetwork;
 use saq::core::predicate::{Domain, Predicate};
 use saq::core::service::{FleetRefresh, FleetService, RefreshStagger};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
+use saq::core::streaming::StreamingEngine;
 use saq::netsim::link::LinkConfig;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::time::SimDuration;
@@ -86,15 +87,15 @@ fn standing_mix() -> Vec<QuerySpec> {
 /// The oracle: the same specs answered by a fresh convergecast (one
 /// cold, uncached batch) over the *current* items.
 fn fresh_convergecast(items_per_node: Vec<Vec<u64>>) -> Vec<QueryOutcome> {
-    let mut engine = QueryEngine::new(build_net(items_per_node, 0, 1));
+    let mut engine = StreamingEngine::new(build_net(items_per_node, 0, 1));
     for spec in standing_mix() {
         engine.submit(spec);
     }
     engine
-        .run()
+        .run_until_idle()
         .unwrap()
         .into_iter()
-        .map(|r| r.outcome.expect("oracle query succeeds"))
+        .map(|r| r.report.outcome.expect("oracle query succeeds"))
         .collect()
 }
 

@@ -16,10 +16,11 @@ fn sharded_harness_path_reports_identical_bits() {
     // explicitly single-threaded boxed build of the same deployment
     // must report identical per-node bits, answers and cache counters.
     use saq_bench::deploy::{builder_for, harness_shards, SHARD_THRESHOLD_NODES};
-    use saq_core::engine::{QueryEngine, QuerySpec};
+    use saq_core::engine::QuerySpec;
     use saq_core::net::AggregationNetwork;
     use saq_core::predicate::{Domain, Predicate};
     use saq_core::simnet::SimNetworkBuilder;
+    use saq_core::streaming::StreamingEngine;
     use saq_netsim::topology::Topology;
 
     assert_eq!(harness_shards(SHARD_THRESHOLD_NODES - 1), 1);
@@ -33,16 +34,16 @@ fn sharded_harness_path_reports_identical_bits() {
             SimNetworkBuilder::new().max_children(4)
         };
         let net = builder.build_one_per_node(&topo, &items, 1024).unwrap();
-        let mut engine = QueryEngine::new(net);
+        let mut engine = StreamingEngine::new(net);
         engine.submit(QuerySpec::Count(Predicate::TRUE));
         engine.submit(QuerySpec::Min(Domain::Raw));
         engine.submit(QuerySpec::Quantile { q: 0.5, eps: 0.1 });
         engine.submit(QuerySpec::Median);
         let outcomes: Vec<_> = engine
-            .run()
+            .run_until_idle()
             .unwrap()
             .into_iter()
-            .map(|r| (r.outcome.unwrap(), r.bits))
+            .map(|r| (r.report.outcome.unwrap(), r.report.bits))
             .collect();
         let net = engine.into_network();
         let stats = net.net_stats().unwrap();
@@ -375,8 +376,9 @@ fn builder_for_routes_lossy_deployments_through_flat() {
     // path as a lossless one — the restriction that once bounced every
     // lossy experiment to the boxed single-threaded runner is gone.
     use saq_bench::deploy::{builder_for, SHARD_THRESHOLD_NODES};
-    use saq_core::engine::{QueryEngine, QuerySpec};
+    use saq_core::engine::QuerySpec;
     use saq_core::predicate::Predicate;
+    use saq_core::streaming::StreamingEngine;
     use saq_netsim::link::LinkConfig;
     use saq_netsim::sim::SimConfig;
     use saq_netsim::time::SimDuration;
@@ -399,10 +401,10 @@ fn builder_for_routes_lossy_deployments_through_flat() {
         .build_one_per_node(&topo, &items, 1024)
         .unwrap();
     assert_eq!(net.runner_name(), "flat", "lossy routing fell off flat");
-    let mut engine = QueryEngine::new(net);
+    let mut engine = StreamingEngine::new(net);
     engine.submit(QuerySpec::Count(Predicate::TRUE));
-    let reports = engine.run().unwrap();
-    assert!(reports[0].outcome.is_ok(), "lossy flat wave failed");
+    let reports = engine.run_until_idle().unwrap();
+    assert!(reports[0].report.outcome.is_ok(), "lossy flat wave failed");
 }
 
 #[test]
@@ -446,9 +448,10 @@ fn e20_fleet_dedup_amortizes_bits_per_query() {
 #[test]
 fn e21_telemetry_is_free_on_the_wire() {
     use saq_bench::deploy::builder_for;
-    use saq_core::engine::{QueryEngine, QuerySpec};
+    use saq_core::engine::QuerySpec;
     use saq_core::net::AggregationNetwork;
     use saq_core::predicate::{Domain, Predicate};
+    use saq_core::streaming::StreamingEngine;
     use saq_netsim::topology::Topology;
     use saq_obs::VecRecorder;
 
@@ -466,7 +469,7 @@ fn e21_telemetry_is_free_on_the_wire() {
             net.attach_recorder(Box::new(recorder));
             log
         });
-        let mut engine = QueryEngine::new(net);
+        let mut engine = StreamingEngine::new(net);
         let mut reports = Vec::new();
         // Cold, then warm, so cache events fire too.
         for _ in 0..2 {
@@ -476,10 +479,10 @@ fn e21_telemetry_is_free_on_the_wire() {
             engine.submit(QuerySpec::Quantile { q: 0.9, eps: 0.1 });
             reports.extend(
                 engine
-                    .run()
+                    .run_until_idle()
                     .unwrap()
                     .into_iter()
-                    .map(|r| (r.outcome, r.bits)),
+                    .map(|r| (r.report.outcome, r.report.bits)),
             );
         }
         let net = engine.into_network();
@@ -516,8 +519,9 @@ fn e21_telemetry_is_free_on_the_wire() {
 /// fixture with
 /// `cargo test --release regenerate_trace_fixture -- --ignored`.
 fn provenance_fixture_jsonl() -> String {
-    use saq_core::engine::{QueryEngine, QuerySpec};
+    use saq_core::engine::QuerySpec;
     use saq_core::simnet::SimNetworkBuilder;
+    use saq_core::streaming::StreamingEngine;
     use saq_netsim::link::LinkConfig;
     use saq_netsim::sim::SimConfig;
     use saq_netsim::time::SimDuration;
@@ -542,14 +546,14 @@ fn provenance_fixture_jsonl() -> String {
         .unwrap();
     let (recorder, log) = VecRecorder::shared();
     net.attach_recorder(Box::new(recorder));
-    let mut engine = QueryEngine::new(net);
+    let mut engine = StreamingEngine::new(net);
     for _ in 0..2 {
         engine.submit(QuerySpec::Median);
         engine.submit(QuerySpec::Count(saq_core::predicate::Predicate::less_than(
             50,
         )));
         engine.submit(QuerySpec::BottomK { k: 4 });
-        engine.run().unwrap();
+        engine.run_until_idle().unwrap();
     }
     log.to_jsonl()
 }

@@ -3,12 +3,19 @@
 //! in bits spent, and `Zoom` / item mutation must invalidate.
 
 use proptest::prelude::*;
-use saq::core::engine::{QueryEngine, QueryOutcome, QuerySpec};
+use saq::core::engine::{QueryOutcome, QueryReport, QuerySpec};
 use saq::core::net::AggregationNetwork;
 use saq::core::predicate::{Domain, Predicate};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
+use saq::core::streaming::{StreamingEngine, StreamingReport};
 use saq::core::ApxCountConfig;
 use saq::netsim::topology::Topology;
+
+/// The report of query `id` — an engine that ran earlier batches hands
+/// out engine-lifetime ids, so a later batch looks its reports up.
+fn report_of(reports: &[StreamingReport], id: usize) -> &QueryReport {
+    &reports.iter().find(|r| r.report.id == id).unwrap().report
+}
 
 fn deployment(seed: u64, cache: usize) -> SimNetwork {
     let topo = Topology::grid(5, 5).unwrap();
@@ -36,15 +43,15 @@ fn query_mix() -> Vec<QuerySpec> {
 /// Runs the same specs through a fresh engine on `net`, returning the
 /// outcomes and the per-node max bits spent by this run alone.
 fn run_specs(net: SimNetwork, specs: &[QuerySpec]) -> (Vec<QueryOutcome>, u64, SimNetwork) {
-    let mut engine = QueryEngine::new(net);
+    let mut engine = StreamingEngine::new(net);
     engine.network_mut().reset_stats();
     for s in specs {
         engine.submit(s.clone());
     }
-    let reports = engine.run().unwrap();
+    let reports = engine.run_until_idle().unwrap();
     let outcomes = reports
         .into_iter()
-        .map(|r| r.outcome.expect("deterministic query succeeds"))
+        .map(|r| r.report.outcome.expect("deterministic query succeeds"))
         .collect();
     let net = engine.into_network();
     let bits = net.net_stats().unwrap().max_node_bits();
@@ -115,26 +122,27 @@ fn item_restoration_invalidates_cached_partials() {
 fn cache_survives_between_engine_runs_with_mixed_queries() {
     // Second engine run adds a NEW query to a repeated one: the repeat
     // rides the cache while the newcomer pays a (reduced) wave.
-    let mut engine = QueryEngine::new(deployment(11, 64));
+    let mut engine = StreamingEngine::new(deployment(11, 64));
     let count = engine.submit(QuerySpec::Count(Predicate::TRUE));
-    let reports = engine.run().unwrap();
-    assert_eq!(reports[count].outcome, Ok(QueryOutcome::Num(25)));
+    let reports = engine.run_until_idle().unwrap();
+    assert_eq!(
+        report_of(&reports, count).outcome,
+        Ok(QueryOutcome::Num(25))
+    );
 
     engine.network_mut().reset_stats();
     let repeat = engine.submit(QuerySpec::Count(Predicate::TRUE));
     let newcomer = engine.submit(QuerySpec::Sum(Predicate::TRUE));
-    let reports = engine.run().unwrap();
-    assert_eq!(reports[repeat].outcome, Ok(QueryOutcome::Num(25)));
-    assert!(matches!(
-        reports[newcomer].outcome,
-        Ok(QueryOutcome::Num(_))
-    ));
+    let reports = engine.run_until_idle().unwrap();
+    let (repeat, newcomer) = (report_of(&reports, repeat), report_of(&reports, newcomer));
+    assert_eq!(repeat.outcome, Ok(QueryOutcome::Num(25)));
+    assert!(matches!(newcomer.outcome, Ok(QueryOutcome::Num(_))));
     // The repeated count contributed no request/partial bits: only the
     // new sum traveled.
-    assert_eq!(reports[repeat].bits.request_bits, 0);
-    assert_eq!(reports[repeat].bits.partial_bits, 0);
-    assert!(reports[newcomer].bits.request_bits > 0);
-    assert!(reports[newcomer].bits.partial_bits > 0);
+    assert_eq!(repeat.bits.request_bits, 0);
+    assert_eq!(repeat.bits.partial_bits, 0);
+    assert!(newcomer.bits.request_bits > 0);
+    assert!(newcomer.bits.partial_bits > 0);
 }
 
 #[test]
@@ -148,23 +156,24 @@ fn fresh_nonce_sketches_do_not_pollute_the_cache() {
         .partial_cache(1) // tiny cache: one eviction would evict Count
         .build_one_per_node(&topo, &items, 50)
         .unwrap();
-    let mut engine = QueryEngine::new(net);
+    let mut engine = StreamingEngine::new(net);
     engine.submit(QuerySpec::Count(Predicate::TRUE));
-    engine.run().unwrap();
+    engine.run_until_idle().unwrap();
     // Interleave fresh-nonce sketch queries...
     for _ in 0..3 {
         engine.submit(QuerySpec::ApxCount {
             pred: Predicate::TRUE,
             reps: 2,
         });
-        engine.run().unwrap();
+        engine.run_until_idle().unwrap();
     }
     // ...and the repeated count still rides the cache.
     engine.network_mut().reset_stats();
     let repeat = engine.submit(QuerySpec::Count(Predicate::TRUE));
-    let reports = engine.run().unwrap();
-    assert_eq!(reports[repeat].outcome, Ok(QueryOutcome::Num(25)));
-    assert_eq!(reports[repeat].bits.total(), 0, "count evicted from cache");
+    let reports = engine.run_until_idle().unwrap();
+    let repeat = report_of(&reports, repeat);
+    assert_eq!(repeat.outcome, Ok(QueryOutcome::Num(25)));
+    assert_eq!(repeat.bits.total(), 0, "count evicted from cache");
     assert_eq!(engine.network().cache_stats().evictions, 0);
 }
 
@@ -173,7 +182,7 @@ fn cache_survives_across_streaming_admission_windows() {
     // ISSUE-4 regression: the cross-run cache persistence above must
     // extend to the streaming service loop — a warm-cache repeat
     // submitted in a *later admission window* costs 0 payload bits.
-    use saq::core::streaming::{AdmissionPolicy, StreamingEngine};
+    use saq::core::streaming::AdmissionPolicy;
 
     let mut engine = StreamingEngine::with_policy(
         deployment(13, 64),

@@ -17,12 +17,12 @@
 //! runner the same way.
 
 use proptest::prelude::*;
-use saq::core::engine::{BatchPolicy, QueryEngine, QueryReport, QuerySpec};
+use saq::core::engine::{BatchPolicy, QueryReport, QuerySpec};
 use saq::core::net::AggregationNetwork;
 use saq::core::predicate::{Domain, Predicate};
 use saq::core::service::{FleetService, RefreshStagger};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
-use saq::core::streaming::{AdmissionPolicy, StreamingEngine};
+use saq::core::streaming::{AdmissionPolicy, StreamingEngine, StreamingReport};
 use saq::netsim::link::LinkConfig;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::time::SimDuration;
@@ -120,22 +120,22 @@ fn run_at(
     repr: Repr,
     rel: Rel,
 ) -> (
-    Vec<QueryReport>,
-    Vec<QueryReport>,
+    Vec<StreamingReport>,
+    Vec<StreamingReport>,
     CacheStats,
     Vec<u64>,
     TransportFootprint,
 ) {
     let net = repr.build(topo, items, xbar, 16, rel);
-    let mut engine = QueryEngine::new(net);
+    let mut engine = StreamingEngine::new(net);
     for s in query_mix() {
         engine.submit(s);
     }
-    let first = engine.run().expect("first batch");
+    let first = engine.run_until_idle().expect("first batch");
     for s in query_mix() {
         engine.submit(s);
     }
-    let second = engine.run().expect("second batch");
+    let second = engine.run_until_idle().expect("second batch");
     let cache = engine.network().cache_stats();
     let footprint = engine.network().transport_footprint();
     let stats = engine.network().net_stats().expect("stats");
@@ -145,9 +145,10 @@ fn run_at(
     (first, second, cache, per_node, footprint)
 }
 
-fn assert_reports_equal(a: &[QueryReport], b: &[QueryReport], repr: Repr, which: &str) {
+fn assert_reports_equal(a: &[StreamingReport], b: &[StreamingReport], repr: Repr, which: &str) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b) {
+        let (x, y) = (&x.report, &y.report);
         assert_eq!(
             x.outcome, y.outcome,
             "{which}: answer differs at {repr:?} for {:?}",
@@ -426,15 +427,15 @@ fn event_streams_are_bit_identical_across_runners() {
         let mut net = repr.build(&topo, &items, 128, 16, rel);
         let (rec, log) = VecRecorder::shared();
         net.attach_recorder(Box::new(rec));
-        let mut engine = QueryEngine::new(net);
+        let mut engine = StreamingEngine::new(net);
         for s in query_mix() {
             engine.submit(s);
         }
-        engine.run().expect("cold batch");
+        engine.run_until_idle().expect("cold batch");
         for s in query_mix() {
             engine.submit(s);
         }
-        engine.run().expect("warm batch");
+        engine.run_until_idle().expect("warm batch");
         (log.to_jsonl(), engine.network().metrics_snapshot())
     };
     for rel in [
@@ -506,15 +507,15 @@ proptest! {
         let mut net = Repr::Boxed.build(&topo, &items, xbar, 16, rel);
         let (rec, _log) = VecRecorder::shared();
         net.attach_recorder(Box::new(rec));
-        let mut engine = QueryEngine::new(net);
+        let mut engine = StreamingEngine::new(net);
         for s in query_mix() {
             engine.submit(s);
         }
-        let cold = engine.run().expect("cold batch");
+        let cold = engine.run_until_idle().expect("cold batch");
         for s in query_mix() {
             engine.submit(s);
         }
-        let warm = engine.run().expect("warm batch");
+        let warm = engine.run_until_idle().expect("warm batch");
 
         let m = engine.network().metrics_snapshot();
         let stats = engine.network().net_stats().expect("stats");
@@ -523,7 +524,7 @@ proptest! {
         // charge is exactly one FrameSent/Retransmit event.
         prop_assert_eq!(m.frame_bits_total(), tx_bits);
         // Slot lanes vs the per-query ledgers.
-        let reports: Vec<&QueryReport> = cold.iter().chain(warm.iter()).collect();
+        let reports: Vec<&QueryReport> = cold.iter().chain(&warm).map(|r| &r.report).collect();
         let request: u64 = reports.iter().map(|r| r.bits.request_bits).sum();
         let partial: u64 = reports.iter().map(|r| r.bits.partial_bits).sum();
         prop_assert_eq!(m.slot_request_bits, request);

@@ -1,17 +1,17 @@
-//! Property tests for the engine loop. A closed batch is the loop
-//! admitting `WhenIdle` plus a drain, so the first two properties pin
-//! that **mid-flight submission under `WhenIdle` equals submitting after
-//! the drain**: groups submitted while their predecessor is still in
-//! flight run bit-identically to the same groups fed one
-//! [`QueryEngine::run`] at a time (answers, per-query `QueryBits`, wave
-//! counts, cache hit/miss counters, per-node bit statistics), lossless
-//! and lossy. Total bits are **monotone non-increasing** as the
+//! Property tests for the engine loop. A closed batch is a group
+//! submitted to an idle loop plus a drain, so the first two properties
+//! pin that **mid-flight submission under `WhenIdle` equals submitting
+//! after the drain**: groups submitted while their predecessor is still
+//! in flight run bit-identically to the same groups fed to an idle
+//! engine and drained one `run_until_idle` at a time (answers,
+//! per-query `QueryBits`, wave counts, cache hit/miss counters, per-node
+//! bit statistics), lossless and lossy. Total bits are **monotone non-increasing** as the
 //! admission window widens (coarser partitions merge waves and share
 //! more framing), and arbitrary mid-flight admission schedules never
 //! change any answer.
 
 use proptest::prelude::*;
-use saq::core::engine::{BatchPolicy, QueryEngine, QueryReport, QuerySpec};
+use saq::core::engine::{BatchPolicy, QueryReport, QuerySpec};
 use saq::core::net::AggregationNetwork;
 use saq::core::predicate::{Domain, Predicate};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
@@ -142,17 +142,18 @@ fn run_streaming(
     (reports, engine)
 }
 
-/// Runs the same groups as a sequence of closed batches on ONE batch
-/// engine (nonce ordinals continue across runs, mirroring the streaming
-/// engine's lifetime ordinals).
-fn run_batches(net: SimNetwork, groups: &[Vec<QuerySpec>]) -> (Vec<QueryReport>, QueryEngine) {
-    let mut engine = QueryEngine::new(net);
+/// Runs the same groups as a sequence of closed batches on ONE engine,
+/// each submitted while it is idle and then drained (nonce ordinals
+/// continue across batches, as in the streaming run).
+fn run_batches(net: SimNetwork, groups: &[Vec<QuerySpec>]) -> (Vec<QueryReport>, StreamingEngine) {
+    let mut engine = StreamingEngine::new(net);
     let mut reports = Vec::new();
     for g in groups {
         for s in g {
             engine.submit(s.clone());
         }
-        reports.extend(engine.run().expect("closed batch"));
+        let batch = engine.run_until_idle().expect("closed batch");
+        reports.extend(batch.into_iter().map(|r| r.report));
     }
     (reports, engine)
 }
@@ -324,15 +325,15 @@ proptest! {
         let specs: Vec<QuerySpec> = codes.iter().map(|&c| spec_from(c)).collect();
 
         // Oracle answers from one closed batch.
-        let mut oracle = QueryEngine::new(deployment(topo_seed, 0));
+        let mut oracle = StreamingEngine::new(deployment(topo_seed, 0));
         for s in &specs {
             oracle.submit(s.clone());
         }
         let want: Vec<_> = oracle
-            .run()
+            .run_until_idle()
             .unwrap()
             .into_iter()
-            .map(|r| r.outcome)
+            .map(|r| r.report.outcome)
             .collect();
 
         // Streaming: submissions staggered by the random gaps, admitted
