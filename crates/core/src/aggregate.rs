@@ -861,6 +861,27 @@ impl QuantileAgg {
         p.read_columns(r, count, count.min(1 << 20))
     }
 
+    /// Sizes `acc` once for merging `children` reports, the first of
+    /// which has `first_len` entries: room for every report at that
+    /// length, but never more than a pruned summary plus one report
+    /// (`budget + 1 + first_len`), the most a merge below the prune
+    /// ever holds. Without it the accumulator grows to exactly each
+    /// merged length, reallocating once per child; doubling instead
+    /// would leave up to twice the merged length allocated.
+    pub(crate) fn reserve_children(
+        &self,
+        acc: &mut QuantileSummary,
+        children: usize,
+        first_len: usize,
+    ) {
+        let pruned = self.budget.max(1) as usize + 1;
+        let want = acc
+            .len()
+            .saturating_add(children.saturating_mul(first_len))
+            .min(pruned.max(acc.len()) + first_len);
+        acc.reserve_exact(want - acc.len());
+    }
+
     /// [`PartialAggregate::merge`] of `acc` and `child`, in `acc`'s
     /// storage (see [`QuantileSummary::merge_from`]).
     pub(crate) fn merge_into(&self, acc: &mut QuantileSummary, child: &QuantileSummary) {

@@ -341,6 +341,59 @@ impl CoreWave {
             (req, partial) => unreachable!("partial {partial:?} does not answer {req:?}"),
         }
     }
+
+    /// `absorb_child` of one child report, the first of `first_of`
+    /// children when that is `Some`.
+    fn absorb(
+        &self,
+        req: &CoreRequest,
+        acc: &mut CorePartial,
+        r: &mut BitReader<'_>,
+        first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        match (req, acc) {
+            (CoreRequest::Count(pred), CorePartial::Num(x)) => {
+                *x += self.countsum_agg(CountSumOp::Count, *pred).decode(r)?;
+            }
+            (CoreRequest::Sum(pred), CorePartial::Num(x)) => {
+                *x += self.countsum_agg(CountSumOp::Sum, *pred).decode(r)?;
+            }
+            (CoreRequest::Min(d), CorePartial::OptVal(ad, x)) => {
+                let child = self.minmax_agg(MinMaxOp::Min, *d).decode(r)?;
+                *x = self.minmax_agg(MinMaxOp::Min, *ad).merge(*x, child);
+            }
+            (CoreRequest::Max(d), CorePartial::OptVal(ad, x)) => {
+                let child = self.minmax_agg(MinMaxOp::Max, *d).decode(r)?;
+                *x = self.minmax_agg(MinMaxOp::Max, *ad).merge(*x, child);
+            }
+            (CoreRequest::Quantile { budget }, CorePartial::Quantile(s)) => {
+                let agg = self.quantile_agg(*budget);
+                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
+                    agg.decode_into(&mut scratch.summary, r)?;
+                    if let Some(children) = first_of {
+                        agg.reserve_children(s, children, scratch.summary.len());
+                    }
+                    agg.merge_into(s, &scratch.summary);
+                    Ok::<_, NetsimError>(())
+                })?;
+            }
+            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(s)) => {
+                let agg = self.bottomk_agg(*k, *nonce);
+                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
+                    let sample = scratch.sample.get_or_insert_with(|| agg.identity());
+                    agg.decode_into(sample, r)?;
+                    s.merge_from(sample);
+                    Ok::<_, NetsimError>(())
+                })?;
+            }
+            (req, acc) => {
+                let child = self.decode_partial(req, r)?;
+                let mine = std::mem::replace(acc, CorePartial::Unit);
+                *acc = self.merge(req, mine, child);
+            }
+        }
+        Ok(())
+    }
 }
 
 const OP_MIN: u64 = 0;
@@ -615,39 +668,32 @@ impl WaveProtocol for CoreWave {
         }
     }
 
-    /// `Quantile` and `BottomK` children decode into per-thread scratch
-    /// and merge into `acc` in place; every other request takes the
-    /// default decode-then-merge. Equal to the default for every
-    /// request (`tests/absorb_child.rs`).
+    /// Merges in place, moving no partial: `Num` and `OptVal` decode
+    /// one value and fold it into the accumulator's own (the min/max
+    /// runner-up kept exactly as [`CoreWave::merge`] keeps it);
+    /// `Quantile` and `BottomK` decode into per-thread scratch and merge
+    /// into the accumulator's storage; every other request decodes and
+    /// merges. Equal to the trait's decode-then-merge for every request
+    /// (`tests/absorb_child.rs`).
     fn absorb_child(
         &self,
         req: &CoreRequest,
-        acc: CorePartial,
+        acc: &mut CorePartial,
         r: &mut BitReader<'_>,
-    ) -> Result<CorePartial, NetsimError> {
-        match (req, acc) {
-            (CoreRequest::Quantile { budget }, CorePartial::Quantile(mut s)) => {
-                let agg = self.quantile_agg(*budget);
-                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
-                    agg.decode_into(&mut scratch.summary, r)?;
-                    agg.merge_into(&mut s, &scratch.summary);
-                    Ok(CorePartial::Quantile(s))
-                })
-            }
-            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(mut s)) => {
-                let agg = self.bottomk_agg(*k, *nonce);
-                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
-                    let sample = scratch.sample.get_or_insert_with(|| agg.identity());
-                    agg.decode_into(sample, r)?;
-                    s.merge_from(sample);
-                    Ok(CorePartial::Sample(s))
-                })
-            }
-            (req, acc) => {
-                let child = self.decode_partial(req, r)?;
-                Ok(self.merge(req, acc, child))
-            }
-        }
+    ) -> Result<(), NetsimError> {
+        self.absorb(req, acc, r, None)
+    }
+
+    /// Sizes a `Quantile` accumulator once for all `children` reports
+    /// (`QuantileAgg::reserve_children`); otherwise `absorb_child`.
+    fn absorb_first_child(
+        &self,
+        req: &CoreRequest,
+        acc: &mut CorePartial,
+        r: &mut BitReader<'_>,
+        children: usize,
+    ) -> Result<(), NetsimError> {
+        self.absorb(req, acc, r, Some(children))
     }
 
     /// Deterministic requests are keyed by their exact encoding — the

@@ -13,10 +13,16 @@
 //!
 //! ## What a node costs
 //!
-//! A steady-state wave makes **one** heap allocation per participating
-//! node — the `Vec` its [`WaveProtocol::local`] contribution is built
-//! in — plus O(blocks + distinct requests) for the wave as a whole:
+//! After warm-up a node makes **no** heap allocation of its own; the
+//! wave as a whole makes O(blocks + distinct requests):
 //!
+//! * **accumulators come from a per-thread free list.** A node takes a
+//!   spent accumulator from its thread's `Scratch` and refills it with
+//!   its local contribution ([`WaveProtocol::local_into`]), and gives
+//!   it back once its reply is encoded, emptied by
+//!   [`WaveProtocol::release_partial`] — unless the cache keeps it. The
+//!   list holds at most one block's live accumulators, and none is kept
+//!   in the position columns between waves;
 //! * **frames** are recycled through [`ScratchPool`]s; after the first
 //!   wave no frame buffer is allocated;
 //! * **the request is shared, not cloned.** A slot holds
@@ -37,10 +43,13 @@
 //!   [`WaveProtocol::note_request_copies`], exactly the boxed runner's
 //!   fan-out (per-child sequence numbers keep one encode per child
 //!   under ARQ);
-//! * **child partials are merged off the wire**
-//!   ([`WaveProtocol::absorb_child`]) into the accumulator's own
-//!   allocation — every partial still crosses its edge as encoded bits
-//!   and is decoded by its parent;
+//! * **children are absorbed in place**: each child's partial is
+//!   merged off the wire into the `&mut` accumulator
+//!   ([`WaveProtocol::absorb_child`]; the first child through
+//!   [`WaveProtocol::absorb_first_child`], which may size the
+//!   accumulator for all of them), moving no partial — every partial
+//!   still crosses its edge as encoded bits and is decoded by its
+//!   parent;
 //! * **a cache hit costs a probe.** Slot keys are the sub-requests'
 //!   captured wire bits ([`WaveProtocol::for_each_slot_key`]), probed
 //!   in place; a node whose every slot hits encodes its reply straight
@@ -316,7 +325,9 @@ struct WaveSlot<P: WaveProtocol> {
     /// against it): the *same* handle as `req` unless a partial cache
     /// hit subset the envelope.
     fwd: Option<Arc<P::Request>>,
-    /// Local contribution, then the canonical merge accumulator.
+    /// Local contribution, then the canonical merge accumulator —
+    /// between this node's two steps of a wave only: it comes from and
+    /// goes back to the thread's free list (`Scratch::spare`).
     acc: Option<P::Partial>,
     /// The current wave's cache hits, misses and pending stores.
     resolved: CacheResolution,
@@ -402,19 +413,51 @@ impl<R> DecodeMemo<R> {
 /// What one thread reuses from wave to wave — the driver on the spine,
 /// each worker across its blocks; never shared between threads.
 #[derive(Debug)]
-struct Scratch<R> {
+struct Scratch<P: WaveProtocol> {
     /// Recycled frame buffers.
     pool: ScratchPool,
     /// Request frames decoded so far in the current wave.
-    memo: DecodeMemo<R>,
+    memo: DecodeMemo<P::Request>,
+    /// Free list of spent accumulators ([`WaveProtocol::release_partial`]
+    /// already applied), refilled by [`WaveProtocol::local_into`]. A
+    /// node takes one going down and gives it back once its reply is
+    /// encoded, so the list never holds more than one block's live
+    /// accumulators.
+    spare: Vec<P::Partial>,
 }
 
-impl<R> Scratch<R> {
+impl<P: WaveProtocol> Scratch<P> {
     fn new() -> Self {
         Scratch {
             pool: ScratchPool::new(),
             memo: DecodeMemo::new(),
+            spare: Vec::new(),
         }
+    }
+
+    /// This node's local contribution, built in a spent accumulator
+    /// when one is free.
+    fn local(
+        &mut self,
+        proto: &P,
+        node: NodeId,
+        items: &mut Vec<P::Item>,
+        req: &P::Request,
+        rng: &mut Xoshiro256StarStar,
+    ) -> P::Partial {
+        match self.spare.pop() {
+            Some(mut acc) => {
+                proto.local_into(node, items, req, rng, &mut acc);
+                acc
+            }
+            None => proto.local(node, items, req, rng),
+        }
+    }
+
+    /// Puts a spent accumulator on the free list.
+    fn recycle(&mut self, proto: &P, mut acc: P::Partial) {
+        proto.release_partial(&mut acc);
+        self.spare.push(acc);
     }
 
     /// Ends the wave's top-down traffic: the remembered frames go back
@@ -613,12 +656,12 @@ fn fan_out<P: WaveProtocol>(
 fn step_down<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
-    scratch: &mut Scratch<P::Request>,
+    scratch: &mut Scratch<P>,
     cols: &mut Cols<'_, P>,
     p: usize,
     wave: u16,
 ) -> Result<(), ProtocolError> {
-    let Scratch { pool, memo } = scratch;
+    let Scratch { pool, memo, .. } = scratch;
     let rel = p - cols.base;
     let Some(frame) = cols.slots[rel].frame.take() else {
         // No request reached this node (an ancestor answered from
@@ -694,14 +737,15 @@ fn step_down<P: WaveProtocol>(
             .as_ref()
             .expect("forwarding admission sets the forward request"),
     );
-    let local = proto.local(
+    let local = scratch.local(
+        proto,
         env.tree.global_of(p),
         &mut cols.items[rel],
         &fwd,
         &mut cols.rngs[rel],
     );
     cols.slots[rel].acc = Some(local);
-    fan_out(env, proto, pool, cols, p, wave, &fwd)
+    fan_out(env, proto, &mut scratch.pool, cols, p, wave, &fwd)
 }
 
 /// Bottom-up step: merge child partials in fixed child order, populate
@@ -718,7 +762,7 @@ fn step_down<P: WaveProtocol>(
 fn step_up<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
-    pool: &mut ScratchPool,
+    scratch: &mut Scratch<P>,
     cols: &mut Cols<'_, P>,
     p: usize,
     wave: u16,
@@ -738,7 +782,7 @@ fn step_up<P: WaveProtocol>(
             .as_ref()
             .expect("executing wave has a forward request"),
     );
-    for &c in env.tree.children_pos(p) {
+    for (i, &c) in env.tree.children_pos(p).iter().enumerate() {
         let crel = c as usize - cols.base;
         let Some(frame) = cols.slots[crel].frame.take() else {
             return Err(ProtocolError::NoResult);
@@ -781,10 +825,14 @@ fn step_up<P: WaveProtocol>(
             if env.arq_timeout.is_some() {
                 let _seq = r.read_bits(SEQ_BITS as u32);
             }
-            proto.absorb_child(&fwd, acc, &mut r)
+            if i == 0 {
+                proto.absorb_first_child(&fwd, &mut acc, &mut r, children)
+            } else {
+                proto.absorb_child(&fwd, &mut acc, &mut r)
+            }
         };
-        pool.recycle(frame);
-        acc = merged.map_err(ProtocolError::from)?;
+        scratch.pool.recycle(frame);
+        merged.map_err(ProtocolError::from)?;
     }
     let slot = &mut cols.slots[rel];
     let req = Arc::clone(slot.req.as_ref().expect("active wave has a request"));
@@ -799,13 +847,17 @@ fn step_up<P: WaveProtocol>(
             .assemble(proto, &mut cols.caches[rel], &req, &fwd, acc);
         return Ok(Some(full));
     }
-    let mut w = partial_writer(env, pool, wave, children);
+    let mut w = partial_writer(env, &mut scratch.pool, wave, children);
     if slot.resolved.hits.is_empty() {
         // Nothing to interleave: `acc` is the reply. Encode it first,
         // then move the computed slots into the cache.
         proto.encode_partial(&req, &acc, &mut w);
-        slot.resolved
-            .store_by_move(proto, &mut cols.caches[rel], &fwd, acc);
+        if let Some(spent) = slot
+            .resolved
+            .store_by_move(proto, &mut cols.caches[rel], &fwd, acc)
+        {
+            scratch.recycle(proto, spent);
+        }
     } else {
         let full = slot
             .resolved
@@ -828,7 +880,7 @@ fn step_up<P: WaveProtocol>(
 fn eval_block<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
-    scratch: &mut Scratch<P::Request>,
+    scratch: &mut Scratch<P>,
     cols: &mut Cols<'_, P>,
     block: ShardBlock,
     wave: u16,
@@ -838,7 +890,7 @@ fn eval_block<P: WaveProtocol>(
         step_down(env, proto, scratch, cols, p, wave)?;
     }
     for p in (start..end).rev() {
-        let out = step_up(env, proto, &mut scratch.pool, cols, p, wave)?;
+        let out = step_up(env, proto, scratch, cols, p, wave)?;
         debug_assert!(out.is_none(), "blocks are strictly below the root");
     }
     Ok(())
@@ -849,7 +901,7 @@ fn eval_block<P: WaveProtocol>(
 /// disjoint column windows.
 struct WorkerTask<'a, P: WaveProtocol> {
     proto: P,
-    scratch: &'a mut Scratch<P::Request>,
+    scratch: &'a mut Scratch<P>,
     blocks: Vec<(ShardBlock, Cols<'a, P>)>,
 }
 
@@ -991,9 +1043,9 @@ pub struct FlatWaveRunner<P: WaveProtocol> {
     attempt_budget: u64,
     stats: NetStats,
     /// Driver-side scratch (spine sweeps).
-    scratch: Scratch<P::Request>,
+    scratch: Scratch<P>,
     worker_protos: Vec<P>,
-    worker_scratch: Vec<Scratch<P::Request>>,
+    worker_scratch: Vec<Scratch<P>>,
     next_wave: u16,
     /// Frames transmitted during the most recent wave.
     last_wave_frames: u64,
@@ -1231,7 +1283,8 @@ where
                 .as_ref()
                 .expect("forwarding admission sets the forward request"),
         );
-        let local = self.proto.local(
+        let local = self.scratch.local(
+            &self.proto,
             env.tree.global_of(0),
             &mut cols.items[0],
             &fwd,
@@ -1331,7 +1384,7 @@ where
             result = step_up(
                 env,
                 &self.proto,
-                &mut self.scratch.pool,
+                &mut self.scratch,
                 &mut cols,
                 p as usize,
                 wave,

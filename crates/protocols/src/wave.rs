@@ -115,28 +115,76 @@ pub trait WaveProtocol: Clone {
         rng: &mut Xoshiro256StarStar,
     ) -> Self::Partial;
 
+    /// [`local`](Self::local) written into `out`, whose previous value
+    /// is a spent accumulator of an earlier node: a protocol whose
+    /// partial is a container overrides this to refill `out` in place,
+    /// so the flat runner's per-thread free list of accumulators makes
+    /// a warm node allocate nothing. Must leave `out` equal to what
+    /// `local` returns (the default assigns it).
+    fn local_into(
+        &self,
+        node: NodeId,
+        items: &mut Vec<Self::Item>,
+        req: &Self::Request,
+        rng: &mut Xoshiro256StarStar,
+        out: &mut Self::Partial,
+    ) {
+        *out = self.local(node, items, req, rng);
+    }
+
+    /// Drops what a spent accumulator owns beyond its own container,
+    /// once its reply is encoded and before it waits on the flat
+    /// runner's free list for [`local_into`](Self::local_into): an idle
+    /// accumulator must not keep a merged subtree's data alive. The
+    /// default does nothing.
+    fn release_partial(&self, _p: &mut Self::Partial) {}
+
     /// Merges two partial aggregates (must be commutative and
     /// associative so tree shape does not matter).
     fn merge(&self, req: &Self::Request, a: Self::Partial, b: Self::Partial) -> Self::Partial;
 
-    /// Decodes one child partial from `r` and merges it into `acc` —
-    /// what a parent does with every report it receives. Must equal
-    /// [`decode_partial`](Self::decode_partial) followed by
-    /// [`merge`](Self::merge) (the default); a protocol whose partial
-    /// is a container overrides it to merge element-wise straight off
-    /// the wire, reusing `acc`'s allocation.
+    /// Decodes one child partial from `r` and merges it into `acc` in
+    /// place — what a parent does with every report it receives.
+    /// Afterwards `acc` must equal [`merge`](Self::merge) of its old
+    /// value and [`decode_partial`](Self::decode_partial) of the same
+    /// bits, and exactly those bits must be consumed. The default does
+    /// just that, cloning `acc` into `merge`; a protocol on a hot path
+    /// overrides it to merge straight off the wire into `acc`'s own
+    /// storage, moving and allocating nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`NetsimError::WireDecode`] on malformed input.
+    /// Returns [`NetsimError::WireDecode`] on malformed input or on an
+    /// accumulator whose shape does not match `req`; `acc` is then
+    /// unspecified (the wave fails).
     fn absorb_child(
         &self,
         req: &Self::Request,
-        acc: Self::Partial,
+        acc: &mut Self::Partial,
         r: &mut BitReader<'_>,
-    ) -> Result<Self::Partial, NetsimError> {
+    ) -> Result<(), NetsimError> {
         let child = self.decode_partial(req, r)?;
-        Ok(self.merge(req, acc, child))
+        *acc = self.merge(req, acc.clone(), child);
+        Ok(())
+    }
+
+    /// [`absorb_child`](Self::absorb_child) for the first of the
+    /// `children` reports a node absorbs, so a protocol can size `acc`
+    /// once for all of them from the first report's shape instead of
+    /// growing it child by child. Same contract as `absorb_child`,
+    /// which the default calls.
+    ///
+    /// # Errors
+    ///
+    /// As [`absorb_child`](Self::absorb_child).
+    fn absorb_first_child(
+        &self,
+        req: &Self::Request,
+        acc: &mut Self::Partial,
+        r: &mut BitReader<'_>,
+        _children: usize,
+    ) -> Result<(), NetsimError> {
+        self.absorb_child(req, acc, r)
     }
 
     // --- subtree partial caching hooks (see `crate::cache`) -----------
@@ -630,20 +678,21 @@ impl CacheResolution {
     /// already encoded from `acc` (then `acc` is the full reply, since
     /// `fwd` is the request it received): the computed slot partials
     /// move into the cache — no copy, no join — each shrunk to its size
-    /// first ([`WaveProtocol::shrink_partial`]).
+    /// first ([`WaveProtocol::shrink_partial`]). When nothing is stored,
+    /// `acc` is handed back for reuse as a later node's accumulator.
     pub(crate) fn store_by_move<P: WaveProtocol>(
         &mut self,
         proto: &P,
         cache: &mut Option<PartialCache<CachedPartial<P>>>,
         fwd: &P::Request,
         acc: P::Partial,
-    ) {
+    ) -> Option<P::Partial> {
         debug_assert!(
             self.hits.is_empty(),
             "store by move requires a hit-free wave"
         );
         if self.store.is_empty() {
-            return;
+            return Some(acc);
         }
         let cache = cache.as_mut().expect("resolved slots imply a cache");
         let mut store = self.store.drain(..).peekable();
@@ -654,6 +703,7 @@ impl CacheResolution {
                 cache.insert(key, entry);
             }
         }
+        None
     }
 }
 
@@ -1660,6 +1710,33 @@ impl<P: WaveProtocol> MultiplexWave<P> {
             .map(|(i, req)| MuxEntry::new(i as u32, req))
             .collect()
     }
+
+    /// Absorbs one child's envelope slot by slot into `acc`, as the
+    /// first of `first_of` children when that is `Some`. An accumulator
+    /// with a different slot count than `req` is an error, not a panic
+    /// or a partial merge.
+    fn absorb_slots(
+        &self,
+        req: &[MuxEntry<P::Request>],
+        acc: &mut [P::Partial],
+        r: &mut BitReader<'_>,
+        first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        if acc.len() != req.len() {
+            return Err(NetsimError::WireDecode(
+                "mux accumulator does not align with its request",
+            ));
+        }
+        for (entry, sub) in req.iter().zip(acc) {
+            match first_of {
+                None => self.inner.absorb_child(&entry.req, sub, r)?,
+                Some(children) => self
+                    .inner
+                    .absorb_first_child(&entry.req, sub, r, children)?,
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Exclusive bound on multiplexed slot counts and slot tags: the slot
@@ -1834,6 +1911,27 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             .collect()
     }
 
+    /// Refills the spent accumulator's `Vec`: once it has held an
+    /// envelope this wide, no allocation.
+    fn local_into(
+        &self,
+        node: NodeId,
+        items: &mut Vec<Self::Item>,
+        req: &Self::Request,
+        rng: &mut Xoshiro256StarStar,
+        out: &mut Self::Partial,
+    ) {
+        out.clear();
+        out.extend(
+            req.iter()
+                .map(|entry| self.inner.local(node, items, &entry.req, rng)),
+        );
+    }
+
+    fn release_partial(&self, p: &mut Self::Partial) {
+        p.clear();
+    }
+
     fn merge(&self, req: &Self::Request, a: Self::Partial, b: Self::Partial) -> Self::Partial {
         debug_assert_eq!(a.len(), b.len(), "mux partials must align");
         req.iter()
@@ -1843,24 +1941,24 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
     }
 
     /// One pass over the slots: sub-partial `i` is decoded off the wire
-    /// and merged into `acc[i]` where it lies, so a parent merges its
-    /// children without building a `Vec` per child.
+    /// and merged into `acc[i]` where it lies.
     fn absorb_child(
         &self,
         req: &Self::Request,
-        mut acc: Self::Partial,
+        acc: &mut Self::Partial,
         r: &mut BitReader<'_>,
-    ) -> Result<Self::Partial, NetsimError> {
-        debug_assert_eq!(req.len(), acc.len(), "mux partial must align with request");
-        for (i, entry) in req.iter().enumerate() {
-            // Move slot `i` out, push its successor, swap it back into
-            // place: O(1), and no placeholder value is ever needed.
-            let mine = acc.swap_remove(i);
-            acc.push(self.inner.absorb_child(&entry.req, mine, r)?);
-            let last = acc.len() - 1;
-            acc.swap(i, last);
-        }
-        Ok(acc)
+    ) -> Result<(), NetsimError> {
+        self.absorb_slots(req, acc, r, None)
+    }
+
+    fn absorb_first_child(
+        &self,
+        req: &Self::Request,
+        acc: &mut Self::Partial,
+        r: &mut BitReader<'_>,
+        children: usize,
+    ) -> Result<(), NetsimError> {
+        self.absorb_slots(req, acc, r, Some(children))
     }
 
     // --- subtree partial caching: every entry is one cacheable slot ---

@@ -144,6 +144,14 @@ impl QuantileSummary {
         self.entries.shrink_to_fit();
     }
 
+    /// Makes room for at least `additional` more entries, and no more,
+    /// so a caller that knows how far its merges will grow the summary
+    /// can size it once ([`QuantileSummary::merge_from`] then grows it
+    /// only past that).
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
+    }
+
     /// Merges two summaries over disjoint item populations.
     ///
     /// Rank intervals combine by the standard rule: an entry `x` from one

@@ -1,12 +1,14 @@
 //! The allocation budget of a warm flat wave carrying one GK quantile
 //! partial, pinned: after warm-up, a `Quantile { budget: 120 }` wave
-//! over N nodes allocates at most `3·N + 256` times. Each node builds
-//! its `local` partial (the envelope's `Vec` and the summary's
-//! entries). Children are decoded into per-thread scratch and merged
-//! into the accumulator's own entries, which grow to exactly each
-//! merged length: here, with one item per node and no pruning below
-//! the root, once per child. The answer equals the boxed oracle's. The counts are a function of the code (no time, no
-//! randomness), so they gate in tier-1.
+//! over N nodes allocates at most `1.25·N + 256` times. Each node builds
+//! its summary's entries in an envelope `Vec` taken from its thread's
+//! free list. Children are decoded into per-thread scratch and merged
+//! into the accumulator's own entries, which are sized once, at the
+//! first child, for all of them: one more allocation per interior node
+//! (4 626 allocations at W = 1 and 4 663 at W = 2 when this bound was
+//! set). The answer equals the boxed oracle's. The counts are a
+//! function of the code (no time, no randomness), so they gate in
+//! tier-1.
 //!
 //! This binary holds exactly one `#[test]`: the counter is process-wide,
 //! and a second test running beside it would be counted too.
@@ -100,7 +102,7 @@ fn a_warm_quantile_wave_allocates_at_most_three_times_per_node() {
         assert_eq!(answer, warm);
         assert_eq!(flat.last_wave_frames(), 2 * (N as u64 - 1));
         assert!(
-            allocs <= 3 * N as u64 + 256,
+            allocs <= 5 * N as u64 / 4 + 256,
             "a warm quantile wave made {allocs} allocations at N = {N}, W = {workers}"
         );
         answers.push(answer);

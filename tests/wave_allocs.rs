@@ -1,8 +1,10 @@
 //! The wave runners' allocation budgets, pinned: after warm-up, one
-//! 4-slot flat wave over N nodes allocates at most `N + 256` times — the
-//! one `Vec` each node's `local` contribution is built in, plus a
-//! per-wave allowance for blocks, distinct requests and worker threads
-//! that does not grow with N. The boxed event-driven oracle runs the
+//! 4-slot flat wave over N nodes allocates at most 256 times, however
+//! large N is — each node refills a spent accumulator from its thread's
+//! free list and absorbs its children into it in place, so what is left
+//! is a per-wave allowance for blocks, distinct requests and worker
+//! threads (15 allocations at W = 1 and 44 at W = 2 when this bound was
+//! set). The boxed event-driven oracle runs the
 //! same wave on the same tree within `32·N` allocations (it makes ~30
 //! per node, moving by a few between waves, so this is a bound and not
 //! an equality), and always above the flat count. The counts are a
@@ -109,7 +111,7 @@ fn a_warm_flat_wave_allocates_at_most_once_per_node() {
         assert_eq!(answer, warm);
         assert_eq!(flat.last_wave_frames(), 2 * (N as u64 - 1));
         assert!(
-            allocs <= N as u64 + 256,
+            allocs <= 256,
             "a warm wave made {allocs} allocations at N = {N}, W = {workers}"
         );
         flat_max = flat_max.max(allocs);
