@@ -527,7 +527,12 @@ pub enum SketchKey {
 
 /// `reps` independent LogLog instances merged register-wise (ODI), the
 /// paper's α-counting protocol instantiation.
-#[derive(Debug, Clone)]
+///
+/// Instance `i` hashes with a function derived from `(cfg.seed, nonce,
+/// i)`, and only once an item is contributed: merge/encode/decode never
+/// hash, and the wave dispatch rebuilds this plain `Copy` value per hop,
+/// so eager derivation would be pure waste on the codec paths.
+#[derive(Debug, Clone, Copy)]
 pub struct SketchAgg {
     /// The filtering predicate.
     pub pred: Predicate,
@@ -537,11 +542,6 @@ pub struct SketchAgg {
     pub cfg: ApxCountConfig,
     reps: u32,
     nonce: u64,
-    /// Per-instance hash functions, derived lazily from
-    /// `(cfg.seed, nonce, i)` — merge/encode/decode never hash, and the
-    /// wave dispatch rebuilds this struct per hop, so eager derivation
-    /// would be pure waste on the codec paths.
-    hash_cache: std::cell::OnceCell<Vec<HashFamily>>,
 }
 
 impl SketchAgg {
@@ -560,7 +560,6 @@ impl SketchAgg {
             cfg,
             reps,
             nonce,
-            hash_cache: std::cell::OnceCell::new(),
         }
     }
 
@@ -569,12 +568,24 @@ impl SketchAgg {
         self.reps
     }
 
-    fn hashers(&self) -> &[HashFamily] {
-        self.hash_cache.get_or_init(|| {
+    /// Inserts `item`, when the predicate keeps it, into every instance,
+    /// deriving the hash functions into `hashers` on first use.
+    fn insert(&self, p: &mut [LogLog], hashers: &mut Option<Vec<HashFamily>>, item: ItemRef) {
+        if !self.pred.eval(item.value) {
+            return;
+        }
+        let hashers = hashers.get_or_insert_with(|| {
             (0..self.reps)
                 .map(|inst| HashFamily::new(derive_seed(self.cfg.seed, self.nonce, inst as u64)))
                 .collect()
-        })
+        });
+        for (sk, h) in p.iter_mut().zip(hashers.iter()) {
+            let key = match self.key {
+                SketchKey::ByItem => h.hash_pair(item.node, item.slot),
+                SketchKey::ByValue => h.hash(item.value),
+            };
+            sk.insert_hash(key);
+        }
     }
 
     fn reg_width(&self) -> u32 {
@@ -592,16 +603,16 @@ impl PartialAggregate for SketchAgg {
     }
 
     fn contribute(&self, p: &mut Vec<LogLog>, item: ItemRef) {
-        if !self.pred.eval(item.value) {
-            return;
+        self.insert(p, &mut None, item);
+    }
+
+    /// The provided fold, deriving the hash functions once for all items.
+    fn partial_over<I: IntoIterator<Item = ItemRef>>(&self, items: I) -> Vec<LogLog> {
+        let (mut p, mut hashers) = (self.identity(), None);
+        for item in items {
+            self.insert(&mut p, &mut hashers, item);
         }
-        for (sk, h) in p.iter_mut().zip(self.hashers()) {
-            let key = match self.key {
-                SketchKey::ByItem => h.hash_pair(item.node, item.slot),
-                SketchKey::ByValue => h.hash(item.value),
-            };
-            sk.insert_hash(key);
-        }
+        p
     }
 
     fn merge(&self, mut a: Vec<LogLog>, b: Vec<LogLog>) -> Vec<LogLog> {

@@ -94,9 +94,9 @@ impl ApxCountConfig {
     }
 
     /// The repetition count `⌈mult·q⌉` for `q = log₂(range)/ε`, clamped
-    /// into `[1, u16::MAX]` — the wire encodes instance counts in 16
-    /// bits, and 65535 sketches per request is already far past any
-    /// useful accuracy.
+    /// into `[1, u16::MAX]`: 65535 sketches per request is already far
+    /// past any useful accuracy, and every request is held to this bound
+    /// ([`crate::wave_proto::CoreRequest::check_bounds`]).
     pub fn reps_for(&self, mult: f64, range: u64, epsilon: f64) -> u32 {
         let q = ((range.max(2) as f64).log2() / epsilon).max(1.0);
         (mult * q).ceil().clamp(1.0, u16::MAX as f64) as u32

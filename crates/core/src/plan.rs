@@ -28,6 +28,7 @@ use crate::median::{ceil_log2, MedianOutcome};
 use crate::model::{floor_log2, Value};
 use crate::net::AggregationNetwork;
 use crate::predicate::{Domain, Predicate};
+use crate::wave_proto::CoreRequest;
 
 /// One primitive invocation a plan can issue — the vocabulary of
 /// [`AggregationNetwork`], network-independent.
@@ -75,30 +76,17 @@ pub enum PlanOp {
 }
 
 impl PlanOp {
-    /// Checks the op's parameters against the protocol's contract: sketch
-    /// repetition counts are positive and fit the 16-bit wire field every
-    /// `ApxCount`/`DistinctApx` request encodes them in (the clamp
-    /// [`ApxCountConfig::reps_for`] applies), and quantile budgets and
-    /// bottom-k capacities are positive.
+    /// Checks the op's parameters against the protocol's contract: an
+    /// op is legal exactly when its wire request is
+    /// ([`CoreRequest::check_bounds`]).
     ///
     /// # Errors
     ///
     /// [`QueryError::InvalidParameter`] naming the violated bound.
     pub fn validate(&self) -> Result<(), QueryError> {
-        let bad = match *self {
-            PlanOp::ApxCount { reps: 0, .. } | PlanOp::DistinctApx { reps: 0 } => {
-                "reps must be positive"
-            }
-            PlanOp::ApxCount { reps, .. } | PlanOp::DistinctApx { reps }
-                if reps > u16::MAX as u32 =>
-            {
-                "reps must fit the 16-bit wire field"
-            }
-            PlanOp::QuantileSummary { budget: 0 } => "quantile prune budget must be positive",
-            PlanOp::BottomK { k: 0 } => "bottom-k sample capacity must be positive",
-            _ => return Ok(()),
-        };
-        Err(QueryError::InvalidParameter(bad))
+        CoreRequest::from_op(self, || 0)
+            .check_bounds()
+            .map_err(QueryError::InvalidParameter)
     }
 }
 

@@ -2,15 +2,15 @@
 //! broadcast–convergecast wave.
 //!
 //! All aggregate semantics live in the two-step [`crate::aggregate`]
-//! layer; this module only *dispatches*: [`CoreRequest::from_op`] turns a
-//! plan op into the request naming which [`PartialAggregate`] runs,
-//! [`CoreWave::partial_over`] folds items through `identity`/`contribute`
-//! (a node's own in `local`, the whole multiset in
-//! [`crate::local::LocalNetwork`]), `merge` and the partial codecs
-//! delegate to the same aggregate, and [`CoreWave::finalize`] is the
-//! accessor step at the root. Partial encodings carry **no type tag** — both
-//! endpoints of a hop know the wave's request, so the request is the
-//! schema (and the bits saved pay for the multiplex envelope of
+//! layer; this module only *dispatches*, through one table:
+//! [`CoreWave::agg`] maps a [`CoreRequest`] to the configured
+//! [`PartialAggregate`] that answers it ([`CoreAgg`]), and each
+//! per-request operation — fold, merge, codecs, absorb, delta
+//! maintenance, finalize — matches that aggregate against its
+//! [`CorePartial`]. Adding an aggregate is one table row and one partial
+//! variant. Partial encodings carry **no type tag** — both endpoints of
+//! a hop know the wave's request, so the request is the schema (and the
+//! bits saved pay for the multiplex envelope of
 //! [`saq_protocols::MultiplexWave`]).
 //!
 //! Request and partial sizes realize the costs the paper charges:
@@ -161,14 +161,41 @@ impl CoreRequest {
             PlanOp::Zoom { mu_hat } => CoreRequest::Zoom { mu_hat },
         }
     }
+
+    /// The bounds that make a request legal, stated once for every
+    /// caller: [`PlanOp::validate`], [`CoreWave`]'s `validate_request`
+    /// (both runners, release builds too) and `decode_request`. Sketch
+    /// `reps` lie in `1..=u16::MAX` — the clamp
+    /// [`ApxCountConfig::reps_for`] applies, since 65535 instances per
+    /// request are already far past any useful accuracy — and quantile
+    /// budgets and bottom-k capacities are positive.
+    ///
+    /// # Errors
+    ///
+    /// The violated bound.
+    pub fn check_bounds(&self) -> Result<(), &'static str> {
+        match *self {
+            CoreRequest::ApxCount { reps: 0, .. } | CoreRequest::DistinctApx { reps: 0, .. } => {
+                Err("reps must be positive")
+            }
+            CoreRequest::ApxCount { reps, .. } | CoreRequest::DistinctApx { reps, .. }
+                if reps > u16::MAX as u32 =>
+            {
+                Err("reps must not exceed 65535, the accuracy ceiling of ApxCountConfig::reps_for")
+            }
+            CoreRequest::Quantile { budget: 0 } => Err("quantile prune budget must be positive"),
+            CoreRequest::BottomK { k: 0, .. } => Err("bottom-k sample capacity must be positive"),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Partial aggregates flowing up the tree — each variant is the partial
 /// state of one [`crate::aggregate`] implementation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum CorePartial {
-    /// Min/max accumulator (domain retained for encoding width).
-    OptVal(Domain, MinMaxPartial),
+    /// Min/max accumulator.
+    OptVal(MinMaxPartial),
     /// Exact count or sum.
     Num(u64),
     /// `reps` LogLog sketches, merged register-wise.
@@ -183,6 +210,35 @@ pub enum CorePartial {
     Quantile(QuantileSummary),
     /// Bottom-k sample of `(identity hash, value)` pairs.
     Sample(BottomK),
+}
+
+/// The configured aggregate that answers a [`CoreRequest`], one variant
+/// per [`crate::aggregate`] family — a row of [`CoreWave::agg`]'s table.
+/// Each variant's partial is the [`CorePartial`] variant of the same
+/// family. `Copy` (no drop glue) and a plain tag (no niche in a
+/// payload) are what let each operation's match on an inlined
+/// [`CoreWave::agg`] fold into a single dispatch on the request, as
+/// lean as matching the request directly.
+#[derive(Debug, Clone, Copy)]
+#[repr(u8)]
+pub enum CoreAgg {
+    /// `Min`/`Max`; partial [`CorePartial::OptVal`].
+    MinMax(MinMaxAgg),
+    /// `Count`/`Sum`; partial [`CorePartial::Num`].
+    CountSum(CountSumAgg),
+    /// `ApxCount` (keyed by item) and `DistinctApx` (keyed by value);
+    /// partial [`CorePartial::Sketches`].
+    Sketch(SketchAgg),
+    /// `Collect`; partial [`CorePartial::Values`].
+    Collect(CollectAgg),
+    /// `DistinctExact`; partial [`CorePartial::Set`].
+    Distinct(DistinctSetAgg),
+    /// `Quantile`; partial [`CorePartial::Quantile`].
+    Quantile(QuantileAgg),
+    /// `BottomK`; partial [`CorePartial::Sample`].
+    BottomK(BottomKAgg),
+    /// `Zoom` carries no data; partial [`CorePartial::Unit`].
+    Zoom,
 }
 
 /// Decode targets [`CoreWave`]'s `absorb_child` reuses from child to
@@ -214,33 +270,40 @@ impl CoreWave {
         width_for_max(floor_log2(self.xbar) as u64)
     }
 
-    /// The MIN/MAX aggregate a request dispatches to.
-    pub fn minmax_agg(&self, op: MinMaxOp, domain: Domain) -> MinMaxAgg {
-        MinMaxAgg {
-            op,
-            domain,
-            xbar: self.xbar,
+    /// The one table from request to aggregate: which
+    /// [`PartialAggregate`] answers `req`, configured by this protocol's
+    /// `X̄` and sketch parameters. Every per-request operation reads its
+    /// aggregate here.
+    #[inline]
+    pub fn agg(&self, req: &CoreRequest) -> CoreAgg {
+        let xbar = self.xbar;
+        let minmax = |op, domain| CoreAgg::MinMax(MinMaxAgg { op, domain, xbar });
+        let countsum = |op, pred| CoreAgg::CountSum(self.countsum_agg(op, pred));
+        let sketch = |pred, key, reps, nonce: u32| {
+            CoreAgg::Sketch(SketchAgg::new(pred, key, self.apx, reps, nonce as u64))
+        };
+        match *req {
+            CoreRequest::Min(domain) => minmax(MinMaxOp::Min, domain),
+            CoreRequest::Max(domain) => minmax(MinMaxOp::Max, domain),
+            CoreRequest::Count(pred) => countsum(CountSumOp::Count, pred),
+            CoreRequest::Sum(pred) => countsum(CountSumOp::Sum, pred),
+            CoreRequest::ApxCount { pred, reps, nonce } => {
+                sketch(pred, SketchKey::ByItem, reps, nonce)
+            }
+            CoreRequest::DistinctApx { reps, nonce } => {
+                sketch(Predicate::TRUE, SketchKey::ByValue, reps, nonce)
+            }
+            CoreRequest::Collect => CoreAgg::Collect(CollectAgg { xbar }),
+            CoreRequest::DistinctExact => CoreAgg::Distinct(DistinctSetAgg { xbar }),
+            CoreRequest::Quantile { budget } => CoreAgg::Quantile(self.quantile_agg(budget)),
+            CoreRequest::BottomK { k, nonce } => CoreAgg::BottomK(self.bottomk_agg(k, nonce)),
+            CoreRequest::Zoom { .. } => CoreAgg::Zoom,
         }
     }
 
     /// The COUNT/SUM aggregate a request dispatches to.
     pub fn countsum_agg(&self, op: CountSumOp, pred: Predicate) -> CountSumAgg {
         CountSumAgg { op, pred }
-    }
-
-    /// The sketch aggregate of an `ApxCount`/`DistinctApx` request.
-    pub fn sketch_agg(&self, pred: Predicate, key: SketchKey, reps: u32, nonce: u32) -> SketchAgg {
-        SketchAgg::new(pred, key, self.apx, reps, nonce as u64)
-    }
-
-    /// The exact-distinct aggregate.
-    pub fn distinct_agg(&self) -> DistinctSetAgg {
-        DistinctSetAgg { xbar: self.xbar }
-    }
-
-    /// The collect aggregate.
-    pub fn collect_agg(&self) -> CollectAgg {
-        CollectAgg { xbar: self.xbar }
     }
 
     /// The quantile-summary aggregate of a `Quantile` request.
@@ -266,37 +329,15 @@ impl CoreWave {
         req: &CoreRequest,
         items: impl Iterator<Item = ItemRef>,
     ) -> CorePartial {
-        match *req {
-            CoreRequest::Min(d) => {
-                CorePartial::OptVal(d, self.minmax_agg(MinMaxOp::Min, d).partial_over(items))
-            }
-            CoreRequest::Max(d) => {
-                CorePartial::OptVal(d, self.minmax_agg(MinMaxOp::Max, d).partial_over(items))
-            }
-            CoreRequest::Count(pred) => CorePartial::Num(
-                self.countsum_agg(CountSumOp::Count, pred)
-                    .partial_over(items),
-            ),
-            CoreRequest::Sum(pred) => {
-                CorePartial::Num(self.countsum_agg(CountSumOp::Sum, pred).partial_over(items))
-            }
-            CoreRequest::ApxCount { pred, reps, nonce } => CorePartial::Sketches(
-                self.sketch_agg(pred, SketchKey::ByItem, reps, nonce)
-                    .partial_over(items),
-            ),
-            CoreRequest::DistinctApx { reps, nonce } => CorePartial::Sketches(
-                self.sketch_agg(Predicate::TRUE, SketchKey::ByValue, reps, nonce)
-                    .partial_over(items),
-            ),
-            CoreRequest::Zoom { .. } => CorePartial::Unit,
-            CoreRequest::Collect => CorePartial::Values(self.collect_agg().partial_over(items)),
-            CoreRequest::DistinctExact => CorePartial::Set(self.distinct_agg().partial_over(items)),
-            CoreRequest::Quantile { budget } => {
-                CorePartial::Quantile(self.quantile_agg(budget).partial_over(items))
-            }
-            CoreRequest::BottomK { k, nonce } => {
-                CorePartial::Sample(self.bottomk_agg(k, nonce).partial_over(items))
-            }
+        match self.agg(req) {
+            CoreAgg::MinMax(a) => CorePartial::OptVal(a.partial_over(items)),
+            CoreAgg::CountSum(a) => CorePartial::Num(a.partial_over(items)),
+            CoreAgg::Sketch(a) => CorePartial::Sketches(a.partial_over(items)),
+            CoreAgg::Collect(a) => CorePartial::Values(a.partial_over(items)),
+            CoreAgg::Distinct(a) => CorePartial::Set(a.partial_over(items)),
+            CoreAgg::Quantile(a) => CorePartial::Quantile(a.partial_over(items)),
+            CoreAgg::BottomK(a) => CorePartial::Sample(a.partial_over(items)),
+            CoreAgg::Zoom => CorePartial::Unit,
         }
     }
 
@@ -314,31 +355,16 @@ impl CoreWave {
     /// issuing plan consumes — the accessor step of the two-step
     /// aggregation model.
     pub fn finalize(&self, req: &CoreRequest, partial: CorePartial) -> PlanInput {
-        match (req, partial) {
-            (CoreRequest::Min(_) | CoreRequest::Max(_), CorePartial::OptVal(_, v)) => {
-                PlanInput::OptVal(v.best)
-            }
-            (CoreRequest::Count(_) | CoreRequest::Sum(_), CorePartial::Num(v)) => PlanInput::Num(v),
-            (CoreRequest::ApxCount { pred, reps, nonce }, CorePartial::Sketches(sks)) => {
-                let agg = self.sketch_agg(*pred, SketchKey::ByItem, *reps, *nonce);
-                PlanInput::Est(agg.finalize(&sks))
-            }
-            (CoreRequest::DistinctApx { reps, nonce }, CorePartial::Sketches(sks)) => {
-                let agg = self.sketch_agg(Predicate::TRUE, SketchKey::ByValue, *reps, *nonce);
-                PlanInput::Est(agg.finalize(&sks))
-            }
-            (CoreRequest::Zoom { .. }, CorePartial::Unit) => PlanInput::Unit,
-            (CoreRequest::Collect, CorePartial::Values(vs)) => PlanInput::Values(vs),
-            (CoreRequest::DistinctExact, CorePartial::Set(vs)) => {
-                PlanInput::Num(self.distinct_agg().finalize(&vs))
-            }
-            (CoreRequest::Quantile { budget }, CorePartial::Quantile(s)) => {
-                PlanInput::Quantile(self.quantile_agg(*budget).finalize(&s))
-            }
-            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(s)) => {
-                PlanInput::Values(self.bottomk_agg(*k, *nonce).finalize(&s))
-            }
-            (req, partial) => unreachable!("partial {partial:?} does not answer {req:?}"),
+        match (self.agg(req), partial) {
+            (CoreAgg::MinMax(a), CorePartial::OptVal(v)) => PlanInput::OptVal(a.finalize(&v)),
+            (CoreAgg::CountSum(a), CorePartial::Num(v)) => PlanInput::Num(a.finalize(&v)),
+            (CoreAgg::Sketch(a), CorePartial::Sketches(sks)) => PlanInput::Est(a.finalize(&sks)),
+            (CoreAgg::Collect(_), CorePartial::Values(vs)) => PlanInput::Values(vs),
+            (CoreAgg::Distinct(a), CorePartial::Set(vs)) => PlanInput::Num(a.finalize(&vs)),
+            (CoreAgg::Quantile(a), CorePartial::Quantile(s)) => PlanInput::Quantile(a.finalize(&s)),
+            (CoreAgg::BottomK(a), CorePartial::Sample(s)) => PlanInput::Values(a.finalize(&s)),
+            (CoreAgg::Zoom, CorePartial::Unit) => PlanInput::Unit,
+            (_, partial) => unreachable!("partial {partial:?} does not answer {req:?}"),
         }
     }
 
@@ -351,23 +377,13 @@ impl CoreWave {
         r: &mut BitReader<'_>,
         first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
-        match (req, acc) {
-            (CoreRequest::Count(pred), CorePartial::Num(x)) => {
-                *x += self.countsum_agg(CountSumOp::Count, *pred).decode(r)?;
+        match (self.agg(req), acc) {
+            (CoreAgg::CountSum(a), CorePartial::Num(x)) => *x += a.decode(r)?,
+            (CoreAgg::MinMax(a), CorePartial::OptVal(x)) => {
+                let child = a.decode(r)?;
+                *x = a.merge(*x, child);
             }
-            (CoreRequest::Sum(pred), CorePartial::Num(x)) => {
-                *x += self.countsum_agg(CountSumOp::Sum, *pred).decode(r)?;
-            }
-            (CoreRequest::Min(d), CorePartial::OptVal(ad, x)) => {
-                let child = self.minmax_agg(MinMaxOp::Min, *d).decode(r)?;
-                *x = self.minmax_agg(MinMaxOp::Min, *ad).merge(*x, child);
-            }
-            (CoreRequest::Max(d), CorePartial::OptVal(ad, x)) => {
-                let child = self.minmax_agg(MinMaxOp::Max, *d).decode(r)?;
-                *x = self.minmax_agg(MinMaxOp::Max, *ad).merge(*x, child);
-            }
-            (CoreRequest::Quantile { budget }, CorePartial::Quantile(s)) => {
-                let agg = self.quantile_agg(*budget);
+            (CoreAgg::Quantile(agg), CorePartial::Quantile(s)) => {
                 ABSORB_SCRATCH.with_borrow_mut(|scratch| {
                     agg.decode_into(&mut scratch.summary, r)?;
                     if let Some(children) = first_of {
@@ -377,8 +393,7 @@ impl CoreWave {
                     Ok::<_, NetsimError>(())
                 })?;
             }
-            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(s)) => {
-                let agg = self.bottomk_agg(*k, *nonce);
+            (CoreAgg::BottomK(agg), CorePartial::Sample(s)) => {
                 ABSORB_SCRATCH.with_borrow_mut(|scratch| {
                     let sample = scratch.sample.get_or_insert_with(|| agg.identity());
                     agg.decode_into(sample, r)?;
@@ -386,7 +401,7 @@ impl CoreWave {
                     Ok::<_, NetsimError>(())
                 })?;
             }
-            (req, acc) => {
+            (_, acc) => {
                 let child = self.decode_partial(req, r)?;
                 let mine = std::mem::replace(acc, CorePartial::Unit);
                 *acc = self.merge(req, mine, child);
@@ -420,12 +435,10 @@ fn decode_domain(r: &mut BitReader<'_>) -> Result<Domain, NetsimError> {
     })
 }
 
-/// Reads a varint-coded sketch repetition count, rejecting values that
-/// cannot be a validated `reps` (the engine bounds them to `u32`).
-fn decode_reps(r: &mut BitReader<'_>) -> Result<u32, NetsimError> {
-    r.read_varint()?
-        .try_into()
-        .map_err(|_| NetsimError::WireDecode("sketch repetition count out of range"))
+/// A decoded request parameter as `u32`; [`CoreRequest::check_bounds`]
+/// then applies the parameter's own bound.
+fn param(v: u64) -> Result<u32, NetsimError> {
+    u32::try_from(v).map_err(|_| NetsimError::WireDecode("request parameter out of range"))
 }
 
 /// Items of a node as [`ItemRef`]s with `(node, slot)` identity, skipping
@@ -495,14 +508,14 @@ impl WaveProtocol for CoreWave {
     }
 
     fn decode_request(&self, r: &mut BitReader<'_>) -> Result<CoreRequest, NetsimError> {
-        Ok(match r.read_bits(4)? {
+        let req = match r.read_bits(4)? {
             OP_MIN => CoreRequest::Min(decode_domain(r)?),
             OP_MAX => CoreRequest::Max(decode_domain(r)?),
             OP_COUNT => CoreRequest::Count(Predicate::decode(self.xbar, r)?),
             OP_SUM => CoreRequest::Sum(Predicate::decode(self.xbar, r)?),
             OP_APX => CoreRequest::ApxCount {
                 pred: Predicate::decode(self.xbar, r)?,
-                reps: decode_reps(r)?,
+                reps: param(r.read_varint()?)?,
                 nonce: r.read_bits(32)? as u32,
             },
             OP_ZOOM => CoreRequest::Zoom {
@@ -511,59 +524,38 @@ impl WaveProtocol for CoreWave {
             OP_COLLECT => CoreRequest::Collect,
             OP_DISTINCT => CoreRequest::DistinctExact,
             OP_DISTINCT_APX => CoreRequest::DistinctApx {
-                reps: decode_reps(r)?,
+                reps: param(r.read_varint()?)?,
                 nonce: r.read_bits(32)? as u32,
             },
             OP_QUANTILE => CoreRequest::Quantile {
-                budget: (r.read_gamma()? - 1)
-                    .try_into()
-                    .map_err(|_| NetsimError::WireDecode("quantile budget out of range"))?,
+                budget: param(r.read_gamma()? - 1)?,
             },
             OP_BOTTOMK => CoreRequest::BottomK {
-                k: (r.read_gamma()? - 1)
-                    .try_into()
-                    .map_err(|_| NetsimError::WireDecode("bottom-k capacity out of range"))?,
+                k: param(r.read_gamma()? - 1)?,
                 nonce: r.read_bits(32)? as u32,
             },
             _ => return Err(NetsimError::WireDecode("unknown core opcode")),
-        })
+        };
+        req.check_bounds().map_err(NetsimError::WireDecode)?;
+        Ok(req)
+    }
+
+    /// Rejects a request outside [`CoreRequest::check_bounds`] before
+    /// the root injects it, so both runners refuse it at `run_wave`.
+    fn validate_request(&self, req: &CoreRequest) -> Result<(), NetsimError> {
+        req.check_bounds().map_err(NetsimError::WireEncode)
     }
 
     fn encode_partial(&self, req: &CoreRequest, p: &CorePartial, w: &mut BitWriter) {
-        match (req, p) {
-            (CoreRequest::Min(d), CorePartial::OptVal(_, v)) => {
-                self.minmax_agg(MinMaxOp::Min, *d).encode(v, w);
-            }
-            (CoreRequest::Max(d), CorePartial::OptVal(_, v)) => {
-                self.minmax_agg(MinMaxOp::Max, *d).encode(v, w);
-            }
-            (CoreRequest::Count(pred), CorePartial::Num(v)) => {
-                self.countsum_agg(CountSumOp::Count, *pred).encode(v, w);
-            }
-            (CoreRequest::Sum(pred), CorePartial::Num(v)) => {
-                self.countsum_agg(CountSumOp::Sum, *pred).encode(v, w);
-            }
-            (CoreRequest::ApxCount { pred, reps, nonce }, CorePartial::Sketches(sks)) => {
-                self.sketch_agg(*pred, SketchKey::ByItem, *reps, *nonce)
-                    .encode(sks, w);
-            }
-            (CoreRequest::DistinctApx { reps, nonce }, CorePartial::Sketches(sks)) => {
-                self.sketch_agg(Predicate::TRUE, SketchKey::ByValue, *reps, *nonce)
-                    .encode(sks, w);
-            }
-            (CoreRequest::Zoom { .. }, CorePartial::Unit) => {}
-            (CoreRequest::Collect, CorePartial::Values(vals)) => {
-                self.collect_agg().encode(vals, w);
-            }
-            (CoreRequest::DistinctExact, CorePartial::Set(vals)) => {
-                self.distinct_agg().encode(vals, w);
-            }
-            (CoreRequest::Quantile { budget }, CorePartial::Quantile(s)) => {
-                self.quantile_agg(*budget).encode(s, w);
-            }
-            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(s)) => {
-                self.bottomk_agg(*k, *nonce).encode(s, w);
-            }
+        match (self.agg(req), p) {
+            (CoreAgg::MinMax(a), CorePartial::OptVal(v)) => a.encode(v, w),
+            (CoreAgg::CountSum(a), CorePartial::Num(v)) => a.encode(v, w),
+            (CoreAgg::Sketch(a), CorePartial::Sketches(sks)) => a.encode(sks, w),
+            (CoreAgg::Collect(a), CorePartial::Values(vals)) => a.encode(vals, w),
+            (CoreAgg::Distinct(a), CorePartial::Set(vals)) => a.encode(vals, w),
+            (CoreAgg::Quantile(a), CorePartial::Quantile(s)) => a.encode(s, w),
+            (CoreAgg::BottomK(a), CorePartial::Sample(s)) => a.encode(s, w),
+            (CoreAgg::Zoom, CorePartial::Unit) => {}
             _ => debug_assert!(false, "partial variant does not answer request"),
         }
     }
@@ -573,36 +565,15 @@ impl WaveProtocol for CoreWave {
         req: &CoreRequest,
         r: &mut BitReader<'_>,
     ) -> Result<CorePartial, NetsimError> {
-        Ok(match req {
-            CoreRequest::Min(d) => {
-                CorePartial::OptVal(*d, self.minmax_agg(MinMaxOp::Min, *d).decode(r)?)
-            }
-            CoreRequest::Max(d) => {
-                CorePartial::OptVal(*d, self.minmax_agg(MinMaxOp::Max, *d).decode(r)?)
-            }
-            CoreRequest::Count(pred) => {
-                CorePartial::Num(self.countsum_agg(CountSumOp::Count, *pred).decode(r)?)
-            }
-            CoreRequest::Sum(pred) => {
-                CorePartial::Num(self.countsum_agg(CountSumOp::Sum, *pred).decode(r)?)
-            }
-            CoreRequest::ApxCount { pred, reps, nonce } => CorePartial::Sketches(
-                self.sketch_agg(*pred, SketchKey::ByItem, *reps, *nonce)
-                    .decode(r)?,
-            ),
-            CoreRequest::DistinctApx { reps, nonce } => CorePartial::Sketches(
-                self.sketch_agg(Predicate::TRUE, SketchKey::ByValue, *reps, *nonce)
-                    .decode(r)?,
-            ),
-            CoreRequest::Zoom { .. } => CorePartial::Unit,
-            CoreRequest::Collect => CorePartial::Values(self.collect_agg().decode(r)?),
-            CoreRequest::DistinctExact => CorePartial::Set(self.distinct_agg().decode(r)?),
-            CoreRequest::Quantile { budget } => {
-                CorePartial::Quantile(self.quantile_agg(*budget).decode(r)?)
-            }
-            CoreRequest::BottomK { k, nonce } => {
-                CorePartial::Sample(self.bottomk_agg(*k, *nonce).decode(r)?)
-            }
+        Ok(match self.agg(req) {
+            CoreAgg::MinMax(a) => CorePartial::OptVal(a.decode(r)?),
+            CoreAgg::CountSum(a) => CorePartial::Num(a.decode(r)?),
+            CoreAgg::Sketch(a) => CorePartial::Sketches(a.decode(r)?),
+            CoreAgg::Collect(a) => CorePartial::Values(a.decode(r)?),
+            CoreAgg::Distinct(a) => CorePartial::Set(a.decode(r)?),
+            CoreAgg::Quantile(a) => CorePartial::Quantile(a.decode(r)?),
+            CoreAgg::BottomK(a) => CorePartial::Sample(a.decode(r)?),
+            CoreAgg::Zoom => CorePartial::Unit,
         })
     }
 
@@ -620,47 +591,18 @@ impl WaveProtocol for CoreWave {
     }
 
     fn merge(&self, req: &CoreRequest, a: CorePartial, b: CorePartial) -> CorePartial {
-        match (req, a, b) {
-            (CoreRequest::Min(_), CorePartial::OptVal(d, x), CorePartial::OptVal(_, y)) => {
-                CorePartial::OptVal(d, self.minmax_agg(MinMaxOp::Min, d).merge(x, y))
+        use CorePartial as P;
+        match (self.agg(req), a, b) {
+            (CoreAgg::MinMax(g), P::OptVal(x), P::OptVal(y)) => P::OptVal(g.merge(x, y)),
+            (CoreAgg::CountSum(g), P::Num(x), P::Num(y)) => P::Num(g.merge(x, y)),
+            (CoreAgg::Sketch(g), P::Sketches(xs), P::Sketches(ys)) => P::Sketches(g.merge(xs, ys)),
+            (CoreAgg::Collect(g), P::Values(xs), P::Values(ys)) => P::Values(g.merge(xs, ys)),
+            (CoreAgg::Distinct(g), P::Set(xs), P::Set(ys)) => P::Set(g.merge(xs, ys)),
+            (CoreAgg::Quantile(g), P::Quantile(xs), P::Quantile(ys)) => {
+                P::Quantile(g.merge(xs, ys))
             }
-            (CoreRequest::Max(_), CorePartial::OptVal(d, x), CorePartial::OptVal(_, y)) => {
-                CorePartial::OptVal(d, self.minmax_agg(MinMaxOp::Max, d).merge(x, y))
-            }
-            (_, CorePartial::Num(x), CorePartial::Num(y)) => CorePartial::Num(x + y),
-            (
-                CoreRequest::ApxCount { pred, reps, nonce },
-                CorePartial::Sketches(xs),
-                CorePartial::Sketches(ys),
-            ) => CorePartial::Sketches(
-                self.sketch_agg(*pred, SketchKey::ByItem, *reps, *nonce)
-                    .merge(xs, ys),
-            ),
-            (
-                CoreRequest::DistinctApx { reps, nonce },
-                CorePartial::Sketches(xs),
-                CorePartial::Sketches(ys),
-            ) => CorePartial::Sketches(
-                self.sketch_agg(Predicate::TRUE, SketchKey::ByValue, *reps, *nonce)
-                    .merge(xs, ys),
-            ),
-            (_, CorePartial::Unit, CorePartial::Unit) => CorePartial::Unit,
-            (_, CorePartial::Values(xs), CorePartial::Values(ys)) => {
-                CorePartial::Values(self.collect_agg().merge(xs, ys))
-            }
-            (_, CorePartial::Set(xs), CorePartial::Set(ys)) => {
-                CorePartial::Set(self.distinct_agg().merge(xs, ys))
-            }
-            (
-                CoreRequest::Quantile { budget },
-                CorePartial::Quantile(xs),
-                CorePartial::Quantile(ys),
-            ) => CorePartial::Quantile(self.quantile_agg(*budget).merge(xs, ys)),
-            (
-                CoreRequest::BottomK { k, nonce },
-                CorePartial::Sample(xs),
-                CorePartial::Sample(ys),
-            ) => CorePartial::Sample(self.bottomk_agg(*k, *nonce).merge(xs, ys)),
+            (CoreAgg::BottomK(g), P::Sample(xs), P::Sample(ys)) => P::Sample(g.merge(xs, ys)),
+            (CoreAgg::Zoom, P::Unit, P::Unit) => P::Unit,
             (_, a, _) => {
                 debug_assert!(false, "mismatched partial variants in merge");
                 a
@@ -735,7 +677,7 @@ impl WaveProtocol for CoreWave {
             CorePartial::Sample(s) => s.shrink_to_fit(),
             CorePartial::Values(v) | CorePartial::Set(v) => v.shrink_to_fit(),
             CorePartial::Sketches(v) => v.shrink_to_fit(),
-            CorePartial::OptVal(..) | CorePartial::Num(_) | CorePartial::Unit => {}
+            CorePartial::OptVal(_) | CorePartial::Num(_) | CorePartial::Unit => {}
         }
     }
 
@@ -797,25 +739,11 @@ impl WaveProtocol for CoreWave {
             return true; // only passive/unchanged slots: partial already right
         }
         use crate::aggregate::DeltaSupport;
-        let support = match (req, partial) {
-            (CoreRequest::Min(d), CorePartial::OptVal(_, v)) => self
-                .minmax_agg(MinMaxOp::Min, *d)
-                .apply_delta(v, removed, added),
-            (CoreRequest::Max(d), CorePartial::OptVal(_, v)) => self
-                .minmax_agg(MinMaxOp::Max, *d)
-                .apply_delta(v, removed, added),
-            (CoreRequest::Count(p), CorePartial::Num(n)) => self
-                .countsum_agg(CountSumOp::Count, *p)
-                .apply_delta(n, removed, added),
-            (CoreRequest::Sum(p), CorePartial::Num(n)) => self
-                .countsum_agg(CountSumOp::Sum, *p)
-                .apply_delta(n, removed, added),
-            (CoreRequest::Quantile { budget }, CorePartial::Quantile(s)) => {
-                self.quantile_agg(*budget).apply_delta(s, removed, added)
-            }
-            (CoreRequest::BottomK { k, nonce }, CorePartial::Sample(s)) => {
-                self.bottomk_agg(*k, *nonce).apply_delta(s, removed, added)
-            }
+        let support = match (self.agg(req), partial) {
+            (CoreAgg::MinMax(a), CorePartial::OptVal(v)) => a.apply_delta(v, removed, added),
+            (CoreAgg::CountSum(a), CorePartial::Num(n)) => a.apply_delta(n, removed, added),
+            (CoreAgg::Quantile(a), CorePartial::Quantile(s)) => a.apply_delta(s, removed, added),
+            (CoreAgg::BottomK(a), CorePartial::Sample(s)) => a.apply_delta(s, removed, added),
             // Collect, DistinctExact and the sketch requests decline:
             // multiset deletion from their partials is unsound (or the
             // entries are never cached to begin with).
@@ -870,6 +798,39 @@ mod tests {
             CoreRequest::BottomK { k: 32, nonce: 77 },
         ] {
             roundtrip_req(&p, req);
+        }
+    }
+
+    #[test]
+    fn decoders_reject_requests_out_of_bounds() {
+        // Hand-written frames no validated request encodes to: each
+        // decodes to an error, never to a request a node would run.
+        let p = proto();
+        let frames = [
+            encoded(|w| {
+                w.write_bits(OP_DISTINCT_APX, 4);
+                w.write_varint(u32::MAX as u64);
+                w.write_bits(7, 32);
+            }),
+            encoded(|w| {
+                w.write_bits(OP_APX, 4);
+                Predicate::TRUE.encode(p.xbar, w);
+                w.write_varint(0);
+                w.write_bits(7, 32);
+            }),
+            encoded(|w| {
+                w.write_bits(OP_QUANTILE, 4);
+                w.write_gamma(1);
+            }),
+            encoded(|w| {
+                w.write_bits(OP_BOTTOMK, 4);
+                w.write_gamma(1);
+                w.write_bits(7, 32);
+            }),
+        ];
+        for frame in frames {
+            let got = p.decode_request(&mut BitReader::new(&frame));
+            assert!(matches!(got, Err(NetsimError::WireDecode(_))), "{got:?}");
         }
     }
 
@@ -937,7 +898,7 @@ mod tests {
         for (req, partial) in [
             (
                 CoreRequest::Min(Domain::Raw),
-                CorePartial::OptVal(Domain::Raw, MinMaxPartial::of(Some(999))),
+                CorePartial::OptVal(MinMaxPartial::of(Some(999))),
             ),
             (
                 CoreRequest::Quantile { budget: 4 },
@@ -949,11 +910,11 @@ mod tests {
             ),
             (
                 CoreRequest::Min(Domain::Raw),
-                CorePartial::OptVal(Domain::Raw, MinMaxPartial::of(None)),
+                CorePartial::OptVal(MinMaxPartial::of(None)),
             ),
             (
                 CoreRequest::Max(Domain::Log),
-                CorePartial::OptVal(Domain::Log, MinMaxPartial::of(Some(9))),
+                CorePartial::OptVal(MinMaxPartial::of(Some(9))),
             ),
             (CoreRequest::Count(Predicate::TRUE), CorePartial::Num(0)),
             (CoreRequest::Sum(Predicate::TRUE), CorePartial::Num(123_456)),
@@ -1049,24 +1010,24 @@ mod tests {
     #[test]
     fn optval_merge_respects_op() {
         let p = proto();
-        let a = CorePartial::OptVal(Domain::Raw, MinMaxPartial::of(Some(3)));
-        let b = CorePartial::OptVal(Domain::Raw, MinMaxPartial::of(Some(9)));
+        let a = CorePartial::OptVal(MinMaxPartial::of(Some(3)));
+        let b = CorePartial::OptVal(MinMaxPartial::of(Some(9)));
         assert_eq!(
             p.merge(&CoreRequest::Min(Domain::Raw), a.clone(), b.clone()),
-            CorePartial::OptVal(Domain::Raw, MinMaxPartial::of(Some(3)))
+            CorePartial::OptVal(MinMaxPartial::of(Some(3)))
         );
         assert_eq!(
             p.merge(&CoreRequest::Max(Domain::Raw), a, b),
-            CorePartial::OptVal(Domain::Raw, MinMaxPartial::of(Some(9)))
+            CorePartial::OptVal(MinMaxPartial::of(Some(9)))
         );
-        let none = CorePartial::OptVal(Domain::Raw, MinMaxPartial::of(None));
+        let none = CorePartial::OptVal(MinMaxPartial::of(None));
         assert_eq!(
             p.merge(
                 &CoreRequest::Min(Domain::Raw),
                 none,
-                CorePartial::OptVal(Domain::Raw, MinMaxPartial::of(Some(5)))
+                CorePartial::OptVal(MinMaxPartial::of(Some(5)))
             ),
-            CorePartial::OptVal(Domain::Raw, MinMaxPartial::of(Some(5)))
+            CorePartial::OptVal(MinMaxPartial::of(Some(5)))
         );
     }
 
@@ -1217,7 +1178,9 @@ mod tests {
                 .map(|(i, req)| MuxEntry::new(3 * i as u32 + 1, req))
                 .collect();
             let mut rng = Xoshiro256StarStar::seed_from_u64(x);
-            let slots = mux.split_slots(&env, mux.local(3, &mut items, &env, &mut rng));
+            let mut slots = Vec::new();
+            let part = mux.local(3, &mut items, &env, &mut rng);
+            mux.split_slots(&env, part, &mut |_, p| slots.push(p));
             let ledger = mux.ledger();
             ledger.lock().unwrap().reset(0);
             let by_slot = encoded(|w| {

@@ -261,9 +261,21 @@ pub trait WaveProtocol: Clone {
 
     /// Splits a partial aligned with `req` into per-slot partials, each
     /// shaped as if its slot were a single-slot request (the form stored
-    /// in the cache). Inverse of [`WaveProtocol::join_slots`].
-    fn split_slots(&self, _req: &Self::Request, p: Self::Partial) -> Vec<Self::Partial> {
-        vec![p]
+    /// in the cache), and hands them to `f` in slot order with their
+    /// slot positions. Inverse of [`WaveProtocol::join_slots`].
+    fn split_slots(
+        &self,
+        _req: &Self::Request,
+        p: Self::Partial,
+        f: &mut dyn FnMut(usize, Self::Partial),
+    ) {
+        f(0, p);
+    }
+
+    /// A copy of the partial [`split_slots`](WaveProtocol::split_slots)
+    /// hands over for slot position `i` of `p`, leaving `p` whole.
+    fn slot_partial(&self, _req: &Self::Request, p: &Self::Partial, _i: usize) -> Self::Partial {
+        p.clone()
     }
 
     /// Reassembles per-slot partials (ordered by slot index, one per
@@ -639,38 +651,31 @@ impl CacheResolution {
             return acc;
         }
         let cache = cache.as_mut().expect("resolved slots imply a cache");
-        let computed = proto.split_slots(fwd, acc);
-        debug_assert_eq!(computed.len(), self.miss.len(), "slot split shape");
         let hits: Vec<(usize, P::Partial)> = self
             .hits
             .drain(..)
             .map(|(i, pos)| (i, cache.at(pos).partial.clone()))
             .collect();
         for (pos, key) in self.store.drain(..) {
-            let entry = CachedPartial::new(proto, &key, computed[pos].clone());
+            let entry = CachedPartial::new(proto, &key, proto.slot_partial(fwd, &acc, pos));
             cache.insert(key, entry);
         }
         if hits.is_empty() {
-            return proto.join_slots(req, computed);
+            return acc; // nothing was served from cache: `fwd` is `req`
         }
         // Interleave cached and computed slot partials by slot index.
         let mut hits = hits.into_iter().peekable();
-        let mut fresh = self.miss.iter().zip(computed).peekable();
-        let mut slots = Vec::with_capacity(hits.len() + fresh.len());
-        loop {
-            match (hits.peek(), fresh.peek()) {
-                (Some(&(hi, _)), Some(&(&mi, _))) => {
-                    if hi < mi {
-                        slots.push(hits.next().expect("peeked").1);
-                    } else {
-                        slots.push(fresh.next().expect("peeked").1);
-                    }
-                }
-                (Some(_), None) => slots.push(hits.next().expect("peeked").1),
-                (None, Some(_)) => slots.push(fresh.next().expect("peeked").1),
-                (None, None) => break,
+        let mut miss = self.miss.iter();
+        let mut slots = Vec::with_capacity(hits.len() + miss.len());
+        proto.split_slots(fwd, acc, &mut |_, part| {
+            let i = *miss.next().expect("one computed slot per missed slot");
+            while let Some((_, hit)) = hits.next_if(|&(h, _)| h < i) {
+                slots.push(hit);
             }
-        }
+            slots.push(part);
+        });
+        debug_assert_eq!(miss.len(), 0, "slot split shape");
+        slots.extend(hits.map(|(_, hit)| hit));
         proto.join_slots(req, slots)
     }
 
@@ -696,13 +701,13 @@ impl CacheResolution {
         }
         let cache = cache.as_mut().expect("resolved slots imply a cache");
         let mut store = self.store.drain(..).peekable();
-        for (pos, mut part) in proto.split_slots(fwd, acc).into_iter().enumerate() {
+        proto.split_slots(fwd, acc, &mut |pos, mut part| {
             if let Some((_, key)) = store.next_if(|&(p, _)| p == pos) {
                 proto.shrink_partial(&mut part);
                 let entry = CachedPartial::new(proto, &key, part);
                 cache.insert(key, entry);
             }
-        }
+        });
         None
     }
 }
@@ -1996,8 +2001,19 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         keep.iter().map(|&i| req[i].clone()).collect()
     }
 
-    fn split_slots(&self, _req: &Self::Request, p: Self::Partial) -> Vec<Self::Partial> {
-        p.into_iter().map(|sub| vec![sub]).collect()
+    fn split_slots(
+        &self,
+        _req: &Self::Request,
+        p: Self::Partial,
+        f: &mut dyn FnMut(usize, Self::Partial),
+    ) {
+        for (i, sub) in p.into_iter().enumerate() {
+            f(i, vec![sub]);
+        }
+    }
+
+    fn slot_partial(&self, _req: &Self::Request, p: &Self::Partial, i: usize) -> Self::Partial {
+        vec![p[i].clone()]
     }
 
     fn join_slots(&self, _req: &Self::Request, slots: Vec<Self::Partial>) -> Self::Partial {

@@ -174,7 +174,7 @@ fn an_exact_min_max_runner_up_survives_the_in_place_merge() {
     ] {
         for mine in [[300, 700], [500, 500]] {
             let acc = proto.local(3, &mut items(&mine), &req, &mut rng);
-            let CorePartial::OptVal(_, p) = &acc else {
+            let CorePartial::OptVal(p) = &acc else {
                 panic!("a min/max request has a min/max partial");
             };
             assert!(matches!(p.second, RunnerUp::Exactly(_)), "{acc:?}");

@@ -151,3 +151,29 @@ fn op_counts_agree_across_networks() {
     assert_eq!((c.rep_countp_ops, c.apx_count_instances), (1, 4));
     assert_eq!(c.distinct_ops, 2);
 }
+
+/// A batch request outside the parameter bounds is a typed error on
+/// both runners — `reps: u32::MAX` once aborted the process allocating
+/// its sketches, `reps: 0` silently estimated 0 — and the network then
+/// answers the next request as if nothing had happened.
+#[test]
+fn out_of_range_requests_are_rejected_on_both_runners() {
+    use saq::core::wave_proto::CoreRequest;
+    for flat in [false, true] {
+        let mut net = sim(flat);
+        for reps in [u32::MAX, 0] {
+            let apx = CoreRequest::ApxCount {
+                pred: Predicate::TRUE,
+                reps,
+                nonce: 1,
+            };
+            let distinct = CoreRequest::DistinctApx { reps, nonce: 1 };
+            for req in [apx, distinct] {
+                let got = net.run_batch(vec![req.clone()]);
+                assert!(got.is_err(), "flat({flat}) {req:?}");
+            }
+        }
+        let count = net.count(&Predicate::less_than(200)).unwrap();
+        assert_eq!(count, 6, "flat({flat})");
+    }
+}
