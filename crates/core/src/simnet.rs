@@ -200,7 +200,9 @@ impl SimNetworkBuilder {
         }
         let tree =
             SpanningTree::bfs_bounded(topo, 0, self.max_children).map_err(QueryError::from)?;
-        let parents: Vec<Option<usize>> = (0..topo.len()).map(|v| tree.parent(v)).collect();
+        let parents: Vec<u32> = (0..topo.len())
+            .map(|v| tree.parent(v).map_or(NO_PARENT, |p| p as u32))
+            .collect();
         let replay = matches!(self.reliability, Reliability::Ack { .. }).then(|| {
             FateReplay::new(
                 self.sim_cfg.seed,
@@ -223,10 +225,14 @@ impl SimNetworkBuilder {
                 Some(d) => NestDepth::Fixed(d),
                 None => NestDepth::Auto,
             };
-            Box::new(FlatWaveRunner::new(
-                topo,
+            // Lay the tree out flat and free the spanning tree before
+            // the runner allocates its per-node columns.
+            tree.validate(topo).map_err(QueryError::from)?;
+            let flat = tree.flatten();
+            drop(tree);
+            Box::new(FlatWaveRunner::from_flat_tree(
                 self.sim_cfg,
-                &tree,
+                flat,
                 proto,
                 items,
                 self.reliability,
@@ -360,9 +366,10 @@ pub struct SimNetwork {
     /// [`SimNetwork::attach_recorder`], at which point the runners start
     /// buffering per-node traces the driver drains into [`Event`]s.
     telemetry: Telemetry,
-    /// Global parent of each node on the spanning tree — what turns
-    /// peer-free [`NodeTraceEntry`]s into edge-attributed frame events.
-    parents: Vec<Option<usize>>,
+    /// Global parent of each node on the spanning tree ([`NO_PARENT`]
+    /// at the root) — what turns peer-free [`NodeTraceEntry`]s into
+    /// edge-attributed frame events.
+    parents: Vec<u32>,
     /// Under per-hop ARQ, replays the simulator's per-edge fate streams
     /// to expand logical frames into attempt-level detail without
     /// touching the simulator's own streams; re-seeked from the runner
@@ -588,9 +595,10 @@ impl SimNetwork {
             };
             // The root has no tree edge: no inbound request, no
             // outbound partial.
-            if let (Some((hop, bits)), Some(parent)) = (exchange, parents[node]) {
+            let parent = parents[node];
+            if let Some((hop, bits)) = exchange.filter(|_| parent != NO_PARENT) {
                 let arq = replay.as_mut().map(|replay| (replay, ack_width));
-                push_exchange(events, arq, node as u64, parent as u64, hop, bits);
+                push_exchange(events, arq, node as u64, u64::from(parent), hop, bits);
             }
             if events.len() >= EMIT_RUN {
                 telemetry.emit_all(events);
@@ -724,6 +732,9 @@ impl SimNetwork {
 /// amortise a shared sink's lock, short enough that the reused buffer
 /// stays at tens of KiB whatever the tree size.
 const EMIT_RUN: usize = 1024;
+
+/// The root's entry in [`SimNetwork`]'s parent column.
+const NO_PARENT: u32 = u32::MAX;
 
 /// Appends the event(s) of one logical frame exchange over the tree
 /// edge between `child` and its `parent`. Without ARQ expansion (`arq`

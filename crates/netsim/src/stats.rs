@@ -89,15 +89,23 @@ impl NetStats {
     }
 
     /// As [`NetStats::new`], additionally declaring a spanning tree
-    /// (`parents[v]` is `v`'s parent, `None` at the root) whose edges
-    /// are tallied in a dense column instead of the link map. Purely a
-    /// representation choice: every accessor returns what the map-backed
-    /// tracker would.
-    pub fn with_tree(energy_model: EnergyModel, parents: &[Option<usize>]) -> Self {
+    /// (the `v`-th item of `parents` is `v`'s parent, `None` at the
+    /// root) whose edges are tallied in a dense column instead of the
+    /// link map. Purely a representation choice: every accessor returns
+    /// what the map-backed tracker would.
+    pub fn with_tree(
+        energy_model: EnergyModel,
+        parents: impl IntoIterator<Item = Option<usize>>,
+    ) -> Self {
+        let tree_parent: Vec<usize> = parents
+            .into_iter()
+            .map(|p| p.unwrap_or(NO_PARENT))
+            .collect();
+        let n = tree_parent.len();
         NetStats {
-            tree_parent: parents.iter().map(|p| p.unwrap_or(NO_PARENT)).collect(),
-            tree_links: vec![TreeLinkBits::default(); parents.len()],
-            ..NetStats::new(parents.len(), energy_model)
+            tree_parent,
+            tree_links: vec![TreeLinkBits::default(); n],
+            ..NetStats::new(n, energy_model)
         }
     }
 
@@ -383,7 +391,7 @@ mod tests {
         let parents = [None, Some(0), Some(1), Some(1)];
         let mut pair = (
             NetStats::new(4, EnergyModel::default()),
-            NetStats::with_tree(EnergyModel::default(), &parents),
+            NetStats::with_tree(EnergyModel::default(), parents),
         );
         for s in [&mut pair.0, &mut pair.1] {
             s.charge_link(0, 1, 10);

@@ -25,19 +25,23 @@
 //!   in the position columns between waves;
 //! * **frames** are recycled through [`ScratchPool`]s; after the first
 //!   wave no frame buffer is allocated;
-//! * **the request is shared, not cloned.** A slot holds
-//!   `Arc<P::Request>` handles: `fwd` is the same handle as `req`
-//!   unless a partial cache hit subsets the envelope, and the sweeps
-//!   copy handles, never requests;
+//! * **a request is an index, not a copy.** Each thread keeps a
+//!   per-wave request table in its `Scratch` — the driver's serves the
+//!   spine, with the root's request as entry 0; each worker's serves
+//!   its blocks — cleared when the thread starts a wave. A slot holds
+//!   two `u32` indices into it: `fwd` equals `req` unless a partial
+//!   cache hit pushed the subset envelope into the table. A position's
+//!   two steps run on the same thread, so an index never crosses
+//!   tables, and the sweeps copy indices: no request clone, no
+//!   reference count;
 //! * **each distinct frame is decoded once per thread.** Every node
 //!   still takes — and is billed for — its own inbound frame, but a
-//!   per-thread, per-wave `DecodeMemo` (the driver's on the spine, one
-//!   per worker across its blocks; nothing shared) compares the
+//!   per-thread, per-wave `DecodeMemo` (nothing shared) compares the
 //!   frame's bits with those already decoded (whole-frame equality,
-//!   header and ARQ sequence number included) and shares that decode,
-//!   which is a pure function of the bits and the deployment
-//!   configuration. A frame that differs in one bit misses and is
-//!   decoded afresh;
+//!   header and ARQ sequence number included) and hands out the index
+//!   of that decode, which is a pure function of the bits and the
+//!   deployment configuration. A frame that differs in one bit misses
+//!   and is decoded afresh;
 //! * **each fan-out is encoded once** under [`Reliability::None`]: the
 //!   siblings receive pool-backed copies billed through
 //!   [`WaveProtocol::note_request_copies`], exactly the boxed runner's
@@ -57,6 +61,13 @@
 //!   top-down sweep is still at it, and allocates nothing. An executing
 //!   node with no hits encodes its reply from the accumulator, then
 //!   moves the computed slot partials into its cache;
+//! * **a column exists only for what the deployment uses**: each
+//!   node's cache and its wave's `CacheResolution` appear with
+//!   [`WaveSubstrate::enable_partial_cache`], the trace buffers while
+//!   tracing is on, and the dedup-residue and edge-stream columns under
+//!   [`Reliability::Ack`]. A column that is off is empty, and a window
+//!   carves it into empty slices, so a node with no cache touches no
+//!   cache state;
 //! * **link tallies are columns**: a tree edge is owned by its child
 //!   position, always inside the window that emulates the exchange, so
 //!   both directions accumulate in a [`TreeLinkBits`] column flushed
@@ -145,7 +156,6 @@ use saq_netsim::stats::{NetStats, NodeStats, TreeLinkBits};
 use saq_netsim::topology::Topology;
 use saq_netsim::wire::{BitReader, BitString, BitWriter, ScratchPool};
 use saq_netsim::{NetsimError, SimDuration};
-use std::sync::Arc;
 
 /// The four per-edge fate streams of one tree edge, stored at the
 /// child's position (one tree edge per non-root node). Streams are
@@ -191,8 +201,6 @@ struct Env<'a> {
     /// simulator's event budget, guarding against livelock when every
     /// transmission is fated to drop.
     attempt_budget: u64,
-    /// Whether per-node telemetry tracing is on (see [`crate::obs`]).
-    trace_on: bool,
 }
 
 /// Two disjoint `&mut` borrows of one slice (`a < b`).
@@ -315,22 +323,22 @@ fn arq_exchange(
 
 /// Per-position wave state: the flat analogue of the wave-scoped fields
 /// of [`AggNode`](crate::wave::AggNode), reset by admission each wave.
+/// Only what every deployment needs lives here; the cache resolution
+/// lives in the cache column ([`NodeCache`]).
 #[derive(Debug)]
 struct WaveSlot<P: WaveProtocol> {
-    /// Request this node received (partials are encoded against it) —
-    /// a shared handle: every node this thread saw take a bit-identical
-    /// frame holds the same decode.
-    req: Option<Arc<P::Request>>,
+    /// Request this node received (partials are encoded against it), as
+    /// an index into its thread's [`RequestTable`]: every node this
+    /// thread saw take a bit-identical frame holds the same index.
+    req: u32,
     /// Request forwarded to children (partials are decoded and merged
-    /// against it): the *same* handle as `req` unless a partial cache
-    /// hit subset the envelope.
-    fwd: Option<Arc<P::Request>>,
+    /// against it): the *same* index as `req` unless a partial cache hit
+    /// subset the envelope.
+    fwd: u32,
     /// Local contribution, then the canonical merge accumulator —
     /// between this node's two steps of a wave only: it comes from and
     /// goes back to the thread's free list (`Scratch::spare`).
     acc: Option<P::Partial>,
-    /// The current wave's cache hits, misses and pending stores.
-    resolved: CacheResolution,
     /// Whether admission answered entirely from cache (subtree silent).
     cached: bool,
     /// Whether this node participates in the current wave.
@@ -345,14 +353,39 @@ struct WaveSlot<P: WaveProtocol> {
 impl<P: WaveProtocol> WaveSlot<P> {
     fn blank() -> Self {
         WaveSlot {
-            req: None,
-            fwd: None,
+            req: 0,
+            fwd: 0,
             acc: None,
-            resolved: CacheResolution::default(),
             cached: false,
             active: false,
             frame: None,
         }
+    }
+}
+
+/// A node's subtree cache and the current wave's resolution against it:
+/// the column [`WaveSubstrate::enable_partial_cache`] adds.
+#[derive(Debug)]
+struct NodeCache<P: WaveProtocol> {
+    cache: PartialCache<CachedPartial<P>>,
+    /// The current wave's cache hits, misses and pending stores.
+    resolved: CacheResolution,
+}
+
+/// The requests one thread's nodes received or forwarded in the current
+/// wave; a [`WaveSlot`] names one by its index. Cleared when the thread
+/// starts a wave.
+#[derive(Debug)]
+struct RequestTable<R>(Vec<R>);
+
+impl<R> RequestTable<R> {
+    fn push(&mut self, req: R) -> u32 {
+        self.0.push(req);
+        (self.0.len() - 1) as u32
+    }
+
+    fn at(&self, index: u32) -> &R {
+        &self.0[index as usize]
     }
 }
 
@@ -363,19 +396,20 @@ impl<P: WaveProtocol> WaveSlot<P> {
 const DECODE_MEMO_CAP: usize = 16;
 
 /// The request frames a thread has already decoded in the current wave,
-/// each with its decode. Decoding is a pure function of (frame bits,
-/// deployment config), so a node whose inbound frame equals a
-/// remembered one **bit for bit** — header and ARQ sequence number
-/// included — shares that decode instead of repeating it; a frame that
-/// differs anywhere misses and is decoded afresh.
+/// each with the [`RequestTable`] index of its decode. Decoding is a
+/// pure function of (frame bits, deployment config), so a node whose
+/// inbound frame equals a remembered one **bit for bit** — header and
+/// ARQ sequence number included — shares that decode instead of
+/// repeating it; a frame that differs anywhere misses and is decoded
+/// afresh.
 #[derive(Debug)]
-struct DecodeMemo<R> {
-    entries: Vec<(BitString, Arc<R>)>,
+struct DecodeMemo {
+    entries: Vec<(BitString, u32)>,
     /// Next entry to replace once `entries` is full.
     cursor: usize,
 }
 
-impl<R> DecodeMemo<R> {
+impl DecodeMemo {
     fn new() -> Self {
         DecodeMemo {
             entries: Vec::with_capacity(DECODE_MEMO_CAP),
@@ -383,16 +417,16 @@ impl<R> DecodeMemo<R> {
         }
     }
 
-    fn get(&self, frame: &BitString) -> Option<Arc<R>> {
+    fn get(&self, frame: &BitString) -> Option<u32> {
         self.entries
             .iter()
             .find(|(seen, _)| seen == frame)
-            .map(|(_, req)| Arc::clone(req))
+            .map(|&(_, req)| req)
     }
 
     /// Remembers `frame`'s decode, keeping the frame itself as the key
     /// (its allocation returns to `pool` on replacement or `drain`).
-    fn insert(&mut self, frame: BitString, req: Arc<R>, pool: &mut ScratchPool) {
+    fn insert(&mut self, frame: BitString, req: u32, pool: &mut ScratchPool) {
         if self.entries.len() < DECODE_MEMO_CAP {
             self.entries.push((frame, req));
         } else {
@@ -410,31 +444,14 @@ impl<R> DecodeMemo<R> {
     }
 }
 
-/// What one thread reuses from wave to wave — the driver on the spine,
-/// each worker across its blocks; never shared between threads.
+/// Free list of spent accumulators ([`WaveProtocol::release_partial`]
+/// already applied), refilled by [`WaveProtocol::local_into`]. A node
+/// takes one going down and gives it back once its reply is encoded, so
+/// the list never holds more than one block's live accumulators.
 #[derive(Debug)]
-struct Scratch<P: WaveProtocol> {
-    /// Recycled frame buffers.
-    pool: ScratchPool,
-    /// Request frames decoded so far in the current wave.
-    memo: DecodeMemo<P::Request>,
-    /// Free list of spent accumulators ([`WaveProtocol::release_partial`]
-    /// already applied), refilled by [`WaveProtocol::local_into`]. A
-    /// node takes one going down and gives it back once its reply is
-    /// encoded, so the list never holds more than one block's live
-    /// accumulators.
-    spare: Vec<P::Partial>,
-}
+struct FreeList<P: WaveProtocol>(Vec<P::Partial>);
 
-impl<P: WaveProtocol> Scratch<P> {
-    fn new() -> Self {
-        Scratch {
-            pool: ScratchPool::new(),
-            memo: DecodeMemo::new(),
-            spare: Vec::new(),
-        }
-    }
-
+impl<P: WaveProtocol> FreeList<P> {
     /// This node's local contribution, built in a spent accumulator
     /// when one is free.
     fn local(
@@ -445,7 +462,7 @@ impl<P: WaveProtocol> Scratch<P> {
         req: &P::Request,
         rng: &mut Xoshiro256StarStar,
     ) -> P::Partial {
-        match self.spare.pop() {
+        match self.0.pop() {
             Some(mut acc) => {
                 proto.local_into(node, items, req, rng, &mut acc);
                 acc
@@ -457,7 +474,37 @@ impl<P: WaveProtocol> Scratch<P> {
     /// Puts a spent accumulator on the free list.
     fn recycle(&mut self, proto: &P, mut acc: P::Partial) {
         proto.release_partial(&mut acc);
-        self.spare.push(acc);
+        self.0.push(acc);
+    }
+}
+
+/// What one thread reuses from wave to wave — the driver on the spine,
+/// each worker across its blocks; never shared between threads.
+#[derive(Debug)]
+struct Scratch<P: WaveProtocol> {
+    /// Recycled frame buffers.
+    pool: ScratchPool,
+    /// Request frames decoded so far in the current wave.
+    memo: DecodeMemo,
+    /// Spent accumulators.
+    spare: FreeList<P>,
+    /// The current wave's requests, named by index from the slots.
+    reqs: RequestTable<P::Request>,
+}
+
+impl<P: WaveProtocol> Scratch<P> {
+    fn new() -> Self {
+        Scratch {
+            pool: ScratchPool::new(),
+            memo: DecodeMemo::new(),
+            spare: FreeList(Vec::new()),
+            reqs: RequestTable(Vec::new()),
+        }
+    }
+
+    /// Starts this thread's share of a wave: last wave's requests go.
+    fn start_wave(&mut self) {
+        self.reqs.0.clear();
     }
 
     /// Ends the wave's top-down traffic: the remembered frames go back
@@ -470,22 +517,25 @@ impl<P: WaveProtocol> Scratch<P> {
 /// A contiguous window into every per-node column, covering positions
 /// `base..base + len`. The whole tree for spine sweeps; one block for a
 /// worker — blocks are disjoint position ranges, so workers borrow
-/// disjoint slices of the same columns with no synchronisation.
+/// disjoint slices of the same columns with no synchronisation. A
+/// column that is off ([`Columns`]) is an empty slice in every window,
+/// so `get_mut(rel)` on it is `None`.
 struct Cols<'a, P: WaveProtocol> {
     base: usize,
     items: &'a mut [Vec<P::Item>],
     rngs: &'a mut [Xoshiro256StarStar],
-    caches: &'a mut [Option<PartialCache<CachedPartial<P>>>],
+    /// Per-position cache state; empty while caching is off.
+    caches: &'a mut [NodeCache<P>],
     counters: &'a mut [NodeStats],
     slots: &'a mut [WaveSlot<P>],
     /// Emulated receiver-side dedup residue (`seen` cardinality) per
-    /// position; stays zero under [`Reliability::None`].
+    /// position; empty under [`Reliability::None`].
     residue: &'a mut [u64],
-    /// Per-edge fate streams, at the child position; `None` for the
-    /// root and under [`Reliability::None`].
-    arq: &'a mut [Option<Box<EdgeStreams>>],
-    /// Per-position telemetry buffers (all empty when tracing is off);
-    /// drained by the driver in ascending global id order.
+    /// Per-edge fate streams, at the child position (`None` for the
+    /// root); empty under [`Reliability::None`].
+    arq: &'a mut [Option<EdgeStreams>],
+    /// Per-position telemetry buffers, drained by the driver in
+    /// ascending global id order; empty while tracing is off.
     trace: &'a mut [Vec<NodeTraceEntry>],
     /// Cumulative bits on each position's tree edge (the one to its
     /// parent). An edge is owned by its child position, which is always
@@ -509,28 +559,34 @@ fn charge_rx(c: &mut NodeStats, model: &EnergyModel, bits: u64) {
 }
 
 /// Wave admission at one node — the cache resolution of
-/// [`AggNode::admit_wave`](crate::wave::AggNode), on a column slot.
-/// Returns `true` when every slot of the request was served from cache:
-/// the subtree stays silent and the reply comes straight from the
-/// cache entries ([`CacheResolution`]).
+/// [`AggNode::admit_wave`](crate::wave::AggNode), on a column slot, for
+/// the request at index `req` of its thread's table. Returns `true`
+/// when every slot of the request was served from cache: the subtree
+/// stays silent and the reply comes straight from the cache entries
+/// ([`CacheResolution`]). Without a cache the node forwards what it
+/// received.
 fn admit<P: WaveProtocol>(
     proto: &P,
-    cache: &mut Option<PartialCache<CachedPartial<P>>>,
+    reqs: &mut RequestTable<P::Request>,
     slot: &mut WaveSlot<P>,
-    req: Arc<P::Request>,
+    cache: Option<&mut NodeCache<P>>,
+    req: u32,
     trace: Option<&mut Vec<NodeTraceEntry>>,
 ) -> bool {
     slot.acc = None;
-    slot.cached = slot.resolved.resolve(proto, cache, &req, trace);
-    // The only place a new request value is made below the root: a
-    // partial hit forwards the miss subset; otherwise the handle is
-    // shared.
-    slot.fwd = match (slot.cached, slot.resolved.hits.is_empty()) {
-        (true, _) => None,
-        (false, true) => Some(Arc::clone(&req)),
-        (false, false) => Some(Arc::new(proto.subset_request(&req, &slot.resolved.miss))),
+    slot.req = req;
+    slot.fwd = req;
+    slot.cached = false;
+    let Some(NodeCache { cache, resolved }) = cache else {
+        return false;
     };
-    slot.req = Some(req);
+    slot.cached = resolved.resolve(proto, Some(cache), reqs.at(req), trace);
+    if !slot.cached && !resolved.hits.is_empty() {
+        // The only place a new request value is made below the root: a
+        // partial hit forwards the miss subset.
+        let subset = proto.subset_request(reqs.at(req), &resolved.miss);
+        slot.fwd = reqs.push(subset);
+    }
     slot.cached
 }
 
@@ -544,8 +600,8 @@ fn stage_partial<P: WaveProtocol>(
     frame: BitString,
 ) {
     let bits = frame.len_bits();
-    if env.trace_on {
-        cols.trace[rel].push(NodeTraceEntry::PartialSent { bits });
+    if let Some(trace) = cols.trace.get_mut(rel) {
+        trace.push(NodeTraceEntry::PartialSent { bits });
     }
     if env.arq_timeout.is_none() {
         charge_tx(&mut cols.counters[rel], env.model, bits);
@@ -661,7 +717,12 @@ fn step_down<P: WaveProtocol>(
     p: usize,
     wave: u16,
 ) -> Result<(), ProtocolError> {
-    let Scratch { pool, memo, .. } = scratch;
+    let Scratch {
+        pool,
+        memo,
+        spare,
+        reqs,
+    } = scratch;
     let rel = p - cols.base;
     let Some(frame) = cols.slots[rel].frame.take() else {
         // No request reached this node (an ancestor answered from
@@ -698,54 +759,43 @@ fn step_down<P: WaveProtocol>(
                 cols.slots[rel].active = false;
                 return Ok(());
             };
-            let req = Arc::new(req);
-            memo.insert(frame, Arc::clone(&req), pool);
+            let req = reqs.push(req);
+            memo.insert(frame, req, pool);
             req
         }
     };
-    if env.trace_on {
-        cols.trace[rel].push(NodeTraceEntry::RequestRecv { bits: frame_bits });
+    if let Some(trace) = cols.trace.get_mut(rel) {
+        trace.push(NodeTraceEntry::RequestRecv { bits: frame_bits });
     }
     cols.slots[rel].active = true;
-    let trace = if env.trace_on {
-        Some(&mut cols.trace[rel])
-    } else {
-        None
-    };
     if admit(
         proto,
-        &mut cols.caches[rel],
+        reqs,
         &mut cols.slots[rel],
+        cols.caches.get_mut(rel),
         req,
-        trace,
+        cols.trace.get_mut(rel),
     ) {
         // Fully cached: the subtree stays silent, and the reply is
         // encoded from the cache entries and staged at once. It is the
         // node's first frame of the wave, so under ARQ it carries
         // sequence number 0.
-        let slot = &cols.slots[rel];
-        let req = slot.req.as_deref().expect("admission sets the request");
+        let NodeCache { cache, resolved } = &cols.caches[rel];
         let mut w = partial_writer(env, pool, wave, 0);
-        slot.resolved
-            .encode_cached_reply(proto, &cols.caches[rel], req, &mut w);
+        resolved.encode_cached_reply(proto, cache, reqs.at(req), &mut w);
         stage_partial(env, cols, rel, w.finish());
         return Ok(());
     }
-    let fwd = Arc::clone(
-        cols.slots[rel]
-            .fwd
-            .as_ref()
-            .expect("forwarding admission sets the forward request"),
-    );
-    let local = scratch.local(
+    let fwd = reqs.at(cols.slots[rel].fwd);
+    let local = spare.local(
         proto,
         env.tree.global_of(p),
         &mut cols.items[rel],
-        &fwd,
+        fwd,
         &mut cols.rngs[rel],
     );
     cols.slots[rel].acc = Some(local);
-    fan_out(env, proto, &mut scratch.pool, cols, p, wave, &fwd)
+    fan_out(env, proto, pool, cols, p, wave, fwd)
 }
 
 /// Bottom-up step: merge child partials in fixed child order, populate
@@ -768,20 +818,16 @@ fn step_up<P: WaveProtocol>(
     wave: u16,
 ) -> Result<Option<P::Partial>, ProtocolError> {
     let rel = p - cols.base;
-    if !cols.slots[rel].active || cols.slots[rel].cached {
+    let slot = &mut cols.slots[rel];
+    if !slot.active || slot.cached {
         return Ok(None);
     }
-    let mut acc = cols.slots[rel]
-        .acc
-        .take()
-        .expect("active wave has an accumulator");
+    let mut acc = slot.acc.take().expect("active wave has an accumulator");
+    let Scratch {
+        pool, spare, reqs, ..
+    } = scratch;
+    let (req, fwd) = (reqs.at(slot.req), reqs.at(slot.fwd));
     let children = env.tree.children_pos(p).len();
-    let fwd = Arc::clone(
-        cols.slots[rel]
-            .fwd
-            .as_ref()
-            .expect("executing wave has a forward request"),
-    );
     for (i, &c) in env.tree.children_pos(p).iter().enumerate() {
         let crel = c as usize - cols.base;
         let Some(frame) = cols.slots[crel].frame.take() else {
@@ -826,43 +872,47 @@ fn step_up<P: WaveProtocol>(
                 let _seq = r.read_bits(SEQ_BITS as u32);
             }
             if i == 0 {
-                proto.absorb_first_child(&fwd, &mut acc, &mut r, children)
+                proto.absorb_first_child(fwd, &mut acc, &mut r, children)
             } else {
-                proto.absorb_child(&fwd, &mut acc, &mut r)
+                proto.absorb_child(fwd, &mut acc, &mut r)
             }
         };
-        scratch.pool.recycle(frame);
+        pool.recycle(frame);
         merged.map_err(ProtocolError::from)?;
     }
-    let slot = &mut cols.slots[rel];
-    let req = Arc::clone(slot.req.as_ref().expect("active wave has a request"));
     if env.tree.parent_pos(p).is_none() {
         if env.arq_timeout.is_some() {
             // The root's dedup residue: one `(child, wave, seq)` key
             // per reporting child.
             cols.residue[rel] = children as u64;
         }
-        let full = slot
-            .resolved
-            .assemble(proto, &mut cols.caches[rel], &req, &fwd, acc);
-        return Ok(Some(full));
+        return Ok(Some(match cols.caches.get_mut(rel) {
+            Some(NodeCache { cache, resolved }) => {
+                resolved.assemble(proto, Some(cache), req, fwd, acc)
+            }
+            None => acc,
+        }));
     }
-    let mut w = partial_writer(env, &mut scratch.pool, wave, children);
-    if slot.resolved.hits.is_empty() {
-        // Nothing to interleave: `acc` is the reply. Encode it first,
-        // then move the computed slots into the cache.
-        proto.encode_partial(&req, &acc, &mut w);
-        if let Some(spent) = slot
-            .resolved
-            .store_by_move(proto, &mut cols.caches[rel], &fwd, acc)
-        {
-            scratch.recycle(proto, spent);
+    let mut w = partial_writer(env, pool, wave, children);
+    match cols.caches.get_mut(rel) {
+        Some(NodeCache { cache, resolved }) if !resolved.hits.is_empty() => {
+            let full = resolved.assemble(proto, Some(cache), req, fwd, acc);
+            proto.encode_partial(req, &full, &mut w);
         }
-    } else {
-        let full = slot
-            .resolved
-            .assemble(proto, &mut cols.caches[rel], &req, &fwd, acc);
-        proto.encode_partial(&req, &full, &mut w);
+        node_cache => {
+            // Nothing to interleave: `acc` is the reply. Encode it
+            // first, then move the computed slots into the cache.
+            proto.encode_partial(req, &acc, &mut w);
+            let spent = match node_cache {
+                Some(NodeCache { cache, resolved }) => {
+                    resolved.store_by_move(proto, cache, fwd, acc)
+                }
+                None => Some(acc),
+            };
+            if let Some(spent) = spent {
+                spare.recycle(proto, spent);
+            }
+        }
     }
     if env.arq_timeout.is_some() {
         // Dedup residue of a forwarding node: one key per reporting
@@ -910,6 +960,7 @@ fn run_task<P: WaveProtocol>(
     task: &mut WorkerTask<'_, P>,
     wave: u16,
 ) -> Result<(), ProtocolError> {
+    task.scratch.start_wave();
     let mut result = Ok(());
     for (block, cols) in &mut task.blocks {
         let r = eval_block(env, &task.proto, task.scratch, cols, *block, wave);
@@ -925,25 +976,30 @@ fn run_task<P: WaveProtocol>(
 }
 
 /// The position-indexed columns a wave reads and writes: persistent
-/// node state plus per-wave mailboxes, windowed as [`Cols`].
+/// node state plus per-wave mailboxes, windowed as [`Cols`]. A column
+/// that only some deployments use is either empty (off) or one entry
+/// per position (on).
 #[derive(Debug)]
 struct Columns<P: WaveProtocol> {
     items: Vec<Vec<P::Item>>,
     rngs: Vec<Xoshiro256StarStar>,
-    caches: Vec<Option<PartialCache<CachedPartial<P>>>>,
+    /// Per-position cache state; filled by
+    /// [`WaveSubstrate::enable_partial_cache`], empty until then.
+    caches: Vec<NodeCache<P>>,
     /// Cumulative per-position counters, flushed into the
     /// global-id-indexed [`NetStats`] after every wave that billed
     /// them.
     counters: Vec<NodeStats>,
     slots: Vec<WaveSlot<P>>,
     /// Emulated `seen`-set cardinality per position (see
-    /// [`WaveSubstrate::transport_footprint`]).
+    /// [`WaveSubstrate::transport_footprint`]); empty unless
+    /// [`Reliability::Ack`].
     dedup_residue: Vec<u64>,
-    /// Per-edge fate streams at the child position; populated under
-    /// [`Reliability::Ack`], all `None` otherwise.
-    arq: Vec<Option<Box<EdgeStreams>>>,
-    /// Position-indexed telemetry buffers (all empty when tracing is
-    /// off); drained via [`WaveSubstrate::drain_trace`].
+    /// Per-edge fate streams at the child position (`None` at the
+    /// root); empty unless [`Reliability::Ack`].
+    arq: Vec<Option<EdgeStreams>>,
+    /// Position-indexed telemetry buffers, drained via
+    /// [`WaveSubstrate::drain_trace`]; exist only while tracing is on.
     trace: Vec<Vec<NodeTraceEntry>>,
     /// Cumulative tree-edge bits at the child position, flushed with
     /// `counters`.
@@ -969,8 +1025,10 @@ impl<P: WaveProtocol> Columns<P> {
     }
 }
 
-/// Splits the first `n` elements off the front of a column window.
+/// Splits the first `n` elements off the front of a column window. A
+/// column that is off is empty and yields an empty window.
 fn take_front<'a, T>(col: &mut &'a mut [T], n: usize) -> &'a mut [T] {
+    let n = if col.is_empty() { 0 } else { n };
     let (head, rest) = std::mem::take(col).split_at_mut(n);
     *col = rest;
     head
@@ -1009,6 +1067,26 @@ impl<'a, P: WaveProtocol> Cols<'a, P> {
     }
 }
 
+/// Reorders `items` from global-id order into position order in place
+/// (`items[p]` becomes the old `items[tree.global_of(p)]`) by walking
+/// the permutation's cycles; one visited flag per node is the only
+/// extra state.
+fn into_position_order<T>(tree: &FlatTree, items: &mut [T]) {
+    let mut done = vec![false; items.len()];
+    for start in 0..items.len() {
+        let mut p = start;
+        while !done[p] {
+            done[p] = true;
+            let g = tree.global_of(p);
+            if g == start {
+                break; // the cycle closes: `items[p]` holds `start`'s item
+            }
+            items.swap(p, g);
+            p = g;
+        }
+    }
+}
+
 /// Renders a worker's panic payload for [`ProtocolError::WorkerPanicked`].
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
@@ -1034,8 +1112,6 @@ pub struct FlatWaveRunner<P: WaveProtocol> {
     /// barrier.
     proto: P,
     cols: Columns<P>,
-    /// Whether per-node telemetry tracing is on.
-    trace_on: bool,
     link: LinkConfig,
     reliability: Reliability,
     /// Per-exchange retransmission attempt budget (from
@@ -1090,6 +1166,36 @@ where
         workers: usize,
         depth: NestDepth,
     ) -> Result<Self, ProtocolError> {
+        tree.validate(topo)?;
+        Self::from_flat_tree(
+            cfg,
+            tree.flatten(),
+            proto,
+            items,
+            reliability,
+            workers,
+            depth,
+        )
+    }
+
+    /// As [`FlatWaveRunner::new`], over a spanning tree already laid out
+    /// as a [`FlatTree`] (see [`SpanningTree::flatten`]) and checked
+    /// against the topology: the caller can free the [`SpanningTree`]
+    /// before the per-node columns are allocated. `items` is indexed by
+    /// global node id.
+    ///
+    /// # Errors
+    ///
+    /// As [`FlatWaveRunner::new`]; the shape check is against the tree.
+    pub fn from_flat_tree(
+        cfg: SimConfig,
+        tree: FlatTree,
+        proto: P,
+        mut items: Vec<Vec<P::Item>>,
+        reliability: Reliability,
+        workers: usize,
+        depth: NestDepth,
+    ) -> Result<Self, ProtocolError> {
         if matches!(reliability, Reliability::None) && !cfg.link.is_lossless() {
             return Err(ProtocolError::Unsupported(
                 "flat execution cannot surface unrepaired loss; supported combinations: \
@@ -1097,25 +1203,17 @@ where
                  (use the single-threaded WaveRunner for lossy fire-and-forget)",
             ));
         }
-        if items.len() != topo.len() {
-            return Err(ProtocolError::ShapeMismatch("items vector vs topology"));
+        if items.len() != tree.len() {
+            return Err(ProtocolError::ShapeMismatch("items vector vs tree"));
         }
-        tree.validate(topo)?;
-
-        let n = topo.len();
-        let parents: Vec<Option<usize>> = (0..n).map(|v| tree.parent(v)).collect();
-        let flat = FlatTree::from_parents(tree.root(), &parents);
-        let plan = ShardPlan::new(&flat, workers, depth);
-
-        let mut items = items;
-        let flat_items: Vec<Vec<P::Item>> = (0..n)
-            .map(|p| std::mem::take(&mut items[flat.global_of(p)]))
-            .collect();
+        let n = tree.len();
+        let plan = ShardPlan::new(&tree, workers, depth);
+        into_position_order(&tree, &mut items);
         let rngs: Vec<Xoshiro256StarStar> = (0..n)
             .map(|p| {
                 Xoshiro256StarStar::seed_from_u64(derive_seed(
                     cfg.seed,
-                    flat.global_of(p) as u64,
+                    tree.global_of(p) as u64,
                     1,
                 ))
             })
@@ -1125,40 +1223,54 @@ where
         // Fate streams keyed by global endpoint labels: position p's
         // tree edge replays exactly the per-edge stream a boxed
         // simulator would consume for the same pair of node ids.
-        let arq: Vec<Option<Box<EdgeStreams>>> = (0..n)
-            .map(|p| match (reliability, flat.parent_pos(p)) {
-                (Reliability::Ack { .. }, Some(parent)) => Some(Box::new(EdgeStreams::new(
-                    cfg.seed,
-                    flat.global_of(parent) as u64,
-                    flat.global_of(p) as u64,
-                ))),
-                _ => None,
-            })
-            .collect();
+        let (arq, dedup_residue) = match reliability {
+            Reliability::Ack { .. } => (
+                (0..n)
+                    .map(|p| {
+                        tree.parent_pos(p).map(|parent| {
+                            EdgeStreams::new(
+                                cfg.seed,
+                                tree.global_of(parent) as u64,
+                                tree.global_of(p) as u64,
+                            )
+                        })
+                    })
+                    .collect(),
+                vec![0; n],
+            ),
+            Reliability::None => (Vec::new(), Vec::new()),
+        };
+        let stats = NetStats::with_tree(
+            cfg.energy,
+            (0..n).map(|g| tree.parent_pos(tree.pos_of(g)).map(|p| tree.global_of(p))),
+        );
+        let tree_max_degree = (0..n)
+            .map(|p| tree.children_pos(p).len() + usize::from(tree.parent_pos(p).is_some()))
+            .max()
+            .unwrap_or(0);
 
         Ok(FlatWaveRunner {
             tree_height: tree.height(),
-            tree_max_degree: tree.max_degree(),
-            tree: flat,
+            tree_max_degree,
+            tree,
             plan,
             energy: cfg.energy,
             proto,
             cols: Columns {
-                items: flat_items,
+                items,
                 rngs,
-                caches: (0..n).map(|_| None).collect(),
+                caches: Vec::new(),
                 counters: vec![NodeStats::default(); n],
                 slots: (0..n).map(|_| WaveSlot::blank()).collect(),
-                dedup_residue: vec![0; n],
+                dedup_residue,
                 arq,
-                trace: (0..n).map(|_| Vec::new()).collect(),
+                trace: Vec::new(),
                 links: vec![TreeLinkBits::default(); n],
             },
-            trace_on: false,
             link: cfg.link.clone(),
             reliability,
             attempt_budget: cfg.max_events,
-            stats: NetStats::with_tree(cfg.energy, &parents),
+            stats,
             scratch: Scratch::new(),
             worker_protos,
             worker_scratch: (0..groups).map(|_| Scratch::new()).collect(),
@@ -1230,32 +1342,30 @@ where
 
     /// The three phases of one admitted wave. Whatever it returns, the
     /// per-position tallies are consistent and ready to flush.
-    fn sweep(&mut self, req: Arc<P::Request>, wave: u16) -> Result<P::Partial, ProtocolError> {
+    fn sweep(&mut self, req: P::Request, wave: u16) -> Result<P::Partial, ProtocolError> {
         // Root admission, outside any sweep: the driver stages the
         // request directly, so there is no inbound frame and no rx
-        // charge — exactly the staged kick of the boxed runners.
+        // charge — exactly the staged kick of the boxed runners. The
+        // root's request is entry 0 of the driver's table.
+        self.scratch.start_wave();
+        let req = self.scratch.reqs.push(req);
         self.cols.slots[0].active = true;
-        let root_trace = if self.trace_on {
-            Some(&mut self.cols.trace[0])
-        } else {
-            None
-        };
         if admit(
             &self.proto,
-            &mut self.cols.caches[0],
+            &mut self.scratch.reqs,
             &mut self.cols.slots[0],
-            Arc::clone(&req),
-            root_trace,
+            self.cols.caches.get_mut(0),
+            req,
+            self.cols.trace.get_mut(0),
         ) {
             // Every slot served from the root's cache: the network
             // stays silent. The boxed root's admission still purged
             // its dedup set. The answer is owned, so it is copied out.
-            self.cols.dedup_residue[0] = 0;
-            return Ok(self.cols.slots[0].resolved.take_cached_reply(
-                &self.proto,
-                &self.cols.caches[0],
-                &req,
-            ));
+            if let Some(residue) = self.cols.dedup_residue.get_mut(0) {
+                *residue = 0;
+            }
+            let NodeCache { cache, resolved } = &mut self.cols.caches[0];
+            return Ok(resolved.take_cached_reply(&self.proto, cache, self.scratch.reqs.at(req)));
         }
 
         let model = self.energy;
@@ -1269,7 +1379,6 @@ where
                 Reliability::None => None,
             },
             attempt_budget: self.attempt_budget,
-            trace_on: self.trace_on,
         };
         let env = &env;
 
@@ -1277,29 +1386,21 @@ where
         // then every spine position in ascending (pre-)order, staging
         // the inbound frames of all block roots along the way.
         let mut cols = self.cols.window();
-        let fwd = Arc::clone(
-            cols.slots[0]
-                .fwd
-                .as_ref()
-                .expect("forwarding admission sets the forward request"),
-        );
-        let local = self.scratch.local(
-            &self.proto,
-            env.tree.global_of(0),
-            &mut cols.items[0],
-            &fwd,
-            &mut cols.rngs[0],
-        );
-        cols.slots[0].acc = Some(local);
-        let phase_a = fan_out(
-            env,
-            &self.proto,
-            &mut self.scratch.pool,
-            &mut cols,
-            0,
-            wave,
-            &fwd,
-        )
+        let phase_a = {
+            let Scratch {
+                pool, spare, reqs, ..
+            } = &mut self.scratch;
+            let fwd = reqs.at(cols.slots[0].fwd);
+            let local = spare.local(
+                &self.proto,
+                env.tree.global_of(0),
+                &mut cols.items[0],
+                fwd,
+                &mut cols.rngs[0],
+            );
+            cols.slots[0].acc = Some(local);
+            fan_out(env, &self.proto, pool, &mut cols, 0, wave, fwd)
+        }
         .and_then(|()| {
             self.plan.spine()[1..].iter().try_for_each(|&p| {
                 step_down(
@@ -1435,7 +1536,7 @@ where
             }
         }
 
-        let result = self.sweep(Arc::new(req), self.next_wave);
+        let result = self.sweep(req, self.next_wave);
         self.stranded = result.is_err();
         self.flush_stats(self.stranded);
         result
@@ -1481,7 +1582,7 @@ where
         let (mut applied, mut invalidated) = (0, 0);
         let mut cursor = Some(pos);
         while let Some(p) = cursor {
-            if let Some(cache) = &mut self.cols.caches[p] {
+            if let Some(NodeCache { cache, .. }) = self.cols.caches.get_mut(p) {
                 let (a, i) = cache.delta_maintain(|entry| entry.apply(proto, delta));
                 applied += a;
                 invalidated += i;
@@ -1491,16 +1592,21 @@ where
         (applied, invalidated)
     }
 
+    /// Adds the cache column (replacing any earlier one): a runner
+    /// without a cache holds no per-node cache state at all.
     fn enable_partial_cache(&mut self, capacity: usize) {
-        for c in &mut self.cols.caches {
-            *c = Some(PartialCache::new(capacity));
-        }
+        self.cols.caches = (0..self.tree.len())
+            .map(|_| NodeCache {
+                cache: PartialCache::new(capacity),
+                resolved: CacheResolution::default(),
+            })
+            .collect();
     }
 
     fn cache_stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
-        for cache in self.cols.caches.iter().flatten() {
-            total.absorb(cache.stats());
+        for node in &self.cols.caches {
+            total.absorb(node.cache.stats());
         }
         total
     }
@@ -1517,24 +1623,29 @@ where
                 .cols
                 .caches
                 .iter()
-                .flatten()
-                .map(|c| c.stats().entries)
+                .map(|node| node.cache.stats().entries)
                 .sum(),
             ..TransportFootprint::default()
         }
     }
 
+    /// The trace column exists only while tracing is on; switching
+    /// either way drops every buffered entry.
     fn set_tracing(&mut self, on: bool) {
-        self.trace_on = on;
-        for t in &mut self.cols.trace {
-            t.clear();
-        }
+        self.cols.trace = if on {
+            (0..self.tree.len()).map(|_| Vec::new()).collect()
+        } else {
+            Vec::new()
+        };
     }
 
     /// Visits the position-indexed buffers in ascending **global** id
     /// through the tree's `pos_of` column: the canonical order without
     /// a sort.
     fn drain_trace(&mut self, sink: &mut dyn FnMut(usize, NodeTraceEntry)) {
+        if self.cols.trace.is_empty() {
+            return; // tracing is off
+        }
         for gid in 0..self.tree.len() {
             for entry in self.cols.trace[self.tree.pos_of(gid)].drain(..) {
                 sink(gid, entry);
@@ -1543,8 +1654,10 @@ where
     }
 
     fn edge_fate_positions(&self, node: NodeId) -> [u64; 4] {
-        self.cols.arq[self.tree.pos_of(node)]
-            .as_ref()
+        self.cols
+            .arq
+            .get(self.tree.pos_of(node))
+            .and_then(Option::as_ref)
             .map_or([0; 4], |e| {
                 [
                     e.down_data.index(),
@@ -2042,6 +2155,10 @@ mod tests {
     enum Step {
         Wave(Vec<u64>),
         SetItems(NodeId, Vec<u64>),
+        /// Switches tracing on or off on both runners.
+        Trace(bool),
+        /// Enables the partial cache on both runners.
+        EnableCache(usize),
     }
 
     /// Drains `runner`'s trace into a vector, in the canonical order.
@@ -2101,6 +2218,16 @@ mod tests {
                         flat.set_items(*node, items.clone());
                         continue;
                     }
+                    Step::Trace(on) => {
+                        single.set_tracing(*on);
+                        flat.set_tracing(*on);
+                        continue;
+                    }
+                    Step::EnableCache(capacity) => {
+                        single.enable_partial_cache(*capacity);
+                        flat.enable_partial_cache(*capacity);
+                        continue;
+                    }
                     Step::Wave(req) => req,
                 };
                 sl.lock().unwrap().reset(req.len());
@@ -2144,19 +2271,19 @@ mod tests {
         };
         let mut pool = ScratchPool::new();
         let mut memo = DecodeMemo::new();
-        memo.insert(frame(0b1011_0110, 8), Arc::new(1u64), &mut pool);
-        assert_eq!(memo.get(&frame(0b1011_0110, 8)).as_deref(), Some(&1));
+        memo.insert(frame(0b1011_0110, 8), 1, &mut pool);
+        assert_eq!(memo.get(&frame(0b1011_0110, 8)), Some(1));
         // One flipped bit, a proper prefix and an extension all miss.
         assert!(memo.get(&frame(0b1011_0111, 8)).is_none());
         assert!(memo.get(&frame(0b101_1011, 7)).is_none());
         assert!(memo.get(&frame(0b1_0110_1100, 9)).is_none());
         // Past the cap the oldest entry goes, and its buffer with it.
-        for i in 0..DECODE_MEMO_CAP as u64 {
-            memo.insert(frame(i, 16), Arc::new(100 + i), &mut pool);
+        for i in 0..DECODE_MEMO_CAP as u32 {
+            memo.insert(frame(u64::from(i), 16), 100 + i, &mut pool);
         }
         assert_eq!(memo.entries.len(), DECODE_MEMO_CAP);
         assert!(memo.get(&frame(0b1011_0110, 8)).is_none());
-        assert_eq!(memo.get(&frame(3, 16)).as_deref(), Some(&103));
+        assert_eq!(memo.get(&frame(3, 16)), Some(103));
         memo.drain(&mut pool);
         assert!(memo.entries.is_empty());
         let reused_before = pool.reused();
@@ -2254,6 +2381,130 @@ mod tests {
                 && at_3.contains(&NodeTraceEntry::CacheMiss { slot: 1 }),
             "node 3 must hit slot 0 and miss slot 1, got {at_3:?}"
         );
+    }
+
+    /// How many entries of each kind a drained trace holds:
+    /// `(requests received, partials sent, cache hits, cache misses)`.
+    fn trace_census(trace: &[(usize, NodeTraceEntry)]) -> [usize; 4] {
+        let mut census = [0; 4];
+        for (_, entry) in trace {
+            census[match entry {
+                NodeTraceEntry::RequestRecv { .. } => 0,
+                NodeTraceEntry::PartialSent { .. } => 1,
+                NodeTraceEntry::CacheHit { .. } => 2,
+                NodeTraceEntry::CacheMiss { .. } => 3,
+            }] += 1;
+        }
+        census
+    }
+
+    #[test]
+    fn tracing_attached_after_untraced_waves_drains_exactly_the_next_wave() {
+        // The trace column appears only when tracing is switched on: the
+        // waves before it leave nothing behind, and the first traced
+        // wave drains one request and one partial per non-root node.
+        let (topo, tree, items) = balanced_setup(40, 3);
+        let script = [
+            Step::Trace(false),
+            Step::Wave(vec![1000, 500]),
+            Step::Wave(vec![30]),
+            Step::Wave(vec![700]),
+            Step::Trace(true),
+            Step::Wave(vec![999, 1]),
+        ];
+        let traces = same_as_boxed(
+            &topo,
+            &tree,
+            &items,
+            SimConfig::default(),
+            Reliability::None,
+            None,
+            &script,
+        );
+        assert!(traces[..3].iter().all(Vec::is_empty), "untraced waves");
+        let edges = topo.len() - 1;
+        assert_eq!(trace_census(&traces[3]), [edges, edges, 0, 0]);
+    }
+
+    #[test]
+    fn tracing_switched_off_and_on_again_replays_no_stale_entry() {
+        // A traced wave's entries left undrained when tracing goes off
+        // are dropped with the column: after switching back on, the
+        // next drain holds that one wave only, as on the boxed runner.
+        let (topo, tree, items) = balanced_setup(40, 3);
+        let edges = topo.len() - 1;
+        for workers in [1usize, 2, 4] {
+            let mut single = WaveRunner::new(
+                &topo,
+                SimConfig::default(),
+                &tree,
+                proto(),
+                items.clone(),
+                Reliability::None,
+            )
+            .unwrap();
+            let mut flat = FlatWaveRunner::new(
+                &topo,
+                SimConfig::default(),
+                &tree,
+                proto(),
+                items.clone(),
+                Reliability::None,
+                workers,
+                NestDepth::Auto,
+            )
+            .unwrap();
+            let runners: [&mut dyn WaveSubstrate<MultiplexWave<SumBelow>>; 2] =
+                [&mut single, &mut flat];
+            let mut drained = Vec::new();
+            for runner in runners {
+                runner.set_tracing(true);
+                runner.run_wave(env(vec![1000])).unwrap(); // left undrained
+                runner.set_tracing(false);
+                runner.run_wave(env(vec![500])).unwrap();
+                runner.set_tracing(true);
+                runner.run_wave(env(vec![30, 700])).unwrap();
+                drained.push(take_trace(runner));
+            }
+            assert_eq!(drained[0], drained[1], "workers={workers}");
+            assert_eq!(trace_census(&drained[1]), [edges, edges, 0, 0]);
+        }
+    }
+
+    #[test]
+    fn cache_enabled_after_waves_matches_boxed() {
+        // The cache column appears with `enable_partial_cache`, however
+        // many waves ran before it: hit/miss counters, bits, footprint
+        // and every wave's trace stay the boxed runner's.
+        let (topo, tree, items) = balanced_setup(40, 3);
+        let script = [
+            Step::Wave(vec![700, 100]),
+            Step::Wave(vec![100]),
+            Step::EnableCache(8),
+            Step::Wave(vec![700, 100]),
+            Step::Wave(vec![700, 100]),
+            Step::SetItems(39, vec![5]),
+            Step::Wave(vec![100, 30]),
+        ];
+        let traces = same_as_boxed(
+            &topo,
+            &tree,
+            &items,
+            SimConfig::default(),
+            Reliability::None,
+            None,
+            &script,
+        );
+        let [.., hits, misses] = trace_census(&traces.concat());
+        assert!(hits > 0 && misses > 0, "{hits} hits, {misses} misses");
+        assert_eq!(trace_census(&traces[0])[2..], [0, 0], "no cache yet");
+    }
+
+    #[test]
+    fn a_wave_slot_fits_in_72_bytes() {
+        // Only what every deployment needs lives in the slot: two
+        // request indices, the accumulator, two flags and the mailbox.
+        assert!(std::mem::size_of::<WaveSlot<MultiplexWave<SumBelow>>>() <= 72);
     }
 
     /// [`SumBelow`] whose `local` panics at one node for one request.

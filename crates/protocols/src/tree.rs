@@ -22,6 +22,7 @@
 //!   its depth and one PARENT notification).
 
 use crate::error::ProtocolError;
+use saq_netsim::flat::FlatTree;
 use saq_netsim::sim::{Context, NodeId, NodeRuntime, SimConfig, Simulator};
 use saq_netsim::stats::NetStats;
 use saq_netsim::topology::Topology;
@@ -147,6 +148,12 @@ impl SpanningTree {
     /// Panics if `v` is out of range.
     pub fn parent(&self, v: NodeId) -> Option<NodeId> {
         self.parent[v]
+    }
+
+    /// The tree laid out in DFS position order for the flat runner —
+    /// built straight from this tree's parent array, with no copy of it.
+    pub fn flatten(&self) -> FlatTree {
+        FlatTree::from_parents(self.root, &self.parent)
     }
 
     /// Children of `v`, sorted ascending.

@@ -557,7 +557,7 @@ impl CacheResolution {
     pub(crate) fn resolve<P: WaveProtocol>(
         &mut self,
         proto: &P,
-        cache: &mut Option<PartialCache<CachedPartial<P>>>,
+        cache: Option<&mut PartialCache<CachedPartial<P>>>,
         req: &P::Request,
         mut trace: Option<&mut Vec<NodeTraceEntry>>,
     ) -> bool {
@@ -603,10 +603,9 @@ impl CacheResolution {
     pub(crate) fn take_cached_reply<P: WaveProtocol>(
         &mut self,
         proto: &P,
-        cache: &Option<PartialCache<CachedPartial<P>>>,
+        cache: &PartialCache<CachedPartial<P>>,
         req: &P::Request,
     ) -> P::Partial {
-        let cache = cache.as_ref().expect("a cache hit implies a cache");
         let slots = self
             .hits
             .drain(..)
@@ -622,11 +621,10 @@ impl CacheResolution {
     pub(crate) fn encode_cached_reply<P: WaveProtocol>(
         &self,
         proto: &P,
-        cache: &Option<PartialCache<CachedPartial<P>>>,
+        cache: &PartialCache<CachedPartial<P>>,
         req: &P::Request,
         w: &mut BitWriter,
     ) {
-        let cache = cache.as_ref().expect("a cache hit implies a cache");
         for &(i, pos) in &self.hits {
             proto.encode_slot(req, i, &cache.at(pos).partial, w);
         }
@@ -640,7 +638,7 @@ impl CacheResolution {
     pub(crate) fn assemble<P: WaveProtocol>(
         &mut self,
         proto: &P,
-        cache: &mut Option<PartialCache<CachedPartial<P>>>,
+        cache: Option<&mut PartialCache<CachedPartial<P>>>,
         req: &P::Request,
         fwd: &P::Request,
         acc: P::Partial,
@@ -650,7 +648,7 @@ impl CacheResolution {
             // no cacheable slot).
             return acc;
         }
-        let cache = cache.as_mut().expect("resolved slots imply a cache");
+        let cache = cache.expect("resolved slots imply a cache");
         let hits: Vec<(usize, P::Partial)> = self
             .hits
             .drain(..)
@@ -688,7 +686,7 @@ impl CacheResolution {
     pub(crate) fn store_by_move<P: WaveProtocol>(
         &mut self,
         proto: &P,
-        cache: &mut Option<PartialCache<CachedPartial<P>>>,
+        cache: &mut PartialCache<CachedPartial<P>>,
         fwd: &P::Request,
         acc: P::Partial,
     ) -> Option<P::Partial> {
@@ -699,7 +697,6 @@ impl CacheResolution {
         if self.store.is_empty() {
             return Some(acc);
         }
-        let cache = cache.as_mut().expect("resolved slots imply a cache");
         let mut store = self.store.drain(..).peekable();
         proto.split_slots(fwd, acc, &mut |pos, mut part| {
             if let Some((_, key)) = store.next_if(|&(p, _)| p == pos) {
@@ -1007,9 +1004,10 @@ impl<P: WaveProtocol> AggNode<P> {
             ..
         } = self;
         let trace = trace_on.then_some(trace);
-        if resolved.resolve(proto, cache, &req, trace) {
+        if resolved.resolve(proto, cache.as_mut(), &req, trace) {
             // The oracle keeps it simple: the reply is copied out of the
             // cache and encoded when the wave finishes.
+            let cache = cache.as_ref().expect("a cache hit implies a cache");
             self.acc = Some(resolved.take_cached_reply(proto, cache, &req));
             self.req = Some(req);
             self.fwd_req = None;
@@ -1092,7 +1090,7 @@ impl<P: WaveProtocol> AggNode<P> {
             ..
         } = self;
         match (req, fwd_req) {
-            (Some(req), Some(fwd)) => resolved.assemble(proto, cache, req, fwd, acc),
+            (Some(req), Some(fwd)) => resolved.assemble(proto, cache.as_mut(), req, fwd, acc),
             // Answered from cache: the reply is already whole.
             _ => acc,
         }

@@ -1,0 +1,116 @@
+//! What a flat deployment costs in memory, pinned in bytes per node: a
+//! `shards(2)` flat `SimNetwork` with no cache, one item per node, at
+//! N = 2^16 holds at most 350 live heap bytes per node at rest (built
+//! and warmed by one wave), and its build never holds more than 400
+//! bytes per node above what the caller already held (topology and
+//! items). Only the columns the deployment uses exist — no cache, trace
+//! or ARQ column here — and the build frees the spanning tree before
+//! the per-node columns are allocated. Live bytes are a function of the
+//! code (no time, no randomness), so they gate in tier-1.
+//!
+//! This binary holds exactly one `#[test]`: the counters are
+//! process-wide, and a second test running beside it would be counted
+//! too.
+
+use saq::core::predicate::Predicate;
+use saq::core::simnet::SimNetworkBuilder;
+use saq::core::wave_proto::CoreRequest;
+use saq::netsim::topology::Topology;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Bytes currently allocated (requested sizes, allocator overhead
+/// excluded).
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// High-water mark of `LIVE` since the last reset.
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+/// The system allocator, keeping a live-bytes count and its peak.
+struct LiveBytes;
+
+impl LiveBytes {
+    fn grow(bytes: usize) {
+        let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        PEAK.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn shrink(bytes: usize) {
+        LIVE.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counters touch no
+// allocator state.
+unsafe impl GlobalAlloc for LiveBytes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's obligations are passed through as is.
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            LiveBytes::grow(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LiveBytes::shrink(layout.size());
+        // SAFETY: `ptr` came from `System` via `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: as `dealloc`; `layout` and `new_size` are the caller's.
+        let new = unsafe { System.realloc(ptr, layout, new_size) };
+        if !new.is_null() {
+            LiveBytes::shrink(layout.size());
+            LiveBytes::grow(new_size);
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static GLOBAL: LiveBytes = LiveBytes;
+
+const N: usize = 1 << 16;
+const XBAR: u64 = 1000;
+const FANOUT: usize = 8;
+
+#[test]
+fn a_flat_node_fits_its_byte_budget() {
+    let topo = Topology::balanced_tree(N, FANOUT).unwrap();
+    let items: Vec<u64> = (0..N as u64).map(|i| i * 7 % (XBAR + 1)).collect();
+
+    let held = LIVE.load(Ordering::Relaxed);
+    PEAK.store(held, Ordering::Relaxed);
+    let mut net = SimNetworkBuilder::new()
+        .max_children(FANOUT)
+        .flat(true)
+        .shards(2)
+        .build_one_per_node(&topo, &items, XBAR)
+        .unwrap();
+    let build_peak = PEAK.load(Ordering::Relaxed) - held;
+
+    let answer = net
+        .run_batch(vec![CoreRequest::Count(Predicate::TRUE)])
+        .unwrap();
+    assert_eq!(answer.messages, 2 * (N as u64 - 1), "one full wave");
+    let at_rest = LIVE.load(Ordering::Relaxed) - held;
+
+    let per_node = |bytes: usize| bytes as f64 / N as f64;
+    println!(
+        "N = {N}: {:.1} B/node at rest, build peak {:.1} B/node",
+        per_node(at_rest),
+        per_node(build_peak)
+    );
+    assert!(
+        at_rest <= 350 * N,
+        "the network holds {:.1} B per node at rest (budget 350)",
+        per_node(at_rest)
+    );
+    assert!(
+        build_peak <= 400 * N,
+        "the build peaked at {:.1} B per node above the caller's (budget 400)",
+        per_node(build_peak)
+    );
+}
