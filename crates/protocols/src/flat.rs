@@ -85,6 +85,14 @@
 //! *recursively* wherever a subtree exceeds the balance threshold, one
 //! giant subtree never serialises a worker.
 //!
+//! **No shared cache lines.** Workers write per-thread state at every
+//! node, so no two workers' writable state may sit in one 128-byte
+//! block (an x86 adjacent-line prefetch pair) during the parallel
+//! phase: each `Scratch` is `#[repr(align(128))]`, each group's
+//! [`MuxLedger`] too, and a worker reborrows each block's window onto
+//! its own stack, counting frames there rather than in the shared
+//! `Vec` of carved windows.
+//!
 //! ## Bit-identity with the boxed runner
 //!
 //! The flat runner reproduces the event-driven
@@ -480,7 +488,14 @@ impl<P: WaveProtocol> FreeList<P> {
 
 /// What one thread reuses from wave to wave — the driver on the spine,
 /// each worker across its blocks; never shared between threads.
+///
+/// Aligned to 128 bytes so that the workers' scratches, packed back to
+/// back in one `Vec`, never share a cache line: every node writes its
+/// thread's free list, request table and frame pool. 128 rather than 64
+/// because x86's adjacent-line prefetcher moves lines in pairs (the
+/// padding crossbeam's `CachePadded` uses for the same reason).
 #[derive(Debug)]
+#[repr(align(128))]
 struct Scratch<P: WaveProtocol> {
     /// Recycled frame buffers.
     pool: ScratchPool,
@@ -963,7 +978,11 @@ fn run_task<P: WaveProtocol>(
     task.scratch.start_wave();
     let mut result = Ok(());
     for (block, cols) in &mut task.blocks {
-        let r = eval_block(env, &task.proto, task.scratch, cols, *block, wave);
+        // The carved window sits in a `Vec` next to other workers'
+        // windows; count frames on this thread's stack instead.
+        let mut window = cols.reborrow();
+        let r = eval_block(env, &task.proto, task.scratch, &mut window, *block, wave);
+        cols.frames += window.frames;
         // Keep the first error but finish every block, so per-block
         // side-state is always fully accumulated before the barrier
         // drains it in fixed group order (ARCHITECTURE §10).
@@ -1052,6 +1071,23 @@ impl<'a, P: WaveProtocol> Cols<'a, P> {
         };
         self.base += n;
         head
+    }
+
+    /// The same window, reborrowed with a frame count of its own.
+    fn reborrow(&mut self) -> Cols<'_, P> {
+        Cols {
+            base: self.base,
+            items: self.items,
+            rngs: self.rngs,
+            caches: self.caches,
+            counters: self.counters,
+            slots: self.slots,
+            residue: self.residue,
+            arq: self.arq,
+            trace: self.trace,
+            links: self.links,
+            frames: 0,
+        }
     }
 
     /// Carves one window per block (blocks are disjoint and ascending
@@ -2505,6 +2541,38 @@ mod tests {
         // Only what every deployment needs lives in the slot: two
         // request indices, the accumulator, two flags and the mailbox.
         assert!(std::mem::size_of::<WaveSlot<MultiplexWave<SumBelow>>>() <= 72);
+    }
+
+    #[test]
+    fn worker_scratches_share_no_128_byte_block() {
+        assert!(std::mem::align_of::<Scratch<SumBelow>>() >= 128);
+        assert!(std::mem::align_of::<Scratch<MultiplexWave<SumBelow>>>() >= 128);
+        let (topo, tree, items) = balanced_setup(85, 4);
+        let mut flat = FlatWaveRunner::new(
+            &topo,
+            SimConfig::default(),
+            &tree,
+            proto(),
+            items,
+            Reliability::None,
+            4,
+            NestDepth::Auto,
+        )
+        .unwrap();
+        flat.run_wave(env(vec![1000])).unwrap();
+        assert!(flat.worker_scratch.len() >= 2, "need two worker groups");
+        let mut blocks: Vec<usize> = std::iter::once(&flat.scratch)
+            .chain(&flat.worker_scratch)
+            .map(|s| {
+                let addr = s as *const Scratch<_> as usize;
+                assert_eq!(addr % 128, 0, "scratch at {addr:#x} is not 128-aligned");
+                addr / 128
+            })
+            .collect();
+        let n = blocks.len();
+        blocks.sort_unstable();
+        blocks.dedup();
+        assert_eq!(blocks.len(), n, "two scratches share a 128-byte block");
     }
 
     /// [`SumBelow`] whose `local` panics at one node for one request.

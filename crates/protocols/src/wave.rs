@@ -1543,7 +1543,12 @@ impl MuxSlotBits {
 
 /// Transmit-side accounting for multiplexed waves: who pays for which bits
 /// when several sub-aggregates share one envelope.
+///
+/// Aligned to 128 bytes (an adjacent-line prefetch pair) so that the
+/// flat runner's per-group ledgers, which are locked and added to at
+/// every node, never share a cache line with one another.
 #[derive(Debug, Clone, Default)]
+#[repr(align(128))]
 pub struct MuxLedger {
     slots: Vec<MuxSlotBits>,
     /// Envelope framing bits (the slot-count prefix) not attributable to
@@ -2082,10 +2087,15 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
 
     /// Drains the group's ledger into this (root) ledger — slot tallies
     /// and envelope bits add, so the merged ledger equals what a
-    /// single-threaded run would have accumulated.
+    /// single-threaded run would have accumulated. The group keeps its
+    /// emptied slot buffer for the next wave. A shard sharing this
+    /// ledger (a plain `clone`) has nothing to move.
     fn absorb_shard(&self, shard: &Self) {
-        let taken = std::mem::take(&mut *shard.ledger_mut());
-        self.ledger_mut().absorb(&taken);
+        if !std::sync::Arc::ptr_eq(&self.ledger, &shard.ledger) {
+            let mut group = shard.ledger_mut();
+            self.ledger_mut().absorb(&group);
+            group.reset(0);
+        }
         self.inner.absorb_shard(&shard.inner);
     }
 }
@@ -2180,6 +2190,43 @@ mod tests {
             proto.ledger_mut().slots()[0].request_bits,
             width_for_max(1000) as u64
         );
+    }
+
+    #[test]
+    fn absorb_shard_drains_the_group_ledger_in_place() {
+        let root = MultiplexWave::new(SumBelow {
+            value_width: width_for_max(1000),
+        });
+        let group = root.shard_clone();
+        let mut w = BitWriter::new();
+        root.encode_request(&MultiplexWave::<SumBelow>::envelope(vec![5]), &mut w);
+        let sparse = vec![MuxEntry::new(0, 7), MuxEntry::new(2, 9)];
+        group.encode_request(&sparse, &mut w);
+        group.encode_partial(&sparse, &vec![3, 4], &mut w);
+        let before = root.ledger_mut().clone();
+        let added = group.ledger_mut().clone();
+        assert_eq!(added.slots().len(), 3);
+        assert!(added.envelope_bits() > 0);
+
+        root.absorb_shard(&group);
+        let mut expected = before;
+        expected.absorb(&added);
+        let merged = root.ledger_mut().clone();
+        assert_eq!(merged.slots(), expected.slots());
+        assert_eq!(merged.envelope_bits(), expected.envelope_bits());
+        let drained = group.ledger_mut();
+        assert!(drained.slots().is_empty());
+        assert_eq!(drained.envelope_bits(), 0);
+        assert!(
+            drained.slots.capacity() >= 3,
+            "the group keeps its slot buffer for the next wave"
+        );
+        drop(drained);
+
+        // A plain clone shares the root's ledger: nothing moves.
+        root.absorb_shard(&root.clone());
+        assert_eq!(root.ledger_mut().slots(), merged.slots());
+        assert_eq!(root.ledger_mut().envelope_bits(), merged.envelope_bits());
     }
 
     #[test]
