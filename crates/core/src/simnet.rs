@@ -24,12 +24,13 @@ use saq_netsim::sim::SimConfig;
 use saq_netsim::stats::NetStats;
 use saq_netsim::topology::Topology;
 use saq_obs::{Event, FrameKind, MetricsRegistry, MetricsSnapshot, Recorder, Telemetry};
-use saq_protocols::wave::{ack_bits, Reliability};
+use saq_protocols::wave::{Reliability, SEQ_BITS};
+#[cfg(doc)]
+use saq_protocols::MuxLedger;
 use saq_protocols::{
-    FateReplay, FlatWaveRunner, Hop, MultiplexWave, MuxLedger, MuxSlotBits, NodeTraceEntry,
-    ReplayEvent, SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate,
+    FateReplay, FlatWaveRunner, Hop, MultiplexWave, MuxSlotBits, NodeTraceEntry, ReplayEvent,
+    SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate,
 };
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Builder for [`SimNetwork`].
@@ -215,7 +216,6 @@ impl SimNetworkBuilder {
             xbar,
             apx: self.apx,
         });
-        let ledger = proto.ledger();
         let items: Vec<Vec<SimItem>> = items_per_node
             .into_iter()
             .map(|vs| vs.into_iter().map(SimItem::new).collect())
@@ -233,7 +233,7 @@ impl SimNetworkBuilder {
             Box::new(FlatWaveRunner::from_flat_tree(
                 self.sim_cfg,
                 flat,
-                proto,
+                proto.clone(),
                 items,
                 self.reliability,
                 self.shards,
@@ -244,7 +244,7 @@ impl SimNetworkBuilder {
                 topo,
                 self.sim_cfg,
                 &tree,
-                proto,
+                proto.clone(),
                 items,
                 self.reliability,
             )?)
@@ -254,9 +254,7 @@ impl SimNetworkBuilder {
         }
         Ok(SimNetwork {
             runner,
-            ledger,
-            xbar,
-            apx: self.apx,
+            proto,
             ops: OpCounts::default(),
             nonce: 0,
             telemetry: Telemetry::disabled(),
@@ -357,9 +355,9 @@ pub struct SimNetwork {
     /// The execution substrate: the boxed event loop, or the columnar
     /// flat runner on `k` workers — observably identical either way.
     runner: Box<dyn WaveSubstrate<MultiplexWave<CoreWave>> + Send>,
-    ledger: Arc<Mutex<MuxLedger>>,
-    xbar: Value,
-    apx: ApxCountConfig,
+    /// The runner's protocol (a clone sharing its [`MuxLedger`]): it
+    /// builds and validates each wave's envelope.
+    proto: MultiplexWave<CoreWave>,
     ops: OpCounts,
     nonce: u32,
     /// The telemetry lane (see [`saq_obs`]): disabled until
@@ -378,7 +376,8 @@ pub struct SimNetwork {
     replay: Option<FateReplay>,
     /// The wave drain's event buffer, reused from wave to wave.
     events: Vec<Event>,
-    /// Waves run on this network (mirrors the runners' wave ordinal).
+    /// Waves run on this network (mirrors the runners' wave ordinal: a
+    /// batch the runner would reject is not counted).
     waves_run: u64,
     /// Largest envelope (slot count) any wave carried — tracked
     /// unconditionally, it is two integer compares per wave.
@@ -485,24 +484,27 @@ impl SimNetwork {
     ///
     /// # Errors
     ///
-    /// [`QueryError::InvalidParameter`] on an empty batch; protocol
+    /// [`QueryError::InvalidParameter`] on an empty batch; a request out
+    /// of its bounds is rejected before any wave starts; protocol
     /// failures are propagated.
     pub fn run_batch(&mut self, reqs: Vec<CoreRequest>) -> Result<BatchOutcome, QueryError> {
         if reqs.is_empty() {
             return Err(QueryError::InvalidParameter("empty wave batch"));
         }
         let slots = reqs.len() as u64;
+        let envelope = MultiplexWave::envelope(self.proto.inner(), reqs);
+        // Both runners reject such a batch before they start a wave, so
+        // it is neither counted nor announced.
+        self.proto.validate_request(&envelope)?;
         self.waves_run += 1;
         let wave = self.waves_run;
         let traced = self.telemetry.enabled();
         if traced {
             self.telemetry.emit(&Event::WaveStarted { wave, slots });
         }
-        self.ledger_mut().reset(reqs.len());
+        self.proto.ledger_mut().reset(envelope.len());
         let wave_start = traced.then(Instant::now);
-        let run = self
-            .runner
-            .run_wave(MultiplexWave::<CoreWave>::envelope(reqs));
+        let run = self.runner.run_wave(envelope);
         if let Some(t0) = wave_start {
             self.telemetry
                 .metrics_mut()
@@ -524,7 +526,7 @@ impl SimNetwork {
         let messages = self.runner.last_wave_frames();
         let header_bits = self.runner.last_header_bits() * messages;
         let (slot_bits, envelope_bits) = {
-            let ledger = self.ledger_mut();
+            let ledger = self.proto.ledger_mut();
             (ledger.slots().to_vec(), ledger.envelope_bits())
         };
         self.peak_wave_slots = self.peak_wave_slots.max(slots);
@@ -563,7 +565,9 @@ impl SimNetwork {
     /// internal scheduling. Events collect in one reused buffer and
     /// reach the recorder in runs of [`EMIT_RUN`].
     fn drain_wave_events(&mut self) {
-        let ack_width = ack_bits(self.waves_run as u16);
+        // An ACK is the runner's header of this wave plus the
+        // acknowledged sequence number.
+        let ack_width = self.runner.last_header_bits() + SEQ_BITS;
         let SimNetwork {
             runner,
             telemetry,
@@ -609,15 +613,6 @@ impl SimNetwork {
         events.clear();
     }
 
-    /// The shared ledger, recovering the guard if a protocol panic on
-    /// a worker poisoned the mutex: the tallies are plain counters,
-    /// reset before every wave, so no panic can leave them invalid.
-    fn ledger_mut(&self) -> std::sync::MutexGuard<'_, MuxLedger> {
-        self.ledger
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// Network-wide subtree-partial cache counters (all zero when the
     /// cache is disabled — see [`SimNetworkBuilder::partial_cache`]).
     pub fn cache_stats(&self) -> saq_protocols::CacheStats {
@@ -645,10 +640,10 @@ impl SimNetwork {
             ));
         }
         for &v in &values {
-            if v > self.xbar {
+            if v > self.xbar() {
                 return Err(QueryError::ItemOutOfRange {
                     item: v,
-                    xbar: self.xbar,
+                    xbar: self.xbar(),
                 });
             }
         }
@@ -721,10 +716,7 @@ impl SimNetwork {
 
     /// The inner wave protocol (aggregate dispatch) configuration.
     pub fn core_proto(&self) -> CoreWave {
-        CoreWave {
-            xbar: self.xbar,
-            apx: self.apx,
-        }
+        self.proto.inner().clone()
     }
 }
 
@@ -819,11 +811,11 @@ impl AggregationNetwork for SimNetwork {
     }
 
     fn xbar(&self) -> Value {
-        self.xbar
+        self.proto.inner().xbar
     }
 
     fn apx_config(&self) -> ApxCountConfig {
-        self.apx
+        self.proto.inner().apx
     }
 
     /// Validate, count, translate (a fresh top-bit nonce for sketch
@@ -1208,6 +1200,63 @@ mod tests {
                 .sum();
             assert_eq!(billed, 11_301, "{}", net.runner_name());
             assert_eq!(traced, billed, "{}", net.runner_name());
+        }
+    }
+
+    #[test]
+    fn a_rejected_batch_keeps_telemetry_in_step_with_the_transport() {
+        // A batch the runner rejects starts no wave: it is not counted,
+        // not announced, and the ACKs of later waves are priced at the
+        // runner's own header width — which widens at wave 128, where a
+        // one-wave lead once overpriced every traced ACK by 8 bits.
+        use saq_obs::{Event, VecRecorder};
+        let topo = Topology::balanced_tree(16, 3).unwrap();
+        let items: Vec<Value> = (0..16u64).collect();
+        let lossy =
+            SimConfig::default().with_link(saq_netsim::link::LinkConfig::default().with_loss(0.2));
+        let rel = saq_protocols::wave::Reliability::Ack {
+            timeout: saq_netsim::SimDuration::from_millis(200),
+        };
+        for b in [
+            SimNetworkBuilder::new(),
+            SimNetworkBuilder::new().flat(true),
+        ] {
+            let mut net = b
+                .sim_config(lossy.clone())
+                .reliability(rel)
+                .build_one_per_node(&topo, &items, 128)
+                .unwrap();
+            let name = net.runner_name();
+            let (recorder, log) = VecRecorder::shared();
+            net.attach_recorder(Box::new(recorder));
+            assert!(net
+                .run_batch(vec![CoreRequest::Quantile { budget: 0 }])
+                .is_err());
+            assert!(
+                log.events().is_empty(),
+                "{name}: a rejected batch emits nothing"
+            );
+            for wave in 1..=140u64 {
+                let before = net.net_stats().unwrap().total_tx_bits();
+                net.run_batch(vec![CoreRequest::Count(Predicate::TRUE)])
+                    .unwrap();
+                let billed = net.net_stats().unwrap().total_tx_bits() - before;
+                let events = log.events();
+                log.clear();
+                let traced: u64 = events
+                    .iter()
+                    .map(|ev| match ev {
+                        Event::FrameSent { bits, .. } | Event::Retransmit { bits, .. } => *bits,
+                        _ => 0,
+                    })
+                    .sum();
+                assert_eq!(traced, billed, "{name}: wave {wave}");
+                assert!(
+                    matches!(events.first(), Some(Event::WaveStarted { wave: w, .. }) if *w == wave),
+                    "{name}: wave {wave} starts as wave {wave}"
+                );
+            }
+            assert_eq!(net.observability_snapshot().waves_run, 140, "{name}");
         }
     }
 }

@@ -1143,8 +1143,9 @@ mod tests {
 
         // A reply encoded slot by slot from cached single-slot partials
         // is bit for bit — and bill for bill — the encoding of their
-        // join; and a slot's key is its sub-request's encoding whether
-        // it is lent from captured wire bits or encoded at the root.
+        // join; a slot's key is its sub-request's encoding; and an
+        // envelope read off the wire equals the one encoded (the
+        // request law), captured bits included.
         #[test]
         fn prop_encode_slot_matches_encode_of_join(
             kinds in proptest::collection::vec(0u32..11, 1..7),
@@ -1172,10 +1173,11 @@ mod tests {
 
             // Sparse slot tags, as a subset envelope carries them.
             let mux = MultiplexWave::new(inner.clone());
+            let dense = MultiplexWave::envelope(&inner, reqs.clone());
             let env: Vec<MuxEntry<CoreRequest>> = reqs
                 .into_iter()
                 .enumerate()
-                .map(|(i, req)| MuxEntry::new(3 * i as u32 + 1, req))
+                .map(|(i, req)| MuxEntry::new(&inner, 3 * i as u32 + 1, req))
                 .collect();
             let mut rng = Xoshiro256StarStar::seed_from_u64(x);
             let mut slots = Vec::new();
@@ -1196,10 +1198,13 @@ mod tests {
             proptest::prop_assert_eq!(slot_bills.slots(), join_bills.slots());
             proptest::prop_assert_eq!(slot_bills.envelope_bits(), join_bills.envelope_bits());
 
-            // Keys of the root-issued envelope (encoded) and of the same
-            // envelope off the wire (lent from the captured bits).
+            // The root-issued envelope and the same envelope off the
+            // wire: equal, and keyed alike.
             let frame = encoded(|w| mux.encode_request(&env, w));
             let decoded = mux.decode_request(&mut BitReader::new(&frame)).unwrap();
+            proptest::prop_assert_eq!(&decoded, &env);
+            let frame = encoded(|w| mux.encode_request(&dense, w));
+            proptest::prop_assert_eq!(&mux.decode_request(&mut BitReader::new(&frame)).unwrap(), &dense);
             let expected: Vec<Option<CacheKey>> =
                 env.iter().map(|e| inner.cache_key(&e.req)).collect();
             proptest::prop_assert_eq!(slot_keys(&mux, &env), expected.clone());

@@ -290,6 +290,14 @@ impl ScratchPool {
         }
     }
 
+    /// Moves up to `n` spare allocations to `to` — for frames written
+    /// from one pool and recycled into another, so neither pool grows
+    /// nor runs dry wave after wave.
+    pub fn transfer(&mut self, to: &mut ScratchPool, n: usize) {
+        let keep = self.free.len().saturating_sub(n);
+        to.free.extend(self.free.drain(keep..));
+    }
+
     /// Writers served from a recycled allocation.
     pub fn reused(&self) -> u64 {
         self.reused

@@ -7,9 +7,9 @@
 //! simulator: per-node items, random streams, caches, wave state and
 //! bit counters live in contiguous columns indexed by DFS **position**,
 //! and a wave is two sweeps of index arithmetic — a top-down pass that
-//! decodes requests and stages per-child frames, and a bottom-up pass
-//! that merges child partials in fixed child order. No events and no
-//! queues.
+//! hands each child its parent's request and bills the frame that
+//! carries it, and a bottom-up pass that merges child partials in fixed
+//! child order. No events and no queues.
 //!
 //! ## What a node costs
 //!
@@ -23,30 +23,26 @@
 //!   [`WaveProtocol::release_partial`] — unless the cache keeps it. The
 //!   list holds at most one block's live accumulators, and none is kept
 //!   in the position columns between waves;
-//! * **frames** are recycled through [`ScratchPool`]s; after the first
-//!   wave no frame buffer is allocated;
-//! * **a request is an index, not a copy.** Each thread keeps a
-//!   per-wave request table in its `Scratch` — the driver's serves the
-//!   spine, with the root's request as entry 0; each worker's serves
-//!   its blocks — cleared when the thread starts a wave. A slot holds
-//!   two `u32` indices into it: `fwd` equals `req` unless a partial
-//!   cache hit pushed the subset envelope into the table. A position's
-//!   two steps run on the same thread, so an index never crosses
-//!   tables, and the sweeps copy indices: no request clone, no
-//!   reference count;
-//! * **each distinct frame is decoded once per thread.** Every node
-//!   still takes — and is billed for — its own inbound frame, but a
-//!   per-thread, per-wave `DecodeMemo` (nothing shared) compares the
-//!   frame's bits with those already decoded (whole-frame equality,
-//!   header and ARQ sequence number included) and hands out the index
-//!   of that decode, which is a pure function of the bits and the
-//!   deployment configuration. A frame that differs in one bit misses
-//!   and is decoded afresh;
-//! * **each fan-out is encoded once** under [`Reliability::None`]: the
-//!   siblings receive pool-backed copies billed through
-//!   [`WaveProtocol::note_request_copies`], exactly the boxed runner's
-//!   fan-out (per-child sequence numbers keep one encode per child
-//!   under ARQ);
+//! * **frames** — partials only — are recycled through
+//!   [`ScratchPool`]s; after the first wave no frame buffer is
+//!   allocated. A block root's reply ends in the driver's pool, which
+//!   hands each worker one buffer per replying block root before the
+//!   parallel phase;
+//! * **a request crosses an edge as an index and a width.** Each
+//!   thread keeps a per-wave request table in its `Scratch`, every
+//!   entry with its encoding's width, measured once when the entry is
+//!   made: the driver's serves the spine, with the root's request as
+//!   entry 0; each worker numbers its entries after the driver's, which
+//!   its block roots read and nobody writes during the parallel phase.
+//!   A slot holds two `u32` indices: `fwd` equals `req` unless a
+//!   partial cache hit pushed the subset envelope into the table. A
+//!   parent writes its `fwd` into each child's slot and bills each copy
+//!   by width — header, the sequence number under ARQ, payload — and
+//!   through [`WaveProtocol::note_request_copies`]; the child admits
+//!   that index. The boxed runner's child decodes the same request from
+//!   its frame (the request law of [`WaveProtocol::decode_request`]),
+//!   so below the root no request is encoded, cloned or decoded: a
+//!   subset envelope is the only request made there;
 //! * **children are absorbed in place**: each child's partial is
 //!   merged off the wire into the `&mut` accumulator
 //!   ([`WaveProtocol::absorb_child`]; the first child through
@@ -100,9 +96,10 @@
 //! (the canonical-merge / fixed-order-barrier argument of
 //! ARCHITECTURE §10):
 //!
-//! * every node transmits exactly the frames it would transmit boxed —
-//!   one request per child edge, one partial per participating node, with
-//!   the same envelope header (kind + varint wave ordinal);
+//! * every node is billed exactly the frames it would transmit boxed —
+//!   one request per child edge (by width: no request frame is built),
+//!   one partial per participating node, with the same envelope header
+//!   (kind + varint wave ordinal);
 //! * partials are merged in fixed child order (ascending global id =
 //!   ascending position), so answers are pure functions of tree +
 //!   items + request, independent of the plan and of thread timing;
@@ -153,7 +150,7 @@ use crate::obs::NodeTraceEntry;
 use crate::tree::SpanningTree;
 use crate::wave::{
     ack_bits, header_bits, read_wave, write_wave, CacheResolution, CachedPartial, Reliability,
-    TransportFootprint, WaveProtocol, WaveSubstrate, KIND_PARTIAL, KIND_REQUEST, SEQ_BITS,
+    TransportFootprint, WaveProtocol, WaveSubstrate, KIND_PARTIAL, SEQ_BITS,
 };
 use saq_netsim::energy::EnergyModel;
 use saq_netsim::flat::{FlatTree, NestDepth, ShardBlock, ShardPlan};
@@ -203,6 +200,9 @@ struct Env<'a> {
     /// width varies per wave, so this is per-wave state, not a
     /// constant).
     ack_bits: u64,
+    /// Bits of a request frame's header in this wave: kind, wave
+    /// ordinal and, under ARQ, the sequence number.
+    request_header_bits: u64,
     /// `Some(timeout)` under [`Reliability::Ack`].
     arq_timeout: Option<SimDuration>,
     /// Per-exchange attempt budget — the flat analogue of the
@@ -336,8 +336,8 @@ fn arq_exchange(
 #[derive(Debug)]
 struct WaveSlot<P: WaveProtocol> {
     /// Request this node received (partials are encoded against it), as
-    /// an index into its thread's [`RequestTable`]: every node this
-    /// thread saw take a bit-identical frame holds the same index.
+    /// an index into its thread's [`RequestTable`]: its parent's `fwd`,
+    /// written by the parent's fan-out.
     req: u32,
     /// Request forwarded to children (partials are decoded and merged
     /// against it): the *same* index as `req` unless a partial cache hit
@@ -349,12 +349,12 @@ struct WaveSlot<P: WaveProtocol> {
     acc: Option<P::Partial>,
     /// Whether admission answered entirely from cache (subtree silent).
     cached: bool,
-    /// Whether this node participates in the current wave.
+    /// Whether a request reached this node in the current wave: written
+    /// by its parent every wave, whether it forwards or not.
     active: bool,
-    /// Frame mailbox: inbound request during the top-down sweep, then
-    /// this node's outbound partial during the bottom-up sweep. A
-    /// parent writes a child's slot going down and takes it coming up,
-    /// so no queues exist — the column *is* the network.
+    /// Frame mailbox: this node's outbound partial, staged for its
+    /// parent to take on the way up, so no queues exist — the column
+    /// *is* the network.
     frame: Option<BitString>,
 }
 
@@ -381,74 +381,40 @@ struct NodeCache<P: WaveProtocol> {
 }
 
 /// The requests one thread's nodes received or forwarded in the current
-/// wave; a [`WaveSlot`] names one by its index. Cleared when the thread
-/// starts a wave.
+/// wave, each with its encoding's width in bits; a [`WaveSlot`] names
+/// one by index. A worker numbers its entries from `base`, the length
+/// of the driver's table, whose entries its block roots read below that
+/// index (the driver adds none while workers run). Cleared when the
+/// thread starts a wave.
 #[derive(Debug)]
-struct RequestTable<R>(Vec<R>);
+struct RequestTable<R> {
+    base: u32,
+    entries: Vec<(R, u64)>,
+}
 
 impl<R> RequestTable<R> {
-    fn push(&mut self, req: R) -> u32 {
-        self.0.push(req);
-        (self.0.len() - 1) as u32
+    /// Adds `req`, measuring its encoding once in a pooled buffer.
+    fn push<P: WaveProtocol<Request = R>>(
+        &mut self,
+        proto: &P,
+        pool: &mut ScratchPool,
+        req: R,
+    ) -> u32 {
+        let mut w = pool.writer();
+        proto.encode_request(&req, &mut w);
+        let bits = w.len_bits();
+        pool.recycle(w.finish());
+        self.entries.push((req, bits));
+        self.base + self.entries.len() as u32 - 1
     }
 
-    fn at(&self, index: u32) -> &R {
-        &self.0[index as usize]
-    }
-}
-
-/// Request frames one thread remembers per wave. Fire-and-forget
-/// fan-outs put one distinct frame per forwarded envelope on the wire
-/// and ARQ one per child ordinal, so a handful covers a worker's whole
-/// share; past the cap the oldest entry is replaced.
-const DECODE_MEMO_CAP: usize = 16;
-
-/// The request frames a thread has already decoded in the current wave,
-/// each with the [`RequestTable`] index of its decode. Decoding is a
-/// pure function of (frame bits, deployment config), so a node whose
-/// inbound frame equals a remembered one **bit for bit** — header and
-/// ARQ sequence number included — shares that decode instead of
-/// repeating it; a frame that differs anywhere misses and is decoded
-/// afresh.
-#[derive(Debug)]
-struct DecodeMemo {
-    entries: Vec<(BitString, u32)>,
-    /// Next entry to replace once `entries` is full.
-    cursor: usize,
-}
-
-impl DecodeMemo {
-    fn new() -> Self {
-        DecodeMemo {
-            entries: Vec::with_capacity(DECODE_MEMO_CAP),
-            cursor: 0,
+    /// Entry `index` and its width: this thread's own from `base` on,
+    /// the driver's (`spine`) below it.
+    fn get<'t>(&'t self, spine: &'t [(R, u64)], index: u32) -> &'t (R, u64) {
+        match index.checked_sub(self.base) {
+            Some(own) => &self.entries[own as usize],
+            None => &spine[index as usize],
         }
-    }
-
-    fn get(&self, frame: &BitString) -> Option<u32> {
-        self.entries
-            .iter()
-            .find(|(seen, _)| seen == frame)
-            .map(|&(_, req)| req)
-    }
-
-    /// Remembers `frame`'s decode, keeping the frame itself as the key
-    /// (its allocation returns to `pool` on replacement or `drain`).
-    fn insert(&mut self, frame: BitString, req: u32, pool: &mut ScratchPool) {
-        if self.entries.len() < DECODE_MEMO_CAP {
-            self.entries.push((frame, req));
-        } else {
-            let (old, _) = std::mem::replace(&mut self.entries[self.cursor], (frame, req));
-            pool.recycle(old);
-            self.cursor = (self.cursor + 1) % DECODE_MEMO_CAP;
-        }
-    }
-
-    fn drain(&mut self, pool: &mut ScratchPool) {
-        for (frame, _) in self.entries.drain(..) {
-            pool.recycle(frame);
-        }
-        self.cursor = 0;
     }
 }
 
@@ -491,16 +457,15 @@ impl<P: WaveProtocol> FreeList<P> {
 ///
 /// Aligned to 128 bytes so that the workers' scratches, packed back to
 /// back in one `Vec`, never share a cache line: every node writes its
-/// thread's free list, request table and frame pool. 128 rather than 64
-/// because x86's adjacent-line prefetcher moves lines in pairs (the
-/// padding crossbeam's `CachePadded` uses for the same reason).
+/// thread's free list and frame pool, and a partial cache hit its
+/// request table. 128 rather than 64 because x86's adjacent-line
+/// prefetcher moves lines in pairs (the padding crossbeam's
+/// `CachePadded` uses for the same reason).
 #[derive(Debug)]
 #[repr(align(128))]
 struct Scratch<P: WaveProtocol> {
     /// Recycled frame buffers.
     pool: ScratchPool,
-    /// Request frames decoded so far in the current wave.
-    memo: DecodeMemo,
     /// Spent accumulators.
     spare: FreeList<P>,
     /// The current wave's requests, named by index from the slots.
@@ -511,21 +476,19 @@ impl<P: WaveProtocol> Scratch<P> {
     fn new() -> Self {
         Scratch {
             pool: ScratchPool::new(),
-            memo: DecodeMemo::new(),
             spare: FreeList(Vec::new()),
-            reqs: RequestTable(Vec::new()),
+            reqs: RequestTable {
+                base: 0,
+                entries: Vec::new(),
+            },
         }
     }
 
-    /// Starts this thread's share of a wave: last wave's requests go.
-    fn start_wave(&mut self) {
-        self.reqs.0.clear();
-    }
-
-    /// Ends the wave's top-down traffic: the remembered frames go back
-    /// to the pool.
-    fn forget_frames(&mut self) {
-        self.memo.drain(&mut self.pool);
+    /// Starts this thread's share of a wave, numbering its requests
+    /// from `base`: last wave's requests go.
+    fn start_wave(&mut self, base: usize) {
+        self.reqs.base = base as u32;
+        self.reqs.entries.clear();
     }
 }
 
@@ -575,32 +538,32 @@ fn charge_rx(c: &mut NodeStats, model: &EnergyModel, bits: u64) {
 
 /// Wave admission at one node — the cache resolution of
 /// [`AggNode::admit_wave`](crate::wave::AggNode), on a column slot, for
-/// the request at index `req` of its thread's table. Returns `true`
-/// when every slot of the request was served from cache: the subtree
-/// stays silent and the reply comes straight from the cache entries
+/// the request its parent wrote into `slot.req`. Returns `true` when
+/// every slot of the request was served from cache: the subtree stays
+/// silent and the reply comes straight from the cache entries
 /// ([`CacheResolution`]). Without a cache the node forwards what it
 /// received.
 fn admit<P: WaveProtocol>(
     proto: &P,
-    reqs: &mut RequestTable<P::Request>,
+    scratch: &mut Scratch<P>,
+    spine: &[(P::Request, u64)],
     slot: &mut WaveSlot<P>,
     cache: Option<&mut NodeCache<P>>,
-    req: u32,
     trace: Option<&mut Vec<NodeTraceEntry>>,
 ) -> bool {
     slot.acc = None;
-    slot.req = req;
-    slot.fwd = req;
+    slot.fwd = slot.req;
     slot.cached = false;
     let Some(NodeCache { cache, resolved }) = cache else {
         return false;
     };
-    slot.cached = resolved.resolve(proto, Some(cache), reqs.at(req), trace);
+    let req = &scratch.reqs.get(spine, slot.req).0;
+    slot.cached = resolved.resolve(proto, Some(cache), req, trace);
     if !slot.cached && !resolved.hits.is_empty() {
         // The only place a new request value is made below the root: a
         // partial hit forwards the miss subset.
-        let subset = proto.subset_request(reqs.at(req), &resolved.miss);
-        slot.fwd = reqs.push(subset);
+        let subset = proto.subset_request(req, &resolved.miss);
+        slot.fwd = scratch.reqs.push(proto, &mut scratch.pool, subset);
     }
     slot.cached
 }
@@ -638,179 +601,134 @@ fn partial_writer(env: &Env<'_>, pool: &mut ScratchPool, wave: u16, seq: usize) 
     w
 }
 
-/// Stages one request frame per child of `p`, charging the
-/// transmissions to `p` exactly as its per-child unicasts would be.
-///
-/// Fire-and-forget frames are bit-identical for every child, so the
-/// frame is encoded **once** and the siblings get pool-backed copies,
-/// billed through [`WaveProtocol::note_request_copies`] — the boxed
-/// runner's own fan-out, copy for copy. Under ARQ the *i*-th child's
-/// frame carries sequence number *i* (the boxed fan-out loop's
-/// counter), so each child keeps its own encode, and the whole boxed
-/// exchange is emulated on the spot — both endpoints' counters live in
+/// Forwards request `fwd` to every child of `p`: writes the index into
+/// each child's slot and bills each copy to both endpoints by width,
+/// exactly as the boxed runner's per-child frame — the header
+/// (the *i*-th child's ARQ sequence number *i* included) plus the
+/// request's measured width — and to the protocol through
+/// [`WaveProtocol::note_request_copies`]. Under ARQ the whole boxed
+/// exchange is emulated on the spot: both endpoints' counters live in
 /// this window, since blocks are whole subtrees and the spine sweeps
 /// the full column.
 fn fan_out<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
-    pool: &mut ScratchPool,
+    reqs: &RequestTable<P::Request>,
+    spine: &[(P::Request, u64)],
     cols: &mut Cols<'_, P>,
     p: usize,
-    wave: u16,
-    fwd: &P::Request,
+    fwd: u32,
 ) -> Result<(), ProtocolError> {
-    let rel = p - cols.base;
     let children = env.tree.children_pos(p);
-    let encode = |pool: &mut ScratchPool, seq: Option<usize>| {
-        let mut w = pool.writer();
-        w.write_bits(KIND_REQUEST, 2);
-        write_wave(&mut w, wave);
-        if let Some(seq) = seq {
-            w.write_bits(seq as u64, SEQ_BITS as u32);
-        }
-        proto.encode_request(fwd, &mut w);
-        w.finish()
-    };
-    let Some(timeout) = env.arq_timeout else {
-        let Some((&last, siblings)) = children.split_last() else {
-            return Ok(()); // a leaf encodes (and bills) nothing
-        };
-        let frame = encode(pool, None);
-        let bits = frame.len_bits();
-        proto.note_request_copies(fwd, siblings.len() as u64);
-        for &c in children {
-            charge_tx(&mut cols.counters[rel], env.model, bits);
-            cols.links[c as usize - cols.base].down += bits;
-        }
-        cols.frames += children.len() as u64;
-        for &c in siblings {
-            cols.slots[c as usize - cols.base].frame = Some(pool.duplicate(&frame));
-        }
-        cols.slots[last as usize - cols.base].frame = Some(frame);
-        return Ok(());
-    };
-    for (i, &c) in children.iter().enumerate() {
+    if children.is_empty() {
+        return Ok(()); // a leaf sends (and bills) nothing
+    }
+    let rel = p - cols.base;
+    let (req, payload_bits) = reqs.get(spine, fwd);
+    proto.note_request_copies(req, children.len() as u64);
+    let bits = env.request_header_bits + payload_bits;
+    for &c in children {
         let crel = c as usize - cols.base;
-        let frame = encode(pool, Some(i));
-        let streams = cols.arq[crel]
-            .as_mut()
-            .expect("non-root position has edge streams under ARQ");
-        let (sender, receiver) = two_mut(cols.counters, rel, crel);
-        let TreeLinkBits { down, up } = &mut cols.links[crel];
-        let intact = arq_exchange(
-            env,
-            timeout,
-            frame.len_bits(),
-            &mut streams.down_data,
-            &mut streams.up_ack,
-            Endpoint {
-                stats: sender,
-                link: down,
-            },
-            Endpoint {
-                stats: receiver,
-                link: up,
-            },
-            &mut cols.frames,
-        )?;
-        // The boxed receiver's first request copy enters `seen`
-        // only to be purged by its own admission; a second
-        // intact copy re-inserts the key, and it persists.
-        cols.residue[crel] = u64::from(intact >= 2);
-        cols.slots[crel].frame = Some(frame);
+        match env.arq_timeout {
+            None => {
+                charge_tx(&mut cols.counters[rel], env.model, bits);
+                charge_rx(&mut cols.counters[crel], env.model, bits);
+                cols.links[crel].down += bits;
+                cols.frames += 1;
+            }
+            Some(timeout) => {
+                let streams = cols.arq[crel]
+                    .as_mut()
+                    .expect("non-root position has edge streams under ARQ");
+                let (sender, receiver) = two_mut(cols.counters, rel, crel);
+                let TreeLinkBits { down, up } = &mut cols.links[crel];
+                let intact = arq_exchange(
+                    env,
+                    timeout,
+                    bits,
+                    &mut streams.down_data,
+                    &mut streams.up_ack,
+                    Endpoint {
+                        stats: sender,
+                        link: down,
+                    },
+                    Endpoint {
+                        stats: receiver,
+                        link: up,
+                    },
+                    &mut cols.frames,
+                )?;
+                // The boxed receiver's first request copy enters `seen`
+                // only to be purged by its own admission; a second
+                // intact copy re-inserts the key, and it persists.
+                cols.residue[crel] = u64::from(intact >= 2);
+            }
+        }
+        if let Some(trace) = cols.trace.get_mut(crel) {
+            trace.push(NodeTraceEntry::RequestRecv { bits });
+        }
+        let slot = &mut cols.slots[crel];
+        slot.req = fwd;
+        slot.active = true;
     }
     Ok(())
 }
 
-/// Top-down step at a non-root position: consume the inbound request
-/// frame, admit the wave, contribute locally, stage child frames.
+/// Tells every child of `p` that no request reaches it this wave.
+fn silence_children<P: WaveProtocol>(env: &Env<'_>, cols: &mut Cols<'_, P>, p: usize) {
+    for &c in env.tree.children_pos(p) {
+        cols.slots[c as usize - cols.base].active = false;
+    }
+}
+
+/// Top-down step at a non-root position: admit the request the parent
+/// forwarded, contribute locally, forward to the children.
 fn step_down<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
     scratch: &mut Scratch<P>,
+    spine: &[(P::Request, u64)],
     cols: &mut Cols<'_, P>,
     p: usize,
     wave: u16,
 ) -> Result<(), ProtocolError> {
-    let Scratch {
-        pool,
-        memo,
-        spare,
-        reqs,
-    } = scratch;
     let rel = p - cols.base;
-    let Some(frame) = cols.slots[rel].frame.take() else {
+    if !cols.slots[rel].active {
         // No request reached this node (an ancestor answered from
-        // cache): it sits the wave out.
-        cols.slots[rel].active = false;
+        // cache): it and its subtree sit the wave out.
+        silence_children(env, cols, p);
         return Ok(());
-    };
-    // Under ARQ the reception was already billed by the parent's
-    // emulated exchange (per delivered copy); fire-and-forget bills
-    // the single delivery here.
-    let frame_bits = frame.len_bits();
-    if env.arq_timeout.is_none() {
-        charge_rx(&mut cols.counters[rel], env.model, frame_bits);
     }
-    let req = match memo.get(&frame) {
-        Some(req) => {
-            pool.recycle(frame);
-            req
-        }
-        None => {
-            let decoded = {
-                let mut r = BitReader::new(&frame);
-                let kind = r.read_bits(2);
-                let frame_wave = read_wave(&mut r);
-                debug_assert!(matches!(kind, Ok(KIND_REQUEST)), "staged frame kind");
-                debug_assert_eq!(frame_wave.ok(), Some(wave), "staged frame wave");
-                if env.arq_timeout.is_some() {
-                    let _seq = r.read_bits(SEQ_BITS as u32);
-                }
-                proto.decode_request(&mut r)
-            };
-            let Ok(req) = decoded else {
-                pool.recycle(frame);
-                cols.slots[rel].active = false;
-                return Ok(());
-            };
-            let req = reqs.push(req);
-            memo.insert(frame, req, pool);
-            req
-        }
-    };
-    if let Some(trace) = cols.trace.get_mut(rel) {
-        trace.push(NodeTraceEntry::RequestRecv { bits: frame_bits });
-    }
-    cols.slots[rel].active = true;
     if admit(
         proto,
-        reqs,
+        scratch,
+        spine,
         &mut cols.slots[rel],
         cols.caches.get_mut(rel),
-        req,
         cols.trace.get_mut(rel),
     ) {
         // Fully cached: the subtree stays silent, and the reply is
         // encoded from the cache entries and staged at once. It is the
         // node's first frame of the wave, so under ARQ it carries
         // sequence number 0.
+        silence_children(env, cols, p);
         let NodeCache { cache, resolved } = &cols.caches[rel];
-        let mut w = partial_writer(env, pool, wave, 0);
-        resolved.encode_cached_reply(proto, cache, reqs.at(req), &mut w);
+        let req = &scratch.reqs.get(spine, cols.slots[rel].req).0;
+        let mut w = partial_writer(env, &mut scratch.pool, wave, 0);
+        resolved.encode_cached_reply(proto, cache, req, &mut w);
         stage_partial(env, cols, rel, w.finish());
         return Ok(());
     }
-    let fwd = reqs.at(cols.slots[rel].fwd);
-    let local = spare.local(
+    let fwd = cols.slots[rel].fwd;
+    let local = scratch.spare.local(
         proto,
         env.tree.global_of(p),
         &mut cols.items[rel],
-        fwd,
+        &scratch.reqs.get(spine, fwd).0,
         &mut cols.rngs[rel],
     );
     cols.slots[rel].acc = Some(local);
-    fan_out(env, proto, pool, cols, p, wave, fwd)
+    fan_out(env, proto, &scratch.reqs, spine, cols, p, fwd)
 }
 
 /// Bottom-up step: merge child partials in fixed child order, populate
@@ -828,6 +746,7 @@ fn step_up<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
     scratch: &mut Scratch<P>,
+    spine: &[(P::Request, u64)],
     cols: &mut Cols<'_, P>,
     p: usize,
     wave: u16,
@@ -838,10 +757,8 @@ fn step_up<P: WaveProtocol>(
         return Ok(None);
     }
     let mut acc = slot.acc.take().expect("active wave has an accumulator");
-    let Scratch {
-        pool, spare, reqs, ..
-    } = scratch;
-    let (req, fwd) = (reqs.at(slot.req), reqs.at(slot.fwd));
+    let Scratch { pool, spare, reqs } = scratch;
+    let (req, fwd) = (&reqs.get(spine, slot.req).0, &reqs.get(spine, slot.fwd).0);
     let children = env.tree.children_pos(p).len();
     for (i, &c) in env.tree.children_pos(p).iter().enumerate() {
         let crel = c as usize - cols.base;
@@ -940,33 +857,36 @@ fn step_up<P: WaveProtocol>(
 }
 
 /// Runs one complete block (a whole subtree): top-down then bottom-up.
-/// The block root's inbound frame was staged by its spine parent; its
-/// outbound partial is left in its own slot for the spine to take.
+/// The block root's request was written by its spine parent, as an
+/// index into the driver's table (`spine`); its outbound partial is
+/// left in its own slot for the spine to take.
 fn eval_block<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
     scratch: &mut Scratch<P>,
+    spine: &[(P::Request, u64)],
     cols: &mut Cols<'_, P>,
     block: ShardBlock,
     wave: u16,
 ) -> Result<(), ProtocolError> {
     let (start, end) = (block.start as usize, (block.start + block.len) as usize);
     for p in start..end {
-        step_down(env, proto, scratch, cols, p, wave)?;
+        step_down(env, proto, scratch, spine, cols, p, wave)?;
     }
     for p in (start..end).rev() {
-        let out = step_up(env, proto, scratch, cols, p, wave)?;
+        let out = step_up(env, proto, scratch, spine, cols, p, wave)?;
         debug_assert!(out.is_none(), "blocks are strictly below the root");
     }
     Ok(())
 }
 
 /// One worker's share of a wave: its protocol clone (sharing the
-/// group's side-state), scratch, and assigned blocks with their
-/// disjoint column windows.
+/// group's side-state), scratch, the driver's request table (read
+/// only), and assigned blocks with their disjoint column windows.
 struct WorkerTask<'a, P: WaveProtocol> {
     proto: P,
     scratch: &'a mut Scratch<P>,
+    spine: &'a [(P::Request, u64)],
     blocks: Vec<(ShardBlock, Cols<'a, P>)>,
 }
 
@@ -975,13 +895,21 @@ fn run_task<P: WaveProtocol>(
     task: &mut WorkerTask<'_, P>,
     wave: u16,
 ) -> Result<(), ProtocolError> {
-    task.scratch.start_wave();
+    task.scratch.start_wave(task.spine.len());
     let mut result = Ok(());
     for (block, cols) in &mut task.blocks {
         // The carved window sits in a `Vec` next to other workers'
         // windows; count frames on this thread's stack instead.
         let mut window = cols.reborrow();
-        let r = eval_block(env, &task.proto, task.scratch, &mut window, *block, wave);
+        let r = eval_block(
+            env,
+            &task.proto,
+            task.scratch,
+            task.spine,
+            &mut window,
+            *block,
+            wave,
+        );
         cols.frames += window.frames;
         // Keep the first error but finish every block, so per-block
         // side-state is always fully accumulated before the barrier
@@ -990,7 +918,6 @@ fn run_task<P: WaveProtocol>(
             result = r;
         }
     }
-    task.scratch.forget_frames();
     result
 }
 
@@ -1383,15 +1310,18 @@ where
         // request directly, so there is no inbound frame and no rx
         // charge — exactly the staged kick of the boxed runners. The
         // root's request is entry 0 of the driver's table.
-        self.scratch.start_wave();
-        let req = self.scratch.reqs.push(req);
-        self.cols.slots[0].active = true;
+        self.scratch.start_wave(0);
+        let Scratch { pool, reqs, .. } = &mut self.scratch;
+        let req = reqs.push(&self.proto, pool, req);
+        let root = &mut self.cols.slots[0];
+        root.req = req;
+        root.active = true;
         if admit(
             &self.proto,
-            &mut self.scratch.reqs,
-            &mut self.cols.slots[0],
+            &mut self.scratch,
+            &[],
+            root,
             self.cols.caches.get_mut(0),
-            req,
             self.cols.trace.get_mut(0),
         ) {
             // Every slot served from the root's cache: the network
@@ -1401,7 +1331,8 @@ where
                 *residue = 0;
             }
             let NodeCache { cache, resolved } = &mut self.cols.caches[0];
-            return Ok(resolved.take_cached_reply(&self.proto, cache, self.scratch.reqs.at(req)));
+            let req = &self.scratch.reqs.get(&[], req).0;
+            return Ok(resolved.take_cached_reply(&self.proto, cache, req));
         }
 
         let model = self.energy;
@@ -1410,6 +1341,10 @@ where
             model: &model,
             link: &self.link,
             ack_bits: ack_bits(wave),
+            request_header_bits: match self.reliability {
+                Reliability::Ack { .. } => ack_bits(wave),
+                Reliability::None => header_bits(wave),
+            },
             arq_timeout: match self.reliability {
                 Reliability::Ack { timeout } => Some(timeout),
                 Reliability::None => None,
@@ -1423,19 +1358,17 @@ where
         // the inbound frames of all block roots along the way.
         let mut cols = self.cols.window();
         let phase_a = {
-            let Scratch {
-                pool, spare, reqs, ..
-            } = &mut self.scratch;
-            let fwd = reqs.at(cols.slots[0].fwd);
+            let Scratch { spare, reqs, .. } = &mut self.scratch;
+            let fwd = cols.slots[0].fwd;
             let local = spare.local(
                 &self.proto,
                 env.tree.global_of(0),
                 &mut cols.items[0],
-                fwd,
+                &reqs.get(&[], fwd).0,
                 &mut cols.rngs[0],
             );
             cols.slots[0].acc = Some(local);
-            fan_out(env, &self.proto, pool, &mut cols, 0, wave, fwd)
+            fan_out(env, &self.proto, reqs, &[], &mut cols, 0, fwd)
         }
         .and_then(|()| {
             self.plan.spine()[1..].iter().try_for_each(|&p| {
@@ -1443,19 +1376,32 @@ where
                     env,
                     &self.proto,
                     &mut self.scratch,
+                    &[],
                     &mut cols,
                     p as usize,
                     wave,
                 )
             })
         });
-        self.scratch.forget_frames();
         self.last_wave_frames += cols.frames;
         phase_a?;
 
         // Phase B — parallel blocks: disjoint column windows per
         // block, grouped per worker by the plan's static assignment.
+        // Every block root a request reached replies with a frame from
+        // its worker's pool, which phase C recycles into the driver's,
+        // so the driver first hands each worker that many buffers. Block
+        // roots read the driver's request table, which stays unchanged
+        // until phase C.
         let blocks = self.plan.blocks();
+        for (scratch, group) in self.worker_scratch.iter_mut().zip(self.plan.groups()) {
+            let replies = group
+                .iter()
+                .filter(|&&b| self.cols.slots[blocks[b].start as usize].active)
+                .count();
+            self.scratch.pool.transfer(&mut scratch.pool, replies);
+        }
+        let spine = &self.scratch.reqs.entries[..];
         let mut windows: Vec<Option<Cols<'_, P>>> = self
             .cols
             .window()
@@ -1471,6 +1417,7 @@ where
             .map(|((proto, scratch), group)| WorkerTask {
                 proto: proto.clone(),
                 scratch,
+                spine,
                 blocks: group
                     .iter()
                     .map(|&bi| (blocks[bi], windows[bi].take().expect("block assigned once")))
@@ -1522,6 +1469,7 @@ where
                 env,
                 &self.proto,
                 &mut self.scratch,
+                &[],
                 &mut cols,
                 p as usize,
                 wave,
@@ -1558,17 +1506,14 @@ where
         self.next_wave = self.next_wave.wrapping_add(1);
         self.last_wave_frames = 0;
 
-        // Recycle frames stranded by a failed wave so they can never be
-        // mistaken for this wave's traffic. A wave that completed took
-        // every frame it staged, so only a failure needs the sweep.
+        // Recycle partials stranded by a failed wave so they can never
+        // be mistaken for this wave's traffic. A wave that completed
+        // took every frame it staged, so only a failure needs the sweep.
         if std::mem::take(&mut self.stranded) {
             for s in &mut self.cols.slots {
                 if let Some(f) = s.frame.take() {
                     self.scratch.pool.recycle(f);
                 }
-            }
-            for s in &mut self.worker_scratch {
-                s.forget_frames(); // a worker that panicked never did
             }
         }
 
@@ -1772,7 +1717,7 @@ mod tests {
     }
 
     fn env(reqs: Vec<u64>) -> Vec<MuxEntry<u64>> {
-        MultiplexWave::<SumBelow>::envelope(reqs)
+        MultiplexWave::envelope(proto().inner(), reqs)
     }
 
     fn balanced_setup(n: usize, degree: usize) -> (Topology, SpanningTree, Vec<Vec<u64>>) {
@@ -2198,8 +2143,8 @@ mod tests {
     }
 
     /// Drains `runner`'s trace into a vector, in the canonical order.
-    fn take_trace(
-        runner: &mut dyn WaveSubstrate<MultiplexWave<SumBelow>>,
+    fn take_trace<P: WaveProtocol>(
+        runner: &mut dyn WaveSubstrate<P>,
     ) -> Vec<(usize, NodeTraceEntry)> {
         let mut out = Vec::new();
         runner.drain_trace(&mut |node, entry| out.push((node, entry)));
@@ -2299,91 +2244,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_memo_matches_whole_frames_only_and_stays_bounded() {
-        let frame = |v: u64, width: u32| {
-            let mut w = BitWriter::new();
-            w.write_bits(v, width);
-            w.finish()
-        };
-        let mut pool = ScratchPool::new();
-        let mut memo = DecodeMemo::new();
-        memo.insert(frame(0b1011_0110, 8), 1, &mut pool);
-        assert_eq!(memo.get(&frame(0b1011_0110, 8)), Some(1));
-        // One flipped bit, a proper prefix and an extension all miss.
-        assert!(memo.get(&frame(0b1011_0111, 8)).is_none());
-        assert!(memo.get(&frame(0b101_1011, 7)).is_none());
-        assert!(memo.get(&frame(0b1_0110_1100, 9)).is_none());
-        // Past the cap the oldest entry goes, and its buffer with it.
-        for i in 0..DECODE_MEMO_CAP as u32 {
-            memo.insert(frame(u64::from(i), 16), 100 + i, &mut pool);
-        }
-        assert_eq!(memo.entries.len(), DECODE_MEMO_CAP);
-        assert!(memo.get(&frame(0b1011_0110, 8)).is_none());
-        assert_eq!(memo.get(&frame(3, 16)), Some(103));
-        memo.drain(&mut pool);
-        assert!(memo.entries.is_empty());
-        let reused_before = pool.reused();
-        for _ in 0..=DECODE_MEMO_CAP {
-            let _ = pool.writer(); // every remembered frame came back
-        }
-        assert_eq!(pool.reused() - reused_before, DECODE_MEMO_CAP as u64 + 1);
-    }
-
-    #[test]
-    fn decode_memo_never_serves_a_different_envelope() {
-        // Consecutive waves whose envelopes differ in a slot, in slot
-        // count and only in the wave ordinal of the header: each must be
-        // decoded for what it is, never served from an earlier decode.
-        let (topo, tree, items) = balanced_setup(85, 4);
-        let script: Vec<Step> = [
-            vec![1000, 500],
-            vec![1000, 501],
-            vec![1000],
-            vec![1000],
-            vec![999, 1, 500, 30],
-        ]
-        .into_iter()
-        .map(Step::Wave)
-        .collect();
-        same_as_boxed(
-            &topo,
-            &tree,
-            &items,
-            SimConfig::default(),
-            Reliability::None,
-            None,
-            &script,
-        );
-    }
-
-    #[test]
-    fn decode_memo_keeps_per_child_sequence_numbers_apart_under_arq() {
-        // Under ARQ sibling frames differ only in their sequence number;
-        // whole-frame equality keeps them apart, and the emulated
-        // exchanges bill the same retransmissions and ACKs as boxed.
-        let (topo, tree, items) = balanced_setup(40, 3);
-        let link = saq_netsim::link::LinkConfig::default()
-            .with_loss(0.2)
-            .with_corruption(0.05)
-            .with_duplication(0.05);
-        let script: Vec<Step> = [vec![1000, 500], vec![30], vec![30, 1000, 7]]
-            .into_iter()
-            .map(Step::Wave)
-            .collect();
-        same_as_boxed(
-            &topo,
-            &tree,
-            &items,
-            SimConfig::default().with_link(link),
-            Reliability::Ack {
-                timeout: saq_netsim::SimDuration::from_millis(40),
-            },
-            None,
-            &script,
-        );
-    }
-
-    #[test]
     fn mid_tree_cache_hit_forwards_a_subset_envelope() {
         // Leave node 3 (mid-tree, on leaf 39's root path) holding slot
         // 700 but not slot 100, and the root holding neither: the wave
@@ -2417,6 +2277,176 @@ mod tests {
                 && at_3.contains(&NodeTraceEntry::CacheMiss { slot: 1 }),
             "node 3 must hit slot 0 and miss slot 1, got {at_3:?}"
         );
+    }
+
+    /// [`SumBelow`] counting its request codec calls, in counters its
+    /// clones share.
+    #[derive(Debug, Clone)]
+    struct CountingCodec {
+        inner: SumBelow,
+        encodes: std::sync::Arc<std::sync::atomic::AtomicU64>,
+        decodes: std::sync::Arc<std::sync::atomic::AtomicU64>,
+    }
+
+    impl CountingCodec {
+        fn new() -> Self {
+            CountingCodec {
+                inner: proto().inner().clone(),
+                encodes: Default::default(),
+                decodes: Default::default(),
+            }
+        }
+
+        /// `(encodes, decodes)` since the last call.
+        fn take(&self) -> (u64, u64) {
+            use std::sync::atomic::Ordering::Relaxed;
+            (self.encodes.swap(0, Relaxed), self.decodes.swap(0, Relaxed))
+        }
+    }
+
+    impl WaveProtocol for CountingCodec {
+        type Request = u64;
+        type Partial = u64;
+        type Item = u64;
+        type ItemDelta = ();
+        type DeltaKey = ();
+
+        fn encode_request(&self, req: &u64, w: &mut BitWriter) {
+            self.encodes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.encode_request(req, w);
+        }
+        fn decode_request(&self, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
+            self.decodes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.decode_request(r)
+        }
+        fn encode_partial(&self, req: &u64, p: &u64, w: &mut BitWriter) {
+            self.inner.encode_partial(req, p, w);
+        }
+        fn decode_partial(&self, req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
+            self.inner.decode_partial(req, r)
+        }
+        fn local(
+            &self,
+            node: NodeId,
+            items: &mut Vec<u64>,
+            req: &u64,
+            rng: &mut Xoshiro256StarStar,
+        ) -> u64 {
+            self.inner.local(node, items, req, rng)
+        }
+        fn merge(&self, req: &u64, a: u64, b: u64) -> u64 {
+            self.inner.merge(req, a, b)
+        }
+        fn cache_key(&self, req: &u64) -> Option<CacheKey> {
+            self.inner.cache_key(req)
+        }
+    }
+
+    #[test]
+    fn a_flat_wave_never_decodes_a_request() {
+        // A child admits the request its parent forwarded: during a flat
+        // wave the inner codec decodes nothing and encodes nothing (every
+        // sub-request's bits were captured when the envelope was built),
+        // while the boxed oracle decodes every request it is delivered —
+        // and answers, ledger, frames, traces and tallies still agree.
+        // The script makes node 3 forward a subset envelope (see
+        // `mid_tree_cache_hit_forwards_a_subset_envelope`).
+        let (topo, tree, items) = balanced_setup(40, 3);
+        let script = [
+            Step::Wave(vec![100]),
+            Step::SetItems(39, vec![5]),
+            Step::Wave(vec![700]),
+            Step::SetItems(14, vec![6]),
+            Step::Wave(vec![700, 100]),
+            Step::Wave(vec![999, 30]),
+        ];
+        let lossy = SimConfig::default().with_link(
+            saq_netsim::link::LinkConfig::default()
+                .with_loss(0.2)
+                .with_duplication(0.05),
+        );
+        let arq = Reliability::Ack {
+            timeout: saq_netsim::SimDuration::from_millis(40),
+        };
+        for (cfg, rel) in [(SimConfig::default(), Reliability::None), (lossy, arq)] {
+            for workers in [1usize, 2] {
+                let what = format!("{rel:?}, workers={workers}");
+                let (sc, fc) = (CountingCodec::new(), CountingCodec::new());
+                let (sp, fp) = (
+                    MultiplexWave::new(sc.clone()),
+                    MultiplexWave::new(fc.clone()),
+                );
+                let (sl, fl) = (sp.ledger(), fp.ledger());
+                let mut single =
+                    WaveRunner::new(&topo, cfg.clone(), &tree, sp, items.clone(), rel).unwrap();
+                let mut flat = FlatWaveRunner::new(
+                    &topo,
+                    cfg.clone(),
+                    &tree,
+                    fp,
+                    items.clone(),
+                    rel,
+                    workers,
+                    NestDepth::Auto,
+                )
+                .unwrap();
+                assert_eq!(flat.worker_count(), workers);
+                for runner in [
+                    &mut single as &mut dyn WaveSubstrate<MultiplexWave<CountingCodec>>,
+                    &mut flat,
+                ] {
+                    runner.enable_partial_cache(8);
+                    runner.set_tracing(true);
+                }
+                let mut subset_seen = false;
+                for step in &script {
+                    let req = match step {
+                        Step::SetItems(node, items) => {
+                            single.set_items(*node, items.clone());
+                            flat.set_items(*node, items.clone());
+                            continue;
+                        }
+                        Step::Wave(req) => req,
+                        Step::Trace(_) | Step::EnableCache(_) => unreachable!(),
+                    };
+                    sl.lock().unwrap().reset(req.len());
+                    fl.lock().unwrap().reset(req.len());
+                    let (se, fe) = (
+                        MultiplexWave::envelope(&sc, req.clone()),
+                        MultiplexWave::envelope(&fc, req.clone()),
+                    );
+                    sc.take();
+                    fc.take();
+                    let a = single.run_wave(se).unwrap();
+                    let (_, single_decodes) = sc.take();
+                    let b = flat.run_wave(fe).unwrap();
+                    assert_eq!(fc.take(), (0, 0), "flat codec calls ({what}, {req:?})");
+                    assert_eq!(a, b, "answers differ ({what}, {req:?})");
+                    assert_eq!(single.last_wave_frames(), flat.last_wave_frames());
+                    {
+                        let (sg, fg) = (sl.lock().unwrap(), fl.lock().unwrap());
+                        assert_eq!(sg.slots(), fg.slots(), "slot bits ({what}, {req:?})");
+                        assert_eq!(sg.envelope_bits(), fg.envelope_bits(), "{what}");
+                    }
+                    let trace = take_trace(&mut flat);
+                    assert_eq!(take_trace(&mut single), trace, "trace ({what}, {req:?})");
+                    // The boxed runner decodes each delivered request,
+                    // one inner decode per slot it carries.
+                    let delivered = trace_census(&trace)[0] as u64;
+                    assert!(delivered > 0, "{what}, {req:?}");
+                    assert!(
+                        (delivered..=delivered * req.len() as u64).contains(&single_decodes),
+                        "{single_decodes} boxed decodes for {delivered} requests ({what})"
+                    );
+                    subset_seen |= single_decodes < delivered * req.len() as u64;
+                }
+                assert!(subset_seen, "some node forwards a subset envelope ({what})");
+                assert_same_tallies(&topo, &tree, single.stats(), flat.stats(), &what);
+                assert_eq!(single.cache_stats(), flat.cache_stats(), "{what}");
+            }
+        }
     }
 
     /// How many entries of each kind a drained trace holds:

@@ -89,6 +89,7 @@ impl<P: WaveProtocol> RingNode<P> {
         if !self.flooded {
             self.flooded = true;
             let req = self.req.as_ref().expect("request just set");
+            self.proto.note_request_copies(req, 1);
             ctx.broadcast_local(self.flood_payload(req));
         }
         self.schedule_slot(ctx);

@@ -68,19 +68,29 @@ pub trait WaveProtocol: Clone {
     /// caches use `()`.
     type DeltaKey: Clone + Debug;
 
-    /// Serializes a request.
+    /// Serializes a request. Pure: a runner may encode a request for a
+    /// frame, for its width or not at all, and bills what it sends
+    /// through [`note_request_copies`](Self::note_request_copies).
     fn encode_request(&self, req: &Self::Request, w: &mut BitWriter);
 
-    /// Accounts for `copies` additional verbatim transmissions of an
-    /// already-encoded request frame. The event runner encodes a
-    /// fan-out frame once and sends pool-backed copies to its children;
-    /// a protocol that attributes bits at encode time (the mux
-    /// envelope's [`MuxLedger`]) must bill each transmitted copy as if
-    /// it had been encoded, or its ledger stops matching the network
-    /// tally. Protocols without encode-time side effects ignore this.
+    /// Accounts for `copies` transmissions of `req`'s encoding — one
+    /// per child a node forwards `req` to (retransmissions excluded).
+    /// Every runner calls it for every fan-out, so a protocol that
+    /// attributes the bits it sends (the mux envelope's [`MuxLedger`])
+    /// bills requests here and its ledger matches the network tally.
+    /// Protocols without such side-state ignore this.
     fn note_request_copies(&self, _req: &Self::Request, _copies: u64) {}
 
     /// Deserializes a request.
+    ///
+    /// **The request law:** reading back what
+    /// [`encode_request`](Self::encode_request) wrote returns exactly
+    /// the request that was encoded — `decode(encode(req)) == req`,
+    /// every field included — and consumes exactly those bits. A request
+    /// is therefore the same value on both ends of a tree edge, which is
+    /// what lets the flat runner hand a child its parent's request
+    /// instead of a frame to decode; the boxed runner decodes every
+    /// delivered request.
     ///
     /// # Errors
     ///
@@ -199,7 +209,7 @@ pub trait WaveProtocol: Clone {
     /// Cache key under which this request's subtree partial may be
     /// stored, or `None` when it must never be cached. A key is the
     /// request's exact [`encode_request`](Self::encode_request) bits:
-    /// envelope protocols key a slot by the bits it arrived in, without
+    /// envelope protocols key a slot by the bits it carries, without
     /// re-encoding it. Requests that mutate items
     /// ([`WaveProtocol::invalidates_cache`]) or whose `local` draws
     /// fresh randomness outside the request encoding MUST return `None`
@@ -937,7 +947,11 @@ impl<P: WaveProtocol> AggNode<P> {
                 self.acc = Some(local);
                 if self.waiting.is_empty() {
                     self.finish_wave(ctx);
-                } else if matches!(self.reliability, Reliability::None) {
+                    return;
+                }
+                self.proto
+                    .note_request_copies(&fwd, self.children.len() as u64);
+                if matches!(self.reliability, Reliability::None) {
                     // Without per-message sequence numbers the request
                     // frame is bit-identical for every child: encode it
                     // once and fan out pool-backed copies instead of
@@ -947,10 +961,6 @@ impl<P: WaveProtocol> AggNode<P> {
                         proto.encode_request(&fwd, w);
                     });
                     let last = self.children.len() - 1;
-                    // The single encode billed one transmission; the
-                    // verbatim copies must be billed too or encode-time
-                    // ledgers (mux) stop matching the network tally.
-                    proto.note_request_copies(&fwd, last as u64);
                     for i in 0..last {
                         let copy = ctx.duplicate(&frame);
                         ctx.send(self.children[i], copy);
@@ -1605,45 +1615,37 @@ impl MuxLedger {
 /// slot explicitly (and on the wire, where a single "dense" flag bit
 /// covers the common un-subset case — see
 /// [`MultiplexWave::encode_request`] for the frame layout).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MuxEntry<R> {
     /// The ledger slot (position in the original batch) this
     /// sub-request's bits are attributed to.
     pub slot: u32,
-    /// The inner protocol's sub-request.
+    /// The inner protocol's sub-request. Its wire bits were captured
+    /// when the entry was made: build a new entry rather than edit it.
     pub req: R,
-    /// The sub-request's exact wire bits, captured at decode — the
-    /// **zero-copy forwarding** path: an interior node re-emits a
-    /// pass-through slot as a raw word-level bit copy instead of
-    /// re-encoding it. `None` on root-issued envelopes (nothing decoded
-    /// yet), `Some` on every envelope that arrived over a link. Equal to
-    /// the deterministic re-encoding by construction, so ledger billing
-    /// and cache keys are unchanged; excluded from equality.
-    raw: Option<BitString>,
+    /// The sub-request's exact wire bits, captured when the entry is
+    /// made — encoded by [`MuxEntry::new`], read off the frame by
+    /// [`MultiplexWave::decode_request`]. Every encode of the envelope
+    /// re-emits them as a word-level bit copy, every width is their
+    /// length and every slot key is lent from them, so no sub-request
+    /// is encoded twice.
+    raw: BitString,
 }
 
 impl<R> MuxEntry<R> {
-    /// An entry billing `slot`, to be encoded from `req` (no captured
-    /// raw bits — the form root-issued envelopes start in).
-    pub fn new(slot: u32, req: R) -> Self {
+    /// An entry billing `slot`, with `req`'s wire bits encoded by
+    /// `inner` — the deployment's codec, so that they are the bits
+    /// every node of the deployment would write.
+    pub fn new<P: WaveProtocol<Request = R>>(inner: &P, slot: u32, req: R) -> Self {
+        let mut w = BitWriter::new();
+        inner.encode_request(&req, &mut w);
         MuxEntry {
             slot,
             req,
-            raw: None,
+            raw: w.finish(),
         }
     }
 }
-
-impl<R: PartialEq> PartialEq for MuxEntry<R> {
-    /// Captured raw bits are a forwarding optimization, not identity:
-    /// two entries are equal when they bill the same slot with the same
-    /// sub-request.
-    fn eq(&self, other: &Self) -> bool {
-        self.slot == other.slot && self.req == other.req
-    }
-}
-
-impl<R: Eq> Eq for MuxEntry<R> {}
 
 /// The multiplexed frame format: one request/partial envelope carrying `N`
 /// independent sub-aggregates of an inner [`WaveProtocol`].
@@ -1656,20 +1658,22 @@ impl<R: Eq> Eq for MuxEntry<R> {}
 /// paying `k` of them — the saving experiment E12 in `saq-bench`
 /// measures.
 ///
-/// Every encoded bit is attributed in a shared [`MuxLedger`]: sub-request
-/// and sub-partial bits to their entry's declared slot, the count prefix,
-/// dense flag and any explicit slot tags to
-/// [`MuxLedger::envelope_bits`]. The ledger is shared across the clones
+/// Every transmitted bit is attributed in a shared [`MuxLedger`]:
+/// sub-request and sub-partial bits to their entry's declared slot, the
+/// count prefix, dense flag and any explicit slot tags to
+/// [`MuxLedger::envelope_bits`]. Partials are billed as they are
+/// encoded; requests as a runner sends them
+/// ([`WaveProtocol::note_request_copies`]), so encoding a request is
+/// pure. The ledger is shared across the clones
 /// deployed to the simulated nodes, so after a wave it holds the exact
 /// transmit-side cost split. On the parallel flat runner each worker
 /// group bills a ledger of its own ([`WaveProtocol::shard_clone`]),
 /// drained back into the root ledger at the barrier in fixed group order
 /// ([`WaveProtocol::absorb_shard`]) — tallies are sums either way.
 /// Tallies are exact under [`Reliability::None`]. Under ARQ each logical
-/// message is charged **once** at encode time — retransmissions resend
-/// the cached payload without re-encoding, and ACK frames are never
-/// attributed — so per-slot tallies under loss are a lower bound on wire
-/// bits.
+/// message is charged **once** — retransmissions resend the cached
+/// payload unbilled, and ACK frames are never attributed — so per-slot
+/// tallies under loss are a lower bound on wire bits.
 ///
 /// With subtree partial caching enabled (see [`crate::cache`]) each
 /// entry is an independently cacheable slot: nodes answer cached
@@ -1700,22 +1704,24 @@ impl<P: WaveProtocol> MultiplexWave<P> {
         std::sync::Arc::clone(&self.ledger)
     }
 
-    /// A panic while the guard was held (an inner codec panicking on a
-    /// worker) poisons the mutex but cannot corrupt the ledger: every
-    /// update is a counter addition, and drivers reset the tallies
-    /// before each wave. So the guard is recovered, not propagated.
-    fn ledger_mut(&self) -> std::sync::MutexGuard<'_, MuxLedger> {
+    /// Locks the shared ledger. A panic while the guard was held (an
+    /// inner codec panicking on a worker) poisons the mutex but cannot
+    /// corrupt the ledger: every update is a counter addition, and
+    /// drivers reset the tallies before each wave. So the guard is
+    /// recovered, not propagated.
+    pub fn ledger_mut(&self) -> std::sync::MutexGuard<'_, MuxLedger> {
         self.ledger
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Builds the dense envelope billing sub-request `i` to ledger slot
-    /// `i` — the form every root-issued batch starts in.
-    pub fn envelope(reqs: Vec<P::Request>) -> Vec<MuxEntry<P::Request>> {
+    /// `i`, encoded by the deployment's `inner` codec — the form every
+    /// root-issued batch starts in.
+    pub fn envelope(inner: &P, reqs: Vec<P::Request>) -> Vec<MuxEntry<P::Request>> {
         reqs.into_iter()
             .enumerate()
-            .map(|(i, req)| MuxEntry::new(i as u32, req))
+            .map(|(i, req)| MuxEntry::new(inner, i as u32, req))
             .collect()
     }
 
@@ -1778,62 +1784,27 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
     /// Frame layout: gamma slot count, a 1-bit *dense* flag (set when
     /// entry `i` bills slot `i`, the un-subset common case), then per
     /// entry an optional gamma slot tag (sparse envelopes only) followed
-    /// by the inner sub-request. Count, flag and tags are envelope
-    /// overhead; sub-request bits bill their entry's slot.
+    /// by the inner sub-request — its captured bits, copied word by
+    /// word. Bills nothing: see
+    /// [`note_request_copies`](Self::note_request_copies).
     fn encode_request(&self, req: &Self::Request, w: &mut BitWriter) {
-        let mut ledger = self.ledger_mut();
         let dense = req.iter().enumerate().all(|(i, e)| e.slot as usize == i);
-        let start = w.len_bits();
         w.write_gamma(req.len() as u64 + 1);
         w.write_bits(dense as u64, 1);
-        ledger.envelope_bits += w.len_bits() - start;
         for entry in req {
-            if !dense {
-                let before = w.len_bits();
-                w.write_gamma(entry.slot as u64 + 1);
-                ledger.envelope_bits += w.len_bits() - before;
-            }
-            let before = w.len_bits();
-            match &entry.raw {
-                // Pass-through slot: re-emit the captured wire bits as a
-                // raw word-level copy (zero-copy forwarding). The ledger
-                // bills identical bits either way because the capture
-                // equals the deterministic re-encoding.
-                Some(raw) => {
-                    w.write_bitstring(raw);
-                    #[cfg(debug_assertions)]
-                    {
-                        // One scratch buffer per thread, so the check
-                        // does not put an allocation on every forwarded
-                        // slot (the allocation gates run in debug too).
-                        thread_local! {
-                            static SCRATCH: std::cell::Cell<Vec<u8>> =
-                                const { std::cell::Cell::new(Vec::new()) };
-                        }
-                        let mut chk = BitWriter::with_scratch(SCRATCH.take());
-                        self.inner.encode_request(&entry.req, &mut chk);
-                        let chk = chk.finish();
-                        debug_assert_eq!(
-                            &chk, raw,
-                            "captured slot bits must equal the re-encoding"
-                        );
-                        SCRATCH.set(chk.into_bytes());
-                    }
-                }
-                None => self.inner.encode_request(&entry.req, w),
-            }
-            ledger.slot_mut(entry.slot as usize).request_bits += w.len_bits() - before;
             // Out-of-range slots are rejected by `validate_request` at
-            // the root before any encoding happens; this is a backstop.
+            // the root before any frame is sent; this is a backstop.
             debug_assert!((entry.slot as u64) < MUX_MAX_SLOTS, "mux slot out of range");
+            if !dense {
+                w.write_gamma(entry.slot as u64 + 1);
+            }
+            w.write_bitstring(&entry.raw);
         }
     }
 
-    /// Re-bills the widths [`encode_request`](Self::encode_request)
-    /// attributed, `copies` more times, without encoding: the envelope
-    /// overhead is arithmetic (gamma widths), and each slot's width is
-    /// its captured raw range — or one measurement encoding for
-    /// root-originated entries that were never on the wire.
+    /// Bills `copies` transmissions of `req`'s encoding without encoding
+    /// it: the count, flag and tags to the envelope (gamma widths, in
+    /// closed form), each sub-request's captured width to its slot.
     fn note_request_copies(&self, req: &Self::Request, copies: u64) {
         if copies == 0 {
             return;
@@ -1845,15 +1816,7 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             if !dense {
                 envelope += gamma_len(entry.slot as u64 + 1);
             }
-            let bits = match &entry.raw {
-                Some(raw) => raw.len_bits(),
-                None => {
-                    let mut w = BitWriter::new();
-                    self.inner.encode_request(&entry.req, &mut w);
-                    w.len_bits()
-                }
-            };
-            ledger.slot_mut(entry.slot as usize).request_bits += bits * copies;
+            ledger.slot_mut(entry.slot as usize).request_bits += entry.raw.len_bits() * copies;
         }
         ledger.envelope_bits += envelope * copies;
     }
@@ -1870,18 +1833,33 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
                 if slot >= MUX_MAX_SLOTS {
                     return Err(NetsimError::WireDecode("mux slot tag out of range"));
                 }
-                // Decode the sub-request, then re-capture the exact bit
-                // range it occupied: if this node forwards the slot, the
-                // range is re-emitted verbatim instead of re-encoded.
+                // Decode the sub-request, then capture the exact bit
+                // range it occupied: by the request law these are the
+                // bits `MuxEntry::new` would have encoded.
                 let before = r.remaining();
                 let req = self.inner.decode_request(r)?;
                 let used = before - r.remaining();
                 r.rewind(used)?;
                 let raw = r.read_bitstring(used)?;
+                #[cfg(debug_assertions)]
+                {
+                    // One scratch buffer per thread, so the check does
+                    // not put an allocation on every decode (the
+                    // allocation gates run in debug too).
+                    thread_local! {
+                        static SCRATCH: std::cell::Cell<Vec<u8>> =
+                            const { std::cell::Cell::new(Vec::new()) };
+                    }
+                    let mut chk = BitWriter::with_scratch(SCRATCH.take());
+                    self.inner.encode_request(&req, &mut chk);
+                    let chk = chk.finish();
+                    debug_assert_eq!(chk, raw, "captured slot bits must equal the re-encoding");
+                    SCRATCH.set(chk.into_bytes());
+                }
                 Ok(MuxEntry {
                     slot: slot as u32,
                     req,
-                    raw: Some(raw),
+                    raw,
                 })
             })
             .collect()
@@ -1976,17 +1954,11 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             .any(|entry| self.inner.invalidates_cache(&entry.req))
     }
 
-    /// A slot's key is its sub-request's wire bits: lent from the
-    /// entry's captured `raw` bits on every envelope that arrived over a
-    /// link, and encoded (once per slot per wave) only for the
-    /// root-issued envelope, which was never on the wire.
+    /// A slot's key is its sub-request's wire bits, lent from the
+    /// entry's captured bits.
     fn for_each_slot_key(&self, req: &Self::Request, f: &mut dyn FnMut(usize, Option<&CacheKey>)) {
         for (i, entry) in req.iter().enumerate() {
-            match (&entry.raw, self.inner.cacheable(&entry.req)) {
-                (_, false) => f(i, None),
-                (Some(raw), true) => f(i, Some(raw)),
-                (None, true) => f(i, self.inner.cache_key(&entry.req).as_ref()),
-            }
+            f(i, self.inner.cacheable(&entry.req).then_some(&entry.raw));
         }
     }
 
@@ -2183,9 +2155,8 @@ mod tests {
         });
         assert!(holder.join().is_err());
         assert!(proto.ledger().is_poisoned());
-        // Encoding still bills the ledger instead of panicking.
-        let mut w = BitWriter::new();
-        proto.encode_request(&MultiplexWave::<SumBelow>::envelope(vec![5]), &mut w);
+        // Billing a request still reaches the ledger instead of panicking.
+        proto.note_request_copies(&MultiplexWave::envelope(proto.inner(), vec![5]), 1);
         assert_eq!(
             proto.ledger_mut().slots()[0].request_bits,
             width_for_max(1000) as u64
@@ -2198,10 +2169,13 @@ mod tests {
             value_width: width_for_max(1000),
         });
         let group = root.shard_clone();
+        root.note_request_copies(&MultiplexWave::envelope(root.inner(), vec![5]), 1);
+        let sparse = vec![
+            MuxEntry::new(root.inner(), 0, 7),
+            MuxEntry::new(root.inner(), 2, 9),
+        ];
+        group.note_request_copies(&sparse, 1);
         let mut w = BitWriter::new();
-        root.encode_request(&MultiplexWave::<SumBelow>::envelope(vec![5]), &mut w);
-        let sparse = vec![MuxEntry::new(0, 7), MuxEntry::new(2, 9)];
-        group.encode_request(&sparse, &mut w);
         group.encode_partial(&sparse, &vec![3, 4], &mut w);
         let before = root.ledger_mut().clone();
         let added = group.ledger_mut().clone();
@@ -2446,7 +2420,10 @@ mod tests {
     }
 
     fn env(reqs: Vec<u64>) -> Vec<MuxEntry<u64>> {
-        MultiplexWave::<SumBelow>::envelope(reqs)
+        let inner = SumBelow {
+            value_width: width_for_max(1000),
+        };
+        MultiplexWave::envelope(&inner, reqs)
     }
 
     fn mux_runner_on(topo: Topology, items: Vec<Vec<u64>>) -> WaveRunner<MultiplexWave<SumBelow>> {
@@ -2569,9 +2546,13 @@ mod tests {
         ledger.lock().unwrap().reset(5);
         // A subset envelope as an interior node would forward it: entries
         // billing original slots 1 and 4.
-        let req = vec![MuxEntry::new(1, 8u64), MuxEntry::new(4, 300u64)];
+        let req = vec![
+            MuxEntry::new(proto.inner(), 1, 8u64),
+            MuxEntry::new(proto.inner(), 4, 300u64),
+        ];
         let mut w = BitWriter::new();
         proto.encode_request(&req, &mut w);
+        proto.note_request_copies(&req, 1);
         let bits = w.finish();
         let mut r = BitReader::new(&bits);
         assert_eq!(proto.decode_request(&mut r).unwrap(), req);
@@ -2840,7 +2821,13 @@ mod tests {
         let topo = Topology::line(2).unwrap();
         let items: Vec<Vec<u64>> = vec![vec![1], vec![2]];
         let mut r = mux_runner_on(topo, items);
-        let bad = vec![MuxEntry::new(MUX_MAX_SLOTS as u32, 10u64)];
+        let bad = vec![MuxEntry::new(
+            &SumBelow {
+                value_width: width_for_max(1000),
+            },
+            MUX_MAX_SLOTS as u32,
+            10u64,
+        )];
         let err = r.run_wave(bad).unwrap_err();
         assert!(matches!(
             err,
@@ -2849,7 +2836,7 @@ mod tests {
         // An over-long dense envelope is rejected up front as well
         // (validated before any allocation-heavy encoding).
         let proto = MultiplexWave::new(SumBelow { value_width: 10 });
-        let too_many = MultiplexWave::<SumBelow>::envelope(vec![0u64; MUX_MAX_SLOTS as usize]);
+        let too_many = MultiplexWave::envelope(proto.inner(), vec![0u64; MUX_MAX_SLOTS as usize]);
         assert!(matches!(
             proto.validate_request(&too_many),
             Err(NetsimError::WireEncode("mux slot count out of range"))

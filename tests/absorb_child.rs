@@ -70,7 +70,8 @@ fn request(kind: u32, x: u64) -> CoreRequest {
 /// The mixed envelope: one slot of each kind a flat wave merges in
 /// place or through scratch.
 fn mixed_envelope(x: u64) -> Vec<MuxEntry<CoreRequest>> {
-    MultiplexWave::<CoreWave>::envelope(
+    MultiplexWave::envelope(
+        &core_wave(),
         [2, 0, 1, 3, 9, 10]
             .into_iter()
             .enumerate()
@@ -239,7 +240,7 @@ proptest! {
             .map(|(i, &kind)| request(kind, x.rotate_left(i as u32)))
             .collect();
         let proto = MultiplexWave::new(core_wave());
-        check(&proto, &MultiplexWave::<CoreWave>::envelope(reqs), &a, &b);
+        check(&proto, &MultiplexWave::envelope(proto.inner(), reqs), &a, &b);
     }
 
     #[test]

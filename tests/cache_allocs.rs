@@ -67,11 +67,17 @@ const UPDATES: usize = 32;
 const PER_EXECUTING_NODE: u64 = 16;
 
 fn envelope() -> Vec<MuxEntry<CoreRequest>> {
-    MultiplexWave::<CoreWave>::envelope(vec![
-        CoreRequest::Count(Predicate::TRUE),
-        CoreRequest::Min(Domain::Raw),
-        CoreRequest::Quantile { budget: 120 },
-    ])
+    MultiplexWave::envelope(
+        &CoreWave {
+            xbar: XBAR,
+            apx: ApxCountConfig::default(),
+        },
+        vec![
+            CoreRequest::Count(Predicate::TRUE),
+            CoreRequest::Min(Domain::Raw),
+            CoreRequest::Quantile { budget: 120 },
+        ],
+    )
 }
 
 fn items() -> Vec<Vec<SimItem>> {

@@ -58,7 +58,13 @@ const N: usize = 4096;
 const XBAR: u64 = 1000;
 
 fn envelope() -> Vec<saq::protocols::wave::MuxEntry<CoreRequest>> {
-    MultiplexWave::<CoreWave>::envelope(vec![CoreRequest::Quantile { budget: 120 }])
+    MultiplexWave::envelope(
+        &CoreWave {
+            xbar: XBAR,
+            apx: ApxCountConfig::default(),
+        },
+        vec![CoreRequest::Quantile { budget: 120 }],
+    )
 }
 
 fn items() -> Vec<Vec<SimItem>> {

@@ -61,15 +61,21 @@ const UPDATES: usize = 200;
 /// extremum repair (raw and log domain), identity-keyed samples, and a
 /// quantile summary, whose value changes always decline.
 fn envelope() -> Vec<saq::protocols::wave::MuxEntry<CoreRequest>> {
-    MultiplexWave::<CoreWave>::envelope(vec![
-        CoreRequest::Count(Predicate::TRUE),
-        CoreRequest::Count(Predicate::less_than(250)),
-        CoreRequest::Sum(Predicate::less_than(500)),
-        CoreRequest::Min(Domain::Raw),
-        CoreRequest::Max(Domain::Log),
-        CoreRequest::BottomK { k: 8, nonce: 3 },
-        CoreRequest::Quantile { budget: 16 },
-    ])
+    MultiplexWave::envelope(
+        &CoreWave {
+            xbar: XBAR,
+            apx: ApxCountConfig::default(),
+        },
+        vec![
+            CoreRequest::Count(Predicate::TRUE),
+            CoreRequest::Count(Predicate::less_than(250)),
+            CoreRequest::Sum(Predicate::less_than(500)),
+            CoreRequest::Min(Domain::Raw),
+            CoreRequest::Max(Domain::Log),
+            CoreRequest::BottomK { k: 8, nonce: 3 },
+            CoreRequest::Quantile { budget: 16 },
+        ],
+    )
 }
 
 fn value(i: usize) -> u64 {

@@ -61,12 +61,18 @@ const XBAR: u64 = 1000;
 
 /// The E16 mix `wave_1e5` submits every round.
 fn envelope() -> Vec<saq::protocols::wave::MuxEntry<CoreRequest>> {
-    MultiplexWave::<CoreWave>::envelope(vec![
-        CoreRequest::Count(Predicate::TRUE),
-        CoreRequest::Min(Domain::Raw),
-        CoreRequest::Max(Domain::Log),
-        CoreRequest::Sum(Predicate::less_than2(500)),
-    ])
+    MultiplexWave::envelope(
+        &CoreWave {
+            xbar: XBAR,
+            apx: ApxCountConfig::default(),
+        },
+        vec![
+            CoreRequest::Count(Predicate::TRUE),
+            CoreRequest::Min(Domain::Raw),
+            CoreRequest::Max(Domain::Log),
+            CoreRequest::Sum(Predicate::less_than2(500)),
+        ],
+    )
 }
 
 fn items() -> Vec<Vec<SimItem>> {
