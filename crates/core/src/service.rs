@@ -615,9 +615,9 @@ impl FleetService {
         self.inner.network_mut()
     }
 
-    /// The underlying service loop (e.g. to set a bit budget on the
-    /// ad-hoc side or inspect wave logs). Standing queries exist only
-    /// as fleet slots; the loop has no way to register one.
+    /// The underlying service loop (e.g. to read its round and envelope
+    /// counters). Standing queries exist only as fleet slots; the loop
+    /// has no way to register one.
     pub fn engine(&mut self) -> &mut StreamingEngine {
         &mut self.inner
     }

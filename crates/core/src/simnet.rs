@@ -61,7 +61,6 @@ pub struct SimNetworkBuilder {
     cache_entries: usize,
     shards: usize,
     flat: bool,
-    flat_depth: Option<u32>,
 }
 
 impl Default for SimNetworkBuilder {
@@ -74,7 +73,6 @@ impl Default for SimNetworkBuilder {
             cache_entries: 0,
             shards: 1,
             flat: false,
-            flat_depth: None,
         }
     }
 }
@@ -143,8 +141,7 @@ impl SimNetworkBuilder {
     /// contiguous position-indexed columns, waves as two array sweeps,
     /// and [`SimNetworkBuilder::shards`] worker threads over a
     /// **nested** shard plan that re-cuts oversized subtrees at their
-    /// own roots (depth auto-chosen unless pinned with
-    /// [`SimNetworkBuilder::flat_depth`]). This is an execution
+    /// own roots (depth chosen from subtree sizes). This is an execution
     /// strategy, not a semantics change: answers, per-slot
     /// [`MuxLedger`] attribution, cache counters and per-node bits are
     /// identical to the boxed event-driven runner — including under
@@ -160,15 +157,6 @@ impl SimNetworkBuilder {
         self
     }
 
-    /// Pins the flat substrate's nested re-sharding depth (`0` = cut at
-    /// the root's children only, the classic plan). Default: chosen
-    /// automatically from subtree sizes. Without `flat(true)` the build
-    /// fails with [`saq_protocols::ProtocolError::Unsupported`].
-    pub fn flat_depth(mut self, depth: u32) -> Self {
-        self.flat_depth = Some(depth);
-        self
-    }
-
     /// Builds a network with explicit per-node item multisets (§5 of the
     /// paper allows several items per node).
     ///
@@ -176,7 +164,7 @@ impl SimNetworkBuilder {
     ///
     /// Returns [`QueryError::ItemOutOfRange`] if an item exceeds `xbar`,
     /// [`saq_protocols::ProtocolError::Unsupported`] if `shards(k > 1)`
-    /// or `flat_depth` is set without `flat(true)`, and propagates
+    /// is set without `flat(true)`, and propagates
     /// tree/runner construction failures.
     pub fn build(
         self,
@@ -184,9 +172,9 @@ impl SimNetworkBuilder {
         items_per_node: Vec<Vec<Value>>,
         xbar: Value,
     ) -> Result<SimNetwork, QueryError> {
-        if !self.flat && (self.shards > 1 || self.flat_depth.is_some()) {
+        if !self.flat && self.shards > 1 {
             return Err(QueryError::from(saq_protocols::ProtocolError::Unsupported(
-                "shards(k > 1) and flat_depth(d) configure the flat substrate: add flat(true)",
+                "shards(k > 1) configures the flat substrate: add flat(true)",
             )));
         }
         if xbar > crate::model::XBAR_MAX {
@@ -201,9 +189,6 @@ impl SimNetworkBuilder {
         }
         let tree =
             SpanningTree::bfs_bounded(topo, 0, self.max_children).map_err(QueryError::from)?;
-        let parents: Vec<u32> = (0..topo.len())
-            .map(|v| tree.parent(v).map_or(NO_PARENT, |p| p as u32))
-            .collect();
         let replay = matches!(self.reliability, Reliability::Ack { .. }).then(|| {
             FateReplay::new(
                 self.sim_cfg.seed,
@@ -221,10 +206,6 @@ impl SimNetworkBuilder {
             .map(|vs| vs.into_iter().map(SimItem::new).collect())
             .collect();
         let mut runner: Box<dyn WaveSubstrate<MultiplexWave<CoreWave>> + Send> = if self.flat {
-            let depth = match self.flat_depth {
-                Some(d) => NestDepth::Fixed(d),
-                None => NestDepth::Auto,
-            };
             // Lay the tree out flat and free the spanning tree before
             // the runner allocates its per-node columns.
             tree.validate(topo).map_err(QueryError::from)?;
@@ -237,7 +218,7 @@ impl SimNetworkBuilder {
                 items,
                 self.reliability,
                 self.shards,
-                depth,
+                NestDepth::Auto,
             )?)
         } else {
             Box::new(WaveRunner::new(
@@ -258,7 +239,6 @@ impl SimNetworkBuilder {
             ops: OpCounts::default(),
             nonce: 0,
             telemetry: Telemetry::disabled(),
-            parents,
             replay,
             events: Vec::new(),
             waves_run: 0,
@@ -297,6 +277,10 @@ pub struct BatchOutcome {
     pub partials: Vec<CorePartial>,
     /// Per-slot transmit-side bit attribution from the [`MuxLedger`].
     pub slot_bits: Vec<MuxSlotBits>,
+    /// Width of the request envelope the root broadcast, in bits:
+    /// slot-count prefix, dense flag and every sub-request — the
+    /// per-node request load of the wave.
+    pub request_envelope_bits: u64,
     /// Unattributable envelope framing bits (slot-count prefix, dense
     /// flag, slot tags of subset envelopes).
     pub envelope_bits: u64,
@@ -364,10 +348,6 @@ pub struct SimNetwork {
     /// [`SimNetwork::attach_recorder`], at which point the runners start
     /// buffering per-node traces the driver drains into [`Event`]s.
     telemetry: Telemetry,
-    /// Global parent of each node on the spanning tree ([`NO_PARENT`]
-    /// at the root) — what turns peer-free [`NodeTraceEntry`]s into
-    /// edge-attributed frame events.
-    parents: Vec<u32>,
     /// Under per-hop ARQ, replays the simulator's per-edge fate streams
     /// to expand logical frames into attempt-level detail without
     /// touching the simulator's own streams; re-seeked from the runner
@@ -496,6 +476,7 @@ impl SimNetwork {
         // Both runners reject such a batch before they start a wave, so
         // it is neither counted nor announced.
         self.proto.validate_request(&envelope)?;
+        let request_envelope_bits = MultiplexWave::<CoreWave>::request_width(&envelope);
         self.waves_run += 1;
         let wave = self.waves_run;
         let traced = self.telemetry.enabled();
@@ -517,7 +498,7 @@ impl SimNetwork {
                 // covering an unknown prefix of the exchanges: discard
                 // them, and resume the replay where the transport stands.
                 if traced {
-                    self.runner.drain_trace(&mut |_, _| {});
+                    self.runner.drain_trace(&mut |_, _, _| {});
                     self.resync_replay();
                 }
                 return Err(QueryError::from(e));
@@ -551,6 +532,7 @@ impl SimNetwork {
         Ok(BatchOutcome {
             partials,
             slot_bits,
+            request_envelope_bits,
             envelope_bits,
             messages,
             header_bits,
@@ -571,14 +553,13 @@ impl SimNetwork {
         let SimNetwork {
             runner,
             telemetry,
-            parents,
             replay,
             events,
             ..
         } = self;
         // A run plus the longest exchange history fits without regrowth.
         events.reserve(2 * EMIT_RUN);
-        runner.drain_trace(&mut |node, entry| {
+        runner.drain_trace(&mut |node, parent, entry| {
             let exchange = match entry {
                 NodeTraceEntry::RequestRecv { bits } => Some((Hop::Down, bits)),
                 NodeTraceEntry::PartialSent { bits } => Some((Hop::Up, bits)),
@@ -599,10 +580,9 @@ impl SimNetwork {
             };
             // The root has no tree edge: no inbound request, no
             // outbound partial.
-            let parent = parents[node];
-            if let Some((hop, bits)) = exchange.filter(|_| parent != NO_PARENT) {
+            if let (Some((hop, bits)), Some(parent)) = (exchange, parent) {
                 let arq = replay.as_mut().map(|replay| (replay, ack_width));
-                push_exchange(events, arq, node as u64, u64::from(parent), hop, bits);
+                push_exchange(events, arq, node as u64, parent as u64, hop, bits);
             }
             if events.len() >= EMIT_RUN {
                 telemetry.emit_all(events);
@@ -664,15 +644,6 @@ impl SimNetwork {
         Ok(())
     }
 
-    /// Wire size, in bits, of one sub-request as this deployment encodes
-    /// it — what the streaming engine's bit-budget admission control uses
-    /// to *project* a round's envelope before any message flies.
-    pub fn request_wire_bits(&self, req: &CoreRequest) -> u64 {
-        let mut w = saq_netsim::wire::BitWriter::new();
-        self.core_proto().encode_request(req, &mut w);
-        w.finish().len_bits()
-    }
-
     /// Network-wide transport-state occupancy
     /// ([`saq_protocols::TransportFootprint`]): ARQ dedup entries,
     /// un-ACKed frames, buffered merge partials and resident cache
@@ -724,9 +695,6 @@ impl SimNetwork {
 /// amortise a shared sink's lock, short enough that the reused buffer
 /// stays at tens of KiB whatever the tree size.
 const EMIT_RUN: usize = 1024;
-
-/// The root's entry in [`SimNetwork`]'s parent column.
-const NO_PARENT: u32 = u32::MAX;
 
 /// Appends the event(s) of one logical frame exchange over the tree
 /// edge between `child` and its `parent`. Without ARQ expansion (`arq`
@@ -972,20 +940,18 @@ mod tests {
 
     #[test]
     fn flat_options_without_flat_are_rejected_naming_flat() {
-        // Workers and nesting depth configure the flat substrate; the
-        // boxed runner must refuse them rather than silently ignore them.
+        // Workers configure the flat substrate; the boxed runner must
+        // refuse them rather than silently ignore them.
         let topo = Topology::balanced_tree(13, 3).unwrap();
         let items: Vec<Value> = (0..13u64).collect();
-        for b in [
-            SimNetworkBuilder::new().shards(2),
-            SimNetworkBuilder::new().flat_depth(1),
-        ] {
-            let err = b.build_one_per_node(&topo, &items, 32).unwrap_err();
-            let QueryError::Protocol(saq_protocols::ProtocolError::Unsupported(msg)) = err else {
-                panic!("expected Unsupported, got {err:?}");
-            };
-            assert!(msg.contains("flat(true)"), "must name flat(true): {msg}");
-        }
+        let err = SimNetworkBuilder::new()
+            .shards(2)
+            .build_one_per_node(&topo, &items, 32)
+            .unwrap_err();
+        let QueryError::Protocol(saq_protocols::ProtocolError::Unsupported(msg)) = err else {
+            panic!("expected Unsupported, got {err:?}");
+        };
+        assert!(msg.contains("flat(true)"), "must name flat(true): {msg}");
         // One worker is the boxed runner's own shape, so it still builds.
         let net = SimNetworkBuilder::new()
             .shards(1)
@@ -1001,12 +967,12 @@ mod tests {
         let mut single = SimNetworkBuilder::new()
             .build_one_per_node(&topo, &items, 128)
             .unwrap();
-        for (shards, depth) in [(1, Some(0)), (2, None), (4, Some(2))] {
-            let mut b = SimNetworkBuilder::new().flat(true).shards(shards);
-            if let Some(d) = depth {
-                b = b.flat_depth(d);
-            }
-            let mut flat = b.build_one_per_node(&topo, &items, 128).unwrap();
+        for shards in [1, 2, 4] {
+            let mut flat = SimNetworkBuilder::new()
+                .flat(true)
+                .shards(shards)
+                .build_one_per_node(&topo, &items, 128)
+                .unwrap();
             assert_eq!(
                 single.count(&Predicate::TRUE).unwrap(),
                 flat.count(&Predicate::TRUE).unwrap()

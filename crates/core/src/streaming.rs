@@ -28,12 +28,8 @@
 //!    (stamped with its admission round). A query submitted with a
 //!    **deadline** ([`StreamingEngine::submit_with_deadline`]) is
 //!    admitted even through a closed window once its deadline round
-//!    arrives. When a
-//!    per-node **bit budget** is set
-//!    ([`StreamingEngine::set_bit_budget`]), admission stops for the
-//!    round as soon as the projected request envelope — staged ops plus
-//!    the candidate — would exceed it; the remaining queries wait,
-//!    bounding per-round energy (the quantity the paper's model prices).
+//!    arrives. Nothing else gates admission: a round's cost is billed
+//!    by the waves that run it.
 //! 2. **Shared wave** (`shared_wave`) — the pending ops of every active
 //!    *shareable* (non-item-mutating) query are multiplexed into one
 //!    wave ([`BatchPolicy::Batched`]) or issued one wave each
@@ -81,7 +77,6 @@ use crate::error::QueryError;
 use crate::net::AggregationNetwork;
 use crate::simnet::SimNetwork;
 use crate::wave_proto::CoreRequest;
-use saq_protocols::wave::mux_framing_bits;
 use std::collections::VecDeque;
 
 /// Base of the [`QueryId`] range standing-refresh slots occupy in slot
@@ -235,9 +230,6 @@ pub struct StreamingEngine {
     active: Vec<StreamSlot>,
     /// Completed standing refreshes, awaiting the fleet's drain.
     refreshes: Vec<StreamingReport>,
-    /// Per-node request-envelope bit budget gating admission (`None` =
-    /// unbounded, bit-identical to the pre-budget engine).
-    bit_budget: Option<u64>,
     /// Reports [`StreamingEngine::run_until_idle`] retired before a
     /// failing round; its next call returns them.
     drained: Vec<StreamingReport>,
@@ -270,7 +262,6 @@ impl StreamingEngine {
             pending: VecDeque::new(),
             active: Vec::new(),
             refreshes: Vec::new(),
-            bit_budget: None,
             drained: Vec::new(),
             submitted: 0,
             rounds: 0,
@@ -306,13 +297,15 @@ impl StreamingEngine {
     }
 
     /// Peak per-node **request envelope** of the most recent round, in
-    /// bits: the largest multiplexed broadcast any single wave of that
-    /// round carried (sub-request bits plus
-    /// [`mux_framing_bits`] framing), `0` for a
-    /// waveless round. Under [`BatchPolicy::Batched`] a round has at
-    /// most one shared wave, so this *is* the round's request load —
-    /// the per-round spike the fleet layer's phase-staggered refresh
-    /// scheduling smooths and its envelope counters aggregate.
+    /// bits: the widest multiplexed broadcast any single wave of that
+    /// round carried (sub-request bits plus envelope framing, as
+    /// [`crate::simnet::BatchOutcome::request_envelope_bits`] measures
+    /// it), `0` for a waveless round. Measured from the waves that ran:
+    /// a wave that returns an error adds nothing. Under
+    /// [`BatchPolicy::Batched`] a round has at most one shared wave, so
+    /// this *is* the round's request load — the per-round spike the
+    /// fleet layer's phase-staggered refresh scheduling smooths and its
+    /// envelope counters aggregate.
     pub fn last_round_envelope_bits(&self) -> u64 {
         self.round_envelope_bits
     }
@@ -378,32 +371,6 @@ impl StreamingEngine {
             .expect("submit just pushed this slot")
             .deadline = Some(admit_by);
         id
-    }
-
-    /// Caps the **projected per-node request envelope** of a round, in
-    /// bits: each [`StreamingEngine::step`] stops admitting pending
-    /// queries as soon as the round's staged sub-requests plus the
-    /// candidate's first op would exceed the budget (they stay queued,
-    /// in order, for later rounds). Projection covers the request
-    /// broadcast — the side of the wave whose size is knowable before
-    /// any bit flies; partial sizes are data-dependent. Ops already
-    /// staged by mid-flight queries are commitments and are never
-    /// blocked, and standing refreshes (periodic, registered once) are
-    /// admitted outside the budget too. Two starvation safeguards: a
-    /// query whose envelope exceeds the budget *even alone* is rejected
-    /// loudly at admission (it retires with
-    /// [`QueryError::InvalidParameter`] rather than queueing forever),
-    /// and a due [`StreamingEngine::submit_with_deadline`] deadline
-    /// overrides the budget — the per-query escape hatch when periodic
-    /// load saturates it. `None` (the default) disables the check
-    /// entirely and is bit-identical to an unlimited budget.
-    pub fn set_bit_budget(&mut self, budget: Option<u64>) {
-        self.bit_budget = budget;
-    }
-
-    /// The configured per-round request-envelope budget.
-    pub fn bit_budget(&self) -> Option<u64> {
-        self.bit_budget
     }
 
     /// Hands the loop one refresh of fleet slot `slot` (ordinal `seq`)
@@ -476,66 +443,29 @@ impl StreamingEngine {
         Ok(self.retire(round))
     }
 
-    /// Phase 1: moves the pending queries the admission window, their
-    /// deadlines and the bit budget let through into the active set.
-    /// Newly admitted shareable plans advance to their first op
-    /// immediately, so they participate in this very round's wave
-    /// (exclusive plans wait for the exclusive phase).
+    /// Phase 1: moves the pending queries the admission window and
+    /// their deadlines let through into the active set. Newly admitted
+    /// shareable plans advance to their first op immediately, so they
+    /// participate in this very round's wave (exclusive plans wait for
+    /// the exclusive phase).
     fn admit(&mut self, round: u64) {
         // Standing refresh slots do not count against idleness — they
         // are part of the service itself, and letting them block
         // `WhenIdle` would starve ad-hoc arrivals forever.
         let idle = self.active.iter().all(StreamSlot::is_refresh);
         let window_open = self.admission.admits(round, idle);
-        let deadline_due = self
-            .pending
-            .iter()
-            .any(|s| s.deadline.is_some_and(|d| round >= d));
-        if !self.pending.is_empty() && (window_open || deadline_due) {
+        let deadline_due = |s: &StreamSlot| s.deadline.is_some_and(|d| round >= d);
+        if !self.pending.is_empty() && (window_open || self.pending.iter().any(deadline_due)) {
             let mut kept: VecDeque<StreamSlot> = VecDeque::new();
-            let mut budget_closed = false;
             while let Some(mut s) = self.pending.pop_front() {
                 // Deadline pull: a closed window still admits queries
-                // whose admission deadline has arrived — and a due
-                // deadline also overrides the bit budget below (the
-                // deadline is the per-query escape hatch; without it, a
-                // budget saturated by periodic load defers patient
-                // queries indefinitely, which is the documented meaning
-                // of a hard per-round energy cap).
-                let deadline_hit = s.deadline.is_some_and(|d| round >= d);
-                let due = window_open || deadline_hit;
-                if !due || (budget_closed && !deadline_hit) {
+                // whose admission deadline has arrived.
+                if !window_open && !deadline_due(&s) {
                     kept.push_back(s);
                     continue;
                 }
-                if !s.slot.spec.mutates_items() && s.staged.is_none() {
-                    // Stage the first op now (eager staging); a slot
-                    // deferred by the budget in an earlier round keeps
-                    // the op it already staged.
-                    s.restage();
-                }
-                if let (Some(budget), Some(req)) = (self.bit_budget, &s.staged) {
-                    // A query whose envelope cannot fit even alone can
-                    // never be admitted under this budget: reject it
-                    // loudly (it retires this round with the error)
-                    // instead of starving it silently forever.
-                    let solo = self.net.request_wire_bits(req) + mux_framing_bits(1);
-                    if solo > budget {
-                        s.staged = None;
-                        s.slot.state = SlotState::Done(Err(QueryError::InvalidParameter(
-                            "query's request envelope exceeds the per-node bit budget \
-                             even in a wave of its own",
-                        )));
-                    } else if !deadline_hit
-                        && self.projected_request_envelope_bits(Some(req)) > budget
-                    {
-                        // Budget exhausted: stop admitting for this
-                        // round, in submission order — later arrivals
-                        // must not overtake the one that did not fit.
-                        budget_closed = true;
-                        kept.push_back(s);
-                        continue;
-                    }
+                if !s.slot.spec.mutates_items() {
+                    s.restage(); // eager staging
                 }
                 s.admitted_round = round;
                 self.active.push(s);
@@ -653,30 +583,6 @@ impl StreamingEngine {
         retired
     }
 
-    /// Bits of the multiplexed **request envelope** the next shared wave
-    /// would carry per node: every staged op of the active set plus an
-    /// optional admission candidate, with the envelope's slot-count and
-    /// dense-flag framing. Zero when nothing is staged.
-    fn projected_request_envelope_bits(&self, extra: Option<&CoreRequest>) -> u64 {
-        let staged = self
-            .active
-            .iter()
-            .filter_map(|s| s.staged.as_ref())
-            .chain(extra);
-        let (mut slots, mut bits) = (0u64, 0u64);
-        for req in staged {
-            slots += 1;
-            bits += self.net.request_wire_bits(req);
-        }
-        if slots == 0 {
-            return 0;
-        }
-        // Mux framing: gamma-coded slot count plus the dense flag bit —
-        // the protocols layer's own formula, so the projection can never
-        // drift from what the MuxLedger later bills.
-        bits + mux_framing_bits(slots)
-    }
-
     /// Steps the service until no query is pending or active, returning
     /// every report retired along the way, sorted by `report.id`. A
     /// closed batch is `submit` × k on an idle engine, then this call; a
@@ -724,18 +630,6 @@ impl StreamingEngine {
     /// happens.
     fn issue_shared_wave(&mut self, round_ops: &[(usize, CoreRequest)]) -> Result<(), QueryError> {
         self.waves += 1;
-        // Track the round's peak per-node request envelope (the
-        // observable the fleet layer's stagger test pins): sub-request
-        // bits plus the dense mux framing this wave's broadcast carries.
-        let envelope = round_ops
-            .iter()
-            .map(|(_, req)| self.net.request_wire_bits(req))
-            .sum::<u64>()
-            + mux_framing_bits(round_ops.len() as u64);
-        if envelope > self.round_envelope_bits {
-            self.round_envelope_bits = envelope;
-            self.round_envelope_slots = round_ops.len() as u64;
-        }
         if self.net.telemetry_enabled() {
             for (pos, (i, _)) in round_ops.iter().enumerate() {
                 self.net.emit_event(&saq_obs::Event::SlotAdmitted {
@@ -747,6 +641,12 @@ impl StreamingEngine {
         let reqs: Vec<CoreRequest> = round_ops.iter().map(|(_, r)| r.clone()).collect();
         let out = self.net.run_batch(reqs)?;
         debug_assert_eq!(out.partials.len(), round_ops.len());
+        // The round's peak per-node request envelope (the observable the
+        // fleet layer's stagger test pins).
+        if out.request_envelope_bits > self.round_envelope_bits {
+            self.round_envelope_bits = out.request_envelope_bits;
+            self.round_envelope_slots = round_ops.len() as u64;
+        }
         // Unattributable framing: one wave header per message *actually
         // transmitted*, at the header width of this wave's varint ordinal.
         // Under lossless links without caching that is one request and one
@@ -835,6 +735,7 @@ mod tests {
     use crate::simnet::SimNetworkBuilder;
     use saq_netsim::topology::Topology;
     use saq_obs::{Event, EventLog, VecRecorder};
+    use saq_protocols::{MultiplexWave, WaveProtocol};
 
     fn grid_net(side: usize, seed_off: u64) -> SimNetwork {
         let topo = Topology::grid(side, side).unwrap();
@@ -1153,116 +1054,69 @@ mod tests {
     }
 
     #[test]
-    fn infinite_bit_budget_is_bit_identical_to_no_budget() {
-        // The budget check exercised with u64::MAX must reproduce the
-        // budget-free engine exactly: answers, per-query bills, wave
-        // counts, per-node bit statistics.
-        let run = |budget: Option<u64>| {
-            let mut engine = StreamingEngine::new(grid_net(5, 10));
-            engine.set_bit_budget(budget);
-            assert_eq!(engine.bit_budget(), budget);
-            let mut retired = Vec::new();
-            for i in 0..6u64 {
-                engine.submit(QuerySpec::Count(Predicate::less_than(i * 4)));
-                if i % 2 == 0 {
-                    engine.submit(QuerySpec::Median);
-                }
-                retired.extend(engine.step().unwrap());
-            }
-            retired.extend(engine.run_until_idle().unwrap());
-            let stats = engine.network().net_stats().unwrap();
-            let per_node: Vec<u64> = (0..stats.len())
-                .map(|v| stats.node(v).total_bits())
-                .collect();
-            (retired, engine.waves_issued(), per_node)
+    fn round_envelope_is_the_encoded_request_envelope() {
+        // The round's envelope width is read off the wave that ran: it
+        // must be the exact length of the encoded root envelope of the
+        // round's requests — the one envelope under `Batched`, the
+        // widest one-slot envelope under `Sequential`.
+        let mix = [
+            QuerySpec::Count(Predicate::less_than(7)),
+            QuerySpec::Median,
+            QuerySpec::Max(Domain::Log),
+            QuerySpec::ApxCount {
+                pred: Predicate::TRUE,
+                reps: 3,
+            },
+            QuerySpec::BottomK { k: 5 },
+            QuerySpec::Sum(Predicate::TRUE),
+            QuerySpec::Quantile { q: 0.9, eps: 0.1 },
+            QuerySpec::Min(Domain::Raw),
+        ];
+        let width = |net: &SimNetwork, reqs: Vec<CoreRequest>| {
+            let inner = net.core_proto();
+            let mut w = saq_netsim::wire::BitWriter::new();
+            MultiplexWave::new(inner.clone())
+                .encode_request(&MultiplexWave::envelope(&inner, reqs), &mut w);
+            w.finish().len_bits()
         };
-        let (free, free_waves, free_bits) = run(None);
-        let (capped, capped_waves, capped_bits) = run(Some(u64::MAX));
-        assert_eq!(free.len(), capped.len());
-        for (a, b) in free.iter().zip(&capped) {
-            assert_eq!(a.report.id, b.report.id);
-            assert_eq!(a.report.outcome, b.report.outcome);
-            assert_eq!(a.report.bits, b.report.bits);
-            assert_eq!(a.report.waves, b.report.waves);
-            assert_eq!(a.admitted_round, b.admitted_round);
-            assert_eq!(a.retired_round, b.retired_round);
+        for k in [1usize, 2, 3, 7, 8] {
+            for policy in [BatchPolicy::Batched, BatchPolicy::Sequential] {
+                let mut engine = StreamingEngine::with_policy(
+                    grid_net(4, 15),
+                    policy,
+                    AdmissionPolicy::default(),
+                );
+                // The first op each query issues, as the engine stages it.
+                let reqs: Vec<CoreRequest> = mix[..k]
+                    .iter()
+                    .enumerate()
+                    .map(|(id, spec)| {
+                        let plan = compile_plan(engine.network(), spec);
+                        let mut slot = QuerySlot::new(id, id as u32, spec.clone(), plan);
+                        slot.advance().expect("every mix query issues an op")
+                    })
+                    .collect();
+                for spec in &mix[..k] {
+                    engine.submit(spec.clone());
+                }
+                engine.step().unwrap();
+                let expected = match policy {
+                    BatchPolicy::Batched => width(engine.network(), reqs),
+                    BatchPolicy::Sequential => reqs
+                        .into_iter()
+                        .map(|r| width(engine.network(), vec![r]))
+                        .max()
+                        .unwrap(),
+                };
+                assert_eq!(
+                    engine.last_round_envelope_bits(),
+                    expected,
+                    "{k} requests under {policy:?}"
+                );
+                let slots = if policy == BatchPolicy::Batched { k } else { 1 };
+                assert_eq!(engine.last_round_envelope_slots(), slots as u64);
+            }
         }
-        assert_eq!(free_waves, capped_waves);
-        assert_eq!(free_bits, capped_bits);
-    }
-
-    #[test]
-    fn tight_bit_budget_defers_admission_in_submission_order() {
-        let mut engine = StreamingEngine::new(grid_net(4, 11));
-        // Measure one count request's projected envelope, then set the
-        // budget so exactly one such query fits per round.
-        let one_req = engine
-            .network()
-            .request_wire_bits(&crate::wave_proto::CoreRequest::Count(
-                Predicate::less_than(13),
-            ));
-        engine.set_bit_budget(Some(one_req + 4)); // + framing, < two slots
-        let a = engine.submit(QuerySpec::Count(Predicate::less_than(13)));
-        let b = engine.submit(QuerySpec::Count(Predicate::less_than(9)));
-        let c = engine.submit(QuerySpec::Count(Predicate::less_than(5)));
-        let mut retired = Vec::new();
-        for _ in 0..6 {
-            retired.extend(engine.step().unwrap());
-        }
-        let by_id = |id: QueryId| retired.iter().find(|r| r.report.id == id).unwrap();
-        // One admission per round, strictly in submission order.
-        assert_eq!(by_id(a).admitted_round, 0);
-        assert_eq!(by_id(b).admitted_round, 1);
-        assert_eq!(by_id(c).admitted_round, 2);
-        for r in &retired {
-            assert!(r.report.outcome.is_ok());
-        }
-        // Every issued wave respected the budget: single-slot waves only.
-        assert_eq!(engine.waves_issued(), 3);
-    }
-
-    #[test]
-    fn budget_rejects_never_fitting_queries_loudly() {
-        // A query whose envelope exceeds the budget even alone must not
-        // queue forever: it retires with an error at its admission
-        // window (the workspace's reject-loudly convention).
-        let mut engine = StreamingEngine::new(grid_net(4, 12));
-        engine.set_bit_budget(Some(2));
-        let doomed = engine.submit(QuerySpec::Count(Predicate::TRUE));
-        let reports = engine.step().unwrap();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].report.id, doomed);
-        assert!(matches!(
-            reports[0].report.outcome,
-            Err(QueryError::InvalidParameter(_))
-        ));
-        assert_eq!(engine.waves_issued(), 0, "rejected before any wave");
-        assert!(!engine.in_service());
-    }
-
-    #[test]
-    fn deadline_overrides_the_bit_budget() {
-        // The budget defers patient queries; a due deadline is the
-        // per-query escape hatch and pulls the query through anyway.
-        let mut engine = StreamingEngine::new(grid_net(4, 13));
-        let one_req = engine
-            .network()
-            .request_wire_bits(&crate::wave_proto::CoreRequest::Count(
-                Predicate::less_than(13),
-            ));
-        engine.set_bit_budget(Some(one_req + 4)); // exactly one slot fits
-        let first = engine.submit(QuerySpec::Count(Predicate::less_than(13)));
-        let urgent = engine.submit_with_deadline(QuerySpec::Count(Predicate::less_than(9)), 0);
-        let mut retired = Vec::new();
-        for _ in 0..3 {
-            retired.extend(engine.step().unwrap());
-        }
-        let by_id = |id: QueryId| retired.iter().find(|r| r.report.id == id).unwrap();
-        // Both admitted in round 0: the deadline bypassed the budget the
-        // first query had already consumed.
-        assert_eq!(by_id(first).admitted_round, 0);
-        assert_eq!(by_id(urgent).admitted_round, 0);
-        assert!(by_id(urgent).report.outcome.is_ok());
     }
 
     #[test]

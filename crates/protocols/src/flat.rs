@@ -1623,13 +1623,15 @@ where
     /// Visits the position-indexed buffers in ascending **global** id
     /// through the tree's `pos_of` column: the canonical order without
     /// a sort.
-    fn drain_trace(&mut self, sink: &mut dyn FnMut(usize, NodeTraceEntry)) {
+    fn drain_trace(&mut self, sink: &mut dyn FnMut(NodeId, Option<NodeId>, NodeTraceEntry)) {
         if self.cols.trace.is_empty() {
             return; // tracing is off
         }
         for gid in 0..self.tree.len() {
-            for entry in self.cols.trace[self.tree.pos_of(gid)].drain(..) {
-                sink(gid, entry);
+            let p = self.tree.pos_of(gid);
+            let parent = self.tree.parent_pos(p).map(|q| self.tree.global_of(q));
+            for entry in self.cols.trace[p].drain(..) {
+                sink(gid, parent, entry);
             }
         }
     }
@@ -2006,51 +2008,11 @@ mod tests {
         let rel = Reliability::Ack {
             timeout: saq_netsim::SimDuration::from_millis(40),
         };
-        for workers in [1usize, 2, 4] {
-            let mut single =
-                WaveRunner::new(&topo, cfg.clone(), &tree, proto(), items.clone(), rel).unwrap();
-            let mut flat = FlatWaveRunner::new(
-                &topo,
-                cfg.clone(),
-                &tree,
-                proto(),
-                items.clone(),
-                rel,
-                workers,
-                NestDepth::Auto,
-            )
-            .unwrap();
-            // Two waves: the second consumes each edge's streams from
-            // wherever the first left them, so index continuity is
-            // covered too.
-            for req in [vec![1000u64, 500], vec![30]] {
-                let a = single.run_wave(env(req.clone())).unwrap();
-                let b = flat.run_wave(env(req)).unwrap();
-                assert_eq!(a, b, "answers differ at workers={workers}");
-                assert_eq!(
-                    single.transport_footprint(),
-                    flat.transport_footprint(),
-                    "between-wave footprint differs at workers={workers}"
-                );
-            }
-            for v in 0..topo.len() {
-                let (a, b) = (single.stats().node(v), flat.stats().node(v));
-                assert_eq!(
-                    (a.tx_bits, a.rx_bits, a.tx_packets, a.rx_packets),
-                    (b.tx_bits, b.rx_bits, b.tx_packets, b.rx_packets),
-                    "node {v} stats differ at workers={workers}"
-                );
-            }
-            for v in 1..topo.len() {
-                if let Some(p) = tree.parent(v) {
-                    assert_eq!(
-                        single.stats().link_bits(p, v),
-                        flat.stats().link_bits(p, v),
-                        "link {p}<->{v} differs at workers={workers}"
-                    );
-                }
-            }
-        }
+        // Two waves: the second consumes each edge's streams from
+        // wherever the first left them, so index continuity is covered
+        // too.
+        let script = [Step::Wave(vec![1000, 500]), Step::Wave(vec![30])];
+        same_as_boxed(&topo, &tree, &items, cfg, rel, None, &script);
     }
 
     #[test]
@@ -2142,21 +2104,34 @@ mod tests {
         EnableCache(usize),
     }
 
+    /// One drained trace entry: node, its parent, the entry.
+    type Traced = (usize, Option<usize>, NodeTraceEntry);
+
     /// Drains `runner`'s trace into a vector, in the canonical order.
-    fn take_trace<P: WaveProtocol>(
-        runner: &mut dyn WaveSubstrate<P>,
-    ) -> Vec<(usize, NodeTraceEntry)> {
+    fn take_trace<P: WaveProtocol>(runner: &mut dyn WaveSubstrate<P>) -> Vec<Traced> {
         let mut out = Vec::new();
-        runner.drain_trace(&mut |node, entry| out.push((node, entry)));
+        runner.drain_trace(&mut |node, parent, entry| out.push((node, parent, entry)));
         out
     }
 
-    /// Plays `script` on a boxed [`WaveRunner`] and on flat runners with
-    /// 1, 2 and 4 workers, comparing after every wave the answer, the
-    /// frames transmitted, the [`MuxLedger`] and the canonical trace, and
-    /// at the end every node and tree-edge tally, the cache counters and
-    /// the transport footprint. Returns the flat W = 2 run's trace, one
-    /// `Vec` per wave, for callers that assert *what* happened.
+    /// Nesting depths every [`same_as_boxed`] script runs at: the
+    /// classic root cut, one and two re-cuts, and the auto-chosen plan.
+    const DEPTHS: [NestDepth; 4] = [
+        NestDepth::Fixed(0),
+        NestDepth::Fixed(1),
+        NestDepth::Fixed(2),
+        NestDepth::Auto,
+    ];
+
+    /// Plays `script` on a boxed [`WaveRunner`] and on flat runners at
+    /// every depth of [`DEPTHS`] with 1, 2 and 4 workers, comparing
+    /// after every wave the answer, the frames transmitted, the
+    /// [`MuxLedger`], the canonical trace and the transport footprint,
+    /// and at the end every node and tree-edge tally and the cache
+    /// counters. The tree must be deep enough that each pinned depth
+    /// re-cuts that often at W = 4. Returns the flat W = 2, auto-depth
+    /// run's trace, one `Vec` per wave, for callers that assert *what*
+    /// happened.
     ///
     /// [`MuxLedger`]: crate::wave::MuxLedger
     fn same_as_boxed(
@@ -2167,10 +2142,13 @@ mod tests {
         rel: Reliability,
         cache: Option<usize>,
         script: &[Step],
-    ) -> Vec<Vec<(usize, NodeTraceEntry)>> {
+    ) -> Vec<Vec<Traced>> {
         let mut traces = Vec::new();
-        for workers in [1usize, 2, 4] {
-            let what = format!("workers={workers}");
+        for (depth, workers) in DEPTHS
+            .into_iter()
+            .flat_map(|d| [1usize, 2, 4].map(|w| (d, w)))
+        {
+            let what = format!("workers={workers} {depth:?}");
             let (sp, fp) = (proto(), proto());
             let (sl, fl) = (sp.ledger(), fp.ledger());
             let mut single =
@@ -2183,9 +2161,12 @@ mod tests {
                 items.to_vec(),
                 rel,
                 workers,
-                NestDepth::Auto,
+                depth,
             )
             .unwrap();
+            if let (NestDepth::Fixed(d), 4) = (depth, workers) {
+                assert_eq!(flat.plan().depth(), d, "tree too shallow for {what}");
+            }
             if let Some(capacity) = cache {
                 single.enable_partial_cache(capacity);
                 flat.enable_partial_cache(capacity);
@@ -2226,19 +2207,19 @@ mod tests {
                     assert_eq!(sg.slots(), fg.slots(), "slot bits ({what}, {req:?})");
                     assert_eq!(sg.envelope_bits(), fg.envelope_bits(), "{what}, {req:?}");
                 }
+                assert_eq!(
+                    single.transport_footprint(),
+                    flat.transport_footprint(),
+                    "between-wave footprint ({what}, {req:?})"
+                );
                 let trace = take_trace(&mut flat);
                 assert_eq!(take_trace(&mut single), trace, "trace ({what}, {req:?})");
-                if workers == 2 {
+                if (depth, workers) == (NestDepth::Auto, 2) {
                     traces.push(trace);
                 }
             }
             assert_same_tallies(topo, tree, single.stats(), flat.stats(), &what);
             assert_eq!(single.cache_stats(), flat.cache_stats(), "{what}");
-            assert_eq!(
-                single.transport_footprint(),
-                flat.transport_footprint(),
-                "{what}"
-            );
         }
         traces
     }
@@ -2269,8 +2250,8 @@ mod tests {
         );
         let at_3: Vec<NodeTraceEntry> = traces[2]
             .iter()
-            .filter(|&&(node, _)| node == 3)
-            .map(|&(_, e)| e)
+            .filter(|&&(node, _, _)| node == 3)
+            .map(|&(_, _, e)| e)
             .collect();
         assert!(
             at_3.contains(&NodeTraceEntry::CacheHit { slot: 0 })
@@ -2451,9 +2432,9 @@ mod tests {
 
     /// How many entries of each kind a drained trace holds:
     /// `(requests received, partials sent, cache hits, cache misses)`.
-    fn trace_census(trace: &[(usize, NodeTraceEntry)]) -> [usize; 4] {
+    fn trace_census(trace: &[Traced]) -> [usize; 4] {
         let mut census = [0; 4];
-        for (_, entry) in trace {
+        for (_, _, entry) in trace {
             census[match entry {
                 NodeTraceEntry::RequestRecv { .. } => 0,
                 NodeTraceEntry::PartialSent { .. } => 1,

@@ -1299,10 +1299,11 @@ pub trait WaveSubstrate<P: WaveProtocol>: Debug {
     fn set_tracing(&mut self, on: bool);
 
     /// Drains every node's buffered trace entries into `sink`, tagged
-    /// with the node id, in ascending node id order — the canonical
-    /// drain order shared by both substrates (see [`crate::obs`]). The
-    /// entries are handed over in place; draining allocates nothing.
-    fn drain_trace(&mut self, sink: &mut dyn FnMut(usize, NodeTraceEntry));
+    /// with the node id and its spanning-tree parent (`None` at the
+    /// root), in ascending node id order — the canonical drain order
+    /// shared by both substrates (see [`crate::obs`]). The entries are
+    /// handed over in place; draining allocates nothing.
+    fn drain_trace(&mut self, sink: &mut dyn FnMut(NodeId, Option<NodeId>, NodeTraceEntry));
 
     /// Under [`Reliability::Ack`], the next transmission index of each
     /// fate stream of the tree edge above `node` (global id), in
@@ -1503,10 +1504,11 @@ impl<P: WaveProtocol + Debug> WaveSubstrate<P> for WaveRunner<P> {
         }
     }
 
-    fn drain_trace(&mut self, sink: &mut dyn FnMut(usize, NodeTraceEntry)) {
+    fn drain_trace(&mut self, sink: &mut dyn FnMut(NodeId, Option<NodeId>, NodeTraceEntry)) {
         for v in 0..self.sim.len() {
-            for entry in self.sim.node_mut(v).trace.drain(..) {
-                sink(v, entry);
+            let node = self.sim.node_mut(v);
+            for entry in node.trace.drain(..) {
+                sink(v, node.parent, entry);
             }
         }
     }
@@ -1725,6 +1727,24 @@ impl<P: WaveProtocol> MultiplexWave<P> {
             .collect()
     }
 
+    /// Width, in bits, of `req`'s request encoding — its framing plus
+    /// every sub-request's captured width, in closed form: what
+    /// [`WaveProtocol::note_request_copies`] bills per copy.
+    pub fn request_width(req: &[MuxEntry<P::Request>]) -> u64 {
+        Self::framing_bits(req) + req.iter().map(|e| e.raw.len_bits()).sum::<u64>()
+    }
+
+    /// The envelope's own bits: gamma slot count, dense flag and, in a
+    /// sparse envelope, each entry's gamma slot tag.
+    fn framing_bits(req: &[MuxEntry<P::Request>]) -> u64 {
+        let tags: u64 = if is_dense(req) {
+            0
+        } else {
+            req.iter().map(|e| gamma_len(e.slot as u64 + 1)).sum()
+        };
+        gamma_len(req.len() as u64 + 1) + 1 + tags
+    }
+
     /// Absorbs one child's envelope slot by slot into `acc`, as the
     /// first of `first_of` children when that is `Some`. An accumulator
     /// with a different slot count than `req` is an error, not a panic
@@ -1753,26 +1773,18 @@ impl<P: WaveProtocol> MultiplexWave<P> {
     }
 }
 
+/// Whether entry `i` of `req` bills slot `i` — the un-subset envelope
+/// a root issues, framed without slot tags.
+fn is_dense<R>(req: &[MuxEntry<R>]) -> bool {
+    req.iter().enumerate().all(|(i, e)| e.slot as usize == i)
+}
+
 /// Exclusive bound on multiplexed slot counts and slot tags: the slot
 /// space is 16-bit, so `slot < MUX_MAX_SLOTS` and `len < MUX_MAX_SLOTS`.
 /// Enforced on decode (a malformed frame cannot force an allocation
 /// storm) and, via [`WaveProtocol::validate_request`], on the encode
 /// side at the API boundary — in release builds too.
 pub const MUX_MAX_SLOTS: u64 = 1 << 16;
-
-/// Framing overhead, in bits, of a **dense** multiplexed request
-/// envelope carrying `slots` sub-requests: the gamma-coded slot count
-/// plus the dense flag bit — exactly what
-/// [`MultiplexWave::encode_request`] attributes to
-/// [`MuxLedger::envelope_bits`] for a root-issued (dense, un-subset)
-/// envelope. This is the single source of truth schedulers use to
-/// *project* an envelope's size before any bit flies (the streaming
-/// engine's bit-budget admission and the fleet layer's staggered
-/// refresh envelopes both price their rounds with it), so projections
-/// can never drift from what the ledger later bills.
-pub fn mux_framing_bits(slots: u64) -> u64 {
-    gamma_len(slots + 1) + 1
-}
 
 impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
     type Request = Vec<MuxEntry<P::Request>>;
@@ -1788,7 +1800,7 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
     /// word. Bills nothing: see
     /// [`note_request_copies`](Self::note_request_copies).
     fn encode_request(&self, req: &Self::Request, w: &mut BitWriter) {
-        let dense = req.iter().enumerate().all(|(i, e)| e.slot as usize == i);
+        let dense = is_dense(req);
         w.write_gamma(req.len() as u64 + 1);
         w.write_bits(dense as u64, 1);
         for entry in req {
@@ -1809,16 +1821,11 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         if copies == 0 {
             return;
         }
-        let dense = req.iter().enumerate().all(|(i, e)| e.slot as usize == i);
-        let mut envelope = gamma_len(req.len() as u64 + 1) + 1;
         let mut ledger = self.ledger_mut();
         for entry in req {
-            if !dense {
-                envelope += gamma_len(entry.slot as u64 + 1);
-            }
             ledger.slot_mut(entry.slot as usize).request_bits += entry.raw.len_bits() * copies;
         }
-        ledger.envelope_bits += envelope * copies;
+        ledger.envelope_bits += Self::framing_bits(req) * copies;
     }
 
     fn decode_request(&self, r: &mut BitReader<'_>) -> Result<Self::Request, NetsimError> {

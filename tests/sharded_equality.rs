@@ -1,10 +1,9 @@
 //! Property tests for the ISSUE-6/ISSUE-7 tentpoles: neither the
 //! columnar flat substrate, nor its worker count, nor lossy links under
 //! per-hop ARQ is a semantics change. Every cell of the boxed oracle ×
-//! flat plan × **reliability** matrix — flat worker counts
-//! `k ∈ {1, 2, 4, 8}`, nested shard depths `{0, 1, 2}` and the
-//! auto-chosen depth, crossed with `{lossless, loss p ∈ {0.05, 0.2}
-//! with ARQ}` — must produce **answers**, **per-query `QueryBits`
+//! flat worker count × **reliability** matrix — `k ∈ {1, 2, 4, 8}`
+//! crossed with `{lossless, loss p ∈ {0.05, 0.2} with ARQ}` — must
+//! produce **answers**, **per-query `QueryBits`
 //! ledgers** (the engine-level projection of the per-wave `MuxLedger`
 //! slots), **cache hit/miss counters**, the **full per-node bit
 //! vector** and the **between-wave `TransportFootprint`** identical to
@@ -14,7 +13,8 @@
 //! well-posed: the n-th transmission over an edge draws the same fate
 //! no matter which thread or representation executes it.
 //! Streaming and continuous sessions must round-trip on the flat
-//! runner the same way.
+//! runner the same way. Pinned nesting depths are crossed with worker
+//! counts below this layer, in `saq_protocols::flat`'s unit tests.
 
 use proptest::prelude::*;
 use saq::core::engine::{BatchPolicy, QueryReport, QuerySpec};
@@ -42,12 +42,11 @@ fn query_mix() -> Vec<QuerySpec> {
 }
 
 /// One execution strategy under test: the boxed event-driven oracle or
-/// the columnar flat runner at a worker count and a nested shard depth
-/// (`None` = auto).
+/// the columnar flat runner at a worker count.
 #[derive(Debug, Clone, Copy)]
 enum Repr {
     Boxed,
-    Flat { k: usize, depth: Option<u32> },
+    Flat { k: usize },
 }
 
 /// The reliability row of the matrix: the paper's lossless model, or
@@ -96,14 +95,8 @@ impl Repr {
                 .max_children(4)
                 .partial_cache(cache),
         );
-        match self {
-            Repr::Boxed => {}
-            Repr::Flat { k, depth } => {
-                b = b.flat(true).shards(k);
-                if let Some(d) = depth {
-                    b = b.flat_depth(d);
-                }
-            }
+        if let Repr::Flat { k } = self {
+            b = b.flat(true).shards(k);
         }
         b.build_one_per_node(topo, items, xbar)
             .expect("network build")
@@ -163,17 +156,12 @@ fn assert_reports_equal(a: &[StreamingReport], b: &[StreamingReport], repr: Repr
     }
 }
 
-/// The flat cells of the matrix: every worker count crossed with every
-/// pinned nesting depth, plus the auto-chosen depth at the widest k.
+/// The flat cells of the matrix: one per worker count.
 fn flat_matrix() -> Vec<Repr> {
-    let mut cells = Vec::new();
-    for k in [1usize, 2, 4, 8] {
-        for depth in [Some(0), Some(1), Some(2)] {
-            cells.push(Repr::Flat { k, depth });
-        }
-    }
-    cells.push(Repr::Flat { k: 8, depth: None });
-    cells
+    [1usize, 2, 4, 8]
+        .into_iter()
+        .map(|k| Repr::Flat { k })
+        .collect()
 }
 
 fn check_matrix(topo: &Topology, items: &[u64], xbar: u64, cells: &[Repr], rel: Rel) {
@@ -201,8 +189,6 @@ fn check_matrix(topo: &Topology, items: &[u64], xbar: u64, cells: &[Repr], rel: 
 }
 
 proptest! {
-    // The flat matrix runs 13 cells per case, so fewer cases carry the
-    // same coverage budget.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
@@ -220,28 +206,12 @@ proptest! {
     }
 }
 
-/// The lossy rows of the matrix: flat `k ∈ {1, 2, 4, 8}` (auto depth —
-/// the depth dimension is covered losslessly above, and the plan is
-/// fate-independent) under loss `p ∈ {0.05, 0.2}` with per-hop ARQ,
-/// against the boxed oracle *running the same fates*. This is the ISSUE-7 acceptance
-/// matrix: retransmissions, ACK bills, dedup residue and repaired
-/// answers all replay identically from the per-edge fate streams.
-fn lossy_matrix() -> Vec<Repr> {
-    let mut cells: Vec<Repr> = [1usize, 2, 4, 8]
-        .into_iter()
-        .map(|k| Repr::Flat { k, depth: None })
-        .collect();
-    // One pinned nested depth so the lossy ARQ emulation is exercised
-    // across a re-cut spine too.
-    cells.push(Repr::Flat {
-        k: 4,
-        depth: Some(1),
-    });
-    cells
-}
-
 proptest! {
-    // 5 cells × 2 loss rates per case.
+    // The lossy rows of the matrix: every flat cell under loss
+    // p ∈ {0.05, 0.2} with per-hop ARQ, against the boxed oracle
+    // *running the same fates*: retransmissions, ACK bills, dedup
+    // residue and repaired answers all replay identically from the
+    // per-edge fate streams. 4 cells × 2 loss rates per case.
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
@@ -260,7 +230,7 @@ proptest! {
                 p,
                 fate_seed: topo_seed.wrapping_mul(31).wrapping_add(value_seed),
             };
-            check_matrix(&topo, &items, xbar, &lossy_matrix(), rel);
+            check_matrix(&topo, &items, xbar, &flat_matrix(), rel);
         }
     }
 }
@@ -318,7 +288,7 @@ fn streaming_session_round_trips_on_flat_runner() {
         },
     ] {
         let (boxed_reports, boxed_cache, boxed_bits) = run(Repr::Boxed, rel);
-        let (flat_reports, flat_cache, flat_bits) = run(Repr::Flat { k: 4, depth: None }, rel);
+        let (flat_reports, flat_cache, flat_bits) = run(Repr::Flat { k: 4 }, rel);
         assert_eq!(boxed_reports.len(), flat_reports.len());
         for (a, b) in boxed_reports.iter().zip(&flat_reports) {
             assert_eq!(
@@ -384,13 +354,7 @@ fn continuous_session_round_trips_on_flat_runner() {
         },
     ] {
         let (boxed_refreshes, boxed_cache, boxed_bits) = run(Repr::Boxed, rel);
-        let (flat_refreshes, flat_cache, flat_bits) = run(
-            Repr::Flat {
-                k: 2,
-                depth: Some(1),
-            },
-            rel,
-        );
+        let (flat_refreshes, flat_cache, flat_bits) = run(Repr::Flat { k: 2 }, rel);
         assert_eq!(boxed_refreshes.len(), flat_refreshes.len());
         for (a, b) in boxed_refreshes.iter().zip(&flat_refreshes) {
             assert_eq!(a.slot, b.slot);
@@ -458,13 +422,7 @@ fn event_streams_are_bit_identical_across_runners() {
             );
             assert!(base.contains("\"kind\":\"ack\""));
         }
-        for repr in [
-            Repr::Flat { k: 2, depth: None },
-            Repr::Flat {
-                k: 4,
-                depth: Some(1),
-            },
-        ] {
+        for repr in [Repr::Flat { k: 2 }, Repr::Flat { k: 4 }] {
             let (stream, metrics) = run(repr, rel);
             assert_eq!(
                 base, stream,
