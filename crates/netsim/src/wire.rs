@@ -21,16 +21,19 @@
 //!   `read_sorted_deltas`): a non-decreasing `u64` slice stored as coded
 //!   gaps, with a fixed-width fallback arm for incompressible data.
 //!
-//! All encoders write most-significant-bit first within each value; the
-//! stream is packed LSB-first into bytes, which is an internal detail that
-//! round-trips through [`BitReader`].
+//! All encoders write most-significant-bit first within each value, and
+//! the stream is packed most-significant-bit first into 64-bit words:
+//! stream bit `i` is bit `63 - i % 64` of word `i / 64`. A
+//! [`BitString`] holds exactly `len_bits.div_ceil(64)` words and every
+//! bit past `len_bits` is zero, so equal bit sequences are equal (and
+//! hash equal) however they were built.
 //!
 //! Both ends work a word at a time. [`BitWriter`] shifts each value into
-//! a 64-bit accumulator and stores it, bit-reversed, as a whole word
-//! once full; [`BitReader`] loads 8-byte windows, counts unary zeros
-//! with `trailing_zeros` and reads a gamma code that fits one window in
-//! one step. The byte layout is the one the bit-at-a-time codec made,
-//! which the test-only reference in this module pins.
+//! a 64-bit accumulator and pushes it as is once full; [`BitReader`]
+//! reads any field with at most two aligned word loads and a shift,
+//! counts unary zeros with `leading_zeros` and reads a gamma code that
+//! fits one 64-bit window in one step. The test-only bit-at-a-time
+//! reference in this module pins the layout.
 
 use crate::error::NetsimError;
 
@@ -179,10 +182,10 @@ impl SortedRun {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BitWriter {
-    /// The stream's completed 64-bit words, in stream byte order; always
-    /// a whole number of words until [`BitWriter::finish`].
-    bytes: Vec<u8>,
-    /// The bits after `bytes`, first stream bit most significant.
+    /// The stream's completed 64-bit words, first stream bit most
+    /// significant.
+    words: Vec<u64>,
+    /// The bits after `words`, first stream bit most significant.
     acc: u64,
     /// How many bits `acc` holds (`0..64`).
     acc_len: u32,
@@ -191,9 +194,13 @@ pub struct BitWriter {
 /// A finished bit string, cheap to clone and inspect. Hashable, so an
 /// encoded request can key caches (e.g. the wave runner's subtree
 /// partial cache) by its exact wire representation.
+///
+/// Layout: `len_bits.div_ceil(64)` words, most significant bit first,
+/// every bit past `len_bits` zero. Equality and `Hash` compare the
+/// words, so every constructor keeps that layout.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct BitString {
-    bytes: Vec<u8>,
+    words: Vec<u64>,
     len_bits: u64,
 }
 
@@ -209,22 +216,23 @@ impl BitString {
         self.len_bits == 0
     }
 
-    /// The packed backing bytes (last byte possibly partial).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The packed backing words, most significant bit first; the last
+    /// word is zero past `len_bits`.
+    pub fn as_words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Consumes the string, recovering its backing allocation for reuse
     /// (e.g. through [`ScratchPool::recycle`]).
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.bytes
+    pub fn into_words(self) -> Vec<u64> {
+        self.words
     }
 }
 
 /// A pool of recycled encode buffers for hot frame-encoding paths.
 ///
 /// The wave engines encode one frame per tree edge per wave; allocating
-/// a fresh `Vec<u8>` for every frame dominates allocator traffic at
+/// a fresh `Vec<u64>` for every frame dominates allocator traffic at
 /// large N. A driver that both encodes and consumes its frames (the
 /// flat convergecast runner in `saq-protocols`) can instead draw
 /// writers from a pool and recycle each frame's allocation once it has
@@ -234,7 +242,7 @@ impl BitString {
 /// allocates on either runner.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
-    free: Vec<Vec<u8>>,
+    free: Vec<Vec<u64>>,
     reused: u64,
     fresh: u64,
 }
@@ -269,9 +277,9 @@ impl ScratchPool {
             Some(mut buf) => {
                 self.reused += 1;
                 buf.clear();
-                buf.extend_from_slice(&s.bytes);
+                buf.extend_from_slice(&s.words);
                 BitString {
-                    bytes: buf,
+                    words: buf,
                     len_bits: s.len_bits,
                 }
             }
@@ -284,9 +292,9 @@ impl ScratchPool {
 
     /// Returns a consumed frame's allocation to the pool.
     pub fn recycle(&mut self, s: BitString) {
-        let bytes = s.into_bytes();
-        if bytes.capacity() > 0 {
-            self.free.push(bytes);
+        let words = s.into_words();
+        if words.capacity() > 0 {
+            self.free.push(words);
         }
     }
 
@@ -317,13 +325,13 @@ impl BitWriter {
 
     /// Creates an empty writer backed by `scratch`'s allocation (the
     /// contents are cleared, the capacity is kept). Together with
-    /// [`BitString::into_bytes`] this lets hot encode paths recycle
-    /// frame buffers instead of allocating one `Vec<u8>` per message —
+    /// [`BitString::into_words`] this lets hot encode paths recycle
+    /// frame buffers instead of allocating one `Vec<u64>` per message —
     /// see [`ScratchPool`].
-    pub fn with_scratch(mut scratch: Vec<u8>) -> Self {
+    pub fn with_scratch(mut scratch: Vec<u64>) -> Self {
         scratch.clear();
         BitWriter {
-            bytes: scratch,
+            words: scratch,
             acc: 0,
             acc_len: 0,
         }
@@ -332,12 +340,7 @@ impl BitWriter {
     /// Number of bits written so far.
     #[inline]
     pub fn len_bits(&self) -> u64 {
-        self.bytes.len() as u64 * 8 + self.acc_len as u64
-    }
-
-    /// Appends a single bit.
-    pub fn write_bit(&mut self, bit: bool) {
-        self.write_bits(bit as u64, 1);
+        self.words.len() as u64 * 64 + self.acc_len as u64
     }
 
     /// Appends the low `width` bits of `v`, most significant first.
@@ -369,17 +372,9 @@ impl BitWriter {
         } else {
             (self.acc << free) | (v >> spill)
         };
-        self.push_word(word);
+        self.words.push(word);
         self.acc = v & !(u64::MAX << spill);
         self.acc_len = spill;
-    }
-
-    /// Stores 64 stream bits, the first most significant. The stream is
-    /// LSB-first within bytes, so the word is bit-reversed once and
-    /// stored little-endian.
-    fn push_word(&mut self, word: u64) {
-        self.bytes
-            .extend_from_slice(&word.reverse_bits().to_le_bytes());
     }
 
     /// Appends `n` zero bits.
@@ -516,30 +511,35 @@ impl BitWriter {
         }
     }
 
-    /// Appends another bit string verbatim, one word-sized chunk at a
-    /// time (this is the zero-copy forwarding path: pass-through slots
-    /// are moved as raw bit ranges, never decoded).
+    /// Appends another bit string verbatim, a word at a time, copying
+    /// the whole words as they are when the writer is word-aligned (this
+    /// is the zero-copy forwarding path: pass-through slots are moved as
+    /// raw bit ranges, never decoded).
     pub fn write_bitstring(&mut self, s: &BitString) {
-        let mut r = BitReader::new(s);
-        while r.remaining() > 0 {
-            let take = r.remaining().min(64) as u32;
-            // Reading within len_bits cannot fail.
-            let chunk = r.read_bits(take).expect("in-bounds chunk read");
-            self.write_bits(chunk, take);
+        let full = (s.len_bits / 64) as usize;
+        if self.acc_len == 0 {
+            self.words.extend_from_slice(&s.words[..full]);
+        } else {
+            for &word in &s.words[..full] {
+                self.write_bits(word, 64);
+            }
+        }
+        let rest = (s.len_bits % 64) as u32;
+        if rest > 0 {
+            self.write_bits(s.words[full] >> (64 - rest), rest);
         }
     }
 
-    /// Finalizes the stream: the pending bits take exactly the bytes
-    /// they need, so a buffer sized for the output never reallocates.
+    /// Finalizes the stream: the pending bits, left-aligned, take the
+    /// one word they need, so a buffer sized for the output never
+    /// reallocates.
     pub fn finish(mut self) -> BitString {
         let len_bits = self.len_bits();
-        let tail = self.acc_len.div_ceil(8) as usize;
-        if tail > 0 {
-            let word = (self.acc << (64 - self.acc_len)).reverse_bits();
-            self.bytes.extend_from_slice(&word.to_le_bytes()[..tail]);
+        if self.acc_len > 0 {
+            self.words.push(self.acc << (64 - self.acc_len));
         }
         BitString {
-            bytes: self.bytes,
+            words: self.words,
             len_bits,
         }
     }
@@ -581,53 +581,24 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
-    /// Reads one bit.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetsimError::WireDecode`] at end of stream.
-    pub fn read_bit(&mut self) -> Result<bool, NetsimError> {
-        if self.pos >= self.src.len_bits {
-            return Err(NetsimError::WireDecode("read past end of bit stream"));
-        }
-        let byte_idx = (self.pos / 8) as usize;
-        let bit_idx = (self.pos % 8) as u32;
-        self.pos += 1;
-        Ok((self.src.bytes[byte_idx] >> bit_idx) & 1 == 1)
-    }
-
-    /// The next `width` (1..=64) bits in stream order, without
-    /// consuming them: bit `k` of the result is the bit at `pos + k`.
-    /// Loads one 8-byte window, plus the ninth byte when the bits
-    /// straddle it; only the last few bytes of a string take the
-    /// zero-padded slow path. The caller checks that `width` bits
-    /// remain.
+    /// The next `width` (1..=64) stream bits, left-aligned: the bit at
+    /// `pos` is the most significant. One aligned word load, plus the
+    /// next word's when the bits straddle it. The bits below `width`
+    /// are junk, except that those past the end of the string are zero.
+    /// The caller checks that `width` bits remain.
     #[inline]
-    fn peek_stream(&self, width: u32) -> u64 {
+    fn peek(&self, width: u32) -> u64 {
         debug_assert!((1..=64).contains(&width) && width as u64 <= self.remaining());
-        let bytes = &self.src.bytes;
-        let i = (self.pos / 8) as usize;
-        let off = (self.pos % 8) as u32;
-        let mut window = match bytes.get(i..i + 8) {
-            Some(word) => u64::from_le_bytes(word.try_into().expect("an 8-byte window")),
-            None => {
-                let mut word = [0u8; 8];
-                word[..bytes.len() - i].copy_from_slice(&bytes[i..]);
-                u64::from_le_bytes(word)
-            }
-        } >> off;
+        let words = &self.src.words;
+        let i = (self.pos / 64) as usize;
+        let off = (self.pos % 64) as u32;
+        let window = words[i] << off;
         if off + width > 64 {
-            // In range: the bits end inside byte i + 8.
-            window |= (bytes[i + 8] as u64) << (64 - off);
+            // In range: the bits end inside word i + 1.
+            window | (words[i + 1] >> (64 - off))
+        } else {
+            window
         }
-        window & (u64::MAX >> (64 - width))
-    }
-
-    /// The value of `width` (1..=64) stream-order bits: values are
-    /// written most significant bit first.
-    #[inline]
-    fn value_of(stream: u64, width: u32) -> u64 {
-        stream.reverse_bits() >> (64 - width)
     }
 
     /// Reads a fixed-width big-endian value.
@@ -644,31 +615,28 @@ impl<'a> BitReader<'a> {
         if width as u64 > self.remaining() {
             return Err(NetsimError::WireDecode("read past end of bit stream"));
         }
-        let stream = self.peek_stream(width);
+        let window = self.peek(width);
         self.pos += width as u64;
-        Ok(Self::value_of(stream, width))
+        Ok(window >> (64 - width))
     }
 
-    /// The next 57 to 64 bits in stream order (fewer at the end of the
-    /// string), how many they are, and how many zeros lead them (all of
-    /// them when they are all zero). The count needs no bit reversal,
-    /// which keeps it off a decoder's critical path.
-    #[inline]
-    fn peek_zeros(&self) -> (u64, u32, u32) {
-        let (stream, avail) = self.peek_window();
-        (stream, avail, stream.trailing_zeros().min(avail))
-    }
-
-    /// The next 57 to 64 bits in stream order (fewer at the end of the
-    /// string) and how many they are: up to the end of one 8-byte
-    /// window, so no ninth byte is read.
+    /// The next 64 stream bits, left-aligned (fewer at the end of the
+    /// string, zero below them), and how many they are.
     #[inline]
     fn peek_window(&self) -> (u64, u32) {
-        let avail = self.remaining().min(64 - self.pos % 8) as u32;
+        let avail = self.remaining().min(64) as u32;
         if avail == 0 {
             return (0, 0);
         }
-        (self.peek_stream(avail), avail)
+        (self.peek(avail), avail)
+    }
+
+    /// Like [`BitReader::peek_window`], plus how many zeros lead the
+    /// window (all of it when it is all zero).
+    #[inline]
+    fn peek_zeros(&self) -> (u64, u32, u32) {
+        let (window, avail) = self.peek_window();
+        (window, avail, window.leading_zeros().min(avail))
     }
 
     /// Reads a unary code.
@@ -706,11 +674,11 @@ impl<'a> BitReader<'a> {
     pub fn read_gamma(&mut self) -> Result<u64, NetsimError> {
         // Fast path: the whole code — n zeros and the n + 1 bits of the
         // value — lies in one window, and is the value itself.
-        let (stream, avail, n) = self.peek_zeros();
+        let (window, avail, n) = self.peek_zeros();
         if 2 * n < avail {
             let width = 2 * n + 1;
             self.pos += width as u64;
-            return Ok(Self::value_of(stream & (u64::MAX >> (64 - width)), width));
+            return Ok(window >> (64 - width));
         }
         let n = self.read_unary()?;
         if n >= 64 {
@@ -731,13 +699,14 @@ impl<'a> BitReader<'a> {
         let mut shift = 0u32;
         loop {
             // Every whole 8-bit group in the next window comes from one
-            // load; fewer than 8 bits left is a truncated group.
-            let (stream, avail) = self.peek_window();
+            // peek, taken from its top; fewer than 8 bits left is a
+            // truncated group.
+            let (window, avail) = self.peek_window();
             if avail < 8 {
                 return Err(NetsimError::WireDecode("read past end of bit stream"));
             }
             for k in 0..avail / 8 {
-                let byte = Self::value_of((stream >> (8 * k)) & 0xFF, 8);
+                let byte = (window << (8 * k)) >> 56;
                 self.pos += 8;
                 let group = byte & 0x7F;
                 if shift >= 64 || (shift == 63 && group > 1) {
@@ -864,7 +833,9 @@ impl<'a> BitReader<'a> {
         if len > self.remaining() {
             return Err(NetsimError::WireDecode("read past end of bit stream"));
         }
-        let mut w = BitWriter::with_scratch(Vec::with_capacity(len.div_ceil(8) as usize));
+        // Exactly the words the string needs, so `finish` never
+        // reallocates.
+        let mut w = BitWriter::with_scratch(Vec::with_capacity(len.div_ceil(64) as usize));
         let mut left = len;
         while left > 0 {
             let take = left.min(64) as u32;
@@ -1314,7 +1285,7 @@ mod tests {
         fn prop_read_bitstring_roundtrip(bits in proptest::collection::vec(any::<bool>(), 0..200), split in 0usize..200) {
             let mut w = BitWriter::new();
             for &b in &bits {
-                w.write_bit(b);
+                w.write_bits(b as u64, 1);
             }
             let s = w.finish();
             let split = (split as u64).min(s.len_bits());
@@ -1336,17 +1307,22 @@ mod tests {
 
         #[derive(Default)]
         pub struct Writer {
-            bytes: Vec<u8>,
+            words: Vec<u64>,
             len: u64,
+        }
+
+        /// Stream bit `i` of `s`: bit `63 - i % 64` of word `i / 64`.
+        pub fn bit_at(s: &BitString, i: u64) -> bool {
+            (s.words[(i / 64) as usize] >> (63 - i % 64)) & 1 == 1
         }
 
         impl Writer {
             fn bit(&mut self, b: bool) {
-                if self.len.is_multiple_of(8) {
-                    self.bytes.push(0);
+                if self.len.is_multiple_of(64) {
+                    self.words.push(0);
                 }
                 if b {
-                    *self.bytes.last_mut().unwrap() |= 1 << (self.len % 8);
+                    *self.words.last_mut().unwrap() |= 1 << (63 - self.len % 64);
                 }
                 self.len += 1;
             }
@@ -1431,13 +1407,13 @@ mod tests {
 
             pub fn bitstring(&mut self, s: &BitString) {
                 for i in 0..s.len_bits {
-                    self.bit((s.bytes[(i / 8) as usize] >> (i % 8)) & 1 == 1);
+                    self.bit(bit_at(s, i));
                 }
             }
 
             pub fn finish(self) -> BitString {
                 BitString {
-                    bytes: self.bytes,
+                    words: self.words,
                     len_bits: self.len,
                 }
             }
@@ -1461,9 +1437,9 @@ mod tests {
                 if self.pos >= self.src.len_bits {
                     return Err(END);
                 }
-                let b = (self.src.bytes[(self.pos / 8) as usize] >> (self.pos % 8)) & 1;
+                let b = bit_at(self.src, self.pos);
                 self.pos += 1;
-                Ok(b == 1)
+                Ok(b)
             }
 
             pub fn bits(&mut self, width: u32) -> Res<u64> {
@@ -1715,11 +1691,9 @@ mod tests {
                     (r.read_sorted_deltas(max), o.sorted(max))
                 }
                 Op::Str(t) => {
-                    // The length, then every byte.
-                    let as_words = |b: BitString| {
-                        let bytes = b.bytes.iter().map(|&x| x as u64);
-                        std::iter::once(b.len_bits).chain(bytes).collect()
-                    };
+                    // The length, then every word.
+                    let as_words =
+                        |b: BitString| std::iter::once(b.len_bits).chain(b.words).collect();
                     (
                         r.read_bitstring(t.len_bits).map(as_words),
                         o.bitstring(t.len_bits).map(as_words),
@@ -1827,6 +1801,180 @@ mod tests {
         read_both(&[Op::Sorted(vec![0, 0, 0])], &s);
     }
 
+    /// The 3-word source of the word-boundary tests. [`bit_string`]
+    /// takes each word's bits from the least significant up, so the
+    /// stream's first bit of word 1 is 1 and of word 2 is 0: a read
+    /// that ends just past either boundary sees both values there.
+    const THREE_WORDS: [u64; 3] = [
+        0xDEAD_BEEF_0123_4567,
+        0x89AB_CDEF_FEDC_BA99,
+        0x0F1E_2D3C_4B5A_6978,
+    ];
+
+    /// Every width at every start bit of a 3-word string, each read
+    /// with the field ending exactly at the end of the string, one bit
+    /// short of it, and inside the whole string: the one-word and
+    /// two-word loads, the zero tail and the end-of-string error.
+    #[test]
+    fn fixed_width_reads_match_reference_across_word_boundaries() {
+        let full = bit_string(192, &THREE_WORDS);
+        for start in 0..=130u64 {
+            for width in 1..=64u32 {
+                let end = start + width as u64;
+                for len in [end - 1, end, 192] {
+                    let s = prefix(&full, len.min(192));
+                    let mut r = BitReader {
+                        src: &s,
+                        pos: start,
+                    };
+                    let mut o = reference::Reader::new(&s);
+                    o.pos = start;
+                    let (got, want) = (r.read_bits(width), o.bits(width));
+                    assert_eq!(
+                        got.is_ok(),
+                        want.is_ok(),
+                        "{width} bits at {start} of {len}"
+                    );
+                    if let (Ok(g), Ok(w)) = (got, want) {
+                        assert_eq!(g, w, "{width} bits at {start} of {len}");
+                        assert_eq!(r.pos, o.pos, "cursor after {width} bits at {start}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Unary, gamma, delta and varint codes starting at bits 56..=72,
+    /// so each straddles the first word boundary somewhere, read back
+    /// from every truncation of the stream.
+    #[test]
+    fn variable_codes_match_reference_across_word_boundaries() {
+        let mut codes: Vec<Op> = [0u32, 1, 7, 8, 9, 63, 64, 65, 130]
+            .into_iter()
+            .map(Op::Unary)
+            .collect();
+        for v in [
+            1u64,
+            2,
+            3,
+            255,
+            256,
+            1 << 31,
+            (1 << 32) + 5,
+            u64::MAX / 2,
+            u64::MAX,
+        ] {
+            codes.push(Op::Gamma(v));
+            codes.push(Op::Delta(v));
+        }
+        for v in [0u64, 127, 128, 16_384, 1 << 56, u64::MAX] {
+            codes.push(Op::Varint(v));
+        }
+        // The top `width` bits of `pattern`, as a filler field.
+        let filler = |pattern: u64, width: u32| {
+            Op::Bits(pattern.checked_shr(64 - width).unwrap_or(0), width)
+        };
+        for start in 56..=72u32 {
+            for code in &codes {
+                let ops = [
+                    filler(0x5A5A_5A5A_5A5A_5A5A, start.min(64)),
+                    filler(0xB4B4_B4B4_B4B4_B4B4, start.saturating_sub(64)),
+                    code.clone(),
+                    Op::Bits(0b101, 3),
+                ];
+                let (got, want) = write_both(&ops);
+                assert_eq!(got, want, "{code:?} at {start}");
+                for len in start as u64..=got.len_bits() {
+                    read_both(&ops, &prefix(&got, len));
+                }
+            }
+        }
+    }
+
+    /// `words.len() == len_bits.div_ceil(64)` and every bit past
+    /// `len_bits` zero — what `==`, `Hash` and the partial cache's key
+    /// lookup rely on.
+    fn assert_layout(s: &BitString) {
+        assert_eq!(s.words.len() as u64, s.len_bits.div_ceil(64), "{s:?}");
+        let rest = s.len_bits % 64;
+        if rest > 0 {
+            assert_eq!(s.words.last().unwrap() << rest, 0, "tail bits set: {s:?}");
+        }
+    }
+
+    fn hash_of(s: &BitString) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::hash::DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    /// `a` and `b` hold the same bits: both laid out, equal and hashing
+    /// equal.
+    fn assert_same(a: &BitString, b: &BitString) {
+        assert_layout(a);
+        assert_layout(b);
+        assert_eq!(a, b);
+        assert_eq!(hash_of(a), hash_of(b));
+    }
+
+    #[test]
+    fn every_path_to_a_string_keeps_the_layout() {
+        let ones = bit_string(192, &[u64::MAX; 3]);
+        let src = bit_string(192, &THREE_WORDS);
+        let mut pool = ScratchPool::new();
+        for off in 0..=192u64 {
+            for len in 0..=192 - off {
+                let mut o = reference::Reader::new(&src);
+                o.pos = off;
+                let want = o.bitstring(len).unwrap();
+                // `read_bitstring` at every offset and length.
+                let got = BitReader {
+                    src: &src,
+                    pos: off,
+                }
+                .read_bitstring(len)
+                .unwrap();
+                assert_same(&got, &want);
+                if off > 0 {
+                    continue;
+                }
+                // `finish`, and a pooled writer and `duplicate` whose
+                // recycled buffers last held a longer, all-ones frame.
+                let mut fresh = BitWriter::new();
+                fresh.write_bitstring(&want);
+                assert_same(&fresh.finish(), &want);
+                pool.recycle(ones.clone());
+                let mut pooled = pool.writer();
+                pooled.write_bitstring(&want);
+                assert_same(&pooled.finish(), &want);
+                pool.recycle(ones.clone());
+                assert_same(&pool.duplicate(&want), &want);
+            }
+        }
+        assert_eq!(pool.fresh(), 0, "every pooled path reused a longer buffer");
+    }
+
+    fn codec_matches_reference(ops: &[(u8, u64, u64, Vec<u64>)]) {
+        let ops: Vec<Op> = ops.iter().map(|(k, a, b, c)| op(*k, *a, *b, c)).collect();
+        let (got, want) = write_both(&ops);
+        assert_eq!(got, want);
+        for len in 0..=got.len_bits() {
+            read_both(&ops, &prefix(&got, len));
+        }
+    }
+
+    fn garbage_decodes_like_reference(words: &[u64], len: u64, kinds: &[u8]) {
+        // Sparse words give long zero runs (unary, gamma prefixes).
+        let words: Vec<u64> = words
+            .iter()
+            .map(|w| w & w.rotate_left(17) & w.rotate_left(31))
+            .collect();
+        let s = bit_string(len, &words);
+        let ops: Vec<Op> = kinds.iter().map(|&k| op(k, 5, 77, &[1, 2, 3])).collect();
+        read_both(&ops, &s);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -1837,12 +1985,7 @@ mod tests {
                 0..8,
             ),
         ) {
-            let ops: Vec<Op> = ops.iter().map(|(k, a, b, c)| op(*k, *a, *b, c)).collect();
-            let (got, want) = write_both(&ops);
-            prop_assert_eq!(&got, &want);
-            for len in 0..=got.len_bits() {
-                read_both(&ops, &prefix(&got, len));
-            }
+            codec_matches_reference(&ops);
         }
 
         #[test]
@@ -1851,11 +1994,34 @@ mod tests {
             len in 0u64..384,
             kinds in proptest::collection::vec(any::<u8>(), 1..6),
         ) {
-            // Sparse words give long zero runs (unary, gamma prefixes).
-            let words: Vec<u64> = words.iter().map(|w| w & w.rotate_left(17) & w.rotate_left(31)).collect();
-            let s = bit_string(len, &words);
-            let ops: Vec<Op> = kinds.iter().map(|&k| op(k, 5, 77, &[1, 2, 3])).collect();
-            read_both(&ops, &s);
+            garbage_decodes_like_reference(&words, len, &kinds);
+        }
+    }
+
+    // The same two properties at 16 384 cases each, for a release run
+    // (`cargo test --release -p saq-netsim -- --ignored`).
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16_384))]
+
+        #[test]
+        #[ignore = "16 384 cases: run in release with --ignored"]
+        fn prop_codec_matches_bit_at_a_time_reference_16k(
+            ops in proptest::collection::vec(
+                (any::<u8>(), any::<u64>(), any::<u64>(), proptest::collection::vec(any::<u64>(), 0..9)),
+                0..8,
+            ),
+        ) {
+            codec_matches_reference(&ops);
+        }
+
+        #[test]
+        #[ignore = "16 384 cases: run in release with --ignored"]
+        fn prop_garbage_decodes_like_reference_16k(
+            words in proptest::collection::vec(any::<u64>(), 0..6),
+            len in 0u64..384,
+            kinds in proptest::collection::vec(any::<u8>(), 1..6),
+        ) {
+            garbage_decodes_like_reference(&words, len, &kinds);
         }
     }
 }

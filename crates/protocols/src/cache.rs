@@ -128,15 +128,13 @@ struct Entry<V> {
     value: V,
 }
 
-/// The table's fixed, deterministic key hash: the packed bytes folded
-/// one little-endian word at a time (FxHash's rotate-xor-multiply
-/// step). It covers the bytes only — keys differing just in trailing
-/// zero bits share a hash, and the key comparison tells them apart.
+/// The table's fixed, deterministic key hash: the packed words folded
+/// one at a time (FxHash's rotate-xor-multiply step). It covers the
+/// words only — keys differing just in trailing zero bits share a
+/// hash, and the key comparison tells them apart.
 fn key_hash(key: &CacheKey) -> u64 {
-    key.as_bytes().chunks(8).fold(0, |h, chunk| {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        (h.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(0x517c_c1b7_2722_0a95)
+    key.as_words().iter().fold(0, |h, &word| {
+        (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
     })
 }
 
@@ -269,7 +267,7 @@ impl<V: Clone> PartialCache<V> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use saq_netsim::wire::BitWriter;
+    use saq_netsim::wire::{BitReader, BitWriter, ScratchPool};
     use std::collections::HashMap;
 
     fn key(v: u64) -> CacheKey {
@@ -454,7 +452,7 @@ mod tests {
     }
 
     /// A key from a small universe of 1–4-bit strings: many of them
-    /// pack to the same bytes (`0`, `00`, `000` and `0000`; `1` and
+    /// pack to the same word (`0`, `00`, `000` and `0000`; `1` and
     /// `10`), so they share a hash and only the comparison tells them
     /// apart.
     fn small_key(v: u8) -> CacheKey {
@@ -473,6 +471,52 @@ mod tests {
         c.insert(a.clone(), 1);
         c.insert(b.clone(), 2);
         assert_eq!((c.get(&a), c.get(&b)), (Some(1), Some(2)));
+    }
+
+    /// The same bits reached by different codec paths — captured at a
+    /// word-aligned or an unaligned cursor, duplicated or written into
+    /// recycled buffers that last held a longer frame — are one key:
+    /// equal, with equal `key_hash`, so a lookup finds what another
+    /// path inserted.
+    #[test]
+    fn same_bits_by_any_path_are_one_key() {
+        let mut w = BitWriter::new();
+        w.write_bits(0xDEAD_BEEF, 32);
+        w.write_gamma(1234);
+        w.write_bits(u64::MAX, 64);
+        w.write_bits(0b101, 3);
+        let src = w.finish();
+        let ones = {
+            let mut w = BitWriter::new();
+            (0..3).for_each(|_| w.write_bits(u64::MAX, 64));
+            w.finish()
+        };
+        let mut pool = ScratchPool::new();
+        for len in 0..=src.len_bits() {
+            let key = BitReader::new(&src).read_bitstring(len).unwrap();
+            let unaligned = {
+                let mut w = BitWriter::new();
+                w.write_bits(0b11, 2);
+                w.write_bitstring(&key);
+                let s = w.finish();
+                let mut r = BitReader::new(&s);
+                r.read_bits(2).unwrap();
+                r.read_bitstring(len).unwrap()
+            };
+            pool.recycle(ones.clone());
+            let duplicate = pool.duplicate(&key);
+            pool.recycle(ones.clone());
+            let mut w = pool.writer();
+            w.write_bitstring(&key);
+            let pooled = w.finish();
+            let mut cache: PartialCache<u64> = PartialCache::new(4);
+            cache.insert(key.clone(), len);
+            for other in [unaligned, duplicate, pooled] {
+                assert_eq!(other, key, "{len} bits");
+                assert_eq!(key_hash(&other), key_hash(&key), "{len} bits");
+                assert_eq!(cache.probe(&other), Some(&len), "{len} bits");
+            }
+        }
     }
 
     proptest! {

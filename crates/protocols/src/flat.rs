@@ -880,11 +880,12 @@ fn eval_block<P: WaveProtocol>(
     Ok(())
 }
 
-/// One worker's share of a wave: its protocol clone (sharing the
-/// group's side-state), scratch, the driver's request table (read
-/// only), and assigned blocks with their disjoint column windows.
+/// One worker's share of a wave: its group's protocol (lent, with the
+/// group's side-state, to this worker alone), scratch, the driver's
+/// request table (read only), and assigned blocks with their disjoint
+/// column windows.
 struct WorkerTask<'a, P: WaveProtocol> {
-    proto: P,
+    proto: &'a mut P,
     scratch: &'a mut Scratch<P>,
     spine: &'a [(P::Request, u64)],
     blocks: Vec<(ShardBlock, Cols<'a, P>)>,
@@ -903,7 +904,7 @@ fn run_task<P: WaveProtocol>(
         let mut window = cols.reborrow();
         let r = eval_block(
             env,
-            &task.proto,
+            task.proto,
             task.scratch,
             task.spine,
             &mut window,
@@ -1411,11 +1412,11 @@ where
             .collect();
         let mut tasks: Vec<WorkerTask<'_, P>> = self
             .worker_protos
-            .iter()
+            .iter_mut()
             .zip(self.worker_scratch.iter_mut())
             .zip(self.plan.groups())
             .map(|((proto, scratch), group)| WorkerTask {
-                proto: proto.clone(),
+                proto,
                 scratch,
                 spine,
                 blocks: group

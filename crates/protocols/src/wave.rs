@@ -370,6 +370,11 @@ pub trait WaveProtocol: Clone {
     /// [`MultiplexWave`]) must hand the group a fresh, independent
     /// instance here, so groups never contend and `Send` holds; the
     /// plain `clone` default is correct for stateless protocols.
+    ///
+    /// The runner keeps one group clone per worker group for its whole
+    /// life and lends it, `&mut`, to that group's one worker each wave:
+    /// a group clone is never shared between threads and never cloned,
+    /// so its side-state need not be `Sync`.
     fn shard_clone(&self) -> Self {
         self.clone()
     }
@@ -1557,8 +1562,9 @@ impl MuxSlotBits {
 /// when several sub-aggregates share one envelope.
 ///
 /// Aligned to 128 bytes (an adjacent-line prefetch pair) so that the
-/// flat runner's per-group ledgers, which are locked and added to at
-/// every node, never share a cache line with one another.
+/// flat runner's per-group ledgers, which each group's worker adds to
+/// at every node, never share a cache line with one another or with
+/// anything else.
 #[derive(Debug, Clone, Default)]
 #[repr(align(128))]
 pub struct MuxLedger {
@@ -1660,18 +1666,21 @@ impl<R> MuxEntry<R> {
 /// paying `k` of them — the saving experiment E12 in `saq-bench`
 /// measures.
 ///
-/// Every transmitted bit is attributed in a shared [`MuxLedger`]:
+/// Every transmitted bit is attributed in a [`MuxLedger`]:
 /// sub-request and sub-partial bits to their entry's declared slot, the
 /// count prefix, dense flag and any explicit slot tags to
 /// [`MuxLedger::envelope_bits`]. Partials are billed as they are
 /// encoded; requests as a runner sends them
 /// ([`WaveProtocol::note_request_copies`]), so encoding a request is
-/// pure. The ledger is shared across the clones
-/// deployed to the simulated nodes, so after a wave it holds the exact
-/// transmit-side cost split. On the parallel flat runner each worker
-/// group bills a ledger of its own ([`WaveProtocol::shard_clone`]),
-/// drained back into the root ledger at the barrier in fixed group order
-/// ([`WaveProtocol::absorb_shard`]) — tallies are sums either way.
+/// pure. The ledger is shared, behind a mutex, across the plain clones
+/// deployed to the simulated nodes (the boxed runner's nodes, the flat
+/// runner's spine), so after a wave it holds the exact transmit-side
+/// cost split. On the parallel flat runner each worker group bills a
+/// ledger of its own ([`WaveProtocol::shard_clone`]) without a lock —
+/// only its one worker touches it — drained back into the root ledger
+/// at the barrier in fixed group order ([`WaveProtocol::absorb_shard`]);
+/// tallies are sums either way. A group clone is never cloned again: a
+/// clone of one gets a fresh ledger of its own.
 /// Tallies are exact under [`Reliability::None`]. Under ARQ each logical
 /// message is charged **once** — retransmissions resend the cached
 /// payload unbilled, and ACK frames are never attributed — so per-slot
@@ -1684,7 +1693,61 @@ impl<R> MuxEntry<R> {
 #[derive(Debug, Clone)]
 pub struct MultiplexWave<P: WaveProtocol> {
     inner: P,
-    ledger: std::sync::Arc<std::sync::Mutex<MuxLedger>>,
+    ledger: Ledger,
+}
+
+/// Where a [`MultiplexWave`] bills its bits.
+#[derive(Debug)]
+enum Ledger {
+    /// Shared by every plain clone, locked on each bill.
+    Shared(std::sync::Arc<std::sync::Mutex<MuxLedger>>),
+    /// A worker group's own ([`WaveProtocol::shard_clone`]), billed by
+    /// its one worker without a lock. Boxed, so it sits on 128-byte
+    /// blocks of its own wherever the group protocol lives.
+    Group(Box<std::cell::RefCell<MuxLedger>>),
+}
+
+impl Clone for Ledger {
+    /// Plain clones share the ledger. A group ledger is never shared: a
+    /// clone of a group clone (which no runner makes) bills a fresh one.
+    fn clone(&self) -> Self {
+        match self {
+            Ledger::Shared(shared) => Ledger::Shared(std::sync::Arc::clone(shared)),
+            Ledger::Group(_) => Ledger::Group(Default::default()),
+        }
+    }
+}
+
+/// A [`MultiplexWave`]'s ledger, borrowed for billing
+/// ([`MultiplexWave::ledger_mut`]): a mutex guard on a shared ledger, a
+/// plain borrow on a worker group's own.
+#[derive(Debug)]
+pub struct MuxLedgerGuard<'a>(LedgerGuard<'a>);
+
+#[derive(Debug)]
+enum LedgerGuard<'a> {
+    Locked(std::sync::MutexGuard<'a, MuxLedger>),
+    Borrowed(std::cell::RefMut<'a, MuxLedger>),
+}
+
+impl std::ops::Deref for MuxLedgerGuard<'_> {
+    type Target = MuxLedger;
+
+    fn deref(&self) -> &MuxLedger {
+        match &self.0 {
+            LedgerGuard::Locked(g) => g,
+            LedgerGuard::Borrowed(g) => g,
+        }
+    }
+}
+
+impl std::ops::DerefMut for MuxLedgerGuard<'_> {
+    fn deref_mut(&mut self) -> &mut MuxLedger {
+        match &mut self.0 {
+            LedgerGuard::Locked(g) => g,
+            LedgerGuard::Borrowed(g) => g,
+        }
+    }
 }
 
 impl<P: WaveProtocol> MultiplexWave<P> {
@@ -1692,7 +1755,7 @@ impl<P: WaveProtocol> MultiplexWave<P> {
     pub fn new(inner: P) -> Self {
         MultiplexWave {
             inner,
-            ledger: std::sync::Arc::default(),
+            ledger: Ledger::Shared(std::sync::Arc::default()),
         }
     }
 
@@ -1702,19 +1765,34 @@ impl<P: WaveProtocol> MultiplexWave<P> {
     }
 
     /// The shared bit-attribution ledger.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a worker group's clone
+    /// ([`WaveProtocol::shard_clone`]), whose ledger is its own and not
+    /// shared.
     pub fn ledger(&self) -> std::sync::Arc<std::sync::Mutex<MuxLedger>> {
-        std::sync::Arc::clone(&self.ledger)
+        match &self.ledger {
+            Ledger::Shared(shared) => std::sync::Arc::clone(shared),
+            Ledger::Group(_) => panic!("a worker group's mux ledger is not shared"),
+        }
     }
 
-    /// Locks the shared ledger. A panic while the guard was held (an
-    /// inner codec panicking on a worker) poisons the mutex but cannot
-    /// corrupt the ledger: every update is a counter addition, and
-    /// drivers reset the tallies before each wave. So the guard is
+    /// Borrows the ledger for billing: locks a shared one, borrows a
+    /// worker group's own. A panic while a shared ledger's guard was
+    /// held (an inner codec panicking on a worker) poisons the mutex but
+    /// cannot corrupt the ledger: every update is a counter addition,
+    /// and drivers reset the tallies before each wave. So the guard is
     /// recovered, not propagated.
-    pub fn ledger_mut(&self) -> std::sync::MutexGuard<'_, MuxLedger> {
-        self.ledger
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    pub fn ledger_mut(&self) -> MuxLedgerGuard<'_> {
+        MuxLedgerGuard(match &self.ledger {
+            Ledger::Shared(shared) => LedgerGuard::Locked(
+                shared
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            ),
+            Ledger::Group(own) => LedgerGuard::Borrowed(own.borrow_mut()),
+        })
     }
 
     /// Builds the dense envelope billing sub-request `i` to ledger slot
@@ -1854,14 +1932,14 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
                     // not put an allocation on every decode (the
                     // allocation gates run in debug too).
                     thread_local! {
-                        static SCRATCH: std::cell::Cell<Vec<u8>> =
+                        static SCRATCH: std::cell::Cell<Vec<u64>> =
                             const { std::cell::Cell::new(Vec::new()) };
                     }
                     let mut chk = BitWriter::with_scratch(SCRATCH.take());
                     self.inner.encode_request(&req, &mut chk);
                     let chk = chk.finish();
                     debug_assert_eq!(chk, raw, "captured slot bits must equal the re-encoding");
-                    SCRATCH.set(chk.into_bytes());
+                    SCRATCH.set(chk.into_words());
                 }
                 Ok(MuxEntry {
                     slot: slot as u32,
@@ -2055,12 +2133,13 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         Ok(())
     }
 
-    /// A worker group gets its own ledger: the group bills it without
-    /// contending with other groups or the root.
+    /// A worker group gets a ledger of its own, which its one worker
+    /// bills without a lock and without contending with other groups or
+    /// the root.
     fn shard_clone(&self) -> Self {
         MultiplexWave {
             inner: self.inner.shard_clone(),
-            ledger: std::sync::Arc::default(),
+            ledger: Ledger::Group(Default::default()),
         }
     }
 
@@ -2070,7 +2149,11 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
     /// emptied slot buffer for the next wave. A shard sharing this
     /// ledger (a plain `clone`) has nothing to move.
     fn absorb_shard(&self, shard: &Self) {
-        if !std::sync::Arc::ptr_eq(&self.ledger, &shard.ledger) {
+        let shared = match (&self.ledger, &shard.ledger) {
+            (Ledger::Shared(a), Ledger::Shared(b)) => std::sync::Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        if !shared {
             let mut group = shard.ledger_mut();
             self.ledger_mut().absorb(&group);
             group.reset(0);
@@ -2208,6 +2291,44 @@ mod tests {
         root.absorb_shard(&root.clone());
         assert_eq!(root.ledger_mut().slots(), merged.slots());
         assert_eq!(root.ledger_mut().envelope_bits(), merged.envelope_bits());
+    }
+
+    #[test]
+    fn group_clones_bill_ledgers_of_their_own() {
+        let root = MultiplexWave::new(SumBelow {
+            value_width: width_for_max(1000),
+        });
+        let groups: Vec<_> = (0..4).map(|_| root.shard_clone()).collect();
+        // Each group ledger fills 128-byte blocks of its own.
+        assert_eq!(
+            std::mem::size_of::<std::cell::RefCell<MuxLedger>>() % 128,
+            0
+        );
+        for g in &groups {
+            let Ledger::Group(own) = &g.ledger else {
+                panic!("a group clone bills a ledger of its own");
+            };
+            let addr = &**own as *const std::cell::RefCell<MuxLedger> as usize;
+            assert_eq!(
+                addr % 128,
+                0,
+                "group ledger at {addr:#x} is not 128-aligned"
+            );
+        }
+        let req = MultiplexWave::envelope(root.inner(), vec![5]);
+        groups[0].note_request_copies(&req, 1);
+        assert!(root.ledger_mut().slots().is_empty());
+        assert!(groups[1].ledger_mut().slots().is_empty());
+        // A clone of a group clone (which no runner makes) bills a fresh
+        // ledger, not the group's.
+        let copy = groups[0].clone();
+        copy.note_request_copies(&req, 2);
+        assert_eq!(groups[0].ledger_mut().slots()[0].request_bits, 10);
+        assert_eq!(copy.ledger_mut().slots()[0].request_bits, 20);
+        for g in &groups {
+            root.absorb_shard(g);
+        }
+        assert_eq!(root.ledger_mut().slots()[0].request_bits, 10);
     }
 
     #[test]
