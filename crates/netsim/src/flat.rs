@@ -45,7 +45,6 @@ const NO_PARENT: u32 = u32::MAX;
 /// // A path 0 → 1 → 2 rooted at 0.
 /// let tree = FlatTree::from_parents(0, &[None, Some(0), Some(1)]);
 /// assert_eq!(tree.len(), 3);
-/// assert_eq!(tree.subtree_size(0), 3);
 /// assert_eq!(tree.children_pos(0), &[1]);
 /// assert_eq!(tree.parent_pos(tree.pos_of(2)), Some(tree.pos_of(1)));
 /// ```
@@ -201,16 +200,6 @@ impl FlatTree {
             self.child_start[pos + 1] as usize,
         );
         &self.child_pos[s..e]
-    }
-
-    /// Size of the subtree rooted at `pos`; its positions are exactly
-    /// `pos..pos + size`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos` is out of range.
-    pub fn subtree_size(&self, pos: usize) -> usize {
-        self.subtree[pos] as usize
     }
 
     /// Depth of `pos` (root = 0).
@@ -437,7 +426,7 @@ mod tests {
         let t = FlatTree::from_parents(0, &parents);
         assert_eq!(t.len(), 40);
         assert_eq!(t.global_of(0), 0);
-        assert_eq!(t.subtree_size(0), 40);
+        assert_eq!(t.subtree[0], 40);
         for p in 0..t.len() {
             // Subtree contiguity: children ranges tile (p, p+size).
             let mut cursor = p + 1;
@@ -445,9 +434,9 @@ mod tests {
                 assert_eq!(c as usize, cursor, "child ranges must be contiguous");
                 assert_eq!(t.parent_pos(c as usize), Some(p));
                 assert_eq!(t.depth_of(c as usize), t.depth_of(p) + 1);
-                cursor += t.subtree_size(c as usize);
+                cursor += t.subtree[c as usize] as usize;
             }
-            assert_eq!(cursor, p + t.subtree_size(p));
+            assert_eq!(cursor, p + t.subtree[p] as usize);
             // Round trip of the id maps.
             assert_eq!(t.pos_of(t.global_of(p)), p);
         }
@@ -466,7 +455,7 @@ mod tests {
     fn flat_tree_path_and_singleton() {
         let path = FlatTree::from_parents(0, &[None, Some(0), Some(1), Some(2)]);
         assert_eq!(path.height(), 3);
-        assert_eq!(path.subtree_size(1), 3);
+        assert_eq!(path.subtree[1], 3);
         let single = FlatTree::from_parents(0, &[None]);
         assert_eq!(single.len(), 1);
         assert!(single.children_pos(0).is_empty());

@@ -36,6 +36,20 @@ impl NodeStats {
     pub fn total_bits(&self) -> u64 {
         self.tx_bits + self.rx_bits
     }
+
+    /// Records a transmitted packet of `bits` bits.
+    pub fn charge_tx(&mut self, model: &EnergyModel, bits: u64) {
+        self.tx_bits += bits;
+        self.tx_packets += 1;
+        self.energy.charge_tx(model, bits);
+    }
+
+    /// Records a received packet of `bits` bits.
+    pub fn charge_rx(&mut self, model: &EnergyModel, bits: u64) {
+        self.rx_bits += bits;
+        self.rx_packets += 1;
+        self.energy.charge_rx(model, bits);
+    }
 }
 
 /// Traffic on one spanning-tree edge, tallied at the edge's **child**
@@ -56,19 +70,25 @@ impl TreeLinkBits {
 }
 
 /// `tree_parent` entry of a node without a declared tree edge.
-const NO_PARENT: usize = usize::MAX;
+const NO_PARENT: u32 = u32::MAX;
 
-/// Communication statistics for a whole network.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Communication statistics for a whole network, stored in an order
+/// fixed when built (see [`NetStats::with_tree`]); every accessor keyed
+/// by node id, iteration and equality included, hides that order.
+#[derive(Debug, Clone, Default)]
 pub struct NetStats {
+    /// Per-node counters, in storage order.
     nodes: Vec<NodeStats>,
+    /// Storage slot of each node id; empty when storage is in id order.
+    slot_of: Vec<u32>,
     energy_model: EnergyModel,
-    /// Parent of each node on the declared spanning tree ([`NO_PARENT`]
-    /// for the root); empty unless built by [`NetStats::with_tree`].
-    tree_parent: Vec<usize>,
-    /// Dense ledger of the declared tree's edges, indexed by child id —
-    /// a convergecast runner charges 2·(N−1) of these per wave, which is
-    /// what keeps that off the hash map below.
+    /// Parent id of each node on the declared spanning tree
+    /// ([`NO_PARENT`] for the root), indexed by id; empty unless built by
+    /// [`NetStats::with_tree`].
+    tree_parent: Vec<u32>,
+    /// Dense ledger of the declared tree's edges, at the child's storage
+    /// slot — a convergecast runner charges 2·(N−1) of these per wave,
+    /// which is what keeps that off the hash map below.
     tree_links: Vec<TreeLinkBits>,
     /// Directed per-link traffic on every *other* edge: bits scheduled
     /// from `src` toward `dst` (counted per physical transmission
@@ -77,45 +97,74 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Creates zeroed statistics for `n` nodes with the given energy model.
+    /// Creates zeroed statistics for `n` nodes with the given energy
+    /// model, stored in node-id order.
     pub fn new(n: usize, energy_model: EnergyModel) -> Self {
         NetStats {
             nodes: vec![NodeStats::default(); n],
             energy_model,
-            tree_parent: Vec::new(),
-            tree_links: Vec::new(),
-            links: std::collections::HashMap::new(),
+            ..NetStats::default()
         }
     }
 
     /// As [`NetStats::new`], additionally declaring a spanning tree
     /// (the `v`-th item of `parents` is `v`'s parent, `None` at the
     /// root) whose edges are tallied in a dense column instead of the
-    /// link map. Purely a representation choice: every accessor returns
-    /// what the map-backed tracker would.
+    /// link map, and storing the counters in `order` (its `s`-th item
+    /// is the id kept in slot `s`; a flat runner's DFS order). Purely a
+    /// representation choice: every accessor returns what the
+    /// map-backed, id-ordered tracker would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `order` is not a permutation of the node ids, or if a
+    /// node id does not fit in a `u32`.
     pub fn with_tree(
         energy_model: EnergyModel,
         parents: impl IntoIterator<Item = Option<usize>>,
+        order: impl IntoIterator<Item = usize>,
     ) -> Self {
-        let tree_parent: Vec<usize> = parents
+        let id = |v: usize| u32::try_from(v).expect("node id fits in u32");
+        let tree_parent: Vec<u32> = parents
             .into_iter()
-            .map(|p| p.unwrap_or(NO_PARENT))
+            .map(|p| p.map_or(NO_PARENT, id))
             .collect();
         let n = tree_parent.len();
+        let mut slot_of = vec![u32::MAX; n];
+        for (s, v) in order.into_iter().enumerate() {
+            slot_of[v] = id(s);
+        }
+        // Only a permutation of `0..n` leaves every id a slot below `n`.
+        assert!(
+            slot_of.iter().all(|&s| (s as usize) < n),
+            "not a permutation"
+        );
         NetStats {
+            slot_of,
             tree_parent,
             tree_links: vec![TreeLinkBits::default(); n],
             ..NetStats::new(n, energy_model)
         }
     }
 
-    /// When the declared tree has the edge `{a, b}`: its child endpoint,
-    /// and whether `a → b` is the downward direction.
+    /// Storage slot of `node`.
+    fn slot(&self, node: usize) -> usize {
+        self.slot_of.get(node).map_or(node, |&s| s as usize)
+    }
+
+    /// `node`'s parent on the declared tree.
+    fn tree_parent(&self, node: usize) -> Option<usize> {
+        let p = *self.tree_parent.get(node)?;
+        (p != NO_PARENT).then_some(p as usize)
+    }
+
+    /// When the declared tree has the edge `{a, b}`: the storage slot of
+    /// its child endpoint, and whether `a → b` is the downward direction.
     fn tree_edge(&self, a: usize, b: usize) -> Option<(usize, bool)> {
-        if self.tree_parent.get(b) == Some(&a) {
-            Some((b, true))
-        } else if self.tree_parent.get(a) == Some(&b) {
-            Some((a, false))
+        if self.tree_parent(b) == Some(a) {
+            Some((self.slot(b), true))
+        } else if self.tree_parent(a) == Some(b) {
+            Some((self.slot(a), false))
         } else {
             None
         }
@@ -130,12 +179,11 @@ impl NetStats {
         }
     }
 
-    /// Mutable access to the dense tree-edge tallies (indexed by child
-    /// id; empty without a declared tree), for runners that keep their
-    /// own per-edge columns and flush them wholesale — the link-side
-    /// companion of [`NetStats::nodes_mut`].
-    pub fn tree_links_mut(&mut self) -> &mut [TreeLinkBits] {
-        &mut self.tree_links
+    /// The per-node counters and the declared tree's edge tallies (at
+    /// the child; empty without a tree) in storage order, for a runner
+    /// that bills in that order in place (the flat substrate).
+    pub fn storage_mut(&mut self) -> (&mut [NodeStats], &mut [TreeLinkBits]) {
+        (&mut self.nodes, &mut self.tree_links)
     }
 
     /// Total bits carried by the undirected link `{a, b}`.
@@ -153,12 +201,9 @@ impl NetStats {
     /// this on a line).
     pub fn cut_bits(&self, left: usize) -> u64 {
         let tree: u64 = self
-            .tree_parent
-            .iter()
-            .zip(&self.tree_links)
-            .enumerate()
-            .filter(|&(c, (&p, _))| p != NO_PARENT && (p < left) != (c < left))
-            .map(|(_, (_, e))| e.total())
+            .tree_edges()
+            .filter(|&(c, p, _)| (p < left) != (c < left))
+            .map(|(.., e)| e.total())
             .sum();
         let other: u64 = self
             .links
@@ -185,37 +230,24 @@ impl NetStats {
     ///
     /// Panics if `node` is out of range.
     pub fn node(&self, node: usize) -> &NodeStats {
-        &self.nodes[node]
+        &self.nodes[self.slot(node)]
     }
 
-    /// Iterates over all per-node counters.
+    /// Iterates over all per-node counters in ascending node id.
     pub fn iter(&self) -> impl Iterator<Item = &NodeStats> {
-        self.nodes.iter()
-    }
-
-    /// Mutable access to the per-node counters, for runners that keep
-    /// their own contiguous counter columns and flush them into a
-    /// [`NetStats`] ledger wholesale (the flat convergecast substrate).
-    pub fn nodes_mut(&mut self) -> &mut [NodeStats] {
-        &mut self.nodes
+        (0..self.len()).map(|v| self.node(v))
     }
 
     /// Records that `node` transmitted a packet of `bits` bits.
     pub fn charge_tx(&mut self, node: usize, bits: u64) {
-        let model = self.energy_model;
-        let s = &mut self.nodes[node];
-        s.tx_bits += bits;
-        s.tx_packets += 1;
-        s.energy.charge_tx(&model, bits);
+        let slot = self.slot(node);
+        self.nodes[slot].charge_tx(&self.energy_model, bits);
     }
 
     /// Records that `node` received a packet of `bits` bits.
     pub fn charge_rx(&mut self, node: usize, bits: u64) {
-        let model = self.energy_model;
-        let s = &mut self.nodes[node];
-        s.rx_bits += bits;
-        s.rx_packets += 1;
-        s.energy.charge_rx(&model, bits);
+        let slot = self.slot(node);
+        self.nodes[slot].charge_rx(&self.energy_model, bits);
     }
 
     /// The paper's individual communication complexity for this execution:
@@ -228,9 +260,10 @@ impl NetStats {
             .unwrap_or(0)
     }
 
-    /// The node attaining [`NetStats::max_node_bits`].
+    /// The node attaining [`NetStats::max_node_bits`] (the highest id
+    /// among ties).
     pub fn max_node(&self) -> Option<usize> {
-        (0..self.nodes.len()).max_by_key(|&i| self.nodes[i].total_bits())
+        (0..self.len()).max_by_key(|&v| self.node(v).total_bits())
     }
 
     /// Total bits transmitted network-wide (each transmission counted once;
@@ -244,11 +277,7 @@ impl NetStats {
         if self.nodes.is_empty() {
             return 0.0;
         }
-        self.nodes
-            .iter()
-            .map(|s| s.total_bits() as f64)
-            .sum::<f64>()
-            / self.nodes.len() as f64
+        self.iter().map(|s| s.total_bits() as f64).sum::<f64>() / self.nodes.len() as f64
     }
 
     /// Maximum per-node energy in nanojoules.
@@ -259,11 +288,18 @@ impl NetStats {
             .fold(0.0, f64::max)
     }
 
-    /// Resets every counter to zero, keeping the node count and model.
+    /// Resets every counter to zero, keeping the node count, model,
+    /// declared tree and storage order.
     pub fn reset(&mut self) {
         self.nodes.fill(NodeStats::default());
         self.tree_links.fill(TreeLinkBits::default());
         self.links.clear();
+    }
+
+    /// Every declared tree edge as `(child, parent, tally)`, by child id.
+    fn tree_edges(&self) -> impl Iterator<Item = (usize, usize, &TreeLinkBits)> {
+        (0..self.tree_parent.len())
+            .filter_map(|c| Some((c, self.tree_parent(c)?, &self.tree_links[self.slot(c)])))
     }
 
     /// Merges another run's counters into this one (element-wise sum).
@@ -274,7 +310,9 @@ impl NetStats {
     /// Panics if the node counts differ.
     pub fn absorb(&mut self, other: &NetStats) {
         assert_eq!(self.len(), other.len(), "node count mismatch");
-        for (a, b) in self.nodes.iter_mut().zip(&other.nodes) {
+        for (v, b) in other.iter().enumerate() {
+            let slot = self.slot(v);
+            let a = &mut self.nodes[slot];
             a.tx_bits += b.tx_bits;
             a.rx_bits += b.rx_bits;
             a.tx_packets += b.tx_packets;
@@ -284,7 +322,7 @@ impl NetStats {
         }
         // Through `charge_link`, so each edge lands in this tracker's
         // own representation whichever one `other` kept it in.
-        for (c, (&p, e)) in other.tree_parent.iter().zip(&other.tree_links).enumerate() {
+        for (c, p, e) in other.tree_edges() {
             if e.down > 0 {
                 self.charge_link(p, c, e.down);
             }
@@ -295,6 +333,17 @@ impl NetStats {
         for (&(s, d), &v) in &other.links {
             self.charge_link(s, d, v);
         }
+    }
+}
+
+impl PartialEq for NetStats {
+    /// Compares node by node and edge by edge in id order, whatever the
+    /// two storage orders.
+    fn eq(&self, other: &Self) -> bool {
+        (self.energy_model, &self.tree_parent, &self.links)
+            == (other.energy_model, &other.tree_parent, &other.links)
+            && self.iter().eq(other.iter())
+            && self.tree_edges().eq(other.tree_edges())
     }
 }
 
@@ -385,23 +434,32 @@ mod tests {
         assert_eq!(a.link_bits(0, 1), 9);
     }
 
-    /// The same charges on a map-backed tracker and on one that keeps
-    /// the tree `0 ← 1 ← 2, 1 ← 3` densely; `0 ↔ 3` is not a tree edge.
-    fn map_and_dense() -> (NetStats, NetStats) {
+    /// The same frames charged to a map-backed tracker, to one that
+    /// keeps the tree `0 ← 1 ← 2, 1 ← 3` densely in id order, and to one
+    /// that keeps it densely in the storage order `[3, 1, 0, 2]`;
+    /// `0 ↔ 3` is not a tree edge.
+    fn map_and_dense() -> (NetStats, NetStats, NetStats) {
         let parents = [None, Some(0), Some(1), Some(1)];
-        let mut pair = (
+        let mut all = (
             NetStats::new(4, EnergyModel::default()),
-            NetStats::with_tree(EnergyModel::default(), parents),
+            NetStats::with_tree(EnergyModel::default(), parents, 0..4),
+            NetStats::with_tree(EnergyModel::default(), parents, [3, 1, 0, 2]),
         );
-        for s in [&mut pair.0, &mut pair.1] {
-            s.charge_link(0, 1, 10);
-            s.charge_link(1, 0, 5);
-            s.charge_link(1, 2, 7);
-            s.charge_link(3, 1, 2);
-            s.charge_link(0, 3, 100);
-            s.charge_link(3, 0, 1);
+        for s in [&mut all.0, &mut all.1, &mut all.2] {
+            for (src, dst, bits) in [
+                (0, 1, 10),
+                (1, 0, 5),
+                (1, 2, 7),
+                (3, 1, 2),
+                (0, 3, 100),
+                (3, 0, 1),
+            ] {
+                s.charge_tx(src, bits);
+                s.charge_rx(dst, bits);
+                s.charge_link(src, dst, bits);
+            }
         }
-        (pair.0, pair.1)
+        all
     }
 
     fn assert_same_links(a: &NetStats, b: &NetStats) {
@@ -415,34 +473,77 @@ mod tests {
         }
     }
 
+    /// Per-node counters as `iter()` yields them.
+    fn per_node(s: &NetStats) -> Vec<NodeStats> {
+        s.iter().copied().collect()
+    }
+
     #[test]
     fn dense_tree_tally_matches_the_map() {
-        let (map, dense) = map_and_dense();
-        assert_eq!(dense.link_bits(0, 1), 15);
-        assert_eq!(dense.link_bits(1, 3), 2);
-        assert_eq!(dense.link_bits(0, 3), 101, "non-tree edge stays in the map");
-        assert_eq!(dense.cut_bits(1), 15 + 101);
-        assert_same_links(&map, &dense);
-        // Tree edges never reached the map; the other edge never left it.
-        assert_eq!(dense.links.len(), 2);
-        assert_eq!(dense.tree_links[1], TreeLinkBits { down: 10, up: 5 });
+        let (map, dense, permuted) = map_and_dense();
+        for s in [&dense, &permuted] {
+            assert_eq!(s.link_bits(0, 1), 15);
+            assert_eq!(s.link_bits(1, 3), 2);
+            assert_eq!(s.link_bits(0, 3), 101, "non-tree edge stays in the map");
+            assert_eq!(s.cut_bits(1), 15 + 101);
+            assert_same_links(&map, s);
+            // Tree edges never reached the map; the other edge never left it.
+            assert_eq!(s.links.len(), 2);
+            assert_eq!(s.tree_links[s.slot(1)], TreeLinkBits { down: 10, up: 5 });
+        }
+        // `iter()` yields id order whatever the storage order.
+        let totals: Vec<u64> = permuted.iter().map(NodeStats::total_bits).collect();
+        assert_eq!(totals, [116, 24, 7, 103]);
+        assert_eq!(per_node(&map), per_node(&permuted));
+        assert_eq!(dense, permuted, "equality is per id");
+        assert_ne!(map, dense, "the edge representation is compared too");
+        for s in [&map, &dense, &permuted] {
+            assert_eq!((s.max_node(), s.max_node_bits()), (Some(0), 116));
+            assert_eq!(s.total_tx_bits(), 125);
+        }
+        // A tie goes to the highest id, never to the last storage slot
+        // (node 0 sits after node 1 in `permuted`'s storage).
+        let (mut map, mut dense, mut permuted) = map_and_dense();
+        for s in [&mut map, &mut dense, &mut permuted] {
+            s.charge_tx(1, 92);
+            assert_eq!((s.max_node(), s.max_node_bits()), (Some(1), 116));
+        }
     }
 
     #[test]
     fn absorb_and_reset_agree_across_representations() {
-        let (map, dense) = map_and_dense();
+        let sources = map_and_dense();
         // Every pairing of target and source representation sums alike.
-        let (mut into_map, mut into_dense) = map_and_dense();
-        into_map.absorb(&dense);
-        into_dense.absorb(&map);
-        assert_same_links(&into_map, &into_dense);
-        assert_eq!(into_dense.link_bits(0, 1), 30);
-        assert_eq!(into_dense.link_bits(0, 3), 202);
-        // Reset zeroes both ledgers and keeps the declared tree.
-        into_dense.reset();
-        assert_same_links(&into_dense, &NetStats::new(4, EnergyModel::default()));
-        into_dense.charge_link(1, 2, 9);
-        assert_eq!(into_dense.tree_links[2].down, 9);
+        for source in [&sources.0, &sources.1, &sources.2] {
+            let (mut into_map, mut into_dense, mut into_permuted) = map_and_dense();
+            for target in [&mut into_map, &mut into_dense, &mut into_permuted] {
+                target.absorb(source);
+                assert_eq!(target.link_bits(0, 1), 30);
+                assert_eq!(target.link_bits(0, 3), 202);
+                assert_eq!(target.node(3).total_bits(), 206);
+            }
+            assert_same_links(&into_map, &into_dense);
+            assert_same_links(&into_map, &into_permuted);
+            assert_eq!(per_node(&into_map), per_node(&into_permuted));
+            assert_eq!(into_dense, into_permuted);
+        }
+        // Reset zeroes every ledger and keeps the declared tree and the
+        // storage order.
+        let (_, _, mut permuted) = map_and_dense();
+        permuted.reset();
+        let zero = NetStats::new(4, EnergyModel::default());
+        assert_same_links(&permuted, &zero);
+        assert_eq!(per_node(&permuted), per_node(&zero));
+        permuted.charge_link(1, 2, 9);
+        assert_eq!(permuted.tree_links[permuted.slot(2)].down, 9);
+        assert_eq!(permuted.slot(2), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a permutation")]
+    fn storage_order_must_be_a_permutation() {
+        // Each id has a slot, but slot 2 is past the end.
+        NetStats::with_tree(EnergyModel::default(), [None, Some(0)], [1, 0, 1]);
     }
 
     #[test]

@@ -64,11 +64,12 @@
 //!   [`Reliability::Ack`]. A column that is off is empty, and a window
 //!   carves it into empty slices, so a node with no cache touches no
 //!   cache state;
-//! * **link tallies are columns**: a tree edge is owned by its child
-//!   position, always inside the window that emulates the exchange, so
-//!   both directions accumulate in a [`TreeLinkBits`] column flushed
-//!   with the node counters — no per-transmission record, no hash map —
-//!   and only for the positions a wave billed.
+//! * **bits are billed where they are kept**: the runner's [`NetStats`]
+//!   is stored in position order, so a window carves its counters and
+//!   [`TreeLinkBits`] ([`NetStats::storage_mut`]) like any other column
+//!   and nothing is copied after a wave. A tree edge is tallied at its
+//!   child position, always inside the window that emulates the
+//!   exchange — no per-transmission record, no hash map.
 //!
 //! ## Nested parallelism
 //!
@@ -229,7 +230,7 @@ struct Endpoint<'a> {
 impl Endpoint<'_> {
     /// Bills one transmission of `bits` onto the edge.
     fn transmit(&mut self, model: &EnergyModel, bits: u64, frames: &mut u64) {
-        charge_tx(self.stats, model, bits);
+        self.stats.charge_tx(model, bits);
         *self.link += bits;
         *frames += 1;
     }
@@ -299,7 +300,7 @@ fn arq_exchange(
             LinkFate::DeliveredTwice(_, _) => (2, 2),
         };
         for _ in 0..delivered {
-            charge_rx(receiver.stats, env.model, bits);
+            receiver.stats.charge_rx(env.model, bits);
         }
         let mut acked = false;
         for _ in 0..intact {
@@ -308,14 +309,14 @@ fn arq_exchange(
                 LinkFate::Lost => {}
                 // A corrupt ACK bills the sender's radio but never
                 // reaches the protocol: it does not stop retransmission.
-                LinkFate::Corrupted(_) => charge_rx(sender.stats, env.model, env.ack_bits),
+                LinkFate::Corrupted(_) => sender.stats.charge_rx(env.model, env.ack_bits),
                 LinkFate::Delivered(_) => {
-                    charge_rx(sender.stats, env.model, env.ack_bits);
+                    sender.stats.charge_rx(env.model, env.ack_bits);
                     acked = true;
                 }
                 LinkFate::DeliveredTwice(_, _) => {
-                    charge_rx(sender.stats, env.model, env.ack_bits);
-                    charge_rx(sender.stats, env.model, env.ack_bits);
+                    sender.stats.charge_rx(env.model, env.ack_bits);
+                    sender.stats.charge_rx(env.model, env.ack_bits);
                     acked = true;
                 }
             }
@@ -504,6 +505,7 @@ struct Cols<'a, P: WaveProtocol> {
     rngs: &'a mut [Xoshiro256StarStar],
     /// Per-position cache state; empty while caching is off.
     caches: &'a mut [NodeCache<P>],
+    /// The runner's [`NetStats`] counters, in position order.
     counters: &'a mut [NodeStats],
     slots: &'a mut [WaveSlot<P>],
     /// Emulated receiver-side dedup residue (`seen` cardinality) per
@@ -522,18 +524,6 @@ struct Cols<'a, P: WaveProtocol> {
     links: &'a mut [TreeLinkBits],
     /// Frames transmitted through this window in the current wave.
     frames: u64,
-}
-
-fn charge_tx(c: &mut NodeStats, model: &EnergyModel, bits: u64) {
-    c.tx_bits += bits;
-    c.tx_packets += 1;
-    c.energy.charge_tx(model, bits);
-}
-
-fn charge_rx(c: &mut NodeStats, model: &EnergyModel, bits: u64) {
-    c.rx_bits += bits;
-    c.rx_packets += 1;
-    c.energy.charge_rx(model, bits);
 }
 
 /// Wave admission at one node — the cache resolution of
@@ -582,7 +572,7 @@ fn stage_partial<P: WaveProtocol>(
         trace.push(NodeTraceEntry::PartialSent { bits });
     }
     if env.arq_timeout.is_none() {
-        charge_tx(&mut cols.counters[rel], env.model, bits);
+        cols.counters[rel].charge_tx(env.model, bits);
         cols.links[rel].up += bits;
         cols.frames += 1;
     }
@@ -631,8 +621,8 @@ fn fan_out<P: WaveProtocol>(
         let crel = c as usize - cols.base;
         match env.arq_timeout {
             None => {
-                charge_tx(&mut cols.counters[rel], env.model, bits);
-                charge_rx(&mut cols.counters[crel], env.model, bits);
+                cols.counters[rel].charge_tx(env.model, bits);
+                cols.counters[crel].charge_rx(env.model, bits);
                 cols.links[crel].down += bits;
                 cols.frames += 1;
             }
@@ -767,7 +757,7 @@ fn step_up<P: WaveProtocol>(
         };
         let bits = frame.len_bits();
         match env.arq_timeout {
-            None => charge_rx(&mut cols.counters[rel], env.model, bits),
+            None => cols.counters[rel].charge_rx(env.model, bits),
             Some(timeout) => {
                 let streams = cols.arq[crel]
                     .as_mut()
@@ -923,7 +913,8 @@ fn run_task<P: WaveProtocol>(
 }
 
 /// The position-indexed columns a wave reads and writes: persistent
-/// node state plus per-wave mailboxes, windowed as [`Cols`]. A column
+/// node state plus per-wave mailboxes, windowed as [`Cols`] together
+/// with the runner's position-ordered [`NetStats`]. A column
 /// that only some deployments use is either empty (off) or one entry
 /// per position (on).
 #[derive(Debug)]
@@ -933,10 +924,6 @@ struct Columns<P: WaveProtocol> {
     /// Per-position cache state; filled by
     /// [`WaveSubstrate::enable_partial_cache`], empty until then.
     caches: Vec<NodeCache<P>>,
-    /// Cumulative per-position counters, flushed into the
-    /// global-id-indexed [`NetStats`] after every wave that billed
-    /// them.
-    counters: Vec<NodeStats>,
     slots: Vec<WaveSlot<P>>,
     /// Emulated `seen`-set cardinality per position (see
     /// [`WaveSubstrate::transport_footprint`]); empty unless
@@ -948,25 +935,24 @@ struct Columns<P: WaveProtocol> {
     /// Position-indexed telemetry buffers, drained via
     /// [`WaveSubstrate::drain_trace`]; exist only while tracing is on.
     trace: Vec<Vec<NodeTraceEntry>>,
-    /// Cumulative tree-edge bits at the child position, flushed with
-    /// `counters`.
-    links: Vec<TreeLinkBits>,
 }
 
 impl<P: WaveProtocol> Columns<P> {
-    /// The whole tree as one window (what the spine sweeps).
-    fn window(&mut self) -> Cols<'_, P> {
+    /// The whole tree as one window (what the spine sweeps), billing
+    /// `stats` — stored in position order — in place.
+    fn window<'a>(&'a mut self, stats: &'a mut NetStats) -> Cols<'a, P> {
+        let (counters, links) = stats.storage_mut();
         Cols {
             base: 0,
             items: &mut self.items,
             rngs: &mut self.rngs,
             caches: &mut self.caches,
-            counters: &mut self.counters,
+            counters,
             slots: &mut self.slots,
             residue: &mut self.dedup_residue,
             arq: &mut self.arq,
             trace: &mut self.trace,
-            links: &mut self.links,
+            links,
             frames: 0,
         }
     }
@@ -1207,6 +1193,7 @@ where
         let stats = NetStats::with_tree(
             cfg.energy,
             (0..n).map(|g| tree.parent_pos(tree.pos_of(g)).map(|p| tree.global_of(p))),
+            (0..n).map(|p| tree.global_of(p)),
         );
         let tree_max_degree = (0..n)
             .map(|p| tree.children_pos(p).len() + usize::from(tree.parent_pos(p).is_some()))
@@ -1224,12 +1211,10 @@ where
                 items,
                 rngs,
                 caches: Vec::new(),
-                counters: vec![NodeStats::default(); n],
                 slots: (0..n).map(|_| WaveSlot::blank()).collect(),
                 dedup_residue,
                 arq,
                 trace: Vec::new(),
-                links: vec![TreeLinkBits::default(); n],
             },
             link: cfg.link.clone(),
             reliability,
@@ -1276,36 +1261,7 @@ where
                 .sum::<u64>()
     }
 
-    /// Copies the cumulative tallies the last wave billed from the
-    /// position-indexed columns into the global-id indexed [`NetStats`]
-    /// view. A wave that moved no frame billed nothing, so nothing is
-    /// copied. Otherwise the billed positions are the root and every
-    /// child of a forwarding node (its request frame, and under ARQ both
-    /// directions of the edge): a pre-order walk visits exactly those,
-    /// stepping over the subtree of every node that did not forward.
-    /// After a failed wave the per-position flags may be stale, so every
-    /// position is copied.
-    fn flush_stats(&mut self, failed: bool) {
-        if self.last_wave_frames == 0 {
-            return;
-        }
-        let n = self.tree.len();
-        let mut p = 0;
-        while p < n {
-            let g = self.tree.global_of(p);
-            self.stats.nodes_mut()[g] = self.cols.counters[p];
-            self.stats.tree_links_mut()[g] = self.cols.links[p];
-            let slot = &self.cols.slots[p];
-            p += if failed || (slot.active && !slot.cached) {
-                1
-            } else {
-                self.tree.subtree_size(p)
-            };
-        }
-    }
-
-    /// The three phases of one admitted wave. Whatever it returns, the
-    /// per-position tallies are consistent and ready to flush.
+    /// The three phases of one admitted wave.
     fn sweep(&mut self, req: P::Request, wave: u16) -> Result<P::Partial, ProtocolError> {
         // Root admission, outside any sweep: the driver stages the
         // request directly, so there is no inbound frame and no rx
@@ -1357,7 +1313,7 @@ where
         // Phase A — spine top-down: root contribution and fan-out,
         // then every spine position in ascending (pre-)order, staging
         // the inbound frames of all block roots along the way.
-        let mut cols = self.cols.window();
+        let mut cols = self.cols.window(&mut self.stats);
         let phase_a = {
             let Scratch { spare, reqs, .. } = &mut self.scratch;
             let fwd = cols.slots[0].fwd;
@@ -1405,7 +1361,7 @@ where
         let spine = &self.scratch.reqs.entries[..];
         let mut windows: Vec<Option<Cols<'_, P>>> = self
             .cols
-            .window()
+            .window(&mut self.stats)
             .carve(blocks)
             .into_iter()
             .map(Some)
@@ -1463,7 +1419,7 @@ where
 
         // Phase C — spine bottom-up: descending position order visits
         // every spine child (spine or block root) before its parent.
-        let mut cols = self.cols.window();
+        let mut cols = self.cols.window(&mut self.stats);
         let mut result = Ok(None);
         for &p in self.plan.spine().iter().rev() {
             result = step_up(
@@ -1520,7 +1476,6 @@ where
 
         let result = self.sweep(req, self.next_wave);
         self.stranded = result.is_err();
-        self.flush_stats(self.stranded);
         result
     }
 
@@ -1529,8 +1484,6 @@ where
     }
 
     fn reset_stats(&mut self) {
-        self.cols.counters.fill(NodeStats::default());
-        self.cols.links.fill(TreeLinkBits::default());
         self.stats.reset();
     }
 
@@ -2093,6 +2046,16 @@ mod tests {
                 );
             }
         }
+        // The sequence a fingerprint hashes: id order, whatever order
+        // either runner stores its counters in.
+        let bits = |s: &NetStats| -> Vec<(u64, u64)> {
+            s.iter().map(|n| (n.tx_bits, n.rx_bits)).collect()
+        };
+        assert_eq!(
+            bits(single),
+            bits(flat),
+            "per-node bits in id order ({what})"
+        );
     }
 
     /// What can happen between two waves of a [`same_as_boxed`] script.
@@ -2723,65 +2686,5 @@ mod tests {
         )
         .unwrap();
         assert_eq!(flat1.run_wave(env(vec![1000])).unwrap(), vec![7]);
-    }
-
-    /// What flushing every position would put in the global-id view.
-    fn full_flush<P: WaveProtocol>(flat: &FlatWaveRunner<P>) -> NetStats {
-        let mut stats = flat.stats.clone();
-        for p in 0..flat.tree.len() {
-            let g = flat.tree.global_of(p);
-            stats.nodes_mut()[g] = flat.cols.counters[p];
-            stats.tree_links_mut()[g] = flat.cols.links[p];
-        }
-        stats
-    }
-
-    #[test]
-    fn billed_position_flush_equals_full_flush() {
-        // Random schedules over a small cache: repeats answered at the
-        // root, partial hits forwarding subsets, invalidated root paths
-        // and evictions, fire-and-forget and lossy ARQ. After every
-        // wave the flushed view must equal a copy of every position.
-        let (topo, tree, items) = balanced_setup(60, 3);
-        let lossy = SimConfig::default().with_link(
-            saq_netsim::link::LinkConfig::default()
-                .with_loss(0.2)
-                .with_corruption(0.05)
-                .with_duplication(0.05),
-        );
-        let arq = Reliability::Ack {
-            timeout: saq_netsim::SimDuration::from_millis(40),
-        };
-        let setups = [
-            (SimConfig::default(), Reliability::None, 1),
-            (lossy.clone(), arq, 1),
-            (lossy, arq, 2),
-        ];
-        for (seed, (cfg, rel, workers)) in setups.into_iter().enumerate() {
-            let mut flat = FlatWaveRunner::new(
-                &topo,
-                cfg,
-                &tree,
-                proto(),
-                items.clone(),
-                rel,
-                workers,
-                NestDepth::Auto,
-            )
-            .unwrap();
-            flat.enable_partial_cache(3);
-            let mut rng = Xoshiro256StarStar::seed_from_u64(seed as u64);
-            for wave in 0..60 {
-                if rng.next_below(3) == 0 {
-                    let node = rng.next_below(topo.len() as u64) as usize;
-                    flat.set_items(node, vec![rng.next_below(1000)]);
-                }
-                let slots = 1 + rng.next_below(3);
-                let req: Vec<u64> = (0..slots).map(|_| 200 * rng.next_below(5)).collect();
-                flat.run_wave(env(req)).unwrap();
-                assert_eq!(flat.stats, full_flush(&flat), "setup {seed}, wave {wave}");
-            }
-            assert!(flat.cache_stats().hits > 0 && flat.cache_stats().evictions > 0);
-        }
     }
 }
