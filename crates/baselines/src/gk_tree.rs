@@ -17,7 +17,6 @@
 
 use crate::BaselineOutcome;
 use saq_core::QueryError;
-use saq_netsim::rng::Xoshiro256StarStar;
 use saq_netsim::sim::{NodeId, SimConfig};
 use saq_netsim::topology::Topology;
 use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
@@ -92,14 +91,8 @@ impl WaveProtocol for GkWave {
             .map_err(|_| NetsimError::WireDecode("gk summary not sorted"))
     }
 
-    fn local(
-        &self,
-        _node: NodeId,
-        items: &mut Vec<u64>,
-        req: &u32,
-        _rng: &mut Xoshiro256StarStar,
-    ) -> QuantileSummary {
-        let mut sorted = items.clone();
+    fn local(&self, _node: NodeId, items: &mut [u64], req: &u32) -> QuantileSummary {
+        let mut sorted = items.to_vec();
         sorted.sort_unstable();
         let mut s = QuantileSummary::from_sorted(&sorted);
         s.prune(*req as usize);

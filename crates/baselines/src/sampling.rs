@@ -15,7 +15,7 @@
 
 use crate::BaselineOutcome;
 use saq_core::QueryError;
-use saq_netsim::rng::{derive_seed, Xoshiro256StarStar};
+use saq_netsim::rng::derive_seed;
 use saq_netsim::sim::{NodeId, SimConfig};
 use saq_netsim::topology::Topology;
 use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
@@ -82,13 +82,7 @@ impl WaveProtocol for SampleWave {
         Ok(s)
     }
 
-    fn local(
-        &self,
-        node: NodeId,
-        items: &mut Vec<u64>,
-        req: &u16,
-        _rng: &mut Xoshiro256StarStar,
-    ) -> BottomK {
+    fn local(&self, node: NodeId, items: &mut [u64], req: &u16) -> BottomK {
         let h = HashFamily::new(derive_seed(self.seed, *req as u64, 0));
         let mut s = BottomK::new(self.k, self.value_width());
         for (idx, &v) in items.iter().enumerate() {

@@ -18,7 +18,6 @@ use saq_core::net::AggregationNetwork;
 use saq_core::predicate::Predicate;
 use saq_core::simnet::SimNetworkBuilder;
 use saq_netsim::link::LinkConfig;
-use saq_netsim::rng::Xoshiro256StarStar;
 use saq_netsim::sim::{NodeId, SimConfig};
 use saq_netsim::time::SimDuration;
 use saq_netsim::topology::Topology;
@@ -63,7 +62,7 @@ impl WaveProtocol for RingCount {
     ) -> Result<u64, NetsimError> {
         r.read_bits(32)
     }
-    fn local(&self, _n: NodeId, items: &mut Vec<u64>, _r: &(), _g: &mut Xoshiro256StarStar) -> u64 {
+    fn local(&self, _n: NodeId, items: &mut [u64], _r: &()) -> u64 {
         items.len() as u64
     }
     fn merge(&self, _r: &(), a: u64, b: u64) -> u64 {
@@ -106,13 +105,7 @@ impl WaveProtocol for RingSketchCount {
         LogLog::from_registers(self.b, regs)
             .map_err(|_| NetsimError::WireDecode("ring sketch registers"))
     }
-    fn local(
-        &self,
-        node: NodeId,
-        items: &mut Vec<u64>,
-        _r: &(),
-        _g: &mut Xoshiro256StarStar,
-    ) -> LogLog {
+    fn local(&self, node: NodeId, items: &mut [u64], _r: &()) -> LogLog {
         let h = HashFamily::new(self.seed);
         let mut sk = LogLog::new(self.b);
         for (idx, _) in items.iter().enumerate() {

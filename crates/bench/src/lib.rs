@@ -1,11 +1,12 @@
 //! # saq-bench — the experiment harness
 //!
-//! One binary per experiment (E1–E20, indexed in the README's Experiments
+//! One experiment per claim (E1–E20, indexed in the README's Experiments
 //! section), each regenerating a quantitative claim of the paper as a
-//! printed table; `run_all` chains them. Criterion micro-benchmarks of the
-//! median, sketch and quantile-summary kernels live in `benches/`.
+//! printed table; the `run_all` binary runs the ones named by id, or all
+//! of them. Criterion micro-benchmarks of the median, sketch and
+//! quantile-summary kernels live in `benches/`.
 //!
-//! This library holds what the binaries share:
+//! This library holds what the experiments share:
 //!
 //! * [`workload`] — deterministic value-distribution generators (uniform,
 //!   Zipf, clustered, bimodal);

@@ -32,7 +32,6 @@ use crate::counting::ApxCountConfig;
 use crate::model::{floor_log2, Value};
 use crate::plan::{PlanInput, PlanOp};
 use crate::predicate::{Domain, Predicate};
-use saq_netsim::rng::Xoshiro256StarStar;
 use saq_netsim::sim::NodeId;
 use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
 use saq_netsim::NetsimError;
@@ -577,13 +576,7 @@ impl WaveProtocol for CoreWave {
         })
     }
 
-    fn local(
-        &self,
-        node: NodeId,
-        items: &mut Vec<SimItem>,
-        req: &CoreRequest,
-        _rng: &mut Xoshiro256StarStar,
-    ) -> CorePartial {
+    fn local(&self, node: NodeId, items: &mut [SimItem], req: &CoreRequest) -> CorePartial {
         if let CoreRequest::Zoom { mu_hat } = *req {
             self.zoom(mu_hat, items);
         }
@@ -1035,8 +1028,7 @@ mod tests {
     fn local_zoom_mutates_items() {
         let p = proto();
         let mut items = vec![SimItem::new(2), SimItem::new(3), SimItem::new(100)];
-        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
-        let out = p.local(0, &mut items, &CoreRequest::Zoom { mu_hat: 1 }, &mut rng);
+        let out = p.local(0, &mut items, &CoreRequest::Zoom { mu_hat: 1 });
         assert_eq!(out, CorePartial::Unit);
         assert!(items[0].cur.is_some());
         assert!(items[1].cur.is_some());
@@ -1079,12 +1071,10 @@ mod tests {
         // computation.
         let p = proto();
         let mut items = vec![SimItem::new(5), SimItem::new(800), SimItem::new(12)];
-        let mut rng = Xoshiro256StarStar::seed_from_u64(1);
         let wave = p.local(
             3,
             &mut items,
             &CoreRequest::Count(Predicate::less_than(100)),
-            &mut rng,
         );
         let agg = p.countsum_agg(CountSumOp::Count, Predicate::less_than(100));
         let direct = agg.partial_over(active_refs(3, &items));
@@ -1160,8 +1150,7 @@ mod tests {
                 .map(|(i, &kind)| any_request(kind, x.rotate_left(7 * i as u32)))
                 .collect();
             for req in &reqs {
-                let mut rng = Xoshiro256StarStar::seed_from_u64(x);
-                let part = inner.local(3, &mut items.clone(), req, &mut rng);
+                let part = inner.local(3, &mut items.clone(), req);
                 let by_slot = encoded(|w| inner.encode_slot(req, 0, &part, w));
                 proptest::prop_assert_eq!(by_slot, encoded(|w| inner.encode_partial(req, &part, w)));
                 let key = inner.cache_key(req);
@@ -1179,9 +1168,17 @@ mod tests {
                 .enumerate()
                 .map(|(i, req)| MuxEntry::new(&inner, 3 * i as u32 + 1, req))
                 .collect();
-            let mut rng = Xoshiro256StarStar::seed_from_u64(x);
             let mut slots = Vec::new();
-            let part = mux.local(3, &mut items, &env, &mut rng);
+            // `local_into` refilling an accumulator spent on a different,
+            // wider envelope leaves what `local` returns — runner-ups
+            // included, hence `Debug` — and rescales the items alike.
+            let mut refilled = items.clone();
+            let wider: Vec<MuxEntry<CoreRequest>> = env.iter().chain(&env).cloned().collect();
+            let mut acc = mux.local(5, &mut items.clone(), &wider);
+            mux.local_into(3, &mut refilled, &env, &mut acc);
+            let part = mux.local(3, &mut items, &env);
+            proptest::prop_assert_eq!(format!("{acc:?}"), format!("{part:?}"));
+            proptest::prop_assert_eq!(&refilled, &items);
             mux.split_slots(&env, part, &mut |_, p| slots.push(p));
             let ledger = mux.ledger();
             ledger.lock().unwrap().reset(0);

@@ -129,6 +129,8 @@ impl<'a> Context<'a> {
     }
 
     /// The node's private random stream (independent of link randomness).
+    /// Push-sum gossip draws its peers from it; a tree wave reads none,
+    /// since its random bits are hashes of item identity and nonce.
     pub fn rng(&mut self) -> &mut Xoshiro256StarStar {
         self.rng
     }
@@ -189,8 +191,9 @@ impl<'a> Context<'a> {
 /// A per-node protocol state machine.
 ///
 /// Implementations should be pure state machines: all randomness must come
-/// from [`Context::rng`] and all side effects must go through the context,
-/// so that runs are reproducible.
+/// from [`Context::rng`] (push-sum gossip's peer draws are its reader) or
+/// from hashes of what the node holds, and all side effects must go
+/// through the context, so that runs are reproducible.
 pub trait NodeRuntime {
     /// Invoked when a timer set via [`Context::set_timer`] fires, and for
     /// the initial kick delivered by [`Simulator::kick`] (which arrives as

@@ -4,8 +4,8 @@
 //! [`WaveRunner`](crate::wave::WaveRunner) — both implement
 //! [`WaveSubstrate`] — but on the struct-of-arrays
 //! substrate of [`saq_netsim::flat`] instead of a discrete-event
-//! simulator: per-node items, random streams, caches, wave state and
-//! bit counters live in contiguous columns indexed by DFS **position**,
+//! simulator: per-node items, caches, wave state and bit counters live
+//! in contiguous columns indexed by DFS **position**,
 //! and a wave is two sweeps of index arithmetic — a top-down pass that
 //! hands each child its parent's request and bills the frame that
 //! carries it, and a bottom-up pass that merges child partials in fixed
@@ -104,8 +104,9 @@
 //! * partials are merged in fixed child order (ascending global id =
 //!   ascending position), so answers are pure functions of tree +
 //!   items + request, independent of the plan and of thread timing;
-//! * per-node randomness comes from the same global-id-labeled streams
-//!   a simulator would seed, consumed only by `local`;
+//! * a node keeps no random stream: a protocol's random bits are
+//!   hashes of item identity and the request's nonce, and link fates
+//!   come from per-edge streams (below);
 //! * caches live with their node's column slot, so hit/miss counters
 //!   are identical; per-group protocol side-state ([`MuxLedger`]) is
 //!   drained at the barrier in fixed group order.
@@ -156,7 +157,6 @@ use crate::wave::{
 use saq_netsim::energy::EnergyModel;
 use saq_netsim::flat::{FlatTree, NestDepth, ShardBlock, ShardPlan};
 use saq_netsim::link::{FateStream, FrameClass, LinkConfig, LinkFate};
-use saq_netsim::rng::{derive_seed, Xoshiro256StarStar};
 use saq_netsim::sim::{NodeId, SimConfig};
 use saq_netsim::stats::{NetStats, NodeStats, TreeLinkBits};
 use saq_netsim::topology::Topology;
@@ -433,16 +433,15 @@ impl<P: WaveProtocol> FreeList<P> {
         &mut self,
         proto: &P,
         node: NodeId,
-        items: &mut Vec<P::Item>,
+        items: &mut [P::Item],
         req: &P::Request,
-        rng: &mut Xoshiro256StarStar,
     ) -> P::Partial {
         match self.0.pop() {
             Some(mut acc) => {
-                proto.local_into(node, items, req, rng, &mut acc);
+                proto.local_into(node, items, req, &mut acc);
                 acc
             }
-            None => proto.local(node, items, req, rng),
+            None => proto.local(node, items, req),
         }
     }
 
@@ -502,7 +501,6 @@ impl<P: WaveProtocol> Scratch<P> {
 struct Cols<'a, P: WaveProtocol> {
     base: usize,
     items: &'a mut [Vec<P::Item>],
-    rngs: &'a mut [Xoshiro256StarStar],
     /// Per-position cache state; empty while caching is off.
     caches: &'a mut [NodeCache<P>],
     /// The runner's [`NetStats`] counters, in position order.
@@ -715,7 +713,6 @@ fn step_down<P: WaveProtocol>(
         env.tree.global_of(p),
         &mut cols.items[rel],
         &scratch.reqs.get(spine, fwd).0,
-        &mut cols.rngs[rel],
     );
     cols.slots[rel].acc = Some(local);
     fan_out(env, proto, &scratch.reqs, spine, cols, p, fwd)
@@ -920,7 +917,6 @@ fn run_task<P: WaveProtocol>(
 #[derive(Debug)]
 struct Columns<P: WaveProtocol> {
     items: Vec<Vec<P::Item>>,
-    rngs: Vec<Xoshiro256StarStar>,
     /// Per-position cache state; filled by
     /// [`WaveSubstrate::enable_partial_cache`], empty until then.
     caches: Vec<NodeCache<P>>,
@@ -945,7 +941,6 @@ impl<P: WaveProtocol> Columns<P> {
         Cols {
             base: 0,
             items: &mut self.items,
-            rngs: &mut self.rngs,
             caches: &mut self.caches,
             counters,
             slots: &mut self.slots,
@@ -973,7 +968,6 @@ impl<'a, P: WaveProtocol> Cols<'a, P> {
         let head = Cols {
             base: self.base,
             items: take_front(&mut self.items, n),
-            rngs: take_front(&mut self.rngs, n),
             caches: take_front(&mut self.caches, n),
             counters: take_front(&mut self.counters, n),
             slots: take_front(&mut self.slots, n),
@@ -992,7 +986,6 @@ impl<'a, P: WaveProtocol> Cols<'a, P> {
         Cols {
             base: self.base,
             items: self.items,
-            rngs: self.rngs,
             caches: self.caches,
             counters: self.counters,
             slots: self.slots,
@@ -1159,15 +1152,6 @@ where
         let n = tree.len();
         let plan = ShardPlan::new(&tree, workers, depth);
         into_position_order(&tree, &mut items);
-        let rngs: Vec<Xoshiro256StarStar> = (0..n)
-            .map(|p| {
-                Xoshiro256StarStar::seed_from_u64(derive_seed(
-                    cfg.seed,
-                    tree.global_of(p) as u64,
-                    1,
-                ))
-            })
-            .collect();
         let groups = plan.groups().len();
         let worker_protos: Vec<P> = (0..groups).map(|_| proto.shard_clone()).collect();
         // Fate streams keyed by global endpoint labels: position p's
@@ -1209,7 +1193,6 @@ where
             proto,
             cols: Columns {
                 items,
-                rngs,
                 caches: Vec::new(),
                 slots: (0..n).map(|_| WaveSlot::blank()).collect(),
                 dedup_residue,
@@ -1322,7 +1305,6 @@ where
                 env.tree.global_of(0),
                 &mut cols.items[0],
                 &reqs.get(&[], fwd).0,
-                &mut cols.rngs[0],
             );
             cols.slots[0].acc = Some(local);
             fan_out(env, &self.proto, reqs, &[], &mut cols, 0, fwd)
@@ -1647,13 +1629,7 @@ mod tests {
         fn decode_partial(&self, _req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
             r.read_bits(32)
         }
-        fn local(
-            &self,
-            _node: NodeId,
-            items: &mut Vec<u64>,
-            req: &u64,
-            _rng: &mut Xoshiro256StarStar,
-        ) -> u64 {
+        fn local(&self, _node: NodeId, items: &mut [u64], req: &u64) -> u64 {
             items.iter().filter(|&&x| x < *req).sum()
         }
         fn merge(&self, _req: &u64, a: u64, b: u64) -> u64 {
@@ -2272,14 +2248,8 @@ mod tests {
         fn decode_partial(&self, req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
             self.inner.decode_partial(req, r)
         }
-        fn local(
-            &self,
-            node: NodeId,
-            items: &mut Vec<u64>,
-            req: &u64,
-            rng: &mut Xoshiro256StarStar,
-        ) -> u64 {
-            self.inner.local(node, items, req, rng)
+        fn local(&self, node: NodeId, items: &mut [u64], req: &u64) -> u64 {
+            self.inner.local(node, items, req)
         }
         fn merge(&self, req: &u64, a: u64, b: u64) -> u64 {
             self.inner.merge(req, a, b)
@@ -2577,18 +2547,12 @@ mod tests {
         fn decode_partial(&self, req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
             self.inner.decode_partial(req, r)
         }
-        fn local(
-            &self,
-            node: NodeId,
-            items: &mut Vec<u64>,
-            req: &u64,
-            rng: &mut Xoshiro256StarStar,
-        ) -> u64 {
+        fn local(&self, node: NodeId, items: &mut [u64], req: &u64) -> u64 {
             assert!(
                 !(node == self.node && *req == self.trigger),
                 "injected protocol panic"
             );
-            self.inner.local(node, items, req, rng)
+            self.inner.local(node, items, req)
         }
         fn merge(&self, req: &u64, a: u64, b: u64) -> u64 {
             self.inner.merge(req, a, b)

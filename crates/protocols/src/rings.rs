@@ -81,9 +81,7 @@ impl<P: WaveProtocol> RingNode<P> {
     }
 
     fn start_epoch(&mut self, ctx: &mut Context<'_>, req: P::Request) {
-        let local = self
-            .proto
-            .local(ctx.node_id(), &mut self.items, &req, ctx.rng());
+        let local = self.proto.local(ctx.node_id(), &mut self.items, &req);
         self.acc = Some(local);
         self.req = Some(req);
         if !self.flooded {
@@ -260,7 +258,6 @@ impl<P: WaveProtocol> RingsRunner<P> {
 mod tests {
     use super::*;
     use saq_netsim::link::LinkConfig;
-    use saq_netsim::rng::Xoshiro256StarStar;
     use saq_netsim::NetsimError;
 
     /// Duplicate-sensitive count: each node contributes its item count.
@@ -282,13 +279,7 @@ mod tests {
         fn decode_partial(&self, _req: &(), r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
             r.read_bits(24)
         }
-        fn local(
-            &self,
-            _n: NodeId,
-            items: &mut Vec<u64>,
-            _r: &(),
-            _rng: &mut Xoshiro256StarStar,
-        ) -> u64 {
+        fn local(&self, _n: NodeId, items: &mut [u64], _r: &()) -> u64 {
             items.len() as u64
         }
         fn merge(&self, _r: &(), a: u64, b: u64) -> u64 {
@@ -316,13 +307,7 @@ mod tests {
         fn decode_partial(&self, _req: &(), r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
             r.read_bits(24)
         }
-        fn local(
-            &self,
-            _n: NodeId,
-            items: &mut Vec<u64>,
-            _r: &(),
-            _rng: &mut Xoshiro256StarStar,
-        ) -> u64 {
+        fn local(&self, _n: NodeId, items: &mut [u64], _r: &()) -> u64 {
             items.iter().copied().max().unwrap_or(0)
         }
         fn merge(&self, _r: &(), a: u64, b: u64) -> u64 {

@@ -27,7 +27,6 @@ use crate::error::ProtocolError;
 use crate::obs::NodeTraceEntry;
 use crate::tree::SpanningTree;
 use saq_netsim::link::FrameClass;
-use saq_netsim::rng::Xoshiro256StarStar;
 use saq_netsim::sim::{Context, NodeId, NodeRuntime, SimConfig, Simulator};
 use saq_netsim::stats::NetStats;
 use saq_netsim::time::SimDuration;
@@ -114,16 +113,11 @@ pub trait WaveProtocol: Clone {
         r: &mut BitReader<'_>,
     ) -> Result<Self::Partial, NetsimError>;
 
-    /// This node's contribution to the wave. May mutate the local items —
-    /// that is how value-remapping waves (Fig. 4 line 3.2 of the paper)
-    /// are expressed.
-    fn local(
-        &self,
-        node: NodeId,
-        items: &mut Vec<Self::Item>,
-        req: &Self::Request,
-        rng: &mut Xoshiro256StarStar,
-    ) -> Self::Partial;
+    /// This node's contribution to the wave. May rescale the values of
+    /// the local items in place — that is how value-remapping waves
+    /// (Fig. 4 line 3.2 of the paper) are expressed — but never changes
+    /// how many there are: only [`WaveSubstrate::set_items`] does that.
+    fn local(&self, node: NodeId, items: &mut [Self::Item], req: &Self::Request) -> Self::Partial;
 
     /// [`local`](Self::local) written into `out`, whose previous value
     /// is a spent accumulator of an earlier node: a protocol whose
@@ -134,12 +128,11 @@ pub trait WaveProtocol: Clone {
     fn local_into(
         &self,
         node: NodeId,
-        items: &mut Vec<Self::Item>,
+        items: &mut [Self::Item],
         req: &Self::Request,
-        rng: &mut Xoshiro256StarStar,
         out: &mut Self::Partial,
     ) {
-        *out = self.local(node, items, req, rng);
+        *out = self.local(node, items, req);
     }
 
     /// Drops what a spent accumulator owns beyond its own container,
@@ -946,9 +939,7 @@ impl<P: WaveProtocol> AggNode<P> {
                 self.finish_wave(ctx);
             }
             WaveAdmit::Forward(fwd) => {
-                let local = self
-                    .proto
-                    .local(ctx.node_id(), &mut self.items, &fwd, ctx.rng());
+                let local = self.proto.local(ctx.node_id(), &mut self.items, &fwd);
                 self.acc = Some(local);
                 if self.waiting.is_empty() {
                     self.finish_wave(ctx);
@@ -1970,15 +1961,9 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             .collect()
     }
 
-    fn local(
-        &self,
-        node: NodeId,
-        items: &mut Vec<Self::Item>,
-        req: &Self::Request,
-        rng: &mut Xoshiro256StarStar,
-    ) -> Self::Partial {
+    fn local(&self, node: NodeId, items: &mut [Self::Item], req: &Self::Request) -> Self::Partial {
         req.iter()
-            .map(|entry| self.inner.local(node, items, &entry.req, rng))
+            .map(|entry| self.inner.local(node, items, &entry.req))
             .collect()
     }
 
@@ -1987,15 +1972,14 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
     fn local_into(
         &self,
         node: NodeId,
-        items: &mut Vec<Self::Item>,
+        items: &mut [Self::Item],
         req: &Self::Request,
-        rng: &mut Xoshiro256StarStar,
         out: &mut Self::Partial,
     ) {
         out.clear();
         out.extend(
             req.iter()
-                .map(|entry| self.inner.local(node, items, &entry.req, rng)),
+                .map(|entry| self.inner.local(node, items, &entry.req)),
         );
     }
 
@@ -2194,13 +2178,7 @@ mod tests {
         fn decode_partial(&self, _req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
             r.read_bits(32)
         }
-        fn local(
-            &self,
-            _node: NodeId,
-            items: &mut Vec<u64>,
-            req: &u64,
-            _rng: &mut Xoshiro256StarStar,
-        ) -> u64 {
+        fn local(&self, _node: NodeId, items: &mut [u64], req: &u64) -> u64 {
             items.iter().filter(|&&x| x < *req).sum()
         }
         fn merge(&self, _req: &u64, a: u64, b: u64) -> u64 {
@@ -2513,13 +2491,7 @@ mod tests {
             fn decode_partial(&self, _req: &(), r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
                 r.read_bits(16)
             }
-            fn local(
-                &self,
-                _node: NodeId,
-                items: &mut Vec<u64>,
-                _req: &(),
-                _rng: &mut Xoshiro256StarStar,
-            ) -> u64 {
+            fn local(&self, _node: NodeId, items: &mut [u64], _req: &()) -> u64 {
                 for x in items.iter_mut() {
                     *x *= 2;
                 }
@@ -2807,13 +2779,7 @@ mod tests {
         fn decode_partial(&self, _req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
             r.read_bits(32)
         }
-        fn local(
-            &self,
-            _node: NodeId,
-            items: &mut Vec<u64>,
-            req: &u64,
-            _rng: &mut Xoshiro256StarStar,
-        ) -> u64 {
+        fn local(&self, _node: NodeId, items: &mut [u64], req: &u64) -> u64 {
             items.iter().filter(|&&x| x < *req).sum()
         }
         fn merge(&self, _req: &u64, a: u64, b: u64) -> u64 {
@@ -3057,14 +3023,8 @@ mod tests {
                 let n = r.read_bits(8)? as usize;
                 (0..n).map(|_| r.read_bits(16)).collect()
             }
-            fn local(
-                &self,
-                _node: NodeId,
-                items: &mut Vec<u64>,
-                _req: &(),
-                _rng: &mut Xoshiro256StarStar,
-            ) -> Vec<u64> {
-                items.clone()
+            fn local(&self, _node: NodeId, items: &mut [u64], _req: &()) -> Vec<u64> {
+                items.to_vec()
             }
             fn merge(&self, _req: &(), mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
                 a.extend(b);

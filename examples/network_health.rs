@@ -52,7 +52,7 @@ impl WaveProtocol for AliveCount {
     ) -> Result<u64, NetsimError> {
         r.read_bits(24)
     }
-    fn local(&self, _n: NodeId, items: &mut Vec<u64>, _r: &(), _g: &mut Xoshiro256StarStar) -> u64 {
+    fn local(&self, _n: NodeId, items: &mut [u64], _r: &()) -> u64 {
         items.len() as u64
     }
     fn merge(&self, _r: &(), a: u64, b: u64) -> u64 {
@@ -90,13 +90,7 @@ impl WaveProtocol for AliveSketch {
         }
         LogLog::from_registers(6, regs).map_err(|_| NetsimError::WireDecode("regs"))
     }
-    fn local(
-        &self,
-        node: NodeId,
-        _items: &mut Vec<u64>,
-        _r: &(),
-        _g: &mut Xoshiro256StarStar,
-    ) -> LogLog {
+    fn local(&self, node: NodeId, _items: &mut [u64], _r: &()) -> LogLog {
         let mut sk = LogLog::new(6);
         sk.insert_hash(HashFamily::new(0xA11CE).hash(node as u64));
         sk

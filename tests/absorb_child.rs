@@ -26,7 +26,6 @@ use saq::core::aggregate::RunnerUp;
 use saq::core::counting::ApxCountConfig;
 use saq::core::predicate::{Domain, Predicate};
 use saq::core::wave_proto::{CorePartial, CoreRequest, CoreWave, SimItem};
-use saq::netsim::rng::Xoshiro256StarStar;
 use saq::netsim::wire::{BitReader, BitString, BitWriter};
 use saq::netsim::NetsimError;
 use saq::protocols::wave::{MultiplexWave, MuxEntry, WaveProtocol};
@@ -146,9 +145,8 @@ where
     P: WaveProtocol<Item = SimItem>,
     P::Partial: PartialEq,
 {
-    let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-    let acc = proto.local(3, &mut items(a), req, &mut rng);
-    let child = proto.local(9, &mut items(b), req, &mut rng);
+    let acc = proto.local(3, &mut items(a), req);
+    let child = proto.local(9, &mut items(b), req);
     check_partials(proto, req, &acc, &child);
 }
 
@@ -166,7 +164,6 @@ fn core_wave() -> CoreWave {
 #[test]
 fn an_exact_min_max_runner_up_survives_the_in_place_merge() {
     let proto = core_wave();
-    let mut rng = Xoshiro256StarStar::seed_from_u64(7);
     for req in [
         CoreRequest::Min(Domain::Raw),
         CoreRequest::Max(Domain::Raw),
@@ -174,13 +171,13 @@ fn an_exact_min_max_runner_up_survives_the_in_place_merge() {
         CoreRequest::Max(Domain::Log),
     ] {
         for mine in [[300, 700], [500, 500]] {
-            let acc = proto.local(3, &mut items(&mine), &req, &mut rng);
+            let acc = proto.local(3, &mut items(&mine), &req);
             let CorePartial::OptVal(p) = &acc else {
                 panic!("a min/max request has a min/max partial");
             };
             assert!(matches!(p.second, RunnerUp::Exactly(_)), "{acc:?}");
             for theirs in [&[][..], &[1], &[300], &[500], &[600], &[700], &[999, 2]] {
-                let child = proto.local(9, &mut items(theirs), &req, &mut rng);
+                let child = proto.local(9, &mut items(theirs), &req);
                 check_partials(&proto, &req, &acc, &child);
             }
         }
@@ -193,9 +190,8 @@ fn an_exact_min_max_runner_up_survives_the_in_place_merge() {
 fn a_misaligned_mux_accumulator_is_an_error() {
     let proto = MultiplexWave::new(core_wave());
     let env = mixed_envelope(41);
-    let mut rng = Xoshiro256StarStar::seed_from_u64(7);
-    let acc = proto.local(3, &mut items(&[4, 40, 400]), &env, &mut rng);
-    let child = proto.local(9, &mut items(&[5, 50]), &env, &mut rng);
+    let acc = proto.local(3, &mut items(&[4, 40, 400]), &env);
+    let child = proto.local(9, &mut items(&[5, 50]), &env);
     let mut w = BitWriter::new();
     proto.encode_partial(&env, &child, &mut w);
     let frame = w.finish();

@@ -1,7 +1,7 @@
 //! What a flat deployment costs in memory, pinned in bytes per node: a
 //! `shards(2)` flat `SimNetwork` with no cache, one item per node, at
-//! N = 2^16 holds at most 270 live heap bytes per node at rest (built
-//! and warmed by one wave), and its build never holds more than 260
+//! N = 2^16 holds at most 238 live heap bytes per node at rest (built
+//! and warmed by one wave), and its build never holds more than 228
 //! bytes per node above what the caller already held (topology and
 //! items). Only the columns the deployment uses exist — no cache, trace
 //! or ARQ column here — and the build frees the spanning tree before
@@ -104,13 +104,13 @@ fn a_flat_node_fits_its_byte_budget() {
         per_node(build_peak)
     );
     assert!(
-        at_rest <= 270 * N,
-        "the network holds {:.1} B per node at rest (budget 270)",
+        at_rest <= 238 * N,
+        "the network holds {:.1} B per node at rest (budget 238)",
         per_node(at_rest)
     );
     assert!(
-        build_peak <= 260 * N,
-        "the build peaked at {:.1} B per node above the caller's (budget 260)",
+        build_peak <= 228 * N,
+        "the build peaked at {:.1} B per node above the caller's (budget 228)",
         per_node(build_peak)
     );
 }
