@@ -5,8 +5,8 @@
 //! DFS-preorder index, and parallelises over a *nested* static
 //! partition that re-cuts oversized subtrees at their own roots.
 //! This experiment measures what that buys at deployment sizes the
-//! boxed simulator cannot reach: query rounds per second and peak
-//! resident memory as N sweeps 10³ → 10⁶, single-worker vs all-core.
+//! boxed simulator cannot reach: query rounds per second and resident
+//! memory as N sweeps 10³ → 10⁶, single-worker vs all-core.
 //!
 //! Claims checked:
 //!
@@ -18,8 +18,12 @@
 //!   cores` beats `workers = 1` on multi-core hardware, with the
 //!   nested partition (not the root's child count) setting the
 //!   available parallelism;
-//! * memory stays columnar-lean: peak RSS grows near-linearly in N
-//!   (reported per sweep point, Linux only).
+//! * memory stays columnar-lean: the resident memory a deployment adds
+//!   grows near-linearly in N (per sweep point: `VmRSS` with the
+//!   network alive after its rounds, minus `VmRSS` just before it was
+//!   built — the larger of the two worker counts; Linux only). Memory
+//!   earlier experiments freed but kept resident can be reused, so a
+//!   row reads at most what the deployment needed.
 
 use crate::table::{banner, f3, Table};
 use crate::Scale;
@@ -36,8 +40,9 @@ use std::time::Instant;
 pub struct Summary {
     /// `(n, rounds/sec at 1 worker, rounds/sec at all cores, speedup)`.
     pub points: Vec<(usize, f64, f64, f64)>,
-    /// Peak RSS in MiB after the largest sweep point (0.0 off Linux).
-    pub peak_rss_mib: f64,
+    /// Resident growth in MiB of the largest sweep point (0.0 off
+    /// Linux).
+    pub rss_growth_mib: f64,
     /// Flat answers equal the boxed runner's at the spot-check N.
     pub answers_identical: bool,
     /// Flat per-node bit totals equal the boxed runner's (every node).
@@ -106,13 +111,27 @@ fn run_rounds(net: SimNetwork, reps: usize) -> (Vec<QueryOutcome>, SimNetwork, f
     (first, engine.into_network(), rounds_per_sec)
 }
 
-/// Peak resident set size in MiB from `/proc/self/status` (`VmHWM`);
-/// `None` off Linux or if the pseudo-file is unreadable.
-pub fn peak_rss_mib() -> Option<f64> {
+/// Flat deployment of `n` nodes on `workers`: its rounds per second
+/// and the resident memory it added, in MiB — `VmRSS` with the network
+/// still alive after its rounds minus `VmRSS` just before it was built
+/// (0.0 off Linux).
+fn sweep_point(n: usize, workers: usize, reps: usize) -> (f64, f64) {
+    let before = rss_mib();
+    let (_, net, rounds_per_sec) = run_rounds(deployment(n, true, workers), reps);
+    let grown = rss_mib()
+        .zip(before)
+        .map_or(0.0, |(after, before)| after - before);
+    drop(net);
+    (rounds_per_sec, grown)
+}
+
+/// Resident set size in MiB from `/proc/self/status` (`VmRSS`); `None`
+/// off Linux or if the pseudo-file is unreadable.
+fn rss_mib() -> Option<f64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let kb: f64 = status
         .lines()
-        .find(|l| l.starts_with("VmHWM:"))?
+        .find(|l| l.starts_with("VmRSS:"))?
         .split_whitespace()
         .nth(1)?
         .parse()
@@ -160,32 +179,32 @@ pub fn run(scale: Scale) -> Summary {
         "rounds/s (1 worker)",
         &format!("rounds/s ({cores} workers)"),
         "speedup",
-        "peak RSS (MiB)",
+        "RSS growth (MiB)",
     ]);
     let mut points = Vec::new();
-    let mut peak = 0.0_f64;
+    let mut grown = 0.0_f64;
     for &n in ns {
         // Keep every sweep point to a comparable wall-clock budget.
         let reps = (400_000 / n).clamp(2, 16);
-        let (_, _, rps_one) = run_rounds(deployment(n, true, 1), reps);
-        let (_, _, rps_all) = run_rounds(deployment(n, true, cores), reps);
+        let (rps_one, grown_one) = sweep_point(n, 1, reps);
+        let (rps_all, grown_all) = sweep_point(n, cores, reps);
         let speedup = rps_all / rps_one;
-        let rss = peak_rss_mib().unwrap_or(0.0);
-        peak = peak.max(rss);
+        grown = grown_one.max(grown_all);
         table.row(&[
             n.to_string(),
             f3(rps_one),
             f3(rps_all),
             format!("{}x", f3(speedup)),
-            f3(rss),
+            f3(grown),
         ]);
         points.push((n, rps_one, rps_all, speedup));
     }
     table.print();
     println!(
         "\nanswers identical: {answers_identical}; per-node bits identical: {bits_identical}; \
-         peak RSS {} MiB",
-        f3(peak)
+         RSS growth at N = {} {} MiB",
+        ns[ns.len() - 1],
+        f3(grown)
     );
     if cores < 2 {
         println!("(single core available: wall-clock speedup is hardware-bound)");
@@ -193,7 +212,7 @@ pub fn run(scale: Scale) -> Summary {
 
     Summary {
         points,
-        peak_rss_mib: peak,
+        rss_growth_mib: grown,
         answers_identical,
         bits_identical,
         cores,

@@ -214,7 +214,7 @@ impl SimNetworkBuilder {
             Box::new(FlatWaveRunner::from_flat_tree(
                 self.sim_cfg,
                 flat,
-                proto.clone(),
+                proto,
                 items,
                 self.reliability,
                 self.shards,
@@ -225,7 +225,7 @@ impl SimNetworkBuilder {
                 topo,
                 self.sim_cfg,
                 &tree,
-                proto.clone(),
+                proto,
                 items,
                 self.reliability,
             )?)
@@ -235,7 +235,6 @@ impl SimNetworkBuilder {
         }
         Ok(SimNetwork {
             runner,
-            proto,
             ops: OpCounts::default(),
             nonce: 0,
             telemetry: Telemetry::disabled(),
@@ -331,7 +330,7 @@ pub struct ObservabilitySnapshot {
 /// Every wave — single-query primitives and the engine's batched
 /// multi-query rounds alike — travels in the multiplexed envelope of
 /// [`MultiplexWave`], so per-sub-query bit attribution is always
-/// available from the shared [`MuxLedger`]. With
+/// available from the runner's [`MuxLedger`]. With
 /// [`SimNetworkBuilder::flat`] the wave executes on the parallel flat
 /// substrate with identical observable behavior.
 #[derive(Debug)]
@@ -339,9 +338,6 @@ pub struct SimNetwork {
     /// The execution substrate: the boxed event loop, or the columnar
     /// flat runner on `k` workers — observably identical either way.
     runner: Box<dyn WaveSubstrate<MultiplexWave<CoreWave>> + Send>,
-    /// The runner's protocol (a clone sharing its [`MuxLedger`]): it
-    /// builds and validates each wave's envelope.
-    proto: MultiplexWave<CoreWave>,
     ops: OpCounts,
     nonce: u32,
     /// The telemetry lane (see [`saq_obs`]): disabled until
@@ -472,10 +468,11 @@ impl SimNetwork {
             return Err(QueryError::InvalidParameter("empty wave batch"));
         }
         let slots = reqs.len() as u64;
-        let envelope = MultiplexWave::envelope(self.proto.inner(), reqs);
+        let proto = self.runner.protocol();
+        let envelope = MultiplexWave::envelope(proto.inner(), reqs);
         // Both runners reject such a batch before they start a wave, so
         // it is neither counted nor announced.
-        self.proto.validate_request(&envelope)?;
+        proto.validate_request(&envelope)?;
         let request_envelope_bits = MultiplexWave::<CoreWave>::request_width(&envelope);
         self.waves_run += 1;
         let wave = self.waves_run;
@@ -483,7 +480,7 @@ impl SimNetwork {
         if traced {
             self.telemetry.emit(&Event::WaveStarted { wave, slots });
         }
-        self.proto.ledger_mut().reset(envelope.len());
+        self.runner.protocol().ledger_mut().reset(envelope.len());
         let wave_start = traced.then(Instant::now);
         let run = self.runner.run_wave(envelope);
         if let Some(t0) = wave_start {
@@ -507,7 +504,7 @@ impl SimNetwork {
         let messages = self.runner.last_wave_frames();
         let header_bits = self.runner.last_header_bits() * messages;
         let (slot_bits, envelope_bits) = {
-            let ledger = self.proto.ledger_mut();
+            let ledger = self.runner.protocol().ledger_mut();
             (ledger.slots().to_vec(), ledger.envelope_bits())
         };
         self.peak_wave_slots = self.peak_wave_slots.max(slots);
@@ -687,7 +684,7 @@ impl SimNetwork {
 
     /// The inner wave protocol (aggregate dispatch) configuration.
     pub fn core_proto(&self) -> CoreWave {
-        self.proto.inner().clone()
+        self.runner.protocol().inner().clone()
     }
 }
 
@@ -779,11 +776,11 @@ impl AggregationNetwork for SimNetwork {
     }
 
     fn xbar(&self) -> Value {
-        self.proto.inner().xbar
+        self.runner.protocol().inner().xbar
     }
 
     fn apx_config(&self) -> ApxCountConfig {
-        self.proto.inner().apx
+        self.runner.protocol().inner().apx
     }
 
     /// Validate, count, translate (a fresh top-bit nonce for sketch

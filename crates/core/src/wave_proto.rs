@@ -366,48 +366,6 @@ impl CoreWave {
             (_, partial) => unreachable!("partial {partial:?} does not answer {req:?}"),
         }
     }
-
-    /// `absorb_child` of one child report, the first of `first_of`
-    /// children when that is `Some`.
-    fn absorb(
-        &self,
-        req: &CoreRequest,
-        acc: &mut CorePartial,
-        r: &mut BitReader<'_>,
-        first_of: Option<usize>,
-    ) -> Result<(), NetsimError> {
-        match (self.agg(req), acc) {
-            (CoreAgg::CountSum(a), CorePartial::Num(x)) => *x += a.decode(r)?,
-            (CoreAgg::MinMax(a), CorePartial::OptVal(x)) => {
-                let child = a.decode(r)?;
-                *x = a.merge(*x, child);
-            }
-            (CoreAgg::Quantile(agg), CorePartial::Quantile(s)) => {
-                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
-                    agg.decode_into(&mut scratch.summary, r)?;
-                    if let Some(children) = first_of {
-                        agg.reserve_children(s, children, scratch.summary.len());
-                    }
-                    agg.merge_into(s, &scratch.summary);
-                    Ok::<_, NetsimError>(())
-                })?;
-            }
-            (CoreAgg::BottomK(agg), CorePartial::Sample(s)) => {
-                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
-                    let sample = scratch.sample.get_or_insert_with(|| agg.identity());
-                    agg.decode_into(sample, r)?;
-                    s.merge_from(sample);
-                    Ok::<_, NetsimError>(())
-                })?;
-            }
-            (_, acc) => {
-                let child = self.decode_partial(req, r)?;
-                let mine = std::mem::replace(acc, CorePartial::Unit);
-                *acc = self.merge(req, mine, child);
-            }
-        }
-        Ok(())
-    }
 }
 
 const OP_MIN: u64 = 0;
@@ -606,29 +564,50 @@ impl WaveProtocol for CoreWave {
     /// Merges in place, moving no partial: `Num` and `OptVal` decode
     /// one value and fold it into the accumulator's own (the min/max
     /// runner-up kept exactly as [`CoreWave::merge`] keeps it);
-    /// `Quantile` and `BottomK` decode into per-thread scratch and merge
-    /// into the accumulator's storage; every other request decodes and
-    /// merges. Equal to the trait's decode-then-merge for every request
-    /// (`tests/absorb_child.rs`).
+    /// `Quantile` decodes into per-thread scratch and merges into the
+    /// accumulator's storage, sized once for all `first_of` children
+    /// (`QuantileAgg::reserve_children`); `BottomK` decodes into
+    /// per-thread scratch and merges alike; every other request decodes
+    /// and merges. Equal to the trait's decode-then-merge for every
+    /// request (`tests/absorb_child.rs`).
     fn absorb_child(
         &self,
         req: &CoreRequest,
         acc: &mut CorePartial,
         r: &mut BitReader<'_>,
+        first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
-        self.absorb(req, acc, r, None)
-    }
-
-    /// Sizes a `Quantile` accumulator once for all `children` reports
-    /// (`QuantileAgg::reserve_children`); otherwise `absorb_child`.
-    fn absorb_first_child(
-        &self,
-        req: &CoreRequest,
-        acc: &mut CorePartial,
-        r: &mut BitReader<'_>,
-        children: usize,
-    ) -> Result<(), NetsimError> {
-        self.absorb(req, acc, r, Some(children))
+        match (self.agg(req), acc) {
+            (CoreAgg::CountSum(a), CorePartial::Num(x)) => *x += a.decode(r)?,
+            (CoreAgg::MinMax(a), CorePartial::OptVal(x)) => {
+                let child = a.decode(r)?;
+                *x = a.merge(*x, child);
+            }
+            (CoreAgg::Quantile(agg), CorePartial::Quantile(s)) => {
+                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
+                    agg.decode_into(&mut scratch.summary, r)?;
+                    if let Some(children) = first_of {
+                        agg.reserve_children(s, children, scratch.summary.len());
+                    }
+                    agg.merge_into(s, &scratch.summary);
+                    Ok::<_, NetsimError>(())
+                })?;
+            }
+            (CoreAgg::BottomK(agg), CorePartial::Sample(s)) => {
+                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
+                    let sample = scratch.sample.get_or_insert_with(|| agg.identity());
+                    agg.decode_into(sample, r)?;
+                    s.merge_from(sample);
+                    Ok::<_, NetsimError>(())
+                })?;
+            }
+            (_, acc) => {
+                let child = self.decode_partial(req, r)?;
+                let mine = std::mem::replace(acc, CorePartial::Unit);
+                *acc = self.merge(req, mine, child);
+            }
+        }
+        Ok(())
     }
 
     /// Deterministic requests are keyed by their exact encoding — the
@@ -1180,17 +1159,16 @@ mod tests {
             proptest::prop_assert_eq!(format!("{acc:?}"), format!("{part:?}"));
             proptest::prop_assert_eq!(&refilled, &items);
             mux.split_slots(&env, part, &mut |_, p| slots.push(p));
-            let ledger = mux.ledger();
-            ledger.lock().unwrap().reset(0);
+            mux.ledger_mut().reset(0);
             let by_slot = encoded(|w| {
                 for (i, part) in slots.iter().enumerate() {
                     mux.encode_slot(&env, i, part, w);
                 }
             });
-            let slot_bills = ledger.lock().unwrap().clone();
-            ledger.lock().unwrap().reset(0);
+            let slot_bills = mux.ledger_mut().clone();
+            mux.ledger_mut().reset(0);
             let joined = encoded(|w| mux.encode_partial(&env, &mux.join_slots(&env, slots.clone()), w));
-            let join_bills = ledger.lock().unwrap().clone();
+            let join_bills = mux.ledger_mut().clone();
             proptest::prop_assert_eq!(by_slot, joined);
             proptest::prop_assert_eq!(slot_bills.slots(), join_bills.slots());
             proptest::prop_assert_eq!(slot_bills.envelope_bits(), join_bills.envelope_bits());

@@ -10,9 +10,9 @@
 //! * [`Xoshiro256StarStar`] — the main generator (Blackman & Vigna), seeded
 //!   via SplitMix64 as its authors recommend.
 //!
-//! Every node in a simulation gets its own independent stream derived from
-//! `(master_seed, node_id, purpose)`, so adding a new consumer of
-//! randomness never perturbs existing streams.
+//! A consumer of randomness derives its own independent stream from
+//! `(master_seed, label, purpose)` (push-sum gossip: one per node, labelled
+//! by node id), so adding a new consumer never perturbs existing streams.
 
 /// A 64-bit SplitMix generator.
 ///

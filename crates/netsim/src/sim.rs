@@ -16,10 +16,11 @@
 //!
 //! ## Determinism
 //!
-//! Everything random (link fates, jitter, protocol coins) derives from the
-//! master seed in [`SimConfig::seed`] through per-purpose streams, so a
-//! `(topology, config, protocol)` triple always produces bit-identical
-//! statistics. A property test in `tests/` asserts this end to end.
+//! Everything random (link fates, jitter, a protocol's own coins) derives
+//! from the master seed in [`SimConfig::seed`] through per-purpose
+//! streams, so a `(topology, config, protocol)` triple always produces
+//! bit-identical statistics. A property test in `tests/` asserts this
+//! end to end.
 //!
 //! Link fates come from **per-edge fate streams** ([`FateStream`]): the
 //! fate of the n-th transmission of a frame class over a directed edge is
@@ -31,7 +32,6 @@ use crate::energy::EnergyModel;
 use crate::error::NetsimError;
 use crate::event::{EventKind, EventQueue};
 use crate::link::{FateStream, FrameClass, LinkConfig, LinkFate};
-use crate::rng::{derive_seed, Xoshiro256StarStar};
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
@@ -107,7 +107,6 @@ pub struct Context<'a> {
     node: NodeId,
     now: SimTime,
     neighbors: &'a [usize],
-    rng: &'a mut Xoshiro256StarStar,
     actions: &'a mut Vec<Action>,
     pool: &'a mut ScratchPool,
 }
@@ -126,13 +125,6 @@ impl<'a> Context<'a> {
     /// The node's neighbours in the topology, sorted ascending.
     pub fn neighbors(&self) -> &[usize] {
         self.neighbors
-    }
-
-    /// The node's private random stream (independent of link randomness).
-    /// Push-sum gossip draws its peers from it; a tree wave reads none,
-    /// since its random bits are hashes of item identity and nonce.
-    pub fn rng(&mut self) -> &mut Xoshiro256StarStar {
-        self.rng
     }
 
     /// An empty frame writer drawn from the simulator's [`ScratchPool`]:
@@ -191,9 +183,10 @@ impl<'a> Context<'a> {
 /// A per-node protocol state machine.
 ///
 /// Implementations should be pure state machines: all randomness must come
-/// from [`Context::rng`] (push-sum gossip's peer draws are its reader) or
-/// from hashes of what the node holds, and all side effects must go
-/// through the context, so that runs are reproducible.
+/// from [`SimConfig::seed`] — push-sum gossip seeds a stream per node with
+/// [`derive_seed`](crate::rng::derive_seed) — or from hashes of what the
+/// node holds, and all side effects must go through the context, so that
+/// runs are reproducible.
 pub trait NodeRuntime {
     /// Invoked when a timer set via [`Context::set_timer`] fires, and for
     /// the initial kick delivered by [`Simulator::kick`] (which arrives as
@@ -223,7 +216,6 @@ pub struct Simulator<P> {
     topo: Topology,
     cfg: SimConfig,
     nodes: Vec<P>,
-    node_rngs: Vec<Xoshiro256StarStar>,
     /// Lazily created per-(directed edge, frame class) fate streams.
     fate_streams: HashMap<(NodeId, NodeId, FrameClass), FateStream>,
     queue: EventQueue,
@@ -264,15 +256,11 @@ impl<P: NodeRuntime> Simulator<P> {
             topo.len(),
             "need exactly one node state per topology node"
         );
-        let node_rngs = (0..topo.len() as u64)
-            .map(|v| Xoshiro256StarStar::seed_from_u64(derive_seed(cfg.seed, v, 1)))
-            .collect();
         let stats = NetStats::new(topo.len(), cfg.energy);
         Simulator {
             topo,
             cfg,
             nodes,
-            node_rngs,
             fate_streams: HashMap::new(),
             queue: EventQueue::new(),
             stats,
@@ -420,7 +408,6 @@ impl<P: NodeRuntime> Simulator<P> {
                         node,
                         now: self.now,
                         neighbors: self.topo.neighbors(node),
-                        rng: &mut self.node_rngs[node],
                         actions: &mut actions,
                         pool: &mut self.pool,
                     };
@@ -441,7 +428,6 @@ impl<P: NodeRuntime> Simulator<P> {
                             node: dst,
                             now: self.now,
                             neighbors: self.topo.neighbors(dst),
-                            rng: &mut self.node_rngs[dst],
                             actions: &mut actions,
                             pool: &mut self.pool,
                         };

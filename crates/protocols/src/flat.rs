@@ -45,11 +45,10 @@
 //!   subset envelope is the only request made there;
 //! * **children are absorbed in place**: each child's partial is
 //!   merged off the wire into the `&mut` accumulator
-//!   ([`WaveProtocol::absorb_child`]; the first child through
-//!   [`WaveProtocol::absorb_first_child`], which may size the
-//!   accumulator for all of them), moving no partial — every partial
-//!   still crosses its edge as encoded bits and is decoded by its
-//!   parent;
+//!   ([`WaveProtocol::absorb_child`], told at the first child how many
+//!   there are, so it may size the accumulator for all of them),
+//!   moving no partial — every partial still crosses its edge as
+//!   encoded bits and is decoded by its parent;
 //! * **a cache hit costs a probe.** Slot keys are the sub-requests'
 //!   captured wire bits ([`WaveProtocol::for_each_slot_key`]), probed
 //!   in place; a node whose every slot hits encodes its reply straight
@@ -85,10 +84,10 @@
 //! **No shared cache lines.** Workers write per-thread state at every
 //! node, so no two workers' writable state may sit in one 128-byte
 //! block (an x86 adjacent-line prefetch pair) during the parallel
-//! phase: each `Scratch` is `#[repr(align(128))]`, each group's
-//! [`MuxLedger`] too, and a worker reborrows each block's window onto
-//! its own stack, counting frames there rather than in the shared
-//! `Vec` of carved windows.
+//! phase: each `Scratch` is `#[repr(align(128))]`, each group
+//! protocol's [`MuxLedger`] too, and a worker reborrows each block's
+//! window onto its own stack, counting frames there rather than in the
+//! shared `Vec` of carved windows.
 //!
 //! ## Bit-identity with the boxed runner
 //!
@@ -108,8 +107,11 @@
 //!   hashes of item identity and the request's nonce, and link fates
 //!   come from per-edge streams (below);
 //! * caches live with their node's column slot, so hit/miss counters
-//!   are identical; per-group protocol side-state ([`MuxLedger`]) is
-//!   drained at the barrier in fixed group order.
+//!   are identical; each worker group runs a `clone` of the protocol,
+//!   which bills a [`MuxLedger`] of its own, and the barrier drains
+//!   every group's into the driver's in fixed group order
+//!   ([`WaveProtocol::absorb_shard`]) — as the boxed runner folds its
+//!   nodes' after every wave.
 //!
 //! ## Lossy links: fate-replay ARQ emulation
 //!
@@ -790,11 +792,7 @@ fn step_up<P: WaveProtocol>(
             if env.arq_timeout.is_some() {
                 let _seq = r.read_bits(SEQ_BITS as u32);
             }
-            if i == 0 {
-                proto.absorb_first_child(fwd, &mut acc, &mut r, children)
-            } else {
-                proto.absorb_child(fwd, &mut acc, &mut r)
-            }
+            proto.absorb_child(fwd, &mut acc, &mut r, (i == 0).then_some(children))
         };
         pool.recycle(frame);
         merged.map_err(ProtocolError::from)?;
@@ -1049,10 +1047,10 @@ pub struct FlatWaveRunner<P: WaveProtocol> {
     tree: FlatTree,
     plan: ShardPlan,
     energy: EnergyModel,
-    /// The driver's protocol instance — owns the primary side-state
-    /// (e.g. the [`MuxLedger`](crate::wave::MuxLedger) handed out
-    /// before construction); group clones are drained into it at every
-    /// barrier.
+    /// The protocol the runner was built with, which the driver runs
+    /// on the spine: every group clone's side-state (e.g. its
+    /// [`MuxLedger`](crate::wave::MuxLedger)) is drained into it at
+    /// every barrier ([`WaveSubstrate::protocol`]).
     proto: P,
     cols: Columns<P>,
     link: LinkConfig,
@@ -1153,7 +1151,7 @@ where
         let plan = ShardPlan::new(&tree, workers, depth);
         into_position_order(&tree, &mut items);
         let groups = plan.groups().len();
-        let worker_protos: Vec<P> = (0..groups).map(|_| proto.shard_clone()).collect();
+        let worker_protos: Vec<P> = (0..groups).map(|_| proto.clone()).collect();
         // Fate streams keyed by global endpoint labels: position p's
         // tree edge replays exactly the per-edge stream a boxed
         // simulator would consume for the same pair of node ids.
@@ -1433,6 +1431,10 @@ where
 {
     fn name(&self) -> &'static str {
         "flat"
+    }
+
+    fn protocol(&self) -> &P {
+        &self.proto
     }
 
     /// Root admission, spine top-down, parallel block execution,
@@ -1766,7 +1768,6 @@ mod tests {
     fn flat_ledger_matches_single_threaded() {
         let (topo, tree, items) = balanced_setup(40, 3);
         let sp = proto();
-        let sl = sp.ledger();
         let mut single = WaveRunner::new(
             &topo,
             SimConfig::default(),
@@ -1777,7 +1778,6 @@ mod tests {
         )
         .unwrap();
         let fp = proto();
-        let fl = fp.ledger();
         let mut flat = FlatWaveRunner::new(
             &topo,
             SimConfig::default(),
@@ -1789,13 +1789,13 @@ mod tests {
             NestDepth::Auto,
         )
         .unwrap();
-        sl.lock().unwrap().reset(2);
-        fl.lock().unwrap().reset(2);
+        single.protocol().ledger_mut().reset(2);
+        flat.protocol().ledger_mut().reset(2);
         let a = single.run_wave(env(vec![800, 30])).unwrap();
         let b = flat.run_wave(env(vec![800, 30])).unwrap();
         assert_eq!(a, b);
-        let sg = sl.lock().unwrap();
-        let fg = fl.lock().unwrap();
+        let sg = single.protocol().ledger_mut();
+        let fg = flat.protocol().ledger_mut();
         assert_eq!(sg.slots(), fg.slots(), "per-slot attribution differs");
         assert_eq!(sg.envelope_bits(), fg.envelope_bits());
     }
@@ -2090,7 +2090,6 @@ mod tests {
         {
             let what = format!("workers={workers} {depth:?}");
             let (sp, fp) = (proto(), proto());
-            let (sl, fl) = (sp.ledger(), fp.ledger());
             let mut single =
                 WaveRunner::new(topo, cfg.clone(), tree, sp, items.to_vec(), rel).unwrap();
             let mut flat = FlatWaveRunner::new(
@@ -2132,8 +2131,8 @@ mod tests {
                     }
                     Step::Wave(req) => req,
                 };
-                sl.lock().unwrap().reset(req.len());
-                fl.lock().unwrap().reset(req.len());
+                single.protocol().ledger_mut().reset(req.len());
+                flat.protocol().ledger_mut().reset(req.len());
                 let a = single.run_wave(env(req.clone())).unwrap();
                 let b = flat.run_wave(env(req.clone())).unwrap();
                 assert_eq!(a, b, "answers differ ({what}, {req:?})");
@@ -2143,7 +2142,7 @@ mod tests {
                     "frames differ ({what}, {req:?})"
                 );
                 {
-                    let (sg, fg) = (sl.lock().unwrap(), fl.lock().unwrap());
+                    let (sg, fg) = (single.protocol().ledger_mut(), flat.protocol().ledger_mut());
                     assert_eq!(sg.slots(), fg.slots(), "slot bits ({what}, {req:?})");
                     assert_eq!(sg.envelope_bits(), fg.envelope_bits(), "{what}, {req:?}");
                 }
@@ -2293,7 +2292,6 @@ mod tests {
                     MultiplexWave::new(sc.clone()),
                     MultiplexWave::new(fc.clone()),
                 );
-                let (sl, fl) = (sp.ledger(), fp.ledger());
                 let mut single =
                     WaveRunner::new(&topo, cfg.clone(), &tree, sp, items.clone(), rel).unwrap();
                 let mut flat = FlatWaveRunner::new(
@@ -2326,8 +2324,8 @@ mod tests {
                         Step::Wave(req) => req,
                         Step::Trace(_) | Step::EnableCache(_) => unreachable!(),
                     };
-                    sl.lock().unwrap().reset(req.len());
-                    fl.lock().unwrap().reset(req.len());
+                    single.protocol().ledger_mut().reset(req.len());
+                    flat.protocol().ledger_mut().reset(req.len());
                     let (se, fe) = (
                         MultiplexWave::envelope(&sc, req.clone()),
                         MultiplexWave::envelope(&fc, req.clone()),
@@ -2341,7 +2339,8 @@ mod tests {
                     assert_eq!(a, b, "answers differ ({what}, {req:?})");
                     assert_eq!(single.last_wave_frames(), flat.last_wave_frames());
                     {
-                        let (sg, fg) = (sl.lock().unwrap(), fl.lock().unwrap());
+                        let (sg, fg) =
+                            (single.protocol().ledger_mut(), flat.protocol().ledger_mut());
                         assert_eq!(sg.slots(), fg.slots(), "slot bits ({what}, {req:?})");
                         assert_eq!(sg.envelope_bits(), fg.envelope_bits(), "{what}");
                     }
@@ -2603,6 +2602,49 @@ mod tests {
         assert_eq!(single.run_wave(700).unwrap(), flat.run_wave(700).unwrap());
         assert_eq!(single.last_wave_frames(), flat.last_wave_frames());
         assert_same_tallies(&topo, &tree, single.stats(), flat.stats(), "after panic");
+    }
+
+    #[test]
+    fn worker_panic_leaves_no_bill_for_the_next_wave() {
+        let (topo, tree, items) = balanced_setup(85, 4);
+        let panics = || {
+            MultiplexWave::new(PanicsAt {
+                inner: SumBelow {
+                    value_width: width_for_max(1000),
+                },
+                node: 84, // a leaf: deep inside some worker's block
+                trigger: 666,
+            })
+        };
+        let build = || {
+            FlatWaveRunner::new(
+                &topo,
+                SimConfig::default(),
+                &tree,
+                panics(),
+                items.clone(),
+                Reliability::None,
+                2,
+                NestDepth::Auto,
+            )
+            .unwrap()
+        };
+        let (mut flat, mut fresh) = (build(), build());
+        assert_eq!(flat.worker_count(), 2, "the panic must land on a worker");
+        let inner = panics().inner().clone();
+        let env = |reqs: Vec<u64>| MultiplexWave::envelope(&inner, reqs);
+        let err = flat.run_wave(env(vec![500, 666])).unwrap_err();
+        assert!(matches!(err, ProtocolError::WorkerPanicked(_)), "{err:?}");
+
+        // The drivers reset the ledger before every wave; whatever the
+        // groups billed before the panic was drained at the barrier.
+        for runner in [&mut flat, &mut fresh] {
+            runner.protocol().ledger_mut().reset(2);
+            runner.run_wave(env(vec![700, 30])).unwrap();
+        }
+        let (got, want) = (flat.protocol().ledger_mut(), fresh.protocol().ledger_mut());
+        assert_eq!(got.slots(), want.slots());
+        assert_eq!(got.envelope_bits(), want.envelope_bits());
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! bits, as the analysis assumes.
 
 use crate::error::ProtocolError;
+use saq_netsim::rng::{derive_seed, Xoshiro256StarStar};
 use saq_netsim::sim::{Context, NodeId, NodeRuntime, SimConfig, Simulator};
 use saq_netsim::stats::NetStats;
 use saq_netsim::time::SimDuration;
@@ -41,7 +42,7 @@ fn from_fp(v: u64) -> f64 {
 }
 
 /// Per-node state for push-sum.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PushSumNode {
     /// Current sum share.
     pub sum: f64,
@@ -54,6 +55,8 @@ pub struct PushSumNode {
     rounds_left: u32,
     /// Gap between rounds (set at construction).
     round_gap: SimDuration,
+    /// The node's own stream, which draws the peer of every push.
+    rng: Xoshiro256StarStar,
 }
 
 impl PushSumNode {
@@ -93,7 +96,7 @@ impl NodeRuntime for PushSumNode {
         // Halve and push to a uniformly random neighbour.
         let degree = ctx.neighbors().len();
         if degree > 0 {
-            let idx = ctx.rng().next_below(degree as u64) as usize;
+            let idx = self.rng.next_below(degree as u64) as usize;
             let pick = ctx.neighbors()[idx];
             self.sum /= 2.0;
             self.weight /= 2.0;
@@ -171,6 +174,7 @@ pub fn run_push_sum(
             inbox_weight: 0.0,
             rounds_left: rounds,
             round_gap,
+            rng: Xoshiro256StarStar::seed_from_u64(derive_seed(cfg.seed, i as u64, 1)),
         })
         .collect();
     let mut sim = Simulator::with_nodes(topo.clone(), cfg, nodes);

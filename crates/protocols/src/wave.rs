@@ -150,9 +150,12 @@ pub trait WaveProtocol: Clone {
     /// place — what a parent does with every report it receives.
     /// Afterwards `acc` must equal [`merge`](Self::merge) of its old
     /// value and [`decode_partial`](Self::decode_partial) of the same
-    /// bits, and exactly those bits must be consumed. The default does
-    /// just that, cloning `acc` into `merge`; a protocol on a hot path
-    /// overrides it to merge straight off the wire into `acc`'s own
+    /// bits, and exactly those bits must be consumed. `first_of` is
+    /// `Some(children)` for the first of a node's `children` reports, so
+    /// a protocol can size `acc` once for all of them from the first
+    /// report's shape instead of growing it child by child. The default
+    /// ignores it and clones `acc` into `merge`; a protocol on a hot
+    /// path overrides it to merge straight off the wire into `acc`'s own
     /// storage, moving and allocating nothing.
     ///
     /// # Errors
@@ -165,29 +168,11 @@ pub trait WaveProtocol: Clone {
         req: &Self::Request,
         acc: &mut Self::Partial,
         r: &mut BitReader<'_>,
+        _first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
         let child = self.decode_partial(req, r)?;
         *acc = self.merge(req, acc.clone(), child);
         Ok(())
-    }
-
-    /// [`absorb_child`](Self::absorb_child) for the first of the
-    /// `children` reports a node absorbs, so a protocol can size `acc`
-    /// once for all of them from the first report's shape instead of
-    /// growing it child by child. Same contract as `absorb_child`,
-    /// which the default calls.
-    ///
-    /// # Errors
-    ///
-    /// As [`absorb_child`](Self::absorb_child).
-    fn absorb_first_child(
-        &self,
-        req: &Self::Request,
-        acc: &mut Self::Partial,
-        r: &mut BitReader<'_>,
-        _children: usize,
-    ) -> Result<(), NetsimError> {
-        self.absorb_child(req, acc, r)
     }
 
     // --- subtree partial caching hooks (see `crate::cache`) -----------
@@ -341,7 +326,7 @@ pub trait WaveProtocol: Clone {
         false
     }
 
-    // --- request admission and worker-group hooks ---------------------
+    // --- request admission and clone hooks ----------------------------
 
     /// Validates a request at the API boundary, *before* the root
     /// injects it into the network. This is where wire-format bounds are
@@ -357,24 +342,13 @@ pub trait WaveProtocol: Clone {
         Ok(())
     }
 
-    /// A clone for one worker group of the parallel flat runner
-    /// ([`crate::flat::FlatWaveRunner`]). Protocols whose clones
-    /// deliberately *share* mutable side-state (the bit ledger of
-    /// [`MultiplexWave`]) must hand the group a fresh, independent
-    /// instance here, so groups never contend and `Send` holds; the
-    /// plain `clone` default is correct for stateless protocols.
-    ///
-    /// The runner keeps one group clone per worker group for its whole
-    /// life and lends it, `&mut`, to that group's one worker each wave:
-    /// a group clone is never shared between threads and never cloned,
-    /// so its side-state need not be `Sync`.
-    fn shard_clone(&self) -> Self {
-        self.clone()
-    }
-
-    /// Folds a worker group's clone's accumulated side-state back into
-    /// this instance, **draining** the group's copy. Called at the
-    /// convergecast barrier in fixed group order, so merged tallies are
+    /// Folds the side-state a clone of this protocol accumulated (the
+    /// bits a [`MultiplexWave`] clone billed to its own [`MuxLedger`])
+    /// into this instance, **draining** the clone's copy. A runner keeps
+    /// the protocol it was built with and runs clones of it — one per
+    /// node in the boxed [`WaveRunner`], one per worker group in the
+    /// flat runner — and folds every clone after every wave, failed
+    /// waves included, in a fixed order, so merged tallies are
     /// deterministic regardless of thread timing. The default is a
     /// no-op.
     fn absorb_shard(&self, _shard: &Self) {}
@@ -860,43 +834,35 @@ impl<P: WaveProtocol> AggNode<P> {
         })
     }
 
-    /// Frames one outgoing message into `w` (an empty writer — pooled
-    /// when the caller has one): kind, varint wave id, an ARQ sequence
-    /// number when reliable (consuming `next_seq`), then the
-    /// protocol-encoded body.
-    fn encode_msg(
-        &mut self,
-        mut w: BitWriter,
-        kind: u64,
-        wave: u16,
-        body: impl FnOnce(&mut BitWriter),
-    ) -> (Option<u16>, BitString) {
+    /// Writes an outgoing message's header into `w`: kind, varint wave
+    /// id, then an ARQ sequence number when reliable (consuming
+    /// `next_seq`), which it returns. The caller encodes the body with
+    /// its own protocol, so every bill lands in this node's ledger.
+    fn write_header(&mut self, w: &mut BitWriter, kind: u64, wave: u16) -> Option<u16> {
         w.write_bits(kind, 2);
-        write_wave(&mut w, wave);
-        let seq = match (kind, self.reliability) {
-            (KIND_ACK, _) | (_, Reliability::None) => None,
-            (_, Reliability::Ack { .. }) => {
+        write_wave(w, wave);
+        match self.reliability {
+            Reliability::None => None,
+            Reliability::Ack { .. } => {
                 let s = self.next_seq;
                 self.next_seq = self.next_seq.wrapping_add(1);
                 w.write_bits(s as u64, 16);
                 Some(s)
             }
-        };
-        body(&mut w);
-        (seq, w.finish())
+        }
     }
 
-    /// Returns the framed message's size in bits (telemetry needs the
-    /// full on-wire frame size; most call sites ignore it).
-    fn send_msg(
+    /// Sends a framed message, keeping a copy for retransmission when it
+    /// carries a sequence number. Returns its size in bits (telemetry
+    /// needs the full on-wire frame size).
+    fn send_frame(
         &mut self,
         ctx: &mut Context<'_>,
         to: NodeId,
-        kind: u64,
         wave: u16,
-        body: impl FnOnce(&mut BitWriter),
+        seq: Option<u16>,
+        payload: BitString,
     ) -> u64 {
-        let (seq, payload) = self.encode_msg(ctx.writer(), kind, wave, body);
         let bits = payload.len_bits();
         if let (Some(seq), Reliability::Ack { timeout }) = (seq, self.reliability) {
             self.pending.push(PendingMsg {
@@ -951,11 +917,11 @@ impl<P: WaveProtocol> AggNode<P> {
                     // Without per-message sequence numbers the request
                     // frame is bit-identical for every child: encode it
                     // once and fan out pool-backed copies instead of
-                    // cloning the request and re-encoding per child.
-                    let proto = self.proto.clone();
-                    let (_, frame) = self.encode_msg(ctx.writer(), KIND_REQUEST, wave, |w| {
-                        proto.encode_request(&fwd, w);
-                    });
+                    // re-encoding per child.
+                    let mut w = ctx.writer();
+                    self.write_header(&mut w, KIND_REQUEST, wave);
+                    self.proto.encode_request(&fwd, &mut w);
+                    let frame = w.finish();
                     let last = self.children.len() - 1;
                     for i in 0..last {
                         let copy = ctx.duplicate(&frame);
@@ -963,13 +929,11 @@ impl<P: WaveProtocol> AggNode<P> {
                     }
                     ctx.send(self.children[last], frame);
                 } else {
-                    let children = self.children.clone();
-                    for child in children {
-                        let proto = self.proto.clone();
-                        let r = fwd.clone();
-                        self.send_msg(ctx, child, KIND_REQUEST, wave, move |w| {
-                            proto.encode_request(&r, w);
-                        });
+                    for i in 0..self.children.len() {
+                        let mut w = ctx.writer();
+                        let seq = self.write_header(&mut w, KIND_REQUEST, wave);
+                        self.proto.encode_request(&fwd, &mut w);
+                        self.send_frame(ctx, self.children[i], wave, seq, w.finish());
                     }
                 }
             }
@@ -1072,12 +1036,12 @@ impl<P: WaveProtocol> AggNode<P> {
         match self.parent {
             None => self.result = Some(full),
             Some(parent) => {
-                let proto = self.proto.clone();
-                let req = self.req.clone().expect("active wave has a request");
                 let wave = self.wave;
-                let bits = self.send_msg(ctx, parent, KIND_PARTIAL, wave, move |w| {
-                    proto.encode_partial(&req, &full, w);
-                });
+                let mut w = ctx.writer();
+                let seq = self.write_header(&mut w, KIND_PARTIAL, wave);
+                let req = self.req.as_ref().expect("active wave has a request");
+                self.proto.encode_partial(req, &full, &mut w);
+                let bits = self.send_frame(ctx, parent, wave, seq, w.finish());
                 self.trace_push(NodeTraceEntry::PartialSent { bits });
             }
         }
@@ -1208,6 +1172,12 @@ pub trait WaveSubstrate<P: WaveProtocol>: Debug {
     /// routing assertions and experiment banners.
     fn name(&self) -> &'static str;
 
+    /// The protocol the substrate was built with. Its side-state (a
+    /// [`MultiplexWave`]'s [`MuxLedger`]) holds everything the waves
+    /// billed so far: the substrate folds the clones it runs into it
+    /// after every wave ([`WaveProtocol::absorb_shard`]).
+    fn protocol(&self) -> &P;
+
     /// Runs one wave with the given request and returns the root's merged
     /// result.
     ///
@@ -1326,6 +1296,9 @@ pub trait WaveSubstrate<P: WaveProtocol>: Debug {
 /// oracle.
 #[derive(Debug)]
 pub struct WaveRunner<P: WaveProtocol> {
+    /// The protocol the runner was built with: each node runs a clone
+    /// of it, whose side-state is folded back into it after every wave.
+    proto: P,
     sim: Simulator<AggNode<P>>,
     root: NodeId,
     next_wave: u16,
@@ -1370,6 +1343,7 @@ impl<P: WaveProtocol> WaveRunner<P> {
             })
             .collect();
         Ok(WaveRunner {
+            proto,
             sim: Simulator::with_nodes(topo.clone(), cfg, nodes),
             root: tree.root(),
             next_wave: 0,
@@ -1391,14 +1365,16 @@ impl<P: WaveProtocol + Debug> WaveSubstrate<P> for WaveRunner<P> {
         "single"
     }
 
+    fn protocol(&self) -> &P {
+        &self.proto
+    }
+
     fn run_wave(&mut self, req: P::Request) -> Result<P::Partial, ProtocolError> {
         // Wire-format bounds are enforced here, at the API boundary, in
         // release builds too — inside node handlers encoding is
         // infallible by construction (decoded inputs already passed the
         // mirror checks).
-        self.sim
-            .node(self.root)
-            .proto
+        self.proto
             .validate_request(&req)
             .map_err(ProtocolError::from)?;
         self.next_wave = self.next_wave.wrapping_add(1);
@@ -1413,6 +1389,11 @@ impl<P: WaveProtocol + Debug> WaveSubstrate<P> for WaveRunner<P> {
         self.sim.kick(root, TAG_START);
         let run = self.sim.run_until_quiescent();
         self.last_wave_frames = self.sim.frames_transmitted() - sent_before;
+        // Every node billed its own clone: fold them in id order, after
+        // a failed wave too, so no bill waits into the next wave.
+        for v in 0..self.sim.len() {
+            self.proto.absorb_shard(&self.sim.node(v).proto);
+        }
         run?;
         self.sim
             .node_mut(root)
@@ -1451,7 +1432,7 @@ impl<P: WaveProtocol + Debug> WaveSubstrate<P> for WaveRunner<P> {
         if old == n.items {
             return (0, 0); // nothing observable changed: caches stay valid as-is
         }
-        n.proto
+        self.proto
             .item_delta(node, &old, &n.items, &mut self.item_delta);
         let (mut applied, mut invalidated) = (0, 0);
         let mut v = node;
@@ -1584,9 +1565,9 @@ impl MuxLedger {
     }
 
     /// Adds another ledger's tallies into this one, slot-wise. This is
-    /// the worker-barrier merge: each flat worker group accumulates into
-    /// its own ledger during the parallel phase, and the barrier folds
-    /// them back in fixed group order.
+    /// the runners' fold: every node (boxed) or worker group (flat)
+    /// accumulates into its own ledger during a wave, and the runner
+    /// folds them back in a fixed order once it ends.
     pub fn absorb(&mut self, other: &MuxLedger) {
         for (i, s) in other.slots.iter().enumerate() {
             let m = self.slot_mut(i);
@@ -1663,15 +1644,14 @@ impl<R> MuxEntry<R> {
 /// [`MuxLedger::envelope_bits`]. Partials are billed as they are
 /// encoded; requests as a runner sends them
 /// ([`WaveProtocol::note_request_copies`]), so encoding a request is
-/// pure. The ledger is shared, behind a mutex, across the plain clones
-/// deployed to the simulated nodes (the boxed runner's nodes, the flat
-/// runner's spine), so after a wave it holds the exact transmit-side
-/// cost split. On the parallel flat runner each worker group bills a
-/// ledger of its own ([`WaveProtocol::shard_clone`]) without a lock —
-/// only its one worker touches it — drained back into the root ledger
-/// at the barrier in fixed group order ([`WaveProtocol::absorb_shard`]);
-/// tallies are sums either way. A group clone is never cloned again: a
-/// clone of one gets a fresh ledger of its own.
+/// pure. Every instance bills a ledger of its own, and a clone starts
+/// with an empty one. A runner runs clones — the boxed runner one per
+/// node, the flat runner one per worker group, whose one worker bills
+/// it without a lock — and after every wave folds them, in a fixed
+/// order, into the protocol it was built with
+/// ([`WaveProtocol::absorb_shard`]; read through
+/// [`WaveSubstrate::protocol`]), so that ledger then holds the wave's
+/// exact transmit-side cost split: tallies are sums.
 /// Tallies are exact under [`Reliability::None`]. Under ARQ each logical
 /// message is charged **once** — retransmissions resend the cached
 /// payload unbilled, and ACK frames are never attributed — so per-slot
@@ -1681,63 +1661,19 @@ impl<R> MuxEntry<R> {
 /// entry is an independently cacheable slot: nodes answer cached
 /// sub-requests locally and forward reduced envelopes carrying only the
 /// misses, with the slot tags keeping attribution honest at every depth.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct MultiplexWave<P: WaveProtocol> {
     inner: P,
-    ledger: Ledger,
+    /// This instance's own ledger, on 128-byte blocks of its own
+    /// ([`MuxLedger`] is aligned to them), so worker groups billing
+    /// theirs never write to one cache line.
+    ledger: std::cell::RefCell<MuxLedger>,
 }
 
-/// Where a [`MultiplexWave`] bills its bits.
-#[derive(Debug)]
-enum Ledger {
-    /// Shared by every plain clone, locked on each bill.
-    Shared(std::sync::Arc<std::sync::Mutex<MuxLedger>>),
-    /// A worker group's own ([`WaveProtocol::shard_clone`]), billed by
-    /// its one worker without a lock. Boxed, so it sits on 128-byte
-    /// blocks of its own wherever the group protocol lives.
-    Group(Box<std::cell::RefCell<MuxLedger>>),
-}
-
-impl Clone for Ledger {
-    /// Plain clones share the ledger. A group ledger is never shared: a
-    /// clone of a group clone (which no runner makes) bills a fresh one.
+impl<P: WaveProtocol> Clone for MultiplexWave<P> {
+    /// The same configuration, billing an empty ledger of its own.
     fn clone(&self) -> Self {
-        match self {
-            Ledger::Shared(shared) => Ledger::Shared(std::sync::Arc::clone(shared)),
-            Ledger::Group(_) => Ledger::Group(Default::default()),
-        }
-    }
-}
-
-/// A [`MultiplexWave`]'s ledger, borrowed for billing
-/// ([`MultiplexWave::ledger_mut`]): a mutex guard on a shared ledger, a
-/// plain borrow on a worker group's own.
-#[derive(Debug)]
-pub struct MuxLedgerGuard<'a>(LedgerGuard<'a>);
-
-#[derive(Debug)]
-enum LedgerGuard<'a> {
-    Locked(std::sync::MutexGuard<'a, MuxLedger>),
-    Borrowed(std::cell::RefMut<'a, MuxLedger>),
-}
-
-impl std::ops::Deref for MuxLedgerGuard<'_> {
-    type Target = MuxLedger;
-
-    fn deref(&self) -> &MuxLedger {
-        match &self.0 {
-            LedgerGuard::Locked(g) => g,
-            LedgerGuard::Borrowed(g) => g,
-        }
-    }
-}
-
-impl std::ops::DerefMut for MuxLedgerGuard<'_> {
-    fn deref_mut(&mut self) -> &mut MuxLedger {
-        match &mut self.0 {
-            LedgerGuard::Locked(g) => g,
-            LedgerGuard::Borrowed(g) => g,
-        }
+        MultiplexWave::new(self.inner.clone())
     }
 }
 
@@ -1746,7 +1682,7 @@ impl<P: WaveProtocol> MultiplexWave<P> {
     pub fn new(inner: P) -> Self {
         MultiplexWave {
             inner,
-            ledger: Ledger::Shared(std::sync::Arc::default()),
+            ledger: Default::default(),
         }
     }
 
@@ -1755,35 +1691,13 @@ impl<P: WaveProtocol> MultiplexWave<P> {
         &self.inner
     }
 
-    /// The shared bit-attribution ledger.
+    /// Borrows this instance's ledger, to reset or read it.
     ///
     /// # Panics
     ///
-    /// Panics on a worker group's clone
-    /// ([`WaveProtocol::shard_clone`]), whose ledger is its own and not
-    /// shared.
-    pub fn ledger(&self) -> std::sync::Arc<std::sync::Mutex<MuxLedger>> {
-        match &self.ledger {
-            Ledger::Shared(shared) => std::sync::Arc::clone(shared),
-            Ledger::Group(_) => panic!("a worker group's mux ledger is not shared"),
-        }
-    }
-
-    /// Borrows the ledger for billing: locks a shared one, borrows a
-    /// worker group's own. A panic while a shared ledger's guard was
-    /// held (an inner codec panicking on a worker) poisons the mutex but
-    /// cannot corrupt the ledger: every update is a counter addition,
-    /// and drivers reset the tallies before each wave. So the guard is
-    /// recovered, not propagated.
-    pub fn ledger_mut(&self) -> MuxLedgerGuard<'_> {
-        MuxLedgerGuard(match &self.ledger {
-            Ledger::Shared(shared) => LedgerGuard::Locked(
-                shared
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner),
-            ),
-            Ledger::Group(own) => LedgerGuard::Borrowed(own.borrow_mut()),
-        })
+    /// Panics while another borrow from `ledger_mut` is alive.
+    pub fn ledger_mut(&self) -> std::cell::RefMut<'_, MuxLedger> {
+        self.ledger.borrow_mut()
     }
 
     /// Builds the dense envelope billing sub-request `i` to ledger slot
@@ -1812,33 +1726,6 @@ impl<P: WaveProtocol> MultiplexWave<P> {
             req.iter().map(|e| gamma_len(e.slot as u64 + 1)).sum()
         };
         gamma_len(req.len() as u64 + 1) + 1 + tags
-    }
-
-    /// Absorbs one child's envelope slot by slot into `acc`, as the
-    /// first of `first_of` children when that is `Some`. An accumulator
-    /// with a different slot count than `req` is an error, not a panic
-    /// or a partial merge.
-    fn absorb_slots(
-        &self,
-        req: &[MuxEntry<P::Request>],
-        acc: &mut [P::Partial],
-        r: &mut BitReader<'_>,
-        first_of: Option<usize>,
-    ) -> Result<(), NetsimError> {
-        if acc.len() != req.len() {
-            return Err(NetsimError::WireDecode(
-                "mux accumulator does not align with its request",
-            ));
-        }
-        for (entry, sub) in req.iter().zip(acc) {
-            match first_of {
-                None => self.inner.absorb_child(&entry.req, sub, r)?,
-                Some(children) => self
-                    .inner
-                    .absorb_first_child(&entry.req, sub, r, children)?,
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1996,24 +1883,25 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
     }
 
     /// One pass over the slots: sub-partial `i` is decoded off the wire
-    /// and merged into `acc[i]` where it lies.
+    /// and merged into `acc[i]` where it lies, `first_of` passed on to
+    /// every slot. An accumulator with a different slot count than
+    /// `req` is an error, not a panic or a partial merge.
     fn absorb_child(
         &self,
         req: &Self::Request,
         acc: &mut Self::Partial,
         r: &mut BitReader<'_>,
+        first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
-        self.absorb_slots(req, acc, r, None)
-    }
-
-    fn absorb_first_child(
-        &self,
-        req: &Self::Request,
-        acc: &mut Self::Partial,
-        r: &mut BitReader<'_>,
-        children: usize,
-    ) -> Result<(), NetsimError> {
-        self.absorb_slots(req, acc, r, Some(children))
+        if acc.len() != req.len() {
+            return Err(NetsimError::WireDecode(
+                "mux accumulator does not align with its request",
+            ));
+        }
+        for (entry, sub) in req.iter().zip(acc) {
+            self.inner.absorb_child(&entry.req, sub, r, first_of)?;
+        }
+        Ok(())
     }
 
     // --- subtree partial caching: every entry is one cacheable slot ---
@@ -2117,30 +2005,16 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         Ok(())
     }
 
-    /// A worker group gets a ledger of its own, which its one worker
-    /// bills without a lock and without contending with other groups or
-    /// the root.
-    fn shard_clone(&self) -> Self {
-        MultiplexWave {
-            inner: self.inner.shard_clone(),
-            ledger: Ledger::Group(Default::default()),
-        }
-    }
-
-    /// Drains the group's ledger into this (root) ledger — slot tallies
-    /// and envelope bits add, so the merged ledger equals what a
-    /// single-threaded run would have accumulated. The group keeps its
-    /// emptied slot buffer for the next wave. A shard sharing this
-    /// ledger (a plain `clone`) has nothing to move.
+    /// Drains the clone's ledger into this one — slot tallies and
+    /// envelope bits add, so the merged ledger equals what a single
+    /// instance billing every frame would have accumulated. The clone
+    /// keeps its emptied slot buffer for the next wave. A ledger
+    /// borrowed already (`shard` is `self`) has nothing to move.
     fn absorb_shard(&self, shard: &Self) {
-        let shared = match (&self.ledger, &shard.ledger) {
-            (Ledger::Shared(a), Ledger::Shared(b)) => std::sync::Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        if !shared {
-            let mut group = shard.ledger_mut();
-            self.ledger_mut().absorb(&group);
-            group.reset(0);
+        let mut ledger = self.ledger_mut();
+        if let Ok(mut theirs) = shard.ledger.try_borrow_mut() {
+            ledger.absorb(&theirs);
+            theirs.reset(0);
         }
         self.inner.absorb_shard(&shard.inner);
     }
@@ -2212,31 +2086,11 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_ledger_is_recovered_not_propagated() {
-        let proto = MultiplexWave::new(SumBelow {
-            value_width: width_for_max(1000),
-        });
-        let ledger = proto.ledger();
-        let holder = std::thread::spawn(move || {
-            let _guard = ledger.lock().unwrap();
-            panic!("poisoning the mux ledger");
-        });
-        assert!(holder.join().is_err());
-        assert!(proto.ledger().is_poisoned());
-        // Billing a request still reaches the ledger instead of panicking.
-        proto.note_request_copies(&MultiplexWave::envelope(proto.inner(), vec![5]), 1);
-        assert_eq!(
-            proto.ledger_mut().slots()[0].request_bits,
-            width_for_max(1000) as u64
-        );
-    }
-
-    #[test]
     fn absorb_shard_drains_the_group_ledger_in_place() {
         let root = MultiplexWave::new(SumBelow {
             value_width: width_for_max(1000),
         });
-        let group = root.shard_clone();
+        let group = root.clone();
         root.note_request_copies(&MultiplexWave::envelope(root.inner(), vec![5]), 1);
         let sparse = vec![
             MuxEntry::new(root.inner(), 0, 7),
@@ -2265,48 +2119,49 @@ mod tests {
         );
         drop(drained);
 
-        // A plain clone shares the root's ledger: nothing moves.
+        // A fresh clone has billed nothing: absorbing it moves nothing.
         root.absorb_shard(&root.clone());
         assert_eq!(root.ledger_mut().slots(), merged.slots());
         assert_eq!(root.ledger_mut().envelope_bits(), merged.envelope_bits());
     }
 
     #[test]
-    fn group_clones_bill_ledgers_of_their_own() {
+    fn a_clone_bills_an_empty_ledger_of_its_own() {
         let root = MultiplexWave::new(SumBelow {
             value_width: width_for_max(1000),
         });
-        let groups: Vec<_> = (0..4).map(|_| root.shard_clone()).collect();
-        // Each group ledger fills 128-byte blocks of its own.
+        let req = MultiplexWave::envelope(root.inner(), vec![5]);
+        root.note_request_copies(&req, 3);
+        let clones: Vec<_> = (0..4).map(|_| root.clone()).collect();
+        // Each ledger fills 128-byte blocks of its own.
         assert_eq!(
             std::mem::size_of::<std::cell::RefCell<MuxLedger>>() % 128,
             0
         );
-        for g in &groups {
-            let Ledger::Group(own) = &g.ledger else {
-                panic!("a group clone bills a ledger of its own");
-            };
-            let addr = &**own as *const std::cell::RefCell<MuxLedger> as usize;
-            assert_eq!(
-                addr % 128,
-                0,
-                "group ledger at {addr:#x} is not 128-aligned"
-            );
-        }
-        let req = MultiplexWave::envelope(root.inner(), vec![5]);
-        groups[0].note_request_copies(&req, 1);
-        assert!(root.ledger_mut().slots().is_empty());
-        assert!(groups[1].ledger_mut().slots().is_empty());
-        // A clone of a group clone (which no runner makes) bills a fresh
-        // ledger, not the group's.
-        let copy = groups[0].clone();
+        let mut blocks: Vec<usize> = std::iter::once(&root)
+            .chain(&clones)
+            .map(|c| {
+                let addr = &c.ledger as *const std::cell::RefCell<MuxLedger> as usize;
+                assert_eq!(addr % 128, 0, "ledger at {addr:#x} is not 128-aligned");
+                addr / 128
+            })
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        assert_eq!(blocks.len(), 5, "two ledgers share a 128-byte block");
+        assert!(clones.iter().all(|c| c.ledger_mut().slots().is_empty()));
+        clones[0].note_request_copies(&req, 1);
+        assert_eq!(root.ledger_mut().slots()[0].request_bits, 30);
+        assert!(clones[1].ledger_mut().slots().is_empty());
+        // A clone of a clone starts empty too.
+        let copy = clones[0].clone();
         copy.note_request_copies(&req, 2);
-        assert_eq!(groups[0].ledger_mut().slots()[0].request_bits, 10);
+        assert_eq!(clones[0].ledger_mut().slots()[0].request_bits, 10);
         assert_eq!(copy.ledger_mut().slots()[0].request_bits, 20);
-        for g in &groups {
-            root.absorb_shard(g);
+        for c in clones.iter().chain([&copy]) {
+            root.absorb_shard(c);
         }
-        assert_eq!(root.ledger_mut().slots()[0].request_bits, 10);
+        assert_eq!(root.ledger_mut().slots()[0].request_bits, 60);
     }
 
     #[test]
@@ -2601,27 +2456,11 @@ mod tests {
     fn mux_ledger_attributes_all_bits() {
         let topo = Topology::line(4).unwrap();
         let items: Vec<Vec<u64>> = (0..4).map(|i| vec![i as u64]).collect();
-        let mut r = mux_runner_on(topo, items);
-        let proto = MultiplexWave::new(SumBelow {
-            value_width: width_for_max(1000),
-        });
-        // The runner clones the protocol at construction; rebuild a runner
-        // whose ledger handle we kept.
-        let topo = Topology::line(4).unwrap();
-        let tree = SpanningTree::bfs(&topo, 0).unwrap();
-        let ledger = proto.ledger();
-        let mut r2 = WaveRunner::new(
-            &topo,
-            SimConfig::default(),
-            &tree,
-            proto,
-            (0..4).map(|i| vec![i as u64]).collect(),
-            Reliability::None,
-        )
-        .unwrap();
-        ledger.lock().unwrap().reset(2);
+        let mut r = mux_runner_on(topo.clone(), items.clone());
+        let mut r2 = mux_runner_on(topo, items);
+        r2.protocol().ledger_mut().reset(2);
         r2.run_wave(env(vec![1000, 8])).unwrap();
-        let led = ledger.lock().unwrap();
+        let led = r2.protocol().ledger_mut();
         // Wave headers (kind + varint wave id) are charged by the node
         // layer, not the protocol encoding: ledger totals must equal tx
         // bits minus per-message headers. Line of 4 nodes: 3 request
@@ -2638,12 +2477,50 @@ mod tests {
     }
 
     #[test]
+    fn boxed_ledger_is_folded_after_every_wave_failed_ones_too() {
+        // Lossy links without ARQ: some waves lose a frame and end in
+        // `NoResult`. Every frame a node transmitted was still encoded
+        // by its own clone, so after every wave — failed or not — the
+        // folded ledger plus the headers must equal the wave's tx bits.
+        let topo = Topology::grid(4, 4).unwrap();
+        let tree = SpanningTree::bfs(&topo, 0).unwrap();
+        let items: Vec<Vec<u64>> = (0..16).map(|i| vec![i as u64]).collect();
+        let cfg = SimConfig::default()
+            .with_link(LinkConfig::default().with_loss(0.05))
+            .with_seed(4);
+        let proto = MultiplexWave::new(SumBelow {
+            value_width: width_for_max(1000),
+        });
+        let mut r = WaveRunner::new(&topo, cfg, &tree, proto, items, Reliability::None).unwrap();
+        let (mut ok, mut failed) = (0, 0);
+        for wave in 0..40u64 {
+            let reqs = vec![1000, 8 + wave % 5];
+            r.protocol().ledger_mut().reset(reqs.len());
+            r.reset_stats();
+            match r.run_wave(env(reqs)) {
+                Ok(_) => ok += 1,
+                Err(ProtocolError::NoResult) => failed += 1,
+                Err(e) => panic!("unexpected error {e:?}"),
+            }
+            let led = r.protocol().ledger_mut();
+            let attributed: u64 =
+                led.slots().iter().map(|s| s.total()).sum::<u64>() + led.envelope_bits();
+            let tx: u64 = r.stats().iter().map(|s| s.tx_bits).sum();
+            assert_eq!(
+                attributed + r.last_header_bits() * r.last_wave_frames(),
+                tx,
+                "wave {wave}"
+            );
+        }
+        assert!(ok > 0 && failed > 0, "{ok} complete, {failed} failed waves");
+    }
+
+    #[test]
     fn sparse_envelope_roundtrips_and_bills_declared_slots() {
         let proto = MultiplexWave::new(SumBelow {
             value_width: width_for_max(1000),
         });
-        let ledger = proto.ledger();
-        ledger.lock().unwrap().reset(5);
+        proto.ledger_mut().reset(5);
         // A subset envelope as an interior node would forward it: entries
         // billing original slots 1 and 4.
         let req = vec![
@@ -2657,7 +2534,7 @@ mod tests {
         let mut r = BitReader::new(&bits);
         assert_eq!(proto.decode_request(&mut r).unwrap(), req);
         assert_eq!(r.remaining(), 0);
-        let led = ledger.lock().unwrap();
+        let led = proto.ledger_mut();
         assert!(led.slots()[1].request_bits > 0, "slot 1 billed");
         assert!(led.slots()[4].request_bits > 0, "slot 4 billed");
         assert_eq!(led.slots()[0].request_bits, 0);

@@ -1,9 +1,9 @@
 //! Merge-in-place property suite: for **every** [`CoreRequest`] kind,
 //! for 1–6-slot multiplexed envelopes of them and for the mixed
 //! `Count/Min/Max/Sum/Quantile/BottomK` envelope,
-//! [`WaveProtocol::absorb_child`] (and [`WaveProtocol::absorb_first_child`],
-//! which may also size the accumulator for the children to come) must be
-//! indistinguishable from the two calls it replaces on the flat runner's
+//! [`WaveProtocol::absorb_child`] (told at a first child how many
+//! children there are, so it may also size the accumulator for the
+//! children to come) must be indistinguishable from the two calls it replaces on the flat runner's
 //! up-sweep:
 //!
 //! 1. `absorb_child(req, &mut acc, encode(p))` leaves `acc` equal to
@@ -91,10 +91,7 @@ fn absorb<P: WaveProtocol>(
     first_of: Option<usize>,
 ) -> (Result<(), NetsimError>, u64) {
     let mut r = BitReader::new(frame);
-    let out = match first_of {
-        None => proto.absorb_child(req, acc, &mut r),
-        Some(children) => proto.absorb_first_child(req, acc, &mut r, children),
-    };
+    let out = proto.absorb_child(req, acc, &mut r, first_of);
     (out, r.remaining())
 }
 
