@@ -8,7 +8,13 @@
 use std::process::ExitCode;
 
 use saq_bench::experiments::*;
+use saq_bench::heap::CountingAlloc;
 use saq_bench::Scale;
+
+/// Counts live heap bytes, so memory columns (E16's) read the same
+/// whichever experiments ran before them.
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// An experiment's command-line id, and the run that prints its tables
 /// (the summary it returns is for the integration tests).

@@ -18,13 +18,15 @@
 //!   cores` beats `workers = 1` on multi-core hardware, with the
 //!   nested partition (not the root's child count) setting the
 //!   available parallelism;
-//! * memory stays columnar-lean: the resident memory a deployment adds
-//!   grows near-linearly in N (per sweep point: `VmRSS` with the
-//!   network alive after its rounds, minus `VmRSS` just before it was
-//!   built — the larger of the two worker counts; Linux only). Memory
-//!   earlier experiments freed but kept resident can be reused, so a
-//!   row reads at most what the deployment needed.
+//! * memory stays columnar-lean: the heap a deployment keeps grows
+//!   near-linearly in N (per sweep point: live heap bytes with the
+//!   network alive after its rounds, minus live heap bytes just before
+//!   it was built — the larger of the two worker counts). The bytes
+//!   come from the counting allocator of [`crate::heap`], so a row
+//!   reads the same whichever experiments ran before it; a binary that
+//!   does not install it prints "n/a".
 
+use crate::heap::live_bytes;
 use crate::table::{banner, f3, Table};
 use crate::Scale;
 use saq_core::engine::{QueryOutcome, QuerySpec};
@@ -40,9 +42,9 @@ use std::time::Instant;
 pub struct Summary {
     /// `(n, rounds/sec at 1 worker, rounds/sec at all cores, speedup)`.
     pub points: Vec<(usize, f64, f64, f64)>,
-    /// Resident growth in MiB of the largest sweep point (0.0 off
-    /// Linux).
-    pub rss_growth_mib: f64,
+    /// Live heap growth in MiB of the largest sweep point (`None`
+    /// without the counting allocator of [`crate::heap`]).
+    pub heap_growth_mib: Option<f64>,
     /// Flat answers equal the boxed runner's at the spot-check N.
     pub answers_identical: bool,
     /// Flat per-node bit totals equal the boxed runner's (every node).
@@ -112,31 +114,22 @@ fn run_rounds(net: SimNetwork, reps: usize) -> (Vec<QueryOutcome>, SimNetwork, f
 }
 
 /// Flat deployment of `n` nodes on `workers`: its rounds per second
-/// and the resident memory it added, in MiB — `VmRSS` with the network
-/// still alive after its rounds minus `VmRSS` just before it was built
-/// (0.0 off Linux).
-fn sweep_point(n: usize, workers: usize, reps: usize) -> (f64, f64) {
-    let before = rss_mib();
+/// and the heap it kept, in MiB — live heap bytes with the network
+/// still alive after its rounds minus live heap bytes just before it
+/// was built (`None` without the counting allocator).
+fn sweep_point(n: usize, workers: usize, reps: usize) -> (f64, Option<f64>) {
+    let before = live_bytes();
     let (_, net, rounds_per_sec) = run_rounds(deployment(n, true, workers), reps);
-    let grown = rss_mib()
+    let grown = live_bytes()
         .zip(before)
-        .map_or(0.0, |(after, before)| after - before);
+        .map(|(after, before)| after.saturating_sub(before) as f64 / (1024.0 * 1024.0));
     drop(net);
     (rounds_per_sec, grown)
 }
 
-/// Resident set size in MiB from `/proc/self/status` (`VmRSS`); `None`
-/// off Linux or if the pseudo-file is unreadable.
-fn rss_mib() -> Option<f64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let kb: f64 = status
-        .lines()
-        .find(|l| l.starts_with("VmRSS:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(kb / 1024.0)
+/// A memory figure for the table: "n/a" without the counting allocator.
+fn mib(v: Option<f64>) -> String {
+    v.map_or_else(|| "n/a".to_owned(), f3)
 }
 
 /// Runs E16 and prints its table.
@@ -179,32 +172,32 @@ pub fn run(scale: Scale) -> Summary {
         "rounds/s (1 worker)",
         &format!("rounds/s ({cores} workers)"),
         "speedup",
-        "RSS growth (MiB)",
+        "heap growth (MiB)",
     ]);
     let mut points = Vec::new();
-    let mut grown = 0.0_f64;
+    let mut grown = None;
     for &n in ns {
         // Keep every sweep point to a comparable wall-clock budget.
         let reps = (400_000 / n).clamp(2, 16);
         let (rps_one, grown_one) = sweep_point(n, 1, reps);
         let (rps_all, grown_all) = sweep_point(n, cores, reps);
         let speedup = rps_all / rps_one;
-        grown = grown_one.max(grown_all);
+        grown = grown_one.zip(grown_all).map(|(one, all)| one.max(all));
         table.row(&[
             n.to_string(),
             f3(rps_one),
             f3(rps_all),
             format!("{}x", f3(speedup)),
-            f3(grown),
+            mib(grown),
         ]);
         points.push((n, rps_one, rps_all, speedup));
     }
     table.print();
     println!(
         "\nanswers identical: {answers_identical}; per-node bits identical: {bits_identical}; \
-         RSS growth at N = {} {} MiB",
+         heap growth at N = {} {} MiB",
         ns[ns.len() - 1],
-        f3(grown)
+        mib(grown)
     );
     if cores < 2 {
         println!("(single core available: wall-clock speedup is hardware-bound)");
@@ -212,7 +205,7 @@ pub fn run(scale: Scale) -> Summary {
 
     Summary {
         points,
-        rss_growth_mib: grown,
+        heap_growth_mib: grown,
         answers_identical,
         bits_identical,
         cores,

@@ -13,10 +13,13 @@
 //! * [`table`] — plain-text table rendering for the experiment reports;
 //! * [`fit`] — least-squares helpers that check *shape* claims
 //!   (`bits ∝ (log N)^2`, `∝ (log log N)^3`, `∝ N`, ...) by fitting the
-//!   constant and reporting residual spread.
+//!   constant and reporting residual spread;
+//! * [`heap`] — a counting global allocator whose live-byte tally the
+//!   memory columns read.
 
 pub mod deploy;
 pub mod fit;
+pub mod heap;
 pub mod table;
 pub mod workload;
 

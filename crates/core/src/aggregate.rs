@@ -30,7 +30,9 @@ use crate::counting::ApxCountConfig;
 use crate::model::{floor_log2, Value};
 use crate::predicate::{Domain, Predicate};
 use saq_netsim::rng::derive_seed;
-use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
+use saq_netsim::wire::{
+    gamma_len, sorted_run_len, varint_len, width_for_max, BitReader, BitWriter,
+};
 use saq_netsim::NetsimError;
 use saq_sketches::{BottomK, DistinctSketch, HashFamily, LogLog, QuantileSummary};
 use std::fmt::Debug;
@@ -89,7 +91,11 @@ pub enum DeltaSupport {
 ///   [`QuantileAgg`], whose pruned summaries are equivalent only up to
 ///   their certified rank-error bound;
 /// * `decode(encode(p)) == p` **bit-exactly**, consuming exactly the bits
-///   written — so partials can be packed back-to-back in one envelope.
+///   written — so partials can be packed back-to-back in one envelope;
+/// * `encoded_bits(p) == encode(p).len_bits()` for every partial — the
+///   **width law**: a partial's cost on the wire is known without
+///   writing it, which is how the flat runner bills a partial that
+///   crosses its edge as a width rather than a frame.
 ///
 /// The merge laws are what make subtree partials cacheable and
 /// re-mergeable in any order:
@@ -134,6 +140,14 @@ pub trait PartialAggregate {
 
     /// Serializes a partial.
     fn encode(&self, p: &Self::Partial, w: &mut BitWriter);
+
+    /// Exactly how many bits [`encode`] writes for `p`, in closed form
+    /// from the codec's own size rules (gamma and varint lengths, the
+    /// sorted-run pricing of [`saq_netsim::wire::sorted_run_len`]),
+    /// without writing a bit.
+    ///
+    /// [`encode`]: PartialAggregate::encode
+    fn encoded_bits(&self, p: &Self::Partial) -> u64;
 
     /// Deserializes a partial, consuming exactly what [`encode`] wrote.
     ///
@@ -367,6 +381,10 @@ impl PartialAggregate for MinMaxAgg {
         }
     }
 
+    fn encoded_bits(&self, p: &MinMaxPartial) -> u64 {
+        1 + p.best.map_or(0, |_| self.value_width() as u64)
+    }
+
     fn decode(&self, r: &mut BitReader<'_>) -> Result<MinMaxPartial, NetsimError> {
         Ok(MinMaxPartial::of(if r.read_bits(1)? == 1 {
             Some(r.read_bits(self.value_width())?)
@@ -479,6 +497,10 @@ impl PartialAggregate for CountSumAgg {
 
     fn encode(&self, p: &u64, w: &mut BitWriter) {
         w.write_gamma(p + 1);
+    }
+
+    fn encoded_bits(&self, p: &u64) -> u64 {
+        gamma_len(p + 1)
     }
 
     fn decode(&self, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
@@ -633,6 +655,11 @@ impl PartialAggregate for SketchAgg {
         }
     }
 
+    fn encoded_bits(&self, p: &Vec<LogLog>) -> u64 {
+        let registers: u64 = p.iter().map(|sk| sk.registers().len() as u64).sum();
+        varint_len(p.len() as u64) + registers * self.reg_width() as u64
+    }
+
     fn decode(&self, r: &mut BitReader<'_>) -> Result<Vec<LogLog>, NetsimError> {
         let n = r.read_varint()? as usize;
         if n != self.reps() as usize {
@@ -736,6 +763,10 @@ impl PartialAggregate for DistinctSetAgg {
         w.write_sorted_deltas(p);
     }
 
+    fn encoded_bits(&self, p: &Vec<Value>) -> u64 {
+        sorted_run_len(p.iter().copied())
+    }
+
     fn decode(&self, r: &mut BitReader<'_>) -> Result<Vec<Value>, NetsimError> {
         let vals = r.read_sorted_deltas(1 << 24)?;
         // The sorted-dedup invariant is what the linear merge relies on;
@@ -814,6 +845,10 @@ impl PartialAggregate for CollectAgg {
 
     fn encode(&self, p: &Vec<Value>, w: &mut BitWriter) {
         w.write_sorted_deltas(p);
+    }
+
+    fn encoded_bits(&self, p: &Vec<Value>) -> u64 {
+        sorted_run_len(p.iter().copied())
     }
 
     fn decode(&self, r: &mut BitReader<'_>) -> Result<Vec<Value>, NetsimError> {
@@ -943,6 +978,10 @@ impl PartialAggregate for QuantileAgg {
         // columns (values, rmins, rmaxs).
         w.write_gamma(p.count() + 1);
         p.write_columns(w);
+    }
+
+    fn encoded_bits(&self, p: &QuantileSummary) -> u64 {
+        gamma_len(p.count() + 1) + p.columns_len()
     }
 
     fn decode(&self, r: &mut BitReader<'_>) -> Result<QuantileSummary, NetsimError> {
@@ -1094,6 +1133,10 @@ impl PartialAggregate for BottomKAgg {
         p.write_pairs(w);
     }
 
+    fn encoded_bits(&self, p: &BottomK) -> u64 {
+        p.pairs_len()
+    }
+
     fn decode(&self, r: &mut BitReader<'_>) -> Result<BottomK, NetsimError> {
         let mut p = self.identity();
         self.decode_into(&mut p, r)?;
@@ -1168,6 +1211,7 @@ mod tests {
         let mut r = BitReader::new(&s);
         assert_eq!(&agg.decode(&mut r).unwrap(), p);
         assert_eq!(r.remaining(), 0, "decode must consume exactly encode");
+        assert_eq!(agg.encoded_bits(p), s.len_bits(), "the width law");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! layer; this module only *dispatches*, through one table:
 //! [`CoreWave::agg`] maps a [`CoreRequest`] to the configured
 //! [`PartialAggregate`] that answers it ([`CoreAgg`]), and each
-//! per-request operation — fold, merge, codecs, absorb, delta
+//! per-request operation — fold, merge, codecs, widths, absorb, delta
 //! maintenance, finalize — matches that aggregate against its
 //! [`CorePartial`]. Adding an aggregate is one table row and one partial
 //! variant. Partial encodings carry **no type tag** — both endpoints of
@@ -38,7 +38,6 @@ use saq_netsim::NetsimError;
 use saq_protocols::cache::CacheKey;
 use saq_protocols::WaveProtocol;
 use saq_sketches::{BottomK, DistinctSketch, LogLog, QuantileSummary};
-use std::cell::RefCell;
 
 /// One item held by a simulated node (or by the in-memory network): its
 /// original value plus the current (possibly rescaled) value;
@@ -238,21 +237,6 @@ pub enum CoreAgg {
     BottomK(BottomKAgg),
     /// `Zoom` carries no data; partial [`CorePartial::Unit`].
     Zoom,
-}
-
-/// Decode targets [`CoreWave`]'s `absorb_child` reuses from child to
-/// child. One per thread, so each flat-runner worker owns its own; a
-/// warm one takes a child's summary or sample without allocating.
-#[derive(Debug, Default)]
-struct AbsorbScratch {
-    /// The child's quantile summary.
-    summary: QuantileSummary,
-    /// The child's bottom-k sample.
-    sample: Option<BottomK>,
-}
-
-thread_local! {
-    static ABSORB_SCRATCH: RefCell<AbsorbScratch> = RefCell::default();
 }
 
 /// The core wave protocol configuration, shared by every node.
@@ -517,6 +501,25 @@ impl WaveProtocol for CoreWave {
         }
     }
 
+    /// The aggregate's [`PartialAggregate::encoded_bits`]: the codec's
+    /// size rules in closed form, nothing written.
+    fn partial_width(&self, req: &CoreRequest, p: &CorePartial) -> u64 {
+        match (self.agg(req), p) {
+            (CoreAgg::MinMax(a), CorePartial::OptVal(v)) => a.encoded_bits(v),
+            (CoreAgg::CountSum(a), CorePartial::Num(v)) => a.encoded_bits(v),
+            (CoreAgg::Sketch(a), CorePartial::Sketches(sks)) => a.encoded_bits(sks),
+            (CoreAgg::Collect(a), CorePartial::Values(vals)) => a.encoded_bits(vals),
+            (CoreAgg::Distinct(a), CorePartial::Set(vals)) => a.encoded_bits(vals),
+            (CoreAgg::Quantile(a), CorePartial::Quantile(s)) => a.encoded_bits(s),
+            (CoreAgg::BottomK(a), CorePartial::Sample(s)) => a.encoded_bits(s),
+            (CoreAgg::Zoom, CorePartial::Unit) => 0,
+            _ => {
+                debug_assert!(false, "partial variant does not answer request");
+                0
+            }
+        }
+    }
+
     fn decode_partial(
         &self,
         req: &CoreRequest,
@@ -561,50 +564,59 @@ impl WaveProtocol for CoreWave {
         }
     }
 
-    /// Merges in place, moving no partial: `Num` and `OptVal` decode
-    /// one value and fold it into the accumulator's own (the min/max
-    /// runner-up kept exactly as [`CoreWave::merge`] keeps it);
-    /// `Quantile` decodes into per-thread scratch and merges into the
-    /// accumulator's storage, sized once for all `first_of` children
-    /// (`QuantileAgg::reserve_children`); `BottomK` decodes into
-    /// per-thread scratch and merges alike; every other request decodes
-    /// and merges. Equal to the trait's decode-then-merge for every
-    /// request (`tests/absorb_child.rs`).
-    fn absorb_child(
+    /// Merges the child's wire-normal form by reference, moving no
+    /// partial: `Num` adds; `OptVal` folds in the child's extremum alone
+    /// ([`MinMaxPartial::of`] — the runner-up never travels, so the
+    /// accumulator's is kept exactly as [`CoreWave::merge`] of a decoded
+    /// child keeps it); `Quantile` merges into the accumulator's storage,
+    /// sized once for all `first_of` children
+    /// (`QuantileAgg::reserve_children`); `BottomK` and `Sketches` merge
+    /// pair- and register-wise in place; `Values` and `Set` merge a copy.
+    /// Equal to decode-then-merge for every request, field for field
+    /// (`tests/absorb_partial.rs`); an accumulator or child of another
+    /// shape (kind, sample capacity, sketch count or size) is an error.
+    fn absorb_partial(
         &self,
         req: &CoreRequest,
         acc: &mut CorePartial,
-        r: &mut BitReader<'_>,
+        child: &CorePartial,
         first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
-        match (self.agg(req), acc) {
-            (CoreAgg::CountSum(a), CorePartial::Num(x)) => *x += a.decode(r)?,
-            (CoreAgg::MinMax(a), CorePartial::OptVal(x)) => {
-                let child = a.decode(r)?;
-                *x = a.merge(*x, child);
+        use CorePartial as P;
+        match (self.agg(req), acc, child) {
+            (CoreAgg::CountSum(_), P::Num(x), P::Num(y)) => *x += y,
+            (CoreAgg::MinMax(a), P::OptVal(x), P::OptVal(y)) => {
+                *x = a.merge(*x, MinMaxPartial::of(y.best));
             }
-            (CoreAgg::Quantile(agg), CorePartial::Quantile(s)) => {
-                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
-                    agg.decode_into(&mut scratch.summary, r)?;
-                    if let Some(children) = first_of {
-                        agg.reserve_children(s, children, scratch.summary.len());
-                    }
-                    agg.merge_into(s, &scratch.summary);
-                    Ok::<_, NetsimError>(())
-                })?;
+            (CoreAgg::Quantile(a), P::Quantile(s), P::Quantile(c)) => {
+                if let Some(children) = first_of {
+                    a.reserve_children(s, children, c.len());
+                }
+                a.merge_into(s, c);
             }
-            (CoreAgg::BottomK(agg), CorePartial::Sample(s)) => {
-                ABSORB_SCRATCH.with_borrow_mut(|scratch| {
-                    let sample = scratch.sample.get_or_insert_with(|| agg.identity());
-                    agg.decode_into(sample, r)?;
-                    s.merge_from(sample);
-                    Ok::<_, NetsimError>(())
-                })?;
+            (CoreAgg::BottomK(_), P::Sample(s), P::Sample(c))
+                if (s.k(), s.value_width()) == (c.k(), c.value_width()) =>
+            {
+                s.merge_from(c);
             }
-            (_, acc) => {
-                let child = self.decode_partial(req, r)?;
-                let mine = std::mem::replace(acc, CorePartial::Unit);
-                *acc = self.merge(req, mine, child);
+            (CoreAgg::Sketch(_), P::Sketches(xs), P::Sketches(ys))
+                if xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| x.b() == y.b()) =>
+            {
+                for (x, y) in xs.iter_mut().zip(ys) {
+                    x.merge_from(y);
+                }
+            }
+            (CoreAgg::Collect(a), P::Values(xs), P::Values(ys)) => {
+                *xs = a.merge(std::mem::take(xs), ys.clone());
+            }
+            (CoreAgg::Distinct(a), P::Set(xs), P::Set(ys)) => {
+                *xs = a.merge(std::mem::take(xs), ys.clone());
+            }
+            (CoreAgg::Zoom, P::Unit, P::Unit) => {}
+            _ => {
+                return Err(NetsimError::WireDecode(
+                    "partial does not answer its request",
+                ))
             }
         }
         Ok(())
@@ -1110,13 +1122,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        // A reply encoded slot by slot from cached single-slot partials
-        // is bit for bit — and bill for bill — the encoding of their
-        // join; a slot's key is its sub-request's encoding; and an
+        // A reply measured slot by slot from cached single-slot partials
+        // is as wide — and billed bill for bill — as the encoding of
+        // their join; a slot's key is its sub-request's encoding; and an
         // envelope read off the wire equals the one encoded (the
         // request law), captured bits included.
         #[test]
-        fn prop_encode_slot_matches_encode_of_join(
+        fn prop_slot_widths_match_the_encoded_join(
             kinds in proptest::collection::vec(0u32..11, 1..7),
             values in proptest::collection::vec(0u64..1001, 0..8),
             x in 0u64..1 << 40,
@@ -1130,8 +1142,8 @@ mod tests {
                 .collect();
             for req in &reqs {
                 let part = inner.local(3, &mut items.clone(), req);
-                let by_slot = encoded(|w| inner.encode_slot(req, 0, &part, w));
-                proptest::prop_assert_eq!(by_slot, encoded(|w| inner.encode_partial(req, &part, w)));
+                let width = encoded(|w| inner.encode_partial(req, &part, w)).len_bits();
+                proptest::prop_assert_eq!(inner.slot_width(req, 0, &part), width);
                 let key = inner.cache_key(req);
                 proptest::prop_assert_eq!(inner.cacheable(req), key.is_some());
                 if let Some(key) = key {
@@ -1158,18 +1170,20 @@ mod tests {
             let part = mux.local(3, &mut items, &env);
             proptest::prop_assert_eq!(format!("{acc:?}"), format!("{part:?}"));
             proptest::prop_assert_eq!(&refilled, &items);
-            mux.split_slots(&env, part, &mut |_, p| slots.push(p));
+            mux.split_slots(part, &mut |_, p| slots.push(p));
             mux.ledger_mut().reset(0);
-            let by_slot = encoded(|w| {
-                for (i, part) in slots.iter().enumerate() {
-                    mux.encode_slot(&env, i, part, w);
-                }
-            });
+            let by_slot: u64 = slots
+                .iter()
+                .enumerate()
+                .map(|(i, part)| mux.slot_width(&env, i, part))
+                .sum();
             let slot_bills = mux.ledger_mut().clone();
             mux.ledger_mut().reset(0);
-            let joined = encoded(|w| mux.encode_partial(&env, &mux.join_slots(&env, slots.clone()), w));
+            let join = mux.join_slots(&env, slots.clone());
+            let joined = mux.partial_width(&env, &join);
             let join_bills = mux.ledger_mut().clone();
             proptest::prop_assert_eq!(by_slot, joined);
+            proptest::prop_assert_eq!(joined, encoded(|w| mux.encode_partial(&env, &join, w)).len_bits());
             proptest::prop_assert_eq!(slot_bills.slots(), join_bills.slots());
             proptest::prop_assert_eq!(slot_bills.envelope_bits(), join_bills.envelope_bits());
 

@@ -127,14 +127,22 @@ fn scan_sorted(vals: impl Iterator<Item = u64>) -> RunScan {
     }
 }
 
-/// Exact length in bits of [`BitWriter::write_sorted_deltas`] for `vals`
-/// (which must be non-decreasing).
-pub fn sorted_deltas_len(vals: &[u64]) -> u64 {
+/// Exact length in bits of [`BitWriter::write_sorted_run`] for `vals`
+/// (which must be non-decreasing): the length header, the arm selector
+/// and the cheapest arm's payload, priced by the same pass that picks
+/// the arm when writing. A sorted column of a larger record is measured
+/// straight from the records, as it is written.
+pub fn sorted_run_len<I>(vals: I) -> u64
+where
+    I: IntoIterator<Item = u64>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let vals = vals.into_iter();
     let header = gamma_len(vals.len() as u64 + 1);
-    if vals.is_empty() {
+    if vals.len() == 0 {
         return header;
     }
-    let scan = scan_sorted(vals.iter().copied());
+    let scan = scan_sorted(vals);
     debug_assert!(scan.sorted, "sorted-delta input must be non-decreasing");
     header + 2 + scan.cost
 }
@@ -231,12 +239,13 @@ impl BitString {
 
 /// A pool of recycled encode buffers for hot frame-encoding paths.
 ///
-/// The wave engines encode one frame per tree edge per wave; allocating
-/// a fresh `Vec<u64>` for every frame dominates allocator traffic at
-/// large N. A driver that both encodes and consumes its frames (the
-/// flat convergecast runner in `saq-protocols`) can instead draw
-/// writers from a pool and recycle each frame's allocation once it has
-/// been decoded, reducing steady-state frame allocations to the pool's
+/// The event-driven wave engine encodes one frame per tree edge per
+/// wave; allocating a fresh `Vec<u64>` for every frame dominates
+/// allocator traffic at large N. A driver that both encodes and
+/// consumes its buffers (the simulator's per-receiver delivery copies,
+/// the flat runner's request-width measurements in `saq-protocols`)
+/// can instead draw writers from a pool and recycle each allocation
+/// once it is read, reducing steady-state allocations to the pool's
 /// high-water mark. The `reused`/`fresh` counters make the saving
 /// observable; `tests/wave_allocs.rs` bounds what a whole wave
 /// allocates on either runner.
@@ -296,14 +305,6 @@ impl ScratchPool {
         if words.capacity() > 0 {
             self.free.push(words);
         }
-    }
-
-    /// Moves up to `n` spare allocations to `to` — for frames written
-    /// from one pool and recycled into another, so neither pool grows
-    /// nor runs dry wave after wave.
-    pub fn transfer(&mut self, to: &mut ScratchPool, n: usize) {
-        let keep = self.free.len().saturating_sub(n);
-        to.free.extend(self.free.drain(keep..));
     }
 
     /// Writers served from a recycled allocation.
@@ -1060,7 +1061,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_sorted_deltas(&vals);
         let s = w.finish();
-        assert_eq!(s.len_bits(), sorted_deltas_len(&vals));
+        assert_eq!(s.len_bits(), sorted_run_len(vals.iter().copied()));
         // Small gaps gamma-code far below the 11-bit fixed width.
         assert!(s.len_bits() < 6 + vals.len() as u64 * 11);
         let mut r = BitReader::new(&s);
@@ -1076,7 +1077,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_sorted_deltas(&vals);
         let s = w.finish();
-        assert_eq!(s.len_bits(), sorted_deltas_len(&vals));
+        assert_eq!(s.len_bits(), sorted_run_len(vals.iter().copied()));
         let mut r = BitReader::new(&s);
         assert_eq!(r.read_sorted_deltas(8).unwrap(), vals);
         assert_eq!(r.remaining(), 0);
@@ -1087,7 +1088,7 @@ mod tests {
         let mut w = BitWriter::new();
         w.write_sorted_deltas(&[]);
         let s = w.finish();
-        assert_eq!(s.len_bits(), sorted_deltas_len(&[]));
+        assert_eq!(s.len_bits(), sorted_run_len([0u64; 0]));
         let mut r = BitReader::new(&s);
         assert_eq!(r.read_sorted_deltas(0).unwrap(), Vec::<u64>::new());
         assert_eq!(r.remaining(), 0);
@@ -1265,7 +1266,7 @@ mod tests {
             let mut w = BitWriter::new();
             w.write_sorted_deltas(&vals);
             let s = w.finish();
-            prop_assert_eq!(s.len_bits(), sorted_deltas_len(&vals));
+            prop_assert_eq!(s.len_bits(), sorted_run_len(vals.iter().copied()));
             let mut r = BitReader::new(&s);
             prop_assert_eq!(r.read_sorted_deltas(vals.len() as u64).unwrap(), vals);
             prop_assert_eq!(r.remaining(), 0);
@@ -1278,7 +1279,7 @@ mod tests {
             let width = width_for_max(*vals.last().unwrap()) as u64;
             let fixed_payload = 6 + vals.len() as u64 * width;
             let header = gamma_len(vals.len() as u64 + 1);
-            prop_assert!(sorted_deltas_len(&vals) <= header + 2 + fixed_payload);
+            prop_assert!(sorted_run_len(vals.iter().copied()) <= header + 2 + fixed_payload);
         }
 
         #[test]

@@ -8,8 +8,9 @@
 //! in contiguous columns indexed by DFS **position**,
 //! and a wave is two sweeps of index arithmetic — a top-down pass that
 //! hands each child its parent's request and bills the frame that
-//! carries it, and a bottom-up pass that merges child partials in fixed
-//! child order. No events and no queues.
+//! carries it, and a bottom-up pass that bills each child's reply by its
+//! width and merges it in fixed child order. No events, no queues and
+//! no partial frames.
 //!
 //! ## What a node costs
 //!
@@ -18,16 +19,16 @@
 //!
 //! * **accumulators come from a per-thread free list.** A node takes a
 //!   spent accumulator from its thread's `Scratch` and refills it with
-//!   its local contribution ([`WaveProtocol::local_into`]), and gives
-//!   it back once its reply is encoded, emptied by
-//!   [`WaveProtocol::release_partial`] — unless the cache keeps it. The
-//!   list holds at most one block's live accumulators, and none is kept
-//!   in the position columns between waves;
-//! * **frames** — partials only — are recycled through
-//!   [`ScratchPool`]s; after the first wave no frame buffer is
-//!   allocated. A block root's reply ends in the driver's pool, which
-//!   hands each worker one buffer per replying block root before the
-//!   parallel phase;
+//!   its local contribution ([`WaveProtocol::local_into`]); its parent
+//!   gives it back once it merged the reply, emptied by
+//!   [`WaveProtocol::release_partial`] — unless the node's cache keeps
+//!   its slots. The list holds at most one block's live accumulators.
+//!   A block root's reply waits for the barrier trimmed
+//!   ([`WaveProtocol::shrink_partial`]); the driver merges it into its
+//!   own list, and before the next parallel phase hands each worker
+//!   one spent accumulator per block it runs, so every thread's list
+//!   stays balanced. No accumulator is kept in the position columns
+//!   between waves;
 //! * **a request crosses an edge as an index and a width.** Each
 //!   thread keeps a per-wave request table in its `Scratch`, every
 //!   entry with its encoding's width, measured once when the entry is
@@ -43,19 +44,26 @@
 //!   its frame (the request law of [`WaveProtocol::decode_request`]),
 //!   so below the root no request is encoded, cloned or decoded: a
 //!   subset envelope is the only request made there;
-//! * **children are absorbed in place**: each child's partial is
-//!   merged off the wire into the `&mut` accumulator
-//!   ([`WaveProtocol::absorb_child`], told at the first child how many
-//!   there are, so it may size the accumulator for all of them),
-//!   moving no partial — every partial still crosses its edge as
-//!   encoded bits and is decoded by its parent;
+//! * **a partial crosses an edge as a width.** A node stages its
+//!   accumulator in its slot and bills it by
+//!   [`WaveProtocol::partial_width`] plus the frame header — the length
+//!   of the frame the boxed runner sends, without encoding it; the
+//!   parent bills the same width (and emulates the ARQ exchange), then
+//!   merges the child's **wire-normal form** by reference into its own
+//!   accumulator ([`WaveProtocol::absorb_partial`], told at the first
+//!   child how many there are, so it may size the accumulator for all
+//!   of them). No partial is encoded, decoded, moved or pooled; debug
+//!   builds encode each staged reply once in per-thread scratch to
+//!   check the width it is billed by;
 //! * **a cache hit costs a probe.** Slot keys are the sub-requests'
 //!   captured wire bits ([`WaveProtocol::for_each_slot_key`]), probed
-//!   in place; a node whose every slot hits encodes its reply straight
-//!   from the cache entries ([`WaveProtocol::encode_slot`]) while the
-//!   top-down sweep is still at it, and allocates nothing. An executing
-//!   node with no hits encodes its reply from the accumulator, then
-//!   moves the computed slot partials into its cache;
+//!   in place; a node whose every slot hits is billed straight from the
+//!   cache entries ([`WaveProtocol::slot_width`]) while the top-down
+//!   sweep is still at it, and allocates nothing. Its parent merges the
+//!   hits where they lie, and an executing child's computed slots from
+//!   its accumulator ([`WaveProtocol::absorb_slot`]), and only then
+//!   moves the child's computed slots into the child's cache: no hit or
+//!   store copies a partial;
 //! * **a column exists only for what the deployment uses**: each
 //!   node's cache and its wave's `CacheResolution` appear with
 //!   [`WaveSubstrate::enable_partial_cache`], the trace buffers while
@@ -97,9 +105,10 @@
 //! ARCHITECTURE §10):
 //!
 //! * every node is billed exactly the frames it would transmit boxed —
-//!   one request per child edge (by width: no request frame is built),
-//!   one partial per participating node, with the same envelope header
-//!   (kind + varint wave ordinal);
+//!   one request per child edge and one partial per participating node,
+//!   both by width (no frame is built), with the same envelope header
+//!   (kind + varint wave ordinal); the boxed oracle sends real frames,
+//!   so every flat-vs-boxed comparison checks the width law end to end;
 //! * partials are merged in fixed child order (ascending global id =
 //!   ascending position), so answers are pure functions of tree +
 //!   items + request, independent of the plan and of thread timing;
@@ -107,7 +116,13 @@
 //!   hashes of item identity and the request's nonce, and link fates
 //!   come from per-edge streams (below);
 //! * caches live with their node's column slot, so hit/miss counters
-//!   are identical; each worker group runs a `clone` of the protocol,
+//!   are identical after every wave that returns an answer. A failed
+//!   wave is the exception: a flat node's cache stores complete only
+//!   when its parent absorbs its reply, while a boxed node stores
+//!   before it sends, so after a wave that ends in an error (an ARQ
+//!   exchange out of budget, a worker panic) the two runners' cache
+//!   contents may differ, and that is outside the contract;
+//! * each worker group runs a `clone` of the protocol,
 //!   which bills a [`MuxLedger`] of its own, and the barrier drains
 //!   every group's into the driver's in fixed group order
 //!   ([`WaveProtocol::absorb_shard`]) — as the boxed runner folds its
@@ -153,8 +168,8 @@ use crate::error::ProtocolError;
 use crate::obs::NodeTraceEntry;
 use crate::tree::SpanningTree;
 use crate::wave::{
-    ack_bits, header_bits, read_wave, write_wave, CacheResolution, CachedPartial, Reliability,
-    TransportFootprint, WaveProtocol, WaveSubstrate, KIND_PARTIAL, SEQ_BITS,
+    ack_bits, header_bits, CacheResolution, CachedPartial, Reliability, TransportFootprint,
+    WaveProtocol, WaveSubstrate,
 };
 use saq_netsim::energy::EnergyModel;
 use saq_netsim::flat::{FlatTree, NestDepth, ShardBlock, ShardPlan};
@@ -162,8 +177,9 @@ use saq_netsim::link::{FateStream, FrameClass, LinkConfig, LinkFate};
 use saq_netsim::sim::{NodeId, SimConfig};
 use saq_netsim::stats::{NetStats, NodeStats, TreeLinkBits};
 use saq_netsim::topology::Topology;
-use saq_netsim::wire::{BitReader, BitString, BitWriter, ScratchPool};
+use saq_netsim::wire::ScratchPool;
 use saq_netsim::{NetsimError, SimDuration};
+use std::num::NonZeroU32;
 
 /// The four per-edge fate streams of one tree edge, stored at the
 /// child's position (one tree edge per non-root node). Streams are
@@ -203,9 +219,10 @@ struct Env<'a> {
     /// width varies per wave, so this is per-wave state, not a
     /// constant).
     ack_bits: u64,
-    /// Bits of a request frame's header in this wave: kind, wave
-    /// ordinal and, under ARQ, the sequence number.
-    request_header_bits: u64,
+    /// Bits of a request or partial frame's header in this wave: kind,
+    /// wave ordinal and, under ARQ, the sequence number (fixed width,
+    /// whatever its value).
+    frame_header_bits: u64,
     /// `Some(timeout)` under [`Reliability::Ack`].
     arq_timeout: Option<SimDuration>,
     /// Per-exchange attempt budget — the flat analogue of the
@@ -346,19 +363,23 @@ struct WaveSlot<P: WaveProtocol> {
     /// against it): the *same* index as `req` unless a partial cache hit
     /// subset the envelope.
     fwd: u32,
-    /// Local contribution, then the canonical merge accumulator —
-    /// between this node's two steps of a wave only: it comes from and
-    /// goes back to the thread's free list (`Scratch::spare`).
+    /// Width in bits of the reply staged for the parent, header
+    /// included: the frame the boxed runner would send, as its length
+    /// alone. Set by the node's own step, taken by its parent's, so no
+    /// queues exist — the column *is* the network.
+    sent: Option<NonZeroU32>,
+    /// Local contribution, then the canonical merge accumulator, then
+    /// the staged reply's computed slots, which the parent merges by
+    /// reference — with any cache hits, where they lie — and recycles or
+    /// moves into the node's cache ([`CacheResolution::absorb_reply`]).
+    /// It comes from and goes back to a thread's free list
+    /// (`Scratch::spare`). `None` in a staged reply: every slot hit.
     acc: Option<P::Partial>,
     /// Whether admission answered entirely from cache (subtree silent).
     cached: bool,
     /// Whether a request reached this node in the current wave: written
     /// by its parent every wave, whether it forwards or not.
     active: bool,
-    /// Frame mailbox: this node's outbound partial, staged for its
-    /// parent to take on the way up, so no queues exist — the column
-    /// *is* the network.
-    frame: Option<BitString>,
 }
 
 impl<P: WaveProtocol> WaveSlot<P> {
@@ -366,10 +387,10 @@ impl<P: WaveProtocol> WaveSlot<P> {
         WaveSlot {
             req: 0,
             fwd: 0,
+            sent: None,
             acc: None,
             cached: false,
             active: false,
-            frame: None,
         }
     }
 }
@@ -423,8 +444,9 @@ impl<R> RequestTable<R> {
 
 /// Free list of spent accumulators ([`WaveProtocol::release_partial`]
 /// already applied), refilled by [`WaveProtocol::local_into`]. A node
-/// takes one going down and gives it back once its reply is encoded, so
-/// the list never holds more than one block's live accumulators.
+/// takes one going down, and its parent gives it back once it merged
+/// the reply, so the list never holds more than one block's live
+/// accumulators.
 #[derive(Debug)]
 struct FreeList<P: WaveProtocol>(Vec<P::Partial>);
 
@@ -459,14 +481,14 @@ impl<P: WaveProtocol> FreeList<P> {
 ///
 /// Aligned to 128 bytes so that the workers' scratches, packed back to
 /// back in one `Vec`, never share a cache line: every node writes its
-/// thread's free list and frame pool, and a partial cache hit its
-/// request table. 128 rather than 64 because x86's adjacent-line
-/// prefetcher moves lines in pairs (the padding crossbeam's
-/// `CachePadded` uses for the same reason).
+/// thread's free list, and a partial cache hit its request table and
+/// the pool that measures the subset request. 128 rather than 64
+/// because x86's adjacent-line prefetcher moves lines in pairs (the
+/// padding crossbeam's `CachePadded` uses for the same reason).
 #[derive(Debug)]
 #[repr(align(128))]
 struct Scratch<P: WaveProtocol> {
-    /// Recycled frame buffers.
+    /// Recycled buffers for measuring requests.
     pool: ScratchPool,
     /// Spent accumulators.
     spare: FreeList<P>,
@@ -541,6 +563,8 @@ fn admit<P: WaveProtocol>(
     cache: Option<&mut NodeCache<P>>,
     trace: Option<&mut Vec<NodeTraceEntry>>,
 ) -> bool {
+    // A failed wave may have left a reply staged: it goes.
+    slot.sent = None;
     slot.acc = None;
     slot.fwd = slot.req;
     slot.cached = false;
@@ -558,16 +582,30 @@ fn admit<P: WaveProtocol>(
     slot.cached
 }
 
-/// Stages this node's outbound partial frame in its mailbox for the
-/// parent to take. Fire-and-forget bills the transmission here; under
-/// ARQ the frame goes uncharged and the parent emulates the exchange.
+/// Stages this node's reply for the parent to take: its width `bits`,
+/// header included, and — unless the reply waits in the cache column —
+/// the reply itself, `acc`. Fire-and-forget bills the transmission
+/// here; under ARQ it goes uncharged and the parent emulates the
+/// exchange.
+///
+/// # Errors
+///
+/// [`ProtocolError::Unsupported`] for a reply wider than `u32::MAX`
+/// bits, the widest a slot stages.
 fn stage_partial<P: WaveProtocol>(
     env: &Env<'_>,
     cols: &mut Cols<'_, P>,
     rel: usize,
-    frame: BitString,
-) {
-    let bits = frame.len_bits();
+    bits: u64,
+    acc: Option<P::Partial>,
+) -> Result<(), ProtocolError> {
+    let sent =
+        u32::try_from(bits)
+            .ok()
+            .and_then(NonZeroU32::new)
+            .ok_or(ProtocolError::Unsupported(
+                "the flat runner stages partials of 1 to u32::MAX bits, header included",
+            ))?;
     if let Some(trace) = cols.trace.get_mut(rel) {
         trace.push(NodeTraceEntry::PartialSent { bits });
     }
@@ -576,19 +614,24 @@ fn stage_partial<P: WaveProtocol>(
         cols.links[rel].up += bits;
         cols.frames += 1;
     }
-    cols.slots[rel].frame = Some(frame);
+    let slot = &mut cols.slots[rel];
+    slot.sent = Some(sent);
+    slot.acc = acc;
+    Ok(())
 }
 
-/// A partial frame's header: kind, wave ordinal and, under ARQ, the
-/// sender's sequence number.
-fn partial_writer(env: &Env<'_>, pool: &mut ScratchPool, wave: u16, seq: usize) -> BitWriter {
-    let mut w = pool.writer();
-    w.write_bits(KIND_PARTIAL, 2);
-    write_wave(&mut w, wave);
-    if env.arq_timeout.is_some() {
-        w.write_bits(seq as u64, SEQ_BITS as u32);
-    }
-    w
+/// [`WaveProtocol::partial_width`] of `p`, the width a reply is billed
+/// by. In debug builds `p` is also encoded, in per-thread scratch, and
+/// the width law checked, so every flat wave in a debug test checks the
+/// widths it bills against real encodings.
+fn checked_width<P: WaveProtocol>(proto: &P, req: &P::Request, p: &P::Partial) -> u64 {
+    let bits = proto.partial_width(req, p);
+    #[cfg(debug_assertions)]
+    crate::wave::encode_scratch(
+        |w| proto.encode_partial(req, p, w),
+        |frame| debug_assert_eq!(frame.len_bits(), bits, "the width law"),
+    );
+    bits
 }
 
 /// Forwards request `fwd` to every child of `p`: writes the index into
@@ -616,7 +659,7 @@ fn fan_out<P: WaveProtocol>(
     let rel = p - cols.base;
     let (req, payload_bits) = reqs.get(spine, fwd);
     proto.note_request_copies(req, children.len() as u64);
-    let bits = env.request_header_bits + payload_bits;
+    let bits = env.frame_header_bits + payload_bits;
     for &c in children {
         let crel = c as usize - cols.base;
         match env.arq_timeout {
@@ -680,7 +723,6 @@ fn step_down<P: WaveProtocol>(
     spine: &[(P::Request, u64)],
     cols: &mut Cols<'_, P>,
     p: usize,
-    wave: u16,
 ) -> Result<(), ProtocolError> {
     let rel = p - cols.base;
     if !cols.slots[rel].active {
@@ -698,39 +740,33 @@ fn step_down<P: WaveProtocol>(
         cols.trace.get_mut(rel),
     ) {
         // Fully cached: the subtree stays silent, and the reply is
-        // encoded from the cache entries and staged at once. It is the
-        // node's first frame of the wave, so under ARQ it carries
-        // sequence number 0.
+        // billed by the width of the cache entries and staged at once;
+        // the parent merges it from the entries where they lie.
         silence_children(env, cols, p);
         let NodeCache { cache, resolved } = &cols.caches[rel];
         let req = &scratch.reqs.get(spine, cols.slots[rel].req).0;
-        let mut w = partial_writer(env, &mut scratch.pool, wave, 0);
-        resolved.encode_cached_reply(proto, cache, req, &mut w);
-        stage_partial(env, cols, rel, w.finish());
-        return Ok(());
+        let bits = env.frame_header_bits + resolved.hits_width(proto, cache, req);
+        return stage_partial(env, cols, rel, bits, None);
     }
     let fwd = cols.slots[rel].fwd;
-    let local = scratch.spare.local(
-        proto,
-        env.tree.global_of(p),
-        &mut cols.items[rel],
-        &scratch.reqs.get(spine, fwd).0,
-    );
+    let (node, req) = (env.tree.global_of(p), &scratch.reqs.get(spine, fwd).0);
+    let local = scratch.spare.local(proto, node, &mut cols.items[rel], req);
     cols.slots[rel].acc = Some(local);
     fan_out(env, proto, &scratch.reqs, spine, cols, p, fwd)
 }
 
-/// Bottom-up step: merge child partials in fixed child order, populate
-/// the cache, and stage this node's partial frame for its parent.
-/// Returns the full reply at the root (`parent == None`). A node
-/// answered from cache staged its reply going down and has nothing
+/// Bottom-up step: merge child replies in fixed child order, complete
+/// each child's cache stores, and stage this node's reply for its
+/// parent. Returns the full reply at the root (`parent == None`). A
+/// node answered from cache staged its reply going down and has nothing
 /// left to do.
 ///
-/// Under ARQ each child's partial *exchange* is emulated here, at the
-/// parent — where both endpoints' counters are in the window — and
-/// this node's own partial frame is staged **uncharged**: its exchange
-/// runs when the parent consumes it. The partial's sequence number is
-/// the boxed sender's counter after its fan-out: the child count.
+/// A child's reply crosses its edge as a width: this node bills it —
+/// under ARQ it emulates the whole exchange here, where both endpoints'
+/// counters are in the window — and merges the reply by reference
+/// ([`WaveProtocol::absorb_partial`], or slot by slot from the child's
+/// cache column), then recycles the child's accumulator into this
+/// thread's free list.
 fn step_up<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
@@ -738,7 +774,6 @@ fn step_up<P: WaveProtocol>(
     spine: &[(P::Request, u64)],
     cols: &mut Cols<'_, P>,
     p: usize,
-    wave: u16,
 ) -> Result<Option<P::Partial>, ProtocolError> {
     let rel = p - cols.base;
     let slot = &mut cols.slots[rel];
@@ -746,15 +781,15 @@ fn step_up<P: WaveProtocol>(
         return Ok(None);
     }
     let mut acc = slot.acc.take().expect("active wave has an accumulator");
-    let Scratch { pool, spare, reqs } = scratch;
+    let Scratch { spare, reqs, .. } = scratch;
     let (req, fwd) = (&reqs.get(spine, slot.req).0, &reqs.get(spine, slot.fwd).0);
     let children = env.tree.children_pos(p).len();
     for (i, &c) in env.tree.children_pos(p).iter().enumerate() {
         let crel = c as usize - cols.base;
-        let Some(frame) = cols.slots[crel].frame.take() else {
+        let Some(bits) = cols.slots[crel].sent.take() else {
             return Err(ProtocolError::NoResult);
         };
-        let bits = frame.len_bits();
+        let bits = u64::from(bits.get());
         match env.arq_timeout {
             None => cols.counters[rel].charge_rx(env.model, bits),
             Some(timeout) => {
@@ -781,21 +816,21 @@ fn step_up<P: WaveProtocol>(
                 )?;
             }
         }
-        // The child's partial crosses the edge as encoded bits and
-        // is merged into the accumulator straight off the wire.
-        let merged = {
-            let mut r = BitReader::new(&frame);
-            let kind = r.read_bits(2);
-            let frame_wave = read_wave(&mut r);
-            debug_assert!(matches!(kind, Ok(KIND_PARTIAL)), "staged frame kind");
-            debug_assert_eq!(frame_wave.ok(), Some(wave), "staged frame wave");
-            if env.arq_timeout.is_some() {
-                let _seq = r.read_bits(SEQ_BITS as u32);
+        let first_of = (i == 0).then_some(children);
+        let reply = cols.slots[crel].acc.take();
+        let spent = match cols.caches.get_mut(crel) {
+            Some(NodeCache { cache, resolved }) => {
+                resolved.absorb_reply(proto, cache, fwd, &mut acc, reply, first_of)?
             }
-            proto.absorb_child(fwd, &mut acc, &mut r, (i == 0).then_some(children))
+            None => {
+                let reply = reply.expect("an uncached reply is staged whole");
+                let merged = proto.absorb_partial(fwd, &mut acc, &reply, first_of);
+                merged.map(|()| Some(reply))?
+            }
         };
-        pool.recycle(frame);
-        merged.map_err(ProtocolError::from)?;
+        if let Some(spent) = spent {
+            spare.recycle(proto, spent);
+        }
     }
     if env.tree.parent_pos(p).is_none() {
         if env.arq_timeout.is_some() {
@@ -810,41 +845,33 @@ fn step_up<P: WaveProtocol>(
             None => acc,
         }));
     }
-    let mut w = partial_writer(env, pool, wave, children);
-    match cols.caches.get_mut(rel) {
-        Some(NodeCache { cache, resolved }) if !resolved.hits.is_empty() => {
-            let full = resolved.assemble(proto, Some(cache), req, fwd, acc);
-            proto.encode_partial(req, &full, &mut w);
-        }
-        node_cache => {
-            // Nothing to interleave: `acc` is the reply. Encode it
-            // first, then move the computed slots into the cache.
-            proto.encode_partial(req, &acc, &mut w);
-            let spent = match node_cache {
-                Some(NodeCache { cache, resolved }) => {
-                    resolved.store_by_move(proto, cache, fwd, acc)
-                }
-                None => Some(acc),
-            };
-            if let Some(spent) = spent {
-                spare.recycle(proto, spent);
-            }
-        }
-    }
+    // The reply is the cache hits, billed from the entries, and the
+    // computed slots in `acc` (aligned with `fwd`); the parent merges
+    // both where they lie and then stores — nothing is copied or joined.
+    let hits = cols
+        .caches
+        .get(rel)
+        .map_or(0, |NodeCache { cache, resolved }| {
+            resolved.hits_width(proto, cache, req)
+        });
+    let bits = hits + checked_width(proto, fwd, &acc);
     if env.arq_timeout.is_some() {
         // Dedup residue of a forwarding node: one key per reporting
         // child, plus the duplicate-request key set by the parent's
         // fan-out exchange (already in place).
         cols.residue[rel] += children as u64;
     }
-    stage_partial(env, cols, rel, w.finish());
+    stage_partial(env, cols, rel, env.frame_header_bits + bits, Some(acc))?;
     Ok(None)
 }
 
 /// Runs one complete block (a whole subtree): top-down then bottom-up.
 /// The block root's request was written by its spine parent, as an
-/// index into the driver's table (`spine`); its outbound partial is
-/// left in its own slot for the spine to take.
+/// index into the driver's table (`spine`); its reply is left staged in
+/// its own slot for the spine to take, trimmed
+/// ([`WaveProtocol::shrink_partial`]): it waits there until the barrier,
+/// while a reply inside the block is merged as soon as its siblings'
+/// subtrees are done.
 fn eval_block<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
@@ -852,15 +879,17 @@ fn eval_block<P: WaveProtocol>(
     spine: &[(P::Request, u64)],
     cols: &mut Cols<'_, P>,
     block: ShardBlock,
-    wave: u16,
 ) -> Result<(), ProtocolError> {
     let (start, end) = (block.start as usize, (block.start + block.len) as usize);
     for p in start..end {
-        step_down(env, proto, scratch, spine, cols, p, wave)?;
+        step_down(env, proto, scratch, spine, cols, p)?;
     }
     for p in (start..end).rev() {
-        let out = step_up(env, proto, scratch, spine, cols, p, wave)?;
+        let out = step_up(env, proto, scratch, spine, cols, p)?;
         debug_assert!(out.is_none(), "blocks are strictly below the root");
+    }
+    if let Some(reply) = cols.slots[start - cols.base].acc.as_mut() {
+        proto.shrink_partial(reply);
     }
     Ok(())
 }
@@ -879,7 +908,6 @@ struct WorkerTask<'a, P: WaveProtocol> {
 fn run_task<P: WaveProtocol>(
     env: &Env<'_>,
     task: &mut WorkerTask<'_, P>,
-    wave: u16,
 ) -> Result<(), ProtocolError> {
     task.scratch.start_wave(task.spine.len());
     let mut result = Ok(());
@@ -894,7 +922,6 @@ fn run_task<P: WaveProtocol>(
             task.spine,
             &mut window,
             *block,
-            wave,
         );
         cols.frames += window.frames;
         // Keep the first error but finish every block, so per-block
@@ -1066,9 +1093,6 @@ pub struct FlatWaveRunner<P: WaveProtocol> {
     next_wave: u16,
     /// Frames transmitted during the most recent wave.
     last_wave_frames: u64,
-    /// Set when the previous wave failed part-way: its staged frames
-    /// may still sit in the mailbox column.
-    stranded: bool,
     tree_height: u32,
     tree_max_degree: usize,
     /// The last item update's delta, reused by the next.
@@ -1206,7 +1230,6 @@ where
             worker_scratch: (0..groups).map(|_| Scratch::new()).collect(),
             next_wave: 0,
             last_wave_frames: 0,
-            stranded: false,
             item_delta: P::ItemDelta::default(),
         })
     }
@@ -1219,27 +1242,6 @@ where
     /// The shard plan driving parallel execution.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
-    }
-
-    /// Buffers taken from the scratch pools instead of allocated —
-    /// after the first wave, frames come entirely from here.
-    pub fn scratch_reused(&self) -> u64 {
-        self.scratch.pool.reused()
-            + self
-                .worker_scratch
-                .iter()
-                .map(|s| s.pool.reused())
-                .sum::<u64>()
-    }
-
-    /// Buffers the scratch pools had to allocate fresh.
-    pub fn scratch_fresh(&self) -> u64 {
-        self.scratch.pool.fresh()
-            + self
-                .worker_scratch
-                .iter()
-                .map(|s| s.pool.fresh())
-                .sum::<u64>()
     }
 
     /// The three phases of one admitted wave.
@@ -1279,7 +1281,7 @@ where
             model: &model,
             link: &self.link,
             ack_bits: ack_bits(wave),
-            request_header_bits: match self.reliability {
+            frame_header_bits: match self.reliability {
                 Reliability::Ack { .. } => ack_bits(wave),
                 Reliability::None => header_bits(wave),
             },
@@ -1316,28 +1318,26 @@ where
                     &[],
                     &mut cols,
                     p as usize,
-                    wave,
                 )
             })
         });
         self.last_wave_frames += cols.frames;
         phase_a?;
 
+        // The driver merged the block roots' last replies into its own
+        // list: hand each worker one spent accumulator per block it
+        // runs, so no list grows or drains from wave to wave.
+        let spare = &mut self.scratch.spare.0;
+        for (worker, group) in self.worker_scratch.iter_mut().zip(self.plan.groups()) {
+            let keep = spare.len().saturating_sub(group.len());
+            worker.spare.0.extend(spare.drain(keep..));
+        }
+
         // Phase B — parallel blocks: disjoint column windows per
         // block, grouped per worker by the plan's static assignment.
-        // Every block root a request reached replies with a frame from
-        // its worker's pool, which phase C recycles into the driver's,
-        // so the driver first hands each worker that many buffers. Block
-        // roots read the driver's request table, which stays unchanged
-        // until phase C.
+        // Block roots read the driver's request table, which stays
+        // unchanged until phase C.
         let blocks = self.plan.blocks();
-        for (scratch, group) in self.worker_scratch.iter_mut().zip(self.plan.groups()) {
-            let replies = group
-                .iter()
-                .filter(|&&b| self.cols.slots[blocks[b].start as usize].active)
-                .count();
-            self.scratch.pool.transfer(&mut scratch.pool, replies);
-        }
         let spine = &self.scratch.reqs.entries[..];
         let mut windows: Vec<Option<Cols<'_, P>>> = self
             .cols
@@ -1362,12 +1362,12 @@ where
             })
             .collect();
         let results: Vec<Result<(), ProtocolError>> = if tasks.len() <= 1 {
-            tasks.iter_mut().map(|t| run_task(env, t, wave)).collect()
+            tasks.iter_mut().map(|t| run_task(env, t)).collect()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = tasks
                     .iter_mut()
-                    .map(|t| scope.spawn(move || run_task(env, t, wave)))
+                    .map(|t| scope.spawn(move || run_task(env, t)))
                     .collect();
                 // Every handle is joined here, so a worker's panic
                 // comes back as a value instead of re-panicking when
@@ -1409,7 +1409,6 @@ where
                 &[],
                 &mut cols,
                 p as usize,
-                wave,
             );
             if result.is_err() {
                 break;
@@ -1446,21 +1445,9 @@ where
             .map_err(ProtocolError::from)?;
         self.next_wave = self.next_wave.wrapping_add(1);
         self.last_wave_frames = 0;
-
-        // Recycle partials stranded by a failed wave so they can never
-        // be mistaken for this wave's traffic. A wave that completed
-        // took every frame it staged, so only a failure needs the sweep.
-        if std::mem::take(&mut self.stranded) {
-            for s in &mut self.cols.slots {
-                if let Some(f) = s.frame.take() {
-                    self.scratch.pool.recycle(f);
-                }
-            }
-        }
-
-        let result = self.sweep(req, self.next_wave);
-        self.stranded = result.is_err();
-        result
+        // A reply a failed wave left staged is dropped when its node is
+        // next admitted, before any parent could read it.
+        self.sweep(req, self.next_wave)
     }
 
     fn stats(&self) -> &NetStats {
@@ -1603,7 +1590,7 @@ mod tests {
     use super::*;
     use crate::cache::CacheKey;
     use crate::wave::{MultiplexWave, MuxEntry, WaveRunner};
-    use saq_netsim::wire::{width_for_max, BitWriter};
+    use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
     use saq_netsim::NetsimError;
 
     /// SUM of items below a threshold; deterministic, so cacheable.
@@ -1628,6 +1615,9 @@ mod tests {
         fn encode_partial(&self, _req: &u64, p: &u64, w: &mut BitWriter) {
             w.write_bits(*p, 32);
         }
+        fn partial_width(&self, _req: &u64, _p: &u64) -> u64 {
+            32
+        }
         fn decode_partial(&self, _req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
             r.read_bits(32)
         }
@@ -1636,6 +1626,16 @@ mod tests {
         }
         fn merge(&self, _req: &u64, a: u64, b: u64) -> u64 {
             a + b
+        }
+        fn absorb_partial(
+            &self,
+            _req: &u64,
+            acc: &mut u64,
+            child: &u64,
+            _first_of: Option<usize>,
+        ) -> Result<(), NetsimError> {
+            *acc += child;
+            Ok(())
         }
         fn cache_key(&self, req: &u64) -> Option<CacheKey> {
             let mut w = BitWriter::new();
@@ -1866,30 +1866,41 @@ mod tests {
     }
 
     #[test]
-    fn flat_scratch_pool_recycles_after_first_wave() {
+    fn warm_flat_waves_recycle_every_accumulator_and_buffer() {
+        // Replies cross their edges as widths, and accumulators go back
+        // to the merging thread's free list, the block roots' handed
+        // back to their workers before the parallel phase: once warm,
+        // every thread's free list keeps its length from wave to wave,
+        // and the pools that measure requests allocate nothing more.
         let (topo, tree, items) = balanced_setup(85, 4);
-        let mut flat = FlatWaveRunner::new(
-            &topo,
-            SimConfig::default(),
-            &tree,
-            proto(),
-            items,
-            Reliability::None,
-            2,
-            NestDepth::Auto,
-        )
-        .unwrap();
-        flat.run_wave(env(vec![1000])).unwrap();
-        let fresh_after_first = flat.scratch_fresh();
-        assert!(fresh_after_first > 0, "first wave must allocate");
-        flat.run_wave(env(vec![500])).unwrap();
-        flat.run_wave(env(vec![250])).unwrap();
-        assert_eq!(
-            flat.scratch_fresh(),
-            fresh_after_first,
-            "steady-state waves must allocate no frame buffers"
-        );
-        assert!(flat.scratch_reused() > 0);
+        for workers in [1usize, 2, 4] {
+            let mut flat = FlatWaveRunner::new(
+                &topo,
+                SimConfig::default(),
+                &tree,
+                proto(),
+                items.clone(),
+                Reliability::None,
+                workers,
+                NestDepth::Auto,
+            )
+            .unwrap();
+            let state = |flat: &FlatWaveRunner<MultiplexWave<SumBelow>>| -> Vec<(usize, u64)> {
+                std::iter::once(&flat.scratch)
+                    .chain(&flat.worker_scratch)
+                    .map(|s| (s.spare.0.len(), s.pool.fresh()))
+                    .collect()
+            };
+            for req in [vec![1000, 30], vec![500, 1], vec![250, 999]] {
+                flat.run_wave(env(req)).unwrap();
+            }
+            let warm = state(&flat);
+            assert!(warm.iter().any(|&(spare, _)| spare > 0), "{warm:?}");
+            for req in [vec![700, 3], vec![30, 500], vec![1, 2]] {
+                flat.run_wave(env(req)).unwrap();
+                assert_eq!(state(&flat), warm, "workers={workers}");
+            }
+        }
     }
 
     #[test]
@@ -2199,28 +2210,32 @@ mod tests {
         );
     }
 
-    /// [`SumBelow`] counting its request codec calls, in counters its
-    /// clones share.
+    /// [`SumBelow`] counting its codec calls, in counters its clones
+    /// share: request encodes and decodes, partial encodes and decodes.
     #[derive(Debug, Clone)]
     struct CountingCodec {
         inner: SumBelow,
-        encodes: std::sync::Arc<std::sync::atomic::AtomicU64>,
-        decodes: std::sync::Arc<std::sync::atomic::AtomicU64>,
+        calls: std::sync::Arc<[std::sync::atomic::AtomicU64; 4]>,
     }
 
     impl CountingCodec {
         fn new() -> Self {
             CountingCodec {
                 inner: proto().inner().clone(),
-                encodes: Default::default(),
-                decodes: Default::default(),
+                calls: Default::default(),
             }
         }
 
-        /// `(encodes, decodes)` since the last call.
-        fn take(&self) -> (u64, u64) {
-            use std::sync::atomic::Ordering::Relaxed;
-            (self.encodes.swap(0, Relaxed), self.decodes.swap(0, Relaxed))
+        fn count(&self, call: usize) {
+            self.calls[call].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+
+        /// `[request encodes, request decodes, partial encodes, partial
+        /// decodes]` since the last call.
+        fn take(&self) -> [u64; 4] {
+            self.calls
+                .each_ref()
+                .map(|c| c.swap(0, std::sync::atomic::Ordering::Relaxed))
         }
     }
 
@@ -2232,19 +2247,22 @@ mod tests {
         type DeltaKey = ();
 
         fn encode_request(&self, req: &u64, w: &mut BitWriter) {
-            self.encodes
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.count(0);
             self.inner.encode_request(req, w);
         }
         fn decode_request(&self, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
-            self.decodes
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.count(1);
             self.inner.decode_request(r)
         }
         fn encode_partial(&self, req: &u64, p: &u64, w: &mut BitWriter) {
+            self.count(2);
             self.inner.encode_partial(req, p, w);
         }
+        fn partial_width(&self, req: &u64, p: &u64) -> u64 {
+            self.inner.partial_width(req, p)
+        }
         fn decode_partial(&self, req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
+            self.count(3);
             self.inner.decode_partial(req, r)
         }
         fn local(&self, node: NodeId, items: &mut [u64], req: &u64) -> u64 {
@@ -2253,6 +2271,15 @@ mod tests {
         fn merge(&self, req: &u64, a: u64, b: u64) -> u64 {
             self.inner.merge(req, a, b)
         }
+        fn absorb_partial(
+            &self,
+            req: &u64,
+            acc: &mut u64,
+            child: &u64,
+            first_of: Option<usize>,
+        ) -> Result<(), NetsimError> {
+            self.inner.absorb_partial(req, acc, child, first_of)
+        }
         fn cache_key(&self, req: &u64) -> Option<CacheKey> {
             self.inner.cache_key(req)
         }
@@ -2260,13 +2287,18 @@ mod tests {
 
     #[test]
     fn a_flat_wave_never_decodes_a_request() {
-        // A child admits the request its parent forwarded: during a flat
-        // wave the inner codec decodes nothing and encodes nothing (every
-        // sub-request's bits were captured when the envelope was built),
-        // while the boxed oracle decodes every request it is delivered —
-        // and answers, ledger, frames, traces and tallies still agree.
-        // The script makes node 3 forward a subset envelope (see
-        // `mid_tree_cache_hit_forwards_a_subset_envelope`).
+        // A child admits the request its parent forwarded, and a parent
+        // merges its children's replies by reference: during a flat wave
+        // the inner codec decodes nothing and encodes no request (every
+        // sub-request's bits were captured when the envelope was built)
+        // and, in release builds, no partial — a debug build encodes
+        // each slot of every staged reply exactly once, to check the
+        // width it is billed by — while the boxed oracle decodes every
+        // request and partial it is delivered; answers, ledger, frames,
+        // traces and tallies still agree. The script makes node 3
+        // forward a subset envelope (see
+        // `mid_tree_cache_hit_forwards_a_subset_envelope`), and later
+        // waves are answered from cache in part or in whole.
         let (topo, tree, items) = balanced_setup(40, 3);
         let script = [
             Step::Wave(vec![100]),
@@ -2275,6 +2307,9 @@ mod tests {
             Step::SetItems(14, vec![6]),
             Step::Wave(vec![700, 100]),
             Step::Wave(vec![999, 30]),
+            Step::Wave(vec![999, 30]),
+            Step::SetItems(20, vec![7]),
+            Step::Wave(vec![999, 30, 100]),
         ];
         let lossy = SimConfig::default().with_link(
             saq_netsim::link::LinkConfig::default()
@@ -2313,7 +2348,7 @@ mod tests {
                     runner.enable_partial_cache(8);
                     runner.set_tracing(true);
                 }
-                let mut subset_seen = false;
+                let (mut subset_seen, mut cached_seen) = (false, false);
                 for step in &script {
                     let req = match step {
                         Step::SetItems(node, items) => {
@@ -2333,30 +2368,44 @@ mod tests {
                     sc.take();
                     fc.take();
                     let a = single.run_wave(se).unwrap();
-                    let (_, single_decodes) = sc.take();
+                    let [_, single_decodes, ..] = sc.take();
                     let b = flat.run_wave(fe).unwrap();
-                    assert_eq!(fc.take(), (0, 0), "flat codec calls ({what}, {req:?})");
+                    let [req_encodes, req_decodes, part_encodes, part_decodes] = fc.take();
                     assert_eq!(a, b, "answers differ ({what}, {req:?})");
                     assert_eq!(single.last_wave_frames(), flat.last_wave_frames());
-                    {
+                    // Every staged slot is billed 32 bits, once.
+                    let staged_slots = {
                         let (sg, fg) =
                             (single.protocol().ledger_mut(), flat.protocol().ledger_mut());
                         assert_eq!(sg.slots(), fg.slots(), "slot bits ({what}, {req:?})");
                         assert_eq!(sg.envelope_bits(), fg.envelope_bits(), "{what}");
-                    }
+                        fg.slots().iter().map(|s| s.partial_bits).sum::<u64>() / 32
+                    };
+                    let checks = if cfg!(debug_assertions) {
+                        staged_slots
+                    } else {
+                        0
+                    };
+                    assert_eq!(
+                        [req_encodes, req_decodes, part_encodes, part_decodes],
+                        [0, 0, checks, 0],
+                        "flat codec calls ({what}, {req:?})"
+                    );
                     let trace = take_trace(&mut flat);
                     assert_eq!(take_trace(&mut single), trace, "trace ({what}, {req:?})");
                     // The boxed runner decodes each delivered request,
-                    // one inner decode per slot it carries.
-                    let delivered = trace_census(&trace)[0] as u64;
-                    assert!(delivered > 0, "{what}, {req:?}");
+                    // one inner decode per slot it carries (none when
+                    // the root answers from its cache).
+                    let [delivered, .., hits, _] = trace_census(&trace).map(|n| n as u64);
                     assert!(
                         (delivered..=delivered * req.len() as u64).contains(&single_decodes),
                         "{single_decodes} boxed decodes for {delivered} requests ({what})"
                     );
                     subset_seen |= single_decodes < delivered * req.len() as u64;
+                    cached_seen |= hits > 0;
                 }
                 assert!(subset_seen, "some node forwards a subset envelope ({what})");
+                assert!(cached_seen, "some node answers from cache ({what})");
                 assert_same_tallies(&topo, &tree, single.stats(), flat.stats(), &what);
                 assert_eq!(single.cache_stats(), flat.cache_stats(), "{what}");
             }
@@ -2481,10 +2530,11 @@ mod tests {
     }
 
     #[test]
-    fn a_wave_slot_fits_in_72_bytes() {
+    fn a_wave_slot_fits_in_40_bytes() {
         // Only what every deployment needs lives in the slot: two
-        // request indices, the accumulator, two flags and the mailbox.
-        assert!(std::mem::size_of::<WaveSlot<MultiplexWave<SumBelow>>>() <= 72);
+        // request indices, the staged width, the accumulator (which is
+        // also the staged reply) and two flags — no frame.
+        assert!(std::mem::size_of::<WaveSlot<MultiplexWave<SumBelow>>>() <= 40);
     }
 
     #[test]

@@ -99,8 +99,24 @@ pub trait WaveProtocol: Clone {
     /// Serializes a partial aggregate. The wave's request is available as
     /// context: both endpoints of a hop know it (the receiver joined the
     /// wave before any partial flows), so the partial encoding may depend
-    /// on it without shipping schema bits.
+    /// on it without shipping schema bits. Pure, like
+    /// [`encode_request`](Self::encode_request): a runner bills what it
+    /// sends through [`partial_width`](Self::partial_width).
     fn encode_partial(&self, req: &Self::Request, p: &Self::Partial, w: &mut BitWriter);
+
+    /// Exactly how many bits [`encode_partial`](Self::encode_partial)
+    /// writes for `p` — **the width law**, `partial_width(req, p) ==
+    /// encode(p).len_bits()` — accounting for one transmission of it.
+    /// Every runner calls it once per partial it sends (retransmissions
+    /// excluded): the flat runner bills a partial by its width and never
+    /// encodes it, the boxed runner encodes its frame and bills through
+    /// this. A protocol that attributes the bits it sends (the mux
+    /// envelope's [`MuxLedger`]) bills partials here. The default
+    /// encodes `p` into a per-thread scratch buffer and measures it; a
+    /// protocol overrides it with its codec's size rules in closed form.
+    fn partial_width(&self, req: &Self::Request, p: &Self::Partial) -> u64 {
+        encode_scratch(|w| self.encode_partial(req, p, w), BitString::len_bits)
+    }
 
     /// Deserializes a partial aggregate of the wave identified by `req`.
     ///
@@ -146,31 +162,37 @@ pub trait WaveProtocol: Clone {
     /// associative so tree shape does not matter).
     fn merge(&self, req: &Self::Request, a: Self::Partial, b: Self::Partial) -> Self::Partial;
 
-    /// Decodes one child partial from `r` and merges it into `acc` in
-    /// place — what a parent does with every report it receives.
-    /// Afterwards `acc` must equal [`merge`](Self::merge) of its old
-    /// value and [`decode_partial`](Self::decode_partial) of the same
-    /// bits, and exactly those bits must be consumed. `first_of` is
-    /// `Some(children)` for the first of a node's `children` reports, so
-    /// a protocol can size `acc` once for all of them from the first
+    /// Merges one child's partial into `acc` in place, reading the child
+    /// by reference — what a flat parent does with every report. The
+    /// child is merged in its **wire-normal form**, the value its parent
+    /// would decode off the wire: afterwards `acc` must equal, field for
+    /// field, [`merge`](Self::merge) of its old value and
+    /// `decode_partial(encode_partial(child))`, so state the codec does
+    /// not carry (a min/max runner-up) never crosses an edge. `first_of`
+    /// is `Some(children)` for the first of a node's `children` reports,
+    /// so a protocol can size `acc` once for all of them from the first
     /// report's shape instead of growing it child by child. The default
-    /// ignores it and clones `acc` into `merge`; a protocol on a hot
-    /// path overrides it to merge straight off the wire into `acc`'s own
-    /// storage, moving and allocating nothing.
+    /// ignores it and round-trips `child` through the codec in per-thread
+    /// scratch before merging — right for every protocol; one whose hot
+    /// path matters overrides it to merge the wire-normal form straight
+    /// into `acc`'s own storage, moving and allocating nothing.
     ///
     /// # Errors
     ///
-    /// Returns [`NetsimError::WireDecode`] on malformed input or on an
-    /// accumulator whose shape does not match `req`; `acc` is then
-    /// unspecified (the wave fails).
-    fn absorb_child(
+    /// Returns [`NetsimError::WireDecode`] on an accumulator or child
+    /// whose shape does not match `req`; `acc` is then unspecified (the
+    /// wave fails).
+    fn absorb_partial(
         &self,
         req: &Self::Request,
         acc: &mut Self::Partial,
-        r: &mut BitReader<'_>,
+        child: &Self::Partial,
         _first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
-        let child = self.decode_partial(req, r)?;
+        let child = encode_scratch(
+            |w| self.encode_partial(req, child, w),
+            |frame| self.decode_partial(req, &mut BitReader::new(frame)),
+        )?;
         *acc = self.merge(req, acc.clone(), child);
         Ok(())
     }
@@ -225,16 +247,39 @@ pub trait WaveProtocol: Clone {
         f(0, self.cache_key(req).as_ref());
     }
 
-    /// Encodes slot `i` of a reply to `req` from its single-slot partial
-    /// `part` (the form the cache stores, see
-    /// [`WaveProtocol::split_slots`]). Encoding every slot in order
-    /// writes exactly the bits — and bills exactly what —
-    /// [`encode_partial`](Self::encode_partial) of their
-    /// [`join_slots`](Self::join_slots) would, so a node answering from
-    /// cache encodes its reply straight from the entries. The default
+    /// Width of slot `i` of a reply to `req`, given as its single-slot
+    /// partial `part` (the form the cache stores, see
+    /// [`WaveProtocol::split_slots`]). The widths of every slot add up
+    /// to — and bill exactly what — [`partial_width`](Self::partial_width)
+    /// of their [`join_slots`](Self::join_slots), so a node answering
+    /// from cache is billed straight from the entries. The default
     /// serves plain single-slot protocols.
-    fn encode_slot(&self, req: &Self::Request, _i: usize, part: &Self::Partial, w: &mut BitWriter) {
-        self.encode_partial(req, part, w);
+    fn slot_width(&self, req: &Self::Request, _i: usize, part: &Self::Partial) -> u64 {
+        self.partial_width(req, part)
+    }
+
+    /// [`absorb_partial`](Self::absorb_partial) of one slot: merges slot
+    /// `j` of `part` into slot `i` of `acc`, which is aligned with `req`
+    /// — a cache entry (`j = 0`, the single-slot form the cache stores)
+    /// or one slot of a reply computed for a subset of `req`. Absorbing
+    /// every slot of a reply equals absorbing their
+    /// [`join_slots`](Self::join_slots), so a parent merges a child's
+    /// cached and computed slots where they lie. The default serves
+    /// plain single-slot protocols.
+    ///
+    /// # Errors
+    ///
+    /// As [`absorb_partial`](Self::absorb_partial).
+    fn absorb_slot(
+        &self,
+        req: &Self::Request,
+        acc: &mut Self::Partial,
+        _i: usize,
+        part: &Self::Partial,
+        _j: usize,
+        first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        self.absorb_partial(req, acc, part, first_of)
     }
 
     /// The request containing only the slots `keep` (ascending slot
@@ -247,16 +292,13 @@ pub trait WaveProtocol: Clone {
         req.clone()
     }
 
-    /// Splits a partial aligned with `req` into per-slot partials, each
-    /// shaped as if its slot were a single-slot request (the form stored
-    /// in the cache), and hands them to `f` in slot order with their
-    /// slot positions. Inverse of [`WaveProtocol::join_slots`].
-    fn split_slots(
-        &self,
-        _req: &Self::Request,
-        p: Self::Partial,
-        f: &mut dyn FnMut(usize, Self::Partial),
-    ) {
+    /// Splits a partial into per-slot partials, each shaped as if its
+    /// slot were a single-slot request (the form stored in the cache),
+    /// and hands them to `f` in slot order with their slot positions.
+    /// Inverse of [`WaveProtocol::join_slots`]. A partial's slots are its
+    /// own shape, so no request is needed: a flat parent stores its
+    /// child's slots without the request the child forwarded.
+    fn split_slots(&self, p: Self::Partial, f: &mut dyn FnMut(usize, Self::Partial)) {
         f(0, p);
     }
 
@@ -431,7 +473,7 @@ pub fn ack_bits(wave: u16) -> u64 {
 }
 
 /// Writes a frame header's wave ordinal (a varint; see [`header_bits`]).
-pub(crate) fn write_wave(w: &mut BitWriter, wave: u16) {
+fn write_wave(w: &mut BitWriter, wave: u16) {
     w.write_varint(wave as u64);
 }
 
@@ -441,14 +483,31 @@ pub(crate) fn write_wave(w: &mut BitWriter, wave: u16) {
 ///
 /// Returns [`NetsimError::WireDecode`] on truncation or a varint
 /// outside the 16-bit wave space.
-pub(crate) fn read_wave(r: &mut BitReader<'_>) -> Result<u16, NetsimError> {
+fn read_wave(r: &mut BitReader<'_>) -> Result<u16, NetsimError> {
     u16::try_from(r.read_varint()?)
         .map_err(|_| NetsimError::WireDecode("wave ordinal out of range"))
 }
 
-// Crate-visible: the flat runner frames requests and partials itself.
-pub(crate) const KIND_REQUEST: u64 = 0;
-pub(crate) const KIND_PARTIAL: u64 = 1;
+/// Encodes with `encode` into a writer backed by this thread's scratch
+/// buffer and hands the result to `read`, so measuring or checking an
+/// encoding allocates nothing once the buffer is warm.
+pub(crate) fn encode_scratch<T>(
+    encode: impl FnOnce(&mut BitWriter),
+    read: impl FnOnce(&BitString) -> T,
+) -> T {
+    thread_local! {
+        static SCRATCH: std::cell::Cell<Vec<u64>> = const { std::cell::Cell::new(Vec::new()) };
+    }
+    let mut w = BitWriter::with_scratch(SCRATCH.take());
+    encode(&mut w);
+    let frame = w.finish();
+    let out = read(&frame);
+    SCRATCH.set(frame.into_words());
+    out
+}
+
+const KIND_REQUEST: u64 = 0;
+const KIND_PARTIAL: u64 = 1;
 const KIND_ACK: u64 = 2;
 
 /// Timer tag namespace: retransmissions are tagged
@@ -514,8 +573,9 @@ impl<P: WaveProtocol> CachedPartial<P> {
 /// Hits are recorded as *positions* in the node's cache, not copies:
 /// nothing touches a node's cache between its admission and its
 /// completion, so a position stays valid for the whole wave, and a
-/// reply served entirely from cache can be encoded straight from the
-/// entries ([`CacheResolution::encode_cached_reply`]).
+/// reply served from cache is billed ([`CacheResolution::hits_width`])
+/// and merged into the parent ([`CacheResolution::absorb_reply`])
+/// straight from the entries.
 #[derive(Debug, Default)]
 pub(crate) struct CacheResolution {
     /// Cache hits: `(slot index in the request, position in the cache)`.
@@ -596,20 +656,21 @@ impl CacheResolution {
         proto.join_slots(req, slots)
     }
 
-    /// Encodes the reply of a node whose every slot hit straight from
-    /// the cache entries ([`WaveProtocol::encode_slot`]): the bits — and
-    /// the bills — of [`WaveProtocol::encode_partial`] over
-    /// [`take_cached_reply`](Self::take_cached_reply), without a copy.
-    pub(crate) fn encode_cached_reply<P: WaveProtocol>(
+    /// The width of the slots served from cache, billed straight from
+    /// the entries ([`WaveProtocol::slot_width`]): for a node whose every
+    /// slot hit, what [`WaveProtocol::partial_width`] of
+    /// [`take_cached_reply`](Self::take_cached_reply) returns and bills,
+    /// without a copy.
+    pub(crate) fn hits_width<P: WaveProtocol>(
         &self,
         proto: &P,
         cache: &PartialCache<CachedPartial<P>>,
         req: &P::Request,
-        w: &mut BitWriter,
-    ) {
-        for &(i, pos) in &self.hits {
-            proto.encode_slot(req, i, &cache.at(pos).partial, w);
-        }
+    ) -> u64 {
+        self.hits
+            .iter()
+            .map(|&(i, pos)| proto.slot_width(req, i, &cache.at(pos).partial))
+            .sum()
     }
 
     /// Completion of an executing node: turns the merged accumulator
@@ -647,7 +708,7 @@ impl CacheResolution {
         let mut hits = hits.into_iter().peekable();
         let mut miss = self.miss.iter();
         let mut slots = Vec::with_capacity(hits.len() + miss.len());
-        proto.split_slots(fwd, acc, &mut |_, part| {
+        proto.split_slots(acc, &mut |_, part| {
             let i = *miss.next().expect("one computed slot per missed slot");
             while let Some((_, hit)) = hits.next_if(|&(h, _)| h < i) {
                 slots.push(hit);
@@ -659,28 +720,64 @@ impl CacheResolution {
         proto.join_slots(req, slots)
     }
 
-    /// Completion of an executing node with no hits whose reply was
-    /// already encoded from `acc` (then `acc` is the full reply, since
-    /// `fwd` is the request it received): the computed slot partials
-    /// move into the cache — no copy, no join — each shrunk to its size
-    /// first ([`WaveProtocol::shrink_partial`]). When nothing is stored,
-    /// `acc` is handed back for reuse as a later node's accumulator.
-    pub(crate) fn store_by_move<P: WaveProtocol>(
+    /// Completion of a node, run by its parent: merges the node's reply
+    /// into the parent's accumulator `acc` (aligned with `req`, the
+    /// request the node received) — each hit from its cache entry
+    /// ([`WaveProtocol::absorb_slot`]), the computed slots from `reply`,
+    /// the node's accumulator (aligned with the request it forwarded;
+    /// `None` when every slot hit) — and only then moves the computed
+    /// slots this wave keyed into the cache
+    /// ([`store_by_move`](Self::store_by_move)): a store may evict a
+    /// hit, so it waits until every hit was read. No partial is copied
+    /// or joined. Returns `reply` when nothing was stored, for reuse.
+    ///
+    /// # Errors
+    ///
+    /// As [`WaveProtocol::absorb_partial`]; the next admission resets
+    /// the resolution.
+    pub(crate) fn absorb_reply<P: WaveProtocol>(
         &mut self,
         proto: &P,
         cache: &mut PartialCache<CachedPartial<P>>,
-        fwd: &P::Request,
+        req: &P::Request,
+        acc: &mut P::Partial,
+        reply: Option<P::Partial>,
+        first_of: Option<usize>,
+    ) -> Result<Option<P::Partial>, NetsimError> {
+        for &(i, pos) in &self.hits {
+            proto.absorb_slot(req, acc, i, &cache.at(pos).partial, 0, first_of)?;
+        }
+        let Some(reply) = reply else {
+            self.hits.clear();
+            return Ok(None);
+        };
+        if self.hits.is_empty() {
+            proto.absorb_partial(req, acc, &reply, first_of)?;
+        } else {
+            for (j, &i) in self.miss.iter().enumerate() {
+                proto.absorb_slot(req, acc, i, &reply, j, first_of)?;
+            }
+            self.hits.clear();
+        }
+        Ok(self.store_by_move(proto, cache, reply))
+    }
+
+    /// Moves the computed slot partials of `acc` this wave keyed into the
+    /// cache — no copy, no join — each shrunk to its size first
+    /// ([`WaveProtocol::shrink_partial`]). Run once every hit was read.
+    /// When nothing is stored, `acc` is handed back for reuse as a later
+    /// node's accumulator.
+    fn store_by_move<P: WaveProtocol>(
+        &mut self,
+        proto: &P,
+        cache: &mut PartialCache<CachedPartial<P>>,
         acc: P::Partial,
     ) -> Option<P::Partial> {
-        debug_assert!(
-            self.hits.is_empty(),
-            "store by move requires a hit-free wave"
-        );
         if self.store.is_empty() {
             return Some(acc);
         }
         let mut store = self.store.drain(..).peekable();
-        proto.split_slots(fwd, acc, &mut |pos, mut part| {
+        proto.split_slots(acc, &mut |pos, mut part| {
             if let Some((_, key)) = store.next_if(|&(p, _)| p == pos) {
                 proto.shrink_partial(&mut part);
                 let entry = CachedPartial::new(proto, &key, part);
@@ -689,17 +786,6 @@ impl CacheResolution {
         });
         None
     }
-}
-
-/// Outcome of wave admission at a node (see [`AggNode::admit_wave`]).
-#[derive(Debug)]
-enum WaveAdmit<P: WaveProtocol> {
-    /// Every slot was served from the subtree cache; the complete reply
-    /// is in the node's accumulator and the subtree stays silent.
-    Cached,
-    /// The wave executes: forward this (possibly cache-reduced) request
-    /// to the children after computing the local contribution.
-    Forward(P::Request),
 }
 
 /// Node state machine executing [`WaveProtocol`] waves over a spanning
@@ -725,8 +811,9 @@ pub struct AggNode<P: WaveProtocol> {
 
     /// Subtree partial cache (`None` = caching disabled, the default).
     cache: Option<PartialCache<CachedPartial<P>>>,
-    /// The (possibly cache-reduced) request forwarded to children this
-    /// wave; child partials and `acc` align with it.
+    /// The cache-reduced request forwarded to children this wave, when a
+    /// partial cache hit subset `req`; `None` forwards `req` itself.
+    /// Child partials and `acc` align with the forwarded request.
     fwd_req: Option<P::Request>,
     /// The current wave's cache hits, misses and pending stores.
     resolved: CacheResolution,
@@ -894,61 +981,61 @@ impl<P: WaveProtocol> AggNode<P> {
         ctx.send_classed(to, w.finish(), FrameClass::Ack);
     }
 
-    /// Outcome of [`AggNode::admit_wave`]: either the whole reply came
-    /// from the subtree cache, or the wave must execute with the given
-    /// (possibly cache-reduced) forward request.
+    /// Joins wave `wave`: admits `req` ([`AggNode::admit_wave`]), then
+    /// either replies from the subtree cache at once, or contributes
+    /// locally and forwards the (possibly cache-reduced) request to the
+    /// children.
     fn begin_wave(&mut self, ctx: &mut Context<'_>, wave: u16, req: P::Request) {
-        match self.admit_wave(wave, req) {
-            WaveAdmit::Cached => {
-                // Every slot served from cache: the entire subtree stays
-                // silent — no local computation, no child messages.
-                self.finish_wave(ctx);
+        if self.admit_wave(wave, req) {
+            // Every slot served from cache: the entire subtree stays
+            // silent — no local computation, no child messages.
+            self.finish_wave(ctx);
+            return;
+        }
+        let fwd = self.fwd_req.as_ref().or(self.req.as_ref());
+        let fwd = fwd.expect("an admitted wave has a request");
+        self.acc = Some(self.proto.local(ctx.node_id(), &mut self.items, fwd));
+        if self.waiting.is_empty() {
+            self.finish_wave(ctx);
+            return;
+        }
+        self.proto
+            .note_request_copies(fwd, self.children.len() as u64);
+        if matches!(self.reliability, Reliability::None) {
+            // Without per-message sequence numbers the request frame is
+            // bit-identical for every child: encode it once and fan out
+            // pool-backed copies instead of re-encoding per child.
+            let mut w = ctx.writer();
+            w.write_bits(KIND_REQUEST, 2);
+            write_wave(&mut w, wave);
+            self.proto.encode_request(fwd, &mut w);
+            let frame = w.finish();
+            let last = self.children.len() - 1;
+            for i in 0..last {
+                let copy = ctx.duplicate(&frame);
+                ctx.send(self.children[i], copy);
             }
-            WaveAdmit::Forward(fwd) => {
-                let local = self.proto.local(ctx.node_id(), &mut self.items, &fwd);
-                self.acc = Some(local);
-                if self.waiting.is_empty() {
-                    self.finish_wave(ctx);
-                    return;
-                }
+            ctx.send(self.children[last], frame);
+        } else {
+            for i in 0..self.children.len() {
+                let mut w = ctx.writer();
+                let seq = self.write_header(&mut w, KIND_REQUEST, wave);
+                let fwd = self.fwd_req.as_ref().or(self.req.as_ref());
                 self.proto
-                    .note_request_copies(&fwd, self.children.len() as u64);
-                if matches!(self.reliability, Reliability::None) {
-                    // Without per-message sequence numbers the request
-                    // frame is bit-identical for every child: encode it
-                    // once and fan out pool-backed copies instead of
-                    // re-encoding per child.
-                    let mut w = ctx.writer();
-                    self.write_header(&mut w, KIND_REQUEST, wave);
-                    self.proto.encode_request(&fwd, &mut w);
-                    let frame = w.finish();
-                    let last = self.children.len() - 1;
-                    for i in 0..last {
-                        let copy = ctx.duplicate(&frame);
-                        ctx.send(self.children[i], copy);
-                    }
-                    ctx.send(self.children[last], frame);
-                } else {
-                    for i in 0..self.children.len() {
-                        let mut w = ctx.writer();
-                        let seq = self.write_header(&mut w, KIND_REQUEST, wave);
-                        self.proto.encode_request(&fwd, &mut w);
-                        self.send_frame(ctx, self.children[i], wave, seq, w.finish());
-                    }
-                }
+                    .encode_request(fwd.expect("an admitted wave has a request"), &mut w);
+                self.send_frame(ctx, self.children[i], wave, seq, w.finish());
             }
         }
     }
 
     /// Resets per-wave state and resolves the subtree cache for `req` —
     /// everything a node does on joining a wave short of touching the
-    /// network or its items.
-    ///
-    /// On [`WaveAdmit::Cached`] the complete reply is already in
-    /// `self.acc`; on [`WaveAdmit::Forward`] the caller must compute the
-    /// local contribution into `self.acc` and forward the returned
-    /// request to the children (`self.fwd_req` is set to it).
-    fn admit_wave(&mut self, wave: u16, req: P::Request) -> WaveAdmit<P> {
+    /// network or its items. Returns `true` when every slot was served
+    /// from cache: the complete reply is then in `self.acc` and the
+    /// subtree stays silent. Otherwise the caller computes the local
+    /// contribution into `self.acc` and forwards `self.fwd_req` — or,
+    /// when nothing hit, `self.req` — to the children.
+    fn admit_wave(&mut self, wave: u16, req: P::Request) -> bool {
         self.wave = wave;
         // `clone_from` reuses the buffer's capacity: after the first
         // wave this list refills without touching the allocator.
@@ -974,50 +1061,48 @@ impl<P: WaveProtocol> AggNode<P> {
             ..
         } = self;
         let trace = trace_on.then_some(trace);
-        if resolved.resolve(proto, cache.as_mut(), &req, trace) {
+        let cached = resolved.resolve(proto, cache.as_mut(), &req, trace);
+        if cached {
             // The oracle keeps it simple: the reply is copied out of the
             // cache and encoded when the wave finishes.
             let cache = cache.as_ref().expect("a cache hit implies a cache");
             self.acc = Some(resolved.take_cached_reply(proto, cache, &req));
-            self.req = Some(req);
-            self.fwd_req = None;
             self.waiting.clear();
-            return WaveAdmit::Cached;
         }
-
-        // Forward only the cache-miss slots (the full request when the
-        // cache is disabled or nothing hit).
-        let fwd = if self.resolved.hits.is_empty() {
-            req.clone()
-        } else {
-            self.proto.subset_request(&req, &self.resolved.miss)
-        };
+        // Forward only the cache-miss slots: a subset envelope exists
+        // only when something hit.
+        self.fwd_req = (!cached && !resolved.hits.is_empty())
+            .then(|| proto.subset_request(&req, &resolved.miss));
         self.req = Some(req);
-        self.fwd_req = Some(fwd.clone());
-        WaveAdmit::Forward(fwd)
+        cached
     }
 
     /// Merges the buffered child partials into the accumulator in
     /// **fixed child order** (the canonical merge — see the field doc of
     /// `child_partials`). Call only when every child has reported.
     fn merge_children(&mut self) {
-        if self.child_partials.is_empty() {
+        let AggNode {
+            proto,
+            children,
+            req,
+            fwd_req,
+            acc,
+            child_partials,
+            ..
+        } = self;
+        if child_partials.is_empty() {
             return;
         }
-        let req = self
-            .fwd_req
-            .clone()
-            .expect("merging children requires a forward request");
-        let mut buffered = std::mem::take(&mut self.child_partials);
-        let mut acc = self.acc.take().expect("active wave has an accumulator");
-        for i in 0..self.children.len() {
-            let child = self.children[i];
-            if let Some(pos) = buffered.iter().position(|(c, _)| *c == child) {
-                let (_, p) = buffered.swap_remove(pos);
-                acc = self.proto.merge(&req, acc, p);
+        let fwd = fwd_req.as_ref().or(req.as_ref());
+        let fwd = fwd.expect("merging children requires a forward request");
+        let mut merged = acc.take().expect("active wave has an accumulator");
+        for child in children.iter() {
+            if let Some(pos) = child_partials.iter().position(|(c, _)| c == child) {
+                let (_, p) = child_partials.swap_remove(pos);
+                merged = proto.merge(fwd, merged, p);
             }
         }
-        self.acc = Some(acc);
+        *acc = Some(merged);
     }
 
     /// Completes the wave at this node: stores fresh subtree partials in
@@ -1031,7 +1116,7 @@ impl<P: WaveProtocol> AggNode<P> {
         // pure function of link fates — completion time is
         // schedule-dependent, admission order is not, and the flat
         // runner must reproduce the footprint exactly.
-        let acc = self.acc.clone().expect("wave has an accumulator");
+        let acc = self.acc.take().expect("wave has an accumulator");
         let full = self.assemble_partial(acc);
         match self.parent {
             None => self.result = Some(full),
@@ -1039,17 +1124,23 @@ impl<P: WaveProtocol> AggNode<P> {
                 let wave = self.wave;
                 let mut w = ctx.writer();
                 let seq = self.write_header(&mut w, KIND_PARTIAL, wave);
+                let header = w.len_bits();
                 let req = self.req.as_ref().expect("active wave has a request");
                 self.proto.encode_partial(req, &full, &mut w);
+                // The frame is real; the bill is its width, which must
+                // be what was written (the width law, checked end to end).
+                let width = self.proto.partial_width(req, &full);
+                debug_assert_eq!(header + width, w.len_bits(), "the width law");
                 let bits = self.send_frame(ctx, parent, wave, seq, w.finish());
                 self.trace_push(NodeTraceEntry::PartialSent { bits });
             }
         }
     }
 
-    /// Turns the merged accumulator (aligned with `fwd_req`) into the
-    /// full reply (aligned with `req`), populating the cache with the
-    /// freshly computed subtree partials on the way.
+    /// Turns the merged accumulator (aligned with the forwarded request)
+    /// into the full reply (aligned with `req`), populating the cache
+    /// with the freshly computed subtree partials on the way. A reply
+    /// answered from cache is already whole: its hits were taken.
     fn assemble_partial(&mut self, acc: P::Partial) -> P::Partial {
         let AggNode {
             proto,
@@ -1059,11 +1150,9 @@ impl<P: WaveProtocol> AggNode<P> {
             fwd_req,
             ..
         } = self;
-        match (req, fwd_req) {
-            (Some(req), Some(fwd)) => resolved.assemble(proto, cache.as_mut(), req, fwd, acc),
-            // Answered from cache: the reply is already whole.
-            _ => acc,
-        }
+        let req = req.as_ref().expect("active wave has a request");
+        let fwd = fwd_req.as_ref().unwrap_or(req);
+        resolved.assemble(proto, cache.as_mut(), req, fwd, acc)
     }
 }
 
@@ -1138,10 +1227,10 @@ impl<P: WaveProtocol> NodeRuntime for AggNode<P> {
                 };
                 // Children answer the request this node *forwarded* (the
                 // cache-miss subset of what it received).
-                let Some(req) = self.fwd_req.clone() else {
+                let Some(req) = self.fwd_req.as_ref().or(self.req.as_ref()) else {
                     return; // partial for a wave this node never joined
                 };
-                let Ok(partial) = self.proto.decode_partial(&req, &mut r) else {
+                let Ok(partial) = self.proto.decode_partial(req, &mut r) else {
                     return;
                 };
                 self.waiting.swap_remove(pos);
@@ -1641,10 +1730,9 @@ impl<R> MuxEntry<R> {
 /// Every transmitted bit is attributed in a [`MuxLedger`]:
 /// sub-request and sub-partial bits to their entry's declared slot, the
 /// count prefix, dense flag and any explicit slot tags to
-/// [`MuxLedger::envelope_bits`]. Partials are billed as they are
-/// encoded; requests as a runner sends them
-/// ([`WaveProtocol::note_request_copies`]), so encoding a request is
-/// pure. Every instance bills a ledger of its own, and a clone starts
+/// [`MuxLedger::envelope_bits`]. Requests and partials are billed as a
+/// runner sends them ([`WaveProtocol::note_request_copies`],
+/// [`WaveProtocol::partial_width`]), so encoding either is pure. Every instance bills a ledger of its own, and a clone starts
 /// with an empty one. A runner runs clones — the boxed runner one per
 /// node, the flat runner one per worker group, whose one worker bills
 /// it without a lock — and after every wave folds them, in a fixed
@@ -1804,21 +1892,16 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
                 let used = before - r.remaining();
                 r.rewind(used)?;
                 let raw = r.read_bitstring(used)?;
+                // In per-thread scratch, so the check does not put an
+                // allocation on every decode (the allocation gates run
+                // in debug too).
                 #[cfg(debug_assertions)]
-                {
-                    // One scratch buffer per thread, so the check does
-                    // not put an allocation on every decode (the
-                    // allocation gates run in debug too).
-                    thread_local! {
-                        static SCRATCH: std::cell::Cell<Vec<u64>> =
-                            const { std::cell::Cell::new(Vec::new()) };
-                    }
-                    let mut chk = BitWriter::with_scratch(SCRATCH.take());
-                    self.inner.encode_request(&req, &mut chk);
-                    let chk = chk.finish();
-                    debug_assert_eq!(chk, raw, "captured slot bits must equal the re-encoding");
-                    SCRATCH.set(chk.into_words());
-                }
+                encode_scratch(
+                    |w| self.inner.encode_request(&req, w),
+                    |chk| {
+                        debug_assert_eq!(*chk, raw, "captured slot bits must equal the re-encoding")
+                    },
+                );
                 Ok(MuxEntry {
                     slot: slot as u32,
                     req,
@@ -1828,14 +1911,29 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             .collect()
     }
 
+    /// The sub-partials back to back, with no framing: the request is
+    /// the schema. Bills nothing: see
+    /// [`partial_width`](Self::partial_width).
     fn encode_partial(&self, req: &Self::Request, p: &Self::Partial, w: &mut BitWriter) {
         debug_assert_eq!(req.len(), p.len(), "mux partial must align with request");
-        let mut ledger = self.ledger_mut();
         for (entry, sub) in req.iter().zip(p.iter()) {
-            let before = w.len_bits();
             self.inner.encode_partial(&entry.req, sub, w);
-            ledger.slot_mut(entry.slot as usize).partial_bits += w.len_bits() - before;
         }
+    }
+
+    /// Every sub-partial's width ([`WaveProtocol::partial_width`] of the
+    /// inner protocol), billed to its entry's ledger slot.
+    fn partial_width(&self, req: &Self::Request, p: &Self::Partial) -> u64 {
+        debug_assert_eq!(req.len(), p.len(), "mux partial must align with request");
+        let mut ledger = self.ledger_mut();
+        req.iter()
+            .zip(p.iter())
+            .map(|(entry, sub)| {
+                let bits = self.inner.partial_width(&entry.req, sub);
+                ledger.slot_mut(entry.slot as usize).partial_bits += bits;
+                bits
+            })
+            .sum()
     }
 
     fn decode_partial(
@@ -1882,26 +1980,49 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             .collect()
     }
 
-    /// One pass over the slots: sub-partial `i` is decoded off the wire
-    /// and merged into `acc[i]` where it lies, `first_of` passed on to
-    /// every slot. An accumulator with a different slot count than
-    /// `req` is an error, not a panic or a partial merge.
-    fn absorb_child(
+    /// One pass over the slots: the child's sub-partial `i` is merged
+    /// into `acc[i]` where it lies ([`WaveProtocol::absorb_partial`] of
+    /// the inner protocol), `first_of` passed on to every slot. An
+    /// accumulator or child with a different slot count than `req` is an
+    /// error, not a panic or a partial merge.
+    fn absorb_partial(
         &self,
         req: &Self::Request,
         acc: &mut Self::Partial,
-        r: &mut BitReader<'_>,
+        child: &Self::Partial,
         first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
-        if acc.len() != req.len() {
+        if acc.len() != req.len() || child.len() != req.len() {
             return Err(NetsimError::WireDecode(
-                "mux accumulator does not align with its request",
+                "mux partial does not align with its request",
             ));
         }
-        for (entry, sub) in req.iter().zip(acc) {
-            self.inner.absorb_child(&entry.req, sub, r, first_of)?;
+        for ((entry, sub), part) in req.iter().zip(acc).zip(child) {
+            self.inner.absorb_partial(&entry.req, sub, part, first_of)?;
         }
         Ok(())
+    }
+
+    /// `part[j]` merged into `acc[i]` alone; a misaligned accumulator or
+    /// a slot out of range is an error.
+    fn absorb_slot(
+        &self,
+        req: &Self::Request,
+        acc: &mut Self::Partial,
+        i: usize,
+        part: &Self::Partial,
+        j: usize,
+        first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        let aligned = req.len() == acc.len();
+        match (req.get(i), acc.get_mut(i), part.get(j)) {
+            (Some(entry), Some(sub), Some(part)) if aligned => {
+                self.inner.absorb_partial(&entry.req, sub, part, first_of)
+            }
+            _ => Err(NetsimError::WireDecode(
+                "mux slot does not align with its request",
+            )),
+        }
     }
 
     // --- subtree partial caching: every entry is one cacheable slot ---
@@ -1919,26 +2040,29 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         }
     }
 
-    /// Slot `i`'s inner partial, billed to its entry's ledger slot just
-    /// as [`encode_partial`](WaveProtocol::encode_partial) bills it.
-    fn encode_slot(&self, req: &Self::Request, i: usize, part: &Self::Partial, w: &mut BitWriter) {
+    /// Slot `i`'s inner width, billed to its entry's ledger slot just
+    /// as [`partial_width`](WaveProtocol::partial_width) bills it. In
+    /// debug builds the slot is also encoded (in per-thread scratch) and
+    /// the width law checked: a runner bills a cached slot by this width
+    /// alone.
+    fn slot_width(&self, req: &Self::Request, i: usize, part: &Self::Partial) -> u64 {
         debug_assert_eq!(part.len(), 1, "a cached mux partial holds one slot");
         let entry = &req[i];
-        let before = w.len_bits();
-        self.inner.encode_partial(&entry.req, &part[0], w);
-        self.ledger_mut().slot_mut(entry.slot as usize).partial_bits += w.len_bits() - before;
+        let bits = self.inner.partial_width(&entry.req, &part[0]);
+        #[cfg(debug_assertions)]
+        encode_scratch(
+            |w| self.inner.encode_partial(&entry.req, &part[0], w),
+            |frame| debug_assert_eq!(frame.len_bits(), bits, "the width law"),
+        );
+        self.ledger_mut().slot_mut(entry.slot as usize).partial_bits += bits;
+        bits
     }
 
     fn subset_request(&self, req: &Self::Request, keep: &[usize]) -> Self::Request {
         keep.iter().map(|&i| req[i].clone()).collect()
     }
 
-    fn split_slots(
-        &self,
-        _req: &Self::Request,
-        p: Self::Partial,
-        f: &mut dyn FnMut(usize, Self::Partial),
-    ) {
+    fn split_slots(&self, p: Self::Partial, f: &mut dyn FnMut(usize, Self::Partial)) {
         for (i, sub) in p.into_iter().enumerate() {
             f(i, vec![sub]);
         }
@@ -2097,8 +2221,7 @@ mod tests {
             MuxEntry::new(root.inner(), 2, 9),
         ];
         group.note_request_copies(&sparse, 1);
-        let mut w = BitWriter::new();
-        group.encode_partial(&sparse, &vec![3, 4], &mut w);
+        assert_eq!(group.partial_width(&sparse, &vec![3, 4]), 64);
         let before = root.ledger_mut().clone();
         let added = group.ledger_mut().clone();
         assert_eq!(added.slots().len(), 3);

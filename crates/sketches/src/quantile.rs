@@ -33,7 +33,7 @@
 //! from the entries and read straight back into them
 //! ([`QuantileSummary::write_columns`], [`QuantileSummary::read_columns`]).
 
-use saq_netsim::wire::{BitReader, BitWriter, WireEncode};
+use saq_netsim::wire::{sorted_run_len, BitReader, BitWriter, WireEncode};
 use saq_netsim::NetsimError;
 
 /// One summary entry: a stored value and bounds on its rank within the
@@ -375,6 +375,14 @@ impl QuantileSummary {
         w.write_sorted_run(self.entries.iter().map(|e| e.value));
         w.write_sorted_run(self.entries.iter().map(|e| e.rmin));
         w.write_sorted_run(self.entries.iter().map(|e| e.rmax));
+    }
+
+    /// Exactly how many bits [`QuantileSummary::write_columns`] writes,
+    /// priced column by column without writing a bit.
+    pub fn columns_len(&self) -> u64 {
+        sorted_run_len(self.entries.iter().map(|e| e.value))
+            + sorted_run_len(self.entries.iter().map(|e| e.rmin))
+            + sorted_run_len(self.entries.iter().map(|e| e.rmax))
     }
 
     /// Replaces `self` with the summary of `count` items whose columns

@@ -13,7 +13,7 @@
 //! with its polyloglog algorithm.
 
 use crate::DistinctSketch;
-use saq_netsim::wire::{BitReader, BitWriter, WireEncode};
+use saq_netsim::wire::{sorted_run_len, BitReader, BitWriter, WireEncode};
 use saq_netsim::NetsimError;
 
 /// A bottom-k synopsis over `(hash key, value)` pairs.
@@ -82,10 +82,19 @@ impl BottomK {
             Ok(_) => {} // duplicate key: idempotent
             Err(pos) => {
                 if pos < self.k {
+                    self.make_room();
                     self.entries.insert(pos, (key, value));
-                    self.entries.truncate(self.k);
                 }
             }
+        }
+    }
+
+    /// Before inserting a pair below the k-th key: a full synopsis drops
+    /// its largest pair first, so the storage never grows past `k` pairs
+    /// (inserting and then truncating would double it once).
+    fn make_room(&mut self) {
+        if self.entries.len() == self.k {
+            self.entries.pop();
         }
     }
 
@@ -159,6 +168,13 @@ impl BottomK {
         for &(_, value) in &self.entries {
             w.write_bits(value, self.value_width);
         }
+    }
+
+    /// Exactly how many bits [`BottomK::write_pairs`] writes: the key
+    /// run, priced without writing it, plus one value width per pair.
+    pub fn pairs_len(&self) -> u64 {
+        sorted_run_len(self.entries.iter().map(|e| e.0))
+            + self.entries.len() as u64 * self.value_width as u64
     }
 
     /// Replaces the retained pairs with the columns
@@ -235,8 +251,8 @@ impl DistinctSketch for BottomK {
                 Ok(_) => {}
                 Err(pos) => {
                     if pos < self.k {
+                        self.make_room();
                         self.entries.insert(pos, (key, value));
-                        self.entries.truncate(self.k);
                     }
                 }
             }
