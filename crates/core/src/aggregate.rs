@@ -286,7 +286,9 @@ impl MinMaxAgg {
         }
     }
 
-    fn value_width(&self) -> u32 {
+    /// Bits of an encoded value: `⌈log₂(X̄ + 1)⌉` raw, fewer in the log
+    /// domain.
+    pub fn value_width(&self) -> u32 {
         match self.domain {
             Domain::Raw => width_for_max(self.xbar),
             Domain::Log => width_for_max(floor_log2(self.xbar) as u64),

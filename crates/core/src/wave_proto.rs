@@ -26,7 +26,7 @@
 
 use crate::aggregate::{
     BottomKAgg, CollectAgg, CountSumAgg, CountSumOp, DistinctSetAgg, ItemRef, MinMaxAgg, MinMaxOp,
-    MinMaxPartial, PartialAggregate, QuantileAgg, SketchAgg, SketchKey,
+    MinMaxPartial, PartialAggregate, QuantileAgg, RunnerUp, SketchAgg, SketchKey,
 };
 use crate::counting::ApxCountConfig;
 use crate::model::{floor_log2, Value};
@@ -36,7 +36,8 @@ use saq_netsim::sim::NodeId;
 use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
 use saq_netsim::NetsimError;
 use saq_protocols::cache::CacheKey;
-use saq_protocols::WaveProtocol;
+use saq_protocols::row::{ROW_ABSENT, ROW_NONE, ROW_UNKNOWN, ROW_VALUE_LIMIT};
+use saq_protocols::{RowKernel, RowSource, WaveProtocol};
 use saq_sketches::{BottomK, DistinctSketch, LogLog, QuantileSummary};
 
 /// One item held by a simulated node (or by the in-memory network): its
@@ -382,6 +383,37 @@ fn param(v: u64) -> Result<u32, NetsimError> {
     u32::try_from(v).map_err(|_| NetsimError::WireDecode("request parameter out of range"))
 }
 
+/// A min/max partial as its two row words, `[best, runner-up]`, exactly:
+/// every [`MinMaxPartial`] converts to words and back unchanged
+/// ([`RowKernel`]'s sentinels sit above every value, which
+/// [`crate::model::XBAR_MAX`] keeps below them).
+pub fn minmax_words(p: &MinMaxPartial) -> [u64; 2] {
+    let value = |v: Value| {
+        debug_assert!(v < ROW_VALUE_LIMIT, "a row value collides with a sentinel");
+        v
+    };
+    [
+        p.best.map_or(ROW_NONE, value),
+        match p.second {
+            RunnerUp::Unknown => ROW_UNKNOWN,
+            RunnerUp::Absent => ROW_ABSENT,
+            RunnerUp::Exactly(v) => value(v),
+        },
+    ]
+}
+
+/// The min/max partial of two row words ([`minmax_words`]' inverse).
+pub fn minmax_of_words(words: &[u64]) -> MinMaxPartial {
+    MinMaxPartial {
+        best: (words[0] != ROW_NONE).then_some(words[0]),
+        second: match words[1] {
+            ROW_UNKNOWN => RunnerUp::Unknown,
+            ROW_ABSENT => RunnerUp::Absent,
+            v => RunnerUp::Exactly(v),
+        },
+    }
+}
+
 /// Items of a node as [`ItemRef`]s with `(node, slot)` identity, skipping
 /// passive items.
 fn active_refs(node: NodeId, items: &[SimItem]) -> impl Iterator<Item = ItemRef> + '_ {
@@ -542,6 +574,93 @@ impl WaveProtocol for CoreWave {
             self.zoom(mu_hat, items);
         }
         self.partial_over(req, active_refs(node, items))
+    }
+
+    /// `Count` and `Sum` ride in one word (`Add`), `Min` and `Max` in
+    /// two (best and runner-up) — the fixed-width partials of Fact 2.1;
+    /// every other request keeps its [`CorePartial`].
+    fn row_kernel(&self, req: &CoreRequest, _i: usize) -> Option<RowKernel> {
+        match self.agg(req) {
+            CoreAgg::CountSum(_) => Some(RowKernel::Add),
+            CoreAgg::MinMax(a) => {
+                let value_width = a.value_width();
+                Some(match a.op {
+                    MinMaxOp::Min => RowKernel::Min { value_width },
+                    MinMaxOp::Max => RowKernel::Max { value_width },
+                })
+            }
+            _ => None,
+        }
+    }
+
+    /// A row request folds the node's items straight into its words —
+    /// the same fold as [`WaveProtocol::local`], runner-up included —
+    /// and converts its partial exactly; any other request contributes
+    /// its partial to the accumulator, as [`WaveProtocol::local`].
+    /// Inlined into the multiplexer's per-slot loop: this is the one
+    /// per-node, per-slot step a row slot still dispatches on its
+    /// request.
+    #[inline(always)]
+    fn fill_row(
+        &self,
+        req: &CoreRequest,
+        src: RowSource<'_, Self>,
+        row: &mut [u64],
+    ) -> Result<(), NetsimError> {
+        use CoreRequest as R;
+        match src {
+            RowSource::Local { node, items, rest } => match *req {
+                R::Count(pred) => {
+                    let count = self.countsum_agg(CountSumOp::Count, pred);
+                    row[0] = count.partial_over(active_refs(node, items));
+                }
+                R::Sum(pred) => {
+                    let sum = self.countsum_agg(CountSumOp::Sum, pred);
+                    row[0] = sum.partial_over(active_refs(node, items));
+                }
+                _ => match self.agg(req) {
+                    CoreAgg::MinMax(a) => {
+                        let p = a.partial_over(active_refs(node, items));
+                        row.copy_from_slice(&minmax_words(&p));
+                    }
+                    _ => *rest = Some(self.local(node, items, req)),
+                },
+            },
+            RowSource::Slot { partial, .. } => match (req, partial) {
+                (R::Count(_) | R::Sum(_), CorePartial::Num(n)) => row[0] = *n,
+                (R::Min(_) | R::Max(_), CorePartial::OptVal(v)) => {
+                    row.copy_from_slice(&minmax_words(v));
+                }
+                _ => {
+                    return Err(NetsimError::WireDecode(
+                        "partial does not answer its request",
+                    ))
+                }
+            },
+        }
+        Ok(())
+    }
+
+    /// A row request's [`RowKernel::width`]: its codec's width, in
+    /// closed form.
+    fn row_width(&self, req: &CoreRequest, row: &[u64]) -> u64 {
+        self.row_kernel(req, 0).map_or(0, |k| k.width(row))
+    }
+
+    /// A row request's words as its [`CorePartial`], exactly.
+    fn row_partial(
+        &self,
+        req: &CoreRequest,
+        rest: &mut Option<CorePartial>,
+        row: &[u64],
+    ) -> CorePartial {
+        match self.agg(req) {
+            CoreAgg::CountSum(_) => CorePartial::Num(row[0]),
+            CoreAgg::MinMax(_) => CorePartial::OptVal(minmax_of_words(row)),
+            _ => rest
+                .take()
+                .expect("a request outside the row keeps its partial"),
+        }
     }
 
     fn merge(&self, req: &CoreRequest, a: CorePartial, b: CorePartial) -> CorePartial {
@@ -1072,6 +1191,195 @@ mod tests {
         assert_eq!(wave, CorePartial::Num(direct));
     }
 
+    /// Every [`MinMaxPartial`] state over `values`: best `None` or each
+    /// value, runner-up `Unknown`, `Absent` or each value.
+    fn minmax_states(values: &[Value]) -> Vec<MinMaxPartial> {
+        let bests = std::iter::once(None).chain(values.iter().map(|&v| Some(v)));
+        bests
+            .flat_map(|best| {
+                [RunnerUp::Unknown, RunnerUp::Absent]
+                    .into_iter()
+                    .chain(values.iter().map(|&v| RunnerUp::Exactly(v)))
+                    .map(move |second| MinMaxPartial { best, second })
+            })
+            .collect()
+    }
+
+    /// The row requests, read back through the protocol's own kernel.
+    fn row_requests() -> [CoreRequest; 6] {
+        [
+            CoreRequest::Count(Predicate::less_than(300)),
+            CoreRequest::Sum(Predicate::TRUE),
+            CoreRequest::Min(Domain::Raw),
+            CoreRequest::Min(Domain::Log),
+            CoreRequest::Max(Domain::Raw),
+            CoreRequest::Max(Domain::Log),
+        ]
+    }
+
+    /// A row request's partial as its words, through the protocol.
+    fn words_of(p: &CoreWave, req: &CoreRequest, part: &CorePartial) -> Vec<u64> {
+        let k = p.row_kernel(req, 0).expect("a row request");
+        let mut words = vec![0; k.words()];
+        let slot = RowSource::Slot {
+            i: 0,
+            partial: part,
+            j: 0,
+        };
+        p.fill_row(req, slot, &mut words).expect("a row partial");
+        words
+    }
+
+    #[test]
+    fn every_minmax_state_roundtrips_through_its_words() {
+        let p = CoreWave {
+            xbar: crate::model::XBAR_MAX,
+            apx: ApxCountConfig::default(),
+        };
+        let states = minmax_states(&[0, 1, 7, crate::model::XBAR_MAX]);
+        assert_eq!(states.len(), 5 * 6);
+        for state in states {
+            let words = minmax_words(&state);
+            let back = minmax_of_words(&words);
+            // `MinMaxPartial`'s `==` compares `best` alone.
+            assert_eq!((back.best, back.second), (state.best, state.second));
+            for req in [CoreRequest::Min(Domain::Raw), CoreRequest::Max(Domain::Log)] {
+                let part = CorePartial::OptVal(state);
+                let words = words_of(&p, &req, &part);
+                let back = p.row_partial(&req, &mut None, &words);
+                assert_eq!(format!("{back:?}"), format!("{part:?}"));
+            }
+        }
+        for n in [0, 1, u64::MAX / 4] {
+            let req = CoreRequest::Sum(Predicate::TRUE);
+            let words = words_of(&p, &req, &CorePartial::Num(n));
+            assert_eq!(words, [n]);
+            assert_eq!(p.row_partial(&req, &mut None, &words), CorePartial::Num(n));
+        }
+        // Only the fixed-width requests have a row.
+        assert!(p
+            .row_kernel(&CoreRequest::Quantile { budget: 4 }, 0)
+            .is_none());
+        assert!(p.row_kernel(&CoreRequest::Collect, 0).is_none());
+    }
+
+    /// A cached or joined partial that does not answer its row slot, or
+    /// a slot out of range, is a typed error — as `absorb_slot` refuses
+    /// it — never a merge of unset words.
+    #[test]
+    fn a_mismatched_row_slot_is_an_error() {
+        let p = CoreWave {
+            xbar: 1000,
+            apx: ApxCountConfig::default(),
+        };
+        let minmax = CorePartial::OptVal(MinMaxPartial::of(Some(4)));
+        for (req, part) in [
+            (CoreRequest::Min(Domain::Raw), CorePartial::Num(4)),
+            (CoreRequest::Max(Domain::Log), CorePartial::Values(vec![4])),
+            (CoreRequest::Count(Predicate::TRUE), minmax.clone()),
+            (CoreRequest::Sum(Predicate::TRUE), CorePartial::Unit),
+        ] {
+            let mut words = [0; 2];
+            let words = &mut words[..p.row_kernel(&req, 0).unwrap().words()];
+            let slot = RowSource::Slot {
+                i: 0,
+                partial: &part,
+                j: 0,
+            };
+            let out = p.fill_row(&req, slot, words);
+            assert!(
+                matches!(out, Err(NetsimError::WireDecode(_))),
+                "{req:?}: {out:?}"
+            );
+        }
+
+        let mux = MultiplexWave::new(p.clone());
+        let env = MultiplexWave::envelope(
+            &p,
+            vec![
+                CoreRequest::Count(Predicate::TRUE),
+                CoreRequest::Min(Domain::Raw),
+            ],
+        );
+        let full = vec![CorePartial::Num(3), minmax];
+        for (i, part, j) in [
+            (1, &full, 0), // a count where the min lies
+            (0, &full, 1), // a min where the count lies
+            (2, &full, 0), // no such slot
+            (0, &full, 2), // no such element
+            (1, &vec![CorePartial::Values(vec![])], 0),
+        ] {
+            let mut words = [0; 2];
+            let slot = RowSource::Slot {
+                i,
+                partial: part,
+                j,
+            };
+            let out = mux.fill_row(&env, slot, &mut words[..1 + (i % 2)]);
+            assert!(
+                matches!(out, Err(NetsimError::WireDecode(_))),
+                "{i}, {j}: {out:?}"
+            );
+        }
+        let mut words = [0; 2];
+        let slot = RowSource::Slot {
+            i: 1,
+            partial: &full,
+            j: 1,
+        };
+        mux.fill_row(&env, slot, &mut words).unwrap();
+        assert_eq!(words, [4, ROW_UNKNOWN]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        // A row slot's kernel merges a child's words exactly as the
+        // protocol absorbs the child's partial (runner-ups included),
+        // and measures exactly the width of its partial's encoding.
+        #[test]
+        fn prop_words_absorb_and_measure_as_the_partials_do(
+            kind in 0usize..6,
+            state in 0usize..30,
+            child_state in 0usize..30,
+            values in proptest::collection::vec(0u64..1001, 3..4),
+            n in 0u64..1 << 40,
+            m in 0u64..1 << 40,
+        ) {
+            let p = proto();
+            let req = &row_requests()[kind];
+            let log = matches!(req, CoreRequest::Min(Domain::Log) | CoreRequest::Max(Domain::Log));
+            // Values the request's domain can hold, so the codec is exact.
+            let values: Vec<Value> = values
+                .iter()
+                .map(|&v| if log { floor_log2(v.max(1)) as u64 } else { v })
+                .collect();
+            let states = minmax_states(&values);
+            let (acc, child) = match req {
+                CoreRequest::Count(_) | CoreRequest::Sum(_) => {
+                    (CorePartial::Num(n), CorePartial::Num(m))
+                }
+                _ => (
+                    CorePartial::OptVal(states[state % states.len()]),
+                    CorePartial::OptVal(states[child_state % states.len()]),
+                ),
+            };
+            let k = p.row_kernel(req, 0).unwrap();
+            let mut words = words_of(&p, req, &acc);
+            k.absorb(&mut words, &words_of(&p, req, &child));
+            let mut merged = acc.clone();
+            p.absorb_partial(req, &mut merged, &child, None).unwrap();
+            let by_words = p.row_partial(req, &mut None, &words);
+            proptest::prop_assert_eq!(format!("{by_words:?}"), format!("{merged:?}"));
+            for part in [&acc, &child, &merged] {
+                let words = words_of(&p, req, part);
+                let width = encoded(|w| p.encode_partial(req, part, w)).len_bits();
+                proptest::prop_assert_eq!(k.width(&words), width);
+                proptest::prop_assert_eq!(p.row_width(req, &words), width);
+            }
+        }
+    }
+
     /// Every [`CoreRequest`] kind, `kind` taken modulo the kind count.
     fn any_request(kind: u32, x: u64) -> CoreRequest {
         let domain = if x.is_multiple_of(2) {
@@ -1160,15 +1468,23 @@ mod tests {
                 .map(|(i, req)| MuxEntry::new(&inner, 3 * i as u32 + 1, req))
                 .collect();
             let mut slots = Vec::new();
-            // `local_into` refilling an accumulator spent on a different,
-            // wider envelope leaves what `local` returns — runner-ups
-            // included, hence `Debug` — and rescales the items alike.
+            // A local step refilling an accumulator spent on a different,
+            // wider envelope, its row slots folded into a row, joins to
+            // what `local` returns — runner-ups included, hence `Debug` —
+            // and rescales the items alike.
             let mut refilled = items.clone();
             let wider: Vec<MuxEntry<CoreRequest>> = env.iter().chain(&env).cloned().collect();
-            let mut acc = mux.local(5, &mut items.clone(), &wider);
-            mux.local_into(3, &mut refilled, &env, &mut acc);
+            let mut acc = Some(mux.local(5, &mut items.clone(), &wider));
+            let mut row = vec![0; 2 * env.len()];
+            let local = RowSource::Local {
+                node: 3,
+                items: &mut refilled,
+                rest: &mut acc,
+            };
+            mux.fill_row(&env, local, &mut row).unwrap();
+            let joined = mux.row_partial(&env, &mut acc, &row);
             let part = mux.local(3, &mut items, &env);
-            proptest::prop_assert_eq!(format!("{acc:?}"), format!("{part:?}"));
+            proptest::prop_assert_eq!(format!("{joined:?}"), format!("{part:?}"));
             proptest::prop_assert_eq!(&refilled, &items);
             mux.split_slots(part, &mut |_, p| slots.push(p));
             mux.ledger_mut().reset(0);

@@ -12,23 +12,58 @@
 //! width and merges it in fixed child order. No events, no queues and
 //! no partial frames.
 //!
+//! ## What a slot and a row hold
+//!
+//! A request is a list of **slots** ([`WaveProtocol::for_each_slot_key`];
+//! one for a plain protocol, one per entry of a
+//! [`MultiplexWave`](crate::wave::MultiplexWave) envelope). A slot whose
+//! partial is a few machine words — a count or sum, a min or max with
+//! its runner-up — is a **row slot** ([`WaveProtocol::row_kernel`]):
+//! on a flat wave it never rides in `P::Partial`. A node's row slots sit
+//! back to back in its **row** of `u64` words, in slot order; its local
+//! step folds its items into them ([`WaveProtocol::fill_row`]), a
+//! parent merges each child's row word by word in fixed child order
+//! ([`RowKernel::absorb`]) and bills each row slot by its closed-form
+//! width ([`WaveProtocol::row_width`]). Every other slot rides in the
+//! node's accumulator, which then holds those slots alone (the *rest
+//! form*); a request with no other slot keeps no accumulator at all.
+//! Which slots are row slots, and each one's word offset, is resolved
+//! once per request, when it enters a thread's request table. A row
+//! slot becomes a partial again only where it enters or leaves a cache
+//! entry and at the root ([`WaveProtocol::row_partial`]), which answers
+//! with the same partial as the boxed runner.
+//!
 //! ## What a node costs
 //!
 //! After warm-up a node makes **no** heap allocation of its own; the
 //! wave as a whole makes O(blocks + distinct requests):
 //!
-//! * **accumulators come from a per-thread free list.** A node takes a
-//!   spent accumulator from its thread's `Scratch` and refills it with
-//!   its local contribution ([`WaveProtocol::local_into`]); its parent
-//!   gives it back once it merged the reply, emptied by
-//!   [`WaveProtocol::release_partial`] — unless the node's cache keeps
-//!   its slots. The list holds at most one block's live accumulators.
-//!   A block root's reply waits for the barrier trimmed
-//!   ([`WaveProtocol::shrink_partial`]); the driver merges it into its
-//!   own list, and before the next parallel phase hands each worker
-//!   one spent accumulator per block it runs, so every thread's list
-//!   stays balanced. No accumulator is kept in the position columns
-//!   between waves;
+//! * **a node's local step runs on the way up.** The top-down sweep
+//!   only admits and forwards requests; a node folds its items
+//!   ([`WaveProtocol::fill_row`]) when its bottom-up step starts, just
+//!   before it merges its children — only its own items feed it. Rows
+//!   and accumulators are therefore live only from a node's step up to
+//!   its parent's: with positions in DFS preorder swept in descending
+//!   order, that is a few per tree level, not one per node;
+//! * **rows live on a per-thread stack.** Each thread keeps a stack of
+//!   rows, `stride` words each — the root request's row width: a node
+//!   pushes its row, merges its children's (the top of the stack) into
+//!   it and leaves it where the first of them lay. The driver keeps one
+//!   row per block root below its stack, where a block's root row
+//!   waits for the barrier. The buffers keep their capacity from wave
+//!   to wave, and no row is kept in the position columns;
+//! * **accumulators come from a per-thread free list.** A node whose
+//!   request has a slot outside its row takes a spent accumulator from
+//!   its thread's `Scratch` and refills it with its local contribution
+//!   ([`WaveProtocol::fill_row`]); its parent gives it back once it
+//!   merged the reply, emptied by [`WaveProtocol::release_partial`] —
+//!   unless the node's cache keeps its slots. The list holds at most
+//!   the few accumulators a sweep holds at once. A block root's reply
+//!   waits for the barrier trimmed ([`WaveProtocol::shrink_partial`]);
+//!   the driver merges it into its own list, and before the next
+//!   parallel phase hands each worker one spent accumulator per block
+//!   it runs, so every thread's list stays balanced. No accumulator is
+//!   kept in the position columns between waves;
 //! * **a request crosses an edge as an index and a width.** Each
 //!   thread keeps a per-wave request table in its `Scratch`, every
 //!   entry with its encoding's width, measured once when the entry is
@@ -45,25 +80,28 @@
 //!   so below the root no request is encoded, cloned or decoded: a
 //!   subset envelope is the only request made there;
 //! * **a partial crosses an edge as a width.** A node stages its
-//!   accumulator in its slot and bills it by
-//!   [`WaveProtocol::partial_width`] plus the frame header — the length
-//!   of the frame the boxed runner sends, without encoding it; the
-//!   parent bills the same width (and emulates the ARQ exchange), then
-//!   merges the child's **wire-normal form** by reference into its own
-//!   accumulator ([`WaveProtocol::absorb_partial`], told at the first
-//!   child how many there are, so it may size the accumulator for all
-//!   of them). No partial is encoded, decoded, moved or pooled; debug
-//!   builds encode each staged reply once in per-thread scratch to
-//!   check the width it is billed by;
+//!   accumulator in its slot and bills it and its row by
+//!   [`WaveProtocol::partial_width`] and [`WaveProtocol::row_width`]
+//!   plus the frame header — the length of the frame the boxed runner
+//!   sends, without encoding it; the parent bills the same width (and
+//!   emulates the ARQ exchange), then merges the child's **wire-normal
+//!   form** by reference: its row word by word, its accumulator into
+//!   its own ([`WaveProtocol::absorb_partial`], told at the first child
+//!   how many there are, so it may size the accumulator for all of
+//!   them). No partial is encoded, decoded, moved or pooled; debug
+//!   builds encode each staged reply once in per-thread scratch, row
+//!   slots included, to check the width it is billed by;
 //! * **a cache hit costs a probe.** Slot keys are the sub-requests'
 //!   captured wire bits ([`WaveProtocol::for_each_slot_key`]), probed
 //!   in place; a node whose every slot hits is billed straight from the
 //!   cache entries ([`WaveProtocol::slot_width`]) while the top-down
 //!   sweep is still at it, and allocates nothing. Its parent merges the
-//!   hits where they lie, and an executing child's computed slots from
-//!   its accumulator ([`WaveProtocol::absorb_slot`]), and only then
-//!   moves the child's computed slots into the child's cache: no hit or
-//!   store copies a partial;
+//!   hits where they lie — a row slot's through its words — and an
+//!   executing child's computed slots, which a child that hit or
+//!   stores joins in full form ([`WaveProtocol::row_partial`]) when it
+//!   stages them, slot by slot ([`WaveProtocol::absorb_slot`]), and
+//!   only then moves the child's computed slots into the child's cache:
+//!   no hit or store copies a partial;
 //! * **a column exists only for what the deployment uses**: each
 //!   node's cache and its wave's `CacheResolution` appear with
 //!   [`WaveSubstrate::enable_partial_cache`], the trace buffers while
@@ -166,6 +204,7 @@
 use crate::cache::{CacheStats, PartialCache};
 use crate::error::ProtocolError;
 use crate::obs::NodeTraceEntry;
+use crate::row::{RowKernel, RowSource};
 use crate::tree::SpanningTree;
 use crate::wave::{
     ack_bits, header_bits, CacheResolution, CachedPartial, Reliability, TransportFootprint,
@@ -368,12 +407,15 @@ struct WaveSlot<P: WaveProtocol> {
     /// alone. Set by the node's own step, taken by its parent's, so no
     /// queues exist — the column *is* the network.
     sent: Option<NonZeroU32>,
-    /// Local contribution, then the canonical merge accumulator, then
-    /// the staged reply's computed slots, which the parent merges by
-    /// reference — with any cache hits, where they lie — and recycles or
-    /// moves into the node's cache ([`CacheResolution::absorb_reply`]).
-    /// It comes from and goes back to a thread's free list
-    /// (`Scratch::spare`). `None` in a staged reply: every slot hit.
+    /// The slots outside the row: local contribution, then the
+    /// canonical merge accumulator, then the staged reply's computed
+    /// slots — joined with the row in full form when the node touched
+    /// its cache — which the parent merges by reference, with any cache
+    /// hits where they lie, and recycles or moves into the node's cache
+    /// (`Merge::cached_reply`). It comes from and goes back to a
+    /// thread's free list (`Scratch::spare`). `None` when the request
+    /// has no slot outside its row, and in a staged reply whose every
+    /// slot hit.
     acc: Option<P::Partial>,
     /// Whether admission answered entirely from cache (subtree silent).
     cached: bool,
@@ -404,20 +446,65 @@ struct NodeCache<P: WaveProtocol> {
     resolved: CacheResolution,
 }
 
+/// Where one request's slots lie on a flat wave, resolved once, when
+/// the request enters a thread's [`RequestTable`]: each row slot's
+/// [`RowKernel`] and word offset in a node's row
+/// ([`WaveProtocol::row_kernel`]; words back to back, in slot order),
+/// and how many slots ride in the `P::Partial` accumulator instead.
+/// Its slots lie in the table's shared buffers, so a plan allocates
+/// nothing of its own.
+#[derive(Debug, Clone, Copy, Default)]
+struct RowPlan {
+    /// Where the plan's slots start in [`RequestTable::slots`].
+    slots: u32,
+    /// Words of the row.
+    stride: u32,
+    /// Slots outside the row: none means a node keeps no accumulator.
+    rest: u32,
+}
+
+/// A [`RowPlan`] with its slots, as [`RequestTable::get`] lends it.
+#[derive(Clone, Copy)]
+struct Plan<'t> {
+    /// Per slot, in slot order: its kernel and word offset, or `None`
+    /// for a slot the accumulator holds.
+    slots: &'t [Option<(RowKernel, u32)>],
+    stride: usize,
+    rest: usize,
+}
+
 /// The requests one thread's nodes received or forwarded in the current
-/// wave, each with its encoding's width in bits; a [`WaveSlot`] names
-/// one by index. A worker numbers its entries from `base`, the length
-/// of the driver's table, whose entries its block roots read below that
-/// index (the driver adds none while workers run). Cleared when the
-/// thread starts a wave.
+/// wave, each with its encoding's width in bits and its [`RowPlan`]; a
+/// [`WaveSlot`] names one by index. A worker numbers its entries from
+/// `base`, the length of the driver's table, whose entries its block
+/// roots read below that index (the driver adds none while workers
+/// run). Cleared when the thread starts a wave, keeping its buffers.
 #[derive(Debug)]
 struct RequestTable<R> {
     base: u32,
-    entries: Vec<(R, u64)>,
+    entries: Vec<(R, u64, RowPlan)>,
+    /// Every entry's slots, back to back.
+    slots: Vec<Option<(RowKernel, u32)>>,
 }
 
 impl<R> RequestTable<R> {
-    /// Adds `req`, measuring its encoding once in a pooled buffer.
+    fn new() -> Self {
+        RequestTable {
+            base: 0,
+            entries: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Starts a wave, numbering entries from `base`.
+    fn clear(&mut self, base: usize) {
+        self.base = base as u32;
+        self.entries.clear();
+        self.slots.clear();
+    }
+
+    /// Adds `req`, measuring its encoding once in a pooled buffer, with
+    /// its plan read off the protocol slot by slot.
     fn push<P: WaveProtocol<Request = R>>(
         &mut self,
         proto: &P,
@@ -428,47 +515,54 @@ impl<R> RequestTable<R> {
         proto.encode_request(&req, &mut w);
         let bits = w.len_bits();
         pool.recycle(w.finish());
-        self.entries.push((req, bits));
+        let mut plan = RowPlan {
+            slots: self.slots.len() as u32,
+            ..RowPlan::default()
+        };
+        proto.for_each_slot_key(&req, &mut |i, _| match proto.row_kernel(&req, i) {
+            Some(k) => {
+                self.slots.push(Some((k, plan.stride)));
+                plan.stride += k.words() as u32;
+            }
+            None => {
+                self.slots.push(None);
+                plan.rest += 1;
+            }
+        });
+        self.entries.push((req, bits, plan));
         self.base + self.entries.len() as u32 - 1
     }
 
-    /// Entry `index` and its width: this thread's own from `base` on,
-    /// the driver's (`spine`) below it.
-    fn get<'t>(&'t self, spine: &'t [(R, u64)], index: u32) -> &'t (R, u64) {
-        match index.checked_sub(self.base) {
-            Some(own) => &self.entries[own as usize],
-            None => &spine[index as usize],
-        }
+    /// Entry `index` — this thread's own from `base` on, the driver's
+    /// (`spine`) below it — its width and its plan.
+    fn get<'t>(&'t self, spine: &'t RequestTable<R>, index: u32) -> (&'t R, u64, Plan<'t>) {
+        let (table, at) = match index.checked_sub(self.base) {
+            Some(own) => (self, own as usize),
+            None => (spine, index as usize),
+        };
+        let (req, bits, plan) = &table.entries[at];
+        let end = table
+            .entries
+            .get(at + 1)
+            .map_or(table.slots.len(), |next| next.2.slots as usize);
+        let plan = Plan {
+            slots: &table.slots[plan.slots as usize..end],
+            stride: plan.stride as usize,
+            rest: plan.rest as usize,
+        };
+        (req, *bits, plan)
     }
 }
 
 /// Free list of spent accumulators ([`WaveProtocol::release_partial`]
-/// already applied), refilled by [`WaveProtocol::local_into`]. A node
-/// takes one going down, and its parent gives it back once it merged
-/// the reply, so the list never holds more than one block's live
-/// accumulators.
+/// already applied), refilled by [`WaveProtocol::fill_row`]. A node
+/// whose request has a slot outside its row takes one going down, and
+/// its parent gives it back once it merged the reply, so the list never
+/// holds more than one block's live accumulators.
 #[derive(Debug)]
 struct FreeList<P: WaveProtocol>(Vec<P::Partial>);
 
 impl<P: WaveProtocol> FreeList<P> {
-    /// This node's local contribution, built in a spent accumulator
-    /// when one is free.
-    fn local(
-        &mut self,
-        proto: &P,
-        node: NodeId,
-        items: &mut [P::Item],
-        req: &P::Request,
-    ) -> P::Partial {
-        match self.0.pop() {
-            Some(mut acc) => {
-                proto.local_into(node, items, req, &mut acc);
-                acc
-            }
-            None => proto.local(node, items, req),
-        }
-    }
-
     /// Puts a spent accumulator on the free list.
     fn recycle(&mut self, proto: &P, mut acc: P::Partial) {
         proto.release_partial(&mut acc);
@@ -494,6 +588,11 @@ struct Scratch<P: WaveProtocol> {
     spare: FreeList<P>,
     /// The current wave's requests, named by index from the slots.
     reqs: RequestTable<P::Request>,
+    /// The rows this thread's sweep holds ([`RowStack`]): the nodes it
+    /// ran whose parent has not merged them yet — on the driver's, after
+    /// one row per block root, which waits here for phase C. Its
+    /// capacity is kept from wave to wave.
+    rows: Vec<u64>,
 }
 
 impl<P: WaveProtocol> Scratch<P> {
@@ -501,18 +600,15 @@ impl<P: WaveProtocol> Scratch<P> {
         Scratch {
             pool: ScratchPool::new(),
             spare: FreeList(Vec::new()),
-            reqs: RequestTable {
-                base: 0,
-                entries: Vec::new(),
-            },
+            reqs: RequestTable::new(),
+            rows: Vec::new(),
         }
     }
 
     /// Starts this thread's share of a wave, numbering its requests
     /// from `base`: last wave's requests go.
     fn start_wave(&mut self, base: usize) {
-        self.reqs.base = base as u32;
-        self.reqs.entries.clear();
+        self.reqs.clear(base);
     }
 }
 
@@ -544,8 +640,37 @@ struct Cols<'a, P: WaveProtocol> {
     /// inside the window that emulates the exchange — the same argument
     /// as `arq` — so link tallies need no cross-window traffic.
     links: &'a mut [TreeLinkBits],
+    /// A block window's root row in the driver's rows, where the block
+    /// root's row waits for phase C ([`eval_block`]); empty in any
+    /// other window.
+    root_row: &'a mut [u64],
     /// Frames transmitted through this window in the current wave.
     frames: u64,
+}
+
+/// The rows of one bottom-up sweep, `stride` words each, as a stack: a
+/// node that executes pushes its row when its step up
+/// starts, merges its children's rows — the top of the stack, first
+/// child topmost — into it, and leaves it where the first of them lay.
+/// Positions are in DFS preorder and a sweep runs them in descending
+/// order, so each node's children are done, and their descendants
+/// merged, when it starts: the stack holds at most a few rows per
+/// level, not one per position. Below the stack the driver keeps one
+/// row per block root (`blocks`, in block order), which the block's
+/// worker wrote; a block's stack has nothing below it and no blocks.
+struct RowStack<'a> {
+    words: &'a mut Vec<u64>,
+    stride: usize,
+    blocks: &'a [ShardBlock],
+}
+
+impl RowStack<'_> {
+    /// Where block root `c`'s row lies below the stack, when `c` roots
+    /// a block.
+    fn block_root(&self, c: usize) -> Option<usize> {
+        let b = self.blocks.binary_search_by_key(&(c as u32), |b| b.start);
+        b.ok().map(|b| b * self.stride)
+    }
 }
 
 /// Wave admission at one node — the cache resolution of
@@ -558,7 +683,7 @@ struct Cols<'a, P: WaveProtocol> {
 fn admit<P: WaveProtocol>(
     proto: &P,
     scratch: &mut Scratch<P>,
-    spine: &[(P::Request, u64)],
+    spine: &RequestTable<P::Request>,
     slot: &mut WaveSlot<P>,
     cache: Option<&mut NodeCache<P>>,
     trace: Option<&mut Vec<NodeTraceEntry>>,
@@ -571,12 +696,12 @@ fn admit<P: WaveProtocol>(
     let Some(NodeCache { cache, resolved }) = cache else {
         return false;
     };
-    let req = &scratch.reqs.get(spine, slot.req).0;
+    let req = scratch.reqs.get(spine, slot.req).0;
     slot.cached = resolved.resolve(proto, Some(cache), req, trace);
     if !slot.cached && !resolved.hits.is_empty() {
         // The only place a new request value is made below the root: a
         // partial hit forwards the miss subset.
-        let subset = proto.subset_request(req, &resolved.miss);
+        let subset = proto.subset_request(scratch.reqs.get(spine, slot.req).0, &resolved.miss);
         slot.fwd = scratch.reqs.push(proto, &mut scratch.pool, subset);
     }
     slot.cached
@@ -620,10 +745,12 @@ fn stage_partial<P: WaveProtocol>(
     Ok(())
 }
 
-/// [`WaveProtocol::partial_width`] of `p`, the width a reply is billed
-/// by. In debug builds `p` is also encoded, in per-thread scratch, and
-/// the width law checked, so every flat wave in a debug test checks the
-/// widths it bills against real encodings.
+/// [`WaveProtocol::partial_width`] of `p`, the width a reply's
+/// accumulator is billed by. In debug builds `p` is also encoded, in
+/// per-thread scratch, and the width law checked — as
+/// [`WaveProtocol::row_width`] checks each row slot — so every flat
+/// wave in a debug test checks the widths it bills against real
+/// encodings.
 fn checked_width<P: WaveProtocol>(proto: &P, req: &P::Request, p: &P::Partial) -> u64 {
     let bits = proto.partial_width(req, p);
     #[cfg(debug_assertions)]
@@ -647,7 +774,7 @@ fn fan_out<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
     reqs: &RequestTable<P::Request>,
-    spine: &[(P::Request, u64)],
+    spine: &RequestTable<P::Request>,
     cols: &mut Cols<'_, P>,
     p: usize,
     fwd: u32,
@@ -657,7 +784,7 @@ fn fan_out<P: WaveProtocol>(
         return Ok(()); // a leaf sends (and bills) nothing
     }
     let rel = p - cols.base;
-    let (req, payload_bits) = reqs.get(spine, fwd);
+    let (req, payload_bits, _) = reqs.get(spine, fwd);
     proto.note_request_copies(req, children.len() as u64);
     let bits = env.frame_header_bits + payload_bits;
     for &c in children {
@@ -715,12 +842,13 @@ fn silence_children<P: WaveProtocol>(env: &Env<'_>, cols: &mut Cols<'_, P>, p: u
 }
 
 /// Top-down step at a non-root position: admit the request the parent
-/// forwarded, contribute locally, forward to the children.
+/// forwarded and forward it to the children. The node's local step
+/// waits for its step up ([`step_up`]), which only its own items feed.
 fn step_down<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
     scratch: &mut Scratch<P>,
-    spine: &[(P::Request, u64)],
+    spine: &RequestTable<P::Request>,
     cols: &mut Cols<'_, P>,
     p: usize,
 ) -> Result<(), ProtocolError> {
@@ -744,45 +872,170 @@ fn step_down<P: WaveProtocol>(
         // the parent merges it from the entries where they lie.
         silence_children(env, cols, p);
         let NodeCache { cache, resolved } = &cols.caches[rel];
-        let req = &scratch.reqs.get(spine, cols.slots[rel].req).0;
+        let req = scratch.reqs.get(spine, cols.slots[rel].req).0;
         let bits = env.frame_header_bits + resolved.hits_width(proto, cache, req);
         return stage_partial(env, cols, rel, bits, None);
     }
     let fwd = cols.slots[rel].fwd;
-    let (node, req) = (env.tree.global_of(p), &scratch.reqs.get(spine, fwd).0);
-    let local = scratch.spare.local(proto, node, &mut cols.items[rel], req);
-    cols.slots[rel].acc = Some(local);
     fan_out(env, proto, &scratch.reqs, spine, cols, p, fwd)
 }
 
-/// Bottom-up step: merge child replies in fixed child order, complete
-/// each child's cache stores, and stage this node's reply for its
-/// parent. Returns the full reply at the root (`parent == None`). A
-/// node answered from cache staged its reply going down and has nothing
-/// left to do.
+/// A parent's merge of its children's replies into its accumulator and
+/// row, both aligned with `fwd`, the request it forwarded.
+struct Merge<'a, P: WaveProtocol> {
+    proto: &'a P,
+    fwd: &'a P::Request,
+    plan: Plan<'a>,
+    /// `Some(children)` while merging the first child's reply.
+    first_of: Option<usize>,
+}
+
+impl<P: WaveProtocol> Merge<'_, P> {
+    /// A reply in rest form with its row, aligned with `fwd` (the child
+    /// forwarded what it received): the row word by word, then the
+    /// accumulator ([`WaveProtocol::absorb_partial`]).
+    fn reply(
+        &self,
+        acc: &mut Option<P::Partial>,
+        row: &mut [u64],
+        reply: Option<&P::Partial>,
+        child_row: &[u64],
+    ) -> Result<(), NetsimError> {
+        for &(k, at) in self.plan.slots.iter().flatten() {
+            let words = at as usize..at as usize + k.words();
+            k.absorb(&mut row[words.clone()], &child_row[words]);
+        }
+        match (acc.as_mut(), reply) {
+            (Some(acc), Some(reply)) => {
+                self.proto
+                    .absorb_partial(self.fwd, acc, reply, self.first_of)
+            }
+            (None, None) => Ok(()),
+            _ => Err(NetsimError::WireDecode(
+                "a reply does not align with its accumulator",
+            )),
+        }
+    }
+
+    /// Slot `i` of `fwd`, held as element `j` of `part` — a cache entry
+    /// or a reply in full form: a row slot through its words
+    /// ([`WaveProtocol::fill_row`]), any other through
+    /// [`WaveProtocol::absorb_slot`].
+    fn slot(
+        &self,
+        acc: &mut Option<P::Partial>,
+        row: &mut [u64],
+        i: usize,
+        part: &P::Partial,
+        j: usize,
+    ) -> Result<(), NetsimError> {
+        match (self.plan.slots.get(i).copied().flatten(), acc) {
+            (Some((k, at)), _) => {
+                let mut words = [0; 2];
+                let words = &mut words[..k.words()];
+                let slot = RowSource::Slot {
+                    i,
+                    partial: part,
+                    j,
+                };
+                self.proto.fill_row(self.fwd, slot, words)?;
+                k.absorb(&mut row[at as usize..][..k.words()], words);
+                Ok(())
+            }
+            (None, Some(acc)) => self
+                .proto
+                .absorb_slot(self.fwd, acc, i, part, j, self.first_of),
+            (None, None) => Err(NetsimError::WireDecode(
+                "a reply slot does not align with its accumulator",
+            )),
+        }
+    }
+
+    /// A child with a cache: each hit merged from its entry where it
+    /// lies; a child that touched its cache staged its computed slots
+    /// in full form ([`WaveProtocol::row_partial`]), which are merged
+    /// slot by slot and only then moved into its cache — a store may
+    /// evict a hit, so it waits until every hit was read. Returns the
+    /// reply when nothing was stored, for reuse.
+    fn cached_reply(
+        &self,
+        cache: &mut PartialCache<CachedPartial<P>>,
+        resolved: &mut CacheResolution,
+        acc: &mut Option<P::Partial>,
+        row: &mut [u64],
+        reply: Option<P::Partial>,
+        child_row: &[u64],
+    ) -> Result<Option<P::Partial>, NetsimError> {
+        if !resolved.touches_cache() {
+            self.reply(acc, row, reply.as_ref(), child_row)?;
+            return Ok(reply);
+        }
+        for &(i, pos) in &resolved.hits {
+            self.slot(acc, row, i, &cache.at(pos).partial, 0)?;
+        }
+        let Some(reply) = reply else {
+            resolved.hits.clear();
+            return Ok(None); // every slot hit
+        };
+        if resolved.hits.is_empty() {
+            for i in 0..self.plan.slots.len() {
+                self.slot(acc, row, i, &reply, i)?;
+            }
+        } else {
+            for (j, &i) in resolved.miss.iter().enumerate() {
+                self.slot(acc, row, i, &reply, j)?;
+            }
+            resolved.hits.clear();
+        }
+        Ok(resolved.store_by_move(self.proto, cache, reply))
+    }
+}
+
+/// Bottom-up step: the node's local step — its row slots folded into a
+/// row it pushes onto `rows`, the others into an accumulator from the
+/// free list when the request has any — then the merge of its children's
+/// replies in fixed child order, each child's cache stores, and the
+/// staging of this node's reply for its parent. Returns the full reply
+/// at the root (`parent == None`). A node answered from cache staged its
+/// reply going down and has nothing left to do.
 ///
 /// A child's reply crosses its edge as a width: this node bills it —
 /// under ARQ it emulates the whole exchange here, where both endpoints'
-/// counters are in the window — and merges the reply by reference
-/// ([`WaveProtocol::absorb_partial`], or slot by slot from the child's
-/// cache column), then recycles the child's accumulator into this
-/// thread's free list.
+/// counters are in the window — and merges the reply by reference: the
+/// child's row word by word ([`RowKernel::absorb`]) and its accumulator
+/// ([`WaveProtocol::absorb_partial`]), or slot by slot when the child
+/// touched its cache ([`Merge::cached_reply`]); then it recycles the
+/// child's accumulator into this thread's free list.
 fn step_up<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
     scratch: &mut Scratch<P>,
-    spine: &[(P::Request, u64)],
+    spine: &RequestTable<P::Request>,
     cols: &mut Cols<'_, P>,
+    rows: &mut RowStack<'_>,
     p: usize,
 ) -> Result<Option<P::Partial>, ProtocolError> {
     let rel = p - cols.base;
-    let slot = &mut cols.slots[rel];
+    let slot = &cols.slots[rel];
     if !slot.active || slot.cached {
         return Ok(None);
     }
-    let mut acc = slot.acc.take().expect("active wave has an accumulator");
     let Scratch { spare, reqs, .. } = scratch;
-    let (req, fwd) = (&reqs.get(spine, slot.req).0, &reqs.get(spine, slot.fwd).0);
+    let req = reqs.get(spine, slot.req).0;
+    let (fwd, _, plan) = reqs.get(spine, slot.fwd);
+    let stride = rows.stride;
+    let top = rows.words.len();
+    rows.words.resize(top + stride, 0);
+    let mut acc = if plan.rest > 0 { spare.0.pop() } else { None };
+    let local = RowSource::Local {
+        node: env.tree.global_of(p),
+        items: &mut cols.items[rel],
+        rest: &mut acc,
+    };
+    proto.fill_row(fwd, local, &mut rows.words[top..])?;
+    // The children that executed left their rows below this node's,
+    // first child topmost; a block root's lies below the stack.
+    let mut base = top;
     let children = env.tree.children_pos(p).len();
     for (i, &c) in env.tree.children_pos(p).iter().enumerate() {
         let crel = c as usize - cols.base;
@@ -816,82 +1069,141 @@ fn step_up<P: WaveProtocol>(
                 )?;
             }
         }
-        let first_of = (i == 0).then_some(children);
+        let merge = Merge {
+            proto,
+            fwd,
+            plan,
+            first_of: (i == 0).then_some(children),
+        };
         let reply = cols.slots[crel].acc.take();
+        let at = if cols.slots[crel].cached {
+            None // its reply lies in its cache entries
+        } else if let Some(at) = rows.block_root(c as usize) {
+            Some(at)
+        } else {
+            base -= stride;
+            Some(base)
+        };
+        let (below, row) = rows.words.split_at_mut(top);
+        let child_row = at.map_or(&[][..], |at| &below[at..at + stride]);
         let spent = match cols.caches.get_mut(crel) {
             Some(NodeCache { cache, resolved }) => {
-                resolved.absorb_reply(proto, cache, fwd, &mut acc, reply, first_of)?
+                merge.cached_reply(cache, resolved, &mut acc, row, reply, child_row)?
             }
             None => {
-                let reply = reply.expect("an uncached reply is staged whole");
-                let merged = proto.absorb_partial(fwd, &mut acc, &reply, first_of);
-                merged.map(|()| Some(reply))?
+                merge.reply(&mut acc, row, reply.as_ref(), child_row)?;
+                reply
             }
         };
         if let Some(spent) = spent {
             spare.recycle(proto, spent);
         }
     }
+    // The node's row takes its children's place.
+    rows.words.copy_within(top..top + stride, base);
+    rows.words.truncate(base + stride);
+    let row = &rows.words[base..];
     if env.tree.parent_pos(p).is_none() {
         if env.arq_timeout.is_some() {
             // The root's dedup residue: one `(child, wave, seq)` key
             // per reporting child.
             cols.residue[rel] = children as u64;
         }
+        let full = proto.row_partial(fwd, &mut acc, row);
+        if let Some(spent) = acc {
+            spare.recycle(proto, spent);
+        }
         return Ok(Some(match cols.caches.get_mut(rel) {
             Some(NodeCache { cache, resolved }) => {
-                resolved.assemble(proto, Some(cache), req, fwd, acc)
+                resolved.assemble(proto, Some(cache), req, fwd, full)
             }
-            None => acc,
+            None => full,
         }));
     }
     // The reply is the cache hits, billed from the entries, and the
-    // computed slots in `acc` (aligned with `fwd`); the parent merges
-    // both where they lie and then stores — nothing is copied or joined.
-    let hits = cols
-        .caches
-        .get(rel)
-        .map_or(0, |NodeCache { cache, resolved }| {
-            resolved.hits_width(proto, cache, req)
-        });
-    let bits = hits + checked_width(proto, fwd, &acc);
+    // computed slots (aligned with `fwd`): its row and accumulator as
+    // they are, which the parent merges where they lie — or, when this
+    // node touched its cache, joined in full form, which the parent
+    // merges slot by slot and then stores. Nothing else is copied.
+    let (hits, touched) =
+        cols.caches
+            .get(rel)
+            .map_or((0, false), |NodeCache { cache, resolved }| {
+                (
+                    resolved.hits_width(proto, cache, req),
+                    resolved.touches_cache(),
+                )
+            });
+    let (bits, reply) = if touched {
+        let full = proto.row_partial(fwd, &mut acc, row);
+        if let Some(spent) = acc {
+            spare.recycle(proto, spent);
+        }
+        (checked_width(proto, fwd, &full), Some(full))
+    } else {
+        let rest = acc.as_ref().map_or(0, |a| checked_width(proto, fwd, a));
+        let row = if plan.stride > 0 {
+            proto.row_width(fwd, row)
+        } else {
+            0
+        };
+        (rest + row, acc)
+    };
     if env.arq_timeout.is_some() {
         // Dedup residue of a forwarding node: one key per reporting
         // child, plus the duplicate-request key set by the parent's
         // fan-out exchange (already in place).
         cols.residue[rel] += children as u64;
     }
-    stage_partial(env, cols, rel, env.frame_header_bits + bits, Some(acc))?;
+    stage_partial(env, cols, rel, env.frame_header_bits + hits + bits, reply)?;
     Ok(None)
 }
 
-/// Runs one complete block (a whole subtree): top-down then bottom-up.
-/// The block root's request was written by its spine parent, as an
-/// index into the driver's table (`spine`); its reply is left staged in
-/// its own slot for the spine to take, trimmed
-/// ([`WaveProtocol::shrink_partial`]): it waits there until the barrier,
-/// while a reply inside the block is merged as soon as its siblings'
-/// subtrees are done.
+/// Runs one complete block (a whole subtree): top-down then bottom-up,
+/// in this thread's rows. The block root's request was written by its
+/// spine parent, as an index into the driver's table (`spine`); its
+/// reply is left staged in its own slot for the spine to take, trimmed
+/// ([`WaveProtocol::shrink_partial`]), and its row copied to the
+/// window's root row in the driver's rows: both wait there until the
+/// barrier, while a reply inside the block is merged as soon as its
+/// siblings' subtrees are done.
 fn eval_block<P: WaveProtocol>(
     env: &Env<'_>,
     proto: &P,
     scratch: &mut Scratch<P>,
-    spine: &[(P::Request, u64)],
+    spine: &RequestTable<P::Request>,
     cols: &mut Cols<'_, P>,
     block: ShardBlock,
 ) -> Result<(), ProtocolError> {
     let (start, end) = (block.start as usize, (block.start + block.len) as usize);
-    for p in start..end {
-        step_down(env, proto, scratch, spine, cols, p)?;
+    let mut words = std::mem::take(&mut scratch.rows);
+    words.clear();
+    let mut rows = RowStack {
+        words: &mut words,
+        stride: cols.root_row.len(),
+        blocks: &[],
+    };
+    let result = (start..end)
+        .try_for_each(|p| step_down(env, proto, scratch, spine, cols, p))
+        .and_then(|()| {
+            (start..end).rev().try_for_each(|p| {
+                let out = step_up(env, proto, scratch, spine, cols, &mut rows, p)?;
+                debug_assert!(out.is_none(), "blocks are strictly below the root");
+                Ok(())
+            })
+        });
+    if result.is_ok() {
+        // The root's row is all that is left, unless it answered from
+        // cache (or the request has no row).
+        if !words.is_empty() {
+            cols.root_row.copy_from_slice(&words);
+        }
+        if let Some(reply) = cols.slots[start - cols.base].acc.as_mut() {
+            proto.shrink_partial(reply);
+        }
     }
-    for p in (start..end).rev() {
-        let out = step_up(env, proto, scratch, spine, cols, p)?;
-        debug_assert!(out.is_none(), "blocks are strictly below the root");
-    }
-    if let Some(reply) = cols.slots[start - cols.base].acc.as_mut() {
-        proto.shrink_partial(reply);
-    }
-    Ok(())
+    scratch.rows = words;
+    result
 }
 
 /// One worker's share of a wave: its group's protocol (lent, with the
@@ -901,7 +1213,7 @@ fn eval_block<P: WaveProtocol>(
 struct WorkerTask<'a, P: WaveProtocol> {
     proto: &'a mut P,
     scratch: &'a mut Scratch<P>,
-    spine: &'a [(P::Request, u64)],
+    spine: &'a RequestTable<P::Request>,
     blocks: Vec<(ShardBlock, Cols<'a, P>)>,
 }
 
@@ -909,7 +1221,7 @@ fn run_task<P: WaveProtocol>(
     env: &Env<'_>,
     task: &mut WorkerTask<'_, P>,
 ) -> Result<(), ProtocolError> {
-    task.scratch.start_wave(task.spine.len());
+    task.scratch.start_wave(task.spine.entries.len());
     let mut result = Ok(());
     for (block, cols) in &mut task.blocks {
         // The carved window sits in a `Vec` next to other workers'
@@ -973,6 +1285,7 @@ impl<P: WaveProtocol> Columns<P> {
             arq: &mut self.arq,
             trace: &mut self.trace,
             links,
+            root_row: &mut [],
             frames: 0,
         }
     }
@@ -1000,6 +1313,7 @@ impl<'a, P: WaveProtocol> Cols<'a, P> {
             arq: take_front(&mut self.arq, n),
             trace: take_front(&mut self.trace, n),
             links: take_front(&mut self.links, n),
+            root_row: &mut [],
             frames: 0,
         };
         self.base += n;
@@ -1018,18 +1332,28 @@ impl<'a, P: WaveProtocol> Cols<'a, P> {
             arq: self.arq,
             trace: self.trace,
             links: self.links,
+            root_row: self.root_row,
             frames: 0,
         }
     }
 
     /// Carves one window per block (blocks are disjoint and ascending
-    /// by start, so this is a single left-to-right pass).
-    fn carve(mut self, blocks: &[ShardBlock]) -> Vec<Self> {
+    /// by start, so this is a single left-to-right pass), each with its
+    /// block root's row from `root_rows`, `stride` words a block.
+    fn carve(
+        mut self,
+        blocks: &[ShardBlock],
+        root_rows: &'a mut [u64],
+        stride: usize,
+    ) -> Vec<Self> {
+        let mut root_rows = root_rows.chunks_mut(stride.max(1));
         blocks
             .iter()
             .map(|b| {
                 self.take_front(b.start as usize - self.base);
-                self.take_front(b.len as usize)
+                let mut window = self.take_front(b.len as usize);
+                window.root_row = root_rows.next().unwrap_or_default();
+                window
             })
             .collect()
     }
@@ -1250,6 +1574,7 @@ where
         // request directly, so there is no inbound frame and no rx
         // charge — exactly the staged kick of the boxed runners. The
         // root's request is entry 0 of the driver's table.
+        let no_spine = RequestTable::new();
         self.scratch.start_wave(0);
         let Scratch { pool, reqs, .. } = &mut self.scratch;
         let req = reqs.push(&self.proto, pool, req);
@@ -1259,7 +1584,7 @@ where
         if admit(
             &self.proto,
             &mut self.scratch,
-            &[],
+            &no_spine,
             root,
             self.cols.caches.get_mut(0),
             self.cols.trace.get_mut(0),
@@ -1271,7 +1596,7 @@ where
                 *residue = 0;
             }
             let NodeCache { cache, resolved } = &mut self.cols.caches[0];
-            let req = &self.scratch.reqs.get(&[], req).0;
+            let req = self.scratch.reqs.get(&no_spine, req).0;
             return Ok(resolved.take_cached_reply(&self.proto, cache, req));
         }
 
@@ -1292,30 +1617,32 @@ where
             attempt_budget: self.attempt_budget,
         };
         let env = &env;
+        // Every request of the wave is the root's forwarded one or a
+        // subset of it, so its row is the widest.
+        let root_fwd = self.cols.slots[0].fwd;
+        let stride = self.scratch.reqs.get(&no_spine, root_fwd).2.stride;
+        let (spine, blocks) = (self.plan.spine(), self.plan.blocks());
 
-        // Phase A — spine top-down: root contribution and fan-out,
-        // then every spine position in ascending (pre-)order, staging
-        // the inbound frames of all block roots along the way.
+        // Phase A — spine top-down: the root's fan-out, then every
+        // spine position in ascending (pre-)order, staging the inbound
+        // frames of all block roots along the way.
         let mut cols = self.cols.window(&mut self.stats);
-        let phase_a = {
-            let Scratch { spare, reqs, .. } = &mut self.scratch;
-            let fwd = cols.slots[0].fwd;
-            let local = spare.local(
-                &self.proto,
-                env.tree.global_of(0),
-                &mut cols.items[0],
-                &reqs.get(&[], fwd).0,
-            );
-            cols.slots[0].acc = Some(local);
-            fan_out(env, &self.proto, reqs, &[], &mut cols, 0, fwd)
-        }
+        let phase_a = fan_out(
+            env,
+            &self.proto,
+            &self.scratch.reqs,
+            &no_spine,
+            &mut cols,
+            0,
+            root_fwd,
+        )
         .and_then(|()| {
-            self.plan.spine()[1..].iter().try_for_each(|&p| {
+            spine[1..].iter().try_for_each(|&p| {
                 step_down(
                     env,
                     &self.proto,
                     &mut self.scratch,
-                    &[],
+                    &no_spine,
                     &mut cols,
                     p as usize,
                 )
@@ -1336,13 +1663,17 @@ where
         // Phase B — parallel blocks: disjoint column windows per
         // block, grouped per worker by the plan's static assignment.
         // Block roots read the driver's request table, which stays
-        // unchanged until phase C.
-        let blocks = self.plan.blocks();
-        let spine = &self.scratch.reqs.entries[..];
+        // unchanged until phase C, and leave their rows in the driver's
+        // rows, one per block, below the stack phase C builds on them.
+        let Scratch { reqs, rows, .. } = &mut self.scratch;
+        let spine_reqs = &*reqs;
+        rows.clear();
+        rows.resize(blocks.len() * stride, 0);
+        let root_rows = &mut rows[..];
         let mut windows: Vec<Option<Cols<'_, P>>> = self
             .cols
             .window(&mut self.stats)
-            .carve(blocks)
+            .carve(blocks, root_rows, stride)
             .into_iter()
             .map(Some)
             .collect();
@@ -1354,7 +1685,7 @@ where
             .map(|((proto, scratch), group)| WorkerTask {
                 proto,
                 scratch,
-                spine,
+                spine: spine_reqs,
                 blocks: group
                     .iter()
                     .map(|&bi| (blocks[bi], windows[bi].take().expect("block assigned once")))
@@ -1400,20 +1731,28 @@ where
         // Phase C — spine bottom-up: descending position order visits
         // every spine child (spine or block root) before its parent.
         let mut cols = self.cols.window(&mut self.stats);
+        let mut words = std::mem::take(&mut self.scratch.rows);
+        let mut rows = RowStack {
+            words: &mut words,
+            stride,
+            blocks,
+        };
         let mut result = Ok(None);
-        for &p in self.plan.spine().iter().rev() {
+        for &p in spine.iter().rev() {
             result = step_up(
                 env,
                 &self.proto,
                 &mut self.scratch,
-                &[],
+                &no_spine,
                 &mut cols,
+                &mut rows,
                 p as usize,
             );
             if result.is_err() {
                 break;
             }
         }
+        self.scratch.rows = words;
         self.last_wave_frames += cols.frames;
         // Position 0 is visited last, and only the root returns a reply.
         result?.ok_or(ProtocolError::NoResult)

@@ -25,6 +25,9 @@
 //! * [`cache`] — subtree partial caching for the wave runner: interior
 //!   nodes store their merged subtree partials keyed by the encoded
 //!   sub-request and answer repeats without re-contributing leaf items;
+//! * [`row`] — fixed-width slots (counts, sums, min/max with runner-up)
+//!   as rows of words: the word kernels the flat runner folds, merges
+//!   and bills them with;
 //! * [`flat`] — the columnar flat-tree runner: per-node state in
 //!   contiguous position-indexed columns over `saq_netsim::flat`, waves
 //!   as two array sweeps, and **nested** static sharding that re-cuts
@@ -41,6 +44,7 @@ pub mod flat;
 pub mod gossip;
 pub mod obs;
 pub mod rings;
+pub mod row;
 pub mod tree;
 pub mod wave;
 
@@ -48,6 +52,7 @@ pub use cache::{CacheKey, CacheStats, PartialCache};
 pub use error::ProtocolError;
 pub use flat::FlatWaveRunner;
 pub use obs::{FateReplay, Hop, NodeTraceEntry, ReplayEvent};
+pub use row::{RowKernel, RowSource};
 pub use tree::SpanningTree;
 pub use wave::{
     MultiplexWave, MuxEntry, MuxLedger, MuxSlotBits, TransportFootprint, WaveProtocol, WaveRunner,

@@ -25,6 +25,7 @@
 use crate::cache::{CacheKey, CacheStats, PartialCache};
 use crate::error::ProtocolError;
 use crate::obs::NodeTraceEntry;
+use crate::row::{RowKernel, RowSource};
 use crate::tree::SpanningTree;
 use saq_netsim::link::FrameClass;
 use saq_netsim::sim::{Context, NodeId, NodeRuntime, SimConfig, Simulator};
@@ -135,25 +136,9 @@ pub trait WaveProtocol: Clone {
     /// how many there are: only [`WaveSubstrate::set_items`] does that.
     fn local(&self, node: NodeId, items: &mut [Self::Item], req: &Self::Request) -> Self::Partial;
 
-    /// [`local`](Self::local) written into `out`, whose previous value
-    /// is a spent accumulator of an earlier node: a protocol whose
-    /// partial is a container overrides this to refill `out` in place,
-    /// so the flat runner's per-thread free list of accumulators makes
-    /// a warm node allocate nothing. Must leave `out` equal to what
-    /// `local` returns (the default assigns it).
-    fn local_into(
-        &self,
-        node: NodeId,
-        items: &mut [Self::Item],
-        req: &Self::Request,
-        out: &mut Self::Partial,
-    ) {
-        *out = self.local(node, items, req);
-    }
-
     /// Drops what a spent accumulator owns beyond its own container,
     /// once its reply is encoded and before it waits on the flat
-    /// runner's free list for [`local_into`](Self::local_into): an idle
+    /// runner's free list for [`fill_row`](Self::fill_row): an idle
     /// accumulator must not keep a merged subtree's data alive. The
     /// default does nothing.
     fn release_partial(&self, _p: &mut Self::Partial) {}
@@ -280,6 +265,83 @@ pub trait WaveProtocol: Clone {
         first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
         self.absorb_partial(req, acc, part, first_of)
+    }
+
+    // --- fixed-width slots as rows of words (see `crate::row`) --------
+    //
+    // The flat runner keeps a slot whose partial is a few words in a row
+    // of `u64` per node instead of in `Partial`. The defaults describe a
+    // protocol with no row: every slot rides in `Partial`.
+
+    /// The [`RowKernel`] slot `i` of `req` rides in on a flat wave, or
+    /// `None` (the default) when it rides in [`Partial`](Self::Partial).
+    /// A request's row lays its row slots' words out back to back, in
+    /// slot order ([`RowKernel::words`] each); every other method of this
+    /// family reads a row that way.
+    fn row_kernel(&self, _req: &Self::Request, _i: usize) -> Option<RowKernel> {
+        None
+    }
+
+    /// Fills words of `row` from `src`: a node's local step folds its
+    /// items into every row slot of `req` and its other slots into the
+    /// accumulator `RowSource::Local` lends — a spent one from the flat
+    /// runner's per-thread free list, which a protocol whose partial is
+    /// a container refills in place so a warm node allocates nothing;
+    /// it then holds those slots alone, in slot order (the *rest
+    /// form*), equal to what [`local`](Self::local) returns for them. A
+    /// cached or joined partial's slot converts to its words exactly.
+    /// The default has no row: the local step is
+    /// [`local`](Self::local).
+    ///
+    /// # Errors
+    ///
+    /// [`NetsimError::WireDecode`] for a `RowSource::Slot` that is out
+    /// of range or whose partial does not answer its row slot, as
+    /// [`absorb_slot`](Self::absorb_slot) refuses a misaligned slot. A
+    /// local step never fails.
+    fn fill_row(
+        &self,
+        req: &Self::Request,
+        src: RowSource<'_, Self>,
+        _row: &mut [u64],
+    ) -> Result<(), NetsimError> {
+        match src {
+            RowSource::Local { node, items, rest } => {
+                *rest = Some(self.local(node, items, req));
+                Ok(())
+            }
+            RowSource::Slot { .. } => Err(NetsimError::WireDecode(
+                "a protocol without a row has no row slot",
+            )),
+        }
+    }
+
+    /// Bits the row slots of `row` (aligned with `req`) take in a reply —
+    /// each slot's [`RowKernel::width`] — accounting for one
+    /// transmission, as [`partial_width`](Self::partial_width) does for
+    /// the accumulator's slots. The default has no row: 0.
+    fn row_width(&self, _req: &Self::Request, _row: &[u64]) -> u64 {
+        0
+    }
+
+    /// The partial aligned with `req` whose row slots are read off `row`
+    /// and whose other slots are moved out of `rest` (the rest form;
+    /// `None` when `req` has no slot outside its row) — what a cache
+    /// entry stores and the root answers. What is left in `rest` is a
+    /// spent accumulator, for the free list. The default has no row:
+    /// `rest` is taken whole.
+    ///
+    /// # Panics
+    ///
+    /// When `rest` is `None` but `req` has a slot outside its row.
+    fn row_partial(
+        &self,
+        _req: &Self::Request,
+        rest: &mut Option<Self::Partial>,
+        _row: &[u64],
+    ) -> Self::Partial {
+        rest.take()
+            .expect("a request without a row keeps every slot in its accumulator")
     }
 
     /// The request containing only the slots `keep` (ascending slot
@@ -574,8 +636,7 @@ impl<P: WaveProtocol> CachedPartial<P> {
 /// nothing touches a node's cache between its admission and its
 /// completion, so a position stays valid for the whole wave, and a
 /// reply served from cache is billed ([`CacheResolution::hits_width`])
-/// and merged into the parent ([`CacheResolution::absorb_reply`])
-/// straight from the entries.
+/// and merged into the parent straight from the entries.
 #[derive(Debug, Default)]
 pub(crate) struct CacheResolution {
     /// Cache hits: `(slot index in the request, position in the cache)`.
@@ -720,54 +781,19 @@ impl CacheResolution {
         proto.join_slots(req, slots)
     }
 
-    /// Completion of a node, run by its parent: merges the node's reply
-    /// into the parent's accumulator `acc` (aligned with `req`, the
-    /// request the node received) — each hit from its cache entry
-    /// ([`WaveProtocol::absorb_slot`]), the computed slots from `reply`,
-    /// the node's accumulator (aligned with the request it forwarded;
-    /// `None` when every slot hit) — and only then moves the computed
-    /// slots this wave keyed into the cache
-    /// ([`store_by_move`](Self::store_by_move)): a store may evict a
-    /// hit, so it waits until every hit was read. No partial is copied
-    /// or joined. Returns `reply` when nothing was stored, for reuse.
-    ///
-    /// # Errors
-    ///
-    /// As [`WaveProtocol::absorb_partial`]; the next admission resets
-    /// the resolution.
-    pub(crate) fn absorb_reply<P: WaveProtocol>(
-        &mut self,
-        proto: &P,
-        cache: &mut PartialCache<CachedPartial<P>>,
-        req: &P::Request,
-        acc: &mut P::Partial,
-        reply: Option<P::Partial>,
-        first_of: Option<usize>,
-    ) -> Result<Option<P::Partial>, NetsimError> {
-        for &(i, pos) in &self.hits {
-            proto.absorb_slot(req, acc, i, &cache.at(pos).partial, 0, first_of)?;
-        }
-        let Some(reply) = reply else {
-            self.hits.clear();
-            return Ok(None);
-        };
-        if self.hits.is_empty() {
-            proto.absorb_partial(req, acc, &reply, first_of)?;
-        } else {
-            for (j, &i) in self.miss.iter().enumerate() {
-                proto.absorb_slot(req, acc, i, &reply, j, first_of)?;
-            }
-            self.hits.clear();
-        }
-        Ok(self.store_by_move(proto, cache, reply))
+    /// Whether this wave's resolution hit the cache or will store into
+    /// it — the nodes whose reply the flat runner stages in full form.
+    pub(crate) fn touches_cache(&self) -> bool {
+        !self.hits.is_empty() || !self.store.is_empty()
     }
 
     /// Moves the computed slot partials of `acc` this wave keyed into the
     /// cache — no copy, no join — each shrunk to its size first
     /// ([`WaveProtocol::shrink_partial`]). Run once every hit was read.
     /// When nothing is stored, `acc` is handed back for reuse as a later
-    /// node's accumulator.
-    fn store_by_move<P: WaveProtocol>(
+    /// node's accumulator. The flat runner calls it from a node's parent,
+    /// once the parent read the node's hits.
+    pub(crate) fn store_by_move<P: WaveProtocol>(
         &mut self,
         proto: &P,
         cache: &mut PartialCache<CachedPartial<P>>,
@@ -1666,6 +1692,7 @@ impl MuxLedger {
         self.envelope_bits += other.envelope_bits;
     }
 
+    #[inline]
     fn slot_mut(&mut self, i: usize) -> &mut MuxSlotBits {
         if i >= self.slots.len() {
             self.slots.resize(i + 1, MuxSlotBits::default());
@@ -1699,17 +1726,25 @@ pub struct MuxEntry<R> {
     /// length and every slot key is lent from them, so no sub-request
     /// is encoded twice.
     raw: BitString,
+    /// The [`RowKernel`] the sub-request's partial rides in on a flat
+    /// wave ([`WaveProtocol::row_kernel`] of the inner protocol),
+    /// resolved with the raw bits: the multiplexer folds, merges and
+    /// measures a row slot through it and never asks the inner protocol
+    /// again.
+    row: Option<RowKernel>,
 }
 
 impl<R> MuxEntry<R> {
     /// An entry billing `slot`, with `req`'s wire bits encoded by
     /// `inner` — the deployment's codec, so that they are the bits
-    /// every node of the deployment would write.
+    /// every node of the deployment would write — and its row kernel
+    /// resolved by it.
     pub fn new<P: WaveProtocol<Request = R>>(inner: &P, slot: u32, req: R) -> Self {
         let mut w = BitWriter::new();
         inner.encode_request(&req, &mut w);
         MuxEntry {
             slot,
+            row: inner.row_kernel(&req, 0),
             req,
             raw: w.finish(),
         }
@@ -1749,6 +1784,20 @@ impl<R> MuxEntry<R> {
 /// entry is an independently cacheable slot: nodes answer cached
 /// sub-requests locally and forward reduced envelopes carrying only the
 /// misses, with the slot tags keeping attribution honest at every depth.
+///
+/// On a flat wave an entry whose inner partial is fixed-width — the
+/// inner protocol names its [`RowKernel`] ([`WaveProtocol::row_kernel`],
+/// resolved once, when the entry is made) — rides in the node's row of
+/// words instead of in the partial `Vec` (see [`crate::row`]): the
+/// multiplexer folds each such entry through the inner protocol
+/// ([`WaveProtocol::fill_row`]), measures and bills it through its
+/// kernel ([`WaveProtocol::row_width`]) and never asks the inner
+/// protocol which aggregate answers it again. The partial `Vec` then
+/// holds the other entries alone, in order (the *rest form*, told
+/// apart from the full form by its length), and
+/// [`WaveProtocol::row_partial`] inserts the row entries' partials back
+/// at their positions. The boxed runner never keeps a row: its partials
+/// are always in full form.
 #[derive(Debug)]
 pub struct MultiplexWave<P: WaveProtocol> {
     inner: P,
@@ -1821,6 +1870,30 @@ impl<P: WaveProtocol> MultiplexWave<P> {
 /// a root issues, framed without slot tags.
 fn is_dense<R>(req: &[MuxEntry<R>]) -> bool {
     req.iter().enumerate().all(|(i, e)| e.slot as usize == i)
+}
+
+/// Whether a partial of `len` sub-partials aligned with `req` is in
+/// **rest form** — one sub-partial per entry without a row kernel, a
+/// flat wave's accumulator whose row slots sit in a row of words —
+/// rather than in full form, one per entry. The two lengths differ
+/// exactly when `req` has a row slot, so the length tells them apart;
+/// any other length does not align.
+fn rest_form<R>(req: &[MuxEntry<R>], len: usize) -> Result<bool, NetsimError> {
+    if len == req.len() {
+        Ok(false)
+    } else if req.iter().filter(|e| e.row.is_none()).count() == len {
+        Ok(true)
+    } else {
+        Err(NetsimError::WireDecode(
+            "mux partial does not align with its request",
+        ))
+    }
+}
+
+/// The entries a partial aligned with `req` holds a sub-partial for, in
+/// order: all of them, or in rest form those without a row kernel.
+fn held<R>(req: &[MuxEntry<R>], rest: bool) -> impl Iterator<Item = &MuxEntry<R>> {
+    req.iter().filter(move |e| !rest || e.row.is_none())
 }
 
 /// Exclusive bound on multiplexed slot counts and slot tags: the slot
@@ -1904,6 +1977,7 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
                 );
                 Ok(MuxEntry {
                     slot: slot as u32,
+                    row: self.inner.row_kernel(&req, 0),
                     req,
                     raw,
                 })
@@ -1913,20 +1987,25 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
 
     /// The sub-partials back to back, with no framing: the request is
     /// the schema. Bills nothing: see
-    /// [`partial_width`](Self::partial_width).
+    /// [`partial_width`](Self::partial_width). A rest-form partial (see
+    /// [`fill_row`](Self::fill_row)) encodes the slots it holds.
     fn encode_partial(&self, req: &Self::Request, p: &Self::Partial, w: &mut BitWriter) {
-        debug_assert_eq!(req.len(), p.len(), "mux partial must align with request");
-        for (entry, sub) in req.iter().zip(p.iter()) {
+        let rest = rest_form(req, p.len());
+        debug_assert!(rest.is_ok(), "mux partial must align with request");
+        for (entry, sub) in held(req, rest.unwrap_or(false)).zip(p.iter()) {
             self.inner.encode_partial(&entry.req, sub, w);
         }
     }
 
     /// Every sub-partial's width ([`WaveProtocol::partial_width`] of the
-    /// inner protocol), billed to its entry's ledger slot.
+    /// inner protocol), billed to its entry's ledger slot — in rest form
+    /// the slots outside the row, which
+    /// [`row_width`](Self::row_width) bills.
     fn partial_width(&self, req: &Self::Request, p: &Self::Partial) -> u64 {
-        debug_assert_eq!(req.len(), p.len(), "mux partial must align with request");
+        let rest = rest_form(req, p.len());
+        debug_assert!(rest.is_ok(), "mux partial must align with request");
         let mut ledger = self.ledger_mut();
-        req.iter()
+        held(req, rest.unwrap_or(false))
             .zip(p.iter())
             .map(|(entry, sub)| {
                 let bits = self.inner.partial_width(&entry.req, sub);
@@ -1952,22 +2031,6 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             .collect()
     }
 
-    /// Refills the spent accumulator's `Vec`: once it has held an
-    /// envelope this wide, no allocation.
-    fn local_into(
-        &self,
-        node: NodeId,
-        items: &mut [Self::Item],
-        req: &Self::Request,
-        out: &mut Self::Partial,
-    ) {
-        out.clear();
-        out.extend(
-            req.iter()
-                .map(|entry| self.inner.local(node, items, &entry.req)),
-        );
-    }
-
     fn release_partial(&self, p: &mut Self::Partial) {
         p.clear();
     }
@@ -1982,9 +2045,11 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
 
     /// One pass over the slots: the child's sub-partial `i` is merged
     /// into `acc[i]` where it lies ([`WaveProtocol::absorb_partial`] of
-    /// the inner protocol), `first_of` passed on to every slot. An
-    /// accumulator or child with a different slot count than `req` is an
-    /// error, not a panic or a partial merge.
+    /// the inner protocol), `first_of` passed on to every slot. Both may
+    /// be in rest form (a flat wave's, see [`fill_row`](Self::fill_row)),
+    /// alike. An accumulator or child that aligns with `req` in neither
+    /// form, or not in the same one, is an error, not a panic or a
+    /// partial merge.
     fn absorb_partial(
         &self,
         req: &Self::Request,
@@ -1992,19 +2057,22 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         child: &Self::Partial,
         first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
-        if acc.len() != req.len() || child.len() != req.len() {
+        let rest = rest_form(req, acc.len())?;
+        if child.len() != acc.len() {
             return Err(NetsimError::WireDecode(
                 "mux partial does not align with its request",
             ));
         }
-        for ((entry, sub), part) in req.iter().zip(acc).zip(child) {
+        for ((entry, sub), part) in held(req, rest).zip(acc).zip(child) {
             self.inner.absorb_partial(&entry.req, sub, part, first_of)?;
         }
         Ok(())
     }
 
-    /// `part[j]` merged into `acc[i]` alone; a misaligned accumulator or
-    /// a slot out of range is an error.
+    /// `part[j]` merged into slot `i` of `acc` alone — `acc[i]`, or in
+    /// rest form the sub-partial slot `i` holds there; a misaligned
+    /// accumulator, a row slot of a rest-form one or a slot out of range
+    /// is an error.
     fn absorb_slot(
         &self,
         req: &Self::Request,
@@ -2014,15 +2082,144 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         j: usize,
         first_of: Option<usize>,
     ) -> Result<(), NetsimError> {
-        let aligned = req.len() == acc.len();
-        match (req.get(i), acc.get_mut(i), part.get(j)) {
-            (Some(entry), Some(sub), Some(part)) if aligned => {
+        let at = match rest_form(req, acc.len()) {
+            Ok(false) => Some(i),
+            Ok(true) => req
+                .get(i)
+                .filter(|e| e.row.is_none())
+                .map(|_| held(&req[..i], true).count()),
+            Err(_) => None,
+        };
+        match (req.get(i), at.and_then(|k| acc.get_mut(k)), part.get(j)) {
+            (Some(entry), Some(sub), Some(part)) => {
                 self.inner.absorb_partial(&entry.req, sub, part, first_of)
             }
             _ => Err(NetsimError::WireDecode(
                 "mux slot does not align with its request",
             )),
         }
+    }
+
+    // --- fixed-width slots: each entry's row kernel, resolved once ---
+
+    /// Entry `i`'s kernel, resolved when the entry was made.
+    fn row_kernel(&self, req: &Self::Request, i: usize) -> Option<RowKernel> {
+        req.get(i).and_then(|e| e.row)
+    }
+
+    /// A node's local step in entry order — so a rescaling slot
+    /// rescales the items every later slot sees, as in
+    /// [`local`](WaveProtocol::local) — with each row slot folded into
+    /// its words by the inner protocol and every other slot's
+    /// [`local`](WaveProtocol::local) pushed onto the lent accumulator,
+    /// cleared first (or onto a new one), sized for those slots alone. A
+    /// slot of a partial converts through the inner protocol.
+    fn fill_row(
+        &self,
+        req: &Self::Request,
+        src: RowSource<'_, Self>,
+        row: &mut [u64],
+    ) -> Result<(), NetsimError> {
+        match src {
+            RowSource::Local { node, items, rest } => {
+                let others = || held(req, true).count();
+                if let Some(out) = rest.as_mut() {
+                    out.clear();
+                    out.reserve(others());
+                }
+                let (mut off, mut none) = (0, None);
+                for entry in req {
+                    match entry.row {
+                        Some(k) => {
+                            let local = RowSource::Local {
+                                node,
+                                items: &mut *items,
+                                rest: &mut none,
+                            };
+                            let words = &mut row[off..off + k.words()];
+                            self.inner.fill_row(&entry.req, local, words)?;
+                            off += k.words();
+                        }
+                        None => rest
+                            .get_or_insert_with(|| Vec::with_capacity(others()))
+                            .push(self.inner.local(node, items, &entry.req)),
+                    }
+                }
+                Ok(())
+            }
+            RowSource::Slot { i, partial, j } => match (req.get(i), partial.get(j)) {
+                (Some(entry), Some(part)) => {
+                    let slot = RowSource::Slot {
+                        i: 0,
+                        partial: part,
+                        j: 0,
+                    };
+                    self.inner.fill_row(&entry.req, slot, row)
+                }
+                _ => Err(NetsimError::WireDecode(
+                    "mux slot does not align with its request",
+                )),
+            },
+        }
+    }
+
+    /// Each row slot's [`RowKernel::width`], billed to its entry's
+    /// ledger slot. In debug builds each slot is also converted
+    /// ([`row_partial`](WaveProtocol::row_partial) of the inner
+    /// protocol) and encoded in per-thread scratch, and the width law
+    /// checked: a runner bills a row slot by this width alone.
+    fn row_width(&self, req: &Self::Request, row: &[u64]) -> u64 {
+        let mut ledger = self.ledger_mut();
+        let mut off = 0;
+        let mut total = 0;
+        for entry in req {
+            let Some(k) = entry.row else { continue };
+            let words = &row[off..off + k.words()];
+            off += k.words();
+            let bits = k.width(words);
+            #[cfg(debug_assertions)]
+            {
+                let part = self.inner.row_partial(&entry.req, &mut None, words);
+                encode_scratch(
+                    |w| self.inner.encode_partial(&entry.req, &part, w),
+                    |frame| debug_assert_eq!(frame.len_bits(), bits, "the width law of a row slot"),
+                );
+            }
+            ledger.slot_mut(entry.slot as usize).partial_bits += bits;
+            total += bits;
+        }
+        total
+    }
+
+    /// The full form in a new `Vec`: each row slot's partial
+    /// ([`row_partial`](WaveProtocol::row_partial) of the inner
+    /// protocol) at its entry's position, the others moved out of
+    /// `rest` — which keeps its buffer, emptied, for reuse. A request
+    /// without a row slot takes `rest` whole.
+    fn row_partial(
+        &self,
+        req: &Self::Request,
+        rest: &mut Option<Self::Partial>,
+        row: &[u64],
+    ) -> Self::Partial {
+        if rest.as_ref().map_or(0, Vec::len) == req.len() {
+            return rest.take().unwrap_or_default(); // no row slot
+        }
+        let mut out = Vec::with_capacity(req.len());
+        let mut others = rest.iter_mut().flat_map(|v| v.drain(..));
+        let mut off = 0;
+        for entry in req {
+            match entry.row {
+                Some(k) => {
+                    let words = &row[off..off + k.words()];
+                    out.push(self.inner.row_partial(&entry.req, &mut None, words));
+                    off += k.words();
+                }
+                None => out.extend(others.next()),
+            }
+        }
+        debug_assert_eq!(out.len(), req.len(), "mux partial must align with request");
+        out
     }
 
     // --- subtree partial caching: every entry is one cacheable slot ---
