@@ -99,10 +99,19 @@ impl WaveProtocol for GkWave {
         s
     }
 
-    fn merge(&self, req: &u32, a: QuantileSummary, b: QuantileSummary) -> QuantileSummary {
-        let mut m = QuantileSummary::merged(&a, &b);
-        m.prune(*req as usize);
-        m
+    /// The child's summary merged in place, then pruned to `req`. Its
+    /// codec carries every entry exactly, so a summary is its own
+    /// wire-normal form.
+    fn absorb_partial(
+        &self,
+        req: &u32,
+        acc: &mut QuantileSummary,
+        child: &QuantileSummary,
+        _first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        acc.merge_from(child);
+        acc.prune(*req as usize);
+        Ok(())
     }
 }
 
@@ -245,5 +254,41 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, QueryError::EmptyInput));
+    }
+
+    /// The absorb is `QuantileSummary::merged` then `prune`, entry for
+    /// entry, of the child or of its decoded frame alike: over summaries
+    /// small enough to stay exact and large enough to prune.
+    #[test]
+    fn absorb_is_merged_then_pruned() {
+        let proto = GkWave {
+            xbar: 1000,
+            max_count: 1000,
+        };
+        for k in [2u32, 5, 64] {
+            for (a, b) in [(0..1, 0..0), (0..3, 3..7), (0..150, 150..400)] {
+                let mut xs: Vec<u64> = a.map(|i: u64| i * 37 % 1001).collect();
+                let mut ys: Vec<u64> = b.map(|i: u64| i * 53 % 1001).collect();
+                let acc = proto.local(0, &mut xs, &k);
+                let child = proto.local(1, &mut ys, &k);
+                let mut expected = QuantileSummary::merged(&acc, &child);
+                expected.prune(k as usize);
+
+                let mut w = BitWriter::new();
+                proto.encode_partial(&k, &child, &mut w);
+                let frame = w.finish();
+                let decoded = proto
+                    .decode_partial(&k, &mut BitReader::new(&frame))
+                    .unwrap();
+                for child in [&child, &decoded] {
+                    let mut absorbed = acc.clone();
+                    proto
+                        .absorb_partial(&k, &mut absorbed, child, None)
+                        .unwrap();
+                    assert_eq!(absorbed.entries(), expected.entries(), "k = {k}");
+                    assert_eq!(absorbed.count(), expected.count());
+                }
+            }
+        }
     }
 }

@@ -22,7 +22,7 @@ use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
 use saq_netsim::NetsimError;
 use saq_protocols::wave::Reliability;
 use saq_protocols::{SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate};
-use saq_sketches::{BottomK, DistinctSketch, HashFamily};
+use saq_sketches::{BottomK, HashFamily};
 
 /// Wave protocol carrying bottom-k sample synopses.
 #[derive(Debug, Clone)]
@@ -95,9 +95,20 @@ impl WaveProtocol for SampleWave {
         s
     }
 
-    fn merge(&self, _req: &u16, mut a: BottomK, b: BottomK) -> BottomK {
-        a.merge_from(&b);
-        a
+    /// The child's pairs inserted as its frame decodes them: keys cut
+    /// to their top 32 bits. A sample from [`local`](Self::local) is
+    /// already cut, so this is `BottomK::merge_from` of it.
+    fn absorb_partial(
+        &self,
+        _req: &u16,
+        acc: &mut BottomK,
+        child: &BottomK,
+        _first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        for &(key, value) in child.entries() {
+            acc.insert(key & (u64::MAX << 32), value);
+        }
+        Ok(())
     }
 }
 
@@ -193,5 +204,43 @@ mod tests {
             .run(&topo, SimConfig::default(), vec![vec![], vec![]], 10)
             .unwrap_err();
         assert!(matches!(err, QueryError::EmptyInput));
+    }
+
+    /// The absorb is `BottomK::merge_from` of the child's decoded frame,
+    /// entry for entry: for a sample from `local` (keys already cut to
+    /// 32 bits) and for one whose keys are not cut, which the frame cuts.
+    #[test]
+    fn absorb_is_merge_from_of_the_decoded_child() {
+        use saq_sketches::DistinctSketch;
+        let proto = SampleWave {
+            xbar: 1000,
+            k: 8,
+            seed: 3,
+        };
+        let mut uncut = BottomK::new(8, proto.value_width());
+        for i in 0..20u64 {
+            uncut.insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i * 41 % 1001);
+        }
+        for n in [0u64, 3, 30] {
+            let mut xs: Vec<u64> = (0..n).map(|i| i * 37 % 1001).collect();
+            let mut ys: Vec<u64> = (0..n + 2).map(|i| i * 53 % 1001).collect();
+            let acc = proto.local(0, &mut xs, &7);
+            let child = proto.local(1, &mut ys, &7);
+            for child in [&child, &uncut] {
+                let mut w = BitWriter::new();
+                proto.encode_partial(&7, child, &mut w);
+                let frame = w.finish();
+                let decoded = proto
+                    .decode_partial(&7, &mut BitReader::new(&frame))
+                    .unwrap();
+                let mut expected = acc.clone();
+                expected.merge_from(&decoded);
+                let mut absorbed = acc.clone();
+                proto
+                    .absorb_partial(&7, &mut absorbed, child, None)
+                    .unwrap();
+                assert_eq!(absorbed.entries(), expected.entries(), "n = {n}");
+            }
+        }
     }
 }

@@ -40,6 +40,9 @@ pub struct Summary {
 #[derive(Debug, Clone)]
 struct RingCount;
 
+/// The largest count [`RingCount`]'s 32-bit frame carries.
+const RING_COUNT_MAX: u64 = (1 << 32) - 1;
+
 impl WaveProtocol for RingCount {
     type Request = ();
     type Partial = u64;
@@ -53,7 +56,7 @@ impl WaveProtocol for RingCount {
     fn encode_partial(&self, _req: &Self::Request, p: &u64, w: &mut BitWriter) {
         // Saturating: multipath duplication can blow the sum past any
         // fixed counter width — exactly the failure mode under study.
-        w.write_bits((*p).min((1u64 << 32) - 1), 32);
+        w.write_bits((*p).min(RING_COUNT_MAX), 32);
     }
     fn decode_partial(
         &self,
@@ -65,8 +68,17 @@ impl WaveProtocol for RingCount {
     fn local(&self, _n: NodeId, items: &mut [u64], _r: &()) -> u64 {
         items.len() as u64
     }
-    fn merge(&self, _r: &(), a: u64, b: u64) -> u64 {
-        a + b
+    /// Adds the child as its frame carries it: saturated at
+    /// `RING_COUNT_MAX`.
+    fn absorb_partial(
+        &self,
+        _r: &(),
+        acc: &mut u64,
+        child: &u64,
+        _first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        *acc += (*child).min(RING_COUNT_MAX);
+        Ok(())
     }
 }
 
@@ -113,9 +125,15 @@ impl WaveProtocol for RingSketchCount {
         }
         sk
     }
-    fn merge(&self, _r: &(), mut a: LogLog, b: LogLog) -> LogLog {
-        a.merge_from(&b);
-        a
+    fn absorb_partial(
+        &self,
+        _r: &(),
+        acc: &mut LogLog,
+        child: &LogLog,
+        _first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        acc.merge_from(child);
+        Ok(())
     }
 }
 
@@ -250,5 +268,30 @@ pub fn run(scale: Scale) -> Summary {
     Summary {
         dup_rows,
         loss_rows,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A count past the 32-bit frame is absorbed as the frame carries
+    /// it, saturated, whether or not it crossed the wire.
+    #[test]
+    fn ring_count_absorbs_a_child_as_its_saturated_frame() {
+        for child in [7, RING_COUNT_MAX, RING_COUNT_MAX + 1, u64::MAX / 2] {
+            let mut w = BitWriter::new();
+            RingCount.encode_partial(&(), &child, &mut w);
+            let frame = w.finish();
+            let wire = RingCount
+                .decode_partial(&(), &mut BitReader::new(&frame))
+                .unwrap();
+            assert_eq!(wire, child.min(RING_COUNT_MAX));
+            let mut acc = 5;
+            RingCount
+                .absorb_partial(&(), &mut acc, &child, None)
+                .unwrap();
+            assert_eq!(acc, 5 + wire, "child {child}");
+        }
     }
 }

@@ -663,37 +663,19 @@ impl WaveProtocol for CoreWave {
         }
     }
 
-    fn merge(&self, req: &CoreRequest, a: CorePartial, b: CorePartial) -> CorePartial {
-        use CorePartial as P;
-        match (self.agg(req), a, b) {
-            (CoreAgg::MinMax(g), P::OptVal(x), P::OptVal(y)) => P::OptVal(g.merge(x, y)),
-            (CoreAgg::CountSum(g), P::Num(x), P::Num(y)) => P::Num(g.merge(x, y)),
-            (CoreAgg::Sketch(g), P::Sketches(xs), P::Sketches(ys)) => P::Sketches(g.merge(xs, ys)),
-            (CoreAgg::Collect(g), P::Values(xs), P::Values(ys)) => P::Values(g.merge(xs, ys)),
-            (CoreAgg::Distinct(g), P::Set(xs), P::Set(ys)) => P::Set(g.merge(xs, ys)),
-            (CoreAgg::Quantile(g), P::Quantile(xs), P::Quantile(ys)) => {
-                P::Quantile(g.merge(xs, ys))
-            }
-            (CoreAgg::BottomK(g), P::Sample(xs), P::Sample(ys)) => P::Sample(g.merge(xs, ys)),
-            (CoreAgg::Zoom, P::Unit, P::Unit) => P::Unit,
-            (_, a, _) => {
-                debug_assert!(false, "mismatched partial variants in merge");
-                a
-            }
-        }
-    }
-
     /// Merges the child's wire-normal form by reference, moving no
     /// partial: `Num` adds; `OptVal` folds in the child's extremum alone
     /// ([`MinMaxPartial::of`] — the runner-up never travels, so the
-    /// accumulator's is kept exactly as [`CoreWave::merge`] of a decoded
-    /// child keeps it); `Quantile` merges into the accumulator's storage,
-    /// sized once for all `first_of` children
+    /// accumulator's is kept exactly as [`MinMaxAgg`]'s merge of a
+    /// decoded child keeps it); `Quantile` merges into the accumulator's
+    /// storage, sized once for all `first_of` children
     /// (`QuantileAgg::reserve_children`); `BottomK` and `Sketches` merge
     /// pair- and register-wise in place; `Values` and `Set` merge a copy.
-    /// Equal to decode-then-merge for every request, field for field
-    /// (`tests/absorb_partial.rs`); an accumulator or child of another
-    /// shape (kind, sample capacity, sketch count or size) is an error.
+    /// Equal, field for field, to decoding the child and merging it with
+    /// the [`PartialAggregate::merge`] of [`CoreWave::agg`], for every
+    /// request (`tests/absorb_partial.rs`); an accumulator or child of
+    /// another shape (kind, sample capacity, sketch count or size) is an
+    /// error.
     fn absorb_partial(
         &self,
         req: &CoreRequest,
@@ -1101,31 +1083,35 @@ mod tests {
         assert_eq!(w.finish().len_bits(), 0, "request-typed codecs need no tag");
     }
 
+    /// `b` absorbed into `a` under `req`.
+    fn absorbed(req: &CoreRequest, mut a: CorePartial, b: CorePartial) -> CorePartial {
+        proto().absorb_partial(req, &mut a, &b, None).unwrap();
+        a
+    }
+
     #[test]
     fn set_merge_unions() {
-        let p = proto();
         let a = CorePartial::Set(vec![1, 3, 5]);
         let b = CorePartial::Set(vec![2, 3, 6]);
-        let m = p.merge(&CoreRequest::DistinctExact, a, b);
+        let m = absorbed(&CoreRequest::DistinctExact, a, b);
         assert_eq!(m, CorePartial::Set(vec![1, 2, 3, 5, 6]));
     }
 
     #[test]
     fn optval_merge_respects_op() {
-        let p = proto();
         let a = CorePartial::OptVal(MinMaxPartial::of(Some(3)));
         let b = CorePartial::OptVal(MinMaxPartial::of(Some(9)));
         assert_eq!(
-            p.merge(&CoreRequest::Min(Domain::Raw), a.clone(), b.clone()),
+            absorbed(&CoreRequest::Min(Domain::Raw), a.clone(), b.clone()),
             CorePartial::OptVal(MinMaxPartial::of(Some(3)))
         );
         assert_eq!(
-            p.merge(&CoreRequest::Max(Domain::Raw), a, b),
+            absorbed(&CoreRequest::Max(Domain::Raw), a, b),
             CorePartial::OptVal(MinMaxPartial::of(Some(9)))
         );
         let none = CorePartial::OptVal(MinMaxPartial::of(None));
         assert_eq!(
-            p.merge(
+            absorbed(
                 &CoreRequest::Min(Domain::Raw),
                 none,
                 CorePartial::OptVal(MinMaxPartial::of(Some(5)))

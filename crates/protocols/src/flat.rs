@@ -1928,60 +1928,10 @@ where
 mod tests {
     use super::*;
     use crate::cache::CacheKey;
+    use crate::test_protocols::SumBelow;
     use crate::wave::{MultiplexWave, MuxEntry, WaveRunner};
     use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
     use saq_netsim::NetsimError;
-
-    /// SUM of items below a threshold; deterministic, so cacheable.
-    #[derive(Debug, Clone)]
-    struct SumBelow {
-        value_width: u32,
-    }
-
-    impl WaveProtocol for SumBelow {
-        type Request = u64;
-        type Partial = u64;
-        type Item = u64;
-        type ItemDelta = ();
-        type DeltaKey = ();
-
-        fn encode_request(&self, req: &u64, w: &mut BitWriter) {
-            w.write_bits(*req, self.value_width);
-        }
-        fn decode_request(&self, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
-            r.read_bits(self.value_width)
-        }
-        fn encode_partial(&self, _req: &u64, p: &u64, w: &mut BitWriter) {
-            w.write_bits(*p, 32);
-        }
-        fn partial_width(&self, _req: &u64, _p: &u64) -> u64 {
-            32
-        }
-        fn decode_partial(&self, _req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
-            r.read_bits(32)
-        }
-        fn local(&self, _node: NodeId, items: &mut [u64], req: &u64) -> u64 {
-            items.iter().filter(|&&x| x < *req).sum()
-        }
-        fn merge(&self, _req: &u64, a: u64, b: u64) -> u64 {
-            a + b
-        }
-        fn absorb_partial(
-            &self,
-            _req: &u64,
-            acc: &mut u64,
-            child: &u64,
-            _first_of: Option<usize>,
-        ) -> Result<(), NetsimError> {
-            *acc += child;
-            Ok(())
-        }
-        fn cache_key(&self, req: &u64) -> Option<CacheKey> {
-            let mut w = BitWriter::new();
-            self.encode_request(req, &mut w);
-            Some(w.finish())
-        }
-    }
 
     fn proto() -> MultiplexWave<SumBelow> {
         MultiplexWave::new(SumBelow {
@@ -2607,9 +2557,6 @@ mod tests {
         fn local(&self, node: NodeId, items: &mut [u64], req: &u64) -> u64 {
             self.inner.local(node, items, req)
         }
-        fn merge(&self, req: &u64, a: u64, b: u64) -> u64 {
-            self.inner.merge(req, a, b)
-        }
         fn absorb_partial(
             &self,
             req: &u64,
@@ -2942,8 +2889,14 @@ mod tests {
             );
             self.inner.local(node, items, req)
         }
-        fn merge(&self, req: &u64, a: u64, b: u64) -> u64 {
-            self.inner.merge(req, a, b)
+        fn absorb_partial(
+            &self,
+            req: &u64,
+            acc: &mut u64,
+            child: &u64,
+            first_of: Option<usize>,
+        ) -> Result<(), NetsimError> {
+            self.inner.absorb_partial(req, acc, child, first_of)
         }
     }
 

@@ -12,7 +12,7 @@
 //!   distributed flooding construction whose cost is itself measured;
 //! * [`wave`] — the generic broadcast–convergecast engine: a
 //!   [`wave::WaveProtocol`] describes one aggregate (request encoding,
-//!   per-node contribution, merge, partial encoding), a
+//!   per-node contribution, in-place merge, partial encoding), a
 //!   [`wave::WaveSubstrate`] is the contract for executing its waves, and
 //!   [`wave::WaveRunner`] executes root-initiated waves event by event,
 //!   optionally with per-hop ARQ under lossy links — the timing-faithful
@@ -45,6 +45,8 @@ pub mod gossip;
 pub mod obs;
 pub mod rings;
 pub mod row;
+#[cfg(test)]
+pub(crate) mod test_protocols;
 pub mod tree;
 pub mod wave;
 

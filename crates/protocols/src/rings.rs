@@ -136,15 +136,23 @@ impl<P: WaveProtocol> NodeRuntime for RingNode<P> {
                 if !self.outer_neighbors.contains(&from) {
                     return;
                 }
-                let Some(req) = self.req.clone() else { return };
-                let Ok(p) = self.proto.decode_partial(&req, &mut r) else {
+                let RingNode {
+                    proto, req, acc, ..
+                } = self;
+                let (Some(req), Some(into)) = (req.as_ref(), acc.as_mut()) else {
+                    return;
+                };
+                let Ok(p) = proto.decode_partial(req, &mut r) else {
                     return;
                 };
                 // Every delivered copy from every outer neighbour is
                 // merged: this is the deliberate multipath duplication
-                // that demands ODI synopses.
-                let acc = self.acc.take().expect("epoch started");
-                self.acc = Some(self.proto.merge(&req, acc, p));
+                // that demands ODI synopses. A synopsis that fails to
+                // absorb drops the epoch's accumulator: this node then
+                // broadcasts nothing, never a partly merged synopsis.
+                if proto.absorb_partial(req, into, &p, None).is_err() {
+                    *acc = None;
+                }
                 let _ = ctx;
             }
             _ => {}
@@ -282,8 +290,15 @@ mod tests {
         fn local(&self, _n: NodeId, items: &mut [u64], _r: &()) -> u64 {
             items.len() as u64
         }
-        fn merge(&self, _r: &(), a: u64, b: u64) -> u64 {
-            a + b
+        fn absorb_partial(
+            &self,
+            _r: &(),
+            acc: &mut u64,
+            child: &u64,
+            _first_of: Option<usize>,
+        ) -> Result<(), NetsimError> {
+            *acc += child;
+            Ok(())
         }
     }
 
@@ -310,8 +325,15 @@ mod tests {
         fn local(&self, _n: NodeId, items: &mut [u64], _r: &()) -> u64 {
             items.iter().copied().max().unwrap_or(0)
         }
-        fn merge(&self, _r: &(), a: u64, b: u64) -> u64 {
-            a.max(b)
+        fn absorb_partial(
+            &self,
+            _r: &(),
+            acc: &mut u64,
+            child: &u64,
+            _first_of: Option<usize>,
+        ) -> Result<(), NetsimError> {
+            *acc = (*acc).max(*child);
+            Ok(())
         }
     }
 

@@ -9,10 +9,10 @@
 //!
 //! A [`WaveProtocol`] defines one aggregate family: the request and
 //! partial types, their bit-exact encodings, the per-node contribution and
-//! the merge operator. [`WaveSubstrate`] is the contract for executing
-//! waves; [`WaveRunner`] implements it by owning a simulator plus tree and
-//! running waves to quiescence; per-node bit statistics accumulate in the
-//! underlying [`saq_netsim::stats::NetStats`].
+//! the in-place merge of a child's partial. [`WaveSubstrate`] is the
+//! contract for executing waves; [`WaveRunner`] implements it by owning a
+//! simulator plus tree and running waves to quiescence; per-node bit
+//! statistics accumulate in the underlying [`saq_netsim::stats::NetStats`].
 //!
 //! ## Reliability
 //!
@@ -143,24 +143,20 @@ pub trait WaveProtocol: Clone {
     /// default does nothing.
     fn release_partial(&self, _p: &mut Self::Partial) {}
 
-    /// Merges two partial aggregates (must be commutative and
-    /// associative so tree shape does not matter).
-    fn merge(&self, req: &Self::Request, a: Self::Partial, b: Self::Partial) -> Self::Partial;
-
     /// Merges one child's partial into `acc` in place, reading the child
-    /// by reference — what a flat parent does with every report. The
-    /// child is merged in its **wire-normal form**, the value its parent
-    /// would decode off the wire: afterwards `acc` must equal, field for
-    /// field, [`merge`](Self::merge) of its old value and
+    /// by reference — what every runner does with every report: the flat
+    /// runner with the child's staged accumulator, the boxed oracle and
+    /// rings with the partial they decoded off the child's frame. The
+    /// merge must be commutative and associative, so tree shape does not
+    /// matter. The child is merged in its **wire-normal form**, the value
+    /// its parent would decode off the wire, whatever child it is handed:
+    /// afterwards `acc` holds the merge of its old value and
     /// `decode_partial(encode_partial(child))`, so state the codec does
-    /// not carry (a min/max runner-up) never crosses an edge. `first_of`
-    /// is `Some(children)` for the first of a node's `children` reports,
-    /// so a protocol can size `acc` once for all of them from the first
-    /// report's shape instead of growing it child by child. The default
-    /// ignores it and round-trips `child` through the codec in per-thread
-    /// scratch before merging — right for every protocol; one whose hot
-    /// path matters overrides it to merge the wire-normal form straight
-    /// into `acc`'s own storage, moving and allocating nothing.
+    /// not carry (a min/max runner-up) or clips (a saturating counter)
+    /// never crosses an edge. `first_of` is `Some(children)` for the
+    /// first of a node's `children` reports, so a protocol can size `acc`
+    /// once for all of them from the first report's shape instead of
+    /// growing it child by child.
     ///
     /// # Errors
     ///
@@ -172,15 +168,8 @@ pub trait WaveProtocol: Clone {
         req: &Self::Request,
         acc: &mut Self::Partial,
         child: &Self::Partial,
-        _first_of: Option<usize>,
-    ) -> Result<(), NetsimError> {
-        let child = encode_scratch(
-            |w| self.encode_partial(req, child, w),
-            |frame| self.decode_partial(req, &mut BitReader::new(frame)),
-        )?;
-        *acc = self.merge(req, acc.clone(), child);
-        Ok(())
-    }
+        first_of: Option<usize>,
+    ) -> Result<(), NetsimError>;
 
     // --- subtree partial caching hooks (see `crate::cache`) -----------
     //
@@ -1103,10 +1092,17 @@ impl<P: WaveProtocol> AggNode<P> {
         cached
     }
 
-    /// Merges the buffered child partials into the accumulator in
-    /// **fixed child order** (the canonical merge — see the field doc of
-    /// `child_partials`). Call only when every child has reported.
-    fn merge_children(&mut self) {
+    /// Absorbs the buffered child partials into the accumulator in
+    /// place, in **fixed child order** (the canonical merge — see the
+    /// field doc of `child_partials`), the first told how many children
+    /// report, as the flat runner tells it. Call only when every child
+    /// has reported.
+    ///
+    /// # Errors
+    ///
+    /// The first [`WaveProtocol::absorb_partial`] error: the node then
+    /// sends no reply, so the wave ends without a result.
+    fn merge_children(&mut self) -> Result<(), NetsimError> {
         let AggNode {
             proto,
             children,
@@ -1117,18 +1113,19 @@ impl<P: WaveProtocol> AggNode<P> {
             ..
         } = self;
         if child_partials.is_empty() {
-            return;
+            return Ok(());
         }
         let fwd = fwd_req.as_ref().or(req.as_ref());
         let fwd = fwd.expect("merging children requires a forward request");
-        let mut merged = acc.take().expect("active wave has an accumulator");
+        let acc = acc.as_mut().expect("active wave has an accumulator");
+        let mut first_of = Some(children.len());
         for child in children.iter() {
             if let Some(pos) = child_partials.iter().position(|(c, _)| c == child) {
                 let (_, p) = child_partials.swap_remove(pos);
-                merged = proto.merge(fwd, merged, p);
+                proto.absorb_partial(fwd, acc, &p, first_of.take())?;
             }
         }
-        *acc = Some(merged);
+        Ok(())
     }
 
     /// Completes the wave at this node: stores fresh subtree partials in
@@ -1264,8 +1261,7 @@ impl<P: WaveProtocol> NodeRuntime for AggNode<P> {
                 // partials are merged in fixed child order (the canonical
                 // merge), so the result is independent of arrival order.
                 self.child_partials.push((from, partial));
-                if self.waiting.is_empty() {
-                    self.merge_children();
+                if self.waiting.is_empty() && self.merge_children().is_ok() {
                     self.finish_wave(ctx);
                 }
             }
@@ -2035,14 +2031,6 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         p.clear();
     }
 
-    fn merge(&self, req: &Self::Request, a: Self::Partial, b: Self::Partial) -> Self::Partial {
-        debug_assert_eq!(a.len(), b.len(), "mux partials must align");
-        req.iter()
-            .zip(a.into_iter().zip(b))
-            .map(|(entry, (x, y))| self.inner.merge(&entry.req, x, y))
-            .collect()
-    }
-
     /// One pass over the slots: the child's sub-partial `i` is merged
     /// into `acc[i]` where it lies ([`WaveProtocol::absorb_partial`] of
     /// the inner protocol), `first_of` passed on to every slot. Both may
@@ -2344,47 +2332,9 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_protocols::SumBelow;
     use saq_netsim::link::LinkConfig;
     use saq_netsim::wire::width_for_max;
-
-    /// A minimal test protocol: SUM of u32 items below a threshold.
-    /// Deterministic, so every request is cacheable.
-    #[derive(Debug, Clone)]
-    struct SumBelow {
-        value_width: u32,
-    }
-
-    impl WaveProtocol for SumBelow {
-        type Request = u64; // threshold
-        type Partial = u64; // sum
-        type Item = u64;
-        type ItemDelta = ();
-        type DeltaKey = ();
-
-        fn encode_request(&self, req: &u64, w: &mut BitWriter) {
-            w.write_bits(*req, self.value_width);
-        }
-        fn decode_request(&self, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
-            r.read_bits(self.value_width)
-        }
-        fn encode_partial(&self, _req: &u64, p: &u64, w: &mut BitWriter) {
-            w.write_bits(*p, 32);
-        }
-        fn decode_partial(&self, _req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
-            r.read_bits(32)
-        }
-        fn local(&self, _node: NodeId, items: &mut [u64], req: &u64) -> u64 {
-            items.iter().filter(|&&x| x < *req).sum()
-        }
-        fn merge(&self, _req: &u64, a: u64, b: u64) -> u64 {
-            a + b
-        }
-        fn cache_key(&self, req: &u64) -> Option<CacheKey> {
-            let mut w = BitWriter::new();
-            self.encode_request(req, &mut w);
-            Some(w.finish())
-        }
-    }
 
     fn runner_on(
         topo: Topology,
@@ -2672,8 +2622,15 @@ mod tests {
                 }
                 items.len() as u64
             }
-            fn merge(&self, _req: &(), a: u64, b: u64) -> u64 {
-                a + b
+            fn absorb_partial(
+                &self,
+                _req: &(),
+                acc: &mut u64,
+                child: &u64,
+                _first_of: Option<usize>,
+            ) -> Result<(), NetsimError> {
+                *acc += child;
+                Ok(())
             }
         }
         let topo = Topology::line(3).unwrap();
@@ -2952,7 +2909,7 @@ mod tests {
     /// of the continuous-aggregate ("standing query") machinery.
     #[derive(Debug, Clone)]
     struct DeltaSum {
-        value_width: u32,
+        inner: SumBelow,
     }
 
     impl WaveProtocol for DeltaSum {
@@ -2965,27 +2922,34 @@ mod tests {
         type DeltaKey = u64;
 
         fn encode_request(&self, req: &u64, w: &mut BitWriter) {
-            w.write_bits(*req, self.value_width);
+            self.inner.encode_request(req, w);
         }
         fn decode_request(&self, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
-            r.read_bits(self.value_width)
+            self.inner.decode_request(r)
         }
-        fn encode_partial(&self, _req: &u64, p: &u64, w: &mut BitWriter) {
-            w.write_bits(*p, 32);
+        fn encode_partial(&self, req: &u64, p: &u64, w: &mut BitWriter) {
+            self.inner.encode_partial(req, p, w);
         }
-        fn decode_partial(&self, _req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
-            r.read_bits(32)
+        fn partial_width(&self, req: &u64, p: &u64) -> u64 {
+            self.inner.partial_width(req, p)
         }
-        fn local(&self, _node: NodeId, items: &mut [u64], req: &u64) -> u64 {
-            items.iter().filter(|&&x| x < *req).sum()
+        fn decode_partial(&self, req: &u64, r: &mut BitReader<'_>) -> Result<u64, NetsimError> {
+            self.inner.decode_partial(req, r)
         }
-        fn merge(&self, _req: &u64, a: u64, b: u64) -> u64 {
-            a + b
+        fn local(&self, node: NodeId, items: &mut [u64], req: &u64) -> u64 {
+            self.inner.local(node, items, req)
+        }
+        fn absorb_partial(
+            &self,
+            req: &u64,
+            acc: &mut u64,
+            child: &u64,
+            first_of: Option<usize>,
+        ) -> Result<(), NetsimError> {
+            self.inner.absorb_partial(req, acc, child, first_of)
         }
         fn cache_key(&self, req: &u64) -> Option<CacheKey> {
-            let mut w = BitWriter::new();
-            self.encode_request(req, &mut w);
-            Some(w.finish())
+            self.inner.cache_key(req)
         }
         fn item_delta(
             &self,
@@ -3029,7 +2993,9 @@ mod tests {
             SimConfig::default(),
             &tree,
             MultiplexWave::new(DeltaSum {
-                value_width: width_for_max(1000),
+                inner: SumBelow {
+                    value_width: width_for_max(1000),
+                },
             }),
             items,
             Reliability::None,
@@ -3223,9 +3189,15 @@ mod tests {
             fn local(&self, _node: NodeId, items: &mut [u64], _req: &()) -> Vec<u64> {
                 items.to_vec()
             }
-            fn merge(&self, _req: &(), mut a: Vec<u64>, b: Vec<u64>) -> Vec<u64> {
-                a.extend(b);
-                a
+            fn absorb_partial(
+                &self,
+                _req: &(),
+                acc: &mut Vec<u64>,
+                child: &Vec<u64>,
+                _first_of: Option<usize>,
+            ) -> Result<(), NetsimError> {
+                acc.extend_from_slice(child);
+                Ok(())
             }
         }
         // A star: all four leaves report directly to the root, with

@@ -30,6 +30,9 @@ use saq::sketches::{DistinctSketch, HashFamily, LogLog};
 #[derive(Debug, Clone)]
 struct AliveCount;
 
+/// The largest count [`AliveCount`]'s 24-bit frame carries.
+const ALIVE_MAX: u64 = (1 << 24) - 1;
+
 impl WaveProtocol for AliveCount {
     type Request = ();
     type Partial = u64;
@@ -43,7 +46,7 @@ impl WaveProtocol for AliveCount {
     fn encode_partial(&self, _req: &Self::Request, p: &u64, w: &mut BitWriter) {
         // Saturating: multipath duplication can blow the sum past any
         // fixed counter width — exactly the failure mode under study.
-        w.write_bits((*p).min((1u64 << 24) - 1), 24);
+        w.write_bits((*p).min(ALIVE_MAX), 24);
     }
     fn decode_partial(
         &self,
@@ -55,8 +58,16 @@ impl WaveProtocol for AliveCount {
     fn local(&self, _n: NodeId, items: &mut [u64], _r: &()) -> u64 {
         items.len() as u64
     }
-    fn merge(&self, _r: &(), a: u64, b: u64) -> u64 {
-        a + b
+    /// Adds the child as its frame carries it: saturated at `ALIVE_MAX`.
+    fn absorb_partial(
+        &self,
+        _r: &(),
+        acc: &mut u64,
+        child: &u64,
+        _first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        *acc += (*child).min(ALIVE_MAX);
+        Ok(())
     }
 }
 
@@ -95,9 +106,15 @@ impl WaveProtocol for AliveSketch {
         sk.insert_hash(HashFamily::new(0xA11CE).hash(node as u64));
         sk
     }
-    fn merge(&self, _r: &(), mut a: LogLog, b: LogLog) -> LogLog {
-        a.merge_from(&b);
-        a
+    fn absorb_partial(
+        &self,
+        _r: &(),
+        acc: &mut LogLog,
+        child: &LogLog,
+        _first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        acc.merge_from(child);
+        Ok(())
     }
 }
 

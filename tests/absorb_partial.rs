@@ -10,28 +10,31 @@
 //!    the slot widths of the split partial add up to it);
 //! 2. [`WaveProtocol::absorb_partial`] (told at a first child how many
 //!    children there are, so it may also size the accumulator for the
-//!    children to come) leaves `acc` equal to `merge(req, acc,
-//!    decode(encode(child)))` — under the partial type's own equality
-//!    *and* field for field (`Debug`), so state equality ignores, such
-//!    as a min/max runner-up, must match too: the child is merged in its
-//!    wire-normal form. Absorbing an envelope slot by slot
-//!    ([`WaveProtocol::absorb_slot`], how a parent merges a child's
-//!    cached and computed slots), from its split single-slot form or
-//!    from the whole child, gives the same;
+//!    children to come) leaves `acc` equal to the suite's [`Reference`]
+//!    merge — the child decoded off its frame, then merged slot by slot
+//!    with the [`PartialAggregate::merge`] of [`CoreWave::agg`] — under
+//!    the partial type's own equality *and* field for field (`Debug`),
+//!    so state equality ignores, such as a min/max runner-up, must match
+//!    too: the child is merged in its wire-normal form. Absorbing an
+//!    envelope slot by slot ([`WaveProtocol::absorb_slot`], how a parent
+//!    merges a child's cached and computed slots), from its split
+//!    single-slot form or from the whole child, gives the same;
 //! 3. a mis-shaped accumulator or child is an `Err`, not a panic or a
 //!    partial merge, and a frame one bit short is an `Err` from
 //!    `decode_partial` (the boxed oracle's path), not a panic.
 //!
 //! `CoreWave` merges `Count`/`Sum`, `Min`/`Max`, `Quantile`, `BottomK`
 //! and sketches in place and copies only value lists and sets;
-//! `MultiplexWave` merges slot by slot in place, which is the path every
-//! flat wave takes.
+//! `MultiplexWave` merges slot by slot in place. Every runner merges
+//! through `absorb_partial` — the flat runner, the boxed oracle and
+//! rings alike — so the flat-vs-boxed suites no longer cross-check the
+//! merge: this suite is that cross-check.
 
 use proptest::prelude::*;
-use saq::core::aggregate::RunnerUp;
+use saq::core::aggregate::{PartialAggregate, RunnerUp};
 use saq::core::counting::ApxCountConfig;
 use saq::core::predicate::{Domain, Predicate};
-use saq::core::wave_proto::{CorePartial, CoreRequest, CoreWave, SimItem};
+use saq::core::wave_proto::{CoreAgg, CorePartial, CoreRequest, CoreWave, SimItem};
 use saq::netsim::wire::{BitReader, BitWriter};
 use saq::netsim::NetsimError;
 use saq::protocols::wave::{MultiplexWave, MuxEntry, WaveProtocol};
@@ -89,6 +92,53 @@ fn items(values: &[u64]) -> Vec<SimItem> {
     values.iter().map(|&v| SimItem::new(v)).collect()
 }
 
+/// The merge `absorb_partial` is checked against: `acc` and a child
+/// decoded off its frame, merged by value with the aggregate's own
+/// [`PartialAggregate::merge`].
+trait Reference: WaveProtocol {
+    fn reference_merge(
+        &self,
+        req: &Self::Request,
+        a: Self::Partial,
+        b: Self::Partial,
+    ) -> Self::Partial;
+}
+
+impl Reference for CoreWave {
+    fn reference_merge(&self, req: &CoreRequest, a: CorePartial, b: CorePartial) -> CorePartial {
+        use CorePartial as P;
+        match (self.agg(req), a, b) {
+            (CoreAgg::MinMax(g), P::OptVal(x), P::OptVal(y)) => P::OptVal(g.merge(x, y)),
+            (CoreAgg::CountSum(g), P::Num(x), P::Num(y)) => P::Num(g.merge(x, y)),
+            (CoreAgg::Sketch(g), P::Sketches(xs), P::Sketches(ys)) => P::Sketches(g.merge(xs, ys)),
+            (CoreAgg::Collect(g), P::Values(xs), P::Values(ys)) => P::Values(g.merge(xs, ys)),
+            (CoreAgg::Distinct(g), P::Set(xs), P::Set(ys)) => P::Set(g.merge(xs, ys)),
+            (CoreAgg::Quantile(g), P::Quantile(xs), P::Quantile(ys)) => {
+                P::Quantile(g.merge(xs, ys))
+            }
+            (CoreAgg::BottomK(g), P::Sample(xs), P::Sample(ys)) => P::Sample(g.merge(xs, ys)),
+            (CoreAgg::Zoom, P::Unit, P::Unit) => P::Unit,
+            (_, a, b) => panic!("{a:?} and {b:?} do not answer {req:?}"),
+        }
+    }
+}
+
+/// Slot by slot, zipped with the envelope.
+impl Reference for MultiplexWave<CoreWave> {
+    fn reference_merge(
+        &self,
+        req: &Vec<MuxEntry<CoreRequest>>,
+        a: Vec<CorePartial>,
+        b: Vec<CorePartial>,
+    ) -> Vec<CorePartial> {
+        assert_eq!((a.len(), b.len()), (req.len(), req.len()), "aligned");
+        req.iter()
+            .zip(a.into_iter().zip(b))
+            .map(|(entry, (x, y))| self.inner().reference_merge(&entry.req, x, y))
+            .collect()
+    }
+}
+
 /// Checks the width law for `p`, and returns the frame's decoding.
 fn through_the_wire<P: WaveProtocol>(proto: &P, req: &P::Request, p: &P::Partial) -> P::Partial {
     let mut w = BitWriter::new();
@@ -124,11 +174,11 @@ fn through_the_wire<P: WaveProtocol>(proto: &P, req: &P::Request, p: &P::Partial
 /// one child partial.
 fn check_partials<P>(proto: &P, req: &P::Request, acc: &P::Partial, child: &P::Partial)
 where
-    P: WaveProtocol,
+    P: Reference,
     P::Partial: PartialEq,
 {
     through_the_wire(proto, req, acc);
-    let merged = proto.merge(req, acc.clone(), through_the_wire(proto, req, child));
+    let merged = proto.reference_merge(req, acc.clone(), through_the_wire(proto, req, child));
     for first_of in FIRST_OF {
         let mut absorbed = acc.clone();
         proto
@@ -142,7 +192,7 @@ where
 /// The laws for the partials of two nodes holding `a` and `b`.
 fn check<P>(proto: &P, req: &P::Request, a: &[u64], b: &[u64])
 where
-    P: WaveProtocol<Item = SimItem>,
+    P: Reference<Item = SimItem>,
     P::Partial: PartialEq,
 {
     let acc = proto.local(3, &mut items(a), req);
@@ -199,8 +249,9 @@ fn core_wave() -> CoreWave {
 
 /// A min/max accumulator that knows its runner-up exactly — which the
 /// wire never carries, and `MinMaxPartial`'s equality ignores — ends
-/// with the runner-up `decode_partial` + `merge` gives it, against
-/// children below, between, tied with and above its two values.
+/// with the runner-up the [`Reference`] merge of a decoded child gives
+/// it, against children below, between, tied with and above its two
+/// values.
 #[test]
 fn an_exact_min_max_runner_up_survives_the_in_place_merge() {
     let proto = core_wave();
