@@ -22,7 +22,7 @@ use saq_netsim::topology::Topology;
 use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
 use saq_netsim::NetsimError;
 use saq_protocols::wave::Reliability;
-use saq_protocols::{SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate};
+use saq_protocols::{Envelope, SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate};
 use saq_sketches::quantile::{QEntry, QuantileSummary};
 
 /// Wave protocol carrying pruned quantile summaries up the tree.
@@ -114,6 +114,9 @@ impl WaveProtocol for GkWave {
         Ok(())
     }
 }
+
+/// The tree runner runs it bare: one slot, never cached.
+impl Envelope for GkWave {}
 
 /// Outcome of the GK-tree protocol: the common cost fields plus the
 /// summary's certified error and all-quantiles capability.

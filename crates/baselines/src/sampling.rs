@@ -21,7 +21,7 @@ use saq_netsim::topology::Topology;
 use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
 use saq_netsim::NetsimError;
 use saq_protocols::wave::Reliability;
-use saq_protocols::{SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate};
+use saq_protocols::{Envelope, SpanningTree, WaveProtocol, WaveRunner, WaveSubstrate};
 use saq_sketches::{BottomK, HashFamily};
 
 /// Wave protocol carrying bottom-k sample synopses.
@@ -111,6 +111,9 @@ impl WaveProtocol for SampleWave {
         Ok(())
     }
 }
+
+/// The tree runner runs it bare: one slot, never cached.
+impl Envelope for SampleWave {}
 
 /// The sampling median runner.
 #[derive(Debug, Clone, Copy)]

@@ -35,7 +35,6 @@ use crate::predicate::{Domain, Predicate};
 use saq_netsim::sim::NodeId;
 use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
 use saq_netsim::NetsimError;
-use saq_protocols::cache::CacheKey;
 use saq_protocols::row::{ROW_ABSENT, ROW_NONE, ROW_UNKNOWN, ROW_VALUE_LIMIT};
 use saq_protocols::{RowKernel, RowSource, WaveProtocol};
 use saq_sketches::{BottomK, DistinctSketch, LogLog, QuantileSummary};
@@ -723,19 +722,10 @@ impl WaveProtocol for CoreWave {
         Ok(())
     }
 
-    /// Deterministic requests are keyed by their exact encoding — the
-    /// wire bits are the collision-free identity of "every node would
-    /// execute this identically" ([`WaveProtocol::cacheable`] decides
-    /// which).
-    fn cache_key(&self, req: &CoreRequest) -> Option<CacheKey> {
-        self.cacheable(req).then(|| {
-            let mut w = BitWriter::new();
-            self.encode_request(req, &mut w);
-            w.finish()
-        })
-    }
-
-    /// Every request is cacheable except:
+    /// Deterministic requests are cached under their exact encoding —
+    /// the wire bits are the collision-free identity of "every node
+    /// would execute this identically". Every request is cacheable
+    /// except:
     ///
     /// * [`CoreRequest::Zoom`] mutates items (it also invalidates);
     /// * `ApxCount`/`DistinctApx` draw a **fresh** nonce per invocation
@@ -799,11 +789,10 @@ impl WaveProtocol for CoreWave {
         }
     }
 
-    /// Every key [`WaveProtocol::cache_key`] makes is the encoded
-    /// sub-request, so parsing it recovers which aggregate the cached
-    /// subtree partial belongs to.
-    fn delta_key(&self, key: &CacheKey) -> Option<CoreRequest> {
-        self.decode_request(&mut BitReader::new(key)).ok()
+    /// The request itself: it names the aggregate the cached subtree
+    /// partial belongs to.
+    fn delta_key(&self, req: &CoreRequest) -> Option<CoreRequest> {
+        Some(req.clone())
     }
 
     /// Routes an item update into the two-step layer's
@@ -842,8 +831,13 @@ impl WaveProtocol for CoreWave {
 mod tests {
     use super::*;
     use saq_netsim::wire::BitWriter;
-    use saq_protocols::wave::{MultiplexWave, MuxEntry};
+    use saq_protocols::cache::CacheKey;
+    use saq_protocols::wave::{Envelope, MultiplexWave, MuxEntry};
     use saq_sketches::DistinctSketch;
+
+    /// The single-slot defaults over `CoreWave`'s codec and cache hooks,
+    /// as a tree runner running it bare would see them.
+    impl Envelope for CoreWave {}
 
     fn proto() -> CoreWave {
         CoreWave {
@@ -926,18 +920,14 @@ mod tests {
         // hit would replay stale items, and ApxCount/DistinctApx keys
         // never repeat (fresh nonce per invocation), so storing them
         // would only pollute the bounded caches.
-        assert!(p.cache_key(&CoreRequest::Zoom { mu_hat: 3 }).is_none());
+        assert!(!p.cacheable(&CoreRequest::Zoom { mu_hat: 3 }));
         assert!(p.invalidates_cache(&CoreRequest::Zoom { mu_hat: 3 }));
-        assert!(p
-            .cache_key(&CoreRequest::ApxCount {
-                pred: Predicate::TRUE,
-                reps: 2,
-                nonce: 5,
-            })
-            .is_none());
-        assert!(p
-            .cache_key(&CoreRequest::DistinctApx { reps: 2, nonce: 5 })
-            .is_none());
+        assert!(!p.cacheable(&CoreRequest::ApxCount {
+            pred: Predicate::TRUE,
+            reps: 2,
+            nonce: 5,
+        }));
+        assert!(!p.cacheable(&CoreRequest::DistinctApx { reps: 2, nonce: 5 }));
         for req in [
             CoreRequest::Count(Predicate::TRUE),
             CoreRequest::Sum(Predicate::less_than(7)),
@@ -947,15 +937,14 @@ mod tests {
             CoreRequest::Quantile { budget: 8 },
             CoreRequest::BottomK { k: 4, nonce: 1 },
         ] {
-            let key = p.cache_key(&req);
-            assert!(key.is_some(), "{req:?} should be cacheable");
+            assert!(p.cacheable(&req), "{req:?} should be cacheable");
             assert!(!p.invalidates_cache(&req));
-            // Delta maintenance reads the request back out of its key.
-            assert_eq!(p.delta_key(&key.unwrap()), Some(req));
+            // Delta maintenance keeps the request itself.
+            assert_eq!(p.delta_key(&req), Some(req));
         }
         // The key IS the encoding: distinct nonces are distinct keys.
-        let a = p.cache_key(&CoreRequest::BottomK { k: 4, nonce: 1 });
-        let b = p.cache_key(&CoreRequest::BottomK { k: 4, nonce: 2 });
+        let a = slot_keys(&p, &CoreRequest::BottomK { k: 4, nonce: 1 });
+        let b = slot_keys(&p, &CoreRequest::BottomK { k: 4, nonce: 2 });
         assert_ne!(a, b);
     }
 
@@ -1397,14 +1386,26 @@ mod tests {
         }
     }
 
-    /// Every slot key [`WaveProtocol::for_each_slot_key`] lends.
-    fn slot_keys<P: WaveProtocol>(p: &P, req: &P::Request) -> Vec<Option<CacheKey>> {
+    /// Every slot key [`Envelope::for_each_slot_key`] lends, each with
+    /// the delta key it derives.
+    fn slot_keys<P: Envelope>(
+        p: &P,
+        req: &P::Request,
+    ) -> Vec<Option<(CacheKey, Option<P::DeltaKey>)>> {
         let mut keys = Vec::new();
-        p.for_each_slot_key(req, &mut |i, key| {
+        p.for_each_slot_key(req, &mut |i, slot| {
             assert_eq!(i, keys.len(), "slots are visited in order");
-            keys.push(key.cloned());
+            keys.push(slot.map(|(key, delta_key)| (key.clone(), delta_key())));
         });
         keys
+    }
+
+    /// What a slot holding `req` must lend: when `req` is cacheable, its
+    /// exact encoding and the request itself as its delta key, and
+    /// otherwise nothing.
+    fn lent_key(p: &CoreWave, req: &CoreRequest) -> Option<(CacheKey, Option<CoreRequest>)> {
+        p.cacheable(req)
+            .then(|| (encoded(|w| p.encode_request(req, w)), Some(req.clone())))
     }
 
     fn encoded(f: impl FnOnce(&mut BitWriter)) -> saq_netsim::wire::BitString {
@@ -1418,9 +1419,11 @@ mod tests {
 
         // A reply measured slot by slot from cached single-slot partials
         // is as wide — and billed bill for bill — as the encoding of
-        // their join; a slot's key is its sub-request's encoding; and an
-        // envelope read off the wire equals the one encoded (the
-        // request law), captured bits included.
+        // their join; a cacheable slot lends its sub-request's encoding
+        // as its key and the sub-request as its delta key, and any other
+        // slot lends nothing, in the single-slot default and the mux
+        // alike; and an envelope read off the wire equals the one
+        // encoded (the request law), captured bits included.
         #[test]
         fn prop_slot_widths_match_the_encoded_join(
             kinds in proptest::collection::vec(0u32..11, 1..7),
@@ -1438,11 +1441,7 @@ mod tests {
                 let part = inner.local(3, &mut items.clone(), req);
                 let width = encoded(|w| inner.encode_partial(req, &part, w)).len_bits();
                 proptest::prop_assert_eq!(inner.slot_width(req, 0, &part), width);
-                let key = inner.cache_key(req);
-                proptest::prop_assert_eq!(inner.cacheable(req), key.is_some());
-                if let Some(key) = key {
-                    proptest::prop_assert_eq!(key, encoded(|w| inner.encode_request(req, w)));
-                }
+                proptest::prop_assert_eq!(slot_keys(&inner, req), vec![lent_key(&inner, req)]);
             }
 
             // Sparse slot tags, as a subset envelope carries them.
@@ -1496,8 +1495,7 @@ mod tests {
             proptest::prop_assert_eq!(&decoded, &env);
             let frame = encoded(|w| mux.encode_request(&dense, w));
             proptest::prop_assert_eq!(&mux.decode_request(&mut BitReader::new(&frame)).unwrap(), &dense);
-            let expected: Vec<Option<CacheKey>> =
-                env.iter().map(|e| inner.cache_key(&e.req)).collect();
+            let expected: Vec<_> = env.iter().map(|e| lent_key(&inner, &e.req)).collect();
             proptest::prop_assert_eq!(slot_keys(&mux, &env), expected.clone());
             proptest::prop_assert_eq!(slot_keys(&mux, &decoded), expected);
         }

@@ -207,8 +207,8 @@ use crate::obs::NodeTraceEntry;
 use crate::row::{RowKernel, RowSource};
 use crate::tree::SpanningTree;
 use crate::wave::{
-    ack_bits, header_bits, CacheResolution, CachedPartial, Reliability, TransportFootprint,
-    WaveProtocol, WaveSubstrate,
+    ack_bits, header_bits, CacheResolution, CachedPartial, Envelope, Reliability,
+    TransportFootprint, WaveProtocol, WaveSubstrate,
 };
 use saq_netsim::energy::EnergyModel;
 use saq_netsim::flat::{FlatTree, NestDepth, ShardBlock, ShardPlan};
@@ -393,7 +393,7 @@ fn arq_exchange(
 /// Only what every deployment needs lives here; the cache resolution
 /// lives in the cache column ([`NodeCache`]).
 #[derive(Debug)]
-struct WaveSlot<P: WaveProtocol> {
+struct WaveSlot<P: Envelope> {
     /// Request this node received (partials are encoded against it), as
     /// an index into its thread's [`RequestTable`]: its parent's `fwd`,
     /// written by the parent's fan-out.
@@ -424,7 +424,7 @@ struct WaveSlot<P: WaveProtocol> {
     active: bool,
 }
 
-impl<P: WaveProtocol> WaveSlot<P> {
+impl<P: Envelope> WaveSlot<P> {
     fn blank() -> Self {
         WaveSlot {
             req: 0,
@@ -440,10 +440,10 @@ impl<P: WaveProtocol> WaveSlot<P> {
 /// A node's subtree cache and the current wave's resolution against it:
 /// the column [`WaveSubstrate::enable_partial_cache`] adds.
 #[derive(Debug)]
-struct NodeCache<P: WaveProtocol> {
+struct NodeCache<P: Envelope> {
     cache: PartialCache<CachedPartial<P>>,
     /// The current wave's cache hits, misses and pending stores.
-    resolved: CacheResolution,
+    resolved: CacheResolution<P>,
 }
 
 /// Where one request's slots lie on a flat wave, resolved once, when
@@ -505,12 +505,7 @@ impl<R> RequestTable<R> {
 
     /// Adds `req`, measuring its encoding once in a pooled buffer, with
     /// its plan read off the protocol slot by slot.
-    fn push<P: WaveProtocol<Request = R>>(
-        &mut self,
-        proto: &P,
-        pool: &mut ScratchPool,
-        req: R,
-    ) -> u32 {
+    fn push<P: Envelope<Request = R>>(&mut self, proto: &P, pool: &mut ScratchPool, req: R) -> u32 {
         let mut w = pool.writer();
         proto.encode_request(&req, &mut w);
         let bits = w.len_bits();
@@ -560,9 +555,9 @@ impl<R> RequestTable<R> {
 /// its parent gives it back once it merged the reply, so the list never
 /// holds more than one block's live accumulators.
 #[derive(Debug)]
-struct FreeList<P: WaveProtocol>(Vec<P::Partial>);
+struct FreeList<P: Envelope>(Vec<P::Partial>);
 
-impl<P: WaveProtocol> FreeList<P> {
+impl<P: Envelope> FreeList<P> {
     /// Puts a spent accumulator on the free list.
     fn recycle(&mut self, proto: &P, mut acc: P::Partial) {
         proto.release_partial(&mut acc);
@@ -581,7 +576,7 @@ impl<P: WaveProtocol> FreeList<P> {
 /// padding crossbeam's `CachePadded` uses for the same reason).
 #[derive(Debug)]
 #[repr(align(128))]
-struct Scratch<P: WaveProtocol> {
+struct Scratch<P: Envelope> {
     /// Recycled buffers for measuring requests.
     pool: ScratchPool,
     /// Spent accumulators.
@@ -595,7 +590,7 @@ struct Scratch<P: WaveProtocol> {
     rows: Vec<u64>,
 }
 
-impl<P: WaveProtocol> Scratch<P> {
+impl<P: Envelope> Scratch<P> {
     fn new() -> Self {
         Scratch {
             pool: ScratchPool::new(),
@@ -618,7 +613,7 @@ impl<P: WaveProtocol> Scratch<P> {
 /// disjoint slices of the same columns with no synchronisation. A
 /// column that is off ([`Columns`]) is an empty slice in every window,
 /// so `get_mut(rel)` on it is `None`.
-struct Cols<'a, P: WaveProtocol> {
+struct Cols<'a, P: Envelope> {
     base: usize,
     items: &'a mut [Vec<P::Item>],
     /// Per-position cache state; empty while caching is off.
@@ -680,7 +675,7 @@ impl RowStack<'_> {
 /// silent and the reply comes straight from the cache entries
 /// ([`CacheResolution`]). Without a cache the node forwards what it
 /// received.
-fn admit<P: WaveProtocol>(
+fn admit<P: Envelope>(
     proto: &P,
     scratch: &mut Scratch<P>,
     spine: &RequestTable<P::Request>,
@@ -717,7 +712,7 @@ fn admit<P: WaveProtocol>(
 ///
 /// [`ProtocolError::Unsupported`] for a reply wider than `u32::MAX`
 /// bits, the widest a slot stages.
-fn stage_partial<P: WaveProtocol>(
+fn stage_partial<P: Envelope>(
     env: &Env<'_>,
     cols: &mut Cols<'_, P>,
     rel: usize,
@@ -770,7 +765,7 @@ fn checked_width<P: WaveProtocol>(proto: &P, req: &P::Request, p: &P::Partial) -
 /// exchange is emulated on the spot: both endpoints' counters live in
 /// this window, since blocks are whole subtrees and the spine sweeps
 /// the full column.
-fn fan_out<P: WaveProtocol>(
+fn fan_out<P: Envelope>(
     env: &Env<'_>,
     proto: &P,
     reqs: &RequestTable<P::Request>,
@@ -835,7 +830,7 @@ fn fan_out<P: WaveProtocol>(
 }
 
 /// Tells every child of `p` that no request reaches it this wave.
-fn silence_children<P: WaveProtocol>(env: &Env<'_>, cols: &mut Cols<'_, P>, p: usize) {
+fn silence_children<P: Envelope>(env: &Env<'_>, cols: &mut Cols<'_, P>, p: usize) {
     for &c in env.tree.children_pos(p) {
         cols.slots[c as usize - cols.base].active = false;
     }
@@ -844,7 +839,7 @@ fn silence_children<P: WaveProtocol>(env: &Env<'_>, cols: &mut Cols<'_, P>, p: u
 /// Top-down step at a non-root position: admit the request the parent
 /// forwarded and forward it to the children. The node's local step
 /// waits for its step up ([`step_up`]), which only its own items feed.
-fn step_down<P: WaveProtocol>(
+fn step_down<P: Envelope>(
     env: &Env<'_>,
     proto: &P,
     scratch: &mut Scratch<P>,
@@ -882,7 +877,7 @@ fn step_down<P: WaveProtocol>(
 
 /// A parent's merge of its children's replies into its accumulator and
 /// row, both aligned with `fwd`, the request it forwarded.
-struct Merge<'a, P: WaveProtocol> {
+struct Merge<'a, P: Envelope> {
     proto: &'a P,
     fwd: &'a P::Request,
     plan: Plan<'a>,
@@ -890,7 +885,7 @@ struct Merge<'a, P: WaveProtocol> {
     first_of: Option<usize>,
 }
 
-impl<P: WaveProtocol> Merge<'_, P> {
+impl<P: Envelope> Merge<'_, P> {
     /// A reply in rest form with its row, aligned with `fwd` (the child
     /// forwarded what it received): the row word by word, then the
     /// accumulator ([`WaveProtocol::absorb_partial`]).
@@ -960,7 +955,7 @@ impl<P: WaveProtocol> Merge<'_, P> {
     fn cached_reply(
         &self,
         cache: &mut PartialCache<CachedPartial<P>>,
-        resolved: &mut CacheResolution,
+        resolved: &mut CacheResolution<P>,
         acc: &mut Option<P::Partial>,
         row: &mut [u64],
         reply: Option<P::Partial>,
@@ -1006,7 +1001,7 @@ impl<P: WaveProtocol> Merge<'_, P> {
 /// ([`WaveProtocol::absorb_partial`]), or slot by slot when the child
 /// touched its cache ([`Merge::cached_reply`]); then it recycles the
 /// child's accumulator into this thread's free list.
-fn step_up<P: WaveProtocol>(
+fn step_up<P: Envelope>(
     env: &Env<'_>,
     proto: &P,
     scratch: &mut Scratch<P>,
@@ -1167,7 +1162,7 @@ fn step_up<P: WaveProtocol>(
 /// window's root row in the driver's rows: both wait there until the
 /// barrier, while a reply inside the block is merged as soon as its
 /// siblings' subtrees are done.
-fn eval_block<P: WaveProtocol>(
+fn eval_block<P: Envelope>(
     env: &Env<'_>,
     proto: &P,
     scratch: &mut Scratch<P>,
@@ -1210,17 +1205,14 @@ fn eval_block<P: WaveProtocol>(
 /// group's side-state, to this worker alone), scratch, the driver's
 /// request table (read only), and assigned blocks with their disjoint
 /// column windows.
-struct WorkerTask<'a, P: WaveProtocol> {
+struct WorkerTask<'a, P: Envelope> {
     proto: &'a mut P,
     scratch: &'a mut Scratch<P>,
     spine: &'a RequestTable<P::Request>,
     blocks: Vec<(ShardBlock, Cols<'a, P>)>,
 }
 
-fn run_task<P: WaveProtocol>(
-    env: &Env<'_>,
-    task: &mut WorkerTask<'_, P>,
-) -> Result<(), ProtocolError> {
+fn run_task<P: Envelope>(env: &Env<'_>, task: &mut WorkerTask<'_, P>) -> Result<(), ProtocolError> {
     task.scratch.start_wave(task.spine.entries.len());
     let mut result = Ok(());
     for (block, cols) in &mut task.blocks {
@@ -1252,7 +1244,7 @@ fn run_task<P: WaveProtocol>(
 /// that only some deployments use is either empty (off) or one entry
 /// per position (on).
 #[derive(Debug)]
-struct Columns<P: WaveProtocol> {
+struct Columns<P: Envelope> {
     items: Vec<Vec<P::Item>>,
     /// Per-position cache state; filled by
     /// [`WaveSubstrate::enable_partial_cache`], empty until then.
@@ -1270,7 +1262,7 @@ struct Columns<P: WaveProtocol> {
     trace: Vec<Vec<NodeTraceEntry>>,
 }
 
-impl<P: WaveProtocol> Columns<P> {
+impl<P: Envelope> Columns<P> {
     /// The whole tree as one window (what the spine sweeps), billing
     /// `stats` — stored in position order — in place.
     fn window<'a>(&'a mut self, stats: &'a mut NetStats) -> Cols<'a, P> {
@@ -1300,7 +1292,7 @@ fn take_front<'a, T>(col: &mut &'a mut [T], n: usize) -> &'a mut [T] {
     head
 }
 
-impl<'a, P: WaveProtocol> Cols<'a, P> {
+impl<'a, P: Envelope> Cols<'a, P> {
     /// Splits `[base, base + n)` off the front of the window.
     fn take_front(&mut self, n: usize) -> Self {
         let head = Cols {
@@ -1394,7 +1386,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// with nested static parallelism from a [`ShardPlan`] — see the
 /// module docs for the substrate and the bit-identity argument.
 #[derive(Debug)]
-pub struct FlatWaveRunner<P: WaveProtocol> {
+pub struct FlatWaveRunner<P: Envelope> {
     tree: FlatTree,
     plan: ShardPlan,
     energy: EnergyModel,
@@ -1425,7 +1417,7 @@ pub struct FlatWaveRunner<P: WaveProtocol> {
 
 impl<P> FlatWaveRunner<P>
 where
-    P: WaveProtocol + Send,
+    P: Envelope + Send,
     P::Request: Send + Sync,
     P::Partial: Send,
     P::DeltaKey: Send,
@@ -1761,7 +1753,7 @@ where
 
 impl<P> WaveSubstrate<P> for FlatWaveRunner<P>
 where
-    P: WaveProtocol + Send + std::fmt::Debug,
+    P: Envelope + Send + std::fmt::Debug,
     P::Request: Send + Sync,
     P::Partial: Send,
     P::DeltaKey: Send,
@@ -1927,7 +1919,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheKey;
     use crate::test_protocols::SumBelow;
     use crate::wave::{MultiplexWave, MuxEntry, WaveRunner};
     use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
@@ -2348,7 +2339,7 @@ mod tests {
     type Traced = (usize, Option<usize>, NodeTraceEntry);
 
     /// Drains `runner`'s trace into a vector, in the canonical order.
-    fn take_trace<P: WaveProtocol>(runner: &mut dyn WaveSubstrate<P>) -> Vec<Traced> {
+    fn take_trace<P: Envelope>(runner: &mut dyn WaveSubstrate<P>) -> Vec<Traced> {
         let mut out = Vec::new();
         runner.drain_trace(&mut |node, parent, entry| out.push((node, parent, entry)));
         out
@@ -2533,7 +2524,7 @@ mod tests {
         type Partial = u64;
         type Item = u64;
         type ItemDelta = ();
-        type DeltaKey = ();
+        type DeltaKey = u64;
 
         fn encode_request(&self, req: &u64, w: &mut BitWriter) {
             self.count(0);
@@ -2566,8 +2557,13 @@ mod tests {
         ) -> Result<(), NetsimError> {
             self.inner.absorb_partial(req, acc, child, first_of)
         }
-        fn cache_key(&self, req: &u64) -> Option<CacheKey> {
-            self.inner.cache_key(req)
+        fn cacheable(&self, req: &u64) -> bool {
+            self.inner.cacheable(req)
+        }
+        /// The request itself, as `CoreWave` keeps it: a store that
+        /// decoded its slot's request would show among the decodes.
+        fn delta_key(&self, req: &u64) -> Option<u64> {
+            Some(*req)
         }
     }
 
@@ -2899,6 +2895,8 @@ mod tests {
             self.inner.absorb_partial(req, acc, child, first_of)
         }
     }
+
+    impl Envelope for PanicsAt {}
 
     #[test]
     fn worker_panic_is_an_error_and_the_runner_survives() {

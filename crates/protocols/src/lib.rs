@@ -57,6 +57,6 @@ pub use obs::{FateReplay, Hop, NodeTraceEntry, ReplayEvent};
 pub use row::{RowKernel, RowSource};
 pub use tree::SpanningTree;
 pub use wave::{
-    MultiplexWave, MuxEntry, MuxLedger, MuxSlotBits, TransportFootprint, WaveProtocol, WaveRunner,
-    WaveSubstrate, MUX_MAX_SLOTS,
+    Envelope, MultiplexWave, MuxEntry, MuxLedger, MuxSlotBits, TransportFootprint, WaveProtocol,
+    WaveRunner, WaveSubstrate, MUX_MAX_SLOTS,
 };

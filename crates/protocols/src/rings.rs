@@ -87,7 +87,6 @@ impl<P: WaveProtocol> RingNode<P> {
         if !self.flooded {
             self.flooded = true;
             let req = self.req.as_ref().expect("request just set");
-            self.proto.note_request_copies(req, 1);
             ctx.broadcast_local(self.flood_payload(req));
         }
         self.schedule_slot(ctx);
@@ -103,12 +102,13 @@ impl<P: WaveProtocol> NodeRuntime for RingNode<P> {
                 }
             }
             TAG_SLOT => {
-                let Some(acc) = self.acc.clone() else { return };
                 if self.ring == 0 {
-                    // The root's slot: finalize.
-                    self.result = Some(acc);
-                } else if let Some(req) = self.req.clone() {
-                    ctx.broadcast_local(self.synopsis_payload(&req, &acc));
+                    // The root's slot, the epoch's last: finalize. A
+                    // synopsis arriving later would never reach the
+                    // result, so the accumulator is taken.
+                    self.result = self.acc.take();
+                } else if let (Some(req), Some(acc)) = (&self.req, &self.acc) {
+                    ctx.broadcast_local(self.synopsis_payload(req, acc));
                 }
             }
             _ => {}

@@ -2,8 +2,7 @@
 //! plain single-slot protocol the runner tests wrap, and [`FailsAt`],
 //! whose merge fails at one node for one request.
 
-use crate::cache::CacheKey;
-use crate::wave::WaveProtocol;
+use crate::wave::{Envelope, WaveProtocol};
 use saq_netsim::sim::NodeId;
 use saq_netsim::wire::{BitReader, BitWriter};
 use saq_netsim::NetsimError;
@@ -50,12 +49,12 @@ impl WaveProtocol for SumBelow {
         *acc += child;
         Ok(())
     }
-    fn cache_key(&self, req: &u64) -> Option<CacheKey> {
-        let mut w = BitWriter::new();
-        self.encode_request(req, &mut w);
-        Some(w.finish())
+    fn cacheable(&self, _req: &u64) -> bool {
+        true
     }
 }
+
+impl Envelope for SumBelow {}
 
 /// [`SumBelow`] whose merge fails at `node` for request `trigger`: that
 /// node's local step marks its accumulator, and absorbing any child into
@@ -114,6 +113,8 @@ impl WaveProtocol for FailsAt {
         self.inner.absorb_partial(req, acc, child, first_of)
     }
 }
+
+impl Envelope for FailsAt {}
 
 /// A merge that fails has a typed outcome on every runner: the boxed
 /// oracle's failing node sends no reply (`NoResult`), the flat runner

@@ -37,12 +37,25 @@ use saq_netsim::NetsimError;
 use std::collections::HashSet;
 use std::fmt::Debug;
 
-/// One aggregate family runnable as tree waves.
+/// One aggregate family runnable as waves: the contract a protocol
+/// author writes.
 ///
 /// The protocol value itself is the network-wide *configuration* (value
 /// widths, sketch sizes, seeds...), cloned to every node at deployment;
 /// encodings may therefore depend on it without shipping schema bits in
 /// every message.
+///
+/// An author writes the four codecs, the local contribution
+/// ([`local`](Self::local)) and the merge
+/// ([`absorb_partial`](Self::absorb_partial)). Every other hook has a
+/// default an aggregate overrides where it has something to say: a
+/// closed-form [`partial_width`](Self::partial_width), the row family
+/// for a partial of a few words, the cache hooks, delta maintenance and
+/// [`validate_request`](Self::validate_request). How a request splits
+/// into slots that are batched, cached and billed one by one is an
+/// envelope's concern, written once in [`Envelope`]: a protocol a tree
+/// runner runs bare opts in with an empty `impl Envelope for X {}`, and
+/// [`RingsRunner`](crate::rings::RingsRunner) runs this contract alone.
 pub trait WaveProtocol: Clone {
     /// Request disseminated root-to-leaves.
     type Request: Clone + Debug;
@@ -61,25 +74,17 @@ pub trait WaveProtocol: Clone {
     /// allocated once, not per update or per entry. Protocols that do not
     /// delta-maintain their caches use `()`.
     type ItemDelta: Default + Debug;
-    /// A cache key parsed into what [`WaveProtocol::apply_item_delta`]
-    /// needs ([`WaveProtocol::delta_key`]). It is parsed once, when the
-    /// entry is stored, and kept beside the entry, so an item update
-    /// never re-reads a key. Protocols that do not delta-maintain their
-    /// caches use `()`.
+    /// What [`WaveProtocol::apply_item_delta`] needs to know of a cached
+    /// entry's request ([`WaveProtocol::delta_key`]). It is derived
+    /// once, when the entry's slot misses, and kept beside the entry, so
+    /// an item update never re-reads a request. Protocols that do not
+    /// delta-maintain their caches use `()`.
     type DeltaKey: Clone + Debug;
 
     /// Serializes a request. Pure: a runner may encode a request for a
     /// frame, for its width or not at all, and bills what it sends
-    /// through [`note_request_copies`](Self::note_request_copies).
+    /// through [`Envelope::note_request_copies`].
     fn encode_request(&self, req: &Self::Request, w: &mut BitWriter);
-
-    /// Accounts for `copies` transmissions of `req`'s encoding — one
-    /// per child a node forwards `req` to (retransmissions excluded).
-    /// Every runner calls it for every fan-out, so a protocol that
-    /// attributes the bits it sends (the mux envelope's [`MuxLedger`])
-    /// bills requests here and its ledger matches the network tally.
-    /// Protocols without such side-state ignore this.
-    fn note_request_copies(&self, _req: &Self::Request, _copies: u64) {}
 
     /// Deserializes a request.
     ///
@@ -99,7 +104,7 @@ pub trait WaveProtocol: Clone {
 
     /// Serializes a partial aggregate. The wave's request is available as
     /// context: both endpoints of a hop know it (the receiver joined the
-    /// wave before any partial flows), so the partial encoding may depend
+    /// wave before any partials flow), so the partial encoding may depend
     /// on it without shipping schema bits. Pure, like
     /// [`encode_request`](Self::encode_request): a runner bills what it
     /// sends through [`partial_width`](Self::partial_width).
@@ -136,13 +141,6 @@ pub trait WaveProtocol: Clone {
     /// how many there are: only [`WaveSubstrate::set_items`] does that.
     fn local(&self, node: NodeId, items: &mut [Self::Item], req: &Self::Request) -> Self::Partial;
 
-    /// Drops what a spent accumulator owns beyond its own container,
-    /// once its reply is encoded and before it waits on the flat
-    /// runner's free list for [`fill_row`](Self::fill_row): an idle
-    /// accumulator must not keep a merged subtree's data alive. The
-    /// default does nothing.
-    fn release_partial(&self, _p: &mut Self::Partial) {}
-
     /// Merges one child's partial into `acc` in place, reading the child
     /// by reference — what every runner does with every report: the flat
     /// runner with the child's staged accumulator, the boxed oracle and
@@ -173,32 +171,22 @@ pub trait WaveProtocol: Clone {
 
     // --- subtree partial caching hooks (see `crate::cache`) -----------
     //
-    // A protocol opts into caching by keying its deterministic requests
-    // ([`WaveProtocol::cache_key`]); envelope protocols additionally
-    // expose their sub-requests as independently cacheable *slots* by
-    // overriding the slot family below. The defaults describe a plain
-    // single-slot protocol with caching disabled, so existing protocols
-    // compile (and behave) unchanged.
+    // A protocol opts into caching by naming its deterministic requests
+    // ([`WaveProtocol::cacheable`]); a cached partial is keyed by its
+    // request's exact `encode_request` bits, which the envelope lends
+    // per slot ([`Envelope::for_each_slot_key`]). The defaults describe
+    // a protocol with caching disabled.
 
-    /// Cache key under which this request's subtree partial may be
-    /// stored, or `None` when it must never be cached. A key is the
-    /// request's exact [`encode_request`](Self::encode_request) bits:
-    /// envelope protocols key a slot by the bits it carries, without
-    /// re-encoding it. Requests that mutate items
-    /// ([`WaveProtocol::invalidates_cache`]) or whose `local` draws
-    /// fresh randomness outside the request encoding MUST return `None`
-    /// — a later hit would replay stale or mismatched state. Randomized
-    /// requests that embed their seed nonce in the encoding are safe to
-    /// key: a hit reproduces the identical instance.
-    fn cache_key(&self, _req: &Self::Request) -> Option<crate::cache::CacheKey> {
-        None
-    }
-
-    /// Whether [`WaveProtocol::cache_key`] keys this request, without
-    /// building the key. Protocols with a cheap test override this and
-    /// build `cache_key` on it.
-    fn cacheable(&self, req: &Self::Request) -> bool {
-        self.cache_key(req).is_some()
+    /// Whether this request's subtree partial may be cached, under its
+    /// exact [`encode_request`](Self::encode_request) bits. Requests
+    /// that mutate items ([`WaveProtocol::invalidates_cache`]) or whose
+    /// `local` draws fresh randomness outside the request encoding MUST
+    /// return `false` — a later hit would replay stale or mismatched
+    /// state. Randomized requests that embed their seed nonce in the
+    /// encoding are safe to cache: a hit reproduces the identical
+    /// instance. The default caches nothing.
+    fn cacheable(&self, _req: &Self::Request) -> bool {
+        false
     }
 
     /// Whether executing this request mutates item state. Nodes clear
@@ -206,54 +194,6 @@ pub trait WaveProtocol: Clone {
     /// and never serve or store any of its slots.
     fn invalidates_cache(&self, _req: &Self::Request) -> bool {
         false
-    }
-
-    /// Calls `f(i, key)` for every independently cacheable sub-unit
-    /// (*slot*) of the request, in slot order: `key` is slot `i`'s cache
-    /// key, or `None` when the slot is uncacheable. Plain protocols are a
-    /// single slot — the whole request; envelope protocols override to
-    /// lend each sub-request's key, borrowed where they hold it already.
-    fn for_each_slot_key(
-        &self,
-        req: &Self::Request,
-        f: &mut dyn FnMut(usize, Option<&crate::cache::CacheKey>),
-    ) {
-        f(0, self.cache_key(req).as_ref());
-    }
-
-    /// Width of slot `i` of a reply to `req`, given as its single-slot
-    /// partial `part` (the form the cache stores, see
-    /// [`WaveProtocol::split_slots`]). The widths of every slot add up
-    /// to — and bill exactly what — [`partial_width`](Self::partial_width)
-    /// of their [`join_slots`](Self::join_slots), so a node answering
-    /// from cache is billed straight from the entries. The default
-    /// serves plain single-slot protocols.
-    fn slot_width(&self, req: &Self::Request, _i: usize, part: &Self::Partial) -> u64 {
-        self.partial_width(req, part)
-    }
-
-    /// [`absorb_partial`](Self::absorb_partial) of one slot: merges slot
-    /// `j` of `part` into slot `i` of `acc`, which is aligned with `req`
-    /// — a cache entry (`j = 0`, the single-slot form the cache stores)
-    /// or one slot of a reply computed for a subset of `req`. Absorbing
-    /// every slot of a reply equals absorbing their
-    /// [`join_slots`](Self::join_slots), so a parent merges a child's
-    /// cached and computed slots where they lie. The default serves
-    /// plain single-slot protocols.
-    ///
-    /// # Errors
-    ///
-    /// As [`absorb_partial`](Self::absorb_partial).
-    fn absorb_slot(
-        &self,
-        req: &Self::Request,
-        acc: &mut Self::Partial,
-        _i: usize,
-        part: &Self::Partial,
-        _j: usize,
-        first_of: Option<usize>,
-    ) -> Result<(), NetsimError> {
-        self.absorb_partial(req, acc, part, first_of)
     }
 
     // --- fixed-width slots as rows of words (see `crate::row`) --------
@@ -286,8 +226,8 @@ pub trait WaveProtocol: Clone {
     ///
     /// [`NetsimError::WireDecode`] for a `RowSource::Slot` that is out
     /// of range or whose partial does not answer its row slot, as
-    /// [`absorb_slot`](Self::absorb_slot) refuses a misaligned slot. A
-    /// local step never fails.
+    /// [`Envelope::absorb_slot`] refuses a misaligned slot. A local
+    /// step never fails.
     fn fill_row(
         &self,
         req: &Self::Request,
@@ -333,41 +273,6 @@ pub trait WaveProtocol: Clone {
             .expect("a request without a row keeps every slot in its accumulator")
     }
 
-    /// The request containing only the slots `keep` (ascending slot
-    /// indices, as [`WaveProtocol::for_each_slot_key`] numbers them) —
-    /// what a node forwards to its children when the other slots were
-    /// served from cache. Plain single-slot protocols are never subset
-    /// (`keep` is all slots), so the default returns the request
-    /// unchanged.
-    fn subset_request(&self, req: &Self::Request, _keep: &[usize]) -> Self::Request {
-        req.clone()
-    }
-
-    /// Splits a partial into per-slot partials, each shaped as if its
-    /// slot were a single-slot request (the form stored in the cache),
-    /// and hands them to `f` in slot order with their slot positions.
-    /// Inverse of [`WaveProtocol::join_slots`]. A partial's slots are its
-    /// own shape, so no request is needed: a flat parent stores its
-    /// child's slots without the request the child forwarded.
-    fn split_slots(&self, p: Self::Partial, f: &mut dyn FnMut(usize, Self::Partial)) {
-        f(0, p);
-    }
-
-    /// A copy of the partial [`split_slots`](WaveProtocol::split_slots)
-    /// hands over for slot position `i` of `p`, leaving `p` whole.
-    fn slot_partial(&self, _req: &Self::Request, p: &Self::Partial, _i: usize) -> Self::Partial {
-        p.clone()
-    }
-
-    /// Reassembles per-slot partials (ordered by slot index, one per
-    /// slot of `req`) into one partial aligned with `req`.
-    fn join_slots(&self, _req: &Self::Request, slots: Vec<Self::Partial>) -> Self::Partial {
-        slots
-            .into_iter()
-            .next()
-            .expect("a request has at least one slot")
-    }
-
     /// Releases spare capacity `p` kept from merging, before `p` rests in
     /// a subtree cache. Executing nodes *move* their computed partials
     /// into the cache rather than copying them, so without this a partial
@@ -375,10 +280,11 @@ pub trait WaveProtocol: Clone {
     /// capacity for as long as its entry lives. The default does nothing.
     fn shrink_partial(&self, _p: &mut Self::Partial) {}
 
-    /// Parses a cache key for delta maintenance, or `None` when entries
-    /// under it must be invalidated by every item update (the default).
-    /// Called once per stored entry.
-    fn delta_key(&self, _key: &CacheKey) -> Option<Self::DeltaKey> {
+    /// What delta maintenance needs of `req`, a cacheable request — a
+    /// slot's sub-request, as its entry is keyed — or `None` when
+    /// entries of it must be invalidated by every item update (the
+    /// default). Called once per stored entry, when its slot misses.
+    fn delta_key(&self, _req: &Self::Request) -> Option<Self::DeltaKey> {
         None
     }
 
@@ -399,9 +305,9 @@ pub trait WaveProtocol: Clone {
     /// Delta-maintains one cached subtree partial through the item
     /// replacement [`WaveProtocol::item_delta`] derived into `delta`
     /// (at a node somewhere in the subtree the partial summarizes). `key`
-    /// is the entry's parsed cache key ([`WaveProtocol::delta_key`]) —
-    /// for deterministic requests, the sub-request itself, i.e. which
-    /// aggregate the partial belongs to.
+    /// is what [`WaveProtocol::delta_key`] derived from the entry's
+    /// request — for deterministic requests, the sub-request itself,
+    /// i.e. which aggregate the partial belongs to.
     ///
     /// Return `true` after updating `partial` in place to exactly (or,
     /// for certified-approximation aggregates, equivalently) what a fresh
@@ -419,8 +325,6 @@ pub trait WaveProtocol: Clone {
         false
     }
 
-    // --- request admission and clone hooks ----------------------------
-
     /// Validates a request at the API boundary, *before* the root
     /// injects it into the network. This is where wire-format bounds are
     /// enforced in release builds (encoding itself is infallible inside
@@ -434,12 +338,139 @@ pub trait WaveProtocol: Clone {
     fn validate_request(&self, _req: &Self::Request) -> Result<(), NetsimError> {
         Ok(())
     }
+}
+
+/// A cacheable slot as [`Envelope::for_each_slot_key`] lends it: its
+/// cache key, and a function returning its sub-request's
+/// [`delta_key`](WaveProtocol::delta_key).
+pub type SlotKey<'a, P> = (
+    &'a CacheKey,
+    &'a dyn Fn() -> Option<<P as WaveProtocol>::DeltaKey>,
+);
+
+/// The hooks a tree runner drives beyond the aggregate: how a request
+/// splits into independently cacheable **slots**, how a reply is billed
+/// and merged slot by slot, and the side-state a protocol clone bills.
+/// An envelope writes them: [`MultiplexWave`] carries the sub-requests
+/// of an inner [`WaveProtocol`] in one wave, one slot each, and
+/// implements every hook.
+///
+/// Each default is the **single-slot** body: the whole request is one
+/// slot, cached under its encoding when
+/// [`cacheable`](WaveProtocol::cacheable). A plain protocol that
+/// [`WaveRunner`] or the flat runner runs bare opts in with an empty
+/// `impl Envelope for X {}` and writes none of them.
+pub trait Envelope: WaveProtocol {
+    /// Accounts for `copies` transmissions of `req`'s encoding — one
+    /// per child a node forwards `req` to (retransmissions excluded).
+    /// Every tree runner calls it for every fan-out, so an envelope that
+    /// attributes the bits it sends (the [`MuxLedger`]) bills requests
+    /// here and its ledger matches the network tally. The default bills
+    /// nothing.
+    fn note_request_copies(&self, _req: &Self::Request, _copies: u64) {}
+
+    /// Drops what a spent accumulator owns beyond its own container,
+    /// once its reply is encoded and before it waits on the flat
+    /// runner's free list for [`fill_row`](WaveProtocol::fill_row): an
+    /// idle accumulator must not keep a merged subtree's data alive. The
+    /// default does nothing.
+    fn release_partial(&self, _p: &mut Self::Partial) {}
+
+    /// Calls `f(i, slot)` for every slot of the request, in slot order.
+    /// `slot` is `None` for an uncacheable slot; for a cacheable one it
+    /// is the slot's cache key — its sub-request's exact
+    /// [`encode_request`](WaveProtocol::encode_request) bits — and a
+    /// function returning the sub-request's
+    /// [`delta_key`](WaveProtocol::delta_key), which the cache calls
+    /// only for a slot it will store. The default is one slot, keyed by
+    /// encoding the request; an envelope lends each sub-request's key,
+    /// borrowed where it holds it already.
+    fn for_each_slot_key(
+        &self,
+        req: &Self::Request,
+        f: &mut dyn FnMut(usize, Option<SlotKey<'_, Self>>),
+    ) {
+        if !self.cacheable(req) {
+            return f(0, None);
+        }
+        let mut w = BitWriter::new();
+        self.encode_request(req, &mut w);
+        f(0, Some((&w.finish(), &|| self.delta_key(req))));
+    }
+
+    /// Width of slot `i` of a reply to `req`, given as its single-slot
+    /// partial `part` (the form the cache stores, see
+    /// [`Envelope::split_slots`]). The widths of every slot add up
+    /// to — and bill exactly what —
+    /// [`partial_width`](WaveProtocol::partial_width) of their
+    /// [`join_slots`](Self::join_slots), so a node answering from cache
+    /// is billed straight from the entries.
+    fn slot_width(&self, req: &Self::Request, _i: usize, part: &Self::Partial) -> u64 {
+        self.partial_width(req, part)
+    }
+
+    /// [`absorb_partial`](WaveProtocol::absorb_partial) of one slot:
+    /// merges slot `j` of `part` into slot `i` of `acc`, which is aligned
+    /// with `req` — a cache entry (`j = 0`, the single-slot form the
+    /// cache stores) or one slot of a reply computed for a subset of
+    /// `req`. Absorbing every slot of a reply equals absorbing their
+    /// [`join_slots`](Self::join_slots), so a parent merges a child's
+    /// cached and computed slots where they lie.
+    ///
+    /// # Errors
+    ///
+    /// As [`absorb_partial`](WaveProtocol::absorb_partial).
+    fn absorb_slot(
+        &self,
+        req: &Self::Request,
+        acc: &mut Self::Partial,
+        _i: usize,
+        part: &Self::Partial,
+        _j: usize,
+        first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        self.absorb_partial(req, acc, part, first_of)
+    }
+
+    /// The request containing only the slots `keep` (ascending slot
+    /// indices, as [`Envelope::for_each_slot_key`] numbers them) — what
+    /// a node forwards to its children when the other slots were served
+    /// from cache. A single slot is never subset (`keep` is all slots),
+    /// so the default returns the request unchanged.
+    fn subset_request(&self, req: &Self::Request, _keep: &[usize]) -> Self::Request {
+        req.clone()
+    }
+
+    /// Splits a partial into per-slot partials, each shaped as if its
+    /// slot were a single-slot request (the form stored in the cache),
+    /// and hands them to `f` in slot order with their slot positions.
+    /// Inverse of [`Envelope::join_slots`]. A partial's slots are its
+    /// own shape, so no request is needed: a flat parent stores its
+    /// child's slots without the request the child forwarded.
+    fn split_slots(&self, p: Self::Partial, f: &mut dyn FnMut(usize, Self::Partial)) {
+        f(0, p);
+    }
+
+    /// A copy of the partial [`split_slots`](Envelope::split_slots)
+    /// hands over for slot position `i` of `p`, leaving `p` whole.
+    fn slot_partial(&self, _req: &Self::Request, p: &Self::Partial, _i: usize) -> Self::Partial {
+        p.clone()
+    }
+
+    /// Reassembles per-slot partials (ordered by slot index, one per
+    /// slot of `req`) into one partial aligned with `req`.
+    fn join_slots(&self, _req: &Self::Request, slots: Vec<Self::Partial>) -> Self::Partial {
+        slots
+            .into_iter()
+            .next()
+            .expect("a request has at least one slot")
+    }
 
     /// Folds the side-state a clone of this protocol accumulated (the
     /// bits a [`MultiplexWave`] clone billed to its own [`MuxLedger`])
-    /// into this instance, **draining** the clone's copy. A runner keeps
-    /// the protocol it was built with and runs clones of it — one per
-    /// node in the boxed [`WaveRunner`], one per worker group in the
+    /// into this instance, **draining** the clone's copy. A tree runner
+    /// keeps the protocol it was built with and runs clones of it — one
+    /// per node in the boxed [`WaveRunner`], one per worker group in the
     /// flat runner — and folds every clone after every wave, failed
     /// waves included, in a fixed order, so merged tallies are
     /// deterministic regardless of thread timing. The default is a
@@ -581,8 +612,9 @@ struct PendingMsg {
     payload: BitString,
 }
 
-/// What a node's subtree cache stores: a partial, and its key parsed
-/// for delta maintenance (`None`: the entry declines every delta).
+/// What a node's subtree cache stores: a partial, and what delta
+/// maintenance needs of its request ([`WaveProtocol::delta_key`];
+/// `None`: the entry declines every delta).
 #[derive(Debug)]
 pub(crate) struct CachedPartial<P: WaveProtocol> {
     pub(crate) partial: P::Partial,
@@ -599,14 +631,6 @@ impl<P: WaveProtocol> Clone for CachedPartial<P> {
 }
 
 impl<P: WaveProtocol> CachedPartial<P> {
-    /// Wraps a partial about to be stored under `key`.
-    pub(crate) fn new(proto: &P, key: &CacheKey, partial: P::Partial) -> Self {
-        CachedPartial {
-            partial,
-            delta_key: proto.delta_key(key),
-        }
-    }
-
     /// Folds an item update in ([`WaveProtocol::apply_item_delta`]);
     /// `false` means the entry must be invalidated.
     pub(crate) fn apply(&mut self, proto: &P, delta: &P::ItemDelta) -> bool {
@@ -626,19 +650,30 @@ impl<P: WaveProtocol> CachedPartial<P> {
 /// completion, so a position stays valid for the whole wave, and a
 /// reply served from cache is billed ([`CacheResolution::hits_width`])
 /// and merged into the parent straight from the entries.
-#[derive(Debug, Default)]
-pub(crate) struct CacheResolution {
+#[derive(Debug)]
+pub(crate) struct CacheResolution<P: Envelope> {
     /// Cache hits: `(slot index in the request, position in the cache)`.
     pub(crate) hits: Vec<(usize, usize)>,
     /// Slot indices of the cache misses — the slots of the forwarded
     /// request, in order.
     pub(crate) miss: Vec<usize>,
     /// Partials to store on completion: `(position within the forwarded
-    /// request's slots, cache key)`.
-    store: Vec<(usize, CacheKey)>,
+    /// request's slots, cache key, delta key)`, the delta key derived
+    /// from the slot's sub-request when it missed.
+    store: Vec<(usize, CacheKey, Option<P::DeltaKey>)>,
 }
 
-impl CacheResolution {
+impl<P: Envelope> Default for CacheResolution<P> {
+    fn default() -> Self {
+        CacheResolution {
+            hits: Vec::new(),
+            miss: Vec::new(),
+            store: Vec::new(),
+        }
+    }
+}
+
+impl<P: Envelope> CacheResolution<P> {
     /// Resolves `req` against the node's cache. An item-mutating wave
     /// clears the cache *before* anything is served and never caches
     /// itself; otherwise every cacheable slot is probed (each probe
@@ -646,7 +681,7 @@ impl CacheResolution {
     /// recorded for the forwarded request and for storing. Returns
     /// whether every slot hit — the node then answers from cache and
     /// its subtree stays silent.
-    pub(crate) fn resolve<P: WaveProtocol>(
+    pub(crate) fn resolve(
         &mut self,
         proto: &P,
         cache: Option<&mut PartialCache<CachedPartial<P>>>,
@@ -664,8 +699,8 @@ impl CacheResolution {
             return false;
         }
         let CacheResolution { hits, miss, store } = self;
-        proto.for_each_slot_key(req, &mut |i, key| {
-            let Some(key) = key else {
+        proto.for_each_slot_key(req, &mut |i, slot| {
+            let Some((key, delta_key)) = slot else {
                 miss.push(i);
                 return;
             };
@@ -681,7 +716,7 @@ impl CacheResolution {
                     if let Some(t) = trace.as_deref_mut() {
                         t.push(NodeTraceEntry::CacheMiss { slot });
                     }
-                    store.push((miss.len(), key.clone()));
+                    store.push((miss.len(), key.clone(), delta_key()));
                     miss.push(i);
                 }
             }
@@ -692,7 +727,7 @@ impl CacheResolution {
     /// The reply of a node whose every slot hit, as an owned partial
     /// (the hits cloned and joined). Clears the hits: the reply is
     /// complete, and completion has nothing left to interleave.
-    pub(crate) fn take_cached_reply<P: WaveProtocol>(
+    pub(crate) fn take_cached_reply(
         &mut self,
         proto: &P,
         cache: &PartialCache<CachedPartial<P>>,
@@ -707,11 +742,11 @@ impl CacheResolution {
     }
 
     /// The width of the slots served from cache, billed straight from
-    /// the entries ([`WaveProtocol::slot_width`]): for a node whose every
+    /// the entries ([`Envelope::slot_width`]): for a node whose every
     /// slot hit, what [`WaveProtocol::partial_width`] of
     /// [`take_cached_reply`](Self::take_cached_reply) returns and bills,
     /// without a copy.
-    pub(crate) fn hits_width<P: WaveProtocol>(
+    pub(crate) fn hits_width(
         &self,
         proto: &P,
         cache: &PartialCache<CachedPartial<P>>,
@@ -728,7 +763,7 @@ impl CacheResolution {
     /// storing the freshly computed subtree partials on the way. Hits
     /// are copied out before anything is stored — a store may evict
     /// one.
-    pub(crate) fn assemble<P: WaveProtocol>(
+    pub(crate) fn assemble(
         &mut self,
         proto: &P,
         cache: Option<&mut PartialCache<CachedPartial<P>>>,
@@ -747,9 +782,9 @@ impl CacheResolution {
             .drain(..)
             .map(|(i, pos)| (i, cache.at(pos).partial.clone()))
             .collect();
-        for (pos, key) in self.store.drain(..) {
-            let entry = CachedPartial::new(proto, &key, proto.slot_partial(fwd, &acc, pos));
-            cache.insert(key, entry);
+        for (pos, key, delta_key) in self.store.drain(..) {
+            let partial = proto.slot_partial(fwd, &acc, pos);
+            cache.insert(key, CachedPartial { partial, delta_key });
         }
         if hits.is_empty() {
             return acc; // nothing was served from cache: `fwd` is `req`
@@ -782,7 +817,7 @@ impl CacheResolution {
     /// When nothing is stored, `acc` is handed back for reuse as a later
     /// node's accumulator. The flat runner calls it from a node's parent,
     /// once the parent read the node's hits.
-    pub(crate) fn store_by_move<P: WaveProtocol>(
+    pub(crate) fn store_by_move(
         &mut self,
         proto: &P,
         cache: &mut PartialCache<CachedPartial<P>>,
@@ -792,11 +827,10 @@ impl CacheResolution {
             return Some(acc);
         }
         let mut store = self.store.drain(..).peekable();
-        proto.split_slots(acc, &mut |pos, mut part| {
-            if let Some((_, key)) = store.next_if(|&(p, _)| p == pos) {
-                proto.shrink_partial(&mut part);
-                let entry = CachedPartial::new(proto, &key, part);
-                cache.insert(key, entry);
+        proto.split_slots(acc, &mut |pos, mut partial| {
+            if let Some((_, key, delta_key)) = store.next_if(|&(p, ..)| p == pos) {
+                proto.shrink_partial(&mut partial);
+                cache.insert(key, CachedPartial { partial, delta_key });
             }
         });
         None
@@ -806,7 +840,7 @@ impl CacheResolution {
 /// Node state machine executing [`WaveProtocol`] waves over a spanning
 /// tree.
 #[derive(Debug)]
-pub struct AggNode<P: WaveProtocol> {
+pub struct AggNode<P: Envelope> {
     proto: P,
     /// This node's input items (the paper's local multiset, §5).
     items: Vec<P::Item>,
@@ -831,7 +865,7 @@ pub struct AggNode<P: WaveProtocol> {
     /// Child partials and `acc` align with the forwarded request.
     fwd_req: Option<P::Request>,
     /// The current wave's cache hits, misses and pending stores.
-    resolved: CacheResolution,
+    resolved: CacheResolution<P>,
     /// Child partials buffered for the **canonical merge**: partials are
     /// merged in fixed child order once every child reported, never in
     /// arrival order. Arrival order depends on link jitter and event
@@ -867,7 +901,7 @@ pub struct AggNode<P: WaveProtocol> {
     trace: Vec<NodeTraceEntry>,
 }
 
-impl<P: WaveProtocol> AggNode<P> {
+impl<P: Envelope> AggNode<P> {
     fn new(
         proto: P,
         items: Vec<P::Item>,
@@ -1179,7 +1213,7 @@ impl<P: WaveProtocol> AggNode<P> {
     }
 }
 
-impl<P: WaveProtocol> NodeRuntime for AggNode<P> {
+impl<P: Envelope> NodeRuntime for AggNode<P> {
     fn on_timer(&mut self, ctx: &mut Context<'_>, tag: u64) {
         if tag == TAG_START {
             if let Some((wave, req)) = self.staged.take() {
@@ -1278,7 +1312,7 @@ impl<P: WaveProtocol> NodeRuntime for AggNode<P> {
 /// parallel substrate); every observable below — answers, per-node bits,
 /// cache counters, transport footprint, trace entries — is identical
 /// across the two (ARCHITECTURE §10).
-pub trait WaveSubstrate<P: WaveProtocol>: Debug {
+pub trait WaveSubstrate<P: Envelope>: Debug {
     /// Short name of the substrate (`"single"` or `"flat"`), for
     /// routing assertions and experiment banners.
     fn name(&self) -> &'static str;
@@ -1286,7 +1320,7 @@ pub trait WaveSubstrate<P: WaveProtocol>: Debug {
     /// The protocol the substrate was built with. Its side-state (a
     /// [`MultiplexWave`]'s [`MuxLedger`]) holds everything the waves
     /// billed so far: the substrate folds the clones it runs into it
-    /// after every wave ([`WaveProtocol::absorb_shard`]).
+    /// after every wave ([`Envelope::absorb_shard`]).
     fn protocol(&self) -> &P;
 
     /// Runs one wave with the given request and returns the root's merged
@@ -1406,7 +1440,7 @@ pub trait WaveSubstrate<P: WaveProtocol>: Debug {
 /// by event in the discrete-event simulator — the [`WaveSubstrate`]
 /// oracle.
 #[derive(Debug)]
-pub struct WaveRunner<P: WaveProtocol> {
+pub struct WaveRunner<P: Envelope> {
     /// The protocol the runner was built with: each node runs a clone
     /// of it, whose side-state is folded back into it after every wave.
     proto: P,
@@ -1421,7 +1455,7 @@ pub struct WaveRunner<P: WaveProtocol> {
     item_delta: P::ItemDelta,
 }
 
-impl<P: WaveProtocol> WaveRunner<P> {
+impl<P: Envelope> WaveRunner<P> {
     /// Builds a runner from a topology, a spanning tree over it, the
     /// protocol configuration and per-node item vectors.
     ///
@@ -1471,7 +1505,7 @@ impl<P: WaveProtocol> WaveRunner<P> {
     }
 }
 
-impl<P: WaveProtocol + Debug> WaveSubstrate<P> for WaveRunner<P> {
+impl<P: Envelope + Debug> WaveSubstrate<P> for WaveRunner<P> {
     fn name(&self) -> &'static str {
         "single"
     }
@@ -1762,13 +1796,13 @@ impl<R> MuxEntry<R> {
 /// sub-request and sub-partial bits to their entry's declared slot, the
 /// count prefix, dense flag and any explicit slot tags to
 /// [`MuxLedger::envelope_bits`]. Requests and partials are billed as a
-/// runner sends them ([`WaveProtocol::note_request_copies`],
+/// runner sends them ([`Envelope::note_request_copies`],
 /// [`WaveProtocol::partial_width`]), so encoding either is pure. Every instance bills a ledger of its own, and a clone starts
 /// with an empty one. A runner runs clones — the boxed runner one per
 /// node, the flat runner one per worker group, whose one worker bills
 /// it without a lock — and after every wave folds them, in a fixed
 /// order, into the protocol it was built with
-/// ([`WaveProtocol::absorb_shard`]; read through
+/// ([`Envelope::absorb_shard`]; read through
 /// [`WaveSubstrate::protocol`]), so that ledger then holds the wave's
 /// exact transmit-side cost split: tallies are sums.
 /// Tallies are exact under [`Reliability::None`]. Under ARQ each logical
@@ -1845,7 +1879,7 @@ impl<P: WaveProtocol> MultiplexWave<P> {
 
     /// Width, in bits, of `req`'s request encoding — its framing plus
     /// every sub-request's captured width, in closed form: what
-    /// [`WaveProtocol::note_request_copies`] bills per copy.
+    /// [`Envelope::note_request_copies`] bills per copy.
     pub fn request_width(req: &[MuxEntry<P::Request>]) -> u64 {
         Self::framing_bits(req) + req.iter().map(|e| e.raw.len_bits()).sum::<u64>()
     }
@@ -1911,7 +1945,7 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
     /// entry an optional gamma slot tag (sparse envelopes only) followed
     /// by the inner sub-request — its captured bits, copied word by
     /// word. Bills nothing: see
-    /// [`note_request_copies`](Self::note_request_copies).
+    /// [`note_request_copies`](Envelope::note_request_copies).
     fn encode_request(&self, req: &Self::Request, w: &mut BitWriter) {
         let dense = is_dense(req);
         w.write_gamma(req.len() as u64 + 1);
@@ -1925,20 +1959,6 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             }
             w.write_bitstring(&entry.raw);
         }
-    }
-
-    /// Bills `copies` transmissions of `req`'s encoding without encoding
-    /// it: the count, flag and tags to the envelope (gamma widths, in
-    /// closed form), each sub-request's captured width to its slot.
-    fn note_request_copies(&self, req: &Self::Request, copies: u64) {
-        if copies == 0 {
-            return;
-        }
-        let mut ledger = self.ledger_mut();
-        for entry in req {
-            ledger.slot_mut(entry.slot as usize).request_bits += entry.raw.len_bits() * copies;
-        }
-        ledger.envelope_bits += Self::framing_bits(req) * copies;
     }
 
     fn decode_request(&self, r: &mut BitReader<'_>) -> Result<Self::Request, NetsimError> {
@@ -2027,10 +2047,6 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             .collect()
     }
 
-    fn release_partial(&self, p: &mut Self::Partial) {
-        p.clear();
-    }
-
     /// One pass over the slots: the child's sub-partial `i` is merged
     /// into `acc[i]` where it lies ([`WaveProtocol::absorb_partial`] of
     /// the inner protocol), `first_of` passed on to every slot. Both may
@@ -2055,37 +2071,6 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             self.inner.absorb_partial(&entry.req, sub, part, first_of)?;
         }
         Ok(())
-    }
-
-    /// `part[j]` merged into slot `i` of `acc` alone — `acc[i]`, or in
-    /// rest form the sub-partial slot `i` holds there; a misaligned
-    /// accumulator, a row slot of a rest-form one or a slot out of range
-    /// is an error.
-    fn absorb_slot(
-        &self,
-        req: &Self::Request,
-        acc: &mut Self::Partial,
-        i: usize,
-        part: &Self::Partial,
-        j: usize,
-        first_of: Option<usize>,
-    ) -> Result<(), NetsimError> {
-        let at = match rest_form(req, acc.len()) {
-            Ok(false) => Some(i),
-            Ok(true) => req
-                .get(i)
-                .filter(|e| e.row.is_none())
-                .map(|_| held(&req[..i], true).count()),
-            Err(_) => None,
-        };
-        match (req.get(i), at.and_then(|k| acc.get_mut(k)), part.get(j)) {
-            (Some(entry), Some(sub), Some(part)) => {
-                self.inner.absorb_partial(&entry.req, sub, part, first_of)
-            }
-            _ => Err(NetsimError::WireDecode(
-                "mux slot does not align with its request",
-            )),
-        }
     }
 
     // --- fixed-width slots: each entry's row kernel, resolved once ---
@@ -2210,18 +2195,126 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         out
     }
 
-    // --- subtree partial caching: every entry is one cacheable slot ---
+    // --- subtree partial caching: each entry's, dispatched inward ----
 
     fn invalidates_cache(&self, req: &Self::Request) -> bool {
         req.iter()
             .any(|entry| self.inner.invalidates_cache(&entry.req))
     }
 
-    /// A slot's key is its sub-request's wire bits, lent from the
-    /// entry's captured bits.
-    fn for_each_slot_key(&self, req: &Self::Request, f: &mut dyn FnMut(usize, Option<&CacheKey>)) {
+    fn shrink_partial(&self, p: &mut Self::Partial) {
+        for sub in p {
+            self.inner.shrink_partial(sub);
+        }
+    }
+
+    fn item_delta(
+        &self,
+        origin: NodeId,
+        old_items: &[Self::Item],
+        new_items: &[Self::Item],
+        delta: &mut Self::ItemDelta,
+    ) {
+        self.inner.item_delta(origin, old_items, new_items, delta);
+    }
+
+    fn apply_item_delta(
+        &self,
+        key: &Self::DeltaKey,
+        partial: &mut Self::Partial,
+        delta: &Self::ItemDelta,
+    ) -> bool {
+        match partial.as_mut_slice() {
+            [sub] => self.inner.apply_item_delta(key, sub, delta),
+            _ => false, // only single-slot shapes are ever cached
+        }
+    }
+
+    /// Rejects envelopes that exceed the 16-bit slot space (count or any
+    /// slot tag `≥` [`MUX_MAX_SLOTS`]) with a real error — the release
+    /// build's counterpart of the encode-side `debug_assert`.
+    fn validate_request(&self, req: &Self::Request) -> Result<(), NetsimError> {
+        if req.len() as u64 >= MUX_MAX_SLOTS {
+            return Err(NetsimError::WireEncode("mux slot count out of range"));
+        }
+        for entry in req {
+            if entry.slot as u64 >= MUX_MAX_SLOTS {
+                return Err(NetsimError::WireEncode("mux slot tag out of range"));
+            }
+            self.inner.validate_request(&entry.req)?;
+        }
+        Ok(())
+    }
+}
+
+impl<P: WaveProtocol> Envelope for MultiplexWave<P> {
+    /// Bills `copies` transmissions of `req`'s encoding without encoding
+    /// it: the count, flag and tags to the envelope (gamma widths, in
+    /// closed form), each sub-request's captured width to its slot.
+    fn note_request_copies(&self, req: &Self::Request, copies: u64) {
+        if copies == 0 {
+            return;
+        }
+        let mut ledger = self.ledger_mut();
+        for entry in req {
+            ledger.slot_mut(entry.slot as usize).request_bits += entry.raw.len_bits() * copies;
+        }
+        ledger.envelope_bits += Self::framing_bits(req) * copies;
+    }
+
+    fn release_partial(&self, p: &mut Self::Partial) {
+        p.clear();
+    }
+
+    /// `part[j]` merged into slot `i` of `acc` alone — `acc[i]`, or in
+    /// rest form the sub-partial slot `i` holds there; a misaligned
+    /// accumulator, a row slot of a rest-form one or a slot out of range
+    /// is an error.
+    fn absorb_slot(
+        &self,
+        req: &Self::Request,
+        acc: &mut Self::Partial,
+        i: usize,
+        part: &Self::Partial,
+        j: usize,
+        first_of: Option<usize>,
+    ) -> Result<(), NetsimError> {
+        let at = match rest_form(req, acc.len()) {
+            Ok(false) => Some(i),
+            Ok(true) => req
+                .get(i)
+                .filter(|e| e.row.is_none())
+                .map(|_| held(&req[..i], true).count()),
+            Err(_) => None,
+        };
+        match (req.get(i), at.and_then(|k| acc.get_mut(k)), part.get(j)) {
+            (Some(entry), Some(sub), Some(part)) => {
+                self.inner.absorb_partial(&entry.req, sub, part, first_of)
+            }
+            _ => Err(NetsimError::WireDecode(
+                "mux slot does not align with its request",
+            )),
+        }
+    }
+
+    /// Every entry is one slot, cacheable as its sub-request is
+    /// ([`cacheable`](WaveProtocol::cacheable) of the inner protocol):
+    /// its key is lent from the entry's captured bits, and its delta key
+    /// is the inner protocol's, so cached entries are single-slot
+    /// partials that deltas dispatch straight to the inner protocol.
+    fn for_each_slot_key(
+        &self,
+        req: &Self::Request,
+        f: &mut dyn FnMut(usize, Option<SlotKey<'_, Self>>),
+    ) {
         for (i, entry) in req.iter().enumerate() {
-            f(i, self.inner.cacheable(&entry.req).then_some(&entry.raw));
+            let delta_key: &dyn Fn() -> _ = &|| self.inner.delta_key(&entry.req);
+            f(
+                i,
+                self.inner
+                    .cacheable(&entry.req)
+                    .then_some((&entry.raw, delta_key)),
+            );
         }
     }
 
@@ -2261,59 +2354,6 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
         slots.into_iter().flatten().collect()
     }
 
-    fn shrink_partial(&self, p: &mut Self::Partial) {
-        for sub in p {
-            self.inner.shrink_partial(sub);
-        }
-    }
-
-    /// Cached multiplex entries are single-slot partials keyed by the
-    /// **inner** sub-request encoding (see `for_each_slot_key` above), so
-    /// keys parse and deltas dispatch straight to the inner protocol.
-    fn delta_key(&self, key: &CacheKey) -> Option<Self::DeltaKey> {
-        self.inner.delta_key(key)
-    }
-
-    fn item_delta(
-        &self,
-        origin: NodeId,
-        old_items: &[Self::Item],
-        new_items: &[Self::Item],
-        delta: &mut Self::ItemDelta,
-    ) {
-        self.inner.item_delta(origin, old_items, new_items, delta);
-    }
-
-    fn apply_item_delta(
-        &self,
-        key: &Self::DeltaKey,
-        partial: &mut Self::Partial,
-        delta: &Self::ItemDelta,
-    ) -> bool {
-        match partial.as_mut_slice() {
-            [sub] => self.inner.apply_item_delta(key, sub, delta),
-            _ => false, // only single-slot shapes are ever cached
-        }
-    }
-
-    // --- request admission and worker groups --------------------------
-
-    /// Rejects envelopes that exceed the 16-bit slot space (count or any
-    /// slot tag `≥` [`MUX_MAX_SLOTS`]) with a real error — the release
-    /// build's counterpart of the encode-side `debug_assert`.
-    fn validate_request(&self, req: &Self::Request) -> Result<(), NetsimError> {
-        if req.len() as u64 >= MUX_MAX_SLOTS {
-            return Err(NetsimError::WireEncode("mux slot count out of range"));
-        }
-        for entry in req {
-            if entry.slot as u64 >= MUX_MAX_SLOTS {
-                return Err(NetsimError::WireEncode("mux slot tag out of range"));
-            }
-            self.inner.validate_request(&entry.req)?;
-        }
-        Ok(())
-    }
-
     /// Drains the clone's ledger into this one — slot tallies and
     /// envelope bits add, so the merged ledger equals what a single
     /// instance billing every frame would have accumulated. The clone
@@ -2325,7 +2365,6 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             ledger.absorb(&theirs);
             theirs.reset(0);
         }
-        self.inner.absorb_shard(&shard.inner);
     }
 }
 
@@ -2633,6 +2672,7 @@ mod tests {
                 Ok(())
             }
         }
+        impl Envelope for Doubler {}
         let topo = Topology::line(3).unwrap();
         let tree = SpanningTree::bfs(&topo, 0).unwrap();
         let mut r = WaveRunner::new(
@@ -2948,8 +2988,8 @@ mod tests {
         ) -> Result<(), NetsimError> {
             self.inner.absorb_partial(req, acc, child, first_of)
         }
-        fn cache_key(&self, req: &u64) -> Option<CacheKey> {
-            self.inner.cache_key(req)
+        fn cacheable(&self, req: &u64) -> bool {
+            self.inner.cacheable(req)
         }
         fn item_delta(
             &self,
@@ -2963,8 +3003,8 @@ mod tests {
             new.clear();
             new.extend_from_slice(new_items);
         }
-        fn delta_key(&self, key: &CacheKey) -> Option<u64> {
-            self.decode_request(&mut BitReader::new(key)).ok()
+        fn delta_key(&self, &threshold: &u64) -> Option<u64> {
+            Some(threshold)
         }
         fn apply_item_delta(
             &self,
@@ -3200,6 +3240,7 @@ mod tests {
                 Ok(())
             }
         }
+        impl Envelope for Concat {}
         // A star: all four leaves report directly to the root, with
         // default link jitter scrambling arrival order per seed.
         let topo = Topology::star(5).unwrap();
