@@ -832,7 +832,7 @@ mod tests {
     use super::*;
     use saq_netsim::wire::BitWriter;
     use saq_protocols::cache::CacheKey;
-    use saq_protocols::wave::{Envelope, MultiplexWave, MuxEntry};
+    use saq_protocols::mux::{Envelope, MultiplexWave, MuxEntry};
     use saq_sketches::DistinctSketch;
 
     /// The single-slot defaults over `CoreWave`'s codec and cache hooks,

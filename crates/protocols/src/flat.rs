@@ -14,9 +14,9 @@
 //!
 //! ## What a slot and a row hold
 //!
-//! A request is a list of **slots** ([`WaveProtocol::for_each_slot_key`];
+//! A request is a list of **slots** ([`Envelope::for_each_slot_key`];
 //! one for a plain protocol, one per entry of a
-//! [`MultiplexWave`](crate::wave::MultiplexWave) envelope). A slot whose
+//! [`MultiplexWave`](crate::mux::MultiplexWave) envelope). A slot whose
 //! partial is a few machine words — a count or sum, a min or max with
 //! its runner-up — is a **row slot** ([`WaveProtocol::row_kernel`]):
 //! on a flat wave it never rides in `P::Partial`. A node's row slots sit
@@ -56,7 +56,7 @@
 //!   request has a slot outside its row takes a spent accumulator from
 //!   its thread's `Scratch` and refills it with its local contribution
 //!   ([`WaveProtocol::fill_row`]); its parent gives it back once it
-//!   merged the reply, emptied by [`WaveProtocol::release_partial`] —
+//!   merged the reply, emptied by [`Envelope::release_partial`] —
 //!   unless the node's cache keeps its slots. The list holds at most
 //!   the few accumulators a sweep holds at once. A block root's reply
 //!   waits for the barrier trimmed ([`WaveProtocol::shrink_partial`]);
@@ -74,7 +74,7 @@
 //!   partial cache hit pushed the subset envelope into the table. A
 //!   parent writes its `fwd` into each child's slot and bills each copy
 //!   by width — header, the sequence number under ARQ, payload — and
-//!   through [`WaveProtocol::note_request_copies`]; the child admits
+//!   through [`Envelope::note_request_copies`]; the child admits
 //!   that index. The boxed runner's child decodes the same request from
 //!   its frame (the request law of [`WaveProtocol::decode_request`]),
 //!   so below the root no request is encoded, cloned or decoded: a
@@ -92,14 +92,14 @@
 //!   builds encode each staged reply once in per-thread scratch, row
 //!   slots included, to check the width it is billed by;
 //! * **a cache hit costs a probe.** Slot keys are the sub-requests'
-//!   captured wire bits ([`WaveProtocol::for_each_slot_key`]), probed
+//!   captured wire bits ([`Envelope::for_each_slot_key`]), probed
 //!   in place; a node whose every slot hits is billed straight from the
-//!   cache entries ([`WaveProtocol::slot_width`]) while the top-down
+//!   cache entries ([`Envelope::slot_width`]) while the top-down
 //!   sweep is still at it, and allocates nothing. Its parent merges the
 //!   hits where they lie — a row slot's through its words — and an
 //!   executing child's computed slots, which a child that hit or
 //!   stores joins in full form ([`WaveProtocol::row_partial`]) when it
-//!   stages them, slot by slot ([`WaveProtocol::absorb_slot`]), and
+//!   stages them, slot by slot ([`Envelope::absorb_slot`]), and
 //!   only then moves the child's computed slots into the child's cache:
 //!   no hit or store copies a partial;
 //! * **a column exists only for what the deployment uses**: each
@@ -163,7 +163,7 @@
 //! * each worker group runs a `clone` of the protocol,
 //!   which bills a [`MuxLedger`] of its own, and the barrier drains
 //!   every group's into the driver's in fixed group order
-//!   ([`WaveProtocol::absorb_shard`]) — as the boxed runner folds its
+//!   ([`Envelope::absorb_shard`]) — as the boxed runner folds its
 //!   nodes' after every wave.
 //!
 //! ## Lossy links: fate-replay ARQ emulation
@@ -199,16 +199,17 @@
 //! ground truth for that combination. [`Reliability::None`] requires lossless links, as
 //! before.
 //!
-//! [`MuxLedger`]: crate::wave::MuxLedger
+//! [`MuxLedger`]: crate::mux::MuxLedger
 
 use crate::cache::{CacheStats, PartialCache};
 use crate::error::ProtocolError;
+use crate::mux::Envelope;
 use crate::obs::NodeTraceEntry;
 use crate::row::{RowKernel, RowSource};
 use crate::tree::SpanningTree;
 use crate::wave::{
-    ack_bits, header_bits, CacheResolution, CachedPartial, Envelope, Reliability,
-    TransportFootprint, WaveProtocol, WaveSubstrate,
+    ack_bits, header_bits, CacheResolution, CachedPartial, Reliability, TransportFootprint,
+    WaveProtocol, WaveSubstrate,
 };
 use saq_netsim::energy::EnergyModel;
 use saq_netsim::flat::{FlatTree, NestDepth, ShardBlock, ShardPlan};
@@ -549,7 +550,7 @@ impl<R> RequestTable<R> {
     }
 }
 
-/// Free list of spent accumulators ([`WaveProtocol::release_partial`]
+/// Free list of spent accumulators ([`Envelope::release_partial`]
 /// already applied), refilled by [`WaveProtocol::fill_row`]. A node
 /// whose request has a slot outside its row takes one going down, and
 /// its parent gives it back once it merged the reply, so the list never
@@ -761,7 +762,7 @@ fn checked_width<P: WaveProtocol>(proto: &P, req: &P::Request, p: &P::Partial) -
 /// exactly as the boxed runner's per-child frame — the header
 /// (the *i*-th child's ARQ sequence number *i* included) plus the
 /// request's measured width — and to the protocol through
-/// [`WaveProtocol::note_request_copies`]. Under ARQ the whole boxed
+/// [`Envelope::note_request_copies`]. Under ARQ the whole boxed
 /// exchange is emulated on the spot: both endpoints' counters live in
 /// this window, since blocks are whole subtrees and the spine sweeps
 /// the full column.
@@ -915,7 +916,7 @@ impl<P: Envelope> Merge<'_, P> {
     /// Slot `i` of `fwd`, held as element `j` of `part` — a cache entry
     /// or a reply in full form: a row slot through its words
     /// ([`WaveProtocol::fill_row`]), any other through
-    /// [`WaveProtocol::absorb_slot`].
+    /// [`Envelope::absorb_slot`].
     fn slot(
         &self,
         acc: &mut Option<P::Partial>,
@@ -1392,7 +1393,7 @@ pub struct FlatWaveRunner<P: Envelope> {
     energy: EnergyModel,
     /// The protocol the runner was built with, which the driver runs
     /// on the spine: every group clone's side-state (e.g. its
-    /// [`MuxLedger`](crate::wave::MuxLedger)) is drained into it at
+    /// [`MuxLedger`](crate::mux::MuxLedger)) is drained into it at
     /// every barrier ([`WaveSubstrate::protocol`]).
     proto: P,
     cols: Columns<P>,
@@ -1919,8 +1920,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mux::{MultiplexWave, MuxEntry};
     use crate::test_protocols::SumBelow;
-    use crate::wave::{MultiplexWave, MuxEntry, WaveRunner};
+    use crate::wave::WaveRunner;
     use saq_netsim::wire::{width_for_max, BitReader, BitWriter};
     use saq_netsim::NetsimError;
 
@@ -2364,7 +2366,7 @@ mod tests {
     /// run's trace, one `Vec` per wave, for callers that assert *what*
     /// happened.
     ///
-    /// [`MuxLedger`]: crate::wave::MuxLedger
+    /// [`MuxLedger`]: crate::mux::MuxLedger
     fn same_as_boxed(
         topo: &Topology,
         tree: &SpanningTree,

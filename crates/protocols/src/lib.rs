@@ -42,6 +42,7 @@ pub mod cache;
 pub mod error;
 pub mod flat;
 pub mod gossip;
+pub mod mux;
 pub mod obs;
 pub mod rings;
 pub mod row;
@@ -53,10 +54,8 @@ pub mod wave;
 pub use cache::{CacheKey, CacheStats, PartialCache};
 pub use error::ProtocolError;
 pub use flat::FlatWaveRunner;
+pub use mux::{Envelope, MultiplexWave, MuxEntry, MuxLedger, MuxSlotBits, MUX_MAX_SLOTS};
 pub use obs::{FateReplay, Hop, NodeTraceEntry, ReplayEvent};
 pub use row::{RowKernel, RowSource};
 pub use tree::SpanningTree;
-pub use wave::{
-    Envelope, MultiplexWave, MuxEntry, MuxLedger, MuxSlotBits, TransportFootprint, WaveProtocol,
-    WaveRunner, WaveSubstrate, MUX_MAX_SLOTS,
-};
+pub use wave::{TransportFootprint, WaveProtocol, WaveRunner, WaveSubstrate};

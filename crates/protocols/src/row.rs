@@ -2,7 +2,7 @@
 //!
 //! A slot whose partial is a fixed number of machine words — a count or
 //! sum, a min or max with its runner-up — needs no container. On a flat
-//! wave the [`MultiplexWave`](crate::wave::MultiplexWave) lays every such
+//! wave the [`MultiplexWave`](crate::mux::MultiplexWave) lays every such
 //! slot of a request out back to back, in slot order, as a node's
 //! **row** of `u64` words, and the flat runner folds, merges and bills
 //! the row word by word ([`RowKernel`]). Every other slot keeps riding

@@ -2,7 +2,8 @@
 //! plain single-slot protocol the runner tests wrap, and [`FailsAt`],
 //! whose merge fails at one node for one request.
 
-use crate::wave::{Envelope, WaveProtocol};
+use crate::mux::Envelope;
+use crate::wave::WaveProtocol;
 use saq_netsim::sim::NodeId;
 use saq_netsim::wire::{BitReader, BitWriter};
 use saq_netsim::NetsimError;

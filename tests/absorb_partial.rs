@@ -37,7 +37,8 @@ use saq::core::predicate::{Domain, Predicate};
 use saq::core::wave_proto::{CoreAgg, CorePartial, CoreRequest, CoreWave, SimItem};
 use saq::netsim::wire::{BitReader, BitWriter};
 use saq::netsim::NetsimError;
-use saq::protocols::wave::{Envelope, MultiplexWave, MuxEntry, WaveProtocol};
+use saq::protocols::mux::{Envelope, MultiplexWave, MuxEntry};
+use saq::protocols::wave::WaveProtocol;
 
 const XBAR: u64 = 1000;
 /// `CoreRequest` has this many kinds; `request` maps `0..KINDS` onto them.

@@ -23,7 +23,8 @@ use saq::core::wave_proto::{CoreRequest, CoreWave, SimItem};
 use saq::netsim::flat::NestDepth;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::topology::Topology;
-use saq::protocols::wave::{MultiplexWave, MuxEntry, Reliability};
+use saq::protocols::mux::{MultiplexWave, MuxEntry};
+use saq::protocols::wave::Reliability;
 use saq::protocols::{FlatWaveRunner, SpanningTree, WaveRunner, WaveSubstrate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

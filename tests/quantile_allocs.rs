@@ -18,7 +18,8 @@ use saq::core::wave_proto::{CoreRequest, CoreWave, SimItem};
 use saq::netsim::flat::NestDepth;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::topology::Topology;
-use saq::protocols::wave::{MultiplexWave, Reliability};
+use saq::protocols::mux::MultiplexWave;
+use saq::protocols::wave::Reliability;
 use saq::protocols::{FlatWaveRunner, SpanningTree, WaveRunner, WaveSubstrate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,7 +58,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const N: usize = 4096;
 const XBAR: u64 = 1000;
 
-fn envelope() -> Vec<saq::protocols::wave::MuxEntry<CoreRequest>> {
+fn envelope() -> Vec<saq::protocols::mux::MuxEntry<CoreRequest>> {
     MultiplexWave::envelope(
         &CoreWave {
             xbar: XBAR,

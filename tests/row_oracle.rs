@@ -23,7 +23,8 @@ use saq::netsim::link::LinkConfig;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::time::SimDuration;
 use saq::netsim::topology::Topology;
-use saq::protocols::wave::{MultiplexWave, MuxEntry, Reliability};
+use saq::protocols::mux::{MultiplexWave, MuxEntry};
+use saq::protocols::wave::Reliability;
 use saq::protocols::{FlatWaveRunner, NodeTraceEntry, SpanningTree, WaveRunner, WaveSubstrate};
 
 type Mux = MultiplexWave<CoreWave>;

@@ -17,7 +17,8 @@ use saq::core::wave_proto::{CoreRequest, CoreWave, SimItem};
 use saq::netsim::flat::NestDepth;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::topology::Topology;
-use saq::protocols::wave::{MultiplexWave, Reliability};
+use saq::protocols::mux::MultiplexWave;
+use saq::protocols::wave::Reliability;
 use saq::protocols::{FlatWaveRunner, SpanningTree, WaveRunner, WaveSubstrate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,7 +61,7 @@ const UPDATES: usize = 200;
 /// One cacheable slot per delta-maintained aggregate: group deltas,
 /// extremum repair (raw and log domain), identity-keyed samples, and a
 /// quantile summary, whose value changes always decline.
-fn envelope() -> Vec<saq::protocols::wave::MuxEntry<CoreRequest>> {
+fn envelope() -> Vec<saq::protocols::mux::MuxEntry<CoreRequest>> {
     MultiplexWave::envelope(
         &CoreWave {
             xbar: XBAR,

@@ -24,7 +24,8 @@ use saq::core::wave_proto::{CoreRequest, CoreWave, SimItem};
 use saq::netsim::flat::NestDepth;
 use saq::netsim::sim::SimConfig;
 use saq::netsim::topology::Topology;
-use saq::protocols::wave::{MultiplexWave, Reliability};
+use saq::protocols::mux::MultiplexWave;
+use saq::protocols::wave::Reliability;
 use saq::protocols::{FlatWaveRunner, SpanningTree, WaveRunner, WaveSubstrate};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,7 +65,7 @@ const N: usize = 4096;
 const XBAR: u64 = 1000;
 
 /// The E16 mix `wave_1e5` submits every round.
-fn envelope() -> Vec<saq::protocols::wave::MuxEntry<CoreRequest>> {
+fn envelope() -> Vec<saq::protocols::mux::MuxEntry<CoreRequest>> {
     MultiplexWave::envelope(
         &CoreWave {
             xbar: XBAR,
