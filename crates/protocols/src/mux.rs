@@ -1,9 +1,7 @@
-//! The multiplexed envelope: [`Envelope`], the hooks a tree runner
-//! drives beyond the aggregate contract — slots, their cache keys and
-//! per-slot billing, each defaulting to the single-slot body — and
-//! [`MultiplexWave`], the envelope that carries `N` sub-requests of an
-//! inner [`WaveProtocol`] in one wave and attributes every bit to its
-//! slot in a [`MuxLedger`].
+//! The envelope: [`Envelope`], the slot, cache and billing hooks a tree
+//! runner drives beyond [`WaveProtocol`], and [`MultiplexWave`], which
+//! carries `N` sub-requests of an inner protocol in one wave and bills
+//! every bit to its slot in a [`MuxLedger`].
 
 use crate::cache::CacheKey;
 use crate::row::{RowKernel, RowSource};
@@ -12,28 +10,21 @@ use saq_netsim::sim::NodeId;
 use saq_netsim::wire::{gamma_len, BitReader, BitString, BitWriter};
 use saq_netsim::NetsimError;
 
-/// A cacheable slot as [`Envelope::for_each_slot_key`] lends it: its
-/// cache key, and a function returning its sub-request's
-/// [`delta_key`](WaveProtocol::delta_key).
+/// A cacheable slot as [`Envelope::for_each_slot_key`] lends it: its key
+/// and its sub-request's [`delta_key`](WaveProtocol::delta_key), on demand.
 pub type SlotKey<'a, P> = (
     &'a CacheKey,
     &'a dyn Fn() -> Option<<P as WaveProtocol>::DeltaKey>,
 );
 
-/// The hooks a tree runner drives beyond the aggregate: how a request
-/// splits into independently cacheable **slots**, how a reply is billed
-/// and merged slot by slot, and the side-state a protocol clone bills.
-/// An envelope writes them: [`MultiplexWave`] carries the sub-requests
-/// of an inner [`WaveProtocol`] in one wave, one slot each, and
-/// implements every hook.
-///
-/// Each default is the **single-slot** body: the whole request is one
-/// slot, cached under its encoding when
-/// [`cacheable`](WaveProtocol::cacheable). A plain protocol that
-/// [`WaveRunner`] or the flat runner runs bare opts in with an empty
-/// `impl Envelope for X {}` and writes none of them.
-///
-/// [`WaveRunner`]: crate::wave::WaveRunner
+/// The hooks a tree runner drives beyond the aggregate, which an envelope
+/// writes: how a request splits into independently cacheable **slots**,
+/// how a reply is billed and merged slot by slot, and the side-state a
+/// protocol clone bills. [`MultiplexWave`] implements them all. Each
+/// default is the **single-slot** body — the whole request is one slot,
+/// cached under its encoding when [`cacheable`](WaveProtocol::cacheable)
+/// — so a plain protocol a tree runner runs bare opts in with an empty
+/// `impl Envelope for X {}`.
 pub trait Envelope: WaveProtocol {
     /// Accounts for `copies` transmissions of `req`'s encoding — one
     /// per child a node forwards `req` to (retransmissions excluded).
@@ -797,11 +788,8 @@ impl<P: WaveProtocol> Envelope for MultiplexWave<P> {
         }
     }
 
-    /// Every entry is one slot, cacheable as its sub-request is
-    /// ([`cacheable`](WaveProtocol::cacheable) of the inner protocol):
-    /// its key is lent from the entry's captured bits, and its delta key
-    /// is the inner protocol's, so cached entries are single-slot
-    /// partials that deltas dispatch straight to the inner protocol.
+    /// Every entry is one slot, cacheable and delta-keyed as the inner
+    /// protocol says, its key lent from the entry's captured bits.
     fn for_each_slot_key(
         &self,
         req: &Self::Request,

@@ -103,9 +103,8 @@ impl<P: WaveProtocol> NodeRuntime for RingNode<P> {
             }
             TAG_SLOT => {
                 if self.ring == 0 {
-                    // The root's slot, the epoch's last: finalize. A
-                    // synopsis arriving later would never reach the
-                    // result, so the accumulator is taken.
+                    // The root's slot, the epoch's last: finalize. No
+                    // later synopsis reaches the result, so take it.
                     self.result = self.acc.take();
                 } else if let (Some(req), Some(acc)) = (&self.req, &self.acc) {
                     ctx.broadcast_local(self.synopsis_payload(req, acc));

@@ -9,10 +9,11 @@
 //!
 //! A [`WaveProtocol`] defines one aggregate family: the request and
 //! partial types, their bit-exact encodings, the per-node contribution and
-//! the in-place merge of a child's partial. [`WaveSubstrate`] is the
-//! contract for executing waves; [`WaveRunner`] implements it by owning a
-//! simulator plus tree and running waves to quiescence; per-node bit
-//! statistics accumulate in the underlying [`saq_netsim::stats::NetStats`].
+//! the in-place merge of a child's partial; a tree runner drives it through
+//! [`Envelope`]. [`WaveSubstrate`] is the contract for executing waves;
+//! [`WaveRunner`] implements it by owning a simulator plus tree and running
+//! waves to quiescence; per-node bit statistics accumulate in the
+//! underlying [`saq_netsim::stats::NetStats`].
 //!
 //! ## Reliability
 //!
@@ -46,17 +47,11 @@ use std::fmt::Debug;
 /// encodings may therefore depend on it without shipping schema bits in
 /// every message.
 ///
-/// An author writes the four codecs, the local contribution
-/// ([`local`](Self::local)) and the merge
-/// ([`absorb_partial`](Self::absorb_partial)). Every other hook has a
-/// default an aggregate overrides where it has something to say: a
-/// closed-form [`partial_width`](Self::partial_width), the row family
-/// for a partial of a few words, the cache hooks, delta maintenance and
-/// [`validate_request`](Self::validate_request). How a request splits
-/// into slots that are batched, cached and billed one by one is an
-/// envelope's concern, written once in [`Envelope`]: a protocol a tree
-/// runner runs bare opts in with an empty `impl Envelope for X {}`, and
-/// [`RingsRunner`](crate::rings::RingsRunner) runs this contract alone.
+/// An author writes the four codecs, [`local`](Self::local) and
+/// [`absorb_partial`](Self::absorb_partial); every other hook has a
+/// default. Slots and their caching and billing are an envelope's
+/// ([`Envelope`]): a tree runner runs a plain protocol once it opts in
+/// with an empty `impl Envelope for X {}`; rings need this trait alone.
 pub trait WaveProtocol: Clone {
     /// Request disseminated root-to-leaves.
     type Request: Clone + Debug;
@@ -173,12 +168,6 @@ pub trait WaveProtocol: Clone {
     ) -> Result<(), NetsimError>;
 
     // --- subtree partial caching hooks (see `crate::cache`) -----------
-    //
-    // A protocol opts into caching by naming its deterministic requests
-    // ([`WaveProtocol::cacheable`]); a cached partial is keyed by its
-    // request's exact `encode_request` bits, which the envelope lends
-    // per slot ([`Envelope::for_each_slot_key`]). The defaults describe
-    // a protocol with caching disabled.
 
     /// Whether this request's subtree partial may be cached, under its
     /// exact [`encode_request`](Self::encode_request) bits. Requests
@@ -487,15 +476,6 @@ pub(crate) struct CachedPartial<P: WaveProtocol> {
     delta_key: Option<P::DeltaKey>,
 }
 
-impl<P: WaveProtocol> Clone for CachedPartial<P> {
-    fn clone(&self) -> Self {
-        CachedPartial {
-            partial: self.partial.clone(),
-            delta_key: self.delta_key.clone(),
-        }
-    }
-}
-
 impl<P: WaveProtocol> CachedPartial<P> {
     /// Folds an item update in ([`WaveProtocol::apply_item_delta`]);
     /// `false` means the entry must be invalidated.
@@ -524,8 +504,7 @@ pub(crate) struct CacheResolution<P: Envelope> {
     /// request, in order.
     pub(crate) miss: Vec<usize>,
     /// Partials to store on completion: `(position within the forwarded
-    /// request's slots, cache key, delta key)`, the delta key derived
-    /// from the slot's sub-request when it missed.
+    /// request's slots, cache key, delta key taken when the slot missed)`.
     store: Vec<(usize, CacheKey, Option<P::DeltaKey>)>,
 }
 
