@@ -943,8 +943,8 @@ mod tests {
             assert_eq!(p.delta_key(&req), Some(req));
         }
         // The key IS the encoding: distinct nonces are distinct keys.
-        let a = slot_keys(&p, &CoreRequest::BottomK { k: 4, nonce: 1 });
-        let b = slot_keys(&p, &CoreRequest::BottomK { k: 4, nonce: 2 });
+        let key = |nonce| slot_keys(&p, &CoreRequest::BottomK { k: 4, nonce })[0].clone();
+        let (a, b) = (key(1).unwrap().0, key(2).unwrap().0);
         assert_ne!(a, b);
     }
 

@@ -444,7 +444,7 @@ impl<P: Envelope> WaveSlot<P> {
 struct NodeCache<P: Envelope> {
     cache: PartialCache<CachedPartial<P>>,
     /// The current wave's cache hits, misses and pending stores.
-    resolved: CacheResolution<P>,
+    resolved: CacheResolution,
 }
 
 /// Where one request's slots lie on a flat wave, resolved once, when
@@ -956,7 +956,7 @@ impl<P: Envelope> Merge<'_, P> {
     fn cached_reply(
         &self,
         cache: &mut PartialCache<CachedPartial<P>>,
-        resolved: &mut CacheResolution<P>,
+        resolved: &mut CacheResolution,
         acc: &mut Option<P::Partial>,
         row: &mut [u64],
         reply: Option<P::Partial>,
@@ -983,7 +983,7 @@ impl<P: Envelope> Merge<'_, P> {
             }
             resolved.hits.clear();
         }
-        Ok(resolved.store_by_move(self.proto, cache, reply))
+        Ok(resolved.store_by_move(self.proto, cache, self.fwd, reply))
     }
 }
 

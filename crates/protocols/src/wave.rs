@@ -72,8 +72,8 @@ pub trait WaveProtocol: Clone {
     type ItemDelta: Default + Debug;
     /// What [`WaveProtocol::apply_item_delta`] needs to know of a cached
     /// entry's request ([`WaveProtocol::delta_key`]). It is derived
-    /// once, when the entry's slot misses, and kept beside the entry, so
-    /// an item update never re-reads a request. Protocols that do not
+    /// once, when the entry is stored, and kept beside the entry, so an
+    /// item update never re-reads a request. Protocols that do not
     /// delta-maintain their caches use `()`.
     type DeltaKey: Clone + Debug;
 
@@ -275,7 +275,7 @@ pub trait WaveProtocol: Clone {
     /// What delta maintenance needs of `req`, a cacheable request — a
     /// slot's sub-request, as its entry is keyed — or `None` when
     /// entries of it must be invalidated by every item update (the
-    /// default). Called once per stored entry, when its slot misses.
+    /// default). Called once per stored entry.
     fn delta_key(&self, _req: &Self::Request) -> Option<Self::DeltaKey> {
         None
     }
@@ -496,29 +496,19 @@ impl<P: WaveProtocol> CachedPartial<P> {
 /// completion, so a position stays valid for the whole wave, and a
 /// reply served from cache is billed ([`CacheResolution::hits_width`])
 /// and merged into the parent straight from the entries.
-#[derive(Debug)]
-pub(crate) struct CacheResolution<P: Envelope> {
+#[derive(Debug, Default)]
+pub(crate) struct CacheResolution {
     /// Cache hits: `(slot index in the request, position in the cache)`.
     pub(crate) hits: Vec<(usize, usize)>,
     /// Slot indices of the cache misses — the slots of the forwarded
     /// request, in order.
     pub(crate) miss: Vec<usize>,
     /// Partials to store on completion: `(position within the forwarded
-    /// request's slots, cache key, delta key taken when the slot missed)`.
-    store: Vec<(usize, CacheKey, Option<P::DeltaKey>)>,
+    /// request's slots, cache key)`.
+    store: Vec<(usize, CacheKey)>,
 }
 
-impl<P: Envelope> Default for CacheResolution<P> {
-    fn default() -> Self {
-        CacheResolution {
-            hits: Vec::new(),
-            miss: Vec::new(),
-            store: Vec::new(),
-        }
-    }
-}
-
-impl<P: Envelope> CacheResolution<P> {
+impl CacheResolution {
     /// Resolves `req` against the node's cache. An item-mutating wave
     /// clears the cache *before* anything is served and never caches
     /// itself; otherwise every cacheable slot is probed (each probe
@@ -526,7 +516,7 @@ impl<P: Envelope> CacheResolution<P> {
     /// recorded for the forwarded request and for storing. Returns
     /// whether every slot hit — the node then answers from cache and
     /// its subtree stays silent.
-    pub(crate) fn resolve(
+    pub(crate) fn resolve<P: Envelope>(
         &mut self,
         proto: &P,
         cache: Option<&mut PartialCache<CachedPartial<P>>>,
@@ -545,7 +535,7 @@ impl<P: Envelope> CacheResolution<P> {
         }
         let CacheResolution { hits, miss, store } = self;
         proto.for_each_slot_key(req, &mut |i, slot| {
-            let Some((key, delta_key)) = slot else {
+            let Some((key, _)) = slot else {
                 miss.push(i);
                 return;
             };
@@ -561,7 +551,7 @@ impl<P: Envelope> CacheResolution<P> {
                     if let Some(t) = trace.as_deref_mut() {
                         t.push(NodeTraceEntry::CacheMiss { slot });
                     }
-                    store.push((miss.len(), key.clone(), delta_key()));
+                    store.push((miss.len(), key.clone()));
                     miss.push(i);
                 }
             }
@@ -572,7 +562,7 @@ impl<P: Envelope> CacheResolution<P> {
     /// The reply of a node whose every slot hit, as an owned partial
     /// (the hits cloned and joined). Clears the hits: the reply is
     /// complete, and completion has nothing left to interleave.
-    pub(crate) fn take_cached_reply(
+    pub(crate) fn take_cached_reply<P: Envelope>(
         &mut self,
         proto: &P,
         cache: &PartialCache<CachedPartial<P>>,
@@ -591,7 +581,7 @@ impl<P: Envelope> CacheResolution<P> {
     /// slot hit, what [`WaveProtocol::partial_width`] of
     /// [`take_cached_reply`](Self::take_cached_reply) returns and bills,
     /// without a copy.
-    pub(crate) fn hits_width(
+    pub(crate) fn hits_width<P: Envelope>(
         &self,
         proto: &P,
         cache: &PartialCache<CachedPartial<P>>,
@@ -608,7 +598,7 @@ impl<P: Envelope> CacheResolution<P> {
     /// storing the freshly computed subtree partials on the way. Hits
     /// are copied out before anything is stored — a store may evict
     /// one.
-    pub(crate) fn assemble(
+    pub(crate) fn assemble<P: Envelope>(
         &mut self,
         proto: &P,
         cache: Option<&mut PartialCache<CachedPartial<P>>>,
@@ -627,7 +617,8 @@ impl<P: Envelope> CacheResolution<P> {
             .drain(..)
             .map(|(i, pos)| (i, cache.at(pos).partial.clone()))
             .collect();
-        for (pos, key, delta_key) in self.store.drain(..) {
+        for (pos, key) in self.store.drain(..) {
+            let delta_key = slot_delta_key(proto, req, self.miss[pos]);
             let partial = proto.slot_partial(fwd, &acc, pos);
             cache.insert(key, CachedPartial { partial, delta_key });
         }
@@ -661,25 +652,44 @@ impl<P: Envelope> CacheResolution<P> {
     /// ([`WaveProtocol::shrink_partial`]). Run once every hit was read.
     /// When nothing is stored, `acc` is handed back for reuse as a later
     /// node's accumulator. The flat runner calls it from a node's parent,
-    /// once the parent read the node's hits.
-    pub(crate) fn store_by_move(
+    /// once the parent read the node's hits, with `req`, the request the
+    /// node received.
+    pub(crate) fn store_by_move<P: Envelope>(
         &mut self,
         proto: &P,
         cache: &mut PartialCache<CachedPartial<P>>,
+        req: &P::Request,
         acc: P::Partial,
     ) -> Option<P::Partial> {
         if self.store.is_empty() {
             return Some(acc);
         }
-        let mut store = self.store.drain(..).peekable();
+        let CacheResolution { miss, store, .. } = self;
+        let mut store = store.drain(..).peekable();
         proto.split_slots(acc, &mut |pos, mut partial| {
-            if let Some((_, key, delta_key)) = store.next_if(|&(p, ..)| p == pos) {
+            if let Some((_, key)) = store.next_if(|&(p, _)| p == pos) {
                 proto.shrink_partial(&mut partial);
+                let delta_key = slot_delta_key(proto, req, miss[pos]);
                 cache.insert(key, CachedPartial { partial, delta_key });
             }
         });
         None
     }
+}
+
+/// What delta maintenance keeps of slot `i` of `req` for its cache entry:
+/// the slot's [`WaveProtocol::delta_key`], taken from its sub-request as
+/// [`Envelope::for_each_slot_key`] lends it — no key is decoded. Derived
+/// at store time rather than kept from the miss, so a node's store list
+/// holds no delta key between its admission and its parent's merge.
+fn slot_delta_key<P: Envelope>(proto: &P, req: &P::Request, i: usize) -> Option<P::DeltaKey> {
+    let mut out = None;
+    proto.for_each_slot_key(req, &mut |j, slot| {
+        if j == i {
+            out = slot.and_then(|(_, delta_key)| delta_key());
+        }
+    });
+    out
 }
 
 /// Node state machine executing [`WaveProtocol`] waves over a spanning
@@ -710,7 +720,7 @@ pub struct AggNode<P: Envelope> {
     /// Child partials and `acc` align with the forwarded request.
     fwd_req: Option<P::Request>,
     /// The current wave's cache hits, misses and pending stores.
-    resolved: CacheResolution<P>,
+    resolved: CacheResolution,
     /// Child partials buffered for the **canonical merge**: partials are
     /// merged in fixed child order once every child reported, never in
     /// arrival order. Arrival order depends on link jitter and event
