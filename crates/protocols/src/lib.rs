@@ -17,11 +17,9 @@
 //!   [`wave::WaveRunner`] executes root-initiated waves event by event,
 //!   optionally with per-hop ARQ under lossy links — the timing-faithful
 //!   oracle (virtual time, jitter, lossy links without ARQ);
-//! * [`mux`] — the envelope: [`mux::Envelope`], the slot, cache and
-//!   billing hooks a tree runner drives (single-slot by default, so a
-//!   plain protocol opts in with an empty impl), and
-//!   [`mux::MultiplexWave`], which batches the sub-requests of an inner
-//!   protocol into one wave and bills each bit to its slot;
+//! * [`mux`] — [`mux::Envelope`], the slot, cache and billing hooks a
+//!   tree runner drives, and [`mux::MultiplexWave`], which batches an
+//!   inner protocol's sub-requests into one wave, billing each slot;
 //! * [`rings`] — the multipath "synopsis diffusion" overlay of Considine
 //!   et al. / Nath et al.: duplicate-prone by design, safe only for ODI
 //!   synopses;

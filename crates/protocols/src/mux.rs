@@ -18,13 +18,10 @@ pub type SlotKey<'a, P> = (
 );
 
 /// The hooks a tree runner drives beyond the aggregate, which an envelope
-/// writes: how a request splits into independently cacheable **slots**,
-/// how a reply is billed and merged slot by slot, and the side-state a
-/// protocol clone bills. [`MultiplexWave`] implements them all. Each
-/// default is the **single-slot** body — the whole request is one slot,
-/// cached under its encoding when [`cacheable`](WaveProtocol::cacheable)
-/// — so a plain protocol a tree runner runs bare opts in with an empty
-/// `impl Envelope for X {}`.
+/// writes: a request's **slots**, their cache keys, per-slot billing and
+/// merges, and the side-state a clone bills. Each default is the
+/// single-slot body, so a plain protocol a tree runner runs bare opts in
+/// with an empty `impl Envelope for X {}`; rings need none of it.
 pub trait Envelope: WaveProtocol {
     /// Accounts for `copies` transmissions of `req`'s encoding — one
     /// per child a node forwards `req` to (retransmissions excluded).

@@ -49,9 +49,7 @@ use std::fmt::Debug;
 ///
 /// An author writes the four codecs, [`local`](Self::local) and
 /// [`absorb_partial`](Self::absorb_partial); every other hook has a
-/// default. Slots and their caching and billing are an envelope's
-/// ([`Envelope`]): a tree runner runs a plain protocol once it opts in
-/// with an empty `impl Envelope for X {}`; rings need this trait alone.
+/// default. Slots, their caching and billing are an [`Envelope`]'s.
 pub trait WaveProtocol: Clone {
     /// Request disseminated root-to-leaves.
     type Request: Clone + Debug;
@@ -651,9 +649,8 @@ impl CacheResolution {
     /// cache — no copy, no join — each shrunk to its size first
     /// ([`WaveProtocol::shrink_partial`]). Run once every hit was read.
     /// When nothing is stored, `acc` is handed back for reuse as a later
-    /// node's accumulator. The flat runner calls it from a node's parent,
-    /// once the parent read the node's hits, with `req`, the request the
-    /// node received.
+    /// node's accumulator. The node's parent calls it with the request it
+    /// forwarded to the node (`req`), once it read the node's hits.
     pub(crate) fn store_by_move<P: Envelope>(
         &mut self,
         proto: &P,
@@ -677,11 +674,8 @@ impl CacheResolution {
     }
 }
 
-/// What delta maintenance keeps of slot `i` of `req` for its cache entry:
-/// the slot's [`WaveProtocol::delta_key`], taken from its sub-request as
-/// [`Envelope::for_each_slot_key`] lends it — no key is decoded. Derived
-/// at store time rather than kept from the miss, so a node's store list
-/// holds no delta key between its admission and its parent's merge.
+/// Slot `i`'s delta key, as [`Envelope::for_each_slot_key`] lends it off
+/// `req`: taken at store time, so no store list keeps one from the miss.
 fn slot_delta_key<P: Envelope>(proto: &P, req: &P::Request, i: usize) -> Option<P::DeltaKey> {
     let mut out = None;
     proto.for_each_slot_key(req, &mut |j, slot| {
