@@ -16,7 +16,7 @@
 //!    the partial type's own equality *and* field for field (`Debug`),
 //!    so state equality ignores, such as a min/max runner-up, must match
 //!    too: the child is merged in its wire-normal form. Absorbing an
-//!    envelope slot by slot ([`WaveProtocol::absorb_slot`], how a parent
+//!    envelope slot by slot ([`Envelope::absorb_slot`], how a parent
 //!    merges a child's cached and computed slots), from its split
 //!    single-slot form or from the whole child, gives the same;
 //! 3. a mis-shaped accumulator or child is an `Err`, not a panic or a
