@@ -1,28 +1,26 @@
 //! # saq-baselines — comparison protocols for the median problem
 //!
 //! The paper's §1 positions its algorithms against four families of prior
-//! and concurrent work; this crate implements a faithful representative
-//! of each so experiment E7 can reproduce the comparisons:
+//! and concurrent work. Experiment E7 reproduces the comparisons with a
+//! faithful representative of each; two of them live in this crate:
 //!
 //! * [`naive`] — TAG's "holistic" answer: ship every value to the root
 //!   (`Θ(N log X̄)` bits near the root) and sort locally;
-//! * [`gk_tree`] — Greenwald–Khanna-style one-pass aggregation of
-//!   mergeable quantile summaries \[4\]: polylog bits per node, answers
-//!   *all* quantiles, but more bits than the paper's targeted binary
-//!   search;
-//! * [`sampling`] — Nath-et-al-style ODI uniform sampling \[10\]:
-//!   bottom-k synopses, `Θ(k log N)` bits, rank error `Θ(N/√k)`;
 //! * [`gossip`] — Kempe–Dobra–Gehrke push-sum \[6\] driving the same
 //!   value-domain binary search as Fig. 1, with every count estimated by
 //!   gossip instead of a tree wave.
 //!
-//! All runners report a common [`BaselineOutcome`] so the harness can
-//! tabulate cost and accuracy side by side.
+//! The other two are requests of `saq-core`, served by the same
+//! aggregates as the paper's algorithms: the Greenwald–Khanna one-pass
+//! mergeable quantile summary \[4\] is `CoreRequest::Quantile` (run as a
+//! `QuantilePlan`), and the bottom-k sampling of Nath et al. \[10\] is
+//! `CoreRequest::BottomK` (`AggregationNetwork::bottom_k`).
+//!
+//! Both runners here report a common [`BaselineOutcome`] so the harness
+//! can tabulate cost and accuracy side by side.
 
-pub mod gk_tree;
 pub mod gossip;
 pub mod naive;
-pub mod sampling;
 
 use saq_netsim::stats::NetStats;
 

@@ -2,13 +2,13 @@
 //! (a 16×16 grid): the operational counterpart of experiment E7's bit
 //! comparison.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use saq_baselines::gk_tree::GkTreeMedian;
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkGroup, Criterion};
 use saq_baselines::naive::NaiveMedian;
-use saq_baselines::sampling::SamplingMedian;
-use saq_core::simnet::SimNetworkBuilder;
+use saq_core::model::reference_median;
+use saq_core::net::AggregationNetwork;
+use saq_core::plan::{run_plan, QuantilePlan};
+use saq_core::simnet::{SimNetwork, SimNetworkBuilder};
 use saq_core::{ApxCountConfig, ApxMedian, ApxMedian2, Median};
-use saq_netsim::sim::SimConfig;
 use saq_netsim::topology::Topology;
 use std::hint::black_box;
 
@@ -21,105 +21,58 @@ fn deployment() -> (Topology, Vec<u64>, u64) {
     (topo, items, 65536)
 }
 
-fn reduced_apx() -> ApxCountConfig {
-    ApxCountConfig {
+fn reduced_apx() -> SimNetworkBuilder {
+    SimNetworkBuilder::new().apx_config(ApxCountConfig {
         rep_search: 2.0,
         rep_count: 1.0,
         ..ApxCountConfig::default().with_b(4)
-    }
+    })
+}
+
+/// Times `query` on a fresh deployment from `builder`, built in setup.
+fn e2e<O>(
+    g: &mut BenchmarkGroup<'_>,
+    name: &str,
+    builder: fn() -> SimNetworkBuilder,
+    query: impl Fn(&mut SimNetwork) -> O,
+) {
+    let (topo, items, xbar) = deployment();
+    g.bench_function(name, |b| {
+        b.iter_batched(
+            || {
+                builder()
+                    .build_one_per_node(&topo, &items, xbar)
+                    .expect("net")
+            },
+            |mut net| black_box(query(&mut net)),
+            BatchSize::SmallInput,
+        );
+    });
 }
 
 fn bench_median_protocols(c: &mut Criterion) {
-    let (topo, items, xbar) = deployment();
     let mut g = c.benchmark_group("median_e2e_256");
     g.sample_size(10);
-
-    g.bench_function("fig1_deterministic", |b| {
-        b.iter_batched(
-            || {
-                SimNetworkBuilder::new()
-                    .build_one_per_node(&topo, &items, xbar)
-                    .expect("net")
-            },
-            |mut net| black_box(Median::new().run(&mut net).expect("median")),
-            BatchSize::SmallInput,
-        );
+    let plain = SimNetworkBuilder::new;
+    e2e(&mut g, "fig1_deterministic", plain, |net| {
+        Median::new().run(net).expect("median")
     });
-
-    g.bench_function("naive_collect", |b| {
-        b.iter_batched(
-            || {
-                SimNetworkBuilder::new()
-                    .build_one_per_node(&topo, &items, xbar)
-                    .expect("net")
-            },
-            |mut net| black_box(NaiveMedian::new().run(&mut net).expect("naive")),
-            BatchSize::SmallInput,
-        );
+    e2e(&mut g, "naive_collect", plain, |net| {
+        NaiveMedian::new().run(net).expect("naive")
     });
-
-    g.bench_function("apx_median_fig2", |b| {
-        b.iter_batched(
-            || {
-                SimNetworkBuilder::new()
-                    .apx_config(reduced_apx())
-                    .build_one_per_node(&topo, &items, xbar)
-                    .expect("net")
-            },
-            |mut net| {
-                black_box(
-                    ApxMedian::new(0.25)
-                        .expect("eps")
-                        .run(&mut net)
-                        .expect("apx"),
-                )
-            },
-            BatchSize::SmallInput,
-        );
+    e2e(&mut g, "apx_median_fig2", reduced_apx, |net| {
+        ApxMedian::new(0.25).expect("eps").run(net).expect("apx")
     });
-
-    g.bench_function("apx_median2_fig4", |b| {
-        b.iter_batched(
-            || {
-                SimNetworkBuilder::new()
-                    .apx_config(reduced_apx())
-                    .build_one_per_node(&topo, &items, xbar)
-                    .expect("net")
-            },
-            |mut net| {
-                black_box(
-                    ApxMedian2::new(0.1, 0.25)
-                        .expect("params")
-                        .run(&mut net)
-                        .expect("apx2"),
-                )
-            },
-            BatchSize::SmallInput,
-        );
+    e2e(&mut g, "apx_median2_fig4", reduced_apx, |net| {
+        let apx2 = ApxMedian2::new(0.1, 0.25).expect("params");
+        apx2.run(net).expect("apx2")
     });
-
-    g.bench_function("gk_tree", |b| {
-        let per_node: Vec<Vec<u64>> = items.iter().map(|&v| vec![v]).collect();
-        b.iter(|| {
-            black_box(
-                GkTreeMedian::new(24)
-                    .run(&topo, SimConfig::default(), per_node.clone(), xbar)
-                    .expect("gk"),
-            )
-        });
+    e2e(&mut g, "gk_tree", plain, |net| {
+        run_plan(net, &mut QuantilePlan::new(0.5, 24).expect("plan")).expect("gk")
     });
-
-    g.bench_function("sampling_bottomk", |b| {
-        let per_node: Vec<Vec<u64>> = items.iter().map(|&v| vec![v]).collect();
-        b.iter(|| {
-            black_box(
-                SamplingMedian::new(32, 1)
-                    .run(&topo, SimConfig::default(), per_node.clone(), xbar)
-                    .expect("sampling"),
-            )
-        });
+    e2e(&mut g, "sampling_bottomk", plain, |net| {
+        reference_median(&net.bottom_k(32).expect("sampling"))
     });
-
     g.finish();
 }
 

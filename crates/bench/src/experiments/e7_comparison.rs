@@ -5,7 +5,10 @@
 //! \[4\], the sampling synopses of Nath et al. \[10\] and the gossip
 //! bound of Kempe et al. \[6\]. This experiment runs all of them on the
 //! same deployments and tabulates max per-node bits and achieved rank
-//! error, reproducing the qualitative ordering:
+//! error. The GK and sampling rows are one `Quantile` and one `BottomK`
+//! request through the same `SimNetwork` as the paper's algorithms
+//! (`QuantilePlan` and `AggregationNetwork::bottom_k`), reproducing the
+//! qualitative ordering:
 //!
 //! * exact: MEDIAN (Fig. 1) ≪ naive collection;
 //! * approximate: APX_MEDIAN2 ≪ sampling ≤ GK ≪ naive, with gossip
@@ -15,12 +18,12 @@ use crate::deploy::builder_for;
 use crate::table::{banner, f3, Table};
 use crate::workload::{generate, Dist};
 use crate::Scale;
-use saq_baselines::gk_tree::GkTreeMedian;
 use saq_baselines::gossip::GossipMedian;
 use saq_baselines::naive::NaiveMedian;
-use saq_baselines::sampling::SamplingMedian;
-use saq_core::model::rank_lt;
+use saq_core::model::{rank_lt, reference_median};
 use saq_core::net::AggregationNetwork;
+use saq_core::plan::{run_plan, QuantilePlan};
+use saq_core::simnet::SimNetwork;
 use saq_core::{ApxCountConfig, ApxMedian, ApxMedian2, Median};
 use saq_netsim::sim::SimConfig;
 use saq_netsim::topology::Topology;
@@ -77,20 +80,16 @@ pub fn run(scale: Scale) -> Summary {
         let xbar = (n as u64 * n as u64).max(4096);
         let topo = Topology::grid(side, side).expect("grid");
         let items = generate(Dist::Uniform, n, xbar, 0xE7_00 + n as u64);
-        let per_node: Vec<Vec<u64>> = items.iter().map(|&v| vec![v]).collect();
 
-        let mut push = |name: &'static str, bits: u64, value: u64, rows: &mut Vec<ProtocolRow>| {
+        let mut push = |name: &'static str, bits: u64, value: u64| {
             let err = rank_error(&items, value);
+            let exact = if err == 0.0 { "yes" } else { "-" };
             table.row(&[
                 n.to_string(),
                 name.into(),
                 bits.to_string(),
                 f3(err),
-                if err == 0.0 {
-                    "yes".into()
-                } else {
-                    "-".to_string()
-                },
+                exact.into(),
             ]);
             rows.push(ProtocolRow {
                 name,
@@ -99,91 +98,52 @@ pub fn run(scale: Scale) -> Summary {
                 rank_err: err,
             });
         };
+        let deploy = |apx: ApxCountConfig| {
+            builder_for(n)
+                .apx_config(apx)
+                .build_one_per_node(&topo, &items, xbar)
+                .expect("net")
+        };
+        let bits = |net: &SimNetwork| net.net_stats().expect("stats").max_node_bits();
+        let plain = ApxCountConfig::default();
+        let seeded = plain.with_seed(0xE7);
+        let reduced = ApxCountConfig {
+            rep_search: 2.0,
+            rep_count: 1.0,
+            ..seeded.with_b(4)
+        };
 
         // Naive holistic collection.
-        {
-            let mut net = builder_for(n)
-                .build_one_per_node(&topo, &items, xbar)
-                .expect("net");
-            let out = NaiveMedian::new().run(&mut net).expect("naive");
-            push("naive-collect", out.max_node_bits, out.value, &mut rows);
-        }
+        let out = NaiveMedian::new().run(&mut deploy(plain)).expect("naive");
+        push("naive-collect", out.max_node_bits, out.value);
         // Deterministic MEDIAN (Fig. 1).
-        {
-            let mut net = builder_for(n)
-                .build_one_per_node(&topo, &items, xbar)
-                .expect("net");
-            let out = Median::new().run(&mut net).expect("median");
-            push(
-                "median-fig1",
-                net.net_stats().expect("stats").max_node_bits(),
-                out.value,
-                &mut rows,
-            );
-        }
-        // GK-style one-pass summaries.
-        {
-            let out = GkTreeMedian::new(24)
-                .run(&topo, SimConfig::default(), per_node.clone(), xbar)
-                .expect("gk");
-            push("gk-tree", out.base.max_node_bits, out.base.value, &mut rows);
-        }
-        // Bottom-k sampling.
-        {
-            let out = SamplingMedian::new(32, 0xE7)
-                .run(&topo, SimConfig::default(), per_node.clone(), xbar)
-                .expect("sampling");
-            push("sampling", out.max_node_bits, out.value, &mut rows);
-        }
+        let mut net = deploy(plain);
+        let out = Median::new().run(&mut net).expect("median");
+        push("median-fig1", bits(&net), out.value);
+        // GK-style one-pass summaries: one `Quantile` request.
+        let mut net = deploy(plain);
+        let out = run_plan(&mut net, &mut QuantilePlan::new(0.5, 24).expect("plan"));
+        let value = out.expect("gk").value.expect("nonempty");
+        push("gk-tree", bits(&net), value);
+        // Bottom-k sampling: one `BottomK` request, median of the sample.
+        let mut net = deploy(seeded);
+        let value = reference_median(&net.bottom_k(32).expect("sampling"));
+        push("sampling", bits(&net), value.expect("nonempty"));
         // APX_MEDIAN (Fig. 2) with moderate eps.
-        {
-            let mut net = builder_for(n)
-                .apx_config(ApxCountConfig {
-                    rep_search: 2.0,
-                    rep_count: 1.0,
-                    ..ApxCountConfig::default().with_b(4).with_seed(0xE7)
-                })
-                .build_one_per_node(&topo, &items, xbar)
-                .expect("net");
-            let out = ApxMedian::new(0.25)
-                .expect("eps")
-                .run(&mut net)
-                .expect("apx");
-            push(
-                "apx-median",
-                net.net_stats().expect("stats").max_node_bits(),
-                out.value,
-                &mut rows,
-            );
-        }
+        let mut net = deploy(reduced);
+        let out = ApxMedian::new(0.25).expect("eps").run(&mut net);
+        push("apx-median", bits(&net), out.expect("apx").value);
         // APX_MEDIAN2 (Fig. 4).
-        {
-            let mut net = builder_for(n)
-                .apx_config(ApxCountConfig {
-                    rep_search: 2.0,
-                    rep_count: 1.0,
-                    ..ApxCountConfig::default().with_b(4).with_seed(0xE7)
-                })
-                .build_one_per_node(&topo, &items, xbar)
-                .expect("net");
-            let out = ApxMedian2::new(0.05, 0.25)
-                .expect("params")
-                .run(&mut net)
-                .expect("apx2");
-            push(
-                "apx-median2",
-                net.net_stats().expect("stats").max_node_bits(),
-                out.value,
-                &mut rows,
-            );
-        }
+        let mut net = deploy(reduced);
+        let out = ApxMedian2::new(0.05, 0.25).expect("params").run(&mut net);
+        push("apx-median2", bits(&net), out.expect("apx2").value);
         // Gossip (diffusion-limited on grids).
         if n <= 1024 {
             let rounds = GossipMedian::rounds_for(&topo).min(2_000);
             let out = GossipMedian::new(rounds)
                 .run(&topo, SimConfig::default(), &items, xbar)
                 .expect("gossip");
-            push("gossip", out.max_node_bits, out.value, &mut rows);
+            push("gossip", out.max_node_bits, out.value);
         }
     }
     table.print();

@@ -5,7 +5,7 @@
 
 use crate::cache::CacheKey;
 use crate::row::{RowKernel, RowSource};
-use crate::wave::{encode_scratch, WaveProtocol};
+use crate::wave::WaveProtocol;
 use saq_netsim::sim::NodeId;
 use saq_netsim::wire::{gamma_len, BitReader, BitString, BitWriter};
 use saq_netsim::NetsimError;
@@ -19,9 +19,10 @@ pub type SlotKey<'a, P> = (
 
 /// The hooks a tree runner drives beyond the aggregate, which an envelope
 /// writes: a request's **slots**, their cache keys, per-slot billing and
-/// merges, and the side-state a clone bills. Each default is the
-/// single-slot body, so a plain protocol a tree runner runs bare opts in
-/// with an empty `impl Envelope for X {}`; rings need none of it.
+/// merges, and the side-state a clone bills. [`MultiplexWave`] is the one
+/// envelope the system runs. Each default is the single-slot body, so a
+/// test protocol a tree runner runs bare opts in with an empty
+/// `impl Envelope for X {}`; rings need none of it.
 pub trait Envelope: WaveProtocol {
     /// Accounts for `copies` transmissions of `req`'s encoding — one
     /// per child a node forwards `req` to (retransmissions excluded).
@@ -473,7 +474,7 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
                 // allocation on every decode (the allocation gates run
                 // in debug too).
                 #[cfg(debug_assertions)]
-                encode_scratch(
+                crate::wave::encode_scratch(
                     |w| self.inner.encode_request(&req, w),
                     |chk| {
                         debug_assert_eq!(*chk, raw, "captured slot bits must equal the re-encoding")
@@ -641,7 +642,7 @@ impl<P: WaveProtocol> WaveProtocol for MultiplexWave<P> {
             #[cfg(debug_assertions)]
             {
                 let part = self.inner.row_partial(&entry.req, &mut None, words);
-                encode_scratch(
+                crate::wave::encode_scratch(
                     |w| self.inner.encode_partial(&entry.req, &part, w),
                     |frame| debug_assert_eq!(frame.len_bits(), bits, "the width law of a row slot"),
                 );
@@ -813,7 +814,7 @@ impl<P: WaveProtocol> Envelope for MultiplexWave<P> {
         let entry = &req[i];
         let bits = self.inner.partial_width(&entry.req, &part[0]);
         #[cfg(debug_assertions)]
-        encode_scratch(
+        crate::wave::encode_scratch(
             |w| self.inner.encode_partial(&entry.req, &part[0], w),
             |frame| debug_assert_eq!(frame.len_bits(), bits, "the width law"),
         );

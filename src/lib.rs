@@ -27,8 +27,8 @@
 //!   `APX_MEDIAN2`, `COUNT_DISTINCT`, primitives);
 //! * [`obs`] — the telemetry spine: deterministic event tracing,
 //!   metrics registry, bit-provenance reports (`saq-trace`);
-//! * [`baselines`] — comparison protocols (naive collection, GK-tree,
-//!   sampling, gossip median);
+//! * [`baselines`] — comparison protocols (naive collection, gossip
+//!   median; the GK and sampling comparators are `core` requests);
 //! * [`lowerbound`] — the Theorem 5.1 Set-Disjointness reduction.
 //!
 //! ## Quickstart

@@ -203,6 +203,20 @@ fn e7_comparison_orderings() {
         median < 2 * naive,
         "median-fig1 ({median}) should be in naive's ({naive}) ballpark or below"
     );
+    // GK's one pass already undercuts shipping every value there.
+    let gk = bits_of("gk-tree").expect("gk row");
+    assert!(
+        gk < naive,
+        "gk-tree ({gk}) should cost less than naive ({naive})"
+    );
+    // The exact protocols are exact at every N.
+    for r in s
+        .rows
+        .iter()
+        .filter(|r| matches!(r.name, "naive-collect" | "median-fig1"))
+    {
+        assert_eq!(r.rank_err, 0.0, "{} at N = {}", r.name, r.n);
+    }
 }
 
 #[test]

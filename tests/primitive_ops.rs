@@ -4,10 +4,14 @@
 //! estimates bit for bit — and every simulated op's bit bill fixed.
 //! `complexity_envelopes` checks only bounds and `cross_validation` only
 //! agreement between the networks; this suite catches any change to
-//! what a single primitive returns or costs.
+//! what a single primitive returns or costs. It also states the
+//! properties of the two comparators E7 runs as single requests: the
+//! GK summary (`Quantile`) and bottom-k sampling (`BottomK`).
 
 use saq::core::local::LocalNetwork;
+use saq::core::model::{rank_lt, reference_median};
 use saq::core::net::AggregationNetwork;
+use saq::core::plan::{run_plan, QuantileOutcome, QuantilePlan};
 use saq::core::predicate::{Domain, Predicate};
 use saq::core::simnet::{SimNetwork, SimNetworkBuilder};
 use saq::netsim::rng::Xoshiro256StarStar;
@@ -25,10 +29,15 @@ fn items() -> Vec<u64> {
 }
 
 fn sim(flat: bool) -> SimNetwork {
-    let topo = Topology::grid(SIDE, SIDE).unwrap();
+    grid(SIDE, &items(), XBAR, flat)
+}
+
+/// A `side × side` grid holding `items`, one per node.
+fn grid(side: usize, items: &[u64], xbar: u64, flat: bool) -> SimNetwork {
+    let topo = Topology::grid(side, side).unwrap();
     SimNetworkBuilder::new()
         .flat(flat)
-        .build_one_per_node(&topo, &items(), XBAR)
+        .build_one_per_node(&topo, items, xbar)
         .unwrap()
 }
 
@@ -175,5 +184,167 @@ fn out_of_range_requests_are_rejected_on_both_runners() {
         }
         let count = net.count(&Predicate::less_than(200)).unwrap();
         assert_eq!(count, 6, "flat({flat})");
+    }
+}
+
+/// `value`'s rank interval `[rank_lt(value), rank_lt(value + 1)]` in
+/// `items` lies within `err` of the rank `target`.
+fn within_rank_error(items: &[u64], value: u64, target: u64, err: u64) -> bool {
+    rank_lt(items, value) <= target + err && rank_lt(items, value + 1) + err >= target
+}
+
+/// Runs `check` on the boxed and flat simulated networks and on the
+/// in-memory one, all holding `items` on a `side × side` grid.
+fn on_every_network(
+    side: usize,
+    items: &[u64],
+    xbar: u64,
+    check: impl Fn(&mut dyn AggregationNetwork, &str),
+) {
+    for flat in [false, true] {
+        check(&mut grid(side, items, xbar, flat), &format!("flat({flat})"));
+    }
+    check(
+        &mut LocalNetwork::new(items.to_vec(), xbar).unwrap(),
+        "local",
+    );
+}
+
+/// The GK comparator (one `Quantile` convergecast, read as
+/// [`QuantilePlan`] reads it): the median lies within the root summary's
+/// certified rank error.
+#[test]
+fn gk_median_lies_within_its_certified_rank_error() {
+    let items: Vec<u64> = (0..64).map(|i| i * 37 % 1000).collect();
+    on_every_network(8, &items, 1000, |net, on| {
+        let summary = net.quantile_summary(16).unwrap();
+        let (value, err) = (
+            summary.query_quantile(0.5).unwrap(),
+            summary.max_rank_error(),
+        );
+        let target = (items.len() as u64).div_ceil(2);
+        assert!(
+            within_rank_error(&items, value, target, err),
+            "{on}: median {value} vs rank {target} ± {err}"
+        );
+    });
+}
+
+/// A larger prune budget certifies no larger error and costs more bits
+/// at the busiest node.
+#[test]
+fn a_larger_gk_budget_gives_no_larger_error_and_more_bits() {
+    let items: Vec<u64> = (0..64).map(|i| i * 37 % 1000).collect();
+    for flat in [false, true] {
+        let run = |budget| {
+            let mut net = grid(8, &items, 1000, flat);
+            let out = run_plan(&mut net, &mut QuantilePlan::new(0.5, budget).unwrap()).unwrap();
+            (out.rank_error, net.net_stats().unwrap().max_node_bits())
+        };
+        let (small_err, small_bits) = run(8);
+        let (large_err, large_bits) = run(64);
+        assert!(large_err <= small_err, "flat({flat})");
+        assert!(large_bits > small_bits, "flat({flat})");
+    }
+}
+
+/// One summary convergecast answers every quantile within its certified
+/// rank error.
+#[test]
+fn all_quantiles_come_from_one_gk_pass() {
+    let items: Vec<u64> = (0..36).map(|i| i * 37 % 1000).collect();
+    let n = items.len() as u64;
+    on_every_network(6, &items, 1000, |net, on| {
+        let summary = net.quantile_summary(32).unwrap();
+        let err = summary.max_rank_error();
+        for phi in [0.1, 0.25, 0.5, 0.75, 0.9] {
+            let got = summary.query_quantile(phi).unwrap();
+            let target = ((phi * n as f64).ceil() as u64).clamp(1, n);
+            assert!(
+                within_rank_error(&items, got, target, err),
+                "{on} phi={phi}: value {got} vs rank {target} ± {err}"
+            );
+        }
+    });
+}
+
+/// The bottom-k comparator (one `BottomK` convergecast): the sample
+/// median lies within `3·n/√k` of rank `n/2`.
+#[test]
+fn the_sample_median_lies_near_the_median() {
+    let n = 256u64;
+    let items: Vec<u64> = (0..n).map(|i| i * 97 % 1024).collect();
+    on_every_network(16, &items, 1024, |net, on| {
+        let median = reference_median(&net.bottom_k(64).unwrap()).unwrap();
+        // Rank error ~ n/√k = 32; allow 3×.
+        let rank = rank_lt(&items, median);
+        assert!(
+            rank.abs_diff(n / 2) < 96,
+            "{on}: sample median {median} at rank {rank}"
+        );
+    });
+}
+
+/// A larger sample costs more bits at the busiest node.
+#[test]
+fn a_larger_sample_costs_more_bits() {
+    let items: Vec<u64> = (0..64).map(|v| v * 3).collect();
+    for flat in [false, true] {
+        let bits = |k| {
+            let mut net = grid(8, &items, 1024, flat);
+            net.bottom_k(k).unwrap();
+            net.net_stats().unwrap().max_node_bits()
+        };
+        assert!(bits(64) > bits(8), "flat({flat})");
+    }
+}
+
+/// The boxed, flat and in-memory networks, holding no item.
+fn empty_networks() -> (SimNetwork, SimNetwork, LocalNetwork) {
+    let topo = Topology::line(3).unwrap();
+    let sim = |flat| {
+        SimNetworkBuilder::new()
+            .flat(flat)
+            .build(&topo, vec![vec![]; 3], 10)
+            .unwrap()
+    };
+    (
+        sim(false),
+        sim(true),
+        LocalNetwork::new(vec![], 10).unwrap(),
+    )
+}
+
+/// The GK comparator reads no median off an empty network.
+#[test]
+fn an_empty_network_has_no_gk_median() {
+    let (mut boxed, mut flat, mut local) = empty_networks();
+    let plan = || QuantilePlan::new(0.5, 8).unwrap();
+    let outs = [
+        run_plan(&mut boxed, &mut plan()),
+        run_plan(&mut flat, &mut plan()),
+        run_plan(&mut local, &mut plan()),
+    ];
+    let none = QuantileOutcome {
+        value: None,
+        rank_error: 0,
+        count: 0,
+        summary_len: 0,
+    };
+    for out in outs {
+        assert_eq!(out.unwrap(), none);
+    }
+}
+
+/// The sampling comparator draws an empty sample, which has no median.
+#[test]
+fn an_empty_network_has_no_sample_median() {
+    let (mut boxed, mut flat, mut local) = empty_networks();
+    for net in [
+        &mut boxed as &mut dyn AggregationNetwork,
+        &mut flat,
+        &mut local,
+    ] {
+        assert_eq!(reference_median(&net.bottom_k(8).unwrap()), None);
     }
 }
